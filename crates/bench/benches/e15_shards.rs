@@ -1,19 +1,16 @@
-//! E15 — the event-driven shard engine vs. thread-per-connection.
+//! E15 — the event-driven shard engine across shard counts.
 //!
 //! The server's dispatch question: N worker shards, each one thread
-//! hosting many sessions behind a poll-style readiness loop, against
-//! the legacy one-thread-per-connection ablation. Both paths funnel
-//! through the same `Server::finish_batch`, so any difference here is
-//! pure dispatch cost.
+//! hosting many sessions behind a poll-style readiness loop. The
+//! baseline that gave every connection its own OS thread is gone; its
+//! number stays in EXPERIMENTS.md E15.
 //!
 //! Series:
 //! * `dispatch/` — one full loadgen fleet (connect, replay, goodbye)
-//!   over the in-memory transport at 1, 2, 4, and 8 shards plus the
-//!   `thread_per_conn` baseline; sessions/s is the criterion
-//!   throughput.
+//!   over the in-memory transport at 1, 2, 4, and 8 shards; sessions/s
+//!   is the criterion throughput.
 //! * The headline printed outside criterion: saturation sessions/s and
-//!   client p99 for every dispatch mode on the same fleet — the table
-//!   EXPERIMENTS.md E15 reports.
+//!   client p99 per shard count on the same fleet.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -22,7 +19,6 @@ use atk_serve::{run_loadgen_mem, LoadConfig, Profile};
 
 const FLEET: usize = 32;
 
-/// `shards == 0` selects the thread-per-connection ablation.
 fn fleet_cfg(shards: usize) -> LoadConfig {
     let mut cfg = LoadConfig {
         sessions: FLEET,
@@ -50,29 +46,17 @@ fn bench_dispatch(c: &mut Criterion) {
             })
         });
     }
-    g.bench_function(BenchmarkId::new("thread_per_conn", FLEET), |b| {
-        let cfg = fleet_cfg(0);
-        b.iter(|| {
-            let report = run_loadgen_mem(black_box(&cfg)).unwrap();
-            assert_eq!(report.completed, FLEET, "errors: {:?}", report.errors);
-            report
-        })
-    });
     g.finish();
 }
 
-/// The E15 table: sessions/s and client p99 per dispatch mode.
+/// The E15 table: sessions/s and client p99 per shard count.
 fn print_headline() {
-    println!("e15 headline: {FLEET}-session mixed fleet on fig1, per dispatch mode:");
-    for shards in [0usize, 1, 2, 4, 8] {
+    println!("e15 headline: {FLEET}-session mixed fleet on fig1, per shard count:");
+    for shards in [1usize, 2, 4, 8] {
         let report = run_loadgen_mem(&fleet_cfg(shards)).unwrap();
         assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
-        let mode = match shards {
-            0 => "thread-per-conn".to_string(),
-            n => format!("{n} shard(s)"),
-        };
         println!(
-            "  {mode:>15}: {:7.1} sessions/s, p99 {:.2} ms",
+            "  {shards} shard(s): {:7.1} sessions/s, p99 {:.2} ms",
             report.sessions_per_s,
             report.p99_us as f64 / 1000.0,
         );

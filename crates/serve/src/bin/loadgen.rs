@@ -3,7 +3,7 @@
 //! ```text
 //! loadgen [--sessions N] [--steps N] [--scene NAME] [--seed N]
 //!         [--profile mixed|typing|collab] [--window N]
-//!         [--connect HOST:PORT] [--mem] [--shards N] [--thread-per-conn]
+//!         [--connect HOST:PORT] [--mem] [--shards N]
 //!         [--docs N] [--writers N] [--watchers N] [--arrival RATE]
 //!         [--rendezvous] [--min-concurrent N] [--faults SEED]
 //!         [--disconnect-every N] [--max-sessions N] [--queue-cap N]
@@ -19,14 +19,13 @@
 //! drops exceed `--max-drops`, or when the server's observed peak
 //! concurrency falls short of `--min-concurrent`.
 //!
-//! Scale and chaos: `--shards N` hosts the fleet on the event-driven
-//! shard engine (`--thread-per-conn` is the ablation baseline),
-//! `--arrival R` paces an open-loop ramp of R connects/s,
-//! `--rendezvous` holds every client at a barrier until the whole
-//! fleet is connected, `--faults SEED` wraps each `--mem` transport in
-//! a seeded fault injector (short reads/writes, `WouldBlock` storms),
-//! and `--disconnect-every N` makes every Nth client vanish
-//! mid-script. Injected disconnects are never counted as errors.
+//! Scale and chaos: `--shards N` hosts the fleet on N event-driven
+//! worker shards (at least 1), `--arrival R` paces an open-loop ramp
+//! of R connects/s, `--rendezvous` holds every client at a barrier
+//! until the whole fleet is connected, `--faults SEED` wraps each
+//! `--mem` transport in a seeded fault injector (short reads/writes,
+//! `WouldBlock` storms), and `--disconnect-every N` makes every Nth
+//! client vanish mid-script. Injected disconnects are never counted as errors.
 //! `--ramp` turns the run into a pure admission storm: every client
 //! connects, waits for its initial keyframe, and says goodbye without
 //! sending a step, so the report's TTFF percentiles isolate session
@@ -58,7 +57,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--sessions N] [--steps N] [--scene NAME] [--seed N] \
          [--profile mixed|typing|collab] [--window N] [--connect HOST:PORT] \
-         [--mem] [--shards N] [--thread-per-conn] [--docs N] [--writers N] \
+         [--mem] [--shards N] [--docs N] [--writers N] \
          [--watchers N] [--arrival RATE] [--rendezvous] [--min-concurrent N] \
          [--faults SEED] [--disconnect-every N] [--max-sessions N] \
          [--queue-cap N] [--keyframe-only] [--max-drops N] [--slo-us N] \
@@ -137,10 +136,6 @@ fn main() {
             "--shards" => {
                 cfg.shards = parse_num("--shards", argv.get(i + 1));
                 i += 2;
-            }
-            "--thread-per-conn" => {
-                cfg.shards = 0;
-                i += 1;
             }
             "--docs" => {
                 cfg.docs = parse_num("--docs", argv.get(i + 1));
@@ -242,6 +237,10 @@ fn main() {
     }
     if cfg.window == 0 {
         eprintln!("loadgen: --window must be at least 1");
+        usage();
+    }
+    if cfg.shards == 0 {
+        eprintln!("loadgen: --shards must be at least 1");
         usage();
     }
     if mem && cfg.connect.is_some() {

@@ -1,19 +1,16 @@
 //! `served` — the multi-session toolkit server.
 //!
 //! ```text
-//! served [--port N] [--shards N] [--thread-per-conn] [--shuffle-seed N]
-//!        [--max-sessions N] [--queue-cap N] [--budget BYTES]
-//!        [--keyframe-every N] [--idle-ms N] [--keyframe-only]
+//! served [--port N] [--shards N] [--max-sessions N] [--queue-cap N]
+//!        [--budget BYTES] [--keyframe-every N] [--idle-ms N] [--keyframe-only]
 //!        [--slo-us N] [--no-frame-trace] [--stats-every SECS]
 //!        [--paint-threads N] [--no-encode] [--no-fork] [--backend NAME]
 //! ```
 //!
 //! Listens on `127.0.0.1:<port>` (an OS-assigned port when 0, printed
-//! on stdout) and hosts scene sessions until killed — on `--shards N`
-//! event-driven worker shards by default, or one thread per connection
-//! with `--thread-per-conn` (the E15 ablation baseline). `--shuffle-seed`
-//! arms the readiness-reorder fault for chaos runs. Sharded sessions
-//! fork from pre-warmed per-shard scene templates; `--no-fork` is the
+//! on stdout) and hosts scene sessions until killed on `--shards N`
+//! (at least 1, default 4) event-driven worker shards. Sessions fork
+//! from pre-warmed per-shard scene templates; `--no-fork` is the
 //! cold-boot ablation and `--backend` sets the default window-system
 //! backend sessions are built on.
 //!
@@ -27,14 +24,13 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use atk_serve::{serve_listener, serve_listener_sharded, Server, ServerConfig};
+use atk_serve::{serve_listener_sharded, Server, ServerConfig};
 use atk_trace::{Snapshot, Stage};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: served [--port N] [--shards N] [--thread-per-conn] \
-         [--shuffle-seed N] [--max-sessions N] [--queue-cap N] \
-         [--budget BYTES] [--keyframe-every N] [--idle-ms N] [--keyframe-only] \
+        "usage: served [--port N] [--shards N] [--max-sessions N] \
+         [--queue-cap N] [--budget BYTES] [--keyframe-every N] [--idle-ms N] [--keyframe-only] \
          [--slo-us N] [--no-frame-trace] [--stats-every SECS] \
          [--paint-threads N] [--no-encode] [--no-fork] [--backend NAME]"
     );
@@ -113,14 +109,6 @@ fn main() {
                 shards = parse_num("--shards", argv.get(i + 1));
                 i += 2;
             }
-            "--thread-per-conn" => {
-                shards = 0;
-                i += 1;
-            }
-            "--shuffle-seed" => {
-                cfg.readiness_shuffle_seed = Some(parse_num("--shuffle-seed", argv.get(i + 1)));
-                i += 2;
-            }
             "--max-sessions" => {
                 cfg.max_sessions = parse_num("--max-sessions", argv.get(i + 1));
                 i += 2;
@@ -182,6 +170,10 @@ fn main() {
             _ => usage(),
         }
     }
+    if shards == 0 {
+        eprintln!("served: --shards must be at least 1");
+        usage();
+    }
 
     let collector = Arc::new(atk_trace::Collector::new());
     collector.enable();
@@ -211,19 +203,11 @@ fn main() {
         }
     };
     match listener.local_addr() {
-        Ok(addr) => match shards {
-            0 => println!("served: listening on {addr} (thread-per-conn)"),
-            n => println!("served: listening on {addr} ({n} shard(s))"),
-        },
+        Ok(addr) => println!("served: listening on {addr} ({shards} shard(s))"),
         Err(e) => eprintln!("served: local_addr: {e}"),
     }
 
-    let served = if shards > 0 {
-        serve_listener_sharded(server, listener, shards)
-    } else {
-        serve_listener(server, listener)
-    };
-    if let Err(e) = served {
+    if let Err(e) = serve_listener_sharded(server, listener, shards) {
         eprintln!("served: accept loop failed: {e}");
         std::process::exit(1);
     }

@@ -100,23 +100,22 @@ impl ClientStats {
         }
     }
 
-    fn percentile(&self, sorted: &[u64], q: f64) -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        let idx = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-        sorted[idx.min(sorted.len() - 1)]
-    }
-
     /// (p50, p99) of the latency samples, microseconds.
     pub fn latency_percentiles(&self) -> (u64, u64) {
         let mut sorted = self.latencies_us.clone();
         sorted.sort_unstable();
-        (
-            self.percentile(&sorted, 0.50),
-            self.percentile(&sorted, 0.99),
-        )
+        (percentile(&sorted, 0.50), percentile(&sorted, 0.99))
     }
+}
+
+/// Nearest-rank `q`-quantile of ascending `sorted` samples (0 when
+/// empty).
+pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// A connected session viewed from the client side.
@@ -200,9 +199,7 @@ impl<T: FrameTransport> ServeClient<T> {
             ended: false,
         };
         // The initial keyframe follows the welcome unconditionally.
-        let body = client.t.recv()?;
-        let frame = ServerFrame::decode(&body)?;
-        client.apply_frame(frame, body.len())?;
+        client.recv_and_apply()?;
         client.stats.ttff_us = connect_started.elapsed().as_micros() as u64;
         Ok(client)
     }
@@ -241,11 +238,16 @@ impl<T: FrameTransport> ServeClient<T> {
     /// Blocks until every step sent so far is covered by a frame.
     pub fn sync(&mut self) -> Result<(), ClientError> {
         while self.acked < self.sent && !self.ended {
-            let body = self.t.recv()?;
-            let frame = ServerFrame::decode(&body)?;
-            self.apply_frame(frame, body.len())?;
+            self.recv_and_apply()?;
         }
         Ok(())
+    }
+
+    /// Blocks for the next server frame and applies it.
+    fn recv_and_apply(&mut self) -> Result<(), ClientError> {
+        let body = self.t.recv()?;
+        let frame = ServerFrame::decode(&body)?;
+        self.apply_frame(frame, body.len())
     }
 
     /// Pipelining window: how many sent steps no frame has covered yet.
@@ -312,9 +314,7 @@ impl<T: FrameTransport> ServeClient<T> {
         if !self.ended {
             self.t.send(&ClientFrame::Bye.encode()?)?;
             while !self.ended {
-                let body = self.t.recv()?;
-                let frame = ServerFrame::decode(&body)?;
-                self.apply_frame(frame, body.len())?;
+                self.recv_and_apply()?;
             }
         }
         Ok((self.stats, self.fb))

@@ -22,8 +22,13 @@
 //! Template builds and fork costs count on the server plane
 //! (`world.template_builds`, `world.forks`, `world.fork_us`,
 //! `world.fork_shared_bytes`), never on the forked session's own
-//! collector. `--no-fork` is the cold-boot ablation; only the shard
-//! engine forks — the thread-per-connection path always builds cold.
+//! collector. `--no-fork` is the cold-boot ablation.
+//!
+//! There is one dispatch engine: every connection — TCP from the
+//! acceptor, or an in-memory pair from the tests, the oracles and
+//! `--mem` loadgen ([`Server::connect_mem`]) — enters a worker shard
+//! through [`Server::admit`], so the differentials prove byte identity
+//! on the path production runs.
 //!
 //! The pieces:
 //!
@@ -34,17 +39,17 @@
 //! * [`session`] — one hosted session: batch coalescing, region
 //!   diffing against the last shipped frame, keyframe cadence/budget,
 //!   idle eviction on the session's own virtual clock
-//! * [`server`] — admission control plus both dispatch paths: the
-//!   event-driven shard engine and the legacy thread-per-connection
-//!   loop (the `World` is `!Send`; sessions are born and die on one
-//!   thread either way)
-//! * [`shard`] — the worker-shard readiness loop: one thread hosting
-//!   many sessions, fed by an mpsc admission queue
+//! * [`server`] — admission control, the stats plane, and the
+//!   shared-document registry
+//! * [`shard`] — the worker-shard readiness loop and the per-connection
+//!   protocol: one thread hosting many sessions (the `World` is
+//!   `!Send`; a session is born and dies on its shard's thread), fed
+//!   by an mpsc admission queue
 //! * [`client`] — the client half: framebuffer reconstruction plus
 //!   latency/byte accounting
-//! * [`oracle`] — served-vs-in-process, sharded-vs-single, and
-//!   replicated-vs-replayed differentials: same script ⇒
-//!   byte-identical frames
+//! * [`oracle`] — the one serve differential: scripted private sessions
+//!   or shared-document replicas, on any shard/fault/fork topology,
+//!   byte-identical to the in-process reference
 //! * [`loadgen`] — N concurrent scripted clients (open-loop arrival,
 //!   rendezvous, chaos faults, replicated-document fleets, admission
 //!   storms) and the report behind EXPERIMENTS.md E11/E15/E16/E17
@@ -64,10 +69,11 @@
 //! (+ `.total`) attribution histograms.
 //!
 //! The stats plane: each connection reports into its own collector;
-//! admission and lifecycle counters stay on the server-plane one. A
-//! `Stats` wire request (or [`Server::merged_snapshot`]) folds the
-//! server plane, retired sessions, and live sessions into one
-//! server-wide snapshot. An optional SLO watchdog
+//! admission and lifecycle counters stay on the server-plane one, and
+//! scheduling counters on each shard's. A `Stats` wire request (or
+//! [`Server::merged_snapshot`]) folds the server plane, the shard
+//! planes, retired sessions, and live sessions into one server-wide
+//! snapshot. An optional SLO watchdog
 //! ([`SessionConfig::slo_us`]) dumps any over-budget frame's stage
 //! breakdown to the shared slow-frame log — deterministically, when
 //! the sessions run on a manual clock
@@ -89,11 +95,8 @@ pub mod wire;
 pub use client::{ClientError, ClientStats, ServeClient};
 pub use fault::{FaultPlan, FaultTransport};
 pub use loadgen::{run_loadgen, run_loadgen_mem, LoadConfig, LoadReport, Profile};
-pub use oracle::{
-    collab_differential, encode_differential, run_sharded, serve_differential,
-    serve_differential_with, serve_script_differential, CollabRun, ShardedRun,
-};
-pub use server::{serve_listener, serve_listener_sharded, ConnectionOutcome, Server, ServerConfig};
+pub use oracle::{divergence, serve_differential, ServedRun, Topology, Traffic};
+pub use server::{serve_listener_sharded, Server, ServerConfig};
 pub use session::{HostedSession, SessionConfig, SessionEnd};
 pub use transport::{FrameTransport, MemTransport, TcpTransport};
 pub use wire::{ClientFrame, Encoding, PatchRect, ServerFrame, WireError};

@@ -8,17 +8,17 @@
 //! bursts actually reach the server-side batch coalescer without
 //! unbounded frames piling up in flight.
 //!
-//! Scale knobs: [`LoadConfig::shards`] hosts the fleet on the
-//! event-driven shard engine (0 falls back to thread-per-connection,
-//! the E15 ablation baseline); [`LoadConfig::arrival_per_s`] paces an
-//! open-loop arrival ramp instead of connecting everyone at t=0;
+//! Scale knobs: [`LoadConfig::shards`] sets how many worker shards host
+//! the fleet; [`LoadConfig::arrival_per_s`] paces an open-loop arrival
+//! ramp instead of connecting everyone at t=0;
 //! [`LoadConfig::rendezvous`] parks every connected client at a
 //! barrier until the whole fleet is live, making "N concurrent
 //! sessions" literal — the server's `serve.peak_sessions` gauge is the
 //! proof. Chaos knobs ([`LoadConfig::fault_seed`],
 //! [`LoadConfig::disconnect_every`]) wrap the in-memory transports in
-//! seeded [`FaultTransport`]s and cut a fraction of clients mid-script;
-//! those cuts are classified as *injected* disconnects, never errors.
+//! seeded [`FaultTransport`](crate::FaultTransport)s and cut a fraction
+//! of clients mid-script; those cuts are classified as *injected*
+//! disconnects, never errors.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,13 +30,12 @@ use atk_check::gen::{interleaved_script, StepGen};
 use atk_check::Session;
 use atk_core::ScriptStep;
 use atk_graphics::Framebuffer;
-use atk_trace::{Collector, Snapshot, Stage};
+use atk_trace::{Snapshot, Stage};
 use atk_wm::{Key, WindowEvent};
 
-use crate::client::{ClientStats, ServeClient};
-use crate::fault::{FaultPlan, FaultTransport};
-use crate::server::{serve_listener, serve_listener_sharded, Server, ServerConfig};
-use crate::transport::{FrameTransport, MemTransport, TcpTransport};
+use crate::client::{percentile, ClientStats, ServeClient};
+use crate::server::{serve_listener_sharded, Server, ServerConfig};
+use crate::transport::{FrameTransport, TcpTransport};
 
 /// What steps the clients replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,8 +90,8 @@ pub struct LoadConfig {
     pub stats_probe: bool,
     /// Server-side config when self-hosting.
     pub server: ServerConfig,
-    /// Worker shards hosting the fleet (0 = the legacy thread-per-
-    /// connection path, kept as the E15 ablation baseline).
+    /// Worker shards hosting a self-hosted fleet; must be at least 1
+    /// (the entry points reject 0).
     pub shards: usize,
     /// Open-loop arrival rate: client `i` connects at `i / rate`
     /// seconds instead of everyone at t=0. `0.0` disables pacing.
@@ -103,8 +102,9 @@ pub struct LoadConfig {
     /// reach the barrier — a lone `Busy` must not hang the fleet.
     pub rendezvous: bool,
     /// Chaos: wrap every in-memory transport pair in seeded
-    /// [`FaultTransport`]s (client `i` uses `seed ^ i`). `--mem` only —
-    /// a TCP server can't fault-wrap its half of the stream.
+    /// [`FaultTransport`](crate::FaultTransport)s (client `i` uses
+    /// `seed ^ i`). `--mem` only — a TCP server can't fault-wrap its
+    /// half of the stream.
     pub fault_seed: Option<u64>,
     /// Chaos: every `n`th client drops its connection mid-script, no
     /// goodbye. These are counted as injected disconnects, not errors.
@@ -158,7 +158,7 @@ impl Default for LoadConfig {
 }
 
 /// The aggregated result of one loadgen run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     /// Sessions that completed their script and said goodbye.
     pub completed: usize,
@@ -253,19 +253,7 @@ pub fn client_script(
     steps: usize,
 ) -> Result<Vec<ScriptStep>, String> {
     match profile {
-        Profile::Mixed => {
-            // Generation reads live session state (window size, offered
-            // menus), so record against a throwaway local session.
-            let mut session = Session::build(scene, "x11sim")?;
-            let mut gen = StepGen::new(seed);
-            let mut out = Vec::with_capacity(steps);
-            for _ in 0..steps {
-                let step = gen.next_step(&mut session.world, &mut session.im);
-                session.apply(&step);
-                out.push(step);
-            }
-            Ok(out)
-        }
+        Profile::Mixed => fuzz_script(scene, "x11sim", seed, steps),
         Profile::Typing => {
             let mut session = Session::build(scene, "x11sim")?;
             let size = session.im.window_mut().size();
@@ -275,6 +263,26 @@ pub fn client_script(
         // per-client streams; the collab entry point builds them.
         Profile::Collab => Err("collab has no single-client script".into()),
     }
+}
+
+/// Records `steps` steps of the fuzzer's weighted mix on `backend`.
+/// Generation reads live session state (window size, offered menus),
+/// so it records against a throwaway local session.
+pub(crate) fn fuzz_script(
+    scene: &str,
+    backend: &str,
+    seed: u64,
+    steps: usize,
+) -> Result<Vec<ScriptStep>, String> {
+    let mut session = Session::build(scene, backend)?;
+    let mut gen = StepGen::new(seed);
+    let mut out = Vec::with_capacity(steps);
+    for _ in 0..steps {
+        let step = gen.next_step(&mut session.world, &mut session.im);
+        session.apply(&step);
+        out.push(step);
+    }
+    Ok(out)
 }
 
 /// A seed-rotated sentence with line breaks: the classic "user typing
@@ -310,19 +318,25 @@ fn typing_script(width: i32, height: i32, seed: u64, steps: usize) -> Vec<Script
 /// outcome, not an error: the report counts them separately so a chaos
 /// run can still assert zero *real* failures.
 enum DriveOutcome {
-    /// Script fully replayed, goodbye acked.
-    Completed(ClientStats),
+    /// Script fully replayed, goodbye acked. A collab replica also
+    /// carries its final reconstruction (for the cross-replica
+    /// divergence check) and the ops it submitted.
+    Completed {
+        stats: ClientStats,
+        fb: Option<Framebuffer>,
+        ops: u64,
+    },
     /// The client dropped its transport mid-script on purpose.
     InjectedDisconnect,
 }
 
-/// Replays one script over a transport with a bounded pipelining
-/// window. With a rendezvous barrier the client parks right after its
-/// handshake — *every* client reaches the barrier, connect failure or
-/// not, so one `Busy` can't deadlock the fleet. `cut_after` is the
-/// chaos knob: vanish before sending step `i`, no goodbye.
-fn drive<T: FrameTransport>(
-    transport: T,
+/// Replays one script over a fresh connection with a bounded
+/// pipelining window. With a rendezvous barrier the client parks right
+/// after its handshake — *every* client reaches the barrier, connect
+/// failure or not, so one `Busy` can't deadlock the fleet. `cut_after`
+/// is the chaos knob: vanish before sending step `i`, no goodbye.
+fn drive(
+    transport: Result<Box<dyn FrameTransport>, String>,
     scene: &str,
     backend: Option<&str>,
     script: &[ScriptStep],
@@ -330,17 +344,37 @@ fn drive<T: FrameTransport>(
     rendezvous: Option<Arc<Barrier>>,
     cut_after: Option<usize>,
 ) -> Result<DriveOutcome, String> {
-    let connected =
-        ServeClient::connect_backend(transport, scene, backend).map_err(|e| e.to_string());
+    let connected = transport
+        .and_then(|t| ServeClient::connect_backend(t, scene, backend).map_err(|e| e.to_string()));
     if let Some(b) = rendezvous {
         b.wait();
     }
     let mut client = connected?;
+    if !replay(&mut client, script, window, cut_after)? {
+        // The server must cope with a mid-script EOF; the client side
+        // records it as injected, never as an error.
+        return Ok(DriveOutcome::InjectedDisconnect);
+    }
+    let stats = client.finish().map_err(|e| e.to_string())?;
+    Ok(DriveOutcome::Completed {
+        stats,
+        fb: None,
+        ops: 0,
+    })
+}
+
+/// Sends `script` through `client` with a bounded pipelining window,
+/// then waits for the frame covering its last step. Returns `false`
+/// when the client vanished on purpose before step `cut_after`.
+fn replay(
+    client: &mut ServeClient<Box<dyn FrameTransport>>,
+    script: &[ScriptStep],
+    window: u64,
+    cut_after: Option<usize>,
+) -> Result<bool, String> {
     for (i, step) in script.iter().enumerate() {
         if cut_after == Some(i) {
-            // The server must cope with a mid-script EOF; the client
-            // side records it as injected, never as an error.
-            return Ok(DriveOutcome::InjectedDisconnect);
+            return Ok(false);
         }
         client.send_step(step).map_err(|e| e.to_string())?;
         if client.unacked() >= window.max(1) {
@@ -351,10 +385,7 @@ fn drive<T: FrameTransport>(
         }
     }
     client.sync().map_err(|e| e.to_string())?;
-    client
-        .finish()
-        .map(DriveOutcome::Completed)
-        .map_err(|e| e.to_string())
+    Ok(true)
 }
 
 /// Client `i`'s connect delay under the open-loop arrival profile.
@@ -369,107 +400,89 @@ fn cut_point(cfg: &LoadConfig, i: usize) -> Option<usize> {
         .then(|| (cfg.steps / 2).max(1))
 }
 
-/// Spawned client handles → aggregated report (drops filled by caller).
-fn aggregate(
-    started: Instant,
-    handles: Vec<thread::JoinHandle<Result<DriveOutcome, String>>>,
-) -> Result<LoadReport, String> {
-    let mut completed = 0usize;
-    let mut rejected = 0usize;
-    let mut injected = 0usize;
-    let mut errors = Vec::new();
-    let mut frames = 0u64;
-    let mut bytes = 0u64;
-    let mut encoded = 0u64;
-    let mut equiv = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut ttffs: Vec<u64> = Vec::new();
-    for h in handles {
-        match h.join().map_err(|_| "client thread panicked")? {
-            Ok(DriveOutcome::Completed(stats)) => {
-                completed += 1;
-                frames += stats.frames;
-                bytes += stats.diff_bytes + stats.full_bytes;
-                encoded += stats.encoded_bytes;
-                equiv += stats.keyframe_equiv_bytes;
-                latencies.extend(stats.latencies_us);
-                ttffs.push(stats.ttff_us);
+/// Running totals over finished clients; [`Tally::report`] builds the
+/// [`LoadReport`] for either fleet shape.
+#[derive(Default)]
+struct Tally {
+    completed: usize,
+    rejected: usize,
+    injected: usize,
+    errors: Vec<String>,
+    frames: u64,
+    bytes: u64,
+    encoded: u64,
+    equiv: u64,
+    ops: u64,
+    latencies: Vec<u64>,
+    ttffs: Vec<u64>,
+}
+
+impl Tally {
+    /// Folds in one client thread's result; returns the final
+    /// reconstruction a completed collab replica carried.
+    fn add(
+        &mut self,
+        joined: thread::Result<Result<DriveOutcome, String>>,
+    ) -> Result<Option<Framebuffer>, String> {
+        match joined.map_err(|_| "client thread panicked")? {
+            Ok(DriveOutcome::Completed { stats, fb, ops }) => {
+                self.completed += 1;
+                self.frames += stats.frames;
+                self.bytes += stats.diff_bytes + stats.full_bytes;
+                self.encoded += stats.encoded_bytes;
+                self.equiv += stats.keyframe_equiv_bytes;
+                self.ops += ops;
+                self.latencies.extend(stats.latencies_us);
+                self.ttffs.push(stats.ttff_us);
+                return Ok(fb);
             }
-            Ok(DriveOutcome::InjectedDisconnect) => injected += 1,
-            Err(e) if e.contains("server busy") => rejected += 1,
-            Err(e) => errors.push(e),
+            Ok(DriveOutcome::InjectedDisconnect) => self.injected += 1,
+            Err(e) if e.contains("server busy") => self.rejected += 1,
+            Err(e) => self.errors.push(e),
+        }
+        Ok(None)
+    }
+
+    /// The client-side report; server-side fields are filled in by
+    /// [`attach_server_view`] when self-hosting.
+    fn report(mut self, started: Instant, divergences: Option<usize>) -> LoadReport {
+        let wall_s = started.elapsed().as_secs_f64().max(1e-9);
+        self.latencies.sort_unstable();
+        self.ttffs.sort_unstable();
+        let ratio = |num: u64, den: u64| {
+            if den == 0 {
+                0.0
+            } else {
+                num as f64 / den as f64
+            }
+        };
+        LoadReport {
+            completed: self.completed,
+            rejected: self.rejected,
+            errors: self.errors,
+            wall_s,
+            sessions_per_s: self.completed as f64 / wall_s,
+            frames_per_s: self.frames as f64 / wall_s,
+            frames: self.frames,
+            bytes_on_wire: self.bytes,
+            encoded_bytes: self.encoded,
+            compression_ratio: ratio(self.equiv, self.bytes),
+            encode_ratio: ratio(self.bytes, self.encoded),
+            p50_us: percentile(&self.latencies, 0.50),
+            p99_us: percentile(&self.latencies, 0.99),
+            ttff_p50_us: percentile(&self.ttffs, 0.50),
+            ttff_p99_us: percentile(&self.ttffs, 0.99),
+            injected_disconnects: self.injected,
+            ops_per_s: self.ops as f64 / wall_s,
+            divergences,
+            ..LoadReport::default()
         }
     }
-    let wall_s = started.elapsed().as_secs_f64().max(1e-9);
-    latencies.sort_unstable();
-    ttffs.sort_unstable();
-    let pct_of = |sorted: &[u64], q: f64| -> u64 {
-        if sorted.is_empty() {
-            0
-        } else {
-            let idx = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-            sorted[idx.min(sorted.len() - 1)]
-        }
-    };
-    let pct = |q: f64| pct_of(&latencies, q);
-    Ok(LoadReport {
-        completed,
-        rejected,
-        errors,
-        wall_s,
-        sessions_per_s: completed as f64 / wall_s,
-        frames_per_s: frames as f64 / wall_s,
-        frames,
-        bytes_on_wire: bytes,
-        encoded_bytes: encoded,
-        compression_ratio: if bytes == 0 {
-            0.0
-        } else {
-            equiv as f64 / bytes as f64
-        },
-        encode_ratio: if encoded == 0 {
-            0.0
-        } else {
-            bytes as f64 / encoded as f64
-        },
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        ttff_p50_us: pct_of(&ttffs, 0.50),
-        ttff_p99_us: pct_of(&ttffs, 0.99),
-        forks: None,
-        template_builds: None,
-        backpressure_drops: None,
-        server_frame_us: None,
-        stage_us: Vec::new(),
-        slo_violations: None,
-        slow_frames: Vec::new(),
-        injected_disconnects: injected,
-        peak_sessions: None,
-        ops_per_s: 0.0,
-        fanout_p99_us: None,
-        replay_lag_p50_p99: None,
-        divergences: None,
-        stats_reply: None,
-        trace_parts: Vec::new(),
-    })
 }
 
-/// A shared transport factory: replica index → fresh connection
-/// (TCP or in-memory, faulted or not).
+/// A shared transport factory: client index → fresh connection (TCP or
+/// in-memory, faulted or not).
 type Connector = Arc<dyn Fn(usize) -> Result<Box<dyn FrameTransport>, String> + Send + Sync>;
-
-/// How one collab replica's run ended.
-enum CollabOutcome {
-    /// Converged and said goodbye; carries the final reconstruction
-    /// for the cross-replica divergence check.
-    Completed {
-        stats: ClientStats,
-        fb: Framebuffer,
-        ops: u64,
-    },
-    /// A chaos-cut watcher that vanished mid-run on purpose.
-    InjectedDisconnect,
-}
 
 /// Drives one replica of a shared document. Writers replay their slice
 /// of the document's interleaved script with the usual pipelining
@@ -485,54 +498,36 @@ fn drive_replica(
     window: u64,
     writers_left: Arc<AtomicUsize>,
     cut_after_drains: Option<usize>,
-) -> Result<CollabOutcome, String> {
+) -> Result<DriveOutcome, String> {
     let mut client = ServeClient::attach(t, doc_id, Some(scene)).map_err(|e| e.to_string())?;
-    if script.is_empty() {
-        let mut drains = 0usize;
-        while writers_left.load(Ordering::SeqCst) > 0 {
-            client.drain_frames().map_err(|e| e.to_string())?;
-            drains += 1;
-            if cut_after_drains == Some(drains) {
-                // Vanish without a goodbye; the server must detach the
-                // replica cleanly and the document must not care.
-                return Ok(CollabOutcome::InjectedDisconnect);
-            }
-            thread::sleep(Duration::from_millis(1));
-        }
-    } else {
-        for step in script {
-            client.send_step(step).map_err(|e| e.to_string())?;
-            if client.unacked() >= window.max(1) {
-                client.sync().map_err(|e| e.to_string())?;
-            }
-            if client.ended() {
-                return Err("server ended replica mid-script".into());
-            }
-        }
-        client.sync().map_err(|e| e.to_string())?;
+    if !script.is_empty() {
+        replay(&mut client, script, window, None)?;
         writers_left.fetch_sub(1, Ordering::SeqCst);
-        while writers_left.load(Ordering::SeqCst) > 0 {
-            client.drain_frames().map_err(|e| e.to_string())?;
-            thread::sleep(Duration::from_millis(1));
-        }
     }
-    client
-        .finish_with_frame()
-        .map(|(stats, fb)| CollabOutcome::Completed {
-            stats,
-            fb,
-            ops: script.len() as u64,
-        })
-        .map_err(|e| e.to_string())
+    let mut drains = 0usize;
+    while writers_left.load(Ordering::SeqCst) > 0 {
+        client.drain_frames().map_err(|e| e.to_string())?;
+        drains += 1;
+        if cut_after_drains == Some(drains) {
+            // Vanish without a goodbye; the server must detach the
+            // replica cleanly and the document must not care.
+            return Ok(DriveOutcome::InjectedDisconnect);
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    let (stats, fb) = client.finish_with_frame().map_err(|e| e.to_string())?;
+    Ok(DriveOutcome::Completed {
+        stats,
+        fb: Some(fb),
+        ops: script.len() as u64,
+    })
 }
 
 /// The collab fleet: K documents × (writers + watchers) replicas over
-/// whatever transport `connect` hands out (TCP or in-memory, faulted
-/// or not). Every replica offers the scene on attach, so thread order
-/// never matters for document creation. Returns the usual report plus
-/// ops/s and the divergence count; server-side fanout/lag percentiles
-/// are filled in by [`attach_server_view`] when self-hosting.
-fn run_collab(cfg: &LoadConfig, connect: Connector) -> Result<LoadReport, String> {
+/// whatever transport `connect` hands out. Every replica offers the
+/// scene on attach, so thread order never matters for document
+/// creation. The report adds ops/s and the divergence count.
+fn run_collab(cfg: &LoadConfig, connect: &Connector) -> Result<LoadReport, String> {
     let writers = cfg.writers.max(1);
     let per_doc = writers + cfg.watchers;
     let docs = cfg.docs.max(1);
@@ -555,7 +550,7 @@ fn run_collab(cfg: &LoadConfig, connect: Connector) -> Result<LoadReport, String
         .map(|_| Arc::new(AtomicUsize::new(writers)))
         .collect();
     let started = Instant::now();
-    let mut handles: Vec<(usize, thread::JoinHandle<Result<CollabOutcome, String>>)> = Vec::new();
+    let mut handles = Vec::new();
     for d in 0..docs {
         // Writers take their slice of the interleaving; watchers get an
         // empty script and just apply what fans out.
@@ -563,7 +558,7 @@ fn run_collab(cfg: &LoadConfig, connect: Connector) -> Result<LoadReport, String
         doc_scripts.resize(per_doc, Vec::new());
         for (r, script) in doc_scripts.into_iter().enumerate() {
             let i = d * per_doc + r;
-            let connect = Arc::clone(&connect);
+            let connect = Arc::clone(connect);
             let left = Arc::clone(&writers_left[d]);
             let scene = cfg.scene.clone();
             let window = cfg.window;
@@ -583,39 +578,13 @@ fn run_collab(cfg: &LoadConfig, connect: Connector) -> Result<LoadReport, String
         }
     }
 
-    let mut completed = 0usize;
-    let mut rejected = 0usize;
-    let mut injected = 0usize;
-    let mut errors = Vec::new();
-    let mut frames = 0u64;
-    let mut bytes = 0u64;
-    let mut encoded = 0u64;
-    let mut equiv = 0u64;
-    let mut ops = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
+    let mut tally = Tally::default();
     let mut finals: Vec<Vec<Framebuffer>> = vec![Vec::new(); docs];
     for (d, h) in handles {
-        match h.join().map_err(|_| "replica thread panicked")? {
-            Ok(CollabOutcome::Completed {
-                stats,
-                fb,
-                ops: own,
-            }) => {
-                completed += 1;
-                frames += stats.frames;
-                bytes += stats.diff_bytes + stats.full_bytes;
-                encoded += stats.encoded_bytes;
-                equiv += stats.keyframe_equiv_bytes;
-                latencies.extend(stats.latencies_us);
-                ops += own;
-                finals[d].push(fb);
-            }
-            Ok(CollabOutcome::InjectedDisconnect) => injected += 1,
-            Err(e) if e.contains("server busy") => rejected += 1,
-            Err(e) => errors.push(e),
+        if let Some(fb) = tally.add(h.join())? {
+            finals[d].push(fb);
         }
     }
-    let wall_s = started.elapsed().as_secs_f64().max(1e-9);
 
     // The honesty gate: within a document, every surviving replica's
     // final reconstruction must be byte-identical to the first one's.
@@ -628,56 +597,42 @@ fn run_collab(cfg: &LoadConfig, connect: Connector) -> Result<LoadReport, String
                 .count();
         }
     }
+    Ok(tally.report(started, Some(divergences)))
+}
 
-    latencies.sort_unstable();
-    let pct = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            let idx = ((q * latencies.len() as f64).ceil() as usize).max(1) - 1;
-            latencies[idx.min(latencies.len() - 1)]
-        }
-    };
-    Ok(LoadReport {
-        completed,
-        rejected,
-        errors,
-        wall_s,
-        sessions_per_s: completed as f64 / wall_s,
-        frames_per_s: frames as f64 / wall_s,
-        frames,
-        bytes_on_wire: bytes,
-        encoded_bytes: encoded,
-        compression_ratio: if bytes == 0 {
-            0.0
-        } else {
-            equiv as f64 / bytes as f64
-        },
-        encode_ratio: if encoded == 0 {
-            0.0
-        } else {
-            bytes as f64 / encoded as f64
-        },
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        ttff_p50_us: 0,
-        ttff_p99_us: 0,
-        forks: None,
-        template_builds: None,
-        backpressure_drops: None,
-        server_frame_us: None,
-        stage_us: Vec::new(),
-        slo_violations: None,
-        slow_frames: Vec::new(),
-        injected_disconnects: injected,
-        peak_sessions: None,
-        ops_per_s: ops as f64 / wall_s,
-        fanout_p99_us: None,
-        replay_lag_p50_p99: None,
-        divergences: Some(divergences),
-        stats_reply: None,
-        trace_parts: Vec::new(),
-    })
+/// The private-session fleet: one client thread per script.
+fn run_sessions(cfg: &LoadConfig, connect: &Connector) -> Result<LoadReport, String> {
+    // Pre-record every script before the clock starts — scene building
+    // for the mixed profile is toolkit work, not serving work.
+    let scripts = record_scripts(cfg)?;
+
+    let barrier = cfg.rendezvous.then(|| Arc::new(Barrier::new(cfg.sessions)));
+    let started = Instant::now();
+    let handles: Vec<_> = scripts
+        .into_iter()
+        .enumerate()
+        .map(|(i, script)| {
+            let connect = Arc::clone(connect);
+            let scene = cfg.scene.clone();
+            let backend = cfg.backend.clone();
+            let window = cfg.window;
+            let barrier = barrier.clone();
+            let delay = arrival_delay(cfg, i);
+            let cut = cut_point(cfg, i);
+            thread::spawn(move || {
+                if let Some(d) = delay {
+                    thread::sleep(d);
+                }
+                let t = connect(i);
+                drive(t, &scene, backend.as_deref(), &script, window, barrier, cut)
+            })
+        })
+        .collect();
+    let mut tally = Tally::default();
+    for h in handles {
+        tally.add(h.join())?;
+    }
+    Ok(tally.report(started, None))
 }
 
 /// Fills the server-side fields of a report from the in-process
@@ -741,6 +696,40 @@ fn record_scripts(cfg: &LoadConfig) -> Result<Vec<Vec<ScriptStep>>, String> {
     }
 }
 
+/// The in-process server a self-hosted fleet runs against.
+fn host(cfg: &LoadConfig) -> Result<Arc<Server>, String> {
+    if cfg.shards == 0 {
+        return Err("shards must be at least 1".into());
+    }
+    Ok(Server::start(cfg.server.clone(), cfg.shards))
+}
+
+/// The fleet body both entry points share: run the clients over
+/// `connect`, send the optional `Stats` probe, then — when `server` is
+/// the in-process host — quiesce its shards and read the server-side
+/// view.
+fn run_fleet(
+    cfg: &LoadConfig,
+    server: Option<&Server>,
+    connect: Connector,
+) -> Result<LoadReport, String> {
+    let mut report = match cfg.profile {
+        Profile::Collab => run_collab(cfg, &connect)?,
+        Profile::Mixed | Profile::Typing => run_sessions(cfg, &connect)?,
+    };
+    if cfg.stats_probe {
+        let t = connect(cfg.sessions).map_err(|e| format!("stats probe: {e}"))?;
+        report.stats_reply = Some(probe_stats(t, &cfg.scene)?);
+    }
+    if let Some(server) = server {
+        // Joining the shard threads guarantees every in-flight close
+        // has landed in its collector before the counters are read.
+        server.shutdown_shards();
+        attach_server_view(&mut report, server);
+    }
+    Ok(report)
+}
+
 /// Runs the whole fleet over TCP and aggregates the report. When
 /// `cfg.connect` is `None`, a server is started in-process on
 /// `127.0.0.1:0` and its accept thread dies with the process.
@@ -750,251 +739,46 @@ pub fn run_loadgen(cfg: &LoadConfig) -> Result<LoadReport, String> {
         // the re-framing symmetric; a TCP server owns its half.
         return Err("fault injection requires the in-memory harness (--mem)".into());
     }
-    let collector = Arc::new(Collector::new());
-    collector.enable();
-    let server = Server::new(cfg.server.clone(), collector.clone());
-
-    let addr = match &cfg.connect {
-        Some(addr) => addr.clone(),
+    let (server, addr) = match &cfg.connect {
+        Some(addr) => (None, addr.clone()),
         None => {
+            let server = host(cfg)?;
             let listener =
                 std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| e.to_string())?
-                .to_string();
-            let srv = server.clone();
-            let shards = cfg.shards;
-            thread::spawn(move || {
-                let _ = if shards > 0 {
-                    serve_listener_sharded(srv, listener, shards)
-                } else {
-                    serve_listener(srv, listener)
-                };
-            });
-            addr
+            let addr = listener.local_addr().map_err(|e| e.to_string())?;
+            let (srv, shards) = (server.clone(), cfg.shards);
+            thread::spawn(move || serve_listener_sharded(srv, listener, shards));
+            (Some(server), addr.to_string())
         }
     };
-    let self_hosted = cfg.connect.is_none();
-
-    if cfg.profile == Profile::Collab {
-        let target = addr.clone();
-        let connect = Arc::new(move |_i: usize| {
-            TcpStream::connect(&target)
-                .map(|s| Box::new(TcpTransport::new(s)) as Box<dyn FrameTransport>)
-                .map_err(|e| format!("connect {target}: {e}"))
-        });
-        let mut report = run_collab(cfg, connect)?;
-        if cfg.stats_probe {
-            let stream = TcpStream::connect(&addr).map_err(|e| format!("stats probe: {e}"))?;
-            report.stats_reply = Some(probe_stats(TcpTransport::new(stream), &cfg.scene)?);
-        }
-        if self_hosted {
-            attach_server_view(&mut report, &server);
-        }
-        return Ok(report);
-    }
-
-    // Pre-record every script before the clock starts — scene building
-    // for the mixed profile is toolkit work, not serving work.
-    let scripts = record_scripts(cfg)?;
-
-    let barrier = cfg.rendezvous.then(|| Arc::new(Barrier::new(cfg.sessions)));
-    let started = Instant::now();
-    let handles = scripts
-        .into_iter()
-        .enumerate()
-        .map(|(i, script)| {
-            let scene = cfg.scene.clone();
-            let backend = cfg.backend.clone();
-            let addr = addr.clone();
-            let window = cfg.window;
-            let barrier = barrier.clone();
-            let delay = arrival_delay(cfg, i);
-            let cut = cut_point(cfg, i);
-            thread::spawn(move || {
-                if let Some(d) = delay {
-                    thread::sleep(d);
-                }
-                let stream = match TcpStream::connect(&addr) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        // Failed or not, every client shows up at the
-                        // rendezvous — see `drive`.
-                        if let Some(b) = &barrier {
-                            b.wait();
-                        }
-                        return Err(format!("connect {addr}: {e}"));
-                    }
-                };
-                drive(
-                    TcpTransport::new(stream),
-                    &scene,
-                    backend.as_deref(),
-                    &script,
-                    window,
-                    barrier,
-                    cut,
-                )
-            })
-        })
-        .collect();
-    let mut report = aggregate(started, handles)?;
-    if cfg.stats_probe {
-        let stream = TcpStream::connect(&addr).map_err(|e| format!("stats probe: {e}"))?;
-        report.stats_reply = Some(probe_stats(TcpTransport::new(stream), &cfg.scene)?);
-    }
-    // Snapshot server counters only after every client (and the stats
-    // probe session) finished.
-    if self_hosted {
-        attach_server_view(&mut report, &server);
-    }
-    Ok(report)
+    let connect: Connector = Arc::new(move |_| {
+        TcpStream::connect(&addr)
+            .map(|s| Box::new(TcpTransport::new(s)) as Box<dyn FrameTransport>)
+            .map_err(|e| format!("connect {addr}: {e}"))
+    });
+    run_fleet(cfg, server.as_deref(), connect)
 }
 
 /// Runs the fleet over in-memory transports instead of TCP — the bench
 /// harness uses this to measure serving cost without socket noise, and
 /// the chaos stage uses it because only here can both transport halves
-/// carry a [`FaultTransport`]. Sessions land on the shard engine
-/// (`cfg.shards > 0`, via [`Server::admit`]) or on one server thread
-/// each (the ablation path); one client thread per session either way.
+/// carry a [`FaultTransport`](crate::FaultTransport) (client `i` uses
+/// `seed ^ i`). Every session enters the shard engine through
+/// [`Server::connect_mem`]; one client thread per session.
 pub fn run_loadgen_mem(cfg: &LoadConfig) -> Result<LoadReport, String> {
-    let collector = Arc::new(Collector::new());
-    collector.enable();
-    let server = Server::new(cfg.server.clone(), collector.clone());
-    if cfg.shards > 0 {
-        server.start_shards(cfg.shards);
-    }
-
-    if cfg.profile == Profile::Collab {
-        let srv = server.clone();
-        let fault_seed = cfg.fault_seed;
-        let sharded = cfg.shards > 0;
-        let connect = Arc::new(move |i: usize| -> Result<Box<dyn FrameTransport>, String> {
-            let (client_half, server_half) = MemTransport::pair();
-            if sharded {
-                let t: Box<dyn FrameTransport> = if fault_seed.is_some() {
-                    Box::new(FaultTransport::new(server_half, FaultPlan::passthrough()))
-                } else {
-                    Box::new(server_half)
-                };
-                if srv.admit(t).is_err() {
-                    return Err("server busy: no shard accepting".into());
-                }
-            } else if fault_seed.is_some() {
-                let t = FaultTransport::new(server_half, FaultPlan::passthrough());
-                let srv = srv.clone();
-                thread::spawn(move || srv.serve_connection(t));
-            } else {
-                let srv = srv.clone();
-                thread::spawn(move || srv.serve_connection(server_half));
-            }
-            Ok(match fault_seed {
-                Some(seed) => Box::new(FaultTransport::new(
-                    client_half,
-                    FaultPlan::lossless(seed ^ i as u64),
-                )),
-                None => Box::new(client_half),
-            })
-        });
-        let mut report = run_collab(cfg, connect)?;
-        server.shutdown_shards();
-        attach_server_view(&mut report, &server);
-        return Ok(report);
-    }
-
-    let scripts = record_scripts(cfg)?;
-
-    let barrier = cfg.rendezvous.then(|| Arc::new(Barrier::new(cfg.sessions)));
-    let started = Instant::now();
-    let handles = scripts
-        .into_iter()
-        .enumerate()
-        .map(|(i, script)| {
-            let scene = cfg.scene.clone();
-            let backend = cfg.backend.clone();
-            let window = cfg.window;
-            let srv = server.clone();
-            let barrier = barrier.clone();
-            let delay = arrival_delay(cfg, i);
-            let cut = cut_point(cfg, i);
-            let fault = cfg.fault_seed.map(|s| s ^ i as u64);
-            let sharded = cfg.shards > 0;
-            thread::spawn(move || {
-                if let Some(d) = delay {
-                    thread::sleep(d);
-                }
-                let (client_half, server_half) = MemTransport::pair();
-                // Server half: queued on a shard, or given its own
-                // thread on the ablation path. Faulted runs wrap BOTH
-                // halves (the server's is passthrough) so the
-                // byte-stream re-framing stays symmetric.
-                if sharded {
-                    let t: Box<dyn FrameTransport> = if fault.is_some() {
-                        Box::new(FaultTransport::new(server_half, FaultPlan::passthrough()))
-                    } else {
-                        Box::new(server_half)
-                    };
-                    if srv.admit(t).is_err() {
-                        if let Some(b) = &barrier {
-                            b.wait();
-                        }
-                        return Err("server busy: no shard accepting".into());
-                    }
-                } else if fault.is_some() {
-                    let t = FaultTransport::new(server_half, FaultPlan::passthrough());
-                    thread::spawn(move || srv.serve_connection(t));
-                } else {
-                    thread::spawn(move || srv.serve_connection(server_half));
-                }
-                match fault {
-                    Some(seed) => drive(
-                        FaultTransport::new(client_half, FaultPlan::lossless(seed)),
-                        &scene,
-                        backend.as_deref(),
-                        &script,
-                        window,
-                        barrier,
-                        cut,
-                    ),
-                    None => drive(
-                        client_half,
-                        &scene,
-                        backend.as_deref(),
-                        &script,
-                        window,
-                        barrier,
-                        cut,
-                    ),
-                }
-            })
-        })
-        .collect();
-    let mut report = aggregate(started, handles)?;
-    if cfg.stats_probe {
-        let (client_half, server_half) = MemTransport::pair();
-        if cfg.shards > 0 {
-            server
-                .admit(Box::new(server_half))
-                .map_err(|_| "stats probe: no shard accepting".to_string())?;
-            report.stats_reply = Some(probe_stats(client_half, &cfg.scene)?);
-        } else {
-            let srv = server.clone();
-            let t = thread::spawn(move || srv.serve_connection(server_half));
-            report.stats_reply = Some(probe_stats(client_half, &cfg.scene)?);
-            let _ = t.join();
-        }
-    }
-    // Quiesce before reading counters: joining the shard threads
-    // guarantees every in-flight close has landed in its collector.
-    server.shutdown_shards();
-    attach_server_view(&mut report, &server);
-    Ok(report)
+    let server = host(cfg)?;
+    let (srv, fault_seed) = (server.clone(), cfg.fault_seed);
+    let connect: Connector =
+        Arc::new(move |i| srv.connect_mem(fault_seed.map(|seed| seed ^ i as u64)));
+    run_fleet(cfg, Some(&server), connect)
 }
 
 /// Opens one session, issues a `Stats` request, and returns the
 /// `(text, json)` reply.
-fn probe_stats<T: FrameTransport>(transport: T, scene: &str) -> Result<(String, String), String> {
+fn probe_stats(
+    transport: Box<dyn FrameTransport>,
+    scene: &str,
+) -> Result<(String, String), String> {
     let mut client = ServeClient::connect(transport, scene).map_err(|e| e.to_string())?;
     let reply = client.request_stats().map_err(|e| e.to_string())?;
     client.finish().map_err(|e| e.to_string())?;
@@ -1004,10 +788,7 @@ fn probe_stats<T: FrameTransport>(transport: T, scene: &str) -> Result<(String, 
 /// Renders the report the way the bin prints it (and CI greps it).
 pub fn format_report(cfg: &LoadConfig, r: &LoadReport) -> String {
     let mut out = String::new();
-    let dispatch = match cfg.shards {
-        0 => "thread-per-conn".to_string(),
-        n => format!("{n} shard(s)"),
-    };
+    let dispatch = format!("{} shard(s)", cfg.shards);
     if cfg.profile == Profile::Collab {
         out.push_str(&format!(
             "loadgen: {} doc(s) x ({} writers + {} watchers) x {} merged steps on {} \

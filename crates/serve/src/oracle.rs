@@ -1,44 +1,144 @@
-//! The served-vs-in-process differential oracle.
+//! The served-vs-in-process differential oracle: one harness for every
+//! serving shape.
 //!
-//! A served session replaying a script must end with a framebuffer
-//! byte-identical to the same script run in-process through
-//! `atk_check::Session` — the wire, the batching, the diff shipping and
-//! the client-side reconstruction must all be invisible. The client
-//! runs synchronously (one step, one frame), which makes the server's
-//! per-batch settle structurally identical to the in-process `im.feed`
-//! per step; pipelined batching is exercised separately by the server
-//! unit tests, where byte identity of *intermediate* frames is not a
-//! promise.
+//! [`serve_differential`] serves some [`Traffic`] — scripted private
+//! sessions, or the replicas of one shared document — on a real
+//! [`Server`] laid out by a [`Topology`] (shard count, fault schedule,
+//! session config, fork or cold boot). Every connection enters the
+//! shard engine through [`Server::connect_mem`], exactly as production
+//! connections enter through `Server::admit`. Each client's final
+//! reconstruction must be byte-identical to the in-process reference:
+//! `atk_check::Session` replaying the same script for private sessions,
+//! one [`HostedSession`] replaying the merged op order for a shared
+//! document — whose per-replica counter planes must match it too. The
+//! wire, the batching, the diff shipping, the shard placement, the
+//! fault schedule and the fanout must all be invisible.
 //!
-//! [`run_sharded`] extends the same idea one level up: an N-shard
-//! server must be observably identical to a 1-shard server — same
-//! per-session framebuffers, same server-wide counters — except for
-//! the shard-local `serve.shard.*` scheduling plane, which is the only
-//! place shard count is allowed to leave a mark.
+//! Clients step synchronously (one step, one frame), which makes the
+//! server's per-batch settle structurally identical to the in-process
+//! `im.feed` per step, and private sessions run one after another, which
+//! pins every counter the caller may compare (batch sizes, peak
+//! concurrency, keyframe cadence) to one deterministic interleaving.
+//! The sharded-vs-single comparison then reads
+//! [`ServedRun::shard_invariant_counters`]: everything except the
+//! shard-local `serve.shard.*` scheduling plane and the per-shard
+//! template cache builds, the only places shard count may leave a mark.
 
 use std::sync::Arc;
-use std::thread;
 
-use atk_check::gen::{interleaved_script, StepGen};
+use atk_check::gen::interleaved_script;
 use atk_check::Session;
 use atk_core::ScriptStep;
 use atk_graphics::Framebuffer;
-use atk_trace::Collector;
+use atk_trace::{Collector, Snapshot};
 
-use crate::client::ServeClient;
-use crate::fault::{FaultPlan, FaultTransport};
+use crate::client::{ClientStats, ServeClient};
+use crate::loadgen::fuzz_script;
 use crate::server::{Server, ServerConfig};
 use crate::session::{HostedSession, SessionConfig};
-use crate::transport::{FrameTransport, MemTransport};
+use crate::transport::FrameTransport;
 
-/// The outcome of one oracle run.
+/// How the server under test is laid out.
+#[derive(Debug, Clone)]
+pub struct Topology {
+    /// Worker shards.
+    pub shards: usize,
+    /// Wraps every pipe in a seeded lossless fault schedule (client `i`
+    /// uses `seed ^ i`) and arms the shard readiness shuffle.
+    pub fault_seed: Option<u64>,
+    /// Per-session tuning ([`ServerConfig::session`]).
+    pub session: SessionConfig,
+    /// Fork sessions from templates ([`ServerConfig::fork`]).
+    pub fork: bool,
+}
+
+impl Default for Topology {
+    fn default() -> Topology {
+        Topology {
+            shards: 1,
+            fault_seed: None,
+            session: SessionConfig::default(),
+            fork: true,
+        }
+    }
+}
+
+/// What the clients send.
+#[derive(Debug, Clone)]
+pub enum Traffic {
+    /// Private `Hello` sessions, one per script, served one after
+    /// another; each `Hello` asks for `backend` (the server default
+    /// when `None`).
+    Private {
+        /// One script per session.
+        scripts: Vec<Vec<ScriptStep>>,
+        /// Backend requested in every `Hello`.
+        backend: Option<String>,
+    },
+    /// Replicas attached to one shared document: writers submit the
+    /// merged `(writer, step)` order through the document's op log,
+    /// watchers never send a step.
+    Shared {
+        /// The merged edit order.
+        script: Vec<(usize, ScriptStep)>,
+        /// Replicas that write.
+        writers: usize,
+        /// Silent replicas.
+        watchers: usize,
+    },
+}
+
+impl Traffic {
+    /// `sessions` private sessions on `backend`; session `k` replays
+    /// `steps` fuzzer steps recorded from seed `seed + 1000 k`.
+    pub fn fuzz(
+        scene: &str,
+        backend: Option<&str>,
+        seed: u64,
+        sessions: usize,
+        steps: usize,
+    ) -> Result<Traffic, String> {
+        let scripts = (0..sessions as u64)
+            .map(|k| fuzz_script(scene, backend.unwrap_or("x11sim"), seed + 1000 * k, steps))
+            .collect::<Result<_, _>>()?;
+        Ok(Traffic::Private {
+            scripts,
+            backend: backend.map(str::to_string),
+        })
+    }
+
+    /// One shared document: `writers` seeded edit streams interleaved
+    /// into `steps` merged ops, plus `watchers` silent replicas.
+    pub fn shared(
+        scene: &str,
+        seed: u64,
+        writers: usize,
+        watchers: usize,
+        steps: usize,
+    ) -> Result<Traffic, String> {
+        Ok(Traffic::Shared {
+            script: interleaved_script(scene, seed, writers, steps)?,
+            writers,
+            watchers,
+        })
+    }
+}
+
+/// What one [`serve_differential`] pass observed.
 #[derive(Debug)]
-pub struct OracleReport {
-    /// Steps replayed.
+pub struct ServedRun {
+    /// Steps sent (summed over sessions; ops on the log when shared).
     pub steps: usize,
-    /// Diff frames the served side shipped.
+    /// Final client-side framebuffers, one per session or replica.
+    pub framebuffers: Vec<Framebuffer>,
+    /// Per-replica counter planes checked against the reference (0 for
+    /// private traffic).
+    pub counter_planes: usize,
+    /// The server-wide merged snapshot after every shard joined.
+    pub merged: Snapshot,
+    /// Diff frames received.
     pub diff_frames: u64,
-    /// Keyframes the served side shipped.
+    /// Keyframes received.
     pub key_frames: u64,
     /// Raw wire length of every pixel frame received.
     pub raw_bytes: u64,
@@ -47,114 +147,148 @@ pub struct OracleReport {
     pub encoded_bytes: u64,
 }
 
-/// Records `steps` fuzzer steps against `scene` and replays them
-/// through [`serve_script_differential`] with the given session config.
-pub fn serve_differential_with(
-    scene: &str,
-    seed: u64,
-    steps: usize,
-    session: SessionConfig,
-) -> Result<OracleReport, String> {
-    // Record a concrete step stream against a throwaway session
-    // (generation reads live state: window size, offered menus).
-    let mut throwaway = Session::build(scene, "x11sim")?;
-    let mut gen = StepGen::new(seed);
-    let mut recorded: Vec<ScriptStep> = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let step = gen.next_step(&mut throwaway.world, &mut throwaway.im);
-        throwaway.apply(&step);
-        recorded.push(step);
+impl ServedRun {
+    /// The merged counters shard count is not allowed to change: all of
+    /// them but the `serve.shard.*` scheduling plane and
+    /// `world.template_builds` (template registries are per-shard
+    /// caches, so how many shards built one depends on placement).
+    /// `world.forks` stays: one fork per session, whatever the layout.
+    pub fn shard_invariant_counters(&self) -> Vec<(&'static str, u64)> {
+        self.merged
+            .counters
+            .iter()
+            .filter(|(key, _)| !key.starts_with("serve.shard.") && *key != "world.template_builds")
+            .cloned()
+            .collect()
     }
-    serve_script_differential(scene, &recorded, session).map_err(|e| format!("seed {seed}: {e}"))
 }
 
-/// Records `steps` fuzzer steps against `scene`, replays them through a
-/// served session *and* in-process, and demands byte-identical final
-/// framebuffers.
+/// Serves `traffic` for `scene` on a server laid out by `topo` and
+/// demands every client's final framebuffer byte-identical to the
+/// in-process reference (plus, for shared documents, every replica's
+/// non-`serve.*` counter plane).
 ///
 /// # Errors
 ///
-/// A human-readable description of the first divergence (differing
-/// pixel count and first differing coordinate) or of any transport,
-/// protocol, or scene failure.
-pub fn serve_differential(scene: &str, seed: u64, steps: usize) -> Result<OracleReport, String> {
-    serve_differential_with(scene, seed, steps, SessionConfig::default())
-}
-
-/// The `encode` differential: the same fuzzer stream served with the
-/// RLE wire encoder *and* four-way parallel band paint enabled must
-/// reconstruct, on the client, the exact framebuffer the serial
-/// in-process reference produces. One byte-identity check covers both
-/// the encoder round-trip and the parallel-vs-serial paint promise
-/// end to end.
-pub fn encode_differential(scene: &str, seed: u64, steps: usize) -> Result<OracleReport, String> {
-    let session = SessionConfig {
-        encode: true,
-        paint_threads: 4,
-        ..SessionConfig::default()
-    };
-    serve_differential_with(scene, seed, steps, session)
-}
-
-/// What one [`run_sharded`] pass observed — everything shard count is
-/// *not* allowed to change.
-#[derive(Debug)]
-pub struct ShardedRun {
-    /// Final client-side framebuffers, one per script, in script order.
-    pub framebuffers: Vec<Framebuffer>,
-    /// Merged server-wide counters with the shard-local scheduling
-    /// plane (`serve.shard.*`) stripped.
-    pub counters: Vec<(&'static str, u64)>,
-}
-
-/// Replays `scripts` (one session each, sequentially, synchronous
-/// stepping) against a server running `shards` worker shards over
-/// in-memory transports, and returns every final framebuffer plus the
-/// merged non-shard counters. With `fault_seed` set, every transport
-/// pair carries a seeded lossless [`FaultTransport`] (short writes,
-/// `WouldBlock` storms) on the client half — the differential then
-/// also proves fault schedules are invisible.
-///
-/// Sessions run sequentially on purpose: it pins every counter the
-/// comparison reads (batch sizes, peak concurrency, keyframe cadence)
-/// to one deterministic interleaving on both sides of the diff.
-pub fn run_sharded(
+/// A description of the first divergence (see [`divergence`]) or of
+/// any transport, protocol, or scene failure.
+pub fn serve_differential(
     scene: &str,
-    scripts: &[Vec<ScriptStep>],
-    shards: usize,
-    session_cfg: SessionConfig,
-    fault_seed: Option<u64>,
-) -> Result<ShardedRun, String> {
-    let collector = Arc::new(Collector::new());
-    collector.enable();
+    traffic: &Traffic,
+    topo: &Topology,
+) -> Result<ServedRun, String> {
     let server_cfg = ServerConfig {
-        session: session_cfg,
+        session: topo.session.clone(),
         // Exercise the readiness-reorder fault path whenever faults are
-        // on at all; with one connection at a time it must be inert.
-        readiness_shuffle_seed: fault_seed,
+        // on at all.
+        readiness_shuffle_seed: topo.fault_seed,
+        fork: topo.fork,
+        retain_session_traces: true,
         ..ServerConfig::default()
     };
-    let server = Server::new(server_cfg, collector);
-    server.start_shards(shards.max(1));
+    let server = Server::start(server_cfg, topo.shards);
+    let connect = |i: usize| server.connect_mem(topo.fault_seed.map(|seed| seed ^ i as u64));
+    let served = match traffic {
+        Traffic::Private { scripts, backend } => {
+            serve_private(scene, scripts, backend.as_deref(), connect)
+        }
+        Traffic::Shared {
+            script,
+            writers,
+            watchers,
+        } => serve_shared(scene, script, *writers, *watchers, connect),
+    };
+    // Join the shard threads before reading counters, so every close
+    // has landed.
+    server.shutdown_shards();
+    let (framebuffers, stats) = served?;
 
+    let mut counter_planes = 0;
+    let steps = match traffic {
+        Traffic::Private { scripts, backend } => {
+            let backend = backend.as_deref().unwrap_or(&topo.session.backend);
+            for (k, (script, got)) in scripts.iter().zip(&framebuffers).enumerate() {
+                let mut reference = Session::build(scene, backend)?;
+                for step in script {
+                    reference.apply(step);
+                }
+                let want = reference
+                    .im
+                    .snapshot()
+                    .ok_or("reference backend has no pixels")?;
+                if let Some(d) = divergence(&want, got) {
+                    return Err(format!("{scene} session {k}: served diverges: {d}"));
+                }
+            }
+            scripts.iter().map(Vec::len).sum()
+        }
+        Traffic::Shared { script, .. } => {
+            // Replica semantics: per-op settle + paint, no wire.
+            let ref_collector = Arc::new(Collector::new());
+            ref_collector.enable();
+            let mut reference =
+                HostedSession::open(scene, topo.session.clone(), ref_collector.clone())?;
+            let merged: Vec<ScriptStep> = script.iter().map(|(_, s)| s.clone()).collect();
+            reference.replay_steps(&merged);
+            let want = reference.framebuffer();
+            for (i, got) in framebuffers.iter().enumerate() {
+                if let Some(d) = divergence(&want, got) {
+                    return Err(format!("{scene}: replica {i} diverges: {d}"));
+                }
+            }
+            // Every replica's own counter plane (its session collector,
+            // minus the serve-side shipping/scheduling keys) must equal
+            // the reference's: each replica computed the same world.
+            let want_counters = strip_serve_plane(&ref_collector.snapshot());
+            for (name, snap) in server.trace_parts() {
+                if !name.starts_with("session-") {
+                    continue;
+                }
+                let got = strip_serve_plane(&snap);
+                if got != want_counters {
+                    return Err(format!(
+                        "{scene}: {name} counter plane diverges from the in-process \
+                         reference:\n  want {want_counters:?}\n  got  {got:?}"
+                    ));
+                }
+                counter_planes += 1;
+            }
+            if counter_planes != framebuffers.len() {
+                return Err(format!(
+                    "{scene}: expected {} replica counter planes, found {counter_planes}",
+                    framebuffers.len()
+                ));
+            }
+            script.len()
+        }
+    };
+
+    Ok(ServedRun {
+        steps,
+        framebuffers,
+        counter_planes,
+        merged: server.merged_snapshot(),
+        diff_frames: stats.iter().map(|s| s.diff_frames).sum(),
+        key_frames: stats.iter().map(|s| s.key_frames).sum(),
+        raw_bytes: stats.iter().map(|s| s.diff_bytes + s.full_bytes).sum(),
+        encoded_bytes: stats.iter().map(|s| s.encoded_bytes).sum(),
+    })
+}
+
+type Served = Result<(Vec<Framebuffer>, Vec<ClientStats>), String>;
+
+/// Runs each private script in its own session, one after another.
+fn serve_private(
+    scene: &str,
+    scripts: &[Vec<ScriptStep>],
+    backend: Option<&str>,
+    connect: impl Fn(usize) -> Result<Box<dyn FrameTransport>, String>,
+) -> Served {
     let mut framebuffers = Vec::with_capacity(scripts.len());
+    let mut stats = Vec::with_capacity(scripts.len());
     for (i, script) in scripts.iter().enumerate() {
-        let (client_half, server_half) = MemTransport::pair();
-        let server_t: Box<dyn FrameTransport> = match fault_seed {
-            Some(_) => Box::new(FaultTransport::new(server_half, FaultPlan::passthrough())),
-            None => Box::new(server_half),
-        };
-        server
-            .admit(server_t)
-            .map_err(|_| format!("session {i}: no shard accepting"))?;
-        let client_t: Box<dyn FrameTransport> = match fault_seed {
-            Some(seed) => Box::new(FaultTransport::new(
-                client_half,
-                FaultPlan::lossless(seed ^ i as u64),
-            )),
-            None => Box::new(client_half),
-        };
-        let mut client = ServeClient::connect(client_t, scene)
+        let t = connect(i).map_err(|e| format!("session {i}: {e}"))?;
+        let mut client = ServeClient::connect_backend(t, scene, backend)
             .map_err(|e| format!("session {i}: connect: {e}"))?;
         for step in script {
             client
@@ -165,125 +299,34 @@ pub fn run_sharded(
             }
         }
         framebuffers.push(client.framebuffer().clone());
-        client.finish().map_err(|e| format!("session {i}: {e}"))?;
+        stats.push(client.finish().map_err(|e| format!("session {i}: {e}"))?);
     }
-
-    // Join the shard threads before reading counters, so every close
-    // has landed; then strip what is allowed to differ: the shard
-    // scheduling plane, and the template-build count — registries are
-    // per-shard caches, so how many shards built a template depends on
-    // where sessions landed. `world.forks` and `world.fork_shared_bytes`
-    // stay in the comparison: one fork per session, whatever the shard
-    // count.
-    server.shutdown_shards();
-    let counters = server
-        .merged_snapshot()
-        .counters
-        .into_iter()
-        .filter(|(key, _)| !key.starts_with("serve.shard.") && *key != "world.template_builds")
-        .collect();
-    Ok(ShardedRun {
-        framebuffers,
-        counters,
-    })
+    Ok((framebuffers, stats))
 }
 
-/// What one [`collab_differential`] pass proved.
-#[derive(Debug)]
-pub struct CollabRun {
-    /// Steps in the merged interleaving (== ops on the log).
-    pub steps: usize,
-    /// Replicas whose final framebuffer matched the reference.
-    pub replicas: usize,
-    /// Per-replica counter planes compared against the reference.
-    pub counter_planes: usize,
-}
-
-/// The replicated-document differential: `writers + watchers` replicas
-/// attach to one shared document on an N-shard server, the writers
-/// submit a seeded interleaving of edit streams through the document's
-/// op log, and **every** replica's final client-reconstructed
-/// framebuffer — plus every replica's non-`serve.*` counter plane —
-/// must be byte-identical to one in-process session replaying the same
-/// merged order. The wire, the log, the cross-shard fanout, and the
-/// drain chunking must all be invisible.
-///
-/// Replicas are admitted least-loaded-first onto an idle server, so
-/// with `shards > 1` and at least `shards` replicas they are pinned to
-/// *different* shards and every fanout crosses a shard boundary. With
-/// `fault_seed` set, each client half runs behind a seeded lossless
-/// [`FaultTransport`] and the server halves take the short-write path,
-/// proving chaos schedules are invisible too.
-///
-/// Watchers never send a step; they drain frames opportunistically
-/// mid-run (the non-blocking path) and converge on `Bye` catch-up.
-///
-/// # Errors
-///
-/// A description of the first divergence — a replica whose pixels or
-/// counters differ from the reference — or of any transport, protocol,
-/// or scene failure.
-pub fn collab_differential(
+/// Attaches every replica before the first edit, then submits the
+/// merged order writer by writer. Replicas are admitted
+/// least-loaded-first onto an idle server, so with at least `shards`
+/// replicas they pin to different shards and every fanout crosses a
+/// shard boundary. Watchers drain opportunistically mid-run (the
+/// non-blocking path) and converge on `Bye` catch-up: submit fans out
+/// synchronously, so every op is on every channel by then.
+fn serve_shared(
     scene: &str,
-    seed: u64,
+    script: &[(usize, ScriptStep)],
     writers: usize,
     watchers: usize,
-    steps: usize,
-    shards: usize,
-    fault_seed: Option<u64>,
-) -> Result<CollabRun, String> {
-    let script = interleaved_script(scene, seed, writers, steps)?;
-
-    // In-process reference: one session applying the merged order with
-    // replica semantics (per-op settle + paint, no wire).
-    let ref_collector = Arc::new(Collector::new());
-    ref_collector.enable();
-    let mut reference =
-        HostedSession::open(scene, SessionConfig::default(), ref_collector.clone())?;
-    let merged: Vec<ScriptStep> = script.iter().map(|(_, s)| s.clone()).collect();
-    reference.replay_steps(&merged);
-    let want_fb = reference.framebuffer();
-    let want_counters = strip_serve_plane(ref_collector.snapshot().counters);
-
-    // Replicated run: one doc, every replica attached before the first
-    // edit, writers serialized through the log in script order.
-    let collector = Arc::new(Collector::new());
-    collector.enable();
-    let server_cfg = ServerConfig {
-        session: SessionConfig::default(),
-        retain_session_traces: true,
-        readiness_shuffle_seed: fault_seed,
-        ..ServerConfig::default()
-    };
-    let server = Server::new(server_cfg, collector);
-    server.start_shards(shards.max(1));
-    let doc_id = format!("oracle-{seed}");
-
-    let replicas = writers + watchers;
-    let mut clients: Vec<ServeClient<Box<dyn FrameTransport>>> = Vec::with_capacity(replicas);
-    for i in 0..replicas {
-        let (client_half, server_half) = MemTransport::pair();
-        let server_t: Box<dyn FrameTransport> = match fault_seed {
-            Some(_) => Box::new(FaultTransport::new(server_half, FaultPlan::passthrough())),
-            None => Box::new(server_half),
-        };
-        server
-            .admit(server_t)
-            .map_err(|_| format!("replica {i}: no shard accepting"))?;
-        let client_t: Box<dyn FrameTransport> = match fault_seed {
-            Some(fs) => Box::new(FaultTransport::new(
-                client_half,
-                FaultPlan::lossless(fs ^ (i as u64).wrapping_mul(0x9e37)),
-            )),
-            None => Box::new(client_half),
-        };
+    connect: impl Fn(usize) -> Result<Box<dyn FrameTransport>, String>,
+) -> Served {
+    let mut clients = Vec::with_capacity(writers + watchers);
+    for i in 0..writers + watchers {
+        let t = connect(i).map_err(|e| format!("replica {i}: {e}"))?;
         // Only the first attacher names the scene; joiners inherit it.
         let offered = (i == 0).then_some(scene);
-        let client = ServeClient::attach(client_t, &doc_id, offered)
+        let client = ServeClient::attach(t, "oracle", offered)
             .map_err(|e| format!("replica {i}: attach: {e}"))?;
         clients.push(client);
     }
-
     for (n, (w, step)) in script.iter().enumerate() {
         clients[*w]
             .step_sync(step)
@@ -291,7 +334,6 @@ pub fn collab_differential(
         if clients[*w].ended() {
             return Err(format!("writer {w}: server ended session mid-script"));
         }
-        // Watchers keep up without blocking, like a real viewer would.
         if n % 16 == 15 {
             for (i, c) in clients.iter_mut().enumerate().skip(writers) {
                 c.drain_frames()
@@ -299,161 +341,53 @@ pub fn collab_differential(
             }
         }
     }
-
-    // Every op is already on every replica's channel (submit fans out
-    // synchronously), so `Bye` catch-up converges each replica before
-    // its final frame.
-    let mut finals = Vec::with_capacity(replicas);
+    let mut framebuffers = Vec::with_capacity(clients.len());
+    let mut stats = Vec::with_capacity(clients.len());
     for (i, client) in clients.into_iter().enumerate() {
-        let (_, fb) = client
+        let (s, fb) = client
             .finish_with_frame()
             .map_err(|e| format!("replica {i}: finish: {e}"))?;
-        finals.push(fb);
+        framebuffers.push(fb);
+        stats.push(s);
     }
-    server.shutdown_shards();
-
-    for (i, fb) in finals.iter().enumerate() {
-        if fb.width() != want_fb.width()
-            || fb.height() != want_fb.height()
-            || fb.pixels() != want_fb.pixels()
-        {
-            let differing = want_fb
-                .pixels()
-                .iter()
-                .zip(fb.pixels())
-                .filter(|(a, b)| a != b)
-                .count();
-            return Err(format!(
-                "{scene} seed {seed}: replica {i} diverges from the in-process \
-                 reference ({differing} differing pixels of {})",
-                want_fb.pixels().len()
-            ));
-        }
-    }
-
-    // Every replica's own counter plane (its session collector, minus
-    // the serve-side shipping/scheduling keys) must equal the
-    // reference's: the world each replica computed is the same world.
-    let mut counter_planes = 0;
-    for (name, snap) in server.trace_parts() {
-        if !name.starts_with("session-") {
-            continue;
-        }
-        let got = strip_serve_plane(snap.counters);
-        if got != want_counters {
-            return Err(format!(
-                "{scene} seed {seed}: {name} counter plane diverges from the \
-                 in-process reference:\n  want {want_counters:?}\n  got  {got:?}"
-            ));
-        }
-        counter_planes += 1;
-    }
-    if counter_planes != replicas {
-        return Err(format!(
-            "{scene} seed {seed}: expected {replicas} retained replica counter \
-             planes, found {counter_planes}"
-        ));
-    }
-
-    Ok(CollabRun {
-        steps: script.len(),
-        replicas,
-        counter_planes,
-    })
+    Ok((framebuffers, stats))
 }
 
-/// Drops the `serve.*` keys — the shipping/scheduling plane is allowed
-/// to differ between a wired replica and the in-process reference; the
-/// world beneath it is not.
-fn strip_serve_plane(counters: Vec<(&'static str, u64)>) -> Vec<(&'static str, u64)> {
-    counters
-        .into_iter()
+/// `None` when `got` matches `want` in size and pixels; otherwise the
+/// sizes, the differing pixel count, and the first differing coordinate.
+/// Only dimensions and pixels count — a leftover clip region on a
+/// server-side snapshot would be a false alarm.
+pub fn divergence(want: &Framebuffer, got: &Framebuffer) -> Option<String> {
+    if got.width() == want.width() && got.height() == want.height() && got.pixels() == want.pixels()
+    {
+        return None;
+    }
+    let mut differing = 0usize;
+    let mut first = None;
+    for y in 0..want.height().min(got.height()) {
+        for x in 0..want.width().min(got.width()) {
+            if want.get(x, y) != got.get(x, y) {
+                differing += 1;
+                first.get_or_insert((x, y));
+            }
+        }
+    }
+    Some(format!(
+        "{}x{} vs {}x{} expected, {differing} differing pixels, first at {first:?}",
+        got.width(),
+        got.height(),
+        want.width(),
+        want.height(),
+    ))
+}
+
+/// The counters minus the `serve.*` keys — the shipping/scheduling
+/// plane may differ between a wired replica and the in-process
+/// reference; the world beneath it may not.
+fn strip_serve_plane(snap: &Snapshot) -> Vec<(&'static str, u64)> {
+    snap.counters
+        .iter()
         .filter(|(key, _)| !key.starts_with("serve."))
+        .cloned()
         .collect()
-}
-
-/// Replays an already-recorded script through a served session and
-/// in-process, demanding byte-identical final framebuffers.
-///
-/// # Errors
-///
-/// See [`serve_differential`].
-pub fn serve_script_differential(
-    scene: &str,
-    recorded: &[ScriptStep],
-    session_cfg: SessionConfig,
-) -> Result<OracleReport, String> {
-    // In-process reference run.
-    let mut reference = Session::build(scene, "x11sim")?;
-    for step in recorded {
-        reference.apply(step);
-    }
-    let want = reference
-        .im
-        .snapshot()
-        .ok_or("reference backend has no pixels")?;
-
-    // Served run over the in-memory transport, synchronous stepping.
-    let collector = Arc::new(Collector::new());
-    let server_cfg = ServerConfig {
-        session: session_cfg,
-        ..ServerConfig::default()
-    };
-    let server = Server::new(server_cfg, collector);
-    let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let server_thread = thread::spawn(move || srv.serve_connection(server_half));
-
-    let scene_name = scene.to_string();
-    let run = (|| -> Result<_, String> {
-        let mut client =
-            ServeClient::connect(client_half, &scene_name).map_err(|e| e.to_string())?;
-        for step in recorded {
-            client.step_sync(step).map_err(|e| e.to_string())?;
-            if client.ended() {
-                return Err("server ended session mid-script".into());
-            }
-        }
-        let got = client.framebuffer().clone();
-        let stats = client.finish().map_err(|e| e.to_string())?;
-        Ok((got, stats))
-    })();
-    let outcome = server_thread.join().map_err(|_| "server thread panicked")?;
-    let (got, stats) = run?;
-    if let crate::server::ConnectionOutcome::Failed(e) = outcome {
-        return Err(format!("server connection failed: {e}"));
-    }
-
-    // Compare dimensions and pixels (not the whole struct — a leftover
-    // clip region on the server snapshot would be a false alarm).
-    let same = got.width() == want.width()
-        && got.height() == want.height()
-        && got.pixels() == want.pixels();
-    if !same {
-        let mut differing = 0usize;
-        let mut first = None;
-        for y in 0..want.height().min(got.height()) {
-            for x in 0..want.width().min(got.width()) {
-                if want.get(x, y) != got.get(x, y) {
-                    differing += 1;
-                    first.get_or_insert((x, y));
-                }
-            }
-        }
-        return Err(format!(
-            "{scene}: served framebuffer diverges from in-process \
-             ({}x{} vs {}x{}, {differing} differing pixels, first at {first:?})",
-            got.width(),
-            got.height(),
-            want.width(),
-            want.height(),
-        ));
-    }
-    Ok(OracleReport {
-        steps: recorded.len(),
-        diff_frames: stats.diff_frames,
-        key_frames: stats.key_frames,
-        raw_bytes: stats.diff_bytes + stats.full_bytes,
-        encoded_bytes: stats.encoded_bytes,
-    })
 }

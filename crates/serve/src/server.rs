@@ -1,39 +1,29 @@
-//! The multi-session server: admission control plus two dispatch
-//! paths — the event-driven shard engine (the default at scale) and
-//! the original thread-per-connection loop (kept as the E15 ablation
-//! baseline).
+//! The multi-session server: admission control, the stats plane, and
+//! the shared-document registry. Sessions themselves run on the
+//! event-driven shard engine ([`crate::shard`]), the one dispatch path:
+//! every connection — TCP from the acceptor, or in-memory from tests,
+//! oracles and loadgen — enters through [`Server::admit`].
 //!
-//! Either way a session's `World` is born, lives, and dies on one
-//! thread, because it is deliberately `!Send` (views hold `Rc` handles
-//! to the window framebuffer). Under shards that thread hosts *many*
-//! sessions behind a poll-style readiness loop (see [`crate::shard`]);
-//! under the blocking path it hosts exactly one. Only the transport
-//! halves and the shared counters cross threads, which is the same
-//! discipline the paper's window-system connection imposed: the
-//! display protocol travels, the application state does not.
-//!
-//! Both paths funnel every batch through [`Server::finish_batch`], so
-//! backpressure, shipping, stats replies, and goodbye semantics cannot
-//! diverge between them — the sharded-vs-single differential oracle
-//! (`tests/shard_differential.rs`) then proves the remaining dispatch
-//! machinery equivalent byte-for-byte.
+//! A session's `World` is born, lives, and dies on its shard's thread,
+//! because it is deliberately `!Send` (views hold `Rc` handles to the
+//! window framebuffer). Only the transport halves and the shared
+//! counters cross threads, which is the same discipline the paper's
+//! window-system connection imposed: the display protocol travels, the
+//! application state does not.
 
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread;
 
 use atk_collab::DocRegistry;
-use atk_core::ScriptStep;
-use atk_trace::{
-    snapshot_json, text_summary, Collector, FrameTrace, SlowFrameLog, Snapshot, Stage,
-};
+use atk_trace::{snapshot_json, text_summary, Collector, SlowFrameLog, Snapshot};
 
-use crate::session::{HostedSession, SessionConfig, SessionEnd};
+use crate::fault::{FaultPlan, FaultTransport};
+use crate::session::{HostedSession, SessionConfig};
 use crate::shard::ShardHandle;
-use crate::transport::{FrameTransport, TcpTransport};
-use crate::wire::{ClientFrame, ServerFrame, WireError, BYE_BYE, BYE_CLOSED, BYE_IDLE};
+use crate::transport::{FrameTransport, MemTransport, TcpTransport};
+use crate::wire::{ClientFrame, ServerFrame};
 
 /// Span-ring capacity of each per-session collector (smaller than the
 /// default: N sessions each hold one of these).
@@ -69,9 +59,7 @@ pub struct ServerConfig {
     pub readiness_shuffle_seed: Option<u64>,
     /// Fork sessions from pre-warmed per-shard template worlds instead
     /// of building every scene from scratch. On by default; the
-    /// `--no-fork` ablation turns it off. Only the sharded dispatcher
-    /// forks — the blocking thread-per-connection path always builds
-    /// cold (it has no shard to pin a template registry to).
+    /// `--no-fork` ablation turns it off.
     pub fork: bool,
 }
 
@@ -86,20 +74,6 @@ impl Default for ServerConfig {
             fork: true,
         }
     }
-}
-
-/// What a finished connection amounted to, for logs and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConnectionOutcome {
-    /// Rejected by admission control.
-    Rejected,
-    /// Session ran and ended in an orderly way.
-    Served {
-        /// Steps consumed over the session's life.
-        steps: u64,
-    },
-    /// Transport or protocol failure ended the session.
-    Failed(String),
 }
 
 /// The shared server state: counters plus config. Cheap to clone into
@@ -150,6 +124,17 @@ impl Server {
         })
     }
 
+    /// A server reporting into a fresh enabled collector, with `shards`
+    /// worker shards already running — how the tests, the oracles and
+    /// loadgen host one.
+    pub fn start(cfg: ServerConfig, shards: usize) -> Arc<Server> {
+        let collector = Arc::new(Collector::new());
+        collector.enable();
+        let server = Server::new(cfg, collector);
+        server.start_shards(shards);
+        server
+    }
+
     /// The shared-document registry.
     pub fn registry(&self) -> &DocRegistry {
         &self.registry
@@ -183,7 +168,7 @@ impl Server {
 
     /// Claims one admission slot and updates the lifecycle counters.
     /// `false` means the server is full: count the reject and send
-    /// `Busy`. Both dispatch paths admit through here.
+    /// `Busy`.
     pub(crate) fn try_claim_slot(&self) -> bool {
         let claimed = self
             .active
@@ -318,89 +303,11 @@ impl Server {
         }
     }
 
-    /// Runs one connection to completion on the calling thread.
-    pub fn serve_connection<T: FrameTransport>(&self, mut t: T) -> ConnectionOutcome {
-        match self.run_connection(&mut t) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // Best-effort goodbye; the transport may already be gone.
-                let _ = t.send(
-                    &ServerFrame::Error {
-                        message: e.to_string(),
-                    }
-                    .encode(),
-                );
-                ConnectionOutcome::Failed(e.to_string())
-            }
-        }
-    }
-
-    fn run_connection<T: FrameTransport>(
-        &self,
-        t: &mut T,
-    ) -> Result<ConnectionOutcome, Box<dyn std::error::Error>> {
-        let first = ClientFrame::decode(&t.recv()?)?;
-        if !matches!(
-            first,
-            ClientFrame::Hello { .. } | ClientFrame::Attach { .. }
-        ) {
-            return Err(Box::new(WireError::BadTag(0)));
-        }
-
-        // Admission: claim a slot or turn the client away politely.
-        if !self.try_claim_slot() {
-            t.send(&ServerFrame::Busy.encode())?;
-            return Ok(ConnectionOutcome::Rejected);
-        }
-        let guard = SlotGuard(self);
-
-        let session_id = self.next_session_id();
-        let session_collector = self.open_session_collector(session_id);
-        // Unregisters the collector and folds its totals into the
-        // retired accumulator on every exit path, error or orderly.
-        let _retire = RetireGuard {
-            server: self,
-            session_id,
-            collector: session_collector.clone(),
-        };
-        // The blocking path builds cold: sessions live on ephemeral
-        // connection threads, so there is no long-lived thread to pin a
-        // template registry (and its `!Send` worlds) to.
-        let mut session = match self.open_hosted(&first, session_collector, None) {
-            Ok(s) => s,
-            Err(e) => {
-                t.send(&ServerFrame::Error { message: e }.encode())?;
-                return Ok(ConnectionOutcome::Served { steps: 0 });
-            }
-        };
-        session.set_session_id(session_id);
-        session.set_slow_log(self.slow_log.clone());
-        let (width, height) = session.size();
-        t.send(
-            &ServerFrame::Welcome {
-                session_id,
-                width,
-                height,
-            }
-            .encode(),
-        )?;
-        let initial = session.initial_keyframe();
-        t.send(&session.encode_frame(&initial))?;
-
-        let outcome = if session.is_attached() {
-            self.attached_loop(t, &mut session)
-        } else {
-            self.session_loop(t, &mut session)
-        };
-        drop(guard);
-        outcome
-    }
-
     /// Builds the session a first frame asks for: a private scene for
     /// `Hello`, a shared-document replica for `Attach` (creating the
     /// document when a scene is offered; creations count into the
-    /// server-plane `serve.collab.docs`). Both handshake paths have
-    /// already rejected any other first frame.
+    /// server-plane `serve.collab.docs`). The handshake has already
+    /// rejected any other first frame.
     pub(crate) fn open_hosted(
         &self,
         first: &ClientFrame,
@@ -432,227 +339,6 @@ impl Server {
             }
             _ => Err("first frame must be hello or attach".to_string()),
         }
-    }
-
-    fn session_loop<T: FrameTransport>(
-        &self,
-        t: &mut T,
-        session: &mut HostedSession,
-    ) -> Result<ConnectionOutcome, Box<dyn std::error::Error>> {
-        loop {
-            // Block for the first step, then drain whatever burst is
-            // already buffered into the same batch. The frame trace
-            // starts *after* the blocking recv so queue idle time is
-            // not attributed to any stage; each decode is stamped.
-            let first_body = t.recv()?;
-            let mut ft = session.begin_frame();
-            let mut batch: Vec<ScriptStep> = Vec::new();
-            let mut saw_bye = false;
-            let mut stats_req = false;
-            decode_into(
-                &first_body,
-                &mut ft,
-                &mut batch,
-                &mut saw_bye,
-                &mut stats_req,
-            )?;
-            while !saw_bye {
-                match t.try_recv()? {
-                    Some(body) => {
-                        decode_into(&body, &mut ft, &mut batch, &mut saw_bye, &mut stats_req)?
-                    }
-                    None => break,
-                }
-            }
-
-            if let Some(outcome) = self.finish_batch(t, session, ft, batch, saw_bye, stats_req)? {
-                return Ok(outcome);
-            }
-        }
-    }
-
-    /// The blocking-path loop for attached sessions. A replica cannot
-    /// block on its transport: a silent watcher's frames come from
-    /// *other* replicas' edits, which arrive on the document channel,
-    /// not the socket. So this polls both — transport bursts drain
-    /// through the normal batch funnel, document ops pump through
-    /// [`Server::pump_doc_ops`], and a nap keeps the idle spin polite
-    /// (the shard path gets the same behavior from its readiness
-    /// loop's nap).
-    fn attached_loop<T: FrameTransport>(
-        &self,
-        t: &mut T,
-        session: &mut HostedSession,
-    ) -> Result<ConnectionOutcome, Box<dyn std::error::Error>> {
-        loop {
-            match t.try_recv()? {
-                Some(first_body) => {
-                    let mut ft = session.begin_frame();
-                    let mut batch: Vec<ScriptStep> = Vec::new();
-                    let mut saw_bye = false;
-                    let mut stats_req = false;
-                    decode_into(
-                        &first_body,
-                        &mut ft,
-                        &mut batch,
-                        &mut saw_bye,
-                        &mut stats_req,
-                    )?;
-                    while !saw_bye {
-                        match t.try_recv()? {
-                            Some(body) => decode_into(
-                                &body,
-                                &mut ft,
-                                &mut batch,
-                                &mut saw_bye,
-                                &mut stats_req,
-                            )?,
-                            None => break,
-                        }
-                    }
-                    if let Some(outcome) =
-                        self.finish_batch(t, session, ft, batch, saw_bye, stats_req)?
-                    {
-                        return Ok(outcome);
-                    }
-                }
-                None => match self.pump_doc_ops(t, session)? {
-                    CollabPump::Done(outcome) => return Ok(outcome),
-                    CollabPump::Progress => {}
-                    CollabPump::Idle => thread::sleep(ATTACHED_NAP),
-                },
-            }
-        }
-    }
-
-    /// Drains and applies whatever shared-document ops are buffered on
-    /// an attached session's subscription, shipping the resulting diff.
-    /// This is how a replica makes progress with *no* transport
-    /// traffic of its own; the shard readiness loop and the blocking
-    /// attached loop both pump through here.
-    pub(crate) fn pump_doc_ops(
-        &self,
-        t: &mut dyn FrameTransport,
-        session: &mut HostedSession,
-    ) -> Result<CollabPump, Box<dyn std::error::Error>> {
-        let ops = session.drain_ops();
-        if ops.is_empty() {
-            return Ok(CollabPump::Idle);
-        }
-        let mut ft = session.begin_frame();
-        let (frame, end) = session.apply_ops_traced(&ops, &mut ft);
-        ft.enter(Stage::Ship);
-        t.send(&session.encode_frame(&frame))?;
-        ft.exit();
-        session.finish_frame(ft);
-        if let Some(end) = end {
-            self.goodbye(t, end)?;
-            return Ok(CollabPump::Done(ConnectionOutcome::Served {
-                steps: session.seq(),
-            }));
-        }
-        Ok(CollabPump::Progress)
-    }
-
-    /// Sends the server-side `Bye` for a session-initiated end and
-    /// counts idle evictions.
-    fn goodbye(&self, t: &mut dyn FrameTransport, end: SessionEnd) -> io::Result<()> {
-        let reason = match end {
-            SessionEnd::Idle => BYE_IDLE,
-            SessionEnd::Closed => BYE_CLOSED,
-        };
-        if end == SessionEnd::Idle {
-            self.collector.count("serve.idle_evictions", 1);
-        }
-        t.send(
-            &ServerFrame::Bye {
-                reason: reason.into(),
-            }
-            .encode(),
-        )
-    }
-
-    /// Runs one collected batch to completion: backpressure trim,
-    /// apply + ship under the frame trace, stats reply, and the goodbye
-    /// when the batch (or the client) ended the session. Returns
-    /// `Some(outcome)` once the session is over. Both dispatch paths —
-    /// the blocking per-connection loop and the shard readiness pump —
-    /// call this and nothing else, so their observable behavior per
-    /// batch is shared code, not parallel implementations.
-    pub(crate) fn finish_batch(
-        &self,
-        t: &mut dyn FrameTransport,
-        session: &mut HostedSession,
-        mut ft: FrameTrace,
-        mut batch: Vec<ScriptStep>,
-        saw_bye: bool,
-        stats_req: bool,
-    ) -> Result<Option<ConnectionOutcome>, Box<dyn std::error::Error>> {
-        // Backpressure: a burst beyond the queue cap drops its oldest
-        // steps; the drops still advance `seq`.
-        let dropped = batch.len().saturating_sub(self.cfg.session.queue_cap);
-        if dropped > 0 {
-            batch.drain(..dropped);
-            session
-                .collector()
-                .count("serve.backpressure_drops", dropped as u64);
-        }
-
-        let mut end_after = None;
-        if session.is_attached() {
-            // Replicated path: the batch is *submitted* to the shared
-            // log, not applied — every edit comes back through the
-            // subscription in log order (the author's own included).
-            // The drain below therefore already covers catch-up on
-            // `Bye`: everything submitted anywhere is on the channel
-            // the moment `submit` returns, so the final frame shipped
-            // here leaves the client at the converged document state.
-            session.submit_batch(&batch, dropped as u64);
-            let ops = session.drain_ops();
-            if !ops.is_empty() {
-                let (frame, end) = session.apply_ops_traced(&ops, &mut ft);
-                ft.enter(Stage::Ship);
-                let encoded = session.encode_frame(&frame);
-                t.send(&encoded)?;
-                ft.exit();
-                session.finish_frame(ft);
-                end_after = end;
-            }
-        } else if !batch.is_empty() {
-            let (frame, end) = session.apply_batch_traced(&batch, dropped as u64, &mut ft);
-            ft.enter(Stage::Ship);
-            let encoded = session.encode_frame(&frame);
-            t.send(&encoded)?;
-            ft.exit();
-            session.finish_frame(ft);
-            end_after = end;
-        }
-        // A batchless wakeup (lone StatsReq) drops its inert-ish
-        // trace: no frame shipped, nothing to attribute.
-
-        if stats_req {
-            self.collector.count("serve.stats_requests", 1);
-            t.send(&self.stats_reply().encode())?;
-        }
-
-        if let Some(end) = end_after {
-            self.goodbye(t, end)?;
-            return Ok(Some(ConnectionOutcome::Served {
-                steps: session.seq(),
-            }));
-        }
-        if saw_bye {
-            t.send(
-                &ServerFrame::Bye {
-                    reason: BYE_BYE.into(),
-                }
-                .encode(),
-            )?;
-            return Ok(Some(ConnectionOutcome::Served {
-                steps: session.seq(),
-            }));
-        }
-        Ok(None)
     }
 
     fn lock_shards(&self) -> MutexGuard<'_, Vec<ShardHandle>> {
@@ -701,6 +387,28 @@ impl Server {
         }
     }
 
+    /// Opens an in-memory connection: the server half is admitted onto
+    /// the least-loaded shard and the client half comes back. With
+    /// `fault_seed` set, both halves run behind a [`FaultTransport`]:
+    /// the client's on a seeded lossless schedule (short reads/writes,
+    /// `WouldBlock` storms), the server's as a passthrough that keeps
+    /// the byte-stream re-framing symmetric. The oracles, the tests and
+    /// `--mem` loadgen all connect through here.
+    pub fn connect_mem(&self, fault_seed: Option<u64>) -> Result<Box<dyn FrameTransport>, String> {
+        let (client_half, server_half) = MemTransport::pair();
+        let (server_t, client_t): (Box<dyn FrameTransport>, Box<dyn FrameTransport>) =
+            match fault_seed {
+                Some(seed) => (
+                    Box::new(FaultTransport::new(server_half, FaultPlan::passthrough())),
+                    Box::new(FaultTransport::new(client_half, FaultPlan::lossless(seed))),
+                ),
+                None => (Box::new(server_half), Box::new(client_half)),
+            };
+        self.admit(server_t)
+            .map_err(|_| "server busy: no shard accepting".to_string())?;
+        Ok(client_t)
+    }
+
     /// Asks shard `index` to drain: it stops taking new connections,
     /// closes pending handshakes with `Busy`, and says `Bye {drain}` to
     /// its live sessions (every acked frame has already shipped, so
@@ -737,83 +445,6 @@ impl Server {
     }
 }
 
-/// How [`Server::pump_doc_ops`] left an attached session.
-pub(crate) enum CollabPump {
-    /// No ops buffered; nothing happened.
-    Idle,
-    /// Ops applied and a frame shipped.
-    Progress,
-    /// The session ended (idle eviction or app close); `Bye` sent.
-    Done(ConnectionOutcome),
-}
-
-/// Nap between polls of the blocking attached loop (the shard path
-/// naps in its own readiness loop instead).
-const ATTACHED_NAP: std::time::Duration = std::time::Duration::from_micros(200);
-
-/// Decodes one client body into the current batch, stamping the decode
-/// stage. A second `Hello` (or `Attach`) mid-session is the protocol
-/// violation it always was.
-pub(crate) fn decode_into(
-    body: &[u8],
-    ft: &mut FrameTrace,
-    batch: &mut Vec<ScriptStep>,
-    saw_bye: &mut bool,
-    stats_req: &mut bool,
-) -> Result<(), WireError> {
-    ft.enter(Stage::Decode);
-    let decoded = ClientFrame::decode(body);
-    ft.exit();
-    match decoded? {
-        ClientFrame::Step(step) => batch.push(step),
-        ClientFrame::Bye => *saw_bye = true,
-        ClientFrame::StatsReq => *stats_req = true,
-        ClientFrame::Hello { .. } => return Err(WireError::BadTag(0x01)),
-        ClientFrame::Attach { .. } => return Err(WireError::BadTag(0x05)),
-    }
-    Ok(())
-}
-
-/// Unregisters a session's collector on connection exit and folds its
-/// final (span-stripped) snapshot into the server's retired
-/// accumulator, so `merged_snapshot` totals survive session churn.
-struct RetireGuard<'a> {
-    server: &'a Server,
-    session_id: u64,
-    collector: Arc<Collector>,
-}
-
-impl Drop for RetireGuard<'_> {
-    fn drop(&mut self) {
-        self.server.retire_session(self.session_id, &self.collector);
-    }
-}
-
-/// Releases the admission slot even on error paths.
-struct SlotGuard<'a>(&'a Server);
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.0.release_slot();
-    }
-}
-
-/// Accepts connections forever, one thread per connection — the E15
-/// ablation baseline the shard engine replaced. Returns only on
-/// listener failure.
-pub fn serve_listener(server: Arc<Server>, listener: TcpListener) -> io::Result<()> {
-    loop {
-        let (stream, _) = listener.accept()?;
-        let server = server.clone();
-        thread::spawn(move || {
-            let outcome = server.serve_connection(TcpTransport::new(stream));
-            if let ConnectionOutcome::Failed(e) = outcome {
-                eprintln!("served: session failed: {e}");
-            }
-        });
-    }
-}
-
 /// Accepts connections forever onto `shards` worker shards (started if
 /// not already running): the acceptor thread only hands the socket to
 /// the least-loaded shard's admission queue; the shard does the
@@ -837,114 +468,100 @@ pub fn serve_listener_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::MemTransport;
+    use std::thread;
+    use std::time::{Duration, Instant};
+
+    use atk_core::ScriptStep;
     use atk_wm::WindowEvent;
 
-    fn enabled_collector() -> Arc<Collector> {
-        let c = Arc::new(Collector::new());
-        c.enable();
-        c
+    fn send(t: &mut dyn FrameTransport, frame: ClientFrame) {
+        t.send(&frame.encode().unwrap()).unwrap();
     }
 
-    /// Drives a minimal handshake + a few steps over the in-memory
-    /// transport against a server thread.
+    fn recv(t: &mut dyn FrameTransport) -> ServerFrame {
+        ServerFrame::decode(&t.recv().unwrap()).unwrap()
+    }
+
+    fn hello(scene: &str) -> ClientFrame {
+        ClientFrame::Hello {
+            scene: scene.into(),
+            backend: None,
+        }
+    }
+
+    /// Waits for the shard to close every connection, then proves
+    /// nothing leaked: no admission slot held, no load on the shard.
+    fn assert_no_leaks(server: &Server) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.shard_loads() != [0] {
+            assert!(
+                Instant::now() < deadline,
+                "loads {:?}",
+                server.shard_loads()
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(server.active_sessions(), 0);
+        assert_eq!(server.shard_loads(), [0]);
+    }
+
     #[test]
     fn handshake_steps_and_bye() {
-        let server = Server::new(ServerConfig::default(), enabled_collector());
-        let (mut client, server_half) = MemTransport::pair();
-        let srv = server.clone();
-        let t = thread::spawn(move || srv.serve_connection(server_half));
+        let server = Server::start(ServerConfig::default(), 1);
+        let mut client = server.connect_mem(None).unwrap();
+        send(&mut client, hello("fig1"));
+        assert!(matches!(recv(&mut client), ServerFrame::Welcome { .. }));
+        assert!(matches!(
+            recv(&mut client),
+            ServerFrame::Keyframe { seq: 0, .. }
+        ));
 
-        client
-            .send(
-                &ClientFrame::Hello {
-                    scene: "fig1".into(),
-                    backend: None,
-                }
-                .encode()
-                .unwrap(),
-            )
-            .unwrap();
-        let welcome = ServerFrame::decode(&client.recv().unwrap()).unwrap();
-        assert!(matches!(welcome, ServerFrame::Welcome { .. }));
-        let key = ServerFrame::decode(&client.recv().unwrap()).unwrap();
-        assert!(matches!(key, ServerFrame::Keyframe { seq: 0, .. }));
-
-        client
-            .send(
-                &ClientFrame::Step(ScriptStep::Event(WindowEvent::ch('z')))
-                    .encode()
-                    .unwrap(),
-            )
-            .unwrap();
-        let frame = ServerFrame::decode(&client.recv().unwrap()).unwrap();
-        match frame {
+        send(
+            &mut client,
+            ClientFrame::Step(ScriptStep::Event(WindowEvent::ch('z'))),
+        );
+        match recv(&mut client) {
             ServerFrame::Update { seq, .. } | ServerFrame::Keyframe { seq, .. } => {
                 assert_eq!(seq, 1)
             }
             other => panic!("unexpected {other:?}"),
         }
 
-        client.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
-        let bye = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+        send(&mut client, ClientFrame::Bye);
         assert_eq!(
-            bye,
+            recv(&mut client),
             ServerFrame::Bye {
                 reason: "bye".into()
             }
         );
-        assert_eq!(t.join().unwrap(), ConnectionOutcome::Served { steps: 1 });
-        assert_eq!(server.active_sessions(), 0);
+        assert_no_leaks(&server);
     }
 
     #[test]
     fn admission_control_rejects_with_busy() {
-        let cfg = ServerConfig {
-            max_sessions: 1,
-            ..ServerConfig::default()
-        };
-        let server = Server::new(cfg, enabled_collector());
+        let server = Server::start(
+            ServerConfig {
+                max_sessions: 1,
+                ..ServerConfig::default()
+            },
+            1,
+        );
 
         // First session occupies the only slot.
-        let (mut c1, s1) = MemTransport::pair();
-        let srv = server.clone();
-        let t1 = thread::spawn(move || srv.serve_connection(s1));
-        c1.send(
-            &ClientFrame::Hello {
-                scene: "fig1".into(),
-                backend: None,
-            }
-            .encode()
-            .unwrap(),
-        )
-        .unwrap();
-        let _welcome = c1.recv().unwrap();
-        let _key = c1.recv().unwrap();
+        let mut c1 = server.connect_mem(None).unwrap();
+        send(&mut c1, hello("fig1"));
+        let _welcome = recv(&mut c1);
+        let _key = recv(&mut c1);
 
         // Second connection is turned away politely.
-        let (mut c2, s2) = MemTransport::pair();
-        let srv = server.clone();
-        let t2 = thread::spawn(move || srv.serve_connection(s2));
-        c2.send(
-            &ClientFrame::Hello {
-                scene: "fig1".into(),
-                backend: None,
-            }
-            .encode()
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            ServerFrame::decode(&c2.recv().unwrap()).unwrap(),
-            ServerFrame::Busy
-        );
-        assert_eq!(t2.join().unwrap(), ConnectionOutcome::Rejected);
+        let mut c2 = server.connect_mem(None).unwrap();
+        send(&mut c2, hello("fig1"));
+        assert_eq!(recv(&mut c2), ServerFrame::Busy);
 
         // After the first leaves, the slot frees up.
-        c1.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
-        let _bye = c1.recv().unwrap();
-        t1.join().unwrap();
-        assert_eq!(server.active_sessions(), 0);
+        send(&mut c1, ClientFrame::Bye);
+        let _bye = recv(&mut c1);
+        assert_no_leaks(&server);
         assert_eq!(
             server.collector().snapshot().counter("serve.busy_rejects"),
             1
@@ -953,44 +570,45 @@ mod tests {
 
     #[test]
     fn burst_past_queue_cap_drops_oldest_and_counts() {
-        let cfg = ServerConfig {
-            session: SessionConfig {
-                queue_cap: 4,
-                ..SessionConfig::default()
+        let server = Server::start(
+            ServerConfig {
+                session: SessionConfig {
+                    queue_cap: 4,
+                    ..SessionConfig::default()
+                },
+                ..ServerConfig::default()
             },
-            ..ServerConfig::default()
-        };
-        let server = Server::new(cfg, enabled_collector());
+            1,
+        );
         let (mut client, server_half) = MemTransport::pair();
 
-        // Preload the whole conversation before the server thread ever
-        // runs: hello + a 10-step burst + bye. The server's first drain
-        // sees all 10 steps at once and must shed 6.
-        client
-            .send(
-                &ClientFrame::Hello {
-                    scene: "fig1".into(),
-                    backend: None,
-                }
-                .encode()
-                .unwrap(),
-            )
-            .unwrap();
+        // Preload the whole conversation before the shard ever sees the
+        // connection: hello + a 10-step burst + bye. The first drain
+        // after the handshake sees all 10 steps at once and must shed 6.
+        send(&mut client, hello("fig1"));
         for i in 0..10 {
-            client
-                .send(
-                    &ClientFrame::Step(ScriptStep::Event(WindowEvent::Tick(1 + i)))
-                        .encode()
-                        .unwrap(),
-                )
-                .unwrap();
+            send(
+                &mut client,
+                ClientFrame::Step(ScriptStep::Event(WindowEvent::Tick(1 + i))),
+            );
         }
-        client.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
+        send(&mut client, ClientFrame::Bye);
+        assert!(server.admit(Box::new(server_half)).is_ok());
 
-        let srv = server.clone();
-        let outcome = srv.serve_connection(server_half);
+        assert!(matches!(recv(&mut client), ServerFrame::Welcome { .. }));
+        assert!(matches!(
+            recv(&mut client),
+            ServerFrame::Keyframe { seq: 0, .. }
+        ));
         // All 10 steps are accounted for (4 applied + 6 dropped).
-        assert_eq!(outcome, ConnectionOutcome::Served { steps: 10 });
+        match recv(&mut client) {
+            ServerFrame::Update { seq, .. } | ServerFrame::Keyframe { seq, .. } => {
+                assert_eq!(seq, 10)
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(recv(&mut client), ServerFrame::Bye { .. }));
+        assert_no_leaks(&server);
         // The drop counter lives on the (now retired) session's
         // collector; the merged server-wide view still carries it.
         assert_eq!(
@@ -1009,35 +627,52 @@ mod tests {
 
     #[test]
     fn unknown_scene_reports_error_and_releases_slot() {
-        let server = Server::new(ServerConfig::default(), enabled_collector());
-        let (mut client, server_half) = MemTransport::pair();
-        let srv = server.clone();
-        let t = thread::spawn(move || srv.serve_connection(server_half));
-        client
-            .send(
-                &ClientFrame::Hello {
-                    scene: "no-such-scene".into(),
-                    backend: None,
-                }
-                .encode()
-                .unwrap(),
-            )
-            .unwrap();
-        let reply = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+        let server = Server::start(ServerConfig::default(), 1);
+        let mut client = server.connect_mem(None).unwrap();
+        send(&mut client, hello("no-such-scene"));
+        let reply = recv(&mut client);
         assert!(matches!(reply, ServerFrame::Error { .. }), "{reply:?}");
-        t.join().unwrap();
-        assert_eq!(server.active_sessions(), 0);
+        assert_no_leaks(&server);
     }
 
     #[test]
     fn garbage_frame_fails_the_connection_without_panicking() {
-        let server = Server::new(ServerConfig::default(), enabled_collector());
-        let (mut client, server_half) = MemTransport::pair();
-        let srv = server.clone();
-        let t = thread::spawn(move || srv.serve_connection(server_half));
+        let server = Server::start(ServerConfig::default(), 1);
+        let mut client = server.connect_mem(None).unwrap();
         client.send(&[0xFF, 0x00, 0x37]).unwrap();
-        let reply = ServerFrame::decode(&client.recv().unwrap()).unwrap();
-        assert!(matches!(reply, ServerFrame::Error { .. }));
-        assert!(matches!(t.join().unwrap(), ConnectionOutcome::Failed(_)));
+        assert!(matches!(recv(&mut client), ServerFrame::Error { .. }));
+        assert_no_leaks(&server);
+        assert_eq!(
+            server.shard_snapshots()[0].counter("serve.shard.failures"),
+            1
+        );
+    }
+
+    /// A client that vanishes without a goodbye — mid-script, or before
+    /// its `Welcome` could even be sent — still gives back its slot.
+    #[test]
+    fn client_hang_up_releases_its_slot() {
+        let server = Server::start(ServerConfig::default(), 1);
+        let mut client = server.connect_mem(None).unwrap();
+        send(&mut client, hello("fig1"));
+        let _welcome = recv(&mut client);
+        let _key = recv(&mut client);
+        send(
+            &mut client,
+            ClientFrame::Step(ScriptStep::Event(WindowEvent::ch('z'))),
+        );
+        let _frame = recv(&mut client);
+        drop(client);
+        assert_no_leaks(&server);
+
+        let (mut client, server_half) = MemTransport::pair();
+        send(&mut client, hello("fig1"));
+        drop(client);
+        assert!(server.admit(Box::new(server_half)).is_ok());
+        assert_no_leaks(&server);
+        assert_eq!(
+            server.shard_snapshots()[0].counter("serve.shard.failures"),
+            2
+        );
     }
 }

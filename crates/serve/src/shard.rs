@@ -1,24 +1,26 @@
-//! The event-driven shard engine: N worker threads, each single-
-//! threadedly hosting *many* sessions behind a poll-style readiness
-//! loop.
+//! The event-driven shard engine — the server's one dispatch path: N
+//! worker threads, each single-threadedly hosting *many* sessions
+//! behind a poll-style readiness loop, plus the per-connection protocol
+//! they speak (handshake, decode, batch, apply, ship, goodbye).
 //!
 //! The shape follows the band0 decomposition of many small framed-
 //! protocol daemons, each owning one resource outright: a shard owns
 //! its sessions — `World`s are `!Send`, so a session is born, lives,
 //! and dies on its shard's thread — and everything else reaches the
 //! shard through two narrow channels. New connections arrive on an
-//! mpsc admission queue fed by the acceptor (least-loaded shard wins,
-//! see `Server::admit`); counters leave through the shard's own
+//! mpsc admission queue fed by `Server::admit` (least-loaded shard
+//! wins), whether they come from the TCP acceptor or from an in-memory
+//! pair (`Server::connect_mem`); counters leave through the shard's own
 //! `atk-trace` collector, which `Server::merged_snapshot` folds in.
 //!
 //! Each loop iteration: drain the admission queue, then poll every
 //! connection's transport once with the non-blocking `try_recv` —
 //! pending `Hello`s complete their handshake, live sessions drain
-//! whatever burst is buffered into one batch and run it through the
-//! shared `Server::finish_batch`. No readiness event in a whole sweep
-//! means the shard naps briefly instead of spinning. There is no epoll
-//! here by design: the repo is std-only, and a short nap bounds the
-//! idle poll cost while keeping the loop portable.
+//! whatever burst is buffered into one batch and run it through
+//! `finish_batch`. No readiness event in a whole sweep means the shard
+//! naps briefly instead of spinning. There is no epoll here by design:
+//! the repo is std-only, and a short nap bounds the idle poll cost
+//! while keeping the loop portable.
 //!
 //! Draining (`Server::drain_shard`) is graceful but final for the
 //! shard's current tenants: sessions cannot migrate (their `World`s
@@ -39,13 +41,13 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use atk_core::ScriptStep;
-use atk_trace::Collector;
+use atk_trace::{Collector, FrameTrace, Stage};
 
 use crate::fault::FaultRng;
-use crate::server::{decode_into, CollabPump, ConnectionOutcome, Server};
-use crate::session::HostedSession;
+use crate::server::Server;
+use crate::session::{HostedSession, SessionEnd};
 use crate::transport::FrameTransport;
-use crate::wire::{ClientFrame, ServerFrame, WireError, BYE_DRAIN};
+use crate::wire::{ClientFrame, ServerFrame, WireError, BYE_BYE, BYE_CLOSED, BYE_DRAIN, BYE_IDLE};
 
 /// How long a shard naps when a full sweep found no readiness.
 const IDLE_NAP: Duration = Duration::from_micros(200);
@@ -172,7 +174,7 @@ enum Pump {
     /// Processed something; the connection lives on.
     Progress,
     /// The connection finished in an orderly way.
-    Done(ConnectionOutcome),
+    Done,
 }
 
 /// The shard thread body.
@@ -280,7 +282,7 @@ fn run_shard(
             match result {
                 Ok(Pump::Idle) => {}
                 Ok(Pump::Progress) => progress = true,
-                Ok(Pump::Done(_outcome)) => {
+                Ok(Pump::Done) => {
                     progress = true;
                     closed.push(i);
                 }
@@ -308,8 +310,7 @@ fn run_shard(
 
 /// Completes a pending handshake if the first frame (`Hello` or
 /// `Attach`) has arrived: admission slot, session build, `Welcome` +
-/// initial keyframe — the same sequence as the blocking path, minus
-/// the blocking.
+/// initial keyframe.
 fn pump_handshake(
     server: &Server,
     conn: &mut Conn,
@@ -327,11 +328,12 @@ fn pump_handshake(
     }
     if !server.try_claim_slot() {
         conn.t.send(&ServerFrame::Busy.encode())?;
-        return Ok(Pump::Done(ConnectionOutcome::Rejected));
+        return Ok(Pump::Done);
     }
-    // From here the claimed slot must be released on every path. The
-    // happy path hands that duty to `finish_close` by entering
-    // `Running`; the failure paths release explicitly.
+    // From here the claimed slot must be released on every path. A
+    // failed build releases it here; once the session exists, entering
+    // `Running` hands that duty to `finish_close`, however the
+    // connection ends — a failed welcome included.
     let session_id = server.next_session_id();
     let session_collector = server.open_session_collector(session_id);
     let mut session = match server.open_hosted(&first, session_collector.clone(), templates) {
@@ -340,37 +342,31 @@ fn pump_handshake(
             server.retire_session(session_id, &session_collector);
             server.release_slot();
             conn.t.send(&ServerFrame::Error { message: e }.encode())?;
-            return Ok(Pump::Done(ConnectionOutcome::Served { steps: 0 }));
+            return Ok(Pump::Done);
         }
     };
     session.set_session_id(session_id);
     session.set_slow_log(server.slow_log().clone());
     let (width, height) = session.size();
-    let welcome = (|| -> Result<(), std::io::Error> {
-        conn.t.send(
-            &ServerFrame::Welcome {
-                session_id,
-                width,
-                height,
-            }
-            .encode(),
-        )?;
-        let initial = session.initial_keyframe();
-        conn.t.send(&session.encode_frame(&initial))
-    })();
-    if let Err(e) = welcome {
-        server.retire_session(session_id, session.collector());
-        server.release_slot();
-        return Err(Box::new(e));
-    }
     conn.state = ConnState::Running(Box::new(session));
+    let ConnState::Running(session) = &mut conn.state else {
+        unreachable!("the state was just set");
+    };
+    conn.t.send(
+        &ServerFrame::Welcome {
+            session_id,
+            width,
+            height,
+        }
+        .encode(),
+    )?;
+    let initial = session.initial_keyframe();
+    conn.t.send(&session.encode_frame(&initial))?;
     Ok(Pump::Progress)
 }
 
 /// Polls a live session once: drains whatever burst is buffered into
-/// one batch (same batch semantics as the blocking loop's
-/// recv-then-drain) and runs it through the shared
-/// `Server::finish_batch`.
+/// one batch and runs it through [`finish_batch`].
 fn pump_running(
     server: &Server,
     collector: &Collector,
@@ -385,14 +381,12 @@ fn pump_running(
         // channel. Pump that here so a silent watcher makes progress
         // every readiness sweep.
         if session.is_attached() {
-            return Ok(match server.pump_doc_ops(&mut conn.t, session)? {
-                CollabPump::Idle => Pump::Idle,
-                CollabPump::Progress => Pump::Progress,
-                CollabPump::Done(outcome) => Pump::Done(outcome),
-            });
+            return pump_doc_ops(server, &mut conn.t, session);
         }
         return Ok(Pump::Idle);
     };
+    // The frame trace starts once the first body is in hand, so queue
+    // idle time is not attributed to any stage; each decode is stamped.
     let mut ft = session.begin_frame();
     let mut batch: Vec<ScriptStep> = Vec::new();
     let mut saw_bye = false;
@@ -411,10 +405,151 @@ fn pump_running(
         }
     }
     collector.count("serve.shard.batches", 1);
-    match server.finish_batch(&mut conn.t, session, ft, batch, saw_bye, stats_req)? {
-        Some(outcome) => Ok(Pump::Done(outcome)),
-        None => Ok(Pump::Progress),
+    finish_batch(server, &mut conn.t, session, ft, batch, saw_bye, stats_req)
+}
+
+/// Decodes one client body into the current batch, stamping the decode
+/// stage. A second `Hello` (or `Attach`) mid-session is the protocol
+/// violation it always was.
+fn decode_into(
+    body: &[u8],
+    ft: &mut FrameTrace,
+    batch: &mut Vec<ScriptStep>,
+    saw_bye: &mut bool,
+    stats_req: &mut bool,
+) -> Result<(), WireError> {
+    ft.enter(Stage::Decode);
+    let decoded = ClientFrame::decode(body);
+    ft.exit();
+    match decoded? {
+        ClientFrame::Step(step) => batch.push(step),
+        ClientFrame::Bye => *saw_bye = true,
+        ClientFrame::StatsReq => *stats_req = true,
+        ClientFrame::Hello { .. } => return Err(WireError::BadTag(0x01)),
+        ClientFrame::Attach { .. } => return Err(WireError::BadTag(0x05)),
     }
+    Ok(())
+}
+
+/// Runs one collected batch to completion: backpressure trim, apply +
+/// ship under the frame trace, stats reply, and the goodbye when the
+/// batch (or the client) ended the session.
+fn finish_batch(
+    server: &Server,
+    t: &mut dyn FrameTransport,
+    session: &mut HostedSession,
+    mut ft: FrameTrace,
+    mut batch: Vec<ScriptStep>,
+    saw_bye: bool,
+    stats_req: bool,
+) -> Result<Pump, Box<dyn std::error::Error>> {
+    // Backpressure: a burst beyond the queue cap drops its oldest
+    // steps; the drops still advance `seq`.
+    let dropped = batch.len().saturating_sub(server.cfg().session.queue_cap);
+    if dropped > 0 {
+        batch.drain(..dropped);
+        session
+            .collector()
+            .count("serve.backpressure_drops", dropped as u64);
+    }
+
+    let applied = if session.is_attached() {
+        // Replicated path: the batch is *submitted* to the shared
+        // log, not applied — every edit comes back through the
+        // subscription in log order (the author's own included).
+        // The drain below therefore already covers catch-up on
+        // `Bye`: everything submitted anywhere is on the channel
+        // the moment `submit` returns, so the final frame shipped
+        // here leaves the client at the converged document state.
+        session.submit_batch(&batch, dropped as u64);
+        let ops = session.drain_ops();
+        (!ops.is_empty()).then(|| session.apply_ops_traced(&ops, &mut ft))
+    } else {
+        (!batch.is_empty()).then(|| session.apply_batch_traced(&batch, dropped as u64, &mut ft))
+    };
+    // A batchless wakeup (lone StatsReq) drops its inert-ish
+    // trace: no frame shipped, nothing to attribute.
+    let mut end_after = None;
+    if let Some((frame, end)) = applied {
+        ship(t, session, &frame, ft)?;
+        end_after = end;
+    }
+
+    if stats_req {
+        server.collector().count("serve.stats_requests", 1);
+        t.send(&server.stats_reply().encode())?;
+    }
+
+    if let Some(end) = end_after {
+        goodbye(server, t, end)?;
+        return Ok(Pump::Done);
+    }
+    if saw_bye {
+        t.send(
+            &ServerFrame::Bye {
+                reason: BYE_BYE.into(),
+            }
+            .encode(),
+        )?;
+        return Ok(Pump::Done);
+    }
+    Ok(Pump::Progress)
+}
+
+/// Drains and applies whatever shared-document ops are buffered on an
+/// attached session's subscription, shipping the resulting diff. This
+/// is how a replica makes progress with *no* transport traffic of its
+/// own.
+fn pump_doc_ops(
+    server: &Server,
+    t: &mut dyn FrameTransport,
+    session: &mut HostedSession,
+) -> Result<Pump, Box<dyn std::error::Error>> {
+    let ops = session.drain_ops();
+    if ops.is_empty() {
+        return Ok(Pump::Idle);
+    }
+    let mut ft = session.begin_frame();
+    let (frame, end) = session.apply_ops_traced(&ops, &mut ft);
+    ship(t, session, &frame, ft)?;
+    if let Some(end) = end {
+        goodbye(server, t, end)?;
+        return Ok(Pump::Done);
+    }
+    Ok(Pump::Progress)
+}
+
+/// Encodes and sends one assembled frame under the `Ship` stage, then
+/// closes its frame trace.
+fn ship(
+    t: &mut dyn FrameTransport,
+    session: &mut HostedSession,
+    frame: &ServerFrame,
+    mut ft: FrameTrace,
+) -> std::io::Result<()> {
+    ft.enter(Stage::Ship);
+    t.send(&session.encode_frame(frame))?;
+    ft.exit();
+    session.finish_frame(ft);
+    Ok(())
+}
+
+/// Sends the server-side `Bye` for a session-initiated end and counts
+/// idle evictions.
+fn goodbye(server: &Server, t: &mut dyn FrameTransport, end: SessionEnd) -> std::io::Result<()> {
+    let reason = match end {
+        SessionEnd::Idle => BYE_IDLE,
+        SessionEnd::Closed => BYE_CLOSED,
+    };
+    if end == SessionEnd::Idle {
+        server.collector().count("serve.idle_evictions", 1);
+    }
+    t.send(
+        &ServerFrame::Bye {
+            reason: reason.into(),
+        }
+        .encode(),
+    )
 }
 
 /// Graceful goodbye for a drained connection.

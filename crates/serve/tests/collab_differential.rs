@@ -11,10 +11,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use atk_core::ScriptStep;
-use atk_serve::oracle::collab_differential;
 use atk_serve::session::{HostedSession, SessionConfig};
 use atk_serve::transport::{FrameTransport, MemTransport};
-use atk_serve::{ClientError, ConnectionOutcome, ServeClient, Server, ServerConfig};
+use atk_serve::{
+    serve_differential, ClientError, ServeClient, Server, ServerConfig, Topology, Traffic,
+};
 use atk_trace::Collector;
 use atk_wm::{Key, WindowEvent};
 
@@ -32,11 +33,18 @@ fn run_scene(scene: &str) {
             7 => (2, 2, 4, None),
             _ => (2, 2, 4, Some(seed)),
         };
-        let run = collab_differential(scene, seed, writers, watchers, STEPS, shards, faults)
+        let traffic = Traffic::shared(scene, seed, writers, watchers, STEPS)
+            .unwrap_or_else(|e| panic!("{scene} seed {seed}: script: {e}"));
+        let topo = Topology {
+            shards,
+            fault_seed: faults,
+            ..Topology::default()
+        };
+        let run = serve_differential(scene, &traffic, &topo)
             .unwrap_or_else(|e| panic!("{scene} seed {seed}: {e}"));
-        assert_eq!(run.replicas, writers + watchers);
+        assert_eq!(run.framebuffers.len(), writers + watchers);
         assert_eq!(run.steps, STEPS);
-        assert_eq!(run.counter_planes, run.replicas);
+        assert_eq!(run.counter_planes, writers + watchers);
     }
 }
 
@@ -61,14 +69,6 @@ fn key(c: char) -> ScriptStep {
 
 fn tick(ms: u64) -> ScriptStep {
     ScriptStep::Event(WindowEvent::Tick(ms))
-}
-
-fn shard_server(cfg: ServerConfig, shards: usize) -> Arc<Server> {
-    let collector = Arc::new(Collector::new());
-    collector.enable();
-    let server = Server::new(cfg, collector);
-    server.start_shards(shards);
-    server
 }
 
 /// Attaches one replica through the shard plane and returns the client
@@ -116,7 +116,7 @@ fn drain_until_ended<T: FrameTransport>(client: &mut ServeClient<T>) {
 /// duplicated or lost.
 #[test]
 fn drained_replica_reattaches_at_log_head() {
-    let server = shard_server(ServerConfig::default(), 2);
+    let server = Server::start(ServerConfig::default(), 2);
     let (mut writer, writer_shard) = attach_replica(&server, "shared", Some("fig2"));
     let (mut watcher, watcher_shard) = attach_replica(&server, "shared", None);
     assert_ne!(writer_shard, watcher_shard, "replicas must pin apart");
@@ -187,7 +187,7 @@ fn silent_watcher_survives_typing_peer() {
         },
         ..ServerConfig::default()
     };
-    let server = shard_server(cfg, 1);
+    let server = Server::start(cfg, 1);
     let (mut writer, _) = attach_replica(&server, "busy", Some("fig2"));
     let (mut watcher, _) = attach_replica(&server, "busy", None);
 
@@ -225,27 +225,17 @@ fn silent_watcher_survives_typing_peer() {
     );
 }
 
-/// The single-connection (non-shard) server path speaks `Attach` too:
-/// one replica over `serve_connection` converges with the in-process
+/// One replica alone on a 1-shard server converges with the in-process
 /// reference, and bogus attaches are refused with a readable error.
 #[test]
 fn attach_over_single_connection() {
-    let collector = Arc::new(Collector::new());
-    let server = Server::new(ServerConfig::default(), collector);
-
-    let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let handle = thread::spawn(move || srv.serve_connection(server_half));
-    let mut client = ServeClient::attach(client_half, "solo", Some("fig2")).expect("attach");
+    let server = Server::start(ServerConfig::default(), 1);
+    let (mut client, _) = attach_replica(&server, "solo", Some("fig2"));
     let steps: Vec<ScriptStep> = "solo".chars().map(key).collect();
     for step in &steps {
         client.step_sync(step).expect("step");
     }
     let (_, fb) = client.finish_with_frame().expect("finish");
-    match handle.join().expect("server thread") {
-        ConnectionOutcome::Served { steps: served } => assert_eq!(served, steps.len() as u64),
-        other => panic!("unexpected outcome {other:?}"),
-    }
 
     let ref_collector = Arc::new(Collector::new());
     let mut reference =
@@ -253,26 +243,16 @@ fn attach_over_single_connection() {
     reference.replay_steps(&steps);
     assert_eq!(fb.pixels(), reference.framebuffer().pixels());
 
-    // Joining an unknown document without naming a scene is refused.
-    let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let handle = thread::spawn(move || srv.serve_connection(server_half));
-    let err = match ServeClient::attach(client_half, "ghost", None) {
-        Ok(_) => panic!("unknown doc must be refused"),
-        Err(e) => e,
-    };
-    assert!(matches!(err, ClientError::Server(_)), "got {err:?}");
-    handle.join().expect("server thread");
-
-    // Attaching to an existing document under a different scene is a
-    // refusal, not a silent join of the wrong world.
-    let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let handle = thread::spawn(move || srv.serve_connection(server_half));
-    let err = match ServeClient::attach(client_half, "solo", Some("fig1")) {
-        Ok(_) => panic!("scene mismatch must be refused"),
-        Err(e) => e,
-    };
-    assert!(matches!(err, ClientError::Server(_)), "got {err:?}");
-    handle.join().expect("server thread");
+    // Joining an unknown document without naming a scene is refused,
+    // and so is attaching to an existing document under a different
+    // scene — a refusal, not a silent join of the wrong world.
+    for (doc, scene) in [("ghost", None), ("solo", Some("fig1"))] {
+        let t = server.connect_mem(None).expect("shard accepts");
+        let err = match ServeClient::attach(t, doc, scene) {
+            Ok(_) => panic!("attach {doc} {scene:?} must be refused"),
+            Err(e) => e,
+        };
+        assert!(matches!(err, ClientError::Server(_)), "got {err:?}");
+    }
+    server.shutdown_shards();
 }

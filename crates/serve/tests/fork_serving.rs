@@ -8,26 +8,7 @@
 //! `--no-fork` ablation really builds cold — zero forks, zero template
 //! builds — and still serves everyone.
 
-use std::sync::Arc;
-
-use atk_check::gen::StepGen;
-use atk_check::Session;
-use atk_serve::{LoadConfig, MemTransport, Profile, ServeClient, Server, ServerConfig};
-use atk_trace::Collector;
-
-/// Records `steps` fuzzer steps against a throwaway in-process session
-/// (generation reads live window state), like the serve differentials.
-fn record(scene: &str, backend: &str, seed: u64, steps: usize) -> Vec<atk_core::ScriptStep> {
-    let mut throwaway = Session::build(scene, backend).expect("scene builds");
-    let mut gen = StepGen::new(seed);
-    let mut recorded = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let step = gen.next_step(&mut throwaway.world, &mut throwaway.im);
-        throwaway.apply(&step);
-        recorded.push(step);
-    }
-    recorded
-}
+use atk_serve::{serve_differential, LoadConfig, LoadReport, Profile, Topology, Traffic};
 
 // A wire client asks for awmsim in its Hello; the shard forks an awmsim
 // session from a template and the shipped pixels must match an
@@ -37,55 +18,20 @@ fn record(scene: &str, backend: &str, seed: u64, steps: usize) -> Vec<atk_core::
 #[test]
 fn hello_backend_awmsim_round_trips_over_the_wire() {
     let scene = "fig3";
-    let script = record(scene, "awmsim", 7, 40);
-
-    let mut reference = Session::build(scene, "awmsim").expect("scene builds");
-    for step in &script {
-        reference.apply(step);
-    }
-    let want = reference.im.snapshot().expect("awmsim snapshots");
-
-    let collector = Arc::new(Collector::new());
-    collector.enable();
-    let server = Server::new(ServerConfig::default(), collector);
-    server.start_shards(1);
-    let (client_half, server_half) = MemTransport::pair();
-    assert!(server.admit(Box::new(server_half)).is_ok(), "shard accepts");
-    let mut client =
-        ServeClient::connect_backend(client_half, scene, Some("awmsim")).expect("connect");
-    for step in &script {
-        client.step_sync(step).expect("step");
-        assert!(!client.ended(), "server ended session mid-script");
-    }
-    let got = client.framebuffer().clone();
-    client.finish().expect("goodbye");
-    server.shutdown_shards();
-
-    assert!(
-        got.width() == want.width()
-            && got.height() == want.height()
-            && got.pixels() == want.pixels(),
-        "served awmsim framebuffer diverges from in-process ({}x{} vs {}x{})",
-        got.width(),
-        got.height(),
-        want.width(),
-        want.height(),
-    );
-    let merged = server.merged_snapshot();
+    let traffic = Traffic::fuzz(scene, Some("awmsim"), 7, 1, 40).expect("scene builds");
+    let run = serve_differential(scene, &traffic, &Topology::default())
+        .unwrap_or_else(|e| panic!("served awmsim session: {e}"));
     assert_eq!(
-        merged.counter("world.forks"),
+        run.merged.counter("world.forks"),
         1,
         "the awmsim session must be born by fork"
     );
-    assert_eq!(merged.counter("world.template_builds"), 1);
+    assert_eq!(run.merged.counter("world.template_builds"), 1);
 }
 
-// Satellite: under a concurrent admission storm — 512 ramp sessions
-// racing onto one shard — the template is built exactly once and every
-// session is a fork of it.
-#[test]
-fn ramp_storm_builds_one_template_and_forks_every_session() {
-    let sessions = 512;
+/// A pure admission storm of `sessions` ramp clients onto one fig1
+/// shard; every client must complete without an error.
+fn ramp_storm(sessions: usize, fork: bool) -> LoadReport {
     let mut cfg = LoadConfig {
         sessions,
         scene: "fig1".into(),
@@ -94,6 +40,7 @@ fn ramp_storm_builds_one_template_and_forks_every_session() {
         ramp: true,
         ..LoadConfig::default()
     };
+    cfg.server.fork = fork;
     cfg.server.max_sessions = sessions;
     let report = atk_serve::run_loadgen_mem(&cfg).expect("ramp runs");
     assert!(
@@ -102,6 +49,15 @@ fn ramp_storm_builds_one_template_and_forks_every_session() {
         report.errors
     );
     assert_eq!(report.completed, sessions);
+    report
+}
+
+// Satellite: under a concurrent admission storm — 512 ramp sessions
+// racing onto one shard — the template is built exactly once and every
+// session is a fork of it.
+#[test]
+fn ramp_storm_builds_one_template_and_forks_every_session() {
+    let report = ramp_storm(512, true);
     assert_eq!(report.rejected, 0);
     assert_eq!(report.backpressure_drops, Some(0));
     assert_eq!(
@@ -111,7 +67,7 @@ fn ramp_storm_builds_one_template_and_forks_every_session() {
     );
     assert_eq!(
         report.forks,
-        Some(sessions as u64),
+        Some(512),
         "every ramp session must be a template fork"
     );
     assert!(
@@ -125,24 +81,7 @@ fn ramp_storm_builds_one_template_and_forks_every_session() {
 // changes cost, never behaviour.
 #[test]
 fn no_fork_ablation_builds_every_session_cold() {
-    let sessions = 64;
-    let mut cfg = LoadConfig {
-        sessions,
-        scene: "fig1".into(),
-        profile: Profile::Mixed,
-        shards: 1,
-        ramp: true,
-        ..LoadConfig::default()
-    };
-    cfg.server.fork = false;
-    cfg.server.max_sessions = sessions;
-    let report = atk_serve::run_loadgen_mem(&cfg).expect("ramp runs");
-    assert!(
-        report.errors.is_empty(),
-        "client errors: {:?}",
-        report.errors
-    );
-    assert_eq!(report.completed, sessions);
+    let report = ramp_storm(64, false);
     assert_eq!(report.forks, Some(0));
     assert_eq!(report.template_builds, Some(0));
 }

@@ -1,4 +1,6 @@
-//! The serving acceptance oracles.
+//! The serving acceptance oracles, all on a cold-booting 1-shard
+//! server (`fork: false` — the `--no-fork` path keeps its own
+//! byte-identity coverage; the sharded differential covers forking):
 //!
 //! * served-vs-in-process: a served session replaying a fuzzer script
 //!   ends byte-identical to the same script run in-process (three
@@ -10,30 +12,45 @@
 //! * menu position: a recorded `menu request x y` + `menu select`
 //!   script replays served and in-process to the same pixels.
 
-use atk_serve::{encode_differential, serve_differential, serve_script_differential};
+use atk_serve::{serve_differential, ServedRun, SessionConfig, Topology, Traffic};
 
 const SEEDS: [u64; 4] = [1, 2, 7, 42];
 const STEPS: usize = 40;
 
+fn cold(session: SessionConfig) -> Topology {
+    Topology {
+        session,
+        fork: false,
+        ..Topology::default()
+    }
+}
+
+fn run(scene: &str, seed: u64, session: SessionConfig) -> ServedRun {
+    let traffic = Traffic::fuzz(scene, None, seed, 1, STEPS).unwrap();
+    let report = serve_differential(scene, &traffic, &cold(session))
+        .unwrap_or_else(|e| panic!("{scene} seed {seed}: {e}"));
+    assert_eq!(report.steps, STEPS);
+    assert!(
+        report.diff_frames + report.key_frames > 0,
+        "{scene} seed {seed}: no frames shipped"
+    );
+    report
+}
+
 fn run_scene(scene: &str) {
     for seed in SEEDS {
-        let report = serve_differential(scene, seed, STEPS).unwrap();
-        assert_eq!(report.steps, STEPS);
-        assert!(
-            report.diff_frames + report.key_frames > 0,
-            "{scene} seed {seed}: no frames shipped"
-        );
+        run(scene, seed, SessionConfig::default());
     }
 }
 
 fn run_scene_encoded(scene: &str) {
+    let session = SessionConfig {
+        encode: true,
+        paint_threads: 4,
+        ..SessionConfig::default()
+    };
     for seed in SEEDS {
-        let report = encode_differential(scene, seed, STEPS).unwrap();
-        assert_eq!(report.steps, STEPS);
-        assert!(
-            report.diff_frames + report.key_frames > 0,
-            "{scene} seed {seed}: no frames shipped"
-        );
+        let report = run(scene, seed, session.clone());
         assert!(
             report.encoded_bytes <= report.raw_bytes,
             "{scene} seed {seed}: encoder inflated the wire \
@@ -111,7 +128,10 @@ fn menu_position_survives_the_wire() {
         ScriptStep::MenuSelect(label),
         ScriptStep::Event(WindowEvent::Tick(5)),
     ];
-    let report =
-        serve_script_differential("fig3", &script, atk_serve::SessionConfig::default()).unwrap();
+    let traffic = Traffic::Private {
+        scripts: vec![script],
+        backend: None,
+    };
+    let report = serve_differential("fig3", &traffic, &cold(SessionConfig::default())).unwrap();
     assert_eq!(report.steps, 3);
 }

@@ -6,69 +6,47 @@
 //! 4-shard side runs with transport fault injection *and* readiness-
 //! order shuffling armed, so one equality proves shard count, fault
 //! schedules, and poll order all invisible at once. The only thing
-//! allowed to differ is the `serve.shard.*` scheduling plane, which
-//! [`run_sharded`] strips before reporting.
+//! allowed to differ is the `serve.shard.*` scheduling plane (and the
+//! per-shard template cache builds), which
+//! `ServedRun::shard_invariant_counters` strips. Both runs fork their
+//! sessions, and the harness anchors each to the in-process
+//! `atk_check::Session` replay.
 
-use atk_check::Session;
-use atk_serve::loadgen::{client_script, Profile};
-use atk_serve::{run_sharded, SessionConfig, ShardedRun};
+use atk_serve::{divergence, serve_differential, Topology, Traffic};
 
 const SEEDS: [u64; 4] = [1, 2, 7, 42];
 const STEPS: usize = 30;
 const SESSIONS: usize = 2;
 
-fn scripts_for(scene: &str, seed: u64) -> Vec<Vec<atk_core::ScriptStep>> {
-    (0..SESSIONS)
-        .map(|k| {
-            client_script(Profile::Mixed, scene, seed + 1000 * k as u64, STEPS)
-                .unwrap_or_else(|e| panic!("{scene} seed {seed}: record: {e}"))
-        })
-        .collect()
-}
-
-fn assert_same_pixels(scene: &str, seed: u64, session: usize, a: &ShardedRun, b: &ShardedRun) {
-    let (fa, fb) = (&a.framebuffers[session], &b.framebuffers[session]);
-    assert!(
-        fa.width() == fb.width() && fa.height() == fb.height() && fa.pixels() == fb.pixels(),
-        "{scene} seed {seed} session {session}: 1-shard and 4-shard framebuffers diverge \
-         ({}x{} vs {}x{})",
-        fa.width(),
-        fa.height(),
-        fb.width(),
-        fb.height(),
-    );
-}
-
 fn run_scene(scene: &str) {
     for seed in SEEDS {
-        let scripts = scripts_for(scene, seed);
-        let single = run_sharded(scene, &scripts, 1, SessionConfig::default(), None)
+        let traffic = Traffic::fuzz(scene, None, seed, SESSIONS, STEPS)
+            .unwrap_or_else(|e| panic!("{scene} seed {seed}: record: {e}"));
+        let single = serve_differential(scene, &traffic, &Topology::default())
             .unwrap_or_else(|e| panic!("{scene} seed {seed}: 1-shard run: {e}"));
-        let multi = run_sharded(scene, &scripts, 4, SessionConfig::default(), Some(seed))
+        let chaos = Topology {
+            shards: 4,
+            fault_seed: Some(seed),
+            ..Topology::default()
+        };
+        let multi = serve_differential(scene, &traffic, &chaos)
             .unwrap_or_else(|e| panic!("{scene} seed {seed}: 4-shard chaos run: {e}"));
 
         assert_eq!(single.framebuffers.len(), SESSIONS);
         assert_eq!(multi.framebuffers.len(), SESSIONS);
-        for k in 0..SESSIONS {
-            assert_same_pixels(scene, seed, k, &single, &multi);
-
-            // Anchor both to ground truth: the in-process session run.
-            let mut reference = Session::build(scene, "x11sim").unwrap();
-            for step in &scripts[k] {
-                reference.apply(step);
+        for (k, (a, b)) in single
+            .framebuffers
+            .iter()
+            .zip(&multi.framebuffers)
+            .enumerate()
+        {
+            if let Some(d) = divergence(a, b) {
+                panic!("{scene} seed {seed} session {k}: 1-shard and 4-shard diverge: {d}");
             }
-            let want = reference.im.snapshot().expect("reference has pixels");
-            let got = &single.framebuffers[k];
-            assert!(
-                got.width() == want.width()
-                    && got.height() == want.height()
-                    && got.pixels() == want.pixels(),
-                "{scene} seed {seed} session {k}: served diverges from in-process"
-            );
         }
-
         assert_eq!(
-            single.counters, multi.counters,
+            single.shard_invariant_counters(),
+            multi.shard_invariant_counters(),
             "{scene} seed {seed}: non-shard counters diverge between 1 and 4 shards"
         );
     }

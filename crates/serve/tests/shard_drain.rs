@@ -16,16 +16,7 @@ use std::time::{Duration, Instant};
 use atk_core::ScriptStep;
 use atk_serve::wire::{ClientFrame, ServerFrame};
 use atk_serve::{FrameTransport, MemTransport, Server, ServerConfig, SessionConfig};
-use atk_trace::Collector;
 use atk_wm::WindowEvent;
-
-fn server_with(cfg: ServerConfig, shards: usize) -> Arc<Server> {
-    let collector = Arc::new(Collector::new());
-    collector.enable();
-    let server = Server::new(cfg, collector);
-    server.start_shards(shards);
-    server
-}
 
 /// Admits the far half of a fresh pipe and completes the handshake.
 fn open_session(server: &Arc<Server>, scene: &str) -> (MemTransport, u64) {
@@ -72,7 +63,7 @@ fn expect_bye(client: &mut MemTransport, want_reason: &str) {
 
 #[test]
 fn drain_says_bye_drain_after_every_acked_frame() {
-    let server = server_with(ServerConfig::default(), 2);
+    let server = Server::start(ServerConfig::default(), 2);
     // Sequential admits onto empty shards: first lands on shard 0.
     let (mut a, _) = open_session(&server, "fig1");
     assert_eq!(server.shard_loads()[0], 1);
@@ -106,7 +97,7 @@ fn drain_says_bye_drain_after_every_acked_frame() {
 
 #[test]
 fn pending_handshake_on_draining_shard_gets_busy() {
-    let server = server_with(ServerConfig::default(), 1);
+    let server = Server::start(ServerConfig::default(), 1);
     // Admit a connection but never say Hello: it sits in handshake.
     let (mut client, server_half) = MemTransport::pair();
     server
@@ -122,7 +113,7 @@ fn pending_handshake_on_draining_shard_gets_busy() {
 
 #[test]
 fn acceptor_keeps_admitting_elsewhere_during_drain() {
-    let server = server_with(ServerConfig::default(), 2);
+    let server = Server::start(ServerConfig::default(), 2);
     assert!(server.drain_shard(0));
     // No backlog forms behind the draining shard: every admission lands
     // on shard 1 immediately and completes a full handshake.
@@ -147,7 +138,7 @@ fn acceptor_keeps_admitting_elsewhere_during_drain() {
 
 #[test]
 fn all_shards_draining_bounces_admissions() {
-    let server = server_with(ServerConfig::default(), 1);
+    let server = Server::start(ServerConfig::default(), 1);
     assert!(server.drain_shard(0));
     assert!(!server.drain_shard(7), "unknown shard index must be false");
     let (_client, server_half) = MemTransport::pair();
@@ -171,7 +162,7 @@ fn idle_eviction_is_shard_local_on_the_virtual_clock() {
         },
         ..ServerConfig::default()
     };
-    let server = server_with(cfg, 1);
+    let server = Server::start(cfg, 1);
     let (mut a, _) = open_session(&server, "fig1");
     let (mut b, _) = open_session(&server, "fig1");
 

@@ -7,18 +7,15 @@ use atk_core::ScriptStep;
 use atk_serve::{
     ClientFrame, MemTransport, ServeClient, Server, ServerConfig, ServerFrame, SessionConfig,
 };
-use atk_trace::{snapshot_json, text_summary, validate_json, Collector, Snapshot, Stage};
+use atk_trace::{snapshot_json, text_summary, validate_json, Snapshot, Stage};
 use atk_wm::WindowEvent;
 use std::sync::Arc;
-
-fn enabled_collector() -> Arc<Collector> {
-    let c = Arc::new(Collector::new());
-    c.enable();
-    c
-}
+use std::thread;
+use std::time::Duration;
 
 /// Preloads one whole conversation (hello + `text` keys + bye) into a
-/// mem transport and serves it to completion on this thread.
+/// mem transport, admits it, and waits until the shard has served it
+/// and retired the session.
 fn run_canned_session(server: &Arc<Server>, text: &str) {
     let (mut client, server_half) = MemTransport::pair();
     use atk_serve::FrameTransport;
@@ -42,13 +39,21 @@ fn run_canned_session(server: &Arc<Server>, text: &str) {
             .unwrap();
     }
     client.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
-    server.serve_connection(server_half);
+    assert!(server.admit(Box::new(server_half)).is_ok());
+    while !matches!(
+        ServerFrame::decode(&client.recv().unwrap()).unwrap(),
+        ServerFrame::Bye { .. }
+    ) {}
+    while server.shard_loads() != [0] {
+        thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// The differential: the `Stats` reply the wire would carry must equal
-/// an independent merge of the server-plane snapshot with every
-/// (span-stripped) per-session snapshot — the same totals reached by a
-/// different code path than the incremental retire-time accumulator.
+/// an independent merge of the server-plane and shard-plane snapshots
+/// with every (span-stripped) per-session snapshot — the same totals
+/// reached by a different code path than the incremental retire-time
+/// accumulator.
 #[test]
 fn stats_reply_is_the_sum_of_session_snapshots() {
     let cfg = ServerConfig {
@@ -56,21 +61,26 @@ fn stats_reply_is_the_sum_of_session_snapshots() {
         retain_session_traces: true,
         ..ServerConfig::default()
     };
-    let server = Server::new(cfg, enabled_collector());
+    let server = Server::start(cfg, 1);
     for text in ["abc", "hello", "x"] {
         run_canned_session(&server, text);
     }
 
-    // trace_parts: [("server", plane), ("session-1", full), ...].
+    // trace_parts: [("server", plane), ("shard-0", plane),
+    // ("session-1", full), ...].
     let parts = server.trace_parts();
-    assert_eq!(parts.len(), 4, "server plane + three retired sessions");
+    assert_eq!(
+        parts.len(),
+        5,
+        "server plane + shard plane + three retired sessions"
+    );
     let stripped: Vec<Snapshot> = parts
         .iter()
         .map(|(label, snap)| {
-            if label == "server" {
-                snap.clone()
-            } else {
+            if label.starts_with("session-") {
                 snap.without_spans()
+            } else {
+                snap.clone()
             }
         })
         .collect();
@@ -98,16 +108,12 @@ fn stats_reply_is_the_sum_of_session_snapshots() {
 /// A live probe session can fetch the same snapshot over the wire.
 #[test]
 fn stats_request_round_trips_over_the_wire() {
-    let server = Server::new(ServerConfig::default(), enabled_collector());
+    let server = Server::start(ServerConfig::default(), 1);
     run_canned_session(&server, "hi");
 
-    let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let t = std::thread::spawn(move || srv.serve_connection(server_half));
-    let mut client = ServeClient::connect(client_half, "fig1").unwrap();
+    let mut client = ServeClient::connect(server.connect_mem(None).unwrap(), "fig1").unwrap();
     let (text, json) = client.request_stats().unwrap();
     client.finish().unwrap();
-    t.join().unwrap();
 
     validate_json(&json).expect("stats JSON must parse");
     assert!(text.contains("serve.sessions"), "text summary: {text}");
@@ -132,7 +138,7 @@ fn slow_frames_for_canned_run() -> Vec<String> {
         },
         ..ServerConfig::default()
     };
-    let server = Server::new(cfg, enabled_collector());
+    let server = Server::start(cfg, 1);
     run_canned_session(&server, "ab");
     server.slow_log().entries()
 }

@@ -82,6 +82,11 @@ cargo run --release -q -p atk-serve --bin loadgen -- \
     --mem --sessions 512 --max-sessions 512 --steps 12 --profile typing \
     --rendezvous --min-concurrent 512 --max-drops 0
 
+echo "==> perfbench self-test (the benchmark builds against this tree)"
+# perfbench/ is its own workspace, so the root build, tests and clippy
+# never compile it; this catches a serve API change that breaks it.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "==> cargo bench --no-run"
 cargo bench --no-run -q
 
@@ -94,7 +99,7 @@ CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e13_latency
 echo "==> e14 quick smoke (parallel paint + wire encoder, capped sample time)"
 CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e14_parallel_paint
 
-echo "==> e15 quick smoke (shard dispatch vs thread-per-conn, capped sample time)"
+echo "==> e15 quick smoke (shard dispatch at 1/2/4/8 shards, capped sample time)"
 CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e15_shards
 
 echo "==> e16 quick smoke (replicated-document fanout, capped sample time)"
