@@ -34,7 +34,9 @@ fn typing_cfg(keyframe_only: bool) -> LoadConfig {
         profile: Profile::Typing,
         ..LoadConfig::default()
     };
-    cfg.server.session.keyframe_only = keyframe_only;
+    if keyframe_only {
+        cfg.server.session.keyframe_every = 0;
+    }
     cfg
 }
 

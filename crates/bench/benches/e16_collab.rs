@@ -33,7 +33,6 @@ fn collab_cfg(watchers: usize) -> LoadConfig {
         scene: "fig2".into(),
         profile: Profile::Collab,
         shards: SHARDS,
-        window: 8,
         ..LoadConfig::default()
     };
     cfg.server.max_sessions = 16;
@@ -108,7 +107,7 @@ fn print_headline() {
 
     // Ablation: watcher updates as diffs vs. keyframe-only shipping.
     let mut keyed = collab_cfg(8);
-    keyed.server.session.keyframe_only = true;
+    keyed.server.session.keyframe_every = 0;
     let keyed = run(&keyed);
     println!(
         "  wire ablation: diffs {} bytes vs keyframe-only {} bytes ({:.1}x)",

@@ -45,8 +45,8 @@ pub mod shrink;
 use std::sync::Arc;
 use std::time::Instant;
 
-use atk_core::{EventScript, InteractionManager, ScriptStep, World};
-use atk_graphics::{Color, Point, Rect};
+use atk_core::{EventScript, InteractionManager, ScriptStep, StepDriver, World};
+use atk_graphics::{Color, Rect};
 use atk_trace::{Collector, Snapshot};
 use atk_wm::WindowEvent;
 
@@ -185,10 +185,9 @@ pub struct Session {
     /// overlay since the last full redraw (see
     /// [`oracles::check_repaint`]).
     pub overlay_possible: bool,
-    /// Position of the most recent `MenuRequest` step; `MenuSelect`
-    /// replays pop the menu there, matching [`EventScript::run`] and
-    /// the serve layer's replay.
-    last_menu_pos: Point,
+    /// Step semantics shared with [`EventScript::run`] and the serve
+    /// layer's replay.
+    driver: StepDriver,
 }
 
 impl Session {
@@ -210,32 +209,13 @@ impl Session {
             world,
             im,
             overlay_possible: false,
-            last_menu_pos: Point::ORIGIN,
+            driver: StepDriver::default(),
         }
     }
 
-    /// Applies one step with the same semantics as [`EventScript::run`]:
-    /// a `MenuSelect` re-requests the menu at the most recently seen
-    /// `MenuRequest` position (origin before any request).
+    /// Applies one step with the same semantics as [`EventScript::run`].
     pub fn apply(&mut self, step: &ScriptStep) {
-        match step {
-            ScriptStep::Event(ev) => {
-                if let WindowEvent::MenuRequest { pos } = ev {
-                    self.last_menu_pos = *pos;
-                }
-                self.im.feed(&mut self.world, ev.clone());
-            }
-            ScriptStep::MenuSelect(label) => {
-                self.im.feed(
-                    &mut self.world,
-                    WindowEvent::MenuRequest {
-                        pos: self.last_menu_pos,
-                    },
-                );
-                self.im.select_menu(&mut self.world, label);
-                self.im.pump(&mut self.world);
-            }
-        }
+        self.driver.apply(&mut self.im, &mut self.world, step);
         if matches!(
             step,
             ScriptStep::Event(WindowEvent::MenuRequest { .. }) | ScriptStep::MenuSelect(_)

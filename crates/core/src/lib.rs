@@ -50,6 +50,6 @@ pub use im::InteractionManager;
 pub use keymap::{standard_editing_keymap, KeyOutcome, KeyState, Keymap};
 pub use menus::{merge_menus, MenuItem};
 pub use print::print_view;
-pub use script::{format_key, parse_key, EventScript, ScriptStep};
+pub use script::{format_key, parse_key, EventScript, ScriptStep, StepDriver};
 pub use view::{ScrollInfo, Update, View, ViewBase};
 pub use world::World;

@@ -204,27 +204,62 @@ impl EventScript {
         out
     }
 
-    /// Runs every step through the interaction manager. A `menu select`
-    /// re-requests the menu at the position the preceding `menu
-    /// request` line recorded (origin when the script never recorded
-    /// one), so replays pop the menu where the user did.
+    /// Runs every step through the interaction manager with
+    /// [`StepDriver`] semantics.
     pub fn run(&self, im: &mut InteractionManager, world: &mut World) {
-        let mut last_menu_pos = Point::ORIGIN;
+        let mut driver = StepDriver::default();
         for step in &self.steps {
-            match step {
-                ScriptStep::Event(ev) => {
-                    if let WindowEvent::MenuRequest { pos } = ev {
-                        last_menu_pos = *pos;
-                    }
-                    im.feed(world, ev.clone());
-                }
-                ScriptStep::MenuSelect(label) => {
-                    im.feed(world, WindowEvent::MenuRequest { pos: last_menu_pos });
-                    im.select_menu(world, label);
-                    im.pump(world);
-                }
-            }
+            driver.apply(im, world, step);
         }
+    }
+}
+
+/// The one meaning of a script step, shared by script replay, the
+/// fuzzer's sessions and the server's hosted sessions.
+///
+/// A `menu select` re-requests the menu at the position the preceding
+/// `menu request` recorded (origin when none was recorded), so replays
+/// pop the menu where the user did; the driver carries that position
+/// from step to step.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StepDriver {
+    last_menu_pos: Point,
+}
+
+impl StepDriver {
+    /// Applies one step: an event is fed (posted and pumped), a menu
+    /// selection runs [`StepDriver::select`].
+    pub fn apply(&mut self, im: &mut InteractionManager, world: &mut World, step: &ScriptStep) {
+        match step {
+            ScriptStep::Event(ev) => {
+                self.observe(ev);
+                im.feed(world, ev.clone());
+            }
+            ScriptStep::MenuSelect(label) => self.select(im, world, label),
+        }
+    }
+
+    /// Records a `MenuRequest` event's position. Callers that post
+    /// events themselves (to pump a whole run once) call this for each
+    /// event they post.
+    #[inline]
+    pub fn observe(&mut self, ev: &WindowEvent) {
+        if let WindowEvent::MenuRequest { pos } = ev {
+            self.last_menu_pos = *pos;
+        }
+    }
+
+    /// The `menu select` sequence: request the menu at the recorded
+    /// position, select `label`, pump.
+    pub fn select(&self, im: &mut InteractionManager, world: &mut World, label: &str) {
+        im.feed(
+            world,
+            WindowEvent::MenuRequest {
+                pos: self.last_menu_pos,
+            },
+        );
+        im.select_menu(world, label);
+        im.pump(world);
     }
 }
 

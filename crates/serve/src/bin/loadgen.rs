@@ -2,15 +2,12 @@
 //!
 //! ```text
 //! loadgen [--sessions N] [--steps N] [--scene NAME] [--seed N]
-//!         [--profile mixed|typing|collab] [--window N]
-//!         [--connect HOST:PORT] [--mem] [--shards N]
-//!         [--docs N] [--writers N] [--watchers N] [--arrival RATE]
+//!         [--profile mixed|typing|collab] [--connect HOST:PORT] [--mem]
+//!         [--shards N] [--docs N] [--writers N] [--watchers N]
 //!         [--rendezvous] [--min-concurrent N] [--faults SEED]
-//!         [--disconnect-every N] [--max-sessions N] [--queue-cap N]
-//!         [--keyframe-only] [--max-drops N] [--slo-us N]
-//!         [--no-frame-trace] [--stats] [--trace FILE]
-//!         [--paint-threads N] [--no-encode] [--ramp] [--no-fork]
-//!         [--backend NAME] [--min-forks N]
+//!         [--disconnect-every N] [--max-sessions N] [--max-drops N]
+//!         [--slo-us N] [--stats] [--trace FILE] [--paint-threads N]
+//!         [--ramp] [--no-fork] [--min-forks N]
 //! ```
 //!
 //! Self-hosts a server over localhost TCP unless `--connect` points at
@@ -20,8 +17,7 @@
 //! concurrency falls short of `--min-concurrent`.
 //!
 //! Scale and chaos: `--shards N` hosts the fleet on N event-driven
-//! worker shards (at least 1), `--arrival R` paces an open-loop ramp
-//! of R connects/s, `--rendezvous` holds every client at a barrier
+//! worker shards (at least 1), `--rendezvous` holds every client at a barrier
 //! until the whole fleet is connected, `--faults SEED` wraps each
 //! `--mem` transport in a seeded fault injector (short reads/writes,
 //! `WouldBlock` storms), and `--disconnect-every N` makes every Nth
@@ -30,8 +26,7 @@
 //! connects, waits for its initial keyframe, and says goodbye without
 //! sending a step, so the report's TTFF percentiles isolate session
 //! boot cost. `--no-fork` disables the server's template-fork fast
-//! path (the cold-boot ablation), `--backend` sets the backend
-//! clients request in their `Hello`, and `--min-forks N` fails the
+//! path (the cold-boot ablation), and `--min-forks N` fails the
 //! run unless the server reports at least N template-forked sessions
 //! (the CI gate that forking really served the fleet).
 //!
@@ -45,9 +40,10 @@
 //! Observability: `--slo-us` arms the server's frame-budget watchdog
 //! and prints retained slow-frame dumps after the run; `--stats` sends
 //! a `Stats` wire request once the fleet finishes, validates the JSON
-//! reply, and requires the stage histograms to be non-empty (unless
-//! `--no-frame-trace` disabled attribution); `--trace FILE` writes a
-//! Chrome trace with one track per session.
+//! reply, and requires the stage histograms to be non-empty; `--trace
+//! FILE` writes a Chrome trace with one track per session, and fails
+//! the run if that trace does not parse or carries no session track
+//! (self-hosted runs only: a remote server keeps its traces).
 
 use atk_serve::loadgen::format_report;
 use atk_serve::{run_loadgen, run_loadgen_mem, LoadConfig, Profile};
@@ -56,13 +52,11 @@ use atk_trace::{chrome_trace_json_multi, validate_json};
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--sessions N] [--steps N] [--scene NAME] [--seed N] \
-         [--profile mixed|typing|collab] [--window N] [--connect HOST:PORT] \
-         [--mem] [--shards N] [--docs N] [--writers N] \
-         [--watchers N] [--arrival RATE] [--rendezvous] [--min-concurrent N] \
-         [--faults SEED] [--disconnect-every N] [--max-sessions N] \
-         [--queue-cap N] [--keyframe-only] [--max-drops N] [--slo-us N] \
-         [--no-frame-trace] [--stats] [--trace FILE] [--paint-threads N] \
-         [--no-encode] [--ramp] [--no-fork] [--backend NAME] [--min-forks N]"
+         [--profile mixed|typing|collab] [--connect HOST:PORT] [--mem] \
+         [--shards N] [--docs N] [--writers N] [--watchers N] [--rendezvous] \
+         [--min-concurrent N] [--faults SEED] [--disconnect-every N] \
+         [--max-sessions N] [--max-drops N] [--slo-us N] [--stats] \
+         [--trace FILE] [--paint-threads N] [--ramp] [--no-fork] [--min-forks N]"
     );
     std::process::exit(2);
 }
@@ -118,10 +112,6 @@ fn main() {
                 };
                 i += 2;
             }
-            "--window" => {
-                cfg.window = parse_num("--window", argv.get(i + 1));
-                i += 2;
-            }
             "--connect" => {
                 cfg.connect = match argv.get(i + 1) {
                     Some(a) => Some(a.clone()),
@@ -149,10 +139,6 @@ fn main() {
                 cfg.watchers = parse_num("--watchers", argv.get(i + 1));
                 i += 2;
             }
-            "--arrival" => {
-                cfg.arrival_per_s = parse_num("--arrival", argv.get(i + 1));
-                i += 2;
-            }
             "--rendezvous" => {
                 cfg.rendezvous = true;
                 i += 1;
@@ -173,14 +159,6 @@ fn main() {
                 cfg.server.max_sessions = parse_num("--max-sessions", argv.get(i + 1));
                 i += 2;
             }
-            "--queue-cap" => {
-                cfg.server.session.queue_cap = parse_num("--queue-cap", argv.get(i + 1));
-                i += 2;
-            }
-            "--keyframe-only" => {
-                cfg.server.session.keyframe_only = true;
-                i += 1;
-            }
             "--max-drops" => {
                 max_drops = parse_num("--max-drops", argv.get(i + 1));
                 i += 2;
@@ -189,17 +167,9 @@ fn main() {
                 cfg.server.session.slo_us = Some(parse_num("--slo-us", argv.get(i + 1)));
                 i += 2;
             }
-            "--no-frame-trace" => {
-                cfg.server.session.frame_trace = false;
-                i += 1;
-            }
             "--paint-threads" => {
                 cfg.server.session.paint_threads = parse_num("--paint-threads", argv.get(i + 1));
                 i += 2;
-            }
-            "--no-encode" => {
-                cfg.server.session.encode = false;
-                i += 1;
             }
             "--ramp" => {
                 cfg.ramp = true;
@@ -208,13 +178,6 @@ fn main() {
             "--no-fork" => {
                 cfg.server.fork = false;
                 i += 1;
-            }
-            "--backend" => {
-                cfg.backend = match argv.get(i + 1) {
-                    Some(b) => Some(b.clone()),
-                    None => usage(),
-                };
-                i += 2;
             }
             "--min-forks" => {
                 min_forks = parse_num("--min-forks", argv.get(i + 1));
@@ -235,16 +198,16 @@ fn main() {
             _ => usage(),
         }
     }
-    if cfg.window == 0 {
-        eprintln!("loadgen: --window must be at least 1");
-        usage();
-    }
     if cfg.shards == 0 {
         eprintln!("loadgen: --shards must be at least 1");
         usage();
     }
     if mem && cfg.connect.is_some() {
         eprintln!("loadgen: --mem and --connect are mutually exclusive");
+        usage();
+    }
+    if trace_file.is_some() && cfg.connect.is_some() {
+        eprintln!("loadgen: --trace needs a self-hosted server (no --connect)");
         usage();
     }
 
@@ -322,10 +285,7 @@ fn main() {
                 failed = true;
             }
         }
-        if cfg.server.session.frame_trace
-            && cfg.connect.is_none()
-            && !json.contains("serve.stage_us.")
-        {
+        if cfg.connect.is_none() && !json.contains("serve.stage_us.") {
             eprintln!("loadgen: stats snapshot has no stage histograms");
             failed = true;
         }
@@ -337,15 +297,27 @@ fn main() {
             .map(|(label, snap)| (label.as_str(), snap.clone()))
             .collect();
         let trace = chrome_trace_json_multi(&parts);
-        match std::fs::write(path, &trace) {
-            Ok(()) => println!(
-                "trace: wrote {} bytes ({} tracks) to {path}",
-                trace.len(),
-                parts.len()
-            ),
-            Err(e) => {
-                eprintln!("loadgen: write {path}: {e}");
-                failed = true;
+        let sessions = parts
+            .iter()
+            .filter(|(label, _)| label.starts_with("session-"))
+            .count();
+        if let Err(e) = validate_json(&trace) {
+            eprintln!("loadgen: trace JSON invalid: {e}");
+            failed = true;
+        } else if sessions == 0 {
+            eprintln!("loadgen: trace has no session tracks");
+            failed = true;
+        } else {
+            match std::fs::write(path, &trace) {
+                Ok(()) => println!(
+                    "trace: wrote {} bytes ({} tracks, {sessions} sessions) to {path}",
+                    trace.len(),
+                    parts.len()
+                ),
+                Err(e) => {
+                    eprintln!("loadgen: write {path}: {e}");
+                    failed = true;
+                }
             }
         }
     }

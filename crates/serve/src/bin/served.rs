@@ -2,17 +2,16 @@
 //!
 //! ```text
 //! served [--port N] [--shards N] [--max-sessions N] [--queue-cap N]
-//!        [--budget BYTES] [--keyframe-every N] [--idle-ms N] [--keyframe-only]
-//!        [--slo-us N] [--no-frame-trace] [--stats-every SECS]
-//!        [--paint-threads N] [--no-encode] [--no-fork] [--backend NAME]
+//!        [--idle-ms N] [--slo-us N] [--stats-every SECS] [--paint-threads N]
 //! ```
 //!
 //! Listens on `127.0.0.1:<port>` (an OS-assigned port when 0, printed
 //! on stdout) and hosts scene sessions until killed on `--shards N`
 //! (at least 1, default 4) event-driven worker shards. Sessions fork
-//! from pre-warmed per-shard scene templates; `--no-fork` is the
-//! cold-boot ablation and `--backend` sets the default window-system
-//! backend sessions are built on.
+//! from pre-warmed per-shard scene templates on the backend each
+//! client names in its `Hello` (`x11sim` when it names none). Every
+//! other serving knob keeps its `ServerConfig` default; the benches
+//! that ablate them set the config fields directly.
 //!
 //! Observability: `--slo-us` arms the per-frame budget watchdog (each
 //! violation dumps its stage breakdown to stderr and the slow-frame
@@ -30,9 +29,8 @@ use atk_trace::{Snapshot, Stage};
 fn usage() -> ! {
     eprintln!(
         "usage: served [--port N] [--shards N] [--max-sessions N] \
-         [--queue-cap N] [--budget BYTES] [--keyframe-every N] [--idle-ms N] [--keyframe-only] \
-         [--slo-us N] [--no-frame-trace] [--stats-every SECS] \
-         [--paint-threads N] [--no-encode] [--no-fork] [--backend NAME]"
+         [--queue-cap N] [--idle-ms N] [--slo-us N] [--stats-every SECS] \
+         [--paint-threads N]"
     );
     std::process::exit(2);
 }
@@ -117,50 +115,16 @@ fn main() {
                 cfg.session.queue_cap = parse_num("--queue-cap", argv.get(i + 1));
                 i += 2;
             }
-            "--budget" => {
-                cfg.session.dirty_budget_bytes = parse_num("--budget", argv.get(i + 1));
-                i += 2;
-            }
-            "--keyframe-every" => {
-                cfg.session.keyframe_every = parse_num("--keyframe-every", argv.get(i + 1));
-                i += 2;
-            }
             "--idle-ms" => {
                 cfg.session.idle_ms = Some(parse_num("--idle-ms", argv.get(i + 1)));
                 i += 2;
-            }
-            "--keyframe-only" => {
-                cfg.session.keyframe_only = true;
-                i += 1;
             }
             "--slo-us" => {
                 cfg.session.slo_us = Some(parse_num("--slo-us", argv.get(i + 1)));
                 i += 2;
             }
-            "--no-frame-trace" => {
-                cfg.session.frame_trace = false;
-                i += 1;
-            }
             "--paint-threads" => {
                 cfg.session.paint_threads = parse_num("--paint-threads", argv.get(i + 1));
-                i += 2;
-            }
-            "--no-encode" => {
-                cfg.session.encode = false;
-                i += 1;
-            }
-            "--no-fork" => {
-                cfg.fork = false;
-                i += 1;
-            }
-            "--backend" => {
-                cfg.session.backend = match argv.get(i + 1) {
-                    Some(b) => b.clone(),
-                    None => {
-                        eprintln!("served: --backend needs a name");
-                        usage();
-                    }
-                };
                 i += 2;
             }
             "--stats-every" => {

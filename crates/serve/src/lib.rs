@@ -50,9 +50,9 @@
 //! * [`oracle`] — the one serve differential: scripted private sessions
 //!   or shared-document replicas, on any shard/fault/fork topology,
 //!   byte-identical to the in-process reference
-//! * [`loadgen`] — N concurrent scripted clients (open-loop arrival,
-//!   rendezvous, chaos faults, replicated-document fleets, admission
-//!   storms) and the report behind EXPERIMENTS.md E11/E15/E16/E17
+//! * [`loadgen`] — N concurrent scripted clients (rendezvous, chaos
+//!   faults, replicated-document fleets, admission storms) and the
+//!   report behind EXPERIMENTS.md E11/E15/E16/E17
 //!
 //! Two binaries: `served` (the server) and `loadgen` (the fleet).
 //!

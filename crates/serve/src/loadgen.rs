@@ -4,14 +4,12 @@
 //!
 //! Each client thread replays a seed-stable step stream (the fuzzer's
 //! weighted generator, or a deterministic typing-heavy profile for the
-//! diff-compression measurements) with a bounded pipelining window, so
-//! bursts actually reach the server-side batch coalescer without
-//! unbounded frames piling up in flight.
+//! diff-compression measurements) with a pipelining window of
+//! `WINDOW` (8) steps, so bursts actually reach the server-side batch
+//! coalescer without unbounded frames piling up in flight.
 //!
 //! Scale knobs: [`LoadConfig::shards`] sets how many worker shards host
-//! the fleet; [`LoadConfig::arrival_per_s`] paces an open-loop arrival
-//! ramp instead of connecting everyone at t=0;
-//! [`LoadConfig::rendezvous`] parks every connected client at a
+//! the fleet; [`LoadConfig::rendezvous`] parks every connected client at a
 //! barrier until the whole fleet is live, making "N concurrent
 //! sessions" literal — the server's `serve.peak_sessions` gauge is the
 //! proof. Chaos knobs ([`LoadConfig::fault_seed`],
@@ -36,6 +34,9 @@ use atk_wm::{Key, WindowEvent};
 use crate::client::{percentile, ClientStats, ServeClient};
 use crate::server::{serve_listener_sharded, Server, ServerConfig};
 use crate::transport::{FrameTransport, TcpTransport};
+
+/// Steps a client may send before it waits for a covering frame.
+const WINDOW: u64 = 8;
 
 /// What steps the clients replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,8 +81,6 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Step profile.
     pub profile: Profile,
-    /// Pipelining window (1 = fully synchronous).
-    pub window: u64,
     /// Run against this already-listening address instead of an
     /// in-process server.
     pub connect: Option<String>,
@@ -93,9 +92,6 @@ pub struct LoadConfig {
     /// Worker shards hosting a self-hosted fleet; must be at least 1
     /// (the entry points reject 0).
     pub shards: usize,
-    /// Open-loop arrival rate: client `i` connects at `i / rate`
-    /// seconds instead of everyone at t=0. `0.0` disables pacing.
-    pub arrival_per_s: f64,
     /// Park every connected client at a barrier until the whole fleet
     /// is connected, so "N concurrent sessions" is literal (proven by
     /// `serve.peak_sessions`). Clients whose connect failed still
@@ -126,9 +122,6 @@ pub struct LoadConfig {
     /// measure exactly what the template-fork fast path is for:
     /// hello → first frame.
     pub ramp: bool,
-    /// Backend each client asks for in its `Hello`; `None` takes the
-    /// server default.
-    pub backend: Option<String>,
 }
 
 impl Default for LoadConfig {
@@ -139,12 +132,10 @@ impl Default for LoadConfig {
             scene: "fig5".into(),
             seed: 42,
             profile: Profile::Mixed,
-            window: 8,
             connect: None,
             stats_probe: false,
             server: ServerConfig::default(),
             shards: 4,
-            arrival_per_s: 0.0,
             rendezvous: false,
             fault_seed: None,
             disconnect_every: 0,
@@ -152,7 +143,6 @@ impl Default for LoadConfig {
             writers: 2,
             watchers: 2,
             ramp: false,
-            backend: None,
         }
     }
 }
@@ -209,7 +199,8 @@ pub struct LoadReport {
     /// Per-stage latency attribution from the server-wide merged
     /// snapshot: `(stage name, ~p50 us, ~p99 us)` for every stage that
     /// recorded at least one frame. Empty against remote servers or
-    /// with `--no-frame-trace`.
+    /// with [`SessionConfig::frame_trace`](crate::SessionConfig::frame_trace)
+    /// off.
     pub stage_us: Vec<(&'static str, u64, u64)>,
     /// `serve.slo_violations` server-wide (`None` for remote servers).
     pub slo_violations: Option<u64>,
@@ -330,27 +321,24 @@ enum DriveOutcome {
     InjectedDisconnect,
 }
 
-/// Replays one script over a fresh connection with a bounded
-/// pipelining window. With a rendezvous barrier the client parks right
+/// Replays one script over a fresh connection. With a rendezvous barrier the client parks right
 /// after its handshake — *every* client reaches the barrier, connect
 /// failure or not, so one `Busy` can't deadlock the fleet. `cut_after`
 /// is the chaos knob: vanish before sending step `i`, no goodbye.
 fn drive(
     transport: Result<Box<dyn FrameTransport>, String>,
     scene: &str,
-    backend: Option<&str>,
     script: &[ScriptStep],
-    window: u64,
     rendezvous: Option<Arc<Barrier>>,
     cut_after: Option<usize>,
 ) -> Result<DriveOutcome, String> {
-    let connected = transport
-        .and_then(|t| ServeClient::connect_backend(t, scene, backend).map_err(|e| e.to_string()));
+    let connected =
+        transport.and_then(|t| ServeClient::connect(t, scene).map_err(|e| e.to_string()));
     if let Some(b) = rendezvous {
         b.wait();
     }
     let mut client = connected?;
-    if !replay(&mut client, script, window, cut_after)? {
+    if !replay(&mut client, script, cut_after)? {
         // The server must cope with a mid-script EOF; the client side
         // records it as injected, never as an error.
         return Ok(DriveOutcome::InjectedDisconnect);
@@ -363,13 +351,12 @@ fn drive(
     })
 }
 
-/// Sends `script` through `client` with a bounded pipelining window,
-/// then waits for the frame covering its last step. Returns `false`
+/// Sends `script` through `client` with a `WINDOW`-step pipelining
+/// window, then waits for the frame covering its last step. Returns `false`
 /// when the client vanished on purpose before step `cut_after`.
 fn replay(
     client: &mut ServeClient<Box<dyn FrameTransport>>,
     script: &[ScriptStep],
-    window: u64,
     cut_after: Option<usize>,
 ) -> Result<bool, String> {
     for (i, step) in script.iter().enumerate() {
@@ -377,7 +364,7 @@ fn replay(
             return Ok(false);
         }
         client.send_step(step).map_err(|e| e.to_string())?;
-        if client.unacked() >= window.max(1) {
+        if client.unacked() >= WINDOW {
             client.sync().map_err(|e| e.to_string())?;
         }
         if client.ended() {
@@ -386,11 +373,6 @@ fn replay(
     }
     client.sync().map_err(|e| e.to_string())?;
     Ok(true)
-}
-
-/// Client `i`'s connect delay under the open-loop arrival profile.
-fn arrival_delay(cfg: &LoadConfig, i: usize) -> Option<Duration> {
-    (cfg.arrival_per_s > 0.0).then(|| Duration::from_secs_f64(i as f64 / cfg.arrival_per_s))
 }
 
 /// Script index at which client `i` vanishes (halfway through), per
@@ -495,13 +477,12 @@ fn drive_replica(
     doc_id: &str,
     scene: &str,
     script: &[ScriptStep],
-    window: u64,
     writers_left: Arc<AtomicUsize>,
     cut_after_drains: Option<usize>,
 ) -> Result<DriveOutcome, String> {
     let mut client = ServeClient::attach(t, doc_id, Some(scene)).map_err(|e| e.to_string())?;
     if !script.is_empty() {
-        replay(&mut client, script, window, None)?;
+        replay(&mut client, script, None)?;
         writers_left.fetch_sub(1, Ordering::SeqCst);
     }
     let mut drains = 0usize;
@@ -561,18 +542,13 @@ fn run_collab(cfg: &LoadConfig, connect: &Connector) -> Result<LoadReport, Strin
             let connect = Arc::clone(connect);
             let left = Arc::clone(&writers_left[d]);
             let scene = cfg.scene.clone();
-            let window = cfg.window;
             let doc_id = format!("doc-{d}");
-            let delay = arrival_delay(cfg, i);
             let cut = (r >= writers).then(|| cut_point(cfg, i)).flatten();
             handles.push((
                 d,
                 thread::spawn(move || {
-                    if let Some(dl) = delay {
-                        thread::sleep(dl);
-                    }
                     let t = connect(i)?;
-                    drive_replica(t, &doc_id, &scene, &script, window, left, cut)
+                    drive_replica(t, &doc_id, &scene, &script, left, cut)
                 }),
             ));
         }
@@ -614,18 +590,9 @@ fn run_sessions(cfg: &LoadConfig, connect: &Connector) -> Result<LoadReport, Str
         .map(|(i, script)| {
             let connect = Arc::clone(connect);
             let scene = cfg.scene.clone();
-            let backend = cfg.backend.clone();
-            let window = cfg.window;
             let barrier = barrier.clone();
-            let delay = arrival_delay(cfg, i);
             let cut = cut_point(cfg, i);
-            thread::spawn(move || {
-                if let Some(d) = delay {
-                    thread::sleep(d);
-                }
-                let t = connect(i);
-                drive(t, &scene, backend.as_deref(), &script, window, barrier, cut)
-            })
+            thread::spawn(move || drive(connect(i), &scene, &script, barrier, cut))
         })
         .collect();
     let mut tally = Tally::default();
@@ -788,12 +755,15 @@ fn probe_stats(
 /// Renders the report the way the bin prints it (and CI greps it).
 pub fn format_report(cfg: &LoadConfig, r: &LoadReport) -> String {
     let mut out = String::new();
-    let dispatch = format!("{} shard(s)", cfg.shards);
+    let dispatch = match &cfg.connect {
+        Some(addr) => format!("remote server {addr}"),
+        None => format!("{} shard(s)", cfg.shards),
+    };
     if cfg.profile == Profile::Collab {
         out.push_str(&format!(
             "loadgen: {} doc(s) x ({} writers + {} watchers) x {} merged steps on {} \
              (Collab profile, window {}, {dispatch})\n",
-            cfg.docs, cfg.writers, cfg.watchers, cfg.steps, cfg.scene, cfg.window
+            cfg.docs, cfg.writers, cfg.watchers, cfg.steps, cfg.scene, WINDOW
         ));
     } else if cfg.ramp {
         out.push_str(&format!(
@@ -803,7 +773,7 @@ pub fn format_report(cfg: &LoadConfig, r: &LoadReport) -> String {
     } else {
         out.push_str(&format!(
             "loadgen: {} sessions x {} steps on {} ({:?} profile, window {}, {dispatch})\n",
-            cfg.sessions, cfg.steps, cfg.scene, cfg.profile, cfg.window
+            cfg.sessions, cfg.steps, cfg.scene, cfg.profile, WINDOW
         ));
     }
     out.push_str(&format!(

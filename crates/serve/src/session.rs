@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use atk_apps::scenes::build_scene;
 use atk_collab::{Attachment, Doc, Op};
-use atk_core::{InteractionManager, ScriptStep, World};
+use atk_core::{InteractionManager, ScriptStep, StepDriver, World};
 use atk_graphics::Framebuffer;
 use atk_trace::{Collector, FrameLog, FrameTrace, SlowFrameLog, Stage};
 use atk_wm::{MouseAction, WindowEvent};
@@ -36,16 +36,15 @@ pub struct SessionConfig {
     pub queue_cap: usize,
     /// Diff payloads above this many bytes degrade to a keyframe.
     pub dirty_budget_bytes: usize,
-    /// A full keyframe is forced every this many shipped frames.
+    /// A full keyframe is forced every this many shipped frames;
+    /// 0 = every frame is a keyframe (the always-keyframe baseline).
     pub keyframe_every: u32,
     /// Evict the session once the *virtual* clock has advanced this far
     /// beyond the last non-tick input. `None` disables eviction.
     pub idle_ms: Option<u64>,
-    /// Ablation: ship every frame as a keyframe (no diffing).
-    pub keyframe_only: bool,
     /// Per-frame stage attribution (decode/apply/settle/paint/diff/
-    /// ship stamps into `serve.stage_us.*`). On by default; the
-    /// `--no-frame-trace` ablation turns it off.
+    /// ship stamps into `serve.stage_us.*`). On by default; e13 turns
+    /// it off for its traced-vs-untraced baseline.
     pub frame_trace: bool,
     /// SLO watchdog: any frame whose attributed total exceeds this
     /// budget dumps its stage breakdown and triggering step to the
@@ -54,8 +53,8 @@ pub struct SessionConfig {
     /// Bands the backend rasterizes in parallel per paint flush
     /// (1 = the serial reference path).
     pub paint_threads: usize,
-    /// Pick the smaller of raw and RLE wire bodies per frame. The
-    /// `--no-encode` ablation pins raw.
+    /// Pick the smaller of raw and RLE wire bodies per frame; off pins
+    /// raw (the e14 and `encode_oracle_*` baseline).
     pub encode: bool,
     /// Window-system backend the session's scene is built on:
     /// `x11sim` (pixel framebuffer) or `awmsim` (display list, replayed
@@ -70,7 +69,6 @@ impl Default for SessionConfig {
             dirty_budget_bytes: 256 * 1024,
             keyframe_every: 64,
             idle_ms: None,
-            keyframe_only: false,
             frame_trace: true,
             slo_us: None,
             paint_threads: 1,
@@ -109,10 +107,9 @@ pub struct HostedSession {
     /// Script line of the last step in the current batch (captured
     /// only while the SLO watchdog is armed).
     last_trigger: Option<String>,
-    /// Position of the most recent `MenuRequest` event; replayed
-    /// `MenuSelect` steps pop their menu there, matching the recorded
-    /// interaction instead of hardcoding the origin.
-    last_menu_pos: atk_graphics::Point,
+    /// Step semantics shared with the in-process reference
+    /// (`atk_check::Session::apply`).
+    driver: StepDriver,
     /// The replica side of a shared-document attachment, when this
     /// session opened via `Attach` instead of `Hello`.
     collab: Option<Replica>,
@@ -175,7 +172,7 @@ impl HostedSession {
             frame_log: FrameLog::new(FRAME_LOG_CAPACITY),
             slow_log: None,
             last_trigger: None,
-            last_menu_pos: atk_graphics::Point::ORIGIN,
+            driver: StepDriver::default(),
             collab: None,
         })
     }
@@ -331,24 +328,7 @@ impl HostedSession {
     /// a settle and a damage repaint so the next op sees a fully
     /// repaired world.
     fn apply_one_op(&mut self, step: &ScriptStep) {
-        match step {
-            ScriptStep::Event(ev) => {
-                if let WindowEvent::MenuRequest { pos } = ev {
-                    self.last_menu_pos = *pos;
-                }
-                self.im.feed(&mut self.world, ev.clone());
-            }
-            ScriptStep::MenuSelect(label) => {
-                self.im.feed(
-                    &mut self.world,
-                    WindowEvent::MenuRequest {
-                        pos: self.last_menu_pos,
-                    },
-                );
-                self.im.select_menu(&mut self.world, label);
-                self.im.pump(&mut self.world);
-            }
-        }
+        self.driver.apply(&mut self.im, &mut self.world, step);
         self.im.flush_quiescent(&mut self.world);
         self.im.repaint_damage(&mut self.world);
     }
@@ -499,9 +479,7 @@ impl HostedSession {
             }
             match step {
                 ScriptStep::Event(ev) => {
-                    if let WindowEvent::MenuRequest { pos } = ev {
-                        self.last_menu_pos = *pos;
-                    }
+                    self.driver.observe(ev);
                     self.im.window_mut().post_event(ev.clone());
                     pending = true;
                 }
@@ -510,14 +488,7 @@ impl HostedSession {
                         self.im.pump(&mut self.world);
                         pending = false;
                     }
-                    self.im.feed(
-                        &mut self.world,
-                        WindowEvent::MenuRequest {
-                            pos: self.last_menu_pos,
-                        },
-                    );
-                    self.im.select_menu(&mut self.world, label);
-                    self.im.pump(&mut self.world);
+                    self.driver.select(&mut self.im, &mut self.world, label);
                 }
             }
         }
@@ -601,10 +572,10 @@ impl HostedSession {
     /// picks the cheaper shipping shape: an empty-rect acknowledgement
     /// when nothing changed (no snapshot clone, no pixel payload),
     /// changed bands, or a keyframe when the diff blows the dirty-byte
-    /// budget, the keyframe cadence is due, the window resized, or
-    /// diffing is ablated away.
+    /// budget, the keyframe cadence is due (always, at
+    /// `keyframe_every: 0`), or the window resized.
     fn assemble_frame(&mut self) -> ServerFrame {
-        if self.cfg.keyframe_only || self.frames_since_key >= self.cfg.keyframe_every {
+        if self.frames_since_key >= self.cfg.keyframe_every {
             return self.keyframe();
         }
         // Diff against a *borrow* of the backend framebuffer when the
@@ -653,8 +624,8 @@ impl HostedSession {
     }
 
     /// Encodes a frame for the wire, letting pixel frames pick the
-    /// smaller of their raw and RLE bodies (unless the `--no-encode`
-    /// ablation pinned raw), and counts the choice plus the bytes that
+    /// smaller of their raw and RLE bodies (unless
+    /// [`SessionConfig::encode`] pinned raw), and counts the choice plus the bytes that
     /// actually ship.
     pub fn encode_frame(&self, frame: &ServerFrame) -> Vec<u8> {
         let (bytes, encoding) = if self.cfg.encode {
@@ -880,14 +851,18 @@ mod tests {
             "cadence keyframe never fired: {kinds:?}"
         );
 
+        // `keyframe_every: 0` is the always-keyframe baseline: every
+        // batch ships a keyframe, even one that changed no pixel.
         let cfg = SessionConfig {
-            keyframe_only: true,
+            keyframe_every: 0,
             ..SessionConfig::default()
         };
         let mut s = HostedSession::open("fig1", cfg, collector).unwrap();
         let _ = s.initial_keyframe();
-        let (frame, _) = s.apply_batch(&[ScriptStep::Event(WindowEvent::Tick(1))], 0);
-        assert!(matches!(frame, ServerFrame::Keyframe { .. }));
+        for _ in 0..2 {
+            let (frame, _) = s.apply_batch(&[ScriptStep::Event(WindowEvent::Tick(1))], 0);
+            assert!(matches!(frame, ServerFrame::Keyframe { .. }), "{frame:?}");
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod traits;
 pub mod x11sim;
 
 pub use event::{Button, Key, MouseAction, WindowEvent};
-pub use paint::{parallel_paint_enabled, set_parallel_paint, PaintStats};
+pub use paint::PaintStats;
 pub use traits::{
     CursorHandle, CursorShape, FontDriver, Graphic, GraphicState, OffscreenWindow, Window,
     WindowSystem,

@@ -11,11 +11,10 @@
 //! Because bands implement the same [`Raster`] trait as the whole
 //! framebuffer — differing only in the rows they accept writes to — the
 //! banded replay is byte-identical to the serial one by construction.
-//! The single-thread path stays reachable as the oracle reference via
-//! [`set_parallel_paint`], the same ablation pattern as
-//! `set_incremental_layout(false)` in the text layout engine.
+//! A window at one paint thread (the default) rasterizes immediately
+//! and serially; that path is the oracle reference the banded replay is
+//! checked against.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -23,21 +22,6 @@ use atk_graphics::font::GLYPH_ROWS;
 use atk_graphics::{
     BitmapFont, Color, FontDesc, Framebuffer, Point, Raster, RasterOp, Rect, Region,
 };
-
-/// Global ablation switch for the parallel replay path (default on).
-/// When off, backends fall back to immediate serial rasterization even
-/// if a thread count was configured.
-static PARALLEL_PAINT: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables parallel band paint process-wide.
-pub fn set_parallel_paint(enabled: bool) {
-    PARALLEL_PAINT.store(enabled, Ordering::SeqCst);
-}
-
-/// True when parallel band paint is enabled (the default).
-pub fn parallel_paint_enabled() -> bool {
-    PARALLEL_PAINT.load(Ordering::SeqCst)
-}
 
 /// Counters accumulated by a recording backend across flushes; polled
 /// by the interaction manager after each update pass and folded into
@@ -464,15 +448,6 @@ mod tests {
         let mut fb = Framebuffer::new(100, 100, Color::WHITE);
         assert_eq!(replay_parallel(&mut fb, &cmds, 4), 0);
         assert_eq!(fb.count_pixels(fb.bounds(), Color::BLACK), 0);
-    }
-
-    #[test]
-    fn ablation_flag_round_trips() {
-        assert!(parallel_paint_enabled());
-        set_parallel_paint(false);
-        assert!(!parallel_paint_enabled());
-        set_parallel_paint(true);
-        assert!(parallel_paint_enabled());
     }
 
     #[test]

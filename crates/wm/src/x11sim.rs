@@ -17,7 +17,7 @@ use atk_graphics::{
 };
 
 use crate::event::WindowEvent;
-use crate::paint::{parallel_paint_enabled, replay_parallel, DrawOp, PaintCmd, PaintStats};
+use crate::paint::{replay_parallel, DrawOp, PaintCmd, PaintStats};
 use crate::traits::{
     BuiltinFontDriver, CursorHandle, CursorShape, FontDriver, Graphic, GraphicState,
     OffscreenWindow, Window, WindowSystem,
@@ -275,7 +275,7 @@ impl X11Graphic {
     /// than rasterized immediately.
     #[inline]
     fn deferring(&self) -> bool {
-        self.rec.borrow().threads > 1 && parallel_paint_enabled()
+        self.rec.borrow().threads > 1
     }
 
     /// Records a command under the current clip (interned on change).
@@ -732,10 +732,6 @@ mod tests {
         assert_eq!(w.snapshot().unwrap(), before);
     }
 
-    /// Tests that read or toggle the global parallel-paint switch hold
-    /// this lock so the ablation test cannot flip it mid-scene.
-    static PAINT_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     /// A scene exercising every primitive, clips, translations, a
     /// baseline string, a bitblt, and a mid-stream scroll.
     fn busy_scene(w: &mut dyn Window, bits: &Framebuffer) {
@@ -771,7 +767,6 @@ mod tests {
 
     #[test]
     fn parallel_paint_is_byte_identical_to_serial() {
-        let _guard = PAINT_SWITCH.lock().unwrap();
         let mut ws = X11Sim::new();
         let mut off = ws.open_offscreen(Size::new(10, 10));
         off.graphic().fill_rect(Rect::new(0, 0, 10, 10));
@@ -799,23 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_paint_ablation_forces_immediate_mode() {
-        let _guard = PAINT_SWITCH.lock().unwrap();
-        crate::paint::set_parallel_paint(false);
-        let mut ws = X11Sim::new();
-        let mut w = ws.open_window("ablate", Size::new(100, 80));
-        w.set_paint_threads(4);
-        w.graphic().fill_rect(Rect::new(10, 10, 5, 5));
-        // Immediate mode: pixels land without a flush, no stats accrue.
-        let snap = w.snapshot().unwrap();
-        assert_eq!(snap.count_pixels(Rect::new(10, 10, 5, 5), Color::BLACK), 25);
-        assert_eq!(w.take_paint_stats(), PaintStats::default());
-        crate::paint::set_parallel_paint(true);
-    }
-
-    #[test]
     fn snapshot_flushes_pending_banded_commands() {
-        let _guard = PAINT_SWITCH.lock().unwrap();
         let mut ws = X11Sim::new();
         let mut w = ws.open_window("t", Size::new(100, 80));
         w.set_paint_threads(4);

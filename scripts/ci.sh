@@ -5,6 +5,12 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Scratch files and the background server of the served smoke, cleaned
+# up however the gate exits.
+scratch=$(mktemp -d)
+served_pid=""
+trap 'if [ -n "$served_pid" ]; then kill "$served_pid" 2>/dev/null || true; fi; rm -rf "$scratch"' EXIT
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -19,12 +25,36 @@ echo "==> loadgen smoke (8 served sessions, zero drops tolerated)"
 cargo run --release -q -p atk-serve --bin loadgen -- \
     --sessions 8 --steps 50 --max-drops 0
 
-echo "==> stats-plane smoke (mem loadgen, SLO watchdog armed, Stats probe)"
+echo "==> stats-plane smoke (mem loadgen, SLO watchdog armed, Stats probe, trace)"
 # --stats makes loadgen fetch the server-wide snapshot over the wire,
 # validate the JSON, and fail unless the stage histograms are non-empty.
+# --trace fails the run unless the Chrome trace parses and carries at
+# least one session track.
 cargo run --release -q -p atk-serve --bin loadgen -- \
     --mem --sessions 4 --steps 30 --profile typing \
-    --slo-us 10000000 --stats --max-drops 0
+    --slo-us 10000000 --stats --max-drops 0 --trace "$scratch/trace.json"
+
+echo "==> served + loadgen --connect smoke (2 shards, 4 remote sessions)"
+# The served binary on an OS-assigned port; loadgen reads the address
+# from its "served: listening on ADDR" line and drives it over TCP.
+"${CARGO_TARGET_DIR:-target}/release/served" --port 0 --shards 2 >"$scratch/served.out" &
+served_pid=$!
+addr=""
+tries=0
+while [ -z "$addr" ] && [ "$tries" -lt 100 ]; do
+    sleep 0.1
+    addr=$(sed -n 's/^served: listening on \([^ ]*\).*/\1/p' "$scratch/served.out")
+    tries=$((tries + 1))
+done
+if [ -z "$addr" ]; then
+    echo "served never printed its listening address" >&2
+    exit 1
+fi
+cargo run --release -q -p atk-serve --bin loadgen -- \
+    --connect "$addr" --sessions 4 --steps 20
+kill "$served_pid"
+wait "$served_pid" 2>/dev/null || true
+served_pid=""
 
 echo "==> parallel-paint + encoder smoke (4 bands, RLE wire, zero drops)"
 # The encoder is on by default; --paint-threads 4 puts the banded
