@@ -376,6 +376,29 @@ impl Framebuffer {
         }
     }
 
+    /// Adopts `pixels` (row-major, `width * height` of them) as a
+    /// framebuffer without copying them — how a decoded keyframe
+    /// becomes a client's framebuffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is negative or `pixels.len()` is not
+    /// `width * height`.
+    pub fn from_pixels(width: i32, height: i32, pixels: Vec<u32>) -> Framebuffer {
+        assert!(width >= 0 && height >= 0, "negative framebuffer dimension");
+        assert_eq!(
+            pixels.len(),
+            (width as usize) * (height as usize),
+            "pixel count does not match {width}x{height}"
+        );
+        Framebuffer {
+            width,
+            height,
+            pixels,
+            clip: None,
+        }
+    }
+
     /// Width in pixels.
     pub fn width(&self) -> i32 {
         self.width
@@ -472,6 +495,35 @@ impl Framebuffer {
     /// `op`.
     pub fn blit(&mut self, src: &Framebuffer, src_rect: Rect, dst_origin: Point, op: RasterOp) {
         Raster::blit(self, src, src_rect, dst_origin, op);
+    }
+
+    /// Overwrites rectangle `r` with `pixels` (row-major,
+    /// `r.width * r.height` of them), one slice copy per row, ignoring
+    /// the clip — how a patch rect lands on a framebuffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not inside the bounds or `pixels.len()` is not
+    /// its area.
+    pub fn put_rect(&mut self, r: Rect, pixels: &[u32]) {
+        assert!(
+            r.x >= 0 && r.y >= 0 && r.right() <= self.width && r.bottom() <= self.height,
+            "rect {r:?} outside {}x{}",
+            self.width,
+            self.height
+        );
+        let w = r.width.max(0) as usize;
+        assert_eq!(
+            pixels.len(),
+            w * r.height.max(0) as usize,
+            "patch pixel count"
+        );
+        if w == 0 {
+            return;
+        }
+        for (src, y) in pixels.chunks_exact(w).zip(r.y..) {
+            self.row_mut(y)[r.x as usize..r.x as usize + w].copy_from_slice(src);
+        }
     }
 
     /// Copies a rectangle within this framebuffer (handles overlap),
@@ -856,6 +908,58 @@ mod tests {
         assert!(diff.contains(Point::new(9, 0)));
         assert!(diff.contains(Point::new(4, 2)));
         assert!(!diff.contains(Point::new(5, 0)));
+    }
+
+    #[test]
+    fn from_pixels_adopts_row_major_pixels() {
+        let fb = Framebuffer::from_pixels(3, 2, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(fb.get(2, 0), Color(3));
+        assert_eq!(fb.get(0, 1), Color(4));
+        assert_eq!(fb.clip(), None);
+        assert_eq!(Framebuffer::from_pixels(0, 5, Vec::new()).height(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel count")]
+    fn from_pixels_rejects_a_length_mismatch() {
+        let _ = Framebuffer::from_pixels(3, 2, vec![0; 5]);
+    }
+
+    #[test]
+    fn put_rect_lands_on_every_edge() {
+        let (w, h) = (7, 5);
+        let mut fb = Framebuffer::new(w, h, Color::WHITE);
+        let mut want = fb.clone();
+        let rects = [
+            Rect::new(0, 0, 3, 2), // top-left corner
+            Rect::new(4, 0, 3, 1), // top edge, right corner
+            Rect::new(0, 2, 1, 3), // left edge, bottom corner
+            Rect::new(6, 1, 1, 4), // right edge
+            Rect::new(2, 4, 4, 1), // bottom edge
+            Rect::new(0, 0, w, h), // the whole frame
+            Rect::new(3, 2, 0, 0), // empty
+        ];
+        for (k, r) in rects.into_iter().enumerate() {
+            let pixels: Vec<u32> = (0..r.width * r.height)
+                .map(|i| (k as u32) << 8 | i as u32)
+                .collect();
+            fb.put_rect(r, &pixels);
+            let mut i = 0;
+            for y in r.y..r.bottom() {
+                for x in r.x..r.right() {
+                    want.set(x, y, Color(pixels[i]));
+                    i += 1;
+                }
+            }
+            assert_eq!(fb, want, "rect {r:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn put_rect_rejects_a_rect_past_the_edge() {
+        let mut fb = Framebuffer::new(4, 4, Color::WHITE);
+        fb.put_rect(Rect::new(2, 0, 3, 1), &[0; 3]);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! report and the differential oracle are built on.
 
 use std::io;
+use std::sync::Arc;
 use std::time::Instant;
 
 use atk_core::ScriptStep;
-use atk_graphics::{Color, Framebuffer};
+use atk_graphics::Framebuffer;
 
 use crate::transport::FrameTransport;
 use crate::wire::{ClientFrame, PatchRect, ServerFrame, WireError};
@@ -174,12 +175,8 @@ impl<T: FrameTransport> ServeClient<T> {
 
     fn handshake(mut t: T) -> Result<ServeClient<T>, ClientError> {
         let connect_started = Instant::now();
-        let (session_id, width, height) = match ServerFrame::decode(&t.recv()?)? {
-            ServerFrame::Welcome {
-                session_id,
-                width,
-                height,
-            } => (session_id, width, height),
+        let session_id = match ServerFrame::decode(&t.recv()?)? {
+            ServerFrame::Welcome { session_id, .. } => session_id,
             ServerFrame::Busy => return Err(ClientError::Busy),
             ServerFrame::Error { message } => return Err(ClientError::Server(message)),
             other => {
@@ -190,7 +187,8 @@ impl<T: FrameTransport> ServeClient<T> {
         };
         let mut client = ServeClient {
             t,
-            fb: Framebuffer::new(width as i32, height as i32, Color::WHITE),
+            // Empty until the initial keyframe, which always replaces it.
+            fb: Framebuffer::from_pixels(0, 0, Vec::new()),
             session_id,
             sent: 0,
             acked: 0,
@@ -357,22 +355,10 @@ impl<T: FrameTransport> ServeClient<T> {
                 }
                 self.note_frame(seq, wire_len, encoded_len, false);
             }
-            ServerFrame::Keyframe {
-                seq,
-                width,
-                height,
-                pixels,
-            } => {
-                let expect = (width as usize) * (height as usize);
-                if pixels.len() != expect {
-                    return Err(ClientError::Protocol("keyframe pixel count".into()));
-                }
-                let mut fb = Framebuffer::new(width as i32, height as i32, Color::WHITE);
-                for (i, px) in pixels.iter().enumerate() {
-                    let (x, y) = ((i % width as usize) as i32, (i / width as usize) as i32);
-                    fb.set(x, y, Color(*px));
-                }
-                self.fb = fb;
+            ServerFrame::Keyframe { seq, frame } => {
+                // A freshly decoded frame is ours alone: adopt its
+                // pixels instead of copying them.
+                self.fb = Arc::try_unwrap(frame).unwrap_or_else(|shared| (*shared).clone());
                 self.note_frame(seq, wire_len, encoded_len, true);
             }
             ServerFrame::Bye { .. } => {
@@ -394,10 +380,13 @@ impl<T: FrameTransport> ServeClient<T> {
 
     fn apply_patch(&mut self, patch: &PatchRect) -> Result<(), ClientError> {
         let r = patch.rect;
-        if r.x < 0
-            || r.y < 0
-            || r.right() > self.fb.width()
-            || r.bottom() > self.fb.height()
+        // Widened so a hostile origin near `i32::MAX` cannot wrap past
+        // the bounds check.
+        let inside = |origin: i32, extent: i32, limit: i32| {
+            origin >= 0 && extent >= 0 && origin as i64 + extent as i64 <= limit as i64
+        };
+        if !inside(r.x, r.width, self.fb.width())
+            || !inside(r.y, r.height, self.fb.height())
             || patch.pixels.len() != (r.width as usize) * (r.height as usize)
         {
             return Err(ClientError::Protocol(format!(
@@ -406,13 +395,67 @@ impl<T: FrameTransport> ServeClient<T> {
                 self.fb.height()
             )));
         }
-        let mut i = 0;
-        for y in r.y..r.bottom() {
-            for x in r.x..r.right() {
-                self.fb.set(x, y, Color(patch.pixels[i]));
-                i += 1;
-            }
-        }
+        self.fb.put_rect(r, &patch.pixels);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::MemTransport;
+    use atk_graphics::Rect;
+
+    /// A client handshaken against a preloaded 4×2 keyframe.
+    fn client() -> ServeClient<MemTransport> {
+        let (client_half, mut server_half) = MemTransport::pair();
+        let welcome = ServerFrame::Welcome {
+            session_id: 1,
+            width: 4,
+            height: 2,
+        };
+        let key = ServerFrame::Keyframe {
+            seq: 0,
+            frame: Arc::new(Framebuffer::from_pixels(4, 2, (0..8).collect())),
+        };
+        server_half.send(&welcome.encode()).unwrap();
+        server_half.send(&key.encode()).unwrap();
+        let client = ServeClient::handshake(client_half).unwrap();
+        // The server half may drop: the client never reads again.
+        drop(server_half);
+        client
+    }
+
+    #[test]
+    fn keyframe_is_adopted_and_patches_land_by_row() {
+        let mut c = client();
+        assert_eq!(c.framebuffer().pixels(), &[0, 1, 2, 3, 4, 5, 6, 7]);
+        c.apply_patch(&PatchRect {
+            rect: Rect::new(1, 0, 3, 2),
+            pixels: vec![10, 11, 12, 13, 14, 15],
+        })
+        .unwrap();
+        assert_eq!(c.framebuffer().pixels(), &[0, 10, 11, 12, 4, 13, 14, 15]);
+    }
+
+    #[test]
+    fn hostile_patch_rects_are_protocol_errors() {
+        let mut c = client();
+        for rect in [
+            // Decodable origins whose far edge overflows `i32`.
+            Rect::new(i32::MAX - 1, 0, 4, 1),
+            Rect::new(0, i32::MAX, 1, 2),
+            Rect::new(2, 1, 3, 1),
+        ] {
+            let pixels = vec![0; (rect.width * rect.height) as usize];
+            assert!(
+                matches!(
+                    c.apply_patch(&PatchRect { rect, pixels }),
+                    Err(ClientError::Protocol(_))
+                ),
+                "{rect:?}"
+            );
+        }
+        assert_eq!(c.framebuffer().pixels(), &[0, 1, 2, 3, 4, 5, 6, 7]);
     }
 }

@@ -149,15 +149,25 @@ pub struct ServedRun {
 
 impl ServedRun {
     /// The merged counters shard count is not allowed to change: all of
-    /// them but the `serve.shard.*` scheduling plane and
-    /// `world.template_builds` (template registries are per-shard
-    /// caches, so how many shards built one depends on placement).
+    /// them but the `serve.shard.*` scheduling plane and the per-shard
+    /// caches' marks. Template registries and template keyframe caches
+    /// are per shard, so how many shards built a template
+    /// (`world.template_builds`) and how many sessions found its
+    /// keyframe cached (`serve.keyframe_cache_hits`) depend on
+    /// placement — and so does `serve.frame_copies`, because a session
+    /// that adopted a cached keyframe copies its baseline at its first
+    /// update instead of at the keyframe, or never if it ships none.
     /// `world.forks` stays: one fork per session, whatever the layout.
     pub fn shard_invariant_counters(&self) -> Vec<(&'static str, u64)> {
+        const PLACEMENT: [&str; 3] = [
+            "world.template_builds",
+            "serve.keyframe_cache_hits",
+            "serve.frame_copies",
+        ];
         self.merged
             .counters
             .iter()
-            .filter(|(key, _)| !key.starts_with("serve.shard.") && *key != "world.template_builds")
+            .filter(|(key, _)| !key.starts_with("serve.shard.") && !PLACEMENT.contains(key))
             .cloned()
             .collect()
     }

@@ -93,8 +93,11 @@ pub struct HostedSession {
     im: InteractionManager,
     cfg: SessionConfig,
     collector: Arc<Collector>,
-    /// Last framebuffer shipped to the client, diff baseline.
-    shipped: Option<Framebuffer>,
+    /// Last framebuffer shipped to the client, the diff baseline.
+    /// Shared copy-on-write with the keyframe that shipped it (and, for
+    /// a session that adopted a template's cached first keyframe, with
+    /// that cache entry); updates patch it in place.
+    shipped: Option<Arc<Framebuffer>>,
     seq: u64,
     frames_since_key: u32,
     last_input_ms: u64,
@@ -542,20 +545,75 @@ impl HostedSession {
             .expect("serving needs a pixel-backed backend")
     }
 
+    /// A keyframe of the current screen: one full copy of the backend
+    /// framebuffer, which the shipped frame and the new diff baseline
+    /// share.
     fn keyframe(&mut self) -> ServerFrame {
-        let fb = self.current_fb();
+        let fb = Arc::new(self.copy_frame());
+        self.ship_keyframe(fb)
+    }
+
+    /// Makes `fb` the diff baseline and wraps it as the keyframe to ship.
+    fn ship_keyframe(&mut self, fb: Arc<Framebuffer>) -> ServerFrame {
+        self.shipped = Some(Arc::clone(&fb));
+        self.frames_since_key = 0;
         let frame = ServerFrame::Keyframe {
             seq: self.seq,
-            width: fb.width().max(0) as u32,
-            height: fb.height().max(0) as u32,
-            pixels: fb.pixels().to_vec(),
+            frame: fb,
         };
-        self.shipped = Some(fb);
-        self.frames_since_key = 0;
         self.collector.count("serve.frames", 1);
         self.collector
             .count("serve.full_bytes", frame.wire_len() as u64);
         frame
+    }
+
+    /// One full copy of the backend framebuffer, read through a borrow
+    /// when the backend offers one. Counted in `serve.frame_copies`.
+    fn copy_frame(&mut self) -> Framebuffer {
+        self.collector.count("serve.frame_copies", 1);
+        let mut copy = None;
+        let borrowed = self.im.window_mut().with_frame(&mut |cur| {
+            copy = Some(Framebuffer::from_pixels(
+                cur.width(),
+                cur.height(),
+                cur.pixels().to_vec(),
+            ));
+        });
+        if borrowed {
+            copy.expect("with_frame ran the closure")
+        } else {
+            let mut fb = self.current_fb();
+            fb.set_clip(None);
+            fb
+        }
+    }
+
+    /// Encodes the initial keyframe once, for a cache that ships the
+    /// same bytes to every later session forked from this one's
+    /// template (see [`HostedSession::adopt_initial_keyframe`]).
+    pub(crate) fn share_initial_keyframe(&mut self) -> SharedKeyframe {
+        let frame = self.initial_keyframe();
+        let (bytes, encoding) = self.encode_counted(&frame);
+        let ServerFrame::Keyframe { frame, .. } = frame else {
+            unreachable!("initial_keyframe builds a keyframe");
+        };
+        SharedKeyframe {
+            bytes: bytes.into(),
+            encoding,
+            frame,
+        }
+    }
+
+    /// Takes `key` — the encoded first keyframe of the template this
+    /// session was forked from — as this session's initial keyframe:
+    /// no copy, no encode, the same counters as
+    /// [`HostedSession::initial_keyframe`] plus
+    /// [`HostedSession::encode_frame`]. The baseline stays shared with
+    /// the cache until the first update copies it.
+    pub(crate) fn adopt_initial_keyframe(&mut self, key: &SharedKeyframe) {
+        debug_assert_eq!(self.seq, 0, "only a fresh session adopts a keyframe");
+        let frame = self.ship_keyframe(Arc::clone(&key.frame));
+        self.count_encoded(&frame, key.encoding, key.bytes.len());
     }
 
     /// Frame assembly under the `diff` stage stamp: everything between
@@ -586,13 +644,13 @@ impl HostedSession {
         let budget = self.cfg.dirty_budget_bytes;
         let mut plan = None;
         let borrowed = self.im.window_mut().with_frame(&mut |cur| {
-            plan = Some(plan_update(shipped.as_ref(), cur, budget));
+            plan = Some(plan_update(shipped.as_deref(), cur, budget));
         });
         let plan = if borrowed {
             plan.expect("with_frame ran the closure")
         } else {
             let cur = self.current_fb();
-            plan_update(self.shipped.as_ref(), &cur, budget)
+            plan_update(self.shipped.as_deref(), &cur, budget)
         };
         match plan {
             Plan::Keyframe => self.keyframe(),
@@ -608,12 +666,27 @@ impl HostedSession {
                     rects: Vec::new(),
                 }
             }
-            Plan::Update(cur, rects) => {
+            Plan::Update(rects) => {
+                // The rects cover exactly the diff region, so patching
+                // them into the baseline makes it equal the current
+                // frame. A baseline still shared with the keyframe
+                // cache is copied once, here.
+                let shipped = self
+                    .shipped
+                    .as_mut()
+                    .expect("an update diffs against a baseline");
+                let before = Arc::as_ptr(shipped);
+                let base = Arc::make_mut(shipped);
+                if !std::ptr::eq(before, base) {
+                    self.collector.count("serve.frame_copies", 1);
+                }
+                for patch in &rects {
+                    base.put_rect(patch.rect, &patch.pixels);
+                }
                 let frame = ServerFrame::Update {
                     seq: self.seq,
                     rects,
                 };
-                self.shipped = Some(cur);
                 self.frames_since_key += 1;
                 self.collector.count("serve.frames", 1);
                 self.collector
@@ -628,11 +701,22 @@ impl HostedSession {
     /// [`SessionConfig::encode`] pinned raw), and counts the choice plus the bytes that
     /// actually ship.
     pub fn encode_frame(&self, frame: &ServerFrame) -> Vec<u8> {
+        self.encode_counted(frame).0
+    }
+
+    /// [`HostedSession::encode_frame`], also naming the body encoding.
+    fn encode_counted(&self, frame: &ServerFrame) -> (Vec<u8>, Encoding) {
         let (bytes, encoding) = if self.cfg.encode {
             frame.encode_packed()
         } else {
             (frame.encode(), Encoding::Raw)
         };
+        self.count_encoded(frame, encoding, bytes.len());
+        (bytes, encoding)
+    }
+
+    /// Counts the encoding choice and the shipped bytes of pixel frames.
+    fn count_encoded(&self, frame: &ServerFrame, encoding: Encoding, len: usize) {
         if matches!(
             frame,
             ServerFrame::Update { .. } | ServerFrame::Keyframe { .. }
@@ -644,11 +728,22 @@ impl HostedSession {
                 },
                 1,
             );
-            self.collector
-                .count("serve.encoded_bytes", bytes.len() as u64);
+            self.collector.count("serve.encoded_bytes", len as u64);
         }
-        bytes
     }
+}
+
+/// A template's first keyframe, encoded once: the wire bytes every
+/// session forked from the template ships, and the frame they carry,
+/// which those sessions share as their diff baseline until their first
+/// update.
+pub(crate) struct SharedKeyframe {
+    /// The encoded body, exactly as it ships.
+    pub(crate) bytes: Arc<[u8]>,
+    /// The body encoding the bytes use.
+    pub(crate) encoding: Encoding,
+    /// The frame the bytes carry.
+    pub(crate) frame: Arc<Framebuffer>,
 }
 
 /// What [`HostedSession::assemble_frame`] decided while holding the
@@ -658,8 +753,8 @@ enum Plan {
     Unchanged,
     /// Resize or blown budget — send everything.
     Keyframe,
-    /// Changed bands: the new baseline clone plus its patch rects.
-    Update(Framebuffer, Vec<PatchRect>),
+    /// Changed bands, with the current frame's pixels.
+    Update(Vec<PatchRect>),
 }
 
 /// Diff-or-degrade decision against the shipped baseline. `budget` is
@@ -694,7 +789,7 @@ fn plan_update(shipped: Option<&Framebuffer>, cur: &Framebuffer, budget: usize) 
             PatchRect { rect: r, pixels }
         })
         .collect();
-    Plan::Update(cur.clone(), rects)
+    Plan::Update(rects)
 }
 
 /// Collapses runs of consecutive pointer movements down to the last
@@ -911,6 +1006,91 @@ mod tests {
         // header + 16 bytes per rect header + 4 bytes per pixel.
         let estimate: usize = 13 + rects.iter().map(|p| p.pixels.len() * 4 + 16).sum::<usize>();
         assert_eq!(estimate, frame.wire_len());
+    }
+
+    /// Runs `steps` one batch each on a fresh fig5 session and checks,
+    /// after every shipped frame, that the diff baseline patched in
+    /// place equals the screen. Returns (updates, keyframes) shipped
+    /// after the initial keyframe.
+    fn baseline_tracks_screen(cfg: SessionConfig, steps: &[ScriptStep]) -> (usize, usize) {
+        let collector = Arc::new(Collector::new());
+        let mut s = HostedSession::open("fig5", cfg, collector).unwrap();
+        let _ = s.initial_keyframe();
+        let (mut updates, mut keyframes) = (0, 0);
+        for (i, step) in steps.iter().enumerate() {
+            let (frame, _) = s.apply_batch(std::slice::from_ref(step), 0);
+            match &frame {
+                ServerFrame::Update { rects, .. } if !rects.is_empty() => updates += 1,
+                ServerFrame::Keyframe { .. } => keyframes += 1,
+                _ => {}
+            }
+            drop(frame);
+            let shipped = s.shipped.as_deref().expect("a baseline after every frame");
+            let screen = s.current_fb();
+            assert!(
+                shipped.width() == screen.width()
+                    && shipped.height() == screen.height()
+                    && shipped.pixels() == screen.pixels(),
+                "step {i} ({step:?}): baseline differs from the screen"
+            );
+        }
+        (updates, keyframes)
+    }
+
+    fn focus_then_type(text: &str) -> Vec<ScriptStep> {
+        let mut steps = vec![
+            ScriptStep::Event(WindowEvent::left_down(70, 70)),
+            ScriptStep::Event(WindowEvent::left_up(70, 70)),
+        ];
+        steps.extend(text.chars().map(|c| {
+            ScriptStep::Event(match c {
+                '\n' => WindowEvent::Key(atk_wm::Key::Return),
+                c => WindowEvent::ch(c),
+            })
+        }));
+        steps
+    }
+
+    #[test]
+    fn patched_baseline_equals_the_screen_while_typing() {
+        let (updates, _) = baseline_tracks_screen(
+            SessionConfig::default(),
+            &focus_then_type("Hello, baseline"),
+        );
+        assert!(updates >= 10, "typing shipped {updates} updates");
+    }
+
+    #[test]
+    fn patched_baseline_equals_the_screen_through_a_scroll() {
+        // Forty short lines run well past the bottom of fig5's text
+        // view, so it scrolls.
+        let text: String = (0..40).map(|i| format!("line {i}\n")).collect();
+        let (updates, keyframes) =
+            baseline_tracks_screen(SessionConfig::default(), &focus_then_type(&text));
+        assert!(updates > 100, "typing shipped {updates} updates");
+        // A scroll moves most of the view: the diff blows the dirty
+        // budget and a keyframe resets the baseline.
+        assert!(keyframes >= 1, "the scroll shipped no keyframe");
+    }
+
+    #[test]
+    fn patched_baseline_equals_the_screen_across_resize_and_keyframes() {
+        // A scripted resize relayouts and redraws the whole tree (the
+        // backend framebuffer keeps its size). The cadence forces a
+        // keyframe every third pixel frame, so keyframes reset the
+        // baseline between runs of in-place patches.
+        let mut steps = focus_then_type("before");
+        steps.push(ScriptStep::Event(WindowEvent::Resize(
+            atk_graphics::Size::new(400, 300),
+        )));
+        steps.extend(focus_then_type("after").into_iter().skip(2));
+        let cfg = SessionConfig {
+            keyframe_every: 3,
+            ..SessionConfig::default()
+        };
+        let (updates, keyframes) = baseline_tracks_screen(cfg, &steps);
+        assert!(keyframes >= 3, "the cadence shipped {keyframes} keyframes");
+        assert!(updates >= 6, "typing shipped {updates} updates");
     }
 
     #[test]

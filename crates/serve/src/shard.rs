@@ -29,11 +29,18 @@
 //! pending handshakes get `Busy`. The acceptor skips draining shards,
 //! so new connections keep landing elsewhere immediately.
 //!
+//! A shard that forks sessions from templates also encodes each
+//! template's first keyframe once ([`KeyframeCache`]): a forked
+//! session's first frame is a pure function of its template, so every
+//! later `Hello` for that template ships the same shared bytes.
+//!
 //! Shard-local scheduling counters live under `serve.shard.*`
 //! (admitted/batches/drained_sessions/busy_on_drain/failures); the
-//! sharded-vs-single differential oracle excludes exactly that prefix,
-//! because it is the only place where shard count may leave a mark.
+//! sharded-vs-single differential oracle excludes that prefix and the
+//! per-shard caches' counters, the only places where shard count may
+//! leave a mark.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, Weak};
@@ -45,7 +52,7 @@ use atk_trace::{Collector, FrameTrace, Stage};
 
 use crate::fault::FaultRng;
 use crate::server::Server;
-use crate::session::{HostedSession, SessionEnd};
+use crate::session::{HostedSession, SessionEnd, SharedKeyframe};
 use crate::transport::FrameTransport;
 use crate::wire::{ClientFrame, ServerFrame, WireError, BYE_BYE, BYE_CLOSED, BYE_DRAIN, BYE_IDLE};
 
@@ -193,6 +200,7 @@ fn run_shard(
     // this thread. Fork costs and template builds count on the shard
     // collector and reach the merged stats plane from there.
     let mut templates: Option<atk_apps::TemplateRegistry> = None;
+    let mut keyframes = KeyframeCache::default();
     let mut first_iteration = true;
     loop {
         // Hold the server only for the duration of one iteration; when
@@ -276,7 +284,13 @@ fn run_shard(
         let mut closed: Vec<usize> = Vec::new();
         for i in order {
             let result = match &conns[i].state {
-                ConnState::Handshake => pump_handshake(&server, &mut conns[i], templates.as_mut()),
+                ConnState::Handshake => pump_handshake(
+                    &server,
+                    &collector,
+                    &mut conns[i],
+                    templates.as_mut(),
+                    &mut keyframes,
+                ),
                 ConnState::Running(_) => pump_running(&server, &collector, &mut conns[i]),
             };
             match result {
@@ -313,8 +327,10 @@ fn run_shard(
 /// initial keyframe.
 fn pump_handshake(
     server: &Server,
+    collector: &Collector,
     conn: &mut Conn,
     templates: Option<&mut atk_apps::TemplateRegistry>,
+    keyframes: &mut KeyframeCache,
 ) -> Result<Pump, Box<dyn std::error::Error>> {
     let Some(body) = conn.t.try_recv()? else {
         return Ok(Pump::Idle);
@@ -336,6 +352,22 @@ fn pump_handshake(
     // connection ends — a failed welcome included.
     let session_id = server.next_session_id();
     let session_collector = server.open_session_collector(session_id);
+    // Only a `Hello` session forked from a template starts on the
+    // template's own frame; a replica's backlog changes its world, and
+    // a cold build has no template.
+    let template_key = match &first {
+        ClientFrame::Hello { scene, backend } if templates.is_some() => {
+            let cfg = &server.cfg().session;
+            atk_apps::scenes::resolve_scene_name(scene)
+                .ok()
+                .map(|scene| TemplateKey {
+                    scene,
+                    backend: backend.clone().unwrap_or_else(|| cfg.backend.clone()),
+                    encode: cfg.encode,
+                })
+        }
+        _ => None,
+    };
     let mut session = match server.open_hosted(&first, session_collector.clone(), templates) {
         Ok(s) => s,
         Err(e) => {
@@ -360,9 +392,65 @@ fn pump_handshake(
         }
         .encode(),
     )?;
-    let initial = session.initial_keyframe();
-    conn.t.send(&session.encode_frame(&initial))?;
+    match template_key {
+        Some(key) => {
+            let bytes = keyframes.initial(key, session, collector);
+            conn.t.send(&bytes)?;
+        }
+        None => {
+            let initial = session.initial_keyframe();
+            conn.t.send(&session.encode_frame(&initial))?;
+        }
+    }
     Ok(Pump::Progress)
+}
+
+/// What a forked session's first keyframe is a function of: its
+/// template (resolved scene name and backend) and the wire encoding.
+#[derive(PartialEq, Eq, Hash)]
+struct TemplateKey {
+    scene: &'static str,
+    backend: String,
+    encode: bool,
+}
+
+/// Each template's first keyframe, encoded once per shard. Templates
+/// are frozen, so an entry never goes stale, and there is at most one
+/// per template the shard has forked from — the cache needs no bound
+/// beyond the template registry's own.
+#[derive(Default)]
+struct KeyframeCache {
+    entries: HashMap<TemplateKey, SharedKeyframe>,
+}
+
+impl KeyframeCache {
+    /// The encoded initial keyframe for `session`, freshly forked from
+    /// `key`'s template. The first session of a template assembles and
+    /// encodes it; every later one adopts the cached entry and counts
+    /// `serve.keyframe_cache_hits` on the shard collector, so its own
+    /// counters still match a cold session's.
+    fn initial(
+        &mut self,
+        key: TemplateKey,
+        session: &mut HostedSession,
+        collector: &Collector,
+    ) -> Arc<[u8]> {
+        if let Some(hit) = self.entries.get(&key) {
+            collector.count("serve.keyframe_cache_hits", 1);
+            session.adopt_initial_keyframe(hit);
+            return Arc::clone(&hit.bytes);
+        }
+        let shared = session.share_initial_keyframe();
+        let bytes = Arc::clone(&shared.bytes);
+        // The entry keeps a frame of its own, so this session's
+        // baseline is not shared and its updates patch it in place.
+        let entry = SharedKeyframe {
+            frame: Arc::new((*shared.frame).clone()),
+            ..shared
+        };
+        self.entries.insert(key, entry);
+        bytes
+    }
 }
 
 /// Polls a live session once: drains whatever burst is buffered into

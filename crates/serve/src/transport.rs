@@ -74,19 +74,36 @@ pub(crate) fn extract_frame(buf: &mut Vec<u8>) -> io::Result<Option<Vec<u8>>> {
 /// Keeps a reassembly buffer so `try_recv` can tolerate partial frames:
 /// a non-blocking read may deliver half a frame, which stays buffered
 /// until the rest arrives.
+///
+/// The socket stays in whichever mode the last call needed: a shard
+/// polling with `try_recv` leaves it non-blocking between sweeps, and
+/// only a switch to `send` or `recv` (which block) costs a syscall.
 pub struct TcpTransport {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Whether the socket is in `O_NONBLOCK` mode right now.
+    nonblocking: bool,
 }
 
 impl TcpTransport {
-    /// Wraps a connected stream.
+    /// Wraps a connected (blocking) stream.
     pub fn new(stream: TcpStream) -> TcpTransport {
         let _ = stream.set_nodelay(true);
         TcpTransport {
             stream,
             buf: Vec::new(),
+            nonblocking: false,
         }
+    }
+
+    /// Puts the socket in the mode the caller needs, if it is not
+    /// there already.
+    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
+        if self.nonblocking != on {
+            self.stream.set_nonblocking(on)?;
+            self.nonblocking = on;
+        }
+        Ok(())
     }
 
     /// Pops one complete frame from the reassembly buffer, if present.
@@ -103,6 +120,9 @@ impl FrameTransport for TcpTransport {
                 "frame too large to send",
             ));
         }
+        // Blocking: `write_all` on a non-blocking socket fails with
+        // `WouldBlock` once a large frame fills the send buffer.
+        self.set_nonblocking(false)?;
         self.stream.write_all(&(body.len() as u32).to_le_bytes())?;
         self.stream.write_all(body)?;
         self.stream.flush()
@@ -113,6 +133,7 @@ impl FrameTransport for TcpTransport {
             if let Some(body) = self.extract()? {
                 return Ok(body);
             }
+            self.set_nonblocking(false)?;
             let mut chunk = [0u8; 16 * 1024];
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {
@@ -126,7 +147,7 @@ impl FrameTransport for TcpTransport {
         if let Some(body) = self.extract()? {
             return Ok(Some(body));
         }
-        self.stream.set_nonblocking(true)?;
+        self.set_nonblocking(true)?;
         let mut chunk = [0u8; 16 * 1024];
         let got = loop {
             match self.stream.read(&mut chunk) {
@@ -141,7 +162,6 @@ impl FrameTransport for TcpTransport {
                 Err(e) => break Err(e),
             }
         };
-        self.stream.set_nonblocking(false)?;
         got?;
         self.extract()
     }
@@ -279,6 +299,33 @@ mod tests {
         assert_eq!(server.recv().unwrap(), b"tail");
         server.send(b"ok").unwrap();
         assert_eq!(client.join().unwrap(), b"ok");
+    }
+
+    #[test]
+    fn tcp_send_after_try_recv_blocks_through_a_large_frame() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let big = vec![0xA5u8; 12 << 20];
+        let want = big.clone();
+        let client = std::thread::spawn(move || {
+            let mut t = TcpTransport::new(TcpStream::connect(addr).unwrap());
+            t.send(b"poke").unwrap();
+            // Read slowly, so the server's send buffer fills up and its
+            // `write_all` must wait rather than fail with `WouldBlock`.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            t.recv().unwrap()
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut server = TcpTransport::new(stream);
+        // Leaves the socket non-blocking.
+        let mut got = None;
+        while got.is_none() {
+            got = server.try_recv().unwrap();
+        }
+        assert_eq!(got.unwrap(), b"poke");
+        assert!(server.try_recv().unwrap().is_none());
+        server.send(&big).unwrap();
+        assert_eq!(client.join().unwrap(), want);
     }
 
     #[test]

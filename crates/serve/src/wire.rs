@@ -14,8 +14,10 @@
 //! in `tests/wire_props.rs` fire random and corrupted buffers at both
 //! decoders to hold that line).
 
+use std::sync::Arc;
+
 use atk_core::{EventScript, ScriptStep};
-use atk_graphics::Rect;
+use atk_graphics::{Framebuffer, Rect};
 
 /// Hard cap on one frame body, enforced by both transports and the
 /// decoders (a 4096×4096 keyframe is ~64 MiB; nothing legitimate is
@@ -146,12 +148,10 @@ pub enum ServerFrame {
     Keyframe {
         /// Cumulative count of client steps consumed so far.
         seq: u64,
-        /// New framebuffer width.
-        width: u32,
-        /// New framebuffer height.
-        height: u32,
-        /// Row-major pixels, `width * height` of them.
-        pixels: Vec<u32>,
+        /// The whole frame, shared rather than copied: on the server it
+        /// is the session's diff baseline, on the client the decoded
+        /// pixels the reconstruction adopts.
+        frame: Arc<Framebuffer>,
     },
     /// Server is closing the session (client `Bye`, idle eviction, app
     /// close).
@@ -226,34 +226,59 @@ fn put_pixels(out: &mut Vec<u8>, pixels: &[u32]) {
 /// run-length encoded as `[u32 npairs][npairs × (u32 count, u32 value)]`.
 /// Screen content is mostly vertical runs of unchanged background, so
 /// the delta stream collapses to a handful of runs on typing workloads.
+/// A row equal to the row above is all zero deltas, so it extends the
+/// run by a whole row after one slice compare.
 fn put_rle_pixels(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
     let npairs_pos = out.len();
     put_u32(out, 0); // Patched once the pair count is known.
-    let mut npairs = 0u32;
-    let mut run: Option<(u32, u32)> = None; // (delta value, count)
-    for (i, &p) in pixels.iter().enumerate() {
-        let delta = if width > 0 && i >= width {
-            p ^ pixels[i - width]
-        } else {
-            p
-        };
-        run = match run {
-            Some((v, c)) if v == delta => Some((v, c + 1)),
-            Some((v, c)) => {
-                put_u32(out, c);
-                put_u32(out, v);
-                npairs += 1;
-                Some((delta, 1))
-            }
-            None => Some((delta, 1)),
-        };
+    let mut runs = Runs {
+        out: &mut *out,
+        run: None,
+    };
+    // Width 0 carries no rows to delta against: the pixels go raw.
+    let row_len = if width == 0 { pixels.len() } else { width };
+    let mut above: Option<&[u32]> = None;
+    for row in pixels.chunks(row_len.max(1)) {
+        match above {
+            Some(prev) if row == prev => runs.push(0, row.len() as u32),
+            Some(prev) => row
+                .iter()
+                .zip(prev)
+                .for_each(|(&p, &a)| runs.push(p ^ a, 1)),
+            None => row.iter().for_each(|&p| runs.push(p, 1)),
+        }
+        above = Some(row);
     }
-    if let Some((v, c)) = run {
-        put_u32(out, c);
-        put_u32(out, v);
-        npairs += 1;
-    }
+    runs.flush();
+    // Every pair is 8 bytes.
+    let npairs = ((out.len() - npairs_pos - 4) / 8) as u32;
     out[npairs_pos..npairs_pos + 4].copy_from_slice(&npairs.to_le_bytes());
+}
+
+/// The `(count, value)` pair writer behind [`put_rle_pixels`].
+struct Runs<'a> {
+    out: &'a mut Vec<u8>,
+    /// The open run: (delta value, count).
+    run: Option<(u32, u32)>,
+}
+
+impl Runs<'_> {
+    fn push(&mut self, value: u32, count: u32) {
+        match &mut self.run {
+            Some((v, c)) if *v == value => *c += count,
+            _ => {
+                self.flush();
+                self.run = Some((value, count));
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Some((v, c)) = self.run.take() {
+            put_u32(self.out, c);
+            put_u32(self.out, v);
+        }
+    }
 }
 
 // ---- primitive reader --------------------------------------------------
@@ -477,17 +502,12 @@ impl ServerFrame {
                     put_pixels(&mut out, &patch.pixels);
                 }
             }
-            ServerFrame::Keyframe {
-                seq,
-                width,
-                height,
-                pixels,
-            } => {
+            ServerFrame::Keyframe { seq, frame } => {
                 out.push(TAG_KEYFRAME);
                 put_u64(&mut out, *seq);
-                put_u32(&mut out, *width);
-                put_u32(&mut out, *height);
-                put_pixels(&mut out, pixels);
+                put_u32(&mut out, frame.width() as u32);
+                put_u32(&mut out, frame.height() as u32);
+                put_pixels(&mut out, frame.pixels());
             }
             ServerFrame::Bye { reason } => {
                 out.push(TAG_S_BYE);
@@ -565,11 +585,15 @@ impl ServerFrame {
                 } else {
                     r.pixels(count)?
                 };
+                // Both readers return exactly `count` pixels, and the
+                // dimension cap keeps them inside `i32`.
                 ServerFrame::Keyframe {
                     seq,
-                    width,
-                    height,
-                    pixels,
+                    frame: Arc::new(Framebuffer::from_pixels(
+                        width as i32,
+                        height as i32,
+                        pixels,
+                    )),
                 }
             }
             TAG_S_BYE => ServerFrame::Bye {
@@ -591,7 +615,9 @@ impl ServerFrame {
 
     /// Encodes the frame body, choosing per frame between the raw
     /// layout and the row-delta + RLE layout by comparing the actual
-    /// encoded sizes. Only pixel-bearing frames (`Update`, `Keyframe`)
+    /// encoded sizes. The raw body's size is [`ServerFrame::wire_len`],
+    /// so only the RLE body is built up front; the raw one is built
+    /// only when it wins. Only pixel-bearing frames (`Update`, `Keyframe`)
     /// ever choose [`Encoding::Rle`]; the compressed body decodes back
     /// to the identical frame via [`ServerFrame::decode`], and old
     /// clients that only know the raw tags are never sent compressed
@@ -612,27 +638,21 @@ impl ServerFrame {
                 }
                 out
             }
-            ServerFrame::Keyframe {
-                seq,
-                width,
-                height,
-                pixels,
-            } => {
+            ServerFrame::Keyframe { seq, frame } => {
                 let mut out = Vec::new();
                 out.push(TAG_KEYFRAME_RLE);
                 put_u64(&mut out, *seq);
-                put_u32(&mut out, *width);
-                put_u32(&mut out, *height);
-                put_rle_pixels(&mut out, pixels, *width as usize);
+                put_u32(&mut out, frame.width() as u32);
+                put_u32(&mut out, frame.height() as u32);
+                put_rle_pixels(&mut out, frame.pixels(), frame.width() as usize);
                 out
             }
             other => return (other.encode(), Encoding::Raw),
         };
-        let raw = self.encode();
-        if rle.len() < raw.len() {
+        if rle.len() < self.wire_len() {
             (rle, Encoding::Rle)
         } else {
-            (raw, Encoding::Raw)
+            (self.encode(), Encoding::Raw)
         }
     }
 
@@ -646,7 +666,7 @@ impl ServerFrame {
             ServerFrame::Update { rects, .. } => {
                 1 + 8 + 4 + rects.iter().map(|p| 16 + p.pixels.len() * 4).sum::<usize>()
             }
-            ServerFrame::Keyframe { pixels, .. } => 1 + 8 + 4 + 4 + pixels.len() * 4,
+            ServerFrame::Keyframe { frame, .. } => 1 + 8 + 4 + 4 + frame.pixels().len() * 4,
             ServerFrame::Bye { reason } => 1 + 4 + reason.len(),
             ServerFrame::Error { message } => 1 + 4 + message.len(),
             ServerFrame::Stats { text, json } => 1 + 4 + text.len() + 4 + json.len(),
@@ -658,6 +678,13 @@ impl ServerFrame {
 mod tests {
     use super::*;
     use atk_wm::WindowEvent;
+
+    fn keyframe(seq: u64, width: i32, height: i32, pixels: Vec<u32>) -> ServerFrame {
+        ServerFrame::Keyframe {
+            seq,
+            frame: Arc::new(Framebuffer::from_pixels(width, height, pixels)),
+        }
+    }
 
     #[test]
     fn client_frames_round_trip() {
@@ -725,12 +752,7 @@ mod tests {
                     pixels: vec![1, 2, 3, 4, 5, 6],
                 }],
             },
-            ServerFrame::Keyframe {
-                seq: 9,
-                width: 2,
-                height: 2,
-                pixels: vec![0xAABBCC, 0, 1, 2],
-            },
+            keyframe(9, 2, 2, vec![0xAABBCC, 0, 1, 2]),
             ServerFrame::Bye {
                 reason: "idle".into(),
             },
@@ -776,12 +798,7 @@ mod tests {
         );
         assert_eq!(ServerFrame::decode(&bytes).unwrap(), update);
 
-        let key = ServerFrame::Keyframe {
-            seq: 3,
-            width: 64,
-            height: 48,
-            pixels: vec![0xABCDEFu32; 64 * 48],
-        };
+        let key = keyframe(3, 64, 48, vec![0xABCDEFu32; 64 * 48]);
         let (bytes, enc) = key.encode_packed();
         assert_eq!(enc, Encoding::Rle);
         assert_eq!(ServerFrame::decode(&bytes).unwrap(), key);
@@ -813,12 +830,7 @@ mod tests {
     #[test]
     fn hostile_rle_counts_error_not_panic() {
         // A valid compressed frame, then corrupt its run counts.
-        let key = ServerFrame::Keyframe {
-            seq: 0,
-            width: 8,
-            height: 8,
-            pixels: vec![7u32; 64],
-        };
+        let key = keyframe(0, 8, 8, vec![7u32; 64]);
         let (bytes, enc) = key.encode_packed();
         assert_eq!(enc, Encoding::Rle);
         // Truncations at every length.
@@ -850,13 +862,7 @@ mod tests {
 
     #[test]
     fn truncated_frames_error() {
-        let full = ServerFrame::Keyframe {
-            seq: 1,
-            width: 4,
-            height: 4,
-            pixels: vec![0; 16],
-        }
-        .encode();
+        let full = keyframe(1, 4, 4, vec![0; 16]).encode();
         for cut in 0..full.len() {
             assert!(
                 ServerFrame::decode(&full[..cut]).is_err(),

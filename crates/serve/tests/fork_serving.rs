@@ -1,14 +1,22 @@
 //! Serving out of template forks, observed from outside.
 //!
-//! Three promises from the fork fast path, each checked over the real
+//! Four promises from the fork fast path, each checked over the real
 //! wire: (1) a client that asks for the `awmsim` backend in its `Hello`
 //! gets a forked display-list session whose pixels match an in-process
 //! awmsim build; (2) a one-shard 512-session ramp storm pays exactly
 //! one cold template build and forks every session from it; (3) the
 //! `--no-fork` ablation really builds cold — zero forks, zero template
-//! builds — and still serves everyone.
+//! builds — and still serves everyone; (4) the keyframe a shard caches
+//! per template is byte for byte a fresh encode of a forked session.
 
-use atk_serve::{serve_differential, LoadConfig, LoadReport, Profile, Topology, Traffic};
+use std::sync::Arc;
+
+use atk_apps::TemplateRegistry;
+use atk_serve::{
+    serve_differential, ClientFrame, FrameTransport, HostedSession, LoadConfig, LoadReport,
+    MemTransport, Profile, Server, ServerConfig, ServerFrame, SessionConfig, Topology, Traffic,
+};
+use atk_trace::Collector;
 
 // A wire client asks for awmsim in its Hello; the shard forks an awmsim
 // session from a template and the shipped pixels must match an
@@ -84,4 +92,60 @@ fn no_fork_ablation_builds_every_session_cold() {
     let report = ramp_storm(64, false);
     assert_eq!(report.forks, Some(0));
     assert_eq!(report.template_builds, Some(0));
+}
+
+// The template keyframe cache: the second fig5 `Hello` on a shard
+// ships the bytes the first one encoded, and both must be exactly a
+// fresh `encode_frame` of a session forked from the same template.
+#[test]
+fn cached_keyframe_bytes_equal_a_fresh_encode_of_a_forked_session() {
+    let server = Server::start(ServerConfig::default(), 1);
+    let mut keyframes = Vec::new();
+    for _ in 0..2 {
+        let (mut client, server_half) = MemTransport::pair();
+        let hello = ClientFrame::Hello {
+            scene: "fig5".into(),
+            backend: None,
+        };
+        client.send(&hello.encode().unwrap()).unwrap();
+        assert!(server.admit(Box::new(server_half)).is_ok());
+        let welcome = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+        assert!(
+            matches!(welcome, ServerFrame::Welcome { .. }),
+            "{welcome:?}"
+        );
+        keyframes.push(client.recv().unwrap());
+        client.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
+        while !matches!(
+            ServerFrame::decode(&client.recv().unwrap()).unwrap(),
+            ServerFrame::Bye { .. }
+        ) {}
+    }
+    server.shutdown_shards();
+    assert_eq!(
+        server
+            .merged_snapshot()
+            .counter("serve.keyframe_cache_hits"),
+        1,
+        "the second fig5 Hello must be served from the cache"
+    );
+
+    let mut templates = TemplateRegistry::new(Arc::new(Collector::new()));
+    let mut session = HostedSession::open_with(
+        "fig5",
+        SessionConfig::default(),
+        Arc::new(Collector::new()),
+        Some(&mut templates),
+    )
+    .unwrap();
+    let initial = session.initial_keyframe();
+    let fresh = session.encode_frame(&initial);
+    assert!(
+        keyframes[1] == fresh,
+        "cached keyframe bytes differ from a fresh encode"
+    );
+    assert!(
+        keyframes[0] == fresh,
+        "first keyframe differs from a fresh encode"
+    );
 }

@@ -7,7 +7,7 @@
 //! order shuffling armed, so one equality proves shard count, fault
 //! schedules, and poll order all invisible at once. The only thing
 //! allowed to differ is the `serve.shard.*` scheduling plane (and the
-//! per-shard template cache builds), which
+//! marks of the per-shard template and keyframe caches), which
 //! `ServedRun::shard_invariant_counters` strips. Both runs fork their
 //! sessions, and the harness anchors each to the in-process
 //! `atk_check::Session` replay.

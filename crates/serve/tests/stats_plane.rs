@@ -1,7 +1,9 @@
 //! The server stats plane, end to end: the `Stats` wire reply must be
 //! exactly the sum of the per-session collector snapshots (differential
-//! against an independent merge), and the SLO watchdog's slow-frame
-//! dumps must be byte-deterministic under the manual clock.
+//! against an independent merge), the SLO watchdog's slow-frame
+//! dumps must be byte-deterministic under the manual clock, and the
+//! frame-path counters pin how many full-frame copies a session makes
+//! and how often a shard's template keyframe cache serves a `Hello`.
 
 use atk_core::ScriptStep;
 use atk_serve::{
@@ -179,6 +181,115 @@ fn slow_frame_dump_is_deterministic_under_manual_clock() {
     assert!(
         total >= stage_sum && total - stage_sum <= 16,
         "stages ({stage_sum}us) must account for ~all of the frame ({total}us): {line}"
+    );
+}
+
+/// Serves `sessions` fig5 sessions one after another on a one-shard
+/// server, each a focus click plus `keys` typed keys, one frame per
+/// step. Returns the server, every session's retired snapshot in
+/// admission order, and the shard plane.
+fn typing_sessions(
+    fork: bool,
+    sessions: usize,
+    keys: usize,
+) -> (Arc<Server>, Vec<Snapshot>, Snapshot) {
+    let cfg = ServerConfig {
+        fork,
+        retain_session_traces: true,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(cfg, 1);
+    for _ in 0..sessions {
+        let mut client = ServeClient::connect(server.connect_mem(None).unwrap(), "fig5").unwrap();
+        let mut steps = vec![
+            ScriptStep::Event(WindowEvent::left_down(70, 70)),
+            ScriptStep::Event(WindowEvent::left_up(70, 70)),
+        ];
+        steps.extend(
+            "typing"
+                .chars()
+                .cycle()
+                .take(keys)
+                .map(|c| ScriptStep::Event(WindowEvent::ch(c))),
+        );
+        for step in &steps {
+            client.step_sync(step).unwrap();
+        }
+        client.finish().unwrap();
+    }
+    // The last close lands after its `Bye`; wait for it.
+    while server.shard_loads() != [0] {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let sessions = server
+        .trace_parts()
+        .into_iter()
+        .filter(|(label, _)| label.starts_with("session-"))
+        .map(|(_, snap)| snap)
+        .collect();
+    let shard = server.shard_snapshots().remove(0);
+    (server, sessions, shard)
+}
+
+/// The copy budget: a fig5 session typing N keys makes one full-frame
+/// copy — its initial keyframe's, or, when it adopted the template's
+/// cached keyframe, its first update's — however many frames it ships,
+/// and forking does not change the count.
+#[test]
+fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
+    for fork in [true, false] {
+        let (_, sessions, _) = typing_sessions(fork, 3, 24);
+        assert_eq!(sessions.len(), 3);
+        for (k, snap) in sessions.iter().enumerate() {
+            assert!(
+                snap.counter("serve.frames") > 20,
+                "session {k}: one frame per step"
+            );
+            assert_eq!(
+                snap.counter("serve.frame_copies"),
+                1,
+                "fork={fork} session {k}: full-frame copies"
+            );
+        }
+    }
+}
+
+/// The template keyframe cache counts on the shard plane: the first
+/// fig5 `Hello` on a shard encodes the keyframe, every later one is a
+/// hit, and `--no-fork` admissions never touch the cache. A hit
+/// leaves the session's own keyframe counters as a miss left them.
+#[test]
+fn keyframe_cache_hits_count_on_the_shard_plane() {
+    let (server, sessions, shard) = typing_sessions(true, 3, 4);
+    assert_eq!(shard.counter("serve.keyframe_cache_hits"), 2);
+    assert_eq!(
+        server
+            .merged_snapshot()
+            .counter("serve.keyframe_cache_hits"),
+        2,
+        "no session plane counts hits"
+    );
+    for key in [
+        "serve.frames",
+        "serve.full_bytes",
+        "serve.encoded_bytes",
+        "serve.encode.rle",
+        "serve.encode.raw",
+    ] {
+        assert_eq!(
+            sessions[1].counter(key),
+            sessions[0].counter(key),
+            "{key}: the hit counts like the miss"
+        );
+    }
+
+    let (server, _, shard) = typing_sessions(false, 3, 4);
+    assert_eq!(shard.counter("serve.keyframe_cache_hits"), 0);
+    assert_eq!(
+        server
+            .merged_snapshot()
+            .counter("serve.keyframe_cache_hits"),
+        0
     );
 }
 

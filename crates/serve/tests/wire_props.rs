@@ -1,12 +1,22 @@
 //! Property tests over the wire protocol: every well-formed frame
-//! round-trips byte-exactly, and no byte sequence — truncated,
-//! corrupted, or pure noise — makes the decoder panic.
+//! round-trips byte-exactly, no byte sequence — truncated, corrupted,
+//! or pure noise — makes the decoder panic, and the packed encoder
+//! emits exactly what a straightforward reference encoder would.
+
+use std::sync::Arc;
 
 use atk_core::ScriptStep;
-use atk_graphics::{Point, Rect, Size};
-use atk_serve::wire::{ClientFrame, PatchRect, ServerFrame};
+use atk_graphics::{Framebuffer, Point, Rect, Size};
+use atk_serve::wire::{ClientFrame, Encoding, PatchRect, ServerFrame};
 use atk_wm::{Key, MouseAction, WindowEvent};
 use proptest::prelude::*;
+
+fn keyframe(seq: u64, width: i32, height: i32, pixels: Vec<u32>) -> ServerFrame {
+    ServerFrame::Keyframe {
+        seq,
+        frame: Arc::new(Framebuffer::from_pixels(width, height, pixels)),
+    }
+}
 
 fn arb_step() -> impl Strategy<Value = ScriptStep> {
     prop_oneof![
@@ -74,15 +84,15 @@ fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
         Just(ServerFrame::Busy),
         (any::<u64>(), proptest::collection::vec(arb_patch(), 0..6))
             .prop_map(|(seq, rects)| ServerFrame::Update { seq, rects }),
-        (any::<u64>(), 1u32..48, 1u32..48, any::<u32>()).prop_map(|(seq, width, height, fill)| {
-            ServerFrame::Keyframe {
+        (any::<u64>(), 1i32..48, 1i32..48, any::<u32>()).prop_map(|(seq, width, height, fill)| {
+            keyframe(
                 seq,
                 width,
                 height,
-                pixels: (0..(width * height) as usize)
+                (0..(width * height) as usize)
                     .map(|i| fill.wrapping_add(i as u32))
                     .collect(),
-            }
+            )
         }),
         "\\PC{0,40}".prop_map(|reason| ServerFrame::Bye { reason }),
         "\\PC{0,40}".prop_map(|message| ServerFrame::Error { message }),
@@ -90,8 +100,137 @@ fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
     ]
 }
 
+/// A screen-shaped pixel grid `(width, height, pixels)`: rows drawn
+/// from a four-row palette, half of them repeating the row above, so
+/// the encoder's equal-row path runs often. `shape` 0 forces width 0
+/// (no pixels at all), 1 forces a single row; `min` is the smallest
+/// width and height otherwise.
+fn arb_grid(min: i32) -> impl Strategy<Value = (i32, i32, Vec<u32>)> {
+    (
+        0u8..8,
+        1i32..40,
+        proptest::collection::vec(any::<u32>(), 4..5),
+        proptest::collection::vec(0u8..8, 0..40),
+    )
+        .prop_map(move |(shape, width, seeds, picks)| {
+            let width = if shape == 0 { 0 } else { width.max(min) };
+            let height = if shape == 1 {
+                1
+            } else {
+                (picks.len() as i32).max(min)
+            };
+            let palette: Vec<Vec<u32>> = seeds
+                .iter()
+                .map(|&seed| {
+                    (0..width as u32)
+                        .map(|x| if (x + seed) % 5 == 0 { seed } else { 0xFFFFFF })
+                        .collect()
+                })
+                .collect();
+            let mut pixels = Vec::with_capacity((width * height) as usize);
+            let mut prev = 0usize;
+            for y in 0..height as usize {
+                let pick = picks.get(y).copied().unwrap_or(4) as usize;
+                // Picks 4..8 repeat the row above.
+                if pick < 4 {
+                    prev = pick;
+                }
+                pixels.extend_from_slice(&palette[prev]);
+            }
+            (width, height, pixels)
+        })
+}
+
+fn arb_packed_frame() -> impl Strategy<Value = ServerFrame> {
+    prop_oneof![
+        (any::<u64>(), arb_grid(0))
+            .prop_map(|(seq, (width, height, pixels))| keyframe(seq, width, height, pixels)),
+        (
+            any::<u64>(),
+            proptest::collection::vec((0i32..500, 0i32..500, arb_grid(1)), 0..4),
+        )
+            .prop_map(|(seq, patches)| ServerFrame::Update {
+                seq,
+                rects: patches
+                    .into_iter()
+                    .map(|(x, y, (w, h, pixels))| PatchRect {
+                        rect: Rect::new(x, y, w, h),
+                        pixels,
+                    })
+                    .collect(),
+            }),
+    ]
+}
+
+/// The reference RLE block: the row-delta + run-length layout written
+/// one pixel at a time, with no equal-row shortcut.
+fn reference_rle_block(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for (i, &p) in pixels.iter().enumerate() {
+        let delta = if width > 0 && i >= width {
+            p ^ pixels[i - width]
+        } else {
+            p
+        };
+        match pairs.last_mut() {
+            Some((count, value)) if *value == delta => *count += 1,
+            _ => pairs.push((1, delta)),
+        }
+    }
+    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+    for (count, value) in pairs {
+        out.extend_from_slice(&count.to_le_bytes());
+        out.extend_from_slice(&value.to_le_bytes());
+    }
+}
+
+/// The reference encoder decision: build both bodies, keep the smaller
+/// (raw on a tie).
+fn reference_packed(frame: &ServerFrame) -> (Vec<u8>, Encoding) {
+    let raw = frame.encode();
+    let mut rle = Vec::new();
+    match frame {
+        ServerFrame::Update { seq, rects } => {
+            rle.push(0x88);
+            rle.extend_from_slice(&seq.to_le_bytes());
+            rle.extend_from_slice(&(rects.len() as u32).to_le_bytes());
+            for patch in rects {
+                let r = patch.rect;
+                for v in [r.x, r.y, r.width, r.height] {
+                    rle.extend_from_slice(&(v as u32).to_le_bytes());
+                }
+                reference_rle_block(&mut rle, &patch.pixels, r.width as usize);
+            }
+        }
+        ServerFrame::Keyframe { seq, frame } => {
+            rle.push(0x89);
+            rle.extend_from_slice(&seq.to_le_bytes());
+            rle.extend_from_slice(&(frame.width() as u32).to_le_bytes());
+            rle.extend_from_slice(&(frame.height() as u32).to_le_bytes());
+            reference_rle_block(&mut rle, frame.pixels(), frame.width() as usize);
+        }
+        _ => return (raw, Encoding::Raw),
+    }
+    if rle.len() < raw.len() {
+        (rle, Encoding::Rle)
+    } else {
+        (raw, Encoding::Raw)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(600))]
+
+    // The packed encoder builds only the body that ships and takes an
+    // equal-row shortcut; neither may change a byte of what the
+    // build-both reference picks, on screen-shaped frames or on any
+    // other frame.
+    #[test]
+    fn packed_encoder_matches_the_build_both_reference(
+        frame in prop_oneof![arb_packed_frame(), arb_server_frame()],
+    ) {
+        prop_assert_eq!(frame.encode_packed(), reference_packed(&frame));
+    }
 
     #[test]
     fn client_frames_round_trip(frame in arb_client_frame()) {
@@ -155,12 +294,7 @@ proptest! {
         height in 8u32..64,
         fill in any::<u32>(),
     ) {
-        let frame = ServerFrame::Keyframe {
-            seq,
-            width,
-            height,
-            pixels: vec![fill; (width * height) as usize],
-        };
+        let frame = keyframe(seq, width as i32, height as i32, vec![fill; (width * height) as usize]);
         let (bytes, encoding) = frame.encode_packed();
         prop_assert_eq!(encoding, atk_serve::Encoding::Rle);
         prop_assert!(bytes.len() * 2 < frame.wire_len(), "flat frame barely compressed");
