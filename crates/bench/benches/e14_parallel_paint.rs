@@ -9,6 +9,10 @@
 //!   in-memory transport with the per-frame raw-vs-RLE wire encoder
 //!   on (`rle`) vs pinned raw (`raw`); the pair is the encoder
 //!   ablation.
+//! * `diff/` — diffing one fig5 keystroke's frame against the frame
+//!   before it, over the whole 560×560 frame (`full`) vs over the rect
+//!   the window reports written (`written`), which is what serving
+//!   runs. Both build the same region.
 //!
 //! Headlines printed outside criterion: the paint speedup at 4
 //! threads (bar: ≥1.5× on fig5-sized damage) and the typing-profile
@@ -18,9 +22,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use atk_apps::scenes::build_scene;
 use atk_graphics::{Color, FontDesc, Framebuffer, Point, RasterOp, Rect};
 use atk_serve::{run_loadgen_mem, LoadConfig, Profile};
 use atk_wm::paint::{replay_bands_timed, replay_parallel, replay_serial, DrawOp, PaintCmd};
+use atk_wm::WindowEvent;
 
 /// Fig5's window is 560×560; one full-window repaint of a compound
 /// document is on the order of a few hundred resolved primitives.
@@ -124,6 +130,44 @@ fn bench_paint(c: &mut Criterion) {
     g.finish();
 }
 
+/// One fig5 keystroke, as serving sees it: the frame before and after
+/// typing a character into the focused text view (which already holds
+/// a few words), and the rect the window reports written in between.
+fn fig5_keystroke() -> (Framebuffer, Framebuffer, Rect) {
+    let mut scene = build_scene("fig5", "x11sim").unwrap();
+    let (world, im) = (&mut scene.world, &mut scene.im);
+    let mut events = vec![WindowEvent::left_down(70, 70), WindowEvent::left_up(70, 70)];
+    events.extend("a few words ".chars().map(WindowEvent::ch));
+    for ev in events {
+        im.window_mut().post_event(ev);
+        im.pump(world);
+    }
+    let before = im.snapshot().unwrap();
+    let _ = im.window_mut().take_written();
+    im.window_mut().post_event(WindowEvent::ch('x'));
+    im.pump(world);
+    let written = im.window_mut().take_written().unwrap();
+    let after = im.snapshot().unwrap();
+    let full = before.diff_region_within(&after, after.bounds());
+    assert!(
+        full.as_ref().is_some_and(|d| !d.is_empty()),
+        "the keystroke drew"
+    );
+    assert_eq!(before.diff_region_within(&after, written), full);
+    (before, after, written)
+}
+
+fn bench_diff(c: &mut Criterion) {
+    let (before, after, written) = fig5_keystroke();
+    let mut g = c.benchmark_group("e14/diff");
+    for (label, within) in [("full", after.bounds()), ("written", written)] {
+        g.bench_function(BenchmarkId::from_parameter(label), |b| {
+            b.iter(|| before.diff_region_within(black_box(&after), black_box(within)))
+        });
+    }
+    g.finish();
+}
+
 fn typing_cfg(encode: bool) -> LoadConfig {
     let mut cfg = LoadConfig {
         sessions: 4,
@@ -213,6 +257,26 @@ fn print_headline() {
         );
     }
 
+    let (before, after, written) = fig5_keystroke();
+    let diff_us = |within: Rect| -> f64 {
+        let mut samples = Vec::with_capacity(31);
+        for _ in 0..31 {
+            let t0 = Instant::now();
+            black_box(before.diff_region_within(&after, within));
+            samples.push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+        samples.sort_by(|a, b| a.total_cmp(b));
+        samples[samples.len() / 2]
+    };
+    println!(
+        "e14 headline: fig5 keystroke diff: full {W}x{H} {:.1} us vs written \
+         {}x{} {:.1} us",
+        diff_us(after.bounds()),
+        written.width,
+        written.height,
+        diff_us(written)
+    );
+
     let rle = run_loadgen_mem(&typing_cfg(true)).unwrap();
     assert!(rle.errors.is_empty(), "{:?}", rle.errors);
     println!(
@@ -225,6 +289,7 @@ fn print_headline() {
 fn benches_with_headline(c: &mut Criterion) {
     print_headline();
     bench_paint(c);
+    bench_diff(c);
     bench_encode(c);
 }
 

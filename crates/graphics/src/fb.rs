@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use crate::color::Color;
 use crate::geom::{Point, Rect};
-use crate::region::Region;
+use crate::region::{Region, RowSpans};
 
 /// How a blit combines source and destination pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -626,38 +626,45 @@ impl Framebuffer {
         &self.pixels
     }
 
-    /// The region where `self` and `other` differ, as row spans merged
-    /// through the band algebra (vertically adjacent equal spans
-    /// coalesce into one band rect). Returns `None` when the buffers
-    /// have different dimensions — there is no meaningful diff across a
-    /// resize, callers should fall back to shipping the whole frame.
-    pub fn diff_region(&self, other: &Framebuffer) -> Option<Region> {
+    /// The region where `self` and `other` differ inside `within`
+    /// (clamped to the bounds; pass [`Framebuffer::bounds`] for the
+    /// whole frame). Pixels outside `within` are never read, so a
+    /// caller that knows every difference lies inside it gets the
+    /// same region a full scan would, at the cost of the rect.
+    ///
+    /// Each row's maximal differing spans come out y/x-sorted,
+    /// disjoint and non-adjacent, so the canonical banded region is
+    /// built in the same pass: a row with the previous row's
+    /// x-structure extends that band. Returns `None` when the buffers
+    /// have different dimensions — there is no meaningful diff across
+    /// a resize, callers should fall back to shipping the whole frame.
+    pub fn diff_region_within(&self, other: &Framebuffer, within: Rect) -> Option<Region> {
         if self.width != other.width || self.height != other.height {
             return None;
         }
-        let w = self.width as usize;
-        let mut spans = Vec::new();
-        for y in 0..self.height {
-            let row = y as usize * w;
-            let a = &self.pixels[row..row + w];
-            let b = &other.pixels[row..row + w];
+        let r = within.intersect(self.bounds());
+        let mut out = RowSpans::default();
+        let (x0, x1) = (r.x as usize, r.right() as usize);
+        for y in r.y..r.bottom() {
+            let a = &self.row(y)[x0..x1];
+            let b = &other.row(y)[x0..x1];
             if a == b {
                 continue;
             }
-            let mut x = 0usize;
-            while x < w {
-                if a[x] == b[x] {
-                    x += 1;
-                    continue;
-                }
-                let start = x;
-                while x < w && a[x] != b[x] {
-                    x += 1;
-                }
-                spans.push(Rect::new(start as i32, y, (x - start) as i32, 1));
+            let mut x = 0;
+            while let Some(d) = a[x..].iter().zip(&b[x..]).position(|(p, q)| p != q) {
+                let start = x + d;
+                let len = a[start..]
+                    .iter()
+                    .zip(&b[start..])
+                    .position(|(p, q)| p == q)
+                    .unwrap_or(a.len() - start);
+                out.push((x0 + start) as i32, y, len as i32);
+                x = start + len;
             }
+            out.end_row();
         }
-        Some(Region::from_rects(spans))
+        Some(out.finish())
     }
 }
 
@@ -882,7 +889,7 @@ mod tests {
     fn diff_region_of_identical_buffers_is_empty() {
         let a = Framebuffer::new(8, 8, Color::WHITE);
         let b = a.clone();
-        assert!(a.diff_region(&b).unwrap().is_empty());
+        assert!(a.diff_region_within(&b, a.bounds()).unwrap().is_empty());
     }
 
     #[test]
@@ -890,7 +897,7 @@ mod tests {
         let a = Framebuffer::new(16, 16, Color::WHITE);
         let mut b = a.clone();
         b.fill_rect(Rect::new(3, 2, 5, 4), Color::BLACK);
-        let diff = a.diff_region(&b).unwrap();
+        let diff = a.diff_region_within(&b, a.bounds()).unwrap();
         assert_eq!(diff.rects(), &[Rect::new(3, 2, 5, 4)]);
         assert_eq!(diff.area(), 20);
     }
@@ -903,7 +910,7 @@ mod tests {
         b.set(1, 0, Color::BLACK);
         b.set(9, 0, Color::BLACK);
         b.set(4, 2, Color::BLACK);
-        let diff = a.diff_region(&b).unwrap();
+        let diff = a.diff_region_within(&b, a.bounds()).unwrap();
         assert_eq!(diff.area(), 4);
         assert!(diff.contains(Point::new(9, 0)));
         assert!(diff.contains(Point::new(4, 2)));
@@ -966,7 +973,7 @@ mod tests {
     fn diff_region_rejects_size_mismatch() {
         let a = Framebuffer::new(4, 4, Color::WHITE);
         let b = Framebuffer::new(5, 4, Color::WHITE);
-        assert!(a.diff_region(&b).is_none());
+        assert!(a.diff_region_within(&b, a.bounds()).is_none());
     }
 
     #[test]
@@ -1033,5 +1040,136 @@ mod tests {
             band.fill_rect(Rect::new(0, 0, 32, 24), Color::BLACK);
         }
         assert_eq!(whole, banded);
+    }
+}
+
+/// The one-pass diff against the reference construction: every
+/// maximal differing row span of a full per-pixel scan, unioned
+/// through [`Region::from_rects`]. The banded form is canonical, so
+/// the two must be structurally equal, not merely cover the same
+/// pixels.
+#[cfg(test)]
+mod diff_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn reference(a: &Framebuffer, b: &Framebuffer) -> Region {
+        let mut spans = Vec::new();
+        for y in 0..a.height() {
+            let mut x = 0;
+            while x < a.width() {
+                if a.get(x, y) == b.get(x, y) {
+                    x += 1;
+                    continue;
+                }
+                let start = x;
+                while x < a.width() && a.get(x, y) != b.get(x, y) {
+                    x += 1;
+                }
+                spans.push(Rect::new(start, y, x - start, 1));
+            }
+        }
+        Region::from_rects(spans)
+    }
+
+    /// Asserts the one-pass diff equals the reference over the whole
+    /// frame and over the tightest rect covering the differences.
+    fn check(a: &Framebuffer, b: &Framebuffer) {
+        let want = reference(a, b);
+        assert_eq!(a.diff_region_within(b, a.bounds()).unwrap(), want);
+        let tight = a.diff_region_within(b, want.bounding_box()).unwrap();
+        assert_eq!(tight, want);
+    }
+
+    /// A frame pair of the given size whose second frame differs from
+    /// the first on pixels where `mark(x, y)` holds.
+    fn pair(w: i32, h: i32, mark: impl Fn(i32, i32) -> bool) -> (Framebuffer, Framebuffer) {
+        let a = Framebuffer::new(w, h, Color::WHITE);
+        let mut b = a.clone();
+        for y in 0..h {
+            for x in 0..w {
+                if mark(x, y) {
+                    b.set(x, y, Color::BLACK);
+                }
+            }
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn empty_frames_diff_to_nothing() {
+        for (w, h) in [(0, 0), (0, 7), (7, 0)] {
+            let (a, b) = pair(w, h, |_, _| true);
+            let d = a.diff_region_within(&b, Rect::new(-3, -3, 20, 20)).unwrap();
+            assert!(d.is_empty(), "{w}x{h}");
+            check(&a, &b);
+        }
+    }
+
+    #[test]
+    fn a_frame_that_differs_everywhere_is_one_rect() {
+        let (a, b) = pair(13, 9, |_, _| true);
+        check(&a, &b);
+        assert_eq!(
+            a.diff_region_within(&b, a.bounds()).unwrap().rects(),
+            &[a.bounds()]
+        );
+    }
+
+    #[test]
+    fn alternating_pixels_make_many_spans_per_row() {
+        // Checkerboard: every row has width/2 spans and alternates
+        // structure with its neighbours, so no two rows share a band.
+        let (a, b) = pair(31, 12, |x, y| (x + y) % 2 == 0);
+        check(&a, &b);
+        // Column stripes: every row has the same structure, so all
+        // rows coalesce into one band of tall rects.
+        let (a, b) = pair(31, 12, |x, _| x % 2 == 1);
+        check(&a, &b);
+        let d = a.diff_region_within(&b, a.bounds()).unwrap();
+        assert_eq!(d.rects().len(), 15);
+        assert!(d.rects().iter().all(|r| r.height == 12));
+    }
+
+    #[test]
+    fn pixels_outside_the_rect_are_not_compared() {
+        let (a, b) = pair(10, 10, |x, y| (x, y) == (1, 1) || (x, y) == (8, 8));
+        let d = a.diff_region_within(&b, Rect::new(0, 0, 5, 5)).unwrap();
+        assert_eq!(d.rects(), &[Rect::new(1, 1, 1, 1)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sparse, dense and blocky differences on random
+        /// sizes; `within` is any rect covering every difference.
+        #[test]
+        fn one_pass_diff_equals_from_rects(
+            w in 0i32..40,
+            h in 0i32..30,
+            dots in proptest::collection::vec((0i32..40, 0i32..30, 1u32..4), 0..60),
+            blocks in proptest::collection::vec((0i32..40, 0i32..30, 1i32..12, 1i32..8), 0..4),
+            pad in (0i32..6, 0i32..6, 0i32..6, 0i32..6),
+        ) {
+            let a = Framebuffer::new(w, h, Color::WHITE);
+            let mut b = a.clone();
+            for (x, y, c) in dots {
+                b.set(x, y, Color(c));
+            }
+            for (x, y, bw, bh) in blocks {
+                b.fill_rect(Rect::new(x, y, bw, bh), Color(7));
+            }
+            let want = reference(&a, &b);
+            let bb = want.bounding_box();
+            let within = Rect::new(
+                bb.x - pad.0,
+                bb.y - pad.1,
+                bb.width + pad.0 + pad.2,
+                bb.height + pad.1 + pad.3,
+            );
+            let within = if want.is_empty() { Rect::new(pad.0, pad.1, pad.2, pad.3) } else { within };
+            prop_assert_eq!(a.diff_region_within(&b, within).unwrap(), want.clone());
+            prop_assert_eq!(a.diff_region_within(&b, a.bounds()).unwrap(), want);
+        }
     }
 }

@@ -158,6 +158,9 @@ impl ServedRun {
     /// that adopted a cached keyframe copies its baseline at its first
     /// update instead of at the keyframe, or never if it ships none.
     /// `world.forks` stays: one fork per session, whatever the layout.
+    /// So does `serve.diff_px`: every session clears its window's
+    /// written bounds at its first keyframe, copied or adopted from the
+    /// cache, so the pixels its diffs compare follow its own drawing.
     pub fn shard_invariant_counters(&self) -> Vec<(&'static str, u64)> {
         const PLACEMENT: [&str; 3] = [
             "world.template_builds",

@@ -19,7 +19,7 @@ use std::time::Instant;
 use atk_apps::scenes::build_scene;
 use atk_collab::{Attachment, Doc, Op};
 use atk_core::{InteractionManager, ScriptStep, StepDriver, World};
-use atk_graphics::Framebuffer;
+use atk_graphics::{Framebuffer, Rect};
 use atk_trace::{Collector, FrameLog, FrameTrace, SlowFrameLog, Stage};
 use atk_wm::{MouseAction, WindowEvent};
 
@@ -553,8 +553,11 @@ impl HostedSession {
         self.ship_keyframe(fb)
     }
 
-    /// Makes `fb` the diff baseline and wraps it as the keyframe to ship.
+    /// Makes `fb` — equal to the screen — the diff baseline and wraps
+    /// it as the keyframe to ship. The window's written bounds restart
+    /// empty: nothing differs from the new baseline yet.
     fn ship_keyframe(&mut self, fb: Arc<Framebuffer>) -> ServerFrame {
+        let _ = self.im.window_mut().take_written();
         self.shipped = Some(Arc::clone(&fb));
         self.frames_since_key = 0;
         let frame = ServerFrame::Keyframe {
@@ -636,21 +639,34 @@ impl HostedSession {
         if self.frames_since_key >= self.cfg.keyframe_every {
             return self.keyframe();
         }
+        // Everything drawn since the baseline last equalled the screen
+        // lies inside the window's written bounds (`None`: the backend
+        // does not track them, so diff the whole frame). Taking them
+        // here clears them, and every plan below leaves the baseline
+        // equal to the screen again.
+        let written = self.im.window_mut().take_written();
         // Diff against a *borrow* of the backend framebuffer when the
         // window offers one — a no-change batch then costs one compare
         // and zero clones. Backends without `with_frame` fall back to
         // the snapshot clone.
         let shipped = &self.shipped;
+        let collector = &self.collector;
         let budget = self.cfg.dirty_budget_bytes;
         let mut plan = None;
         let borrowed = self.im.window_mut().with_frame(&mut |cur| {
-            plan = Some(plan_update(shipped.as_deref(), cur, budget));
+            plan = Some(plan_update(
+                shipped.as_deref(),
+                cur,
+                written,
+                budget,
+                collector,
+            ));
         });
         let plan = if borrowed {
             plan.expect("with_frame ran the closure")
         } else {
             let cur = self.current_fb();
-            plan_update(self.shipped.as_deref(), &cur, budget)
+            plan_update(self.shipped.as_deref(), &cur, written, budget, collector)
         };
         match plan {
             Plan::Keyframe => self.keyframe(),
@@ -757,17 +773,27 @@ enum Plan {
     Update(Vec<PatchRect>),
 }
 
-/// Diff-or-degrade decision against the shipped baseline. `budget` is
-/// the dirty-byte ceiling; the estimate below is exactly the update
-/// frame's wire length (13-byte header, 16 bytes per rect header,
-/// 4 bytes per pixel), so the stats plane and the budget agree.
-fn plan_update(shipped: Option<&Framebuffer>, cur: &Framebuffer, budget: usize) -> Plan {
-    let diff = match shipped.and_then(|prev| prev.diff_region(cur)) {
+/// Diff-or-degrade decision against the shipped baseline, comparing
+/// only the `written` rect (the whole frame when `None`) and counting
+/// the pixels compared in `serve.diff_px`. `budget` is the dirty-byte
+/// ceiling; the estimate below is exactly the update frame's wire
+/// length (13-byte header, 16 bytes per rect header, 4 bytes per
+/// pixel), so the stats plane and the budget agree.
+fn plan_update(
+    shipped: Option<&Framebuffer>,
+    cur: &Framebuffer,
+    written: Option<Rect>,
+    budget: usize,
+    collector: &Collector,
+) -> Plan {
+    let within = written.map_or(cur.bounds(), |r| r.intersect(cur.bounds()));
+    let diff = match shipped.and_then(|prev| prev.diff_region_within(cur, within)) {
         Some(region) => region,
         // Size changed (resize) — no diff across that. Same when no
         // baseline exists yet.
         None => return Plan::Keyframe,
     };
+    collector.count("serve.diff_px", within.area() as u64);
     if diff.is_empty() {
         return Plan::Unchanged;
     }
@@ -1010,9 +1036,25 @@ mod tests {
 
     /// Runs `steps` one batch each on a fresh fig5 session and checks,
     /// after every shipped frame, that the diff baseline patched in
-    /// place equals the screen. Returns (updates, keyframes) shipped
-    /// after the initial keyframe.
+    /// place equals the screen — at one paint thread (immediate
+    /// drawing) and at four (recorded drawing, flushed in bands), the
+    /// two ways drawing marks the written bounds the diff is confined
+    /// to. Returns (updates, keyframes) shipped after the initial
+    /// keyframe, which both thread counts must agree on.
     fn baseline_tracks_screen(cfg: SessionConfig, steps: &[ScriptStep]) -> (usize, usize) {
+        let serial = baseline_tracks_screen_at(cfg.clone(), steps);
+        let banded = baseline_tracks_screen_at(
+            SessionConfig {
+                paint_threads: 4,
+                ..cfg
+            },
+            steps,
+        );
+        assert_eq!(serial, banded, "(updates, keyframes) at 1 vs 4 threads");
+        serial
+    }
+
+    fn baseline_tracks_screen_at(cfg: SessionConfig, steps: &[ScriptStep]) -> (usize, usize) {
         let collector = Arc::new(Collector::new());
         let mut s = HostedSession::open("fig5", cfg, collector).unwrap();
         let _ = s.initial_keyframe();

@@ -8,7 +8,7 @@
 //! thread and never moves (it is deliberately `!Send`).
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -120,11 +120,23 @@ impl FrameTransport for TcpTransport {
                 "frame too large to send",
             ));
         }
-        // Blocking: `write_all` on a non-blocking socket fails with
+        // Blocking: a write on a non-blocking socket fails with
         // `WouldBlock` once a large frame fills the send buffer.
         self.set_nonblocking(false)?;
-        self.stream.write_all(&(body.len() as u32).to_le_bytes())?;
-        self.stream.write_all(body)?;
+        // Prefix and body go out in one vectored write (looping only
+        // on a short write), so with TCP_NODELAY a small frame leaves
+        // as one segment and the peer never wakes for the prefix alone.
+        let prefix = (body.len() as u32).to_le_bytes();
+        let mut parts = [IoSlice::new(&prefix), IoSlice::new(body)];
+        let mut rest = &mut parts[..];
+        while !rest.is_empty() {
+            match self.stream.write_vectored(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         self.stream.flush()
     }
 
@@ -302,6 +314,24 @@ mod tests {
     }
 
     #[test]
+    fn tcp_vectored_send_frames_empty_and_tiny_bodies() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut t = TcpTransport::new(TcpStream::connect(addr).unwrap());
+            for body in [&b""[..], b"x", b"", b"yz"] {
+                t.send(body).unwrap();
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut server = TcpTransport::new(stream);
+        for want in [&b""[..], b"x", b"", b"yz"] {
+            assert_eq!(server.recv().unwrap(), want);
+        }
+        client.join().unwrap();
+    }
+
+    #[test]
     fn tcp_send_after_try_recv_blocks_through_a_large_frame() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -311,7 +341,7 @@ mod tests {
             let mut t = TcpTransport::new(TcpStream::connect(addr).unwrap());
             t.send(b"poke").unwrap();
             // Read slowly, so the server's send buffer fills up and its
-            // `write_all` must wait rather than fail with `WouldBlock`.
+            // writes must wait rather than fail with `WouldBlock`.
             std::thread::sleep(std::time::Duration::from_millis(50));
             t.recv().unwrap()
         });

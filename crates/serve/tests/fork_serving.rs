@@ -7,16 +7,20 @@
 //! one cold template build and forks every session from it; (3) the
 //! `--no-fork` ablation really builds cold — zero forks, zero template
 //! builds — and still serves everyone; (4) the keyframe a shard caches
-//! per template is byte for byte a fresh encode of a forked session.
+//! per template is byte for byte a fresh encode of a forked session,
+//! and the updates a session that adopted it ships are byte for byte a
+//! cold session's.
 
 use std::sync::Arc;
 
 use atk_apps::TemplateRegistry;
+use atk_core::ScriptStep;
 use atk_serve::{
     serve_differential, ClientFrame, FrameTransport, HostedSession, LoadConfig, LoadReport,
     MemTransport, Profile, Server, ServerConfig, ServerFrame, SessionConfig, Topology, Traffic,
 };
 use atk_trace::Collector;
+use atk_wm::WindowEvent;
 
 // A wire client asks for awmsim in its Hello; the shard forks an awmsim
 // session from a template and the shipped pixels must match an
@@ -148,4 +152,91 @@ fn cached_keyframe_bytes_equal_a_fresh_encode_of_a_forked_session() {
         keyframes[0] == fresh,
         "first keyframe differs from a fresh encode"
     );
+}
+
+/// Serves one fig5 conversation — focus click, then `text` typed —
+/// one step at a time, so every step ships exactly one frame, and
+/// returns the encoded pixel frames (the keyframe, then one per step).
+fn typed_frames(server: &Server, text: &str) -> Vec<Vec<u8>> {
+    let (mut client, server_half) = MemTransport::pair();
+    let hello = ClientFrame::Hello {
+        scene: "fig5".into(),
+        backend: None,
+    };
+    client.send(&hello.encode().unwrap()).unwrap();
+    assert!(server.admit(Box::new(server_half)).is_ok());
+    let welcome = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+    assert!(
+        matches!(welcome, ServerFrame::Welcome { .. }),
+        "{welcome:?}"
+    );
+    let mut frames = vec![client.recv().unwrap()];
+    let mut steps = vec![
+        ScriptStep::Event(WindowEvent::left_down(70, 70)),
+        ScriptStep::Event(WindowEvent::left_up(70, 70)),
+    ];
+    steps.extend(text.chars().map(|c| ScriptStep::Event(WindowEvent::ch(c))));
+    for step in steps {
+        client
+            .send(&ClientFrame::Step(step).encode().unwrap())
+            .unwrap();
+        frames.push(client.recv().unwrap());
+    }
+    client.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
+    while !matches!(
+        ServerFrame::decode(&client.recv().unwrap()).unwrap(),
+        ServerFrame::Bye { .. }
+    ) {}
+    for bytes in &frames {
+        let frame = ServerFrame::decode(bytes).unwrap();
+        assert!(
+            matches!(
+                frame,
+                ServerFrame::Keyframe { .. } | ServerFrame::Update { .. }
+            ),
+            "{frame:?}"
+        );
+    }
+    frames
+}
+
+// A keyframe-cache hit diffs against the cached frame, inside the
+// written bounds it cleared when it adopted that frame. A write the
+// bounds missed, or a clear while the baseline differed from the
+// screen, would drop pixels from its updates without any error, so
+// the hit's shipped bytes must equal a cold session's, frame for frame.
+#[test]
+fn a_cache_hit_session_ships_the_updates_of_a_cold_one() {
+    let text = "cache hit types";
+    let forked = Server::start(ServerConfig::default(), 1);
+    let _miss = typed_frames(&forked, text);
+    let hit = typed_frames(&forked, text);
+    forked.shutdown_shards();
+    assert_eq!(
+        forked
+            .merged_snapshot()
+            .counter("serve.keyframe_cache_hits"),
+        1,
+        "the second session must adopt the cached keyframe"
+    );
+
+    let cold_cfg = ServerConfig {
+        fork: false,
+        ..ServerConfig::default()
+    };
+    let cold_server = Server::start(cold_cfg, 1);
+    let cold = typed_frames(&cold_server, text);
+    cold_server.shutdown_shards();
+
+    assert_eq!(hit.len(), cold.len(), "frames shipped");
+    assert!(
+        hit.len() > text.len(),
+        "one frame per step plus the keyframe"
+    );
+    for (i, (h, c)) in hit.iter().zip(&cold).enumerate() {
+        assert!(
+            h == c,
+            "frame {i} differs between the cache hit and the cold session"
+        );
+    }
 }

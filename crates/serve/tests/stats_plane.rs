@@ -2,14 +2,16 @@
 //! exactly the sum of the per-session collector snapshots (differential
 //! against an independent merge), the SLO watchdog's slow-frame
 //! dumps must be byte-deterministic under the manual clock, and the
-//! frame-path counters pin how many full-frame copies a session makes
-//! and how often a shard's template keyframe cache serves a `Hello`.
+//! frame-path counters pin how many full-frame copies a session makes,
+//! how many pixels its diffs compare, and how often a shard's template
+//! keyframe cache serves a `Hello`.
 
 use atk_core::ScriptStep;
 use atk_serve::{
-    ClientFrame, MemTransport, ServeClient, Server, ServerConfig, ServerFrame, SessionConfig,
+    ClientFrame, HostedSession, MemTransport, ServeClient, Server, ServerConfig, ServerFrame,
+    SessionConfig,
 };
-use atk_trace::{snapshot_json, text_summary, validate_json, Snapshot, Stage};
+use atk_trace::{snapshot_json, text_summary, validate_json, Collector, Snapshot, Stage};
 use atk_wm::WindowEvent;
 use std::sync::Arc;
 use std::thread;
@@ -252,6 +254,39 @@ fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
             );
         }
     }
+}
+
+/// The diff costs what was drawn: each frame compares only the rect
+/// the window reports written since the baseline last equalled the
+/// screen, so a fig5 typing session compares under a tenth of the
+/// pixels a full-frame scan per frame would. A keystroke redraws one
+/// 546×20 text line; the focus click and a line wrap redraw most of
+/// the frame, which the 48 keys amortize. The count follows the
+/// session's drawing alone: a cold session, a template-cache miss and
+/// a cache hit (which must clear the bounds when it adopts the cached
+/// keyframe) all compare the same pixels.
+#[test]
+fn a_typing_session_diffs_only_what_it_drew() {
+    let (w, h) = HostedSession::open("fig5", SessionConfig::default(), Arc::new(Collector::new()))
+        .unwrap()
+        .size();
+    let mut compared = Vec::new();
+    for fork in [true, false] {
+        let (_, sessions, _) = typing_sessions(fork, 2, 48);
+        for (k, snap) in sessions.iter().enumerate() {
+            let full = snap.counter("serve.frames") * u64::from(w) * u64::from(h);
+            let px = snap.counter("serve.diff_px");
+            assert!(
+                px > 0 && px * 10 < full,
+                "fork={fork} session {k}: compared {px} of {full} pixels"
+            );
+            compared.push(px);
+        }
+    }
+    assert!(
+        compared.iter().all(|&px| px == compared[0]),
+        "pixels compared, per session (forked miss, forked hit, cold, cold): {compared:?}"
+    );
 }
 
 /// The template keyframe cache counts on the shard plane: the first

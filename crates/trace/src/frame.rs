@@ -35,7 +35,7 @@ pub enum Stage {
     Settle,
     /// The update pass: damage → draw.
     Paint,
-    /// Damage banding / frame assembly (`diff_region` or keyframe
+    /// Damage banding / frame assembly (`diff_region_within` or keyframe
     /// pixel copy).
     Diff,
     /// Encode and socket write of the outgoing frame.

@@ -142,6 +142,17 @@ pub trait Window {
         false
     }
 
+    /// Takes the device-space bounds of every pixel written since the
+    /// last call, leaving them empty. Drawing (recorded or immediate)
+    /// adds its clip's bounds (the whole window when unclipped); a
+    /// resize or an adopted frame counts as the whole window. Every frame pixel that changed since the
+    /// last call lies inside the returned rect. `None` (this default)
+    /// means the backend does not track writes: assume anything
+    /// changed.
+    fn take_written(&mut self) -> Option<Rect> {
+        None
+    }
+
     /// Replaces the window's contents with `frame` wholesale — the
     /// session-fork fast path. `frame` must match the window's size.
     /// Backends that own a pixel store copy row-wise into the buffer

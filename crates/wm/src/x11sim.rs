@@ -112,8 +112,9 @@ impl Window for X11Window {
 
     fn resize(&mut self, size: Size) {
         self.size = size;
-        *self.fb.borrow_mut() =
-            Framebuffer::new(size.width.max(0), size.height.max(0), Color::WHITE);
+        let fb = Framebuffer::new(size.width.max(0), size.height.max(0), Color::WHITE);
+        self.graphic.written.set(fb.bounds());
+        *self.fb.borrow_mut() = fb;
         self.events.push_back(WindowEvent::Resize(size));
         self.events
             .push_back(WindowEvent::Expose(Rect::at(Point::ORIGIN, size)));
@@ -174,6 +175,10 @@ impl Window for X11Window {
         true
     }
 
+    fn take_written(&mut self) -> Option<Rect> {
+        Some(self.graphic.written.take())
+    }
+
     fn adopt_frame(&mut self, frame: &Framebuffer) {
         // Flush first so no buffered command lands on top of the
         // adopted pixels, then row-copy into the buffer open_window
@@ -188,6 +193,7 @@ impl Window for X11Window {
             *fb = frame.clone();
             fb.set_clip(None);
         }
+        self.graphic.written.set(fb.bounds());
     }
 }
 
@@ -244,15 +250,21 @@ pub struct X11Graphic {
     st: GraphicState,
     ops: Rc<Cell<u64>>,
     rec: RefCell<RecState>,
+    /// Device-space bounds of every pixel written (or recorded for a
+    /// banded flush) since the owning window last handed them out via
+    /// [`Window::take_written`].
+    written: Cell<Rect>,
 }
 
 impl X11Graphic {
     fn new(fb: Rc<RefCell<Framebuffer>>) -> X11Graphic {
+        let written = Cell::new(fb.borrow().bounds());
         X11Graphic {
             fb,
             st: GraphicState::new(),
             ops: Rc::new(Cell::new(0)),
             rec: RefCell::new(RecState::default()),
+            written,
         }
     }
 
@@ -261,10 +273,23 @@ impl X11Graphic {
         self.ops.set(self.ops.get() + 1);
     }
 
+    /// Adds what a drawing op may write — the clip's bounding box cut
+    /// to the frame, or the whole frame when there is no clip — to the
+    /// written bounds. Update passes always draw under the damage clip,
+    /// so an op's own extent would not tighten this.
+    fn mark(&self, fb: &Framebuffer) {
+        let hit = match &self.st.clip {
+            Some(c) => c.bounding_box().intersect(fb.bounds()),
+            None => fb.bounds(),
+        };
+        self.written.set(self.written.get().union(hit));
+    }
+
     /// Applies the state's clip to the framebuffer for the duration of a
     /// drawing call.
     fn with_fb<R>(&self, f: impl FnOnce(&mut Framebuffer) -> R) -> R {
         let mut fb = self.fb.borrow_mut();
+        self.mark(&fb);
         fb.set_clip(self.st.clip.clone());
         let r = f(&mut fb);
         fb.set_clip(None);
@@ -280,6 +305,7 @@ impl X11Graphic {
 
     /// Records a command under the current clip (interned on change).
     fn record(&self, op: DrawOp) {
+        self.mark(&self.fb.borrow());
         let mut rec = self.rec.borrow_mut();
         if rec.clip_dirty {
             rec.cur_clip = self.st.clip.clone().map(Arc::new);
