@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn streams_cover_every_step_kind() {
         let steps = record_stream(42, 600);
-        let has = |pred: &dyn Fn(&ScriptStep) -> bool| steps.iter().any(|s| pred(s));
+        let has = |pred: &dyn Fn(&ScriptStep) -> bool| steps.iter().any(pred);
         assert!(has(&|s| matches!(
             s,
             ScriptStep::Event(WindowEvent::Key(_))

@@ -13,12 +13,17 @@
 //!
 //! Channels are `std::sync::mpsc` because replicas live on shard
 //! threads; a dead receiver (replica detached without unsubscribing)
-//! is pruned on the next submit.
+//! is pruned on the next submit. Each subscription also carries its
+//! replica's doorbell — the thread that attached it — and `submit`
+//! unparks that thread after sending, so a replica whose thread parks
+//! while idle wakes for remote ops. Attach from the thread that will
+//! drain the attachment.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::{self, Thread};
 
 use atk_core::ScriptStep;
 
@@ -64,9 +69,17 @@ pub struct Submit {
     pub fanout: usize,
 }
 
+/// One subscriber: its id, its channel, and the thread to ring after
+/// sending.
+struct Sub {
+    id: u64,
+    tx: Sender<Op>,
+    bell: Thread,
+}
+
 struct DocInner {
     log: OpLog,
-    subs: Vec<(u64, Sender<Op>)>,
+    subs: Vec<Sub>,
     next_sub: u64,
 }
 
@@ -100,12 +113,19 @@ impl Doc {
 
     /// Appends a step to the log and fans the new op out to every
     /// subscriber (the author included — it applies the op on the way
-    /// back, in log order). Dead subscriber channels are pruned.
+    /// back, in log order), ringing each subscriber's doorbell. Dead
+    /// subscriber channels are pruned.
     pub fn submit(&self, author: u64, step: ScriptStep) -> Submit {
         let mut inner = self.lock();
         let seq = inner.log.append(author, step);
         let op = inner.log.since(seq - 1)[0].clone();
-        inner.subs.retain(|(_, tx)| tx.send(op.clone()).is_ok());
+        inner.subs.retain(|sub| {
+            let live = sub.tx.send(op.clone()).is_ok();
+            if live {
+                sub.bell.unpark();
+            }
+            live
+        });
         Submit {
             seq,
             fanout: inner.subs.len(),
@@ -123,12 +143,16 @@ impl Doc {
         let sub_id = inner.next_sub;
         inner.next_sub += 1;
         let (tx, rx) = channel();
-        inner.subs.push((sub_id, tx));
+        inner.subs.push(Sub {
+            id: sub_id,
+            tx,
+            bell: thread::current(),
+        });
         (sub_id, inner.log.since(0).to_vec(), rx)
     }
 
     fn unsubscribe(&self, sub_id: u64) {
-        self.lock().subs.retain(|(id, _)| *id != sub_id);
+        self.lock().subs.retain(|sub| sub.id != sub_id);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, DocInner> {
@@ -224,6 +248,7 @@ impl DocRegistry {
     /// offered and it does not exist yet. The log snapshot and the
     /// subscription happen under one lock: no op can land between the
     /// backlog a replica replays and the first op its channel carries.
+    /// The calling thread becomes the subscription's doorbell.
     pub fn attach(&self, doc_id: &str, scene: Option<&str>) -> Result<Attachment, AttachError> {
         let mut docs = self.docs.lock().unwrap_or_else(|e| e.into_inner());
         let (doc, created) = match docs.get(doc_id) {
@@ -374,6 +399,38 @@ mod tests {
         // A dead channel left behind is pruned on the next submit.
         let s = a.doc().submit(1, step('z'));
         assert_eq!(s.fanout, 1);
+    }
+
+    #[test]
+    fn submit_rings_a_parked_subscriber() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let reg = Arc::new(DocRegistry::new());
+        let writer = reg.attach("doc", Some("fig5")).unwrap();
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let watcher_reg = Arc::clone(&reg);
+        let watcher = thread::spawn(move || {
+            let mut a = watcher_reg.attach("doc", None).unwrap();
+            ready_tx.send(()).unwrap();
+            // Parks until rung; an op sent before the park leaves the
+            // token set, so this cannot sleep through it.
+            let op = loop {
+                if let Some(op) = a.try_recv() {
+                    break op;
+                }
+                thread::park();
+            };
+            done_tx.send(op.seq).unwrap();
+        });
+        ready_rx.recv().unwrap();
+        writer.doc().submit(1, step('w'));
+        let seq = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the parked subscriber was never rung");
+        assert_eq!(seq, 1);
+        watcher.join().unwrap();
     }
 
     #[test]

@@ -856,8 +856,7 @@ mod reference_oracle {
     }
 
     fn big_region() -> impl Strategy<Value = Region> {
-        proptest::collection::vec(big_rect(), 0..10)
-            .prop_map(|rs| Region::from_rects(rs.into_iter()))
+        proptest::collection::vec(big_rect(), 0..10).prop_map(Region::from_rects)
     }
 
     proptest! {

@@ -27,6 +27,7 @@
 //! frames.
 
 use std::io;
+use std::thread::Thread;
 
 use crate::transport::{extract_frame, FrameTransport};
 
@@ -126,6 +127,10 @@ pub struct FaultTransport<T: FrameTransport> {
     sent: u64,
     /// Reassembly buffer for incoming segments.
     in_buf: Vec<u8>,
+    /// The doorbell, also given to the inner transport. A spurious
+    /// not-ready rings it, since the inner transport will not: the data
+    /// is already here.
+    bell: Option<Thread>,
 }
 
 impl<T: FrameTransport> FaultTransport<T> {
@@ -138,6 +143,7 @@ impl<T: FrameTransport> FaultTransport<T> {
             rng,
             sent: 0,
             in_buf: Vec::new(),
+            bell: None,
         }
     }
 
@@ -203,7 +209,11 @@ impl<T: FrameTransport> FrameTransport for FaultTransport<T> {
     fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>> {
         if self.rng.roll(self.plan.wouldblock_p) {
             // Spurious not-ready: the readiness loop must tolerate
-            // polls that lie about buffered data.
+            // polls that lie about buffered data. Ring, or a poller
+            // that parks on this answer would sleep through that data.
+            if let Some(bell) = &self.bell {
+                bell.unpark();
+            }
             return Ok(None);
         }
         // Drain everything buffered right now, noting EOF as a *flag*
@@ -245,6 +255,13 @@ impl<T: FrameTransport> FrameTransport for FaultTransport<T> {
             None if peer_eof => Err(io::ErrorKind::UnexpectedEof.into()),
             None => Ok(None),
         }
+    }
+
+    fn set_doorbell(&mut self, bell: Thread) {
+        if let Some(inner) = &mut self.inner {
+            inner.set_doorbell(bell.clone());
+        }
+        self.bell = Some(bell);
     }
 }
 
@@ -339,6 +356,7 @@ mod tests {
             fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>> {
                 Ok(self.0.pop_front().flatten())
             }
+            fn set_doorbell(&mut self, _bell: Thread) {}
         }
 
         // One frame, body "hello", split so the first poll sees only a

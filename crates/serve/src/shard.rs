@@ -17,10 +17,19 @@
 //! connection's transport once with the non-blocking `try_recv` —
 //! pending `Hello`s complete their handshake, live sessions drain
 //! whatever burst is buffered into one batch and run it through
-//! `finish_batch`. No readiness event in a whole sweep means the shard
-//! naps briefly instead of spinning. There is no epoll here by design:
-//! the repo is std-only, and a short nap bounds the idle poll cost
-//! while keeping the loop portable.
+//! `finish_batch`. A sweep that makes no progress parks the thread
+//! with no timeout, and every event source rings it awake
+//! (`Thread::unpark`): the [`ShardHandle`] on admission, drain,
+//! shutdown and drop; each transport, whose doorbell is set to this
+//! thread on admission, when a frame, EOF or error arrives; and a
+//! shared document when an op fans out to a replica hosted here. A
+//! ring that lands between the empty sweep and the park leaves the
+//! park token set, so the park returns at once and no wakeup is lost.
+//! There is no epoll here by design: the repo is std-only, and TCP
+//! reads happen on pooled reader threads (see
+//! [`crate::transport::TcpTransport`]) that ring like any other source.
+//! Idle eviction runs on each session's virtual clock, so no timer
+//! needs to wake the shard.
 //!
 //! Draining (`Server::drain_shard`) is graceful but final for the
 //! shard's current tenants: sessions cannot migrate (their `World`s
@@ -35,7 +44,8 @@
 //! later `Hello` for that template ships the same shared bytes.
 //!
 //! Shard-local scheduling counters live under `serve.shard.*`
-//! (admitted/batches/drained_sessions/busy_on_drain/failures); the
+//! (admitted/batches/drained_sessions/busy_on_drain/failures, plus
+//! `wakeups` — parks that returned — and `parked_us`); the
 //! sharded-vs-single differential oracle excludes that prefix and the
 //! per-shard caches' counters, the only places where shard count may
 //! leave a mark.
@@ -44,8 +54,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, Weak};
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::thread::{self, JoinHandle, Thread};
+use std::time::Instant;
 
 use atk_core::ScriptStep;
 use atk_trace::{Collector, FrameTrace, Stage};
@@ -55,9 +65,6 @@ use crate::server::Server;
 use crate::session::{HostedSession, SessionEnd, SharedKeyframe};
 use crate::transport::FrameTransport;
 use crate::wire::{ClientFrame, ServerFrame, WireError, BYE_BYE, BYE_CLOSED, BYE_DRAIN, BYE_IDLE};
-
-/// How long a shard naps when a full sweep found no readiness.
-const IDLE_NAP: Duration = Duration::from_micros(200);
 
 /// What the acceptor (or the server winding down) tells a shard.
 pub(crate) enum ShardMsg {
@@ -77,6 +84,8 @@ pub(crate) struct ShardHandle {
     load: Arc<AtomicUsize>,
     draining: Arc<AtomicBool>,
     collector: Arc<Collector>,
+    /// The shard thread, unparked whenever a message is queued for it.
+    thread: Thread,
     join: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -101,6 +110,7 @@ impl ShardHandle {
             load,
             draining,
             collector,
+            thread: join.thread().clone(),
             join: Mutex::new(Some(join)),
         }
     }
@@ -127,7 +137,10 @@ impl ShardHandle {
         // admits don't both see the old load and pile onto one shard.
         self.load.fetch_add(1, Ordering::SeqCst);
         match self.tx.send(ShardMsg::Conn(t)) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.thread.unpark();
+                Ok(())
+            }
             Err(mpsc::SendError(msg)) => {
                 self.load.fetch_sub(1, Ordering::SeqCst);
                 match msg {
@@ -143,11 +156,13 @@ impl ShardHandle {
     pub(crate) fn drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
         let _ = self.tx.send(ShardMsg::Drain);
+        self.thread.unpark();
     }
 
     pub(crate) fn shutdown(&self) {
         self.draining.store(true, Ordering::SeqCst);
         let _ = self.tx.send(ShardMsg::Shutdown);
+        self.thread.unpark();
     }
 
     pub(crate) fn join(&self) {
@@ -155,6 +170,15 @@ impl ShardHandle {
         if let Some(h) = handle {
             let _ = h.join();
         }
+    }
+}
+
+impl Drop for ShardHandle {
+    /// Dropping the server drops its handles: a parked shard must be
+    /// rung to notice. A shard already joined ignores both.
+    fn drop(&mut self) {
+        let _ = self.tx.send(ShardMsg::Shutdown);
+        self.thread.unpark();
     }
 }
 
@@ -201,6 +225,7 @@ fn run_shard(
     // collector and reach the merged stats plane from there.
     let mut templates: Option<atk_apps::TemplateRegistry> = None;
     let mut keyframes = KeyframeCache::default();
+    let me = thread::current();
     let mut first_iteration = true;
     loop {
         // Hold the server only for the duration of one iteration; when
@@ -227,15 +252,15 @@ fn run_shard(
         // when draining) and note control messages.
         loop {
             match rx.try_recv() {
-                Ok(ShardMsg::Conn(t)) => {
+                Ok(ShardMsg::Conn(mut t)) => {
                     progress = true;
                     if draining.load(Ordering::SeqCst) {
-                        let mut t = t;
                         let _ = t.send(&ServerFrame::Busy.encode());
                         collector.count("serve.shard.busy_on_drain", 1);
                         load.fetch_sub(1, Ordering::SeqCst);
                     } else {
                         collector.count("serve.shard.admitted", 1);
+                        t.set_doorbell(me.clone());
                         conns.push(Conn {
                             t,
                             state: ConnState::Handshake,
@@ -317,7 +342,10 @@ fn run_shard(
 
         drop(server);
         if !progress {
-            thread::sleep(IDLE_NAP);
+            let parked = Instant::now();
+            thread::park();
+            collector.count("serve.shard.wakeups", 1);
+            collector.count("serve.shard.parked_us", parked.elapsed().as_micros() as u64);
         }
     }
 }

@@ -6,11 +6,20 @@
 //! session hold one transport each. Only the transport halves cross
 //! threads — the hosted `World` itself is built inside the connection
 //! thread and never moves (it is deliberately `!Send`).
+//!
+//! A transport also owns a *doorbell*: the thread it unparks whenever
+//! `try_recv` has something new to say (a frame, EOF or an error). A
+//! shard polls its transports and parks when a sweep finds nothing, so
+//! every transport it polls must ring it; that is why
+//! [`FrameTransport::set_doorbell`] has no default.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
-use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{self, Thread};
 
 use crate::wire::MAX_FRAME_BYTES;
 
@@ -26,6 +35,13 @@ pub trait FrameTransport: Send {
     /// is what lets the server drain a burst into one batch, and what
     /// the shard readiness loop polls instead of blocking.
     fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>>;
+    /// Makes `bell` the thread to unpark whenever `try_recv` may have
+    /// something new: a frame, EOF, or an error. After a `try_recv`
+    /// that returned `Ok(None)`, the transport must ring before (or
+    /// without) anything new becoming visible to the next `try_recv`,
+    /// so a poller that parks after an empty sweep never sleeps through
+    /// its work. Setting a bell again replaces the old one.
+    fn set_doorbell(&mut self, bell: Thread);
 }
 
 // Shards own a mixed bag of transports (TCP, in-memory, fault-wrapped),
@@ -41,6 +57,10 @@ impl FrameTransport for Box<dyn FrameTransport> {
 
     fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>> {
         (**self).try_recv()
+    }
+
+    fn set_doorbell(&mut self, bell: Thread) {
+        (**self).set_doorbell(bell)
     }
 }
 
@@ -69,20 +89,45 @@ pub(crate) fn extract_frame(buf: &mut Vec<u8>) -> io::Result<Option<Vec<u8>>> {
 
 // ---- TCP ---------------------------------------------------------------
 
+/// Bytes one blocking socket read may take.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Stack size of a TCP reader thread: it only reads, frames and sends
+/// over a channel, and its read buffer lives on the heap.
+const READER_STACK: usize = 64 * 1024;
+
+/// What a reader thread hands its transport: one frame, or the error
+/// (EOF included) that ended the stream.
+type ReadResult = io::Result<Vec<u8>>;
+
 /// [`FrameTransport`] over a `std::net::TcpStream`.
 ///
-/// Keeps a reassembly buffer so `try_recv` can tolerate partial frames:
-/// a non-blocking read may deliver half a frame, which stays buffered
-/// until the rest arrives.
-///
-/// The socket stays in whichever mode the last call needed: a shard
-/// polling with `try_recv` leaves it non-blocking between sweeps, and
-/// only a switch to `send` or `recv` (which block) costs a syscall.
+/// The socket always blocks. `send` writes on the caller's thread.
+/// `recv` reads on the caller's thread too, until the transport gets a
+/// doorbell ([`FrameTransport::set_doorbell`], or the first `try_recv`,
+/// which makes the caller the bell): from then on a pooled reader
+/// thread does the blocking reads on a clone of the socket, extracts
+/// whole frames (the [`MAX_FRAME_BYTES`] cap still applies), passes
+/// each one — or the EOF or error that ended the stream — over a
+/// channel, and rings. `recv` and `try_recv` then read that channel.
+/// Dropping the transport shuts the socket down, which ends the read
+/// and returns the reader to the pool. A caller that only ever blocks
+/// in `recv` (a client stepping in lockstep) never starts a reader, so
+/// its frames take no thread hop.
 pub struct TcpTransport {
     stream: TcpStream,
+    /// Reassembly buffer for `recv`'s own reads; handed to the reader
+    /// when one starts, so bytes read past a frame are not lost.
     buf: Vec<u8>,
-    /// Whether the socket is in `O_NONBLOCK` mode right now.
-    nonblocking: bool,
+    /// The connection's reader, once started.
+    reader: Option<ReaderLink>,
+}
+
+/// The transport's end of its reader: the frames, and the bell the
+/// reader rings (shared, so a later `set_doorbell` can replace it).
+struct ReaderLink {
+    frames: Receiver<ReadResult>,
+    bell: Arc<Mutex<Thread>>,
 }
 
 impl TcpTransport {
@@ -92,23 +137,24 @@ impl TcpTransport {
         TcpTransport {
             stream,
             buf: Vec::new(),
-            nonblocking: false,
+            reader: None,
         }
     }
 
-    /// Puts the socket in the mode the caller needs, if it is not
-    /// there already.
-    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
-        if self.nonblocking != on {
-            self.stream.set_nonblocking(on)?;
-            self.nonblocking = on;
+    /// The running reader, started with `bell` if there is none yet.
+    fn reader(&mut self, bell: impl FnOnce() -> Thread) -> io::Result<&ReaderLink> {
+        if self.reader.is_none() {
+            let (tx, frames) = mpsc::channel();
+            let bell = Arc::new(Mutex::new(bell()));
+            start_reader(ReadJob {
+                stream: self.stream.try_clone()?,
+                buf: std::mem::take(&mut self.buf),
+                frames: tx,
+                bell: Arc::clone(&bell),
+            })?;
+            self.reader = Some(ReaderLink { frames, bell });
         }
-        Ok(())
-    }
-
-    /// Pops one complete frame from the reassembly buffer, if present.
-    fn extract(&mut self) -> io::Result<Option<Vec<u8>>> {
-        extract_frame(&mut self.buf)
+        Ok(self.reader.as_ref().expect("started above"))
     }
 }
 
@@ -120,9 +166,6 @@ impl FrameTransport for TcpTransport {
                 "frame too large to send",
             ));
         }
-        // Blocking: a write on a non-blocking socket fails with
-        // `WouldBlock` once a large frame fills the send buffer.
-        self.set_nonblocking(false)?;
         // Prefix and body go out in one vectored write (looping only
         // on a short write), so with TCP_NODELAY a small frame leaves
         // as one segment and the peer never wakes for the prefix alone.
@@ -141,12 +184,18 @@ impl FrameTransport for TcpTransport {
     }
 
     fn recv(&mut self) -> io::Result<Vec<u8>> {
+        if let Some(reader) = &self.reader {
+            // The reader's last word was the error that ended it.
+            return reader
+                .frames
+                .recv()
+                .unwrap_or_else(|_| Err(io::ErrorKind::UnexpectedEof.into()));
+        }
         loop {
-            if let Some(body) = self.extract()? {
+            if let Some(body) = extract_frame(&mut self.buf)? {
                 return Ok(body);
             }
-            self.set_nonblocking(false)?;
-            let mut chunk = [0u8; 16 * 1024];
+            let mut chunk = [0u8; READ_CHUNK];
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {
                 return Err(io::ErrorKind::UnexpectedEof.into());
@@ -156,40 +205,186 @@ impl FrameTransport for TcpTransport {
     }
 
     fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if let Some(body) = self.extract()? {
-            return Ok(Some(body));
+        match self.reader(thread::current)?.frames.try_recv() {
+            Ok(frame) => frame.map(Some),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(io::ErrorKind::UnexpectedEof.into()),
         }
-        self.set_nonblocking(true)?;
-        let mut chunk = [0u8; 16 * 1024];
-        let got = loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => break Err(io::Error::from(io::ErrorKind::UnexpectedEof)),
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    // Keep draining while bytes are immediately there.
-                    continue;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => break Err(e),
+    }
+
+    fn set_doorbell(&mut self, bell: Thread) {
+        match &self.reader {
+            Some(reader) => *lock(&reader.bell) = bell,
+            // A reader that cannot start now is retried (and its error
+            // surfaced) by the next `try_recv`.
+            None => {
+                let _ = self.reader(|| bell);
             }
-        };
-        got?;
-        self.extract()
+        }
+    }
+}
+
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        if self.reader.is_some() {
+            // The reader blocks in `read` on a clone of this socket, so
+            // closing this handle alone would neither end that read nor
+            // tell the peer. Shutting the socket down does both.
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Locks a mutex whose data every update leaves valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One connection's reading, as a pooled reader thread runs it.
+struct ReadJob {
+    /// A clone of the transport's socket.
+    stream: TcpStream,
+    /// Bytes read past the last whole frame.
+    buf: Vec<u8>,
+    frames: Sender<ReadResult>,
+    bell: Arc<Mutex<Thread>>,
+}
+
+impl ReadJob {
+    /// Forwards frames until the stream ends, then forwards why.
+    fn run(mut self, chunk: &mut [u8]) {
+        let end = self.forward(chunk);
+        // Nobody to tell once the transport is gone.
+        if self.frames.send(Err(end)).is_ok() {
+            self.ring();
+        }
+    }
+
+    /// Blocking reads, ringing once per read that completed a frame.
+    /// Returns the error that ended the stream: EOF, a read error, a
+    /// frame over the cap, or the transport hanging up.
+    fn forward(&mut self, chunk: &mut [u8]) -> io::Error {
+        loop {
+            let mut delivered = false;
+            loop {
+                match extract_frame(&mut self.buf) {
+                    Ok(Some(body)) => {
+                        if self.frames.send(Ok(body)).is_err() {
+                            return io::ErrorKind::BrokenPipe.into();
+                        }
+                        delivered = true;
+                    }
+                    Ok(None) => break,
+                    Err(e) => return e,
+                }
+            }
+            if delivered {
+                self.ring();
+            }
+            match self.stream.read(chunk) {
+                Ok(0) => return io::ErrorKind::UnexpectedEof.into(),
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return e,
+            }
+        }
+    }
+
+    fn ring(&self) {
+        lock(&self.bell).unpark();
+    }
+}
+
+/// Reader threads waiting for a connection, each behind its own job
+/// channel.
+static IDLE_READERS: Mutex<Vec<Sender<ReadJob>>> = Mutex::new(Vec::new());
+
+/// Reader threads spawned so far. They never exit, and a thread is only
+/// spawned when every existing one is busy with a live connection, so
+/// this never exceeds the peak count of concurrent reading connections.
+static READER_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// Hands `job` to an idle reader thread, or spawns one if none is idle.
+fn start_reader(job: ReadJob) -> io::Result<()> {
+    let idle = lock(&IDLE_READERS).pop();
+    let job = match idle {
+        Some(reader) => match reader.send(job) {
+            Ok(()) => return Ok(()),
+            // That reader is gone; spawn a fresh one instead.
+            Err(mpsc::SendError(job)) => job,
+        },
+        None => job,
+    };
+    let (tx, rx) = mpsc::channel();
+    tx.send(job).expect("the receiver is alive");
+    thread::Builder::new()
+        .name("atk-tcp-reader".into())
+        .stack_size(READER_STACK)
+        .spawn(move || reader_thread(tx, rx))?;
+    READER_THREADS.fetch_add(1, Ordering::Relaxed);
+    Ok(())
+}
+
+/// A pooled reader: runs one job at a time and rejoins the idle list
+/// after each. It holds its own sender, so it waits for jobs for the
+/// life of the process.
+fn reader_thread(me: Sender<ReadJob>, jobs: Receiver<ReadJob>) {
+    let mut chunk = vec![0u8; READ_CHUNK];
+    while let Ok(job) = jobs.recv() {
+        job.run(&mut chunk);
+        lock(&IDLE_READERS).push(me.clone());
+    }
+}
+
+/// The TCP reader pool's size, for tests and diagnostics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReaderPoolStats {
+    /// Reader threads alive (spawned so far; they never exit).
+    pub threads: usize,
+    /// Of those, the ones waiting for a connection.
+    pub idle: usize,
+}
+
+/// How many TCP reader threads exist, and how many are idle.
+pub fn reader_pool_stats() -> ReaderPoolStats {
+    ReaderPoolStats {
+        threads: READER_THREADS.load(Ordering::Relaxed),
+        idle: lock(&IDLE_READERS).len(),
     }
 }
 
 // ---- in-memory ---------------------------------------------------------
 
+/// One direction of an in-memory pipe, as its receiving half sees it.
+struct MemState {
+    frames: VecDeque<Vec<u8>>,
+    /// Either half was dropped.
+    closed: bool,
+    /// The receiving half's doorbell.
+    bell: Option<Thread>,
+}
+
+impl MemState {
+    fn ring(&self) {
+        if let Some(bell) = &self.bell {
+            bell.unpark();
+        }
+    }
+}
+
 struct MemQueue {
-    frames: Mutex<(VecDeque<Vec<u8>>, bool)>, // (queue, peer closed)
+    state: Mutex<MemState>,
     ready: Condvar,
 }
 
 impl MemQueue {
     fn new() -> Arc<MemQueue> {
         Arc::new(MemQueue {
-            frames: Mutex::new((VecDeque::new(), false)),
+            state: Mutex::new(MemState {
+                frames: VecDeque::new(),
+                closed: false,
+                bell: None,
+            }),
             ready: Condvar::new(),
         })
     }
@@ -197,7 +392,8 @@ impl MemQueue {
 
 /// In-memory [`FrameTransport`]: a pair of condvar-guarded queues. This
 /// is what the unit tests, the differential oracle, and the `e11_serve`
-/// bench run over — same protocol, no sockets.
+/// bench run over — same protocol, no sockets. A send wakes a receiver
+/// blocked in `recv` and rings the receiving half's doorbell.
 pub struct MemTransport {
     tx: Arc<MemQueue>,
     rx: Arc<MemQueue>,
@@ -226,22 +422,23 @@ impl FrameTransport for MemTransport {
                 "frame too large to send",
             ));
         }
-        let mut q = self.tx.frames.lock().unwrap();
-        if q.1 {
+        let mut q = self.tx.state.lock().unwrap();
+        if q.closed {
             return Err(io::ErrorKind::BrokenPipe.into());
         }
-        q.0.push_back(body.to_vec());
+        q.frames.push_back(body.to_vec());
         self.tx.ready.notify_one();
+        q.ring();
         Ok(())
     }
 
     fn recv(&mut self) -> io::Result<Vec<u8>> {
-        let mut q = self.rx.frames.lock().unwrap();
+        let mut q = self.rx.state.lock().unwrap();
         loop {
-            if let Some(body) = q.0.pop_front() {
+            if let Some(body) = q.frames.pop_front() {
                 return Ok(body);
             }
-            if q.1 {
+            if q.closed {
                 return Err(io::ErrorKind::UnexpectedEof.into());
             }
             q = self.rx.ready.wait(q).unwrap();
@@ -249,24 +446,28 @@ impl FrameTransport for MemTransport {
     }
 
     fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let mut q = self.rx.frames.lock().unwrap();
-        match q.0.pop_front() {
+        let mut q = self.rx.state.lock().unwrap();
+        match q.frames.pop_front() {
             Some(body) => Ok(Some(body)),
-            None if q.1 => Err(io::ErrorKind::UnexpectedEof.into()),
+            None if q.closed => Err(io::ErrorKind::UnexpectedEof.into()),
             None => Ok(None),
         }
+    }
+
+    fn set_doorbell(&mut self, bell: Thread) {
+        lock(&self.rx.state).bell = Some(bell);
     }
 }
 
 impl Drop for MemTransport {
     fn drop(&mut self) {
-        // Mark both directions closed so a blocked peer wakes with EOF.
+        // Mark both directions closed so a blocked peer wakes with EOF,
+        // and ring the peer: its next poll sees the EOF.
         for q in [&self.tx, &self.rx] {
-            if let Ok(mut guard) = q.frames.lock() {
-                guard.1 = true;
-                q.ready.notify_all();
-            }
+            lock(&q.state).closed = true;
+            q.ready.notify_all();
         }
+        lock(&self.tx.state).ring();
     }
 }
 
@@ -347,7 +548,8 @@ mod tests {
         });
         let (stream, _) = listener.accept().unwrap();
         let mut server = TcpTransport::new(stream);
-        // Leaves the socket non-blocking.
+        // Starts the reader thread; the send below still writes on
+        // this thread, blocking until the slow reader makes room.
         let mut got = None;
         while got.is_none() {
             got = server.try_recv().unwrap();
@@ -356,6 +558,55 @@ mod tests {
         assert!(server.try_recv().unwrap().is_none());
         server.send(&big).unwrap();
         assert_eq!(client.join().unwrap(), want);
+    }
+
+    /// Polls `t` on a fresh thread that parks between empty polls, the
+    /// way a shard does, until `try_recv` has an answer; fails if the
+    /// reader never rings.
+    fn poll_parked(mut t: TcpTransport) -> io::Result<Option<Vec<u8>>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            t.set_doorbell(std::thread::current());
+            let got = loop {
+                match t.try_recv() {
+                    Ok(None) => std::thread::park(),
+                    other => break other,
+                }
+            };
+            let _ = tx.send(got);
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the reader never rang")
+    }
+
+    #[test]
+    fn tcp_reader_rings_for_frames_and_eof() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let server = TcpTransport::new(stream);
+        client.write_all(&3u32.to_le_bytes()).unwrap();
+        client.write_all(b"abc").unwrap();
+        assert_eq!(poll_parked(server).unwrap().unwrap(), b"abc");
+
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let server = TcpTransport::new(stream);
+        client.write_all(&2u32.to_le_bytes()).unwrap();
+        drop(client);
+        // A partial frame then EOF is EOF, never a short body.
+        let err = poll_parked(server).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn tcp_reader_enforces_the_frame_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        client.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        let err = poll_parked(TcpTransport::new(stream)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

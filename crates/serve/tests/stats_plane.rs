@@ -328,6 +328,28 @@ fn keyframe_cache_hits_count_on_the_shard_plane() {
     );
 }
 
+/// The shard health counters: a typing session wakes its parked shard
+/// (`serve.shard.wakeups`) and the shard spends the client's think time
+/// parked (`serve.shard.parked_us`).
+#[test]
+fn a_typing_session_records_shard_wakeups() {
+    let (_, _, shard) = typing_sessions(true, 1, 24);
+    assert!(shard.counter("serve.shard.wakeups") > 0, "wakeups");
+    assert!(shard.counter("serve.shard.parked_us") > 0, "time parked");
+}
+
+/// A started server left idle never wakes its shards: the idle cost,
+/// pinned as a count rather than a wall-clock CPU reading.
+#[test]
+fn an_idle_server_records_no_wakeups() {
+    let server = Server::start(ServerConfig::default(), 2);
+    thread::sleep(Duration::from_millis(200));
+    for (i, shard) in server.shard_snapshots().iter().enumerate() {
+        assert_eq!(shard.counter("serve.shard.wakeups"), 0, "shard {i}");
+    }
+    server.shutdown_shards();
+}
+
 /// Extracts the number following `prefix` in a dump line.
 fn parse_field(line: &str, prefix: &str) -> u64 {
     let rest = &line[line.find(prefix).unwrap() + prefix.len()..];

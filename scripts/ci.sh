@@ -141,8 +141,8 @@ echo "==> e17 quick smoke + bench report (session forking, capped sample time)"
 # with per-scene cold/fork timings and ramp TTFF percentiles.
 CRITERION_SAMPLE_MS=50 scripts/bench_report.sh
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
