@@ -7,6 +7,15 @@
 //! fills, and rectangle blits with the classic raster ops (copy, XOR,
 //! or, and-not). All drawing is clipped against an optional [`Region`].
 //!
+//! Clipping works on spans, as the X server's does. A write that covers
+//! an area — fills, clears, blits, `copy_within`, glyph runs, thick
+//! line squares — goes through [`Raster::for_each_span`]. That finds the
+//! clip's bands under the target by binary search and walks them, so it
+//! does one slice operation per clipped row span and its cost follows
+//! the pixels written, not pixels × clip rects. The per-pixel test
+//! [`Raster::writable`] remains only for point plotters: 1-pixel
+//! Bresenham lines and the oval outlines built from them.
+//!
 //! The drawing code itself lives in the [`Raster`] trait so that a
 //! whole [`Framebuffer`] and a borrowed horizontal band of one
 //! ([`FbBand`], handed out by [`Framebuffer::bands_mut`] via
@@ -57,11 +66,21 @@ pub trait Raster {
     /// [`Raster::row_limits`].
     fn row(&self, y: i32) -> &[u32];
 
-    /// Mutable row `y` of pixels. `y` must be inside
-    /// [`Raster::row_limits`].
-    fn row_mut(&mut self, y: i32) -> &mut [u32];
+    /// The clip and the writable rows at once, so a span walk can read
+    /// the one while it writes the other. The slice holds the rows of
+    /// [`Raster::row_limits`], each the full logical width.
+    fn clip_and_rows_mut(&mut self) -> (Option<&Region>, &mut [u32]);
 
     // --- Provided drawing methods (shared by all surfaces) ------------
+
+    /// Mutable row `y` of pixels. `y` must be inside
+    /// [`Raster::row_limits`].
+    #[inline]
+    fn row_mut(&mut self, y: i32) -> &mut [u32] {
+        let w = self.raster_size().0 as usize;
+        let off = (y - self.row_limits().0) as usize * w;
+        &mut self.clip_and_rows_mut().1[off..off + w]
+    }
 
     /// The full logical bounds rectangle.
     fn raster_bounds(&self) -> Rect {
@@ -69,8 +88,22 @@ pub trait Raster {
         Rect::new(0, 0, w, h)
     }
 
+    /// The smallest rect holding every pixel this surface may write:
+    /// its bounds cut to its row limits and to the clip's bounding box.
+    fn writable_bounds(&self) -> Rect {
+        let (w, _) = self.raster_size();
+        let (y0, y1) = self.row_limits();
+        let rows = Rect::new(0, y0, w, y1 - y0);
+        match self.clip_ref() {
+            Some(region) => rows.intersect(region.bounding_box()),
+            None => rows,
+        }
+    }
+
     /// True when `(x, y)` is inside bounds, inside this surface's row
-    /// limits, and inside the clip.
+    /// limits, and inside the clip. The per-pixel test, for point
+    /// plotters only (Bresenham lines, oval outlines); everything that
+    /// covers an area goes through [`Raster::for_each_span`].
     #[inline]
     fn writable(&self, x: i32, y: i32) -> bool {
         let (w, _) = self.raster_size();
@@ -94,16 +127,66 @@ pub trait Raster {
 
     /// Writes a pixel combining with the existing value via `op`.
     fn set_op(&mut self, x: i32, y: i32, color: Color, op: RasterOp) {
-        if !self.writable(x, y) {
+        if self.writable(x, y) {
+            let px = &mut self.row_mut(y)[x as usize];
+            *px = combine(*px, color.0, op);
+        }
+    }
+
+    /// The span clipper: calls `f(rows, at, y, x0, x1)` once for each
+    /// row span `[x0, x1)` of `r` that lies inside bounds, row limits
+    /// and clip, where `rows[at + x]` is pixel `(x, y)` (`rows` as from
+    /// [`Raster::clip_and_rows_mut`]).
+    ///
+    /// The clip's bands meeting `r` are found by binary search and
+    /// walked row by row, each row's rects left to right; `backward`
+    /// reverses bands, rows and spans alike. Clip rects are disjoint,
+    /// so every pixel is visited at most once and a combining op such
+    /// as XOR stays exact.
+    fn for_each_span(
+        &mut self,
+        r: Rect,
+        backward: bool,
+        mut f: impl FnMut(&mut [u32], usize, i32, i32, i32),
+    ) {
+        let (w, _) = self.raster_size();
+        let (ly0, ly1) = self.row_limits();
+        let r = r.intersect(Rect::new(0, ly0, w, ly1 - ly0));
+        if r.is_empty() {
             return;
         }
-        let dst = self.row(y)[x as usize];
-        self.row_mut(y)[x as usize] = match op {
-            RasterOp::Copy => color.0,
-            RasterOp::Xor => dst ^ color.0,
-            RasterOp::Or => dst | color.0,
-            RasterOp::AndNot => dst & !color.0,
+        let whole = [r];
+        let (clip, rows) = self.clip_and_rows_mut();
+        let rects = clip.map_or(&whole[..], |c| c.rects_in_rows(r.y, r.bottom()));
+        let mut band_spans = |band: &[Rect]| {
+            // The band's rects that meet r's columns (x-sorted, so a
+            // contiguous run), and the band's rows inside r.
+            let band = &band[band.partition_point(|c| c.right() <= r.x)..];
+            let band = &band[..band.partition_point(|c| c.x < r.right())];
+            let Some(first) = band.first() else {
+                return;
+            };
+            let (top, bot) = (first.y.max(r.y), first.bottom().min(r.bottom()));
+            let mut row = |y: i32, c: &Rect| {
+                let at = (y - ly0) as usize * w as usize;
+                f(rows, at, y, c.x.max(r.x), c.right().min(r.right()));
+            };
+            if backward {
+                for y in (top..bot).rev() {
+                    band.iter().rev().for_each(|c| row(y, c));
+                }
+            } else {
+                for y in top..bot {
+                    band.iter().for_each(|c| row(y, c));
+                }
+            }
         };
+        let bands = rects.chunk_by(|a, b| a.y == b.y);
+        if backward {
+            bands.rev().for_each(&mut band_spans);
+        } else {
+            bands.for_each(band_spans);
+        }
     }
 
     /// Fills a rectangle.
@@ -111,27 +194,18 @@ pub trait Raster {
         self.fill_rect_op(r, color, RasterOp::Copy);
     }
 
-    /// Fills a rectangle with a raster op.
+    /// Fills a rectangle with a raster op: one slice op per clipped
+    /// row span.
     fn fill_rect_op(&mut self, r: Rect, color: Color, op: RasterOp) {
-        let r = r.intersect(self.raster_bounds());
-        if r.is_empty() {
-            return;
-        }
-        let (ly0, ly1) = self.row_limits();
-        let y_lo = r.y.max(ly0);
-        let y_hi = r.bottom().min(ly1);
-        // Fast path: no clip region, plain copy.
-        if self.clip_ref().is_none() && op == RasterOp::Copy {
-            for y in y_lo..y_hi {
-                self.row_mut(y)[r.x as usize..r.right() as usize].fill(color.0);
+        self.for_each_span(r, false, |rows, at, _, x0, x1| {
+            let span = &mut rows[at + x0 as usize..at + x1 as usize];
+            match op {
+                RasterOp::Copy => span.fill(color.0),
+                _ => span
+                    .iter_mut()
+                    .for_each(|px| *px = combine(*px, color.0, op)),
             }
-            return;
-        }
-        for y in y_lo..y_hi {
-            for x in r.x..r.right() {
-                self.set_op(x, y, color, op);
-            }
-        }
+        });
     }
 
     /// Outlines a rectangle with 1-pixel lines just inside its bounds.
@@ -291,35 +365,33 @@ pub trait Raster {
     /// `op`.
     fn blit(&mut self, src: &Framebuffer, src_rect: Rect, dst_origin: Point, op: RasterOp) {
         let src_rect = src_rect.intersect(src.bounds());
-        // Fast path: plain copy, no clip — row-wise memcpy of the
-        // in-bounds overlap (the analogue of fill_rect_op's fast
-        // path). This is what makes whole-frame hand-offs like
-        // session forking cost a memcpy instead of a per-pixel walk.
-        if op == RasterOp::Copy && self.clip_ref().is_none() {
-            let (w, _) = self.raster_size();
-            let (ly0, ly1) = self.row_limits();
-            let dst_x0 = dst_origin.x.max(0);
-            let dst_x1 = (dst_origin.x + src_rect.width).min(w);
-            let dst_y0 = dst_origin.y.max(ly0);
-            let dst_y1 = (dst_origin.y + src_rect.height).min(ly1);
-            if dst_x0 >= dst_x1 {
-                return;
-            }
-            let sx0 = (src_rect.x + (dst_x0 - dst_origin.x)) as usize;
-            let len = (dst_x1 - dst_x0) as usize;
-            for y in dst_y0..dst_y1 {
-                let sy = src_rect.y + (y - dst_origin.y);
-                let (dst_x0, sx0) = (dst_x0 as usize, sx0);
-                self.row_mut(y)[dst_x0..dst_x0 + len].copy_from_slice(&src.row(sy)[sx0..sx0 + len]);
-            }
-            return;
-        }
-        for dy in 0..src_rect.height {
-            for dx in 0..src_rect.width {
-                let c = src.get(src_rect.x + dx, src_rect.y + dy);
-                self.set_op(dst_origin.x + dx, dst_origin.y + dy, c, op);
-            }
-        }
+        let (dx, dy) = (src_rect.x - dst_origin.x, src_rect.y - dst_origin.y);
+        self.for_each_span(
+            Rect::at(dst_origin, src_rect.size()),
+            false,
+            |rows, at, y, x0, x1| {
+                let from = &src.row(y + dy)[(x0 + dx) as usize..(x1 + dx) as usize];
+                let span = &mut rows[at + x0 as usize..at + x1 as usize];
+                match op {
+                    RasterOp::Copy => span.copy_from_slice(from),
+                    _ => span
+                        .iter_mut()
+                        .zip(from)
+                        .for_each(|(px, &c)| *px = combine(*px, c, op)),
+                }
+            },
+        );
+    }
+}
+
+/// `dst` combined with `src` under `op`.
+#[inline]
+fn combine(dst: u32, src: u32, op: RasterOp) -> u32 {
+    match op {
+        RasterOp::Copy => src,
+        RasterOp::Xor => dst ^ src,
+        RasterOp::Or => dst | src,
+        RasterOp::AndNot => dst & !src,
     }
 }
 
@@ -329,7 +401,7 @@ pub struct Framebuffer {
     width: i32,
     height: i32,
     pixels: Vec<u32>,
-    clip: Option<Region>,
+    clip: Option<Arc<Region>>,
 }
 
 impl Raster for Framebuffer {
@@ -342,7 +414,7 @@ impl Raster for Framebuffer {
     }
 
     fn clip_ref(&self) -> Option<&Region> {
-        self.clip.as_ref()
+        self.clip.as_deref()
     }
 
     #[inline]
@@ -353,10 +425,8 @@ impl Raster for Framebuffer {
     }
 
     #[inline]
-    fn row_mut(&mut self, y: i32) -> &mut [u32] {
-        let w = self.width as usize;
-        let off = y as usize * w;
-        &mut self.pixels[off..off + w]
+    fn clip_and_rows_mut(&mut self) -> (Option<&Region>, &mut [u32]) {
+        (self.clip.as_deref(), &mut self.pixels)
     }
 }
 
@@ -416,12 +486,18 @@ impl Framebuffer {
 
     /// Sets the clip region; `None` clips only to the framebuffer bounds.
     pub fn set_clip(&mut self, clip: Option<Region>) {
+        self.clip = clip.map(Arc::new);
+    }
+
+    /// Sets a shared clip region, so a drawable that keeps its clip
+    /// interned hands it over without copying the rect vector per op.
+    pub fn set_clip_shared(&mut self, clip: Option<Arc<Region>>) {
         self.clip = clip;
     }
 
     /// The current clip region, if any.
     pub fn clip(&self) -> Option<&Region> {
-        self.clip.as_ref()
+        self.clip.as_deref()
     }
 
     /// Reads a pixel; out-of-bounds reads return white.
@@ -527,28 +603,27 @@ impl Framebuffer {
     }
 
     /// Copies a rectangle within this framebuffer (handles overlap),
-    /// e.g. for scrolling.
+    /// e.g. for scrolling. The destination is clipped like any other
+    /// write.
     pub fn copy_within(&mut self, src_rect: Rect, dst_origin: Point) {
         let src_rect = src_rect.intersect(self.bounds());
-        if src_rect.is_empty() {
-            return;
-        }
-        // Snapshot the source rows to handle overlap simply and correctly.
-        let snapshot: Vec<Vec<u32>> = (src_rect.y..src_rect.bottom())
-            .map(|y| {
-                let row = (y as usize) * (self.width as usize);
-                self.pixels[row + src_rect.x as usize..row + src_rect.right() as usize].to_vec()
-            })
-            .collect();
-        for (dy, rowdata) in snapshot.iter().enumerate() {
-            for (dx, &px) in rowdata.iter().enumerate() {
-                self.set(
-                    dst_origin.x + dx as i32,
-                    dst_origin.y + dy as i32,
-                    Color(px),
+        let (dx, dy) = (src_rect.x - dst_origin.x, src_rect.y - dst_origin.y);
+        // Each pixel copies the one (dx, dy) away. Starting from the
+        // side the copy moves toward reads every pixel before the walk
+        // overwrites it.
+        let backward = dy < 0 || (dy == 0 && dx < 0);
+        let shift = dy as isize * self.width as isize + dx as isize;
+        self.for_each_span(
+            Rect::at(dst_origin, src_rect.size()),
+            backward,
+            |rows, at, _, x0, x1| {
+                let (a, b) = (at + x0 as usize, at + x1 as usize);
+                rows.copy_within(
+                    a.wrapping_add_signed(shift)..b.wrapping_add_signed(shift),
+                    a,
                 );
-            }
-        }
+            },
+        );
     }
 
     /// Splits the rows `[y0, y1)` into at most `n` disjoint horizontal
@@ -719,10 +794,8 @@ impl Raster for FbBand<'_> {
     }
 
     #[inline]
-    fn row_mut(&mut self, y: i32) -> &mut [u32] {
-        let w = self.width as usize;
-        let off = (y - self.y0) as usize * w;
-        &mut self.rows[off..off + w]
+    fn clip_and_rows_mut(&mut self) -> (Option<&Region>, &mut [u32]) {
+        (self.clip.as_deref(), self.rows)
     }
 }
 

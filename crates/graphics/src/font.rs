@@ -296,6 +296,9 @@ impl BitmapFont {
     /// advance in x. Unknown characters render as a hollow box. Generic
     /// over [`Raster`] so a whole framebuffer and a parallel paint band
     /// rasterize glyphs through identical code.
+    ///
+    /// The advance table is resolved once per call, and a glyph whose
+    /// cell misses everything the surface may write is not rasterized.
     pub fn draw<R: Raster>(
         fb: &mut R,
         origin: Point,
@@ -304,18 +307,23 @@ impl BitmapFont {
         color: Color,
     ) -> i32 {
         let s = desc.scale();
+        let widths = desc.width_table();
+        let visible = fb.writable_bounds();
         let mut x = origin.x;
-        let table = glyph_table();
         for ch in text.chars() {
-            let adv = desc.char_width(ch);
-            match table.get(&ch) {
-                Some(glyph) => {
-                    Self::draw_glyph(fb, Point::new(x, origin.y), glyph, desc, color);
-                }
-                None if ch == ' ' => {}
-                None => {
-                    // Hollow box for unmapped characters.
-                    fb.draw_rect(Rect::new(x, origin.y, adv - s, GLYPH_ROWS * s), color);
+            let adv = widths.advance(ch);
+            // Five columns, one more for the italic shear and one for
+            // the bold strike: the glyph and the hollow box fit inside.
+            let cell = Rect::new(x, origin.y, (GLYPH_COLS + 2) * s, GLYPH_ROWS * s);
+            if cell.intersects(visible) {
+                match Self::glyph(ch) {
+                    Some(glyph) => {
+                        Self::draw_glyph(fb, Point::new(x, origin.y), glyph, desc, color);
+                    }
+                    None => {
+                        // Hollow box for unmapped characters.
+                        fb.draw_rect(Rect::new(x, origin.y, adv - s, GLYPH_ROWS * s), color);
+                    }
                 }
             }
             if desc.style.underline {
@@ -341,6 +349,25 @@ impl BitmapFont {
         Self::draw(fb, top, text, desc, color)
     }
 
+    /// The glyph drawn for `ch`, or `None` for a character drawn as the
+    /// hollow box: an array index for ASCII, the parsed table otherwise.
+    pub fn glyph(ch: char) -> Option<&'static Glyph> {
+        static ASCII: OnceLock<[Option<Glyph>; 128]> = OnceLock::new();
+        let code = ch as usize;
+        if code < 128 {
+            let ascii = ASCII.get_or_init(|| {
+                let table = glyph_table();
+                std::array::from_fn(|c| table.get(&(c as u8 as char)).copied())
+            });
+            ascii[code].as_ref()
+        } else {
+            glyph_table().get(&ch)
+        }
+    }
+
+    /// Draws each glyph row as its maximal runs of lit columns, one
+    /// fill per run. Bold widens every run by one scaled pixel: exactly
+    /// the union of the plain strike and the strike one pixel right.
     fn draw_glyph<R: Raster>(
         fb: &mut R,
         origin: Point,
@@ -349,18 +376,23 @@ impl BitmapFont {
         color: Color,
     ) {
         let s = desc.scale();
-        for row in 0..GLYPH_ROWS {
+        let bold = if desc.style.bold { s } else { 0 };
+        for (row, &bits) in (0..).zip(&glyph.rows) {
             // Italic: shear the top rows one scaled pixel rightward.
             let shear = if desc.style.italic && row < 3 { s } else { 0 };
-            for col in 0..GLYPH_COLS {
-                if glyph.pixel(col, row) {
-                    let px = origin.x + col * s + shear;
-                    let py = origin.y + row * s;
-                    fb.fill_rect(Rect::new(px, py, s, s), color);
-                    if desc.style.bold {
-                        fb.fill_rect(Rect::new(px + s, py, s, s), color);
-                    }
+            let py = origin.y + row * s;
+            let mut col = 0;
+            while col < GLYPH_COLS {
+                if bits & (0x10 >> col) == 0 {
+                    col += 1;
+                    continue;
                 }
+                let start = col;
+                while col < GLYPH_COLS && bits & (0x10 >> col) != 0 {
+                    col += 1;
+                }
+                let px = origin.x + start * s + shear;
+                fb.fill_rect(Rect::new(px, py, (col - start) * s + bold, s), color);
             }
         }
     }

@@ -82,9 +82,24 @@ impl Region {
         self.rects.iter().fold(Rect::EMPTY, |acc, r| acc.union(*r))
     }
 
-    /// True if `p` is covered.
+    /// True if `p` is covered: a binary search to the band holding row
+    /// `p.y`, then a scan of that band alone.
     pub fn contains(&self, p: Point) -> bool {
-        self.rects.iter().any(|r| r.contains(p))
+        self.rects_in_rows(p.y, p.y + 1)
+            .iter()
+            .any(|r| r.contains(p))
+    }
+
+    /// The rects of every band that meets rows `[y0, y1)`, as one
+    /// contiguous run of [`Region::rects`] — what a span clip walks.
+    ///
+    /// Bands are y-sorted and never overlap, so rect bottoms and tops
+    /// both ascend along the list: one binary search finds the first
+    /// band reaching `y0`, a second the first band starting at `y1` or
+    /// below.
+    pub fn rects_in_rows(&self, y0: i32, y1: i32) -> &[Rect] {
+        let from = &self.rects[self.rects.partition_point(|r| r.bottom() <= y0)..];
+        &from[..from.partition_point(|r| r.y < y1)]
     }
 
     /// True if any pixel of `r` is covered.

@@ -17,9 +17,14 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+/// The shard-plane `serve.shard.wakeups` counter of a one-shard server.
+fn shard_wakeups(server: &Server) -> u64 {
+    server.shard_snapshots()[0].counter("serve.shard.wakeups")
+}
+
 /// Preloads one whole conversation (hello + `text` keys + bye) into a
-/// mem transport, admits it, and waits until the shard has served it
-/// and retired the session.
+/// mem transport, admits it, and waits until the shard has served it,
+/// retired the session and gone quiet.
 fn run_canned_session(server: &Arc<Server>, text: &str) {
     let (mut client, server_half) = MemTransport::pair();
     use atk_serve::FrameTransport;
@@ -49,6 +54,14 @@ fn run_canned_session(server: &Arc<Server>, text: &str) {
         ServerFrame::Bye { .. }
     ) {}
     while server.shard_loads() != [0] {
+        thread::sleep(Duration::from_millis(1));
+    }
+    // Dropping the client half rings the shard once more. Wait until
+    // that wakeup is counted: the shard then parks with nothing left to
+    // ring it, so no counter moves until the next session is admitted.
+    let wakeups = shard_wakeups(server);
+    drop(client);
+    while shard_wakeups(server) == wakeups {
         thread::sleep(Duration::from_millis(1));
     }
 }
@@ -194,6 +207,7 @@ fn typing_sessions(
     fork: bool,
     sessions: usize,
     keys: usize,
+    think: Duration,
 ) -> (Arc<Server>, Vec<Snapshot>, Snapshot) {
     let cfg = ServerConfig {
         fork,
@@ -215,6 +229,9 @@ fn typing_sessions(
                 .map(|c| ScriptStep::Event(WindowEvent::ch(c))),
         );
         for step in &steps {
+            if !think.is_zero() {
+                thread::sleep(think);
+            }
             client.step_sync(step).unwrap();
         }
         client.finish().unwrap();
@@ -240,7 +257,7 @@ fn typing_sessions(
 #[test]
 fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
     for fork in [true, false] {
-        let (_, sessions, _) = typing_sessions(fork, 3, 24);
+        let (_, sessions, _) = typing_sessions(fork, 3, 24, Duration::ZERO);
         assert_eq!(sessions.len(), 3);
         for (k, snap) in sessions.iter().enumerate() {
             assert!(
@@ -272,7 +289,7 @@ fn a_typing_session_diffs_only_what_it_drew() {
         .size();
     let mut compared = Vec::new();
     for fork in [true, false] {
-        let (_, sessions, _) = typing_sessions(fork, 2, 48);
+        let (_, sessions, _) = typing_sessions(fork, 2, 48, Duration::ZERO);
         for (k, snap) in sessions.iter().enumerate() {
             let full = snap.counter("serve.frames") * u64::from(w) * u64::from(h);
             let px = snap.counter("serve.diff_px");
@@ -295,7 +312,7 @@ fn a_typing_session_diffs_only_what_it_drew() {
 /// leaves the session's own keyframe counters as a miss left them.
 #[test]
 fn keyframe_cache_hits_count_on_the_shard_plane() {
-    let (server, sessions, shard) = typing_sessions(true, 3, 4);
+    let (server, sessions, shard) = typing_sessions(true, 3, 4, Duration::ZERO);
     assert_eq!(shard.counter("serve.keyframe_cache_hits"), 2);
     assert_eq!(
         server
@@ -318,7 +335,7 @@ fn keyframe_cache_hits_count_on_the_shard_plane() {
         );
     }
 
-    let (server, _, shard) = typing_sessions(false, 3, 4);
+    let (server, _, shard) = typing_sessions(false, 3, 4, Duration::ZERO);
     assert_eq!(shard.counter("serve.keyframe_cache_hits"), 0);
     assert_eq!(
         server
@@ -330,10 +347,12 @@ fn keyframe_cache_hits_count_on_the_shard_plane() {
 
 /// The shard health counters: a typing session wakes its parked shard
 /// (`serve.shard.wakeups`) and the shard spends the client's think time
-/// parked (`serve.shard.parked_us`).
+/// parked (`serve.shard.parked_us`). The client pauses 2 ms before each
+/// of its 26 steps, so the shard has parked long before the step lands
+/// unless it was descheduled through every pause.
 #[test]
 fn a_typing_session_records_shard_wakeups() {
-    let (_, _, shard) = typing_sessions(true, 1, 24);
+    let (_, _, shard) = typing_sessions(true, 1, 24, Duration::from_millis(2));
     assert!(shard.counter("serve.shard.wakeups") > 0, "wakeups");
     assert!(shard.counter("serve.shard.parked_us") > 0, "time parked");
 }

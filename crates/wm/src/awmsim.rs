@@ -15,6 +15,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use atk_graphics::{
     BitmapFont, Color, FontDesc, FontMetrics, FontStyle, Framebuffer, Point, RasterOp, Rect,
@@ -405,8 +406,14 @@ impl Graphic for AwmGraphic {
 /// Executes a display list into a framebuffer.
 pub fn replay(ops: &[DrawOp], fb: &mut Framebuffer) {
     let mut st = GraphicState::new();
-    let apply_clip = |st: &GraphicState, fb: &mut Framebuffer| {
-        fb.set_clip(st.clip.clone());
+    // The clip is shared with the framebuffer and copied only when it
+    // changes, not once per drawing op.
+    let mut shared: Option<Arc<Region>> = None;
+    let mut apply_clip = |st: &GraphicState, fb: &mut Framebuffer| {
+        if shared.as_deref() != st.clip.as_ref() {
+            shared = st.clip.clone().map(Arc::new);
+        }
+        fb.set_clip_shared(shared.clone());
     };
     for op in ops {
         match op {

@@ -237,7 +237,7 @@ fn apply<R: Raster>(t: &mut R, op: &DrawOp) {
 /// oracle reference path.
 pub fn replay_serial(fb: &mut Framebuffer, cmds: &[PaintCmd]) {
     for cmd in cmds {
-        fb.set_clip(cmd.clip.as_deref().cloned());
+        fb.set_clip_shared(cmd.clip.clone());
         apply(fb, &cmd.op);
     }
     fb.set_clip(None);

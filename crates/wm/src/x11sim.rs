@@ -233,7 +233,8 @@ impl OffscreenWindow for X11Offscreen {
 
 /// Buffered state for the opt-in parallel-paint mode: recorded
 /// commands awaiting a banded flush, plus an interned copy of the clip
-/// so successive commands under one clip share a single `Arc`.
+/// so successive commands under one clip share a single `Arc` (which
+/// immediate-mode drawing hands to the framebuffer too).
 #[derive(Default)]
 struct RecState {
     /// Configured band threads; 0 or 1 means immediate serial mode.
@@ -290,7 +291,7 @@ impl X11Graphic {
     fn with_fb<R>(&self, f: impl FnOnce(&mut Framebuffer) -> R) -> R {
         let mut fb = self.fb.borrow_mut();
         self.mark(&fb);
-        fb.set_clip(self.st.clip.clone());
+        fb.set_clip_shared(self.shared_clip());
         let r = f(&mut fb);
         fb.set_clip(None);
         r
@@ -303,16 +304,22 @@ impl X11Graphic {
         self.rec.borrow().threads > 1
     }
 
-    /// Records a command under the current clip (interned on change).
-    fn record(&self, op: DrawOp) {
-        self.mark(&self.fb.borrow());
+    /// The state's clip as a shared region, copied only when the clip
+    /// changed since the last drawing op.
+    fn shared_clip(&self) -> Option<Arc<Region>> {
         let mut rec = self.rec.borrow_mut();
         if rec.clip_dirty {
             rec.cur_clip = self.st.clip.clone().map(Arc::new);
             rec.clip_dirty = false;
         }
-        let clip = rec.cur_clip.clone();
-        rec.cmds.push(PaintCmd::new(clip, op));
+        rec.cur_clip.clone()
+    }
+
+    /// Records a command under the current clip (interned on change).
+    fn record(&self, op: DrawOp) {
+        self.mark(&self.fb.borrow());
+        let clip = self.shared_clip();
+        self.rec.borrow_mut().cmds.push(PaintCmd::new(clip, op));
     }
 
     fn mark_clip_dirty(&self) {

@@ -17,6 +17,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --release -p atk-serve (serve tests at release speed)"
+# Races between a shard and its clients show only when the server is
+# fast, so the serve tests also run in the release profile.
+cargo test -q --release -p atk-serve
+
 echo "==> runcheck smoke (fixed seed, all oracles)"
 cargo run --release -q -p atk-check --bin runcheck -- \
     --seed 42 --steps 500 --scene fig1,fig3,fig5 --oracle all
