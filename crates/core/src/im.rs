@@ -383,7 +383,6 @@ impl InteractionManager {
             g.grestore();
             g.flush();
         }
-        self.collect_paint_stats(world);
     }
 
     /// One update pass down the tree.
@@ -405,21 +404,6 @@ impl InteractionManager {
             g.grestore();
             g.flush();
         }
-        self.collect_paint_stats(world);
-    }
-
-    /// Folds the window's banded-paint counters (if any accrued) into
-    /// the trace collector as `paint.*` stats.
-    fn collect_paint_stats(&mut self, world: &mut World) {
-        let ps = self.window.take_paint_stats();
-        if ps == atk_wm::PaintStats::default() {
-            return;
-        }
-        let c = world.collector();
-        c.count("paint.flushes", ps.flushes);
-        c.count("paint.bands", ps.bands);
-        c.count("paint.par_us", ps.par_us);
-        c.count("paint.serial_fallback", ps.serial_fallbacks);
     }
 
     /// Requests and performs a full repaint.

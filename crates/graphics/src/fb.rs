@@ -9,20 +9,12 @@
 //!
 //! Clipping works on spans, as the X server's does. A write that covers
 //! an area — fills, clears, blits, `copy_within`, glyph runs, thick
-//! line squares — goes through [`Raster::for_each_span`]. That finds the
-//! clip's bands under the target by binary search and walks them, so it
-//! does one slice operation per clipped row span and its cost follows
-//! the pixels written, not pixels × clip rects. The per-pixel test
-//! [`Raster::writable`] remains only for point plotters: 1-pixel
-//! Bresenham lines and the oval outlines built from them.
-//!
-//! The drawing code itself lives in the [`Raster`] trait so that a
-//! whole [`Framebuffer`] and a borrowed horizontal band of one
-//! ([`FbBand`], handed out by [`Framebuffer::bands_mut`] via
-//! `split_at_mut`) rasterize through *the same* provided methods. That
-//! is what makes parallel band painting byte-identical to serial
-//! painting by construction: a band is just a raster whose writable row
-//! range is narrower, every other code path is shared.
+//! line squares — goes through one span clipper. That finds the clip's
+//! bands under the target by binary search and walks them, so it does
+//! one slice operation per clipped row span and its cost follows the
+//! pixels written, not pixels × clip rects. The per-pixel test remains
+//! only for point plotters: 1-pixel Bresenham lines and the oval
+//! outlines built from them.
 
 use std::sync::Arc;
 
@@ -43,347 +35,6 @@ pub enum RasterOp {
     AndNot,
 }
 
-/// A drawing surface: either a whole [`Framebuffer`] or a borrowed
-/// horizontal [`FbBand`] of one.
-///
-/// Implementors supply the five storage accessors; every drawing
-/// primitive is a provided method on top of them, so all surfaces
-/// rasterize identically. Coordinates are always in the *logical*
-/// surface space ([`Raster::raster_size`]); a band simply refuses
-/// writes outside its [`Raster::row_limits`].
-pub trait Raster {
-    /// Logical surface dimensions `(width, height)` in pixels.
-    fn raster_size(&self) -> (i32, i32);
-
-    /// The half-open row range `[y0, y1)` this surface may read and
-    /// write. A whole framebuffer answers `(0, height)`.
-    fn row_limits(&self) -> (i32, i32);
-
-    /// The current clip region, if any (`None` clips only to bounds).
-    fn clip_ref(&self) -> Option<&Region>;
-
-    /// Row `y` of pixels (full logical width). `y` must be inside
-    /// [`Raster::row_limits`].
-    fn row(&self, y: i32) -> &[u32];
-
-    /// The clip and the writable rows at once, so a span walk can read
-    /// the one while it writes the other. The slice holds the rows of
-    /// [`Raster::row_limits`], each the full logical width.
-    fn clip_and_rows_mut(&mut self) -> (Option<&Region>, &mut [u32]);
-
-    // --- Provided drawing methods (shared by all surfaces) ------------
-
-    /// Mutable row `y` of pixels. `y` must be inside
-    /// [`Raster::row_limits`].
-    #[inline]
-    fn row_mut(&mut self, y: i32) -> &mut [u32] {
-        let w = self.raster_size().0 as usize;
-        let off = (y - self.row_limits().0) as usize * w;
-        &mut self.clip_and_rows_mut().1[off..off + w]
-    }
-
-    /// The full logical bounds rectangle.
-    fn raster_bounds(&self) -> Rect {
-        let (w, h) = self.raster_size();
-        Rect::new(0, 0, w, h)
-    }
-
-    /// The smallest rect holding every pixel this surface may write:
-    /// its bounds cut to its row limits and to the clip's bounding box.
-    fn writable_bounds(&self) -> Rect {
-        let (w, _) = self.raster_size();
-        let (y0, y1) = self.row_limits();
-        let rows = Rect::new(0, y0, w, y1 - y0);
-        match self.clip_ref() {
-            Some(region) => rows.intersect(region.bounding_box()),
-            None => rows,
-        }
-    }
-
-    /// True when `(x, y)` is inside bounds, inside this surface's row
-    /// limits, and inside the clip. The per-pixel test, for point
-    /// plotters only (Bresenham lines, oval outlines); everything that
-    /// covers an area goes through [`Raster::for_each_span`].
-    #[inline]
-    fn writable(&self, x: i32, y: i32) -> bool {
-        let (w, _) = self.raster_size();
-        let (y0, y1) = self.row_limits();
-        if x < 0 || x >= w || y < y0 || y >= y1 {
-            return false;
-        }
-        match self.clip_ref() {
-            Some(region) => region.contains(Point::new(x, y)),
-            None => true,
-        }
-    }
-
-    /// Writes a pixel, honoring bounds, row limits, and clip.
-    #[inline]
-    fn set(&mut self, x: i32, y: i32, color: Color) {
-        if self.writable(x, y) {
-            self.row_mut(y)[x as usize] = color.0;
-        }
-    }
-
-    /// Writes a pixel combining with the existing value via `op`.
-    fn set_op(&mut self, x: i32, y: i32, color: Color, op: RasterOp) {
-        if self.writable(x, y) {
-            let px = &mut self.row_mut(y)[x as usize];
-            *px = combine(*px, color.0, op);
-        }
-    }
-
-    /// The span clipper: calls `f(rows, at, y, x0, x1)` once for each
-    /// row span `[x0, x1)` of `r` that lies inside bounds, row limits
-    /// and clip, where `rows[at + x]` is pixel `(x, y)` (`rows` as from
-    /// [`Raster::clip_and_rows_mut`]).
-    ///
-    /// The clip's bands meeting `r` are found by binary search and
-    /// walked row by row, each row's rects left to right; `backward`
-    /// reverses bands, rows and spans alike. Clip rects are disjoint,
-    /// so every pixel is visited at most once and a combining op such
-    /// as XOR stays exact.
-    fn for_each_span(
-        &mut self,
-        r: Rect,
-        backward: bool,
-        mut f: impl FnMut(&mut [u32], usize, i32, i32, i32),
-    ) {
-        let (w, _) = self.raster_size();
-        let (ly0, ly1) = self.row_limits();
-        let r = r.intersect(Rect::new(0, ly0, w, ly1 - ly0));
-        if r.is_empty() {
-            return;
-        }
-        let whole = [r];
-        let (clip, rows) = self.clip_and_rows_mut();
-        let rects = clip.map_or(&whole[..], |c| c.rects_in_rows(r.y, r.bottom()));
-        let mut band_spans = |band: &[Rect]| {
-            // The band's rects that meet r's columns (x-sorted, so a
-            // contiguous run), and the band's rows inside r.
-            let band = &band[band.partition_point(|c| c.right() <= r.x)..];
-            let band = &band[..band.partition_point(|c| c.x < r.right())];
-            let Some(first) = band.first() else {
-                return;
-            };
-            let (top, bot) = (first.y.max(r.y), first.bottom().min(r.bottom()));
-            let mut row = |y: i32, c: &Rect| {
-                let at = (y - ly0) as usize * w as usize;
-                f(rows, at, y, c.x.max(r.x), c.right().min(r.right()));
-            };
-            if backward {
-                for y in (top..bot).rev() {
-                    band.iter().rev().for_each(|c| row(y, c));
-                }
-            } else {
-                for y in top..bot {
-                    band.iter().for_each(|c| row(y, c));
-                }
-            }
-        };
-        let bands = rects.chunk_by(|a, b| a.y == b.y);
-        if backward {
-            bands.rev().for_each(&mut band_spans);
-        } else {
-            bands.for_each(band_spans);
-        }
-    }
-
-    /// Fills a rectangle.
-    fn fill_rect(&mut self, r: Rect, color: Color) {
-        self.fill_rect_op(r, color, RasterOp::Copy);
-    }
-
-    /// Fills a rectangle with a raster op: one slice op per clipped
-    /// row span.
-    fn fill_rect_op(&mut self, r: Rect, color: Color, op: RasterOp) {
-        self.for_each_span(r, false, |rows, at, _, x0, x1| {
-            let span = &mut rows[at + x0 as usize..at + x1 as usize];
-            match op {
-                RasterOp::Copy => span.fill(color.0),
-                _ => span
-                    .iter_mut()
-                    .for_each(|px| *px = combine(*px, color.0, op)),
-            }
-        });
-    }
-
-    /// Outlines a rectangle with 1-pixel lines just inside its bounds.
-    fn draw_rect(&mut self, r: Rect, color: Color) {
-        if r.is_empty() {
-            return;
-        }
-        self.fill_rect(Rect::new(r.x, r.y, r.width, 1), color);
-        self.fill_rect(Rect::new(r.x, r.bottom() - 1, r.width, 1), color);
-        self.fill_rect(Rect::new(r.x, r.y, 1, r.height), color);
-        self.fill_rect(Rect::new(r.right() - 1, r.y, 1, r.height), color);
-    }
-
-    /// Draws a line of the given thickness (Bresenham; thickness expands
-    /// each plotted position into a small square).
-    fn draw_line(&mut self, a: Point, b: Point, thickness: i32, color: Color) {
-        let thickness = thickness.max(1);
-        let (mut x0, mut y0) = (a.x, a.y);
-        let (x1, y1) = (b.x, b.y);
-        let dx = (x1 - x0).abs();
-        let dy = -(y1 - y0).abs();
-        let sx = if x0 < x1 { 1 } else { -1 };
-        let sy = if y0 < y1 { 1 } else { -1 };
-        let mut err = dx + dy;
-        loop {
-            if thickness == 1 {
-                self.set(x0, y0, color);
-            } else {
-                let half = thickness / 2;
-                self.fill_rect(Rect::new(x0 - half, y0 - half, thickness, thickness), color);
-            }
-            if x0 == x1 && y0 == y1 {
-                break;
-            }
-            let e2 = 2 * err;
-            if e2 >= dy {
-                err += dy;
-                x0 += sx;
-            }
-            if e2 <= dx {
-                err += dx;
-                y0 += sy;
-            }
-        }
-    }
-
-    /// Outlines an axis-aligned ellipse inscribed in `r` (scanline
-    /// algorithm).
-    fn draw_oval(&mut self, r: Rect, color: Color) {
-        self.oval(r, color, false);
-    }
-
-    /// Fills an axis-aligned ellipse inscribed in `r`.
-    fn fill_oval(&mut self, r: Rect, color: Color) {
-        self.oval(r, color, true);
-    }
-
-    /// Shared scanline ellipse path behind [`Raster::draw_oval`] /
-    /// [`Raster::fill_oval`].
-    #[doc(hidden)]
-    fn oval(&mut self, r: Rect, color: Color, fill: bool) {
-        if r.is_empty() {
-            return;
-        }
-        // Scanline ellipse: for each pixel row solve x^2/rx^2 + y^2/ry^2 = 1
-        // about the (possibly half-integral) center. Robust over every
-        // aspect ratio, unlike a naive midpoint walk.
-        let cx = r.x as f64 + (r.width - 1) as f64 / 2.0;
-        let cy = r.y as f64 + (r.height - 1) as f64 / 2.0;
-        let rx = ((r.width - 1) as f64 / 2.0).max(0.5);
-        let ry = ((r.height - 1) as f64 / 2.0).max(0.5);
-        let mut left: Vec<Point> = Vec::new();
-        let mut right: Vec<Point> = Vec::new();
-        for y in r.y..r.bottom() {
-            let fy = y as f64 - cy;
-            let t = 1.0 - (fy / ry) * (fy / ry);
-            if t < 0.0 {
-                continue;
-            }
-            let half = rx * t.sqrt();
-            let x0 = (cx - half).round() as i32;
-            let x1 = (cx + half).round() as i32;
-            if fill {
-                self.fill_rect(Rect::new(x0, y, x1 - x0 + 1, 1), color);
-            } else {
-                left.push(Point::new(x0, y));
-                right.push(Point::new(x1, y));
-            }
-        }
-        if !fill {
-            // Connect successive outline samples so steep sides are solid.
-            for seq in [left, right] {
-                for w in seq.windows(2) {
-                    self.draw_line(w[0], w[1], 1, color);
-                }
-            }
-        }
-    }
-
-    /// Fills an arbitrary polygon (even-odd rule, scanline algorithm).
-    fn fill_polygon(&mut self, pts: &[Point], color: Color) {
-        if pts.len() < 3 {
-            return;
-        }
-        let min_y = pts.iter().map(|p| p.y).min().unwrap();
-        let max_y = pts.iter().map(|p| p.y).max().unwrap();
-        for y in min_y..=max_y {
-            // Gather x-intersections of edges with the scanline center.
-            let yc = y as f64 + 0.5;
-            let mut xs: Vec<f64> = Vec::new();
-            for i in 0..pts.len() {
-                let p0 = pts[i];
-                let p1 = pts[(i + 1) % pts.len()];
-                let (y0, y1) = (p0.y as f64, p1.y as f64);
-                if (y0 <= yc && y1 > yc) || (y1 <= yc && y0 > yc) {
-                    let t = (yc - y0) / (y1 - y0);
-                    xs.push(p0.x as f64 + t * (p1.x - p0.x) as f64);
-                }
-            }
-            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for pair in xs.chunks(2) {
-                if pair.len() == 2 {
-                    let x0 = pair[0].ceil() as i32;
-                    let x1 = pair[1].floor() as i32;
-                    if x1 >= x0 {
-                        self.fill_rect(Rect::new(x0, y, x1 - x0 + 1, 1), color);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fills a pie-slice wedge of the ellipse inscribed in `r`, between
-    /// `start_deg` and `end_deg` (clockwise from 12 o'clock). Used by the
-    /// pie-chart view.
-    fn fill_wedge(&mut self, r: Rect, start_deg: f64, end_deg: f64, color: Color) {
-        if r.is_empty() || end_deg <= start_deg {
-            return;
-        }
-        let c = r.center();
-        let rx = r.width as f64 / 2.0;
-        let ry = r.height as f64 / 2.0;
-        let mut pts = vec![c];
-        let steps = (((end_deg - start_deg).abs() / 3.0).ceil() as usize).max(2);
-        for i in 0..=steps {
-            let ang =
-                (start_deg + (end_deg - start_deg) * i as f64 / steps as f64 - 90.0).to_radians();
-            pts.push(Point::new(
-                c.x + (rx * ang.cos()).round() as i32,
-                c.y + (ry * ang.sin()).round() as i32,
-            ));
-        }
-        self.fill_polygon(&pts, color);
-    }
-
-    /// Copies rectangle `src_rect` of `src` to `dst_origin` here, using
-    /// `op`.
-    fn blit(&mut self, src: &Framebuffer, src_rect: Rect, dst_origin: Point, op: RasterOp) {
-        let src_rect = src_rect.intersect(src.bounds());
-        let (dx, dy) = (src_rect.x - dst_origin.x, src_rect.y - dst_origin.y);
-        self.for_each_span(
-            Rect::at(dst_origin, src_rect.size()),
-            false,
-            |rows, at, y, x0, x1| {
-                let from = &src.row(y + dy)[(x0 + dx) as usize..(x1 + dx) as usize];
-                let span = &mut rows[at + x0 as usize..at + x1 as usize];
-                match op {
-                    RasterOp::Copy => span.copy_from_slice(from),
-                    _ => span
-                        .iter_mut()
-                        .zip(from)
-                        .for_each(|(px, &c)| *px = combine(*px, c, op)),
-                }
-            },
-        );
-    }
-}
-
 /// `dst` combined with `src` under `op`.
 #[inline]
 fn combine(dst: u32, src: u32, op: RasterOp) -> u32 {
@@ -402,32 +53,6 @@ pub struct Framebuffer {
     height: i32,
     pixels: Vec<u32>,
     clip: Option<Arc<Region>>,
-}
-
-impl Raster for Framebuffer {
-    fn raster_size(&self) -> (i32, i32) {
-        (self.width, self.height)
-    }
-
-    fn row_limits(&self) -> (i32, i32) {
-        (0, self.height)
-    }
-
-    fn clip_ref(&self) -> Option<&Region> {
-        self.clip.as_deref()
-    }
-
-    #[inline]
-    fn row(&self, y: i32) -> &[u32] {
-        let w = self.width as usize;
-        let off = y as usize * w;
-        &self.pixels[off..off + w]
-    }
-
-    #[inline]
-    fn clip_and_rows_mut(&mut self) -> (Option<&Region>, &mut [u32]) {
-        (self.clip.as_deref(), &mut self.pixels)
-    }
 }
 
 impl Framebuffer {
@@ -508,15 +133,58 @@ impl Framebuffer {
         Color(self.pixels[(y as usize) * (self.width as usize) + x as usize])
     }
 
+    /// Row `y` of pixels; `y` must be inside the bounds.
+    #[inline]
+    fn row(&self, y: i32) -> &[u32] {
+        let w = self.width as usize;
+        let off = y as usize * w;
+        &self.pixels[off..off + w]
+    }
+
+    /// Mutable row `y` of pixels; `y` must be inside the bounds.
+    #[inline]
+    fn row_mut(&mut self, y: i32) -> &mut [u32] {
+        let w = self.width as usize;
+        let off = y as usize * w;
+        &mut self.pixels[off..off + w]
+    }
+
+    /// The smallest rect holding every pixel drawing may write: the
+    /// bounds cut to the clip's bounding box.
+    pub(crate) fn writable_bounds(&self) -> Rect {
+        match self.clip() {
+            Some(region) => self.bounds().intersect(region.bounding_box()),
+            None => self.bounds(),
+        }
+    }
+
+    /// True when `(x, y)` is inside bounds and clip. The per-pixel
+    /// test, for point plotters only (Bresenham lines, oval outlines);
+    /// everything that covers an area goes through
+    /// [`Framebuffer::for_each_span`].
+    #[inline]
+    fn writable(&self, x: i32, y: i32) -> bool {
+        if x < 0 || y < 0 || x >= self.width || y >= self.height {
+            return false;
+        }
+        self.clip()
+            .is_none_or(|region| region.contains(Point::new(x, y)))
+    }
+
     /// Writes a pixel, honoring bounds and clip.
     #[inline]
     pub fn set(&mut self, x: i32, y: i32, color: Color) {
-        Raster::set(self, x, y, color);
+        if self.writable(x, y) {
+            self.row_mut(y)[x as usize] = color.0;
+        }
     }
 
     /// Writes a pixel combining with the existing value via `op`.
     pub fn set_op(&mut self, x: i32, y: i32, color: Color, op: RasterOp) {
-        Raster::set_op(self, x, y, color, op);
+        if self.writable(x, y) {
+            let px = &mut self.row_mut(y)[x as usize];
+            *px = combine(*px, color.0, op);
+        }
     }
 
     /// Fills the whole buffer (ignoring clip).
@@ -524,53 +192,251 @@ impl Framebuffer {
         self.pixels.fill(color.0);
     }
 
-    /// Fills a rectangle.
-    pub fn fill_rect(&mut self, r: Rect, color: Color) {
-        Raster::fill_rect(self, r, color);
+    /// The span clipper: calls `f(rows, at, y, x0, x1)` once for each
+    /// row span `[x0, x1)` of `r` that lies inside bounds and clip,
+    /// where `rows[at + x]` is pixel `(x, y)` of the whole pixel store.
+    ///
+    /// The clip's bands meeting `r` are found by binary search and
+    /// walked row by row, each row's rects left to right; `backward`
+    /// reverses bands, rows and spans alike. Clip rects are disjoint,
+    /// so every pixel is visited at most once and a combining op such
+    /// as XOR stays exact.
+    fn for_each_span(
+        &mut self,
+        r: Rect,
+        backward: bool,
+        mut f: impl FnMut(&mut [u32], usize, i32, i32, i32),
+    ) {
+        let r = r.intersect(self.bounds());
+        if r.is_empty() {
+            return;
+        }
+        let w = self.width as usize;
+        let whole = [r];
+        let (clip, rows) = (self.clip.as_deref(), &mut self.pixels[..]);
+        let rects = clip.map_or(&whole[..], |c| c.rects_in_rows(r.y, r.bottom()));
+        let mut band_spans = |band: &[Rect]| {
+            // The band's rects that meet r's columns (x-sorted, so a
+            // contiguous run), and the band's rows inside r.
+            let band = &band[band.partition_point(|c| c.right() <= r.x)..];
+            let band = &band[..band.partition_point(|c| c.x < r.right())];
+            let Some(first) = band.first() else {
+                return;
+            };
+            let (top, bot) = (first.y.max(r.y), first.bottom().min(r.bottom()));
+            let mut row = |y: i32, c: &Rect| {
+                let at = y as usize * w;
+                f(rows, at, y, c.x.max(r.x), c.right().min(r.right()));
+            };
+            if backward {
+                for y in (top..bot).rev() {
+                    band.iter().rev().for_each(|c| row(y, c));
+                }
+            } else {
+                for y in top..bot {
+                    band.iter().for_each(|c| row(y, c));
+                }
+            }
+        };
+        let bands = rects.chunk_by(|a, b| a.y == b.y);
+        if backward {
+            bands.rev().for_each(&mut band_spans);
+        } else {
+            bands.for_each(band_spans);
+        }
     }
 
-    /// Fills a rectangle with a raster op.
+    /// Fills a rectangle.
+    pub fn fill_rect(&mut self, r: Rect, color: Color) {
+        self.fill_rect_op(r, color, RasterOp::Copy);
+    }
+
+    /// Fills a rectangle with a raster op: one slice op per clipped
+    /// row span.
     pub fn fill_rect_op(&mut self, r: Rect, color: Color, op: RasterOp) {
-        Raster::fill_rect_op(self, r, color, op);
+        self.for_each_span(r, false, |rows, at, _, x0, x1| {
+            let span = &mut rows[at + x0 as usize..at + x1 as usize];
+            match op {
+                RasterOp::Copy => span.fill(color.0),
+                _ => span
+                    .iter_mut()
+                    .for_each(|px| *px = combine(*px, color.0, op)),
+            }
+        });
     }
 
     /// Outlines a rectangle with 1-pixel lines just inside its bounds.
     pub fn draw_rect(&mut self, r: Rect, color: Color) {
-        Raster::draw_rect(self, r, color);
+        if r.is_empty() {
+            return;
+        }
+        self.fill_rect(Rect::new(r.x, r.y, r.width, 1), color);
+        self.fill_rect(Rect::new(r.x, r.bottom() - 1, r.width, 1), color);
+        self.fill_rect(Rect::new(r.x, r.y, 1, r.height), color);
+        self.fill_rect(Rect::new(r.right() - 1, r.y, 1, r.height), color);
     }
 
     /// Draws a line of the given thickness (Bresenham; thickness expands
     /// each plotted position into a small square).
     pub fn draw_line(&mut self, a: Point, b: Point, thickness: i32, color: Color) {
-        Raster::draw_line(self, a, b, thickness, color);
+        let thickness = thickness.max(1);
+        let (mut x0, mut y0) = (a.x, a.y);
+        let (x1, y1) = (b.x, b.y);
+        let dx = (x1 - x0).abs();
+        let dy = -(y1 - y0).abs();
+        let sx = if x0 < x1 { 1 } else { -1 };
+        let sy = if y0 < y1 { 1 } else { -1 };
+        let mut err = dx + dy;
+        loop {
+            if thickness == 1 {
+                self.set(x0, y0, color);
+            } else {
+                let half = thickness / 2;
+                self.fill_rect(Rect::new(x0 - half, y0 - half, thickness, thickness), color);
+            }
+            if x0 == x1 && y0 == y1 {
+                break;
+            }
+            let e2 = 2 * err;
+            if e2 >= dy {
+                err += dy;
+                x0 += sx;
+            }
+            if e2 <= dx {
+                err += dx;
+                y0 += sy;
+            }
+        }
     }
 
-    /// Outlines an axis-aligned ellipse inscribed in `r`.
+    /// Outlines an axis-aligned ellipse inscribed in `r` (scanline
+    /// algorithm).
     pub fn draw_oval(&mut self, r: Rect, color: Color) {
-        Raster::draw_oval(self, r, color);
+        self.oval(r, color, false);
     }
 
     /// Fills an axis-aligned ellipse inscribed in `r`.
     pub fn fill_oval(&mut self, r: Rect, color: Color) {
-        Raster::fill_oval(self, r, color);
+        self.oval(r, color, true);
+    }
+
+    /// Shared scanline ellipse path behind [`Framebuffer::draw_oval`]
+    /// / [`Framebuffer::fill_oval`].
+    fn oval(&mut self, r: Rect, color: Color, fill: bool) {
+        if r.is_empty() {
+            return;
+        }
+        // Scanline ellipse: for each pixel row solve x^2/rx^2 + y^2/ry^2 = 1
+        // about the (possibly half-integral) center. Robust over every
+        // aspect ratio, unlike a naive midpoint walk.
+        let cx = r.x as f64 + (r.width - 1) as f64 / 2.0;
+        let cy = r.y as f64 + (r.height - 1) as f64 / 2.0;
+        let rx = ((r.width - 1) as f64 / 2.0).max(0.5);
+        let ry = ((r.height - 1) as f64 / 2.0).max(0.5);
+        let mut left: Vec<Point> = Vec::new();
+        let mut right: Vec<Point> = Vec::new();
+        for y in r.y..r.bottom() {
+            let fy = y as f64 - cy;
+            let t = 1.0 - (fy / ry) * (fy / ry);
+            if t < 0.0 {
+                continue;
+            }
+            let half = rx * t.sqrt();
+            let x0 = (cx - half).round() as i32;
+            let x1 = (cx + half).round() as i32;
+            if fill {
+                self.fill_rect(Rect::new(x0, y, x1 - x0 + 1, 1), color);
+            } else {
+                left.push(Point::new(x0, y));
+                right.push(Point::new(x1, y));
+            }
+        }
+        if !fill {
+            // Connect successive outline samples so steep sides are solid.
+            for seq in [left, right] {
+                for w in seq.windows(2) {
+                    self.draw_line(w[0], w[1], 1, color);
+                }
+            }
+        }
     }
 
     /// Fills an arbitrary polygon (even-odd rule, scanline algorithm).
     pub fn fill_polygon(&mut self, pts: &[Point], color: Color) {
-        Raster::fill_polygon(self, pts, color);
+        if pts.len() < 3 {
+            return;
+        }
+        let min_y = pts.iter().map(|p| p.y).min().unwrap();
+        let max_y = pts.iter().map(|p| p.y).max().unwrap();
+        for y in min_y..=max_y {
+            // Gather x-intersections of edges with the scanline center.
+            let yc = y as f64 + 0.5;
+            let mut xs: Vec<f64> = Vec::new();
+            for i in 0..pts.len() {
+                let p0 = pts[i];
+                let p1 = pts[(i + 1) % pts.len()];
+                let (y0, y1) = (p0.y as f64, p1.y as f64);
+                if (y0 <= yc && y1 > yc) || (y1 <= yc && y0 > yc) {
+                    let t = (yc - y0) / (y1 - y0);
+                    xs.push(p0.x as f64 + t * (p1.x - p0.x) as f64);
+                }
+            }
+            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for pair in xs.chunks(2) {
+                if pair.len() == 2 {
+                    let x0 = pair[0].ceil() as i32;
+                    let x1 = pair[1].floor() as i32;
+                    if x1 >= x0 {
+                        self.fill_rect(Rect::new(x0, y, x1 - x0 + 1, 1), color);
+                    }
+                }
+            }
+        }
     }
 
     /// Fills a pie-slice wedge of the ellipse inscribed in `r`, between
     /// `start_deg` and `end_deg` (clockwise from 12 o'clock). Used by the
     /// pie-chart view.
     pub fn fill_wedge(&mut self, r: Rect, start_deg: f64, end_deg: f64, color: Color) {
-        Raster::fill_wedge(self, r, start_deg, end_deg, color);
+        if r.is_empty() || end_deg <= start_deg {
+            return;
+        }
+        let c = r.center();
+        let rx = r.width as f64 / 2.0;
+        let ry = r.height as f64 / 2.0;
+        let mut pts = vec![c];
+        let steps = (((end_deg - start_deg).abs() / 3.0).ceil() as usize).max(2);
+        for i in 0..=steps {
+            let ang =
+                (start_deg + (end_deg - start_deg) * i as f64 / steps as f64 - 90.0).to_radians();
+            pts.push(Point::new(
+                c.x + (rx * ang.cos()).round() as i32,
+                c.y + (ry * ang.sin()).round() as i32,
+            ));
+        }
+        self.fill_polygon(&pts, color);
     }
 
     /// Copies rectangle `src_rect` of `src` to `dst_origin` here, using
     /// `op`.
     pub fn blit(&mut self, src: &Framebuffer, src_rect: Rect, dst_origin: Point, op: RasterOp) {
-        Raster::blit(self, src, src_rect, dst_origin, op);
+        let src_rect = src_rect.intersect(src.bounds());
+        let (dx, dy) = (src_rect.x - dst_origin.x, src_rect.y - dst_origin.y);
+        self.for_each_span(
+            Rect::at(dst_origin, src_rect.size()),
+            false,
+            |rows, at, y, x0, x1| {
+                let from = &src.row(y + dy)[(x0 + dx) as usize..(x1 + dx) as usize];
+                let span = &mut rows[at + x0 as usize..at + x1 as usize];
+                match op {
+                    RasterOp::Copy => span.copy_from_slice(from),
+                    _ => span
+                        .iter_mut()
+                        .zip(from)
+                        .for_each(|(px, &c)| *px = combine(*px, c, op)),
+                }
+            },
+        );
     }
 
     /// Overwrites rectangle `r` with `pixels` (row-major,
@@ -624,45 +490,6 @@ impl Framebuffer {
                 );
             },
         );
-    }
-
-    /// Splits the rows `[y0, y1)` into at most `n` disjoint horizontal
-    /// [`FbBand`]s of near-equal height, each borrowing its own slice of
-    /// the pixel store via `split_at_mut` — the borrow checker proves
-    /// the bands never alias, so they can be painted from scoped
-    /// threads. Rows are clamped to the buffer; empty ranges yield no
-    /// bands. The bands carry no clip; workers set one per replayed
-    /// command.
-    pub fn bands_mut(&mut self, y0: i32, y1: i32, n: usize) -> Vec<FbBand<'_>> {
-        let y0 = y0.clamp(0, self.height);
-        let y1 = y1.clamp(y0, self.height);
-        let total = (y1 - y0) as usize;
-        let w = self.width as usize;
-        let n = n.max(1);
-        let mut out = Vec::with_capacity(n.min(total));
-        if total == 0 || w == 0 {
-            return out;
-        }
-        let mut rest = &mut self.pixels[y0 as usize * w..y1 as usize * w];
-        let mut row_start = y0;
-        for i in 0..n {
-            let band_rows = (total * (i + 1) / n) - (total * i / n);
-            if band_rows == 0 {
-                continue;
-            }
-            let (head, tail) = rest.split_at_mut(band_rows * w);
-            rest = tail;
-            out.push(FbBand {
-                width: self.width,
-                height: self.height,
-                y0: row_start,
-                y1: row_start + band_rows as i32,
-                rows: head,
-                clip: None,
-            });
-            row_start += band_rows as i32;
-        }
-        out
     }
 
     /// Counts pixels equal to `color` within `r` (test helper, also used
@@ -740,62 +567,6 @@ impl Framebuffer {
             out.end_row();
         }
         Some(out.finish())
-    }
-}
-
-/// A borrowed horizontal band of a [`Framebuffer`]: rows `[y0, y1)`
-/// backed by a disjoint `&mut` slice of the parent's pixel store (see
-/// [`Framebuffer::bands_mut`]). Implements [`Raster`] with the parent's
-/// logical coordinate space, so drawing commands replayed against a
-/// band land exactly where they would on the whole buffer — writes
-/// outside the band's rows are simply suppressed.
-#[derive(Debug)]
-pub struct FbBand<'a> {
-    width: i32,
-    height: i32,
-    y0: i32,
-    y1: i32,
-    rows: &'a mut [u32],
-    clip: Option<Arc<Region>>,
-}
-
-impl FbBand<'_> {
-    /// The half-open row range `[y0, y1)` this band owns.
-    pub fn y_range(&self) -> (i32, i32) {
-        (self.y0, self.y1)
-    }
-
-    /// Sets the clip region for subsequent drawing (shared, so a
-    /// replayed command list can hand the same interned region to every
-    /// band without cloning the rect vector per band).
-    pub fn set_clip_shared(&mut self, clip: Option<Arc<Region>>) {
-        self.clip = clip;
-    }
-}
-
-impl Raster for FbBand<'_> {
-    fn raster_size(&self) -> (i32, i32) {
-        (self.width, self.height)
-    }
-
-    fn row_limits(&self) -> (i32, i32) {
-        (self.y0, self.y1)
-    }
-
-    fn clip_ref(&self) -> Option<&Region> {
-        self.clip.as_deref()
-    }
-
-    #[inline]
-    fn row(&self, y: i32) -> &[u32] {
-        let w = self.width as usize;
-        let off = (y - self.y0) as usize * w;
-        &self.rows[off..off + w]
-    }
-
-    #[inline]
-    fn clip_and_rows_mut(&mut self) -> (Option<&Region>, &mut [u32]) {
-        (self.clip.as_deref(), self.rows)
     }
 }
 
@@ -1047,72 +818,6 @@ mod tests {
         let a = Framebuffer::new(4, 4, Color::WHITE);
         let b = Framebuffer::new(5, 4, Color::WHITE);
         assert!(a.diff_region_within(&b, a.bounds()).is_none());
-    }
-
-    #[test]
-    fn bands_cover_range_disjointly() {
-        let mut fb = Framebuffer::new(8, 10, Color::WHITE);
-        let bands = fb.bands_mut(0, 10, 4);
-        assert_eq!(bands.len(), 4);
-        let mut next = 0;
-        for b in &bands {
-            let (y0, y1) = b.y_range();
-            assert_eq!(y0, next, "bands must tile contiguously");
-            assert!(y1 > y0);
-            next = y1;
-        }
-        assert_eq!(next, 10);
-    }
-
-    #[test]
-    fn bands_clamp_and_skip_empty() {
-        let mut fb = Framebuffer::new(8, 4, Color::WHITE);
-        // Request more bands than rows: every band non-empty, ≤ rows bands.
-        let bands = fb.bands_mut(-3, 99, 16);
-        assert_eq!(bands.len(), 4);
-        // Empty range yields nothing.
-        assert!(fb.bands_mut(2, 2, 4).is_empty());
-    }
-
-    #[test]
-    fn band_drawing_matches_whole_buffer_drawing() {
-        // Paint the same scene into one whole buffer and into three
-        // bands; the results must be byte-identical.
-        let mut whole = Framebuffer::new(40, 30, Color::WHITE);
-        fn scene<R: Raster>(t: &mut R) {
-            t.fill_rect(Rect::new(2, 2, 30, 26), Color::rgb(200, 10, 10));
-            t.draw_line(Point::new(0, 0), Point::new(39, 29), 3, Color::BLACK);
-            t.fill_oval(Rect::new(5, 5, 20, 18), Color::rgb(0, 0, 255));
-            t.draw_rect(Rect::new(1, 1, 38, 28), Color::BLACK);
-            t.fill_polygon(
-                &[Point::new(30, 2), Point::new(38, 20), Point::new(22, 25)],
-                Color::rgb(0, 128, 0),
-            );
-            t.fill_rect_op(Rect::new(10, 10, 20, 12), Color::WHITE, RasterOp::Xor);
-        }
-        scene(&mut whole);
-        let mut banded = Framebuffer::new(40, 30, Color::WHITE);
-        for mut band in banded.bands_mut(0, 30, 3) {
-            scene(&mut band);
-        }
-        assert_eq!(whole, banded);
-    }
-
-    #[test]
-    fn band_clip_matches_whole_buffer_clip() {
-        let clip = Region::from_rects(vec![Rect::new(3, 3, 10, 8), Rect::new(20, 12, 9, 9)]);
-        let mut whole = Framebuffer::new(32, 24, Color::WHITE);
-        whole.set_clip(Some(clip.clone()));
-        whole.fill_rect(Rect::new(0, 0, 32, 24), Color::BLACK);
-        whole.set_clip(None);
-
-        let mut banded = Framebuffer::new(32, 24, Color::WHITE);
-        let shared = Arc::new(clip);
-        for mut band in banded.bands_mut(0, 24, 5) {
-            band.set_clip_shared(Some(shared.clone()));
-            band.fill_rect(Rect::new(0, 0, 32, 24), Color::BLACK);
-        }
-        assert_eq!(whole, banded);
     }
 }
 

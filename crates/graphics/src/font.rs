@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::color::Color;
-use crate::fb::Raster;
+use crate::fb::Framebuffer;
 use crate::geom::{Point, Rect};
 
 /// Style flags, combinable via [`FontStyle::union`].
@@ -293,14 +293,13 @@ pub struct BitmapFont;
 
 impl BitmapFont {
     /// Draws `text` with its *top-left* corner at `origin`; returns the
-    /// advance in x. Unknown characters render as a hollow box. Generic
-    /// over [`Raster`] so a whole framebuffer and a parallel paint band
-    /// rasterize glyphs through identical code.
+    /// advance in x. Unknown characters render as a hollow box.
     ///
     /// The advance table is resolved once per call, and a glyph whose
-    /// cell misses everything the surface may write is not rasterized.
-    pub fn draw<R: Raster>(
-        fb: &mut R,
+    /// cell misses everything the framebuffer may write (its bounds cut
+    /// to the clip) is not rasterized.
+    pub fn draw(
+        fb: &mut Framebuffer,
         origin: Point,
         text: &str,
         desc: &FontDesc,
@@ -338,8 +337,8 @@ impl BitmapFont {
     }
 
     /// Draws `text` with the *baseline* at `baseline_origin.y`.
-    pub fn draw_baseline<R: Raster>(
-        fb: &mut R,
+    pub fn draw_baseline(
+        fb: &mut Framebuffer,
         baseline_origin: Point,
         text: &str,
         desc: &FontDesc,
@@ -368,8 +367,8 @@ impl BitmapFont {
     /// Draws each glyph row as its maximal runs of lit columns, one
     /// fill per run. Bold widens every run by one scaled pixel: exactly
     /// the union of the plain strike and the strike one pixel right.
-    fn draw_glyph<R: Raster>(
-        fb: &mut R,
+    fn draw_glyph(
+        fb: &mut Framebuffer,
         origin: Point,
         glyph: &Glyph,
         desc: &FontDesc,

@@ -29,7 +29,7 @@ pub mod ppm;
 pub mod region;
 
 pub use color::Color;
-pub use fb::{FbBand, Framebuffer, Raster, RasterOp};
+pub use fb::{Framebuffer, RasterOp};
 pub use font::{BitmapFont, FontDesc, FontMetrics, FontStyle, WidthTable};
 pub use geom::{Point, Rect, Size};
 pub use region::Region;

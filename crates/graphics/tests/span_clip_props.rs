@@ -3,15 +3,11 @@
 //! style — must leave exactly the pixels a per-pixel reference leaves.
 //! The reference, kept here, tests each pixel against every clip rect
 //! in turn, as the rasterizer did before it walked the clip's bands. It
-//! runs against a whole framebuffer and against band splits painted on
-//! one and on four threads.
-
-use std::sync::Arc;
-use std::thread;
+//! runs against a whole framebuffer and against one painted band by
+//! band.
 
 use atk_graphics::{
-    BitmapFont, Color, FbBand, FontDesc, FontStyle, Framebuffer, Point, Raster, RasterOp, Rect,
-    Region,
+    BitmapFont, Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Region,
 };
 use proptest::prelude::*;
 
@@ -203,20 +199,6 @@ impl Reference {
     }
 }
 
-/// Runs one command through the span-clipping rasterizer. The caller
-/// has set the clip.
-fn draw<R: Raster>(t: &mut R, op: &Op, src: &Framebuffer) {
-    match op {
-        Op::Fill(r, c, op) => t.fill_rect_op(*r, Color(*c), *op),
-        Op::Blit(r, p, op) => t.blit(src, *r, *p, *op),
-        Op::CopyWithin(..) => unreachable!("copy_within is whole-framebuffer only"),
-        Op::Line(a, b, w, c) => t.draw_line(*a, *b, *w, Color(*c)),
-        Op::Text(p, s, d, c) => {
-            BitmapFont::draw(t, *p, s, d, Color(*c));
-        }
-    }
-}
-
 fn reference(cmds: &[Cmd], src: &Framebuffer) -> Vec<u32> {
     let mut r = Reference {
         px: canvas(),
@@ -228,40 +210,46 @@ fn reference(cmds: &[Cmd], src: &Framebuffer) -> Vec<u32> {
     r.px
 }
 
+/// Runs `cmds` through the span-clipping rasterizer.
 fn whole(cmds: &[Cmd], src: &Framebuffer) -> Framebuffer {
     let mut fb = Framebuffer::from_pixels(W, H, canvas());
     for cmd in cmds {
         fb.set_clip(cmd.clip.clone());
         match &cmd.op {
+            Op::Fill(r, c, op) => fb.fill_rect_op(*r, Color(*c), *op),
+            Op::Blit(r, p, op) => fb.blit(src, *r, *p, *op),
             Op::CopyWithin(r, p) => fb.copy_within(*r, *p),
-            op => draw(&mut fb, op, src),
+            Op::Line(a, b, w, c) => fb.draw_line(*a, *b, *w, Color(*c)),
+            Op::Text(p, s, d, c) => {
+                BitmapFont::draw(&mut fb, *p, s, d, Color(*c));
+            }
         }
     }
     fb
 }
 
-/// Paints `cmds` into `n` bands, one scoped thread per band when
-/// `n > 1`, each band setting the shared clip per command.
-fn banded(cmds: &[Cmd], src: &Framebuffer, n: usize) -> Framebuffer {
-    let shared: Vec<_> = cmds.iter().map(|c| c.clip.clone().map(Arc::new)).collect();
-    let mut fb = Framebuffer::from_pixels(W, H, canvas());
-    let paint = |band: &mut FbBand<'_>| {
-        for (cmd, clip) in cmds.iter().zip(&shared) {
-            band.set_clip_shared(clip.clone());
-            draw(band, &cmd.op, src);
-        }
-    };
-    let mut bands = fb.bands_mut(0, H, n);
-    if n == 1 {
-        bands.iter_mut().for_each(paint);
-    } else {
-        thread::scope(|scope| {
-            for band in &mut bands {
-                scope.spawn(|| paint(band));
-            }
-        });
+/// Paints `cmds` band by band over `n` horizontal bands, each command
+/// clipped to its own clip narrowed to the band, so every glyph, line
+/// and fill that crosses a band edge is drawn in pieces.
+fn banded(cmds: &[Cmd], src: &Framebuffer, n: i32) -> Framebuffer {
+    let mut px = canvas();
+    for i in 0..n {
+        let band = Rect::new(0, H * i / n, W, H * (i + 1) / n - H * i / n);
+        let narrowed: Vec<Cmd> = cmds
+            .iter()
+            .map(|cmd| Cmd {
+                clip: Some(match &cmd.clip {
+                    Some(clip) => clip.intersect_rect(band),
+                    None => Region::from_rect(band),
+                }),
+                op: cmd.op.clone(),
+            })
+            .collect();
+        let painted = whole(&narrowed, src);
+        let rows = (band.y * W) as usize..((band.y + band.height) * W) as usize;
+        px[rows.clone()].copy_from_slice(&painted.pixels()[rows]);
     }
-    fb
+    Framebuffer::from_pixels(W, H, px)
 }
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -324,8 +312,8 @@ fn arb_text() -> impl Strategy<Value = Op> {
         })
 }
 
-/// Every op but `copy_within`, which only a whole framebuffer has.
-fn arb_band_op() -> impl Strategy<Value = Op> {
+/// Every op but `copy_within`.
+fn arb_draw_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (arb_rect(), any::<u32>(), arb_rop()).prop_map(|(r, c, op)| Op::Fill(r, c, op)),
         (
@@ -357,19 +345,19 @@ fn cmds(op: impl Strategy<Value = Op>) -> impl Strategy<Value = Vec<Cmd>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A whole framebuffer, `copy_within` included.
+    /// Every op, `copy_within` included, under every clip shape.
     #[test]
     fn whole_framebuffer_matches_per_pixel_reference(
-        cmds in cmds(prop_oneof![arb_band_op(), arb_band_op(), arb_copy()]),
+        cmds in cmds(prop_oneof![arb_draw_op(), arb_draw_op(), arb_copy()]),
     ) {
         let src = source();
         prop_assert_eq!(whole(&cmds, &src).pixels(), &reference(&cmds, &src)[..]);
     }
 
-    /// Band splits painted on one thread and on four, so glyphs, lines
-    /// and fills straddle band edges as well as clip edges.
+    /// Band splits painted one band at a time, so glyphs, lines and
+    /// fills straddle band edges as well as clip edges.
     #[test]
-    fn band_splits_match_per_pixel_reference(cmds in cmds(arb_band_op())) {
+    fn band_splits_match_per_pixel_reference(cmds in cmds(arb_draw_op())) {
         let src = source();
         let want = reference(&cmds, &src);
         for n in [1, 4] {
@@ -419,9 +407,10 @@ fn copy_within_is_overlap_safe_in_every_direction() {
     }
 }
 
-/// Text slid one pixel at a time across a clip's left and right edges
-/// and across band edges, in every style at every scale: a glyph cell
-/// that is skipped must have had nothing visible to draw.
+/// Text slid one pixel at a time across a clip's left and right edges,
+/// across the top and bottom edges of its bands and across band-split
+/// edges, in every style at every scale: a glyph cell that is skipped must have had nothing
+/// visible to draw.
 #[test]
 fn text_straddling_clip_and_band_edges_matches_reference() {
     let src = source();

@@ -6,8 +6,8 @@
 //!         [--shards N] [--docs N] [--writers N] [--watchers N]
 //!         [--rendezvous] [--min-concurrent N] [--faults SEED]
 //!         [--disconnect-every N] [--max-sessions N] [--max-drops N]
-//!         [--slo-us N] [--stats] [--trace FILE] [--paint-threads N]
-//!         [--ramp] [--no-fork] [--min-forks N]
+//!         [--slo-us N] [--stats] [--trace FILE] [--ramp] [--no-fork]
+//!         [--min-forks N]
 //! ```
 //!
 //! Self-hosts a server over localhost TCP unless `--connect` points at
@@ -56,7 +56,7 @@ fn usage() -> ! {
          [--shards N] [--docs N] [--writers N] [--watchers N] [--rendezvous] \
          [--min-concurrent N] [--faults SEED] [--disconnect-every N] \
          [--max-sessions N] [--max-drops N] [--slo-us N] [--stats] \
-         [--trace FILE] [--paint-threads N] [--ramp] [--no-fork] [--min-forks N]"
+         [--trace FILE] [--ramp] [--no-fork] [--min-forks N]"
     );
     std::process::exit(2);
 }
@@ -165,10 +165,6 @@ fn main() {
             }
             "--slo-us" => {
                 cfg.server.session.slo_us = Some(parse_num("--slo-us", argv.get(i + 1)));
-                i += 2;
-            }
-            "--paint-threads" => {
-                cfg.server.session.paint_threads = parse_num("--paint-threads", argv.get(i + 1));
                 i += 2;
             }
             "--ramp" => {

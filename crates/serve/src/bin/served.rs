@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! served [--port N] [--shards N] [--max-sessions N] [--queue-cap N]
-//!        [--idle-ms N] [--slo-us N] [--stats-every SECS] [--paint-threads N]
+//!        [--idle-ms N] [--slo-us N] [--stats-every SECS]
 //! ```
 //!
 //! Listens on `127.0.0.1:<port>` (an OS-assigned port when 0, printed
@@ -29,8 +29,7 @@ use atk_trace::{Snapshot, Stage};
 fn usage() -> ! {
     eprintln!(
         "usage: served [--port N] [--shards N] [--max-sessions N] \
-         [--queue-cap N] [--idle-ms N] [--slo-us N] [--stats-every SECS] \
-         [--paint-threads N]"
+         [--queue-cap N] [--idle-ms N] [--slo-us N] [--stats-every SECS]"
     );
     std::process::exit(2);
 }
@@ -121,10 +120,6 @@ fn main() {
             }
             "--slo-us" => {
                 cfg.session.slo_us = Some(parse_num("--slo-us", argv.get(i + 1)));
-                i += 2;
-            }
-            "--paint-threads" => {
-                cfg.session.paint_threads = parse_num("--paint-threads", argv.get(i + 1));
                 i += 2;
             }
             "--stats-every" => {

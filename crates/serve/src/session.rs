@@ -50,11 +50,8 @@ pub struct SessionConfig {
     /// budget dumps its stage breakdown and triggering step to the
     /// slow-frame log. `None` disables the watchdog.
     pub slo_us: Option<u64>,
-    /// Bands the backend rasterizes in parallel per paint flush
-    /// (1 = the serial reference path).
-    pub paint_threads: usize,
     /// Pick the smaller of raw and RLE wire bodies per frame; off pins
-    /// raw (the e14 and `encode_oracle_*` baseline).
+    /// raw (the e14 baseline).
     pub encode: bool,
     /// Window-system backend the session's scene is built on:
     /// `x11sim` (pixel framebuffer) or `awmsim` (display list, replayed
@@ -71,7 +68,6 @@ impl Default for SessionConfig {
             idle_ms: None,
             frame_trace: true,
             slo_us: None,
-            paint_threads: 1,
             encode: true,
             backend: "x11sim".to_string(),
         }
@@ -160,11 +156,9 @@ impl HostedSession {
         let mut world = scene.world;
         world.set_collector(collector.clone());
         let last_input_ms = world.now_ms();
-        let mut im = scene.im;
-        im.window_mut().set_paint_threads(cfg.paint_threads.max(1));
         Ok(HostedSession {
             world,
-            im,
+            im: scene.im,
             cfg,
             collector,
             shipped: None,
@@ -1036,25 +1030,9 @@ mod tests {
 
     /// Runs `steps` one batch each on a fresh fig5 session and checks,
     /// after every shipped frame, that the diff baseline patched in
-    /// place equals the screen — at one paint thread (immediate
-    /// drawing) and at four (recorded drawing, flushed in bands), the
-    /// two ways drawing marks the written bounds the diff is confined
-    /// to. Returns (updates, keyframes) shipped after the initial
-    /// keyframe, which both thread counts must agree on.
+    /// place equals the screen. Returns (updates, keyframes) shipped
+    /// after the initial keyframe.
     fn baseline_tracks_screen(cfg: SessionConfig, steps: &[ScriptStep]) -> (usize, usize) {
-        let serial = baseline_tracks_screen_at(cfg.clone(), steps);
-        let banded = baseline_tracks_screen_at(
-            SessionConfig {
-                paint_threads: 4,
-                ..cfg
-            },
-            steps,
-        );
-        assert_eq!(serial, banded, "(updates, keyframes) at 1 vs 4 threads");
-        serial
-    }
-
-    fn baseline_tracks_screen_at(cfg: SessionConfig, steps: &[ScriptStep]) -> (usize, usize) {
         let collector = Arc::new(Collector::new());
         let mut s = HostedSession::open("fig5", cfg, collector).unwrap();
         let _ = s.initial_keyframe();

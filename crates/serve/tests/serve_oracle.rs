@@ -5,10 +5,10 @@
 //! * served-vs-in-process: a served session replaying a fuzzer script
 //!   ends byte-identical to the same script run in-process (three
 //!   scenes × four seeds, 40 steps each);
-//! * `encode`: the same differential with the RLE wire encoder *and*
-//!   four-way parallel band paint enabled — every scene × the same
-//!   seeds — so the encoder round-trip and the parallel-vs-serial
-//!   paint promise are proven end to end in one byte-identity check;
+//! * `encode`: the same differential at the default config, where the
+//!   RLE wire encoder is on — every scene × the same seeds — so the
+//!   encoder round-trip is proven end to end, and no frame's chosen
+//!   body is larger than the raw one;
 //! * menu position: a recorded `menu request x y` + `menu select`
 //!   script replays served and in-process to the same pixels.
 
@@ -44,13 +44,8 @@ fn run_scene(scene: &str) {
 }
 
 fn run_scene_encoded(scene: &str) {
-    let session = SessionConfig {
-        encode: true,
-        paint_threads: 4,
-        ..SessionConfig::default()
-    };
     for seed in SEEDS {
-        let report = run(scene, seed, session.clone());
+        let report = run(scene, seed, SessionConfig::default());
         assert!(
             report.encoded_bytes <= report.raw_bytes,
             "{scene} seed {seed}: encoder inflated the wire \

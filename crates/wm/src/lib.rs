@@ -39,14 +39,12 @@
 
 pub mod awmsim;
 pub mod event;
-pub mod paint;
 pub mod printer;
 pub mod surface;
 pub mod traits;
 pub mod x11sim;
 
 pub use event::{Button, Key, MouseAction, WindowEvent};
-pub use paint::PaintStats;
 pub use traits::{
     CursorHandle, CursorShape, FontDriver, Graphic, GraphicState, OffscreenWindow, Window,
     WindowSystem,

@@ -11,7 +11,6 @@ use atk_graphics::{
 };
 
 use crate::event::WindowEvent;
-use crate::paint::PaintStats;
 
 /// Stock cursor shapes (paper §8: "this class provides an interface to
 /// defining cursors on the underlying window system").
@@ -118,35 +117,18 @@ pub trait Window {
     /// window-system-independence benchmarks).
     fn op_count(&self) -> u64;
 
-    // --- Parallel paint hooks (default: serial immediate mode) ----------
-
-    /// Requests that update passes rasterize on up to `threads` banded
-    /// worker threads. Backends without a banded path ignore this.
-    fn set_paint_threads(&mut self, _threads: usize) {}
-
-    /// Configured rasterizer thread count (1 = serial immediate mode).
-    fn paint_threads(&self) -> usize {
-        1
-    }
-
-    /// Drains the paint counters accumulated since the last call.
-    fn take_paint_stats(&mut self) -> PaintStats {
-        PaintStats::default()
-    }
-
     /// Runs `f` over a borrow of the current frame pixels without
-    /// cloning, flushing any buffered drawing first. Returns false when
-    /// the backend cannot expose its frame by reference (callers fall
-    /// back to [`Window::snapshot`]).
+    /// cloning. Returns false when the backend cannot expose its frame
+    /// by reference (callers fall back to [`Window::snapshot`]).
     fn with_frame(&self, _f: &mut dyn FnMut(&Framebuffer)) -> bool {
         false
     }
 
     /// Takes the device-space bounds of every pixel written since the
-    /// last call, leaving them empty. Drawing (recorded or immediate)
-    /// adds its clip's bounds (the whole window when unclipped); a
-    /// resize or an adopted frame counts as the whole window. Every frame pixel that changed since the
-    /// last call lies inside the returned rect. `None` (this default)
+    /// last call, leaving them empty. Drawing adds its clip's bounds
+    /// (the whole window when unclipped); a resize or an adopted frame
+    /// counts as the whole window. Every frame pixel that changed since
+    /// the last call lies inside the returned rect. `None` (this default)
     /// means the backend does not track writes: assume anything
     /// changed.
     fn take_written(&mut self) -> Option<Rect> {

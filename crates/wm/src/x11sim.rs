@@ -10,14 +10,12 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
 
 use atk_graphics::{
     BitmapFont, Color, FontDesc, FontMetrics, Framebuffer, Point, RasterOp, Rect, Region, Size,
 };
 
 use crate::event::WindowEvent;
-use crate::paint::{replay_parallel, DrawOp, PaintCmd, PaintStats};
 use crate::traits::{
     BuiltinFontDriver, CursorHandle, CursorShape, FontDriver, Graphic, GraphicState,
     OffscreenWindow, Window, WindowSystem,
@@ -113,7 +111,7 @@ impl Window for X11Window {
     fn resize(&mut self, size: Size) {
         self.size = size;
         let fb = Framebuffer::new(size.width.max(0), size.height.max(0), Color::WHITE);
-        self.graphic.written.set(fb.bounds());
+        self.graphic.written = fb.bounds();
         *self.fb.borrow_mut() = fb;
         self.events.push_back(WindowEvent::Resize(size));
         self.events
@@ -149,7 +147,6 @@ impl Window for X11Window {
     }
 
     fn snapshot(&self) -> Option<Framebuffer> {
-        self.graphic.flush_pending();
         Some(self.fb.borrow().clone())
     }
 
@@ -157,34 +154,19 @@ impl Window for X11Window {
         self.graphic.ops.get()
     }
 
-    fn set_paint_threads(&mut self, threads: usize) {
-        self.graphic.set_threads(threads);
-    }
-
-    fn paint_threads(&self) -> usize {
-        self.graphic.threads()
-    }
-
-    fn take_paint_stats(&mut self) -> PaintStats {
-        self.graphic.take_stats()
-    }
-
     fn with_frame(&self, f: &mut dyn FnMut(&Framebuffer)) -> bool {
-        self.graphic.flush_pending();
         f(&self.fb.borrow());
         true
     }
 
     fn take_written(&mut self) -> Option<Rect> {
-        Some(self.graphic.written.take())
+        Some(std::mem::take(&mut self.graphic.written))
     }
 
     fn adopt_frame(&mut self, frame: &Framebuffer) {
-        // Flush first so no buffered command lands on top of the
-        // adopted pixels, then row-copy into the buffer open_window
-        // already allocated (and just warmed with its white fill) —
-        // no per-pixel walk, no second allocation per fork.
-        self.graphic.flush_pending();
+        // Row-copy into the buffer open_window already allocated (and
+        // just warmed with its white fill) — no per-pixel walk, no
+        // second allocation per fork.
         let mut fb = self.fb.borrow_mut();
         fb.set_clip(None);
         if fb.width() == frame.width() && fb.height() == frame.height() {
@@ -193,7 +175,7 @@ impl Window for X11Window {
             *fb = frame.clone();
             fb.set_clip(None);
         }
-        self.graphic.written.set(fb.bounds());
+        self.graphic.written = fb.bounds();
     }
 }
 
@@ -226,23 +208,8 @@ impl OffscreenWindow for X11Offscreen {
     }
 
     fn bits(&self) -> Framebuffer {
-        self.graphic.flush_pending();
         self.fb.borrow().clone()
     }
-}
-
-/// Buffered state for the opt-in parallel-paint mode: recorded
-/// commands awaiting a banded flush, plus an interned copy of the clip
-/// so successive commands under one clip share a single `Arc` (which
-/// immediate-mode drawing hands to the framebuffer too).
-#[derive(Default)]
-struct RecState {
-    /// Configured band threads; 0 or 1 means immediate serial mode.
-    threads: usize,
-    cmds: Vec<PaintCmd>,
-    cur_clip: Option<Arc<Region>>,
-    clip_dirty: bool,
-    stats: PaintStats,
 }
 
 /// The rasterizing drawable.
@@ -250,21 +217,26 @@ pub struct X11Graphic {
     fb: Rc<RefCell<Framebuffer>>,
     st: GraphicState,
     ops: Rc<Cell<u64>>,
-    rec: RefCell<RecState>,
-    /// Device-space bounds of every pixel written (or recorded for a
-    /// banded flush) since the owning window last handed them out via
-    /// [`Window::take_written`].
-    written: Cell<Rect>,
+    /// The state's clip as a shared region, interned by the first
+    /// drawing op after the clip changes, so successive ops under one
+    /// clip hand the framebuffer the same `Arc` instead of copying the
+    /// rect vector per op.
+    cur_clip: Option<Arc<Region>>,
+    clip_dirty: bool,
+    /// Device-space bounds of every pixel written since the owning
+    /// window last handed them out via [`Window::take_written`].
+    written: Rect,
 }
 
 impl X11Graphic {
     fn new(fb: Rc<RefCell<Framebuffer>>) -> X11Graphic {
-        let written = Cell::new(fb.borrow().bounds());
+        let written = fb.borrow().bounds();
         X11Graphic {
             fb,
             st: GraphicState::new(),
             ops: Rc::new(Cell::new(0)),
-            rec: RefCell::new(RecState::default()),
+            cur_clip: None,
+            clip_dirty: false,
             written,
         }
     }
@@ -274,88 +246,26 @@ impl X11Graphic {
         self.ops.set(self.ops.get() + 1);
     }
 
-    /// Adds what a drawing op may write — the clip's bounding box cut
+    /// Runs one drawing call on the framebuffer under the state's clip.
+    /// First adds what the call may write — the clip's bounding box cut
     /// to the frame, or the whole frame when there is no clip — to the
     /// written bounds. Update passes always draw under the damage clip,
     /// so an op's own extent would not tighten this.
-    fn mark(&self, fb: &Framebuffer) {
-        let hit = match &self.st.clip {
+    fn with_fb<R>(&mut self, f: impl FnOnce(&mut Framebuffer) -> R) -> R {
+        if self.clip_dirty {
+            self.cur_clip = self.st.clip.clone().map(Arc::new);
+            self.clip_dirty = false;
+        }
+        let mut fb = self.fb.borrow_mut();
+        let hit = match &self.cur_clip {
             Some(c) => c.bounding_box().intersect(fb.bounds()),
             None => fb.bounds(),
         };
-        self.written.set(self.written.get().union(hit));
-    }
-
-    /// Applies the state's clip to the framebuffer for the duration of a
-    /// drawing call.
-    fn with_fb<R>(&self, f: impl FnOnce(&mut Framebuffer) -> R) -> R {
-        let mut fb = self.fb.borrow_mut();
-        self.mark(&fb);
-        fb.set_clip_shared(self.shared_clip());
+        self.written = self.written.union(hit);
+        fb.set_clip_shared(self.cur_clip.clone());
         let r = f(&mut fb);
         fb.set_clip(None);
         r
-    }
-
-    /// True when drawing should be recorded for a banded flush rather
-    /// than rasterized immediately.
-    #[inline]
-    fn deferring(&self) -> bool {
-        self.rec.borrow().threads > 1
-    }
-
-    /// The state's clip as a shared region, copied only when the clip
-    /// changed since the last drawing op.
-    fn shared_clip(&self) -> Option<Arc<Region>> {
-        let mut rec = self.rec.borrow_mut();
-        if rec.clip_dirty {
-            rec.cur_clip = self.st.clip.clone().map(Arc::new);
-            rec.clip_dirty = false;
-        }
-        rec.cur_clip.clone()
-    }
-
-    /// Records a command under the current clip (interned on change).
-    fn record(&self, op: DrawOp) {
-        self.mark(&self.fb.borrow());
-        let clip = self.shared_clip();
-        self.rec.borrow_mut().cmds.push(PaintCmd::new(clip, op));
-    }
-
-    fn mark_clip_dirty(&self) {
-        self.rec.borrow_mut().clip_dirty = true;
-    }
-
-    /// Replays any recorded commands into the framebuffer on banded
-    /// worker threads. Callable from `&self` paths (snapshots).
-    fn flush_pending(&self) {
-        let mut rec = self.rec.borrow_mut();
-        if rec.cmds.is_empty() {
-            return;
-        }
-        let cmds = std::mem::take(&mut rec.cmds);
-        let threads = rec.threads.max(1);
-        let mut fb = self.fb.borrow_mut();
-        let t0 = Instant::now();
-        let bands = replay_parallel(&mut fb, &cmds, threads);
-        rec.stats.par_us += t0.elapsed().as_micros() as u64;
-        rec.stats.flushes += 1;
-        rec.stats.bands += bands as u64;
-    }
-
-    fn set_threads(&self, threads: usize) {
-        self.flush_pending();
-        let mut rec = self.rec.borrow_mut();
-        rec.threads = threads;
-        rec.clip_dirty = true;
-    }
-
-    fn threads(&self) -> usize {
-        self.rec.borrow().threads.max(1)
-    }
-
-    fn take_stats(&self) -> PaintStats {
-        std::mem::take(&mut self.rec.borrow_mut().stats)
     }
 }
 
@@ -396,18 +306,18 @@ impl Graphic for X11Graphic {
     }
     fn grestore(&mut self) {
         self.st.restore();
-        self.mark_clip_dirty();
+        self.clip_dirty = true;
     }
     fn translate(&mut self, dx: i32, dy: i32) {
         self.st.translate(dx, dy);
     }
     fn clip_rect(&mut self, r: Rect) {
         self.st.clip_rect(r);
-        self.mark_clip_dirty();
+        self.clip_dirty = true;
     }
     fn clip_region(&mut self, region: &Region) {
         self.st.clip_region(region);
-        self.mark_clip_dirty();
+        self.clip_dirty = true;
     }
     fn clip_bounds(&self) -> Rect {
         let whole = self.fb.borrow().bounds();
@@ -430,190 +340,92 @@ impl Graphic for X11Graphic {
         self.tick();
         let (da, db) = (self.st.to_device(a), self.st.to_device(b));
         let (w, fg) = (self.st.line_width, self.st.fg);
-        if self.deferring() {
-            self.record(DrawOp::Line {
-                a: da,
-                b: db,
-                width: w,
-                color: fg,
-            });
-        } else {
-            self.with_fb(|fb| fb.draw_line(da, db, w, fg));
-        }
+        self.with_fb(|fb| fb.draw_line(da, db, w, fg));
     }
 
     fn draw_rect(&mut self, r: Rect) {
         self.tick();
         let dr = self.st.rect_to_device(r);
         let fg = self.st.fg;
-        if self.deferring() {
-            self.record(DrawOp::RectOutline { r: dr, color: fg });
-        } else {
-            self.with_fb(|fb| fb.draw_rect(dr, fg));
-        }
+        self.with_fb(|fb| fb.draw_rect(dr, fg));
     }
 
     fn fill_rect(&mut self, r: Rect) {
         self.tick();
         let dr = self.st.rect_to_device(r);
         let (fg, rop) = (self.st.fg, self.st.rop);
-        if self.deferring() {
-            self.record(DrawOp::FillRect {
-                r: dr,
-                color: fg,
-                rop,
-            });
-        } else {
-            self.with_fb(|fb| fb.fill_rect_op(dr, fg, rop));
-        }
+        self.with_fb(|fb| fb.fill_rect_op(dr, fg, rop));
     }
 
     fn clear_rect(&mut self, r: Rect) {
         self.tick();
         let dr = self.st.rect_to_device(r);
         let bg = self.st.bg;
-        if self.deferring() {
-            self.record(DrawOp::FillRect {
-                r: dr,
-                color: bg,
-                rop: RasterOp::Copy,
-            });
-        } else {
-            self.with_fb(|fb| fb.fill_rect(dr, bg));
-        }
+        self.with_fb(|fb| fb.fill_rect(dr, bg));
     }
 
     fn draw_oval(&mut self, r: Rect) {
         self.tick();
         let dr = self.st.rect_to_device(r);
         let fg = self.st.fg;
-        if self.deferring() {
-            self.record(DrawOp::Oval {
-                r: dr,
-                color: fg,
-                fill: false,
-            });
-        } else {
-            self.with_fb(|fb| fb.draw_oval(dr, fg));
-        }
+        self.with_fb(|fb| fb.draw_oval(dr, fg));
     }
 
     fn fill_oval(&mut self, r: Rect) {
         self.tick();
         let dr = self.st.rect_to_device(r);
         let fg = self.st.fg;
-        if self.deferring() {
-            self.record(DrawOp::Oval {
-                r: dr,
-                color: fg,
-                fill: true,
-            });
-        } else {
-            self.with_fb(|fb| fb.fill_oval(dr, fg));
-        }
+        self.with_fb(|fb| fb.fill_oval(dr, fg));
     }
 
     fn fill_polygon(&mut self, pts: &[Point]) {
         self.tick();
         let dev: Vec<Point> = pts.iter().map(|p| self.st.to_device(*p)).collect();
         let fg = self.st.fg;
-        if self.deferring() {
-            self.record(DrawOp::Polygon {
-                pts: dev,
-                color: fg,
-            });
-        } else {
-            self.with_fb(|fb| fb.fill_polygon(&dev, fg));
-        }
+        self.with_fb(|fb| fb.fill_polygon(&dev, fg));
     }
 
     fn fill_wedge(&mut self, r: Rect, start_deg: f64, end_deg: f64) {
         self.tick();
         let dr = self.st.rect_to_device(r);
         let fg = self.st.fg;
-        if self.deferring() {
-            self.record(DrawOp::Wedge {
-                r: dr,
-                start_deg,
-                end_deg,
-                color: fg,
-            });
-        } else {
-            self.with_fb(|fb| fb.fill_wedge(dr, start_deg, end_deg, fg));
-        }
+        self.with_fb(|fb| fb.fill_wedge(dr, start_deg, end_deg, fg));
     }
 
     fn draw_string(&mut self, p: Point, s: &str) {
         self.tick();
         let dp = self.st.to_device(p);
         let (font, fg) = (self.st.font.clone(), self.st.fg);
-        if self.deferring() {
-            self.record(DrawOp::Text {
-                origin: dp,
-                text: s.to_string(),
-                font,
-                color: fg,
-            });
-        } else {
-            self.with_fb(|fb| {
-                BitmapFont::draw(fb, dp, s, &font, fg);
-            });
-        }
+        self.with_fb(|fb| {
+            BitmapFont::draw(fb, dp, s, &font, fg);
+        });
     }
 
     fn draw_string_baseline(&mut self, p: Point, s: &str) {
         self.tick();
         let dp = self.st.to_device(p);
         let (font, fg) = (self.st.font.clone(), self.st.fg);
-        if self.deferring() {
-            // Resolve the baseline to a top-left origin at record time;
-            // BitmapFont::draw_baseline does exactly this conversion.
-            let top = Point::new(dp.x, dp.y - font.metrics().ascent);
-            self.record(DrawOp::Text {
-                origin: top,
-                text: s.to_string(),
-                font,
-                color: fg,
-            });
-        } else {
-            self.with_fb(|fb| {
-                BitmapFont::draw_baseline(fb, dp, s, &font, fg);
-            });
-        }
+        self.with_fb(|fb| {
+            BitmapFont::draw_baseline(fb, dp, s, &font, fg);
+        });
     }
 
     fn bitblt(&mut self, bits: &Framebuffer, src: Rect, dst: Point) {
         self.tick();
         let ddst = self.st.to_device(dst);
         let rop = self.st.rop;
-        if self.deferring() {
-            self.record(DrawOp::Blit {
-                bits: Arc::new(bits.clone()),
-                src,
-                dst: ddst,
-                rop,
-            });
-        } else {
-            self.with_fb(|fb| fb.blit(bits, src, ddst, rop));
-        }
+        self.with_fb(|fb| fb.blit(bits, src, ddst, rop));
     }
 
     fn copy_area(&mut self, src: Rect, dst: Point) {
         self.tick();
         let dsrc = self.st.rect_to_device(src);
         let ddst = self.st.to_device(dst);
-        // A self-copy reads rows other bands may be mid-write, so it
-        // cannot be banded: drain anything recorded, then run it
-        // serially in order.
-        if self.deferring() {
-            self.flush_pending();
-            self.rec.borrow_mut().stats.serial_fallbacks += 1;
-        }
         self.with_fb(|fb| fb.copy_within(dsrc, ddst));
     }
 
     fn flush(&mut self) {
-        self.flush_pending();
+        // Immediate mode: every op is already in the framebuffer.
     }
 
     fn string_width(&self, s: &str) -> i32 {
@@ -765,77 +577,72 @@ mod tests {
         assert_eq!(w.snapshot().unwrap(), before);
     }
 
-    /// A scene exercising every primitive, clips, translations, a
-    /// baseline string, a bitblt, and a mid-stream scroll.
-    fn busy_scene(w: &mut dyn Window, bits: &Framebuffer) {
-        let g = w.graphic();
-        g.fill_rect(Rect::new(0, 0, 200, 160));
-        g.set_foreground(Color::WHITE);
+    /// The address of the region the framebuffer clips a drawing call
+    /// to, if any.
+    fn fb_clip(g: &mut X11Graphic) -> Option<*const Region> {
+        g.with_fb(|fb| fb.clip().map(|r| r as *const Region))
+    }
+
+    #[test]
+    fn ops_under_one_clip_share_one_interned_region() {
+        let mut w = X11Window::new("t", Size::new(100, 80));
+        let g = &mut w.graphic;
+        assert_eq!(fb_clip(g), None);
         g.gsave();
-        g.translate(10, 10);
-        g.clip_rect(Rect::new(0, 0, 120, 100));
-        g.fill_oval(Rect::new(5, 5, 80, 60));
+        g.clip_rect(Rect::new(0, 0, 50, 40));
+        g.fill_rect(Rect::new(0, 0, 100, 80));
+        let outer = g.cur_clip.clone().expect("interned by the first op");
+        g.draw_line(Point::new(0, 0), Point::new(99, 79));
+        g.draw_string(Point::new(2, 2), "same clip");
+        assert!(Arc::ptr_eq(&outer, g.cur_clip.as_ref().unwrap()));
+        assert_eq!(fb_clip(g), Some(Arc::as_ptr(&outer)));
+
+        // Narrowing the clip interns a new region on the next op.
+        g.gsave();
+        g.clip_rect(Rect::new(10, 10, 5, 5));
         g.set_foreground(Color::RED);
-        g.draw_oval(Rect::new(20, 15, 60, 40));
-        g.fill_wedge(Rect::new(40, 30, 50, 50), 10.0, 200.0);
+        g.fill_rect(Rect::new(0, 0, 100, 80));
+        let inner = g.cur_clip.clone().unwrap();
+        assert!(!Arc::ptr_eq(&outer, &inner));
+        assert_eq!(*inner, Region::from_rect(Rect::new(10, 10, 5, 5)));
+        assert_eq!(fb_clip(g), Some(Arc::as_ptr(&inner)));
+
+        // So does a clip region, even one that leaves the clip as it was.
+        g.clip_region(&Region::from_rect(Rect::new(0, 0, 100, 80)));
+        g.fill_rect(Rect::new(0, 0, 100, 80));
+        let same = g.cur_clip.clone().unwrap();
+        assert!(!Arc::ptr_eq(&inner, &same));
+        assert_eq!(*same, *inner);
+
+        // grestore brings the outer clip back as a fresh region, and
+        // drawing lands under it.
         g.grestore();
         g.set_foreground(Color::BLUE);
-        g.set_line_width(3);
-        g.draw_line(Point::new(2, 150), Point::new(195, 8));
-        g.fill_polygon(&[
-            Point::new(150, 20),
-            Point::new(190, 60),
-            Point::new(140, 70),
-        ]);
-        g.set_foreground(Color::BLACK);
-        g.draw_string(Point::new(8, 120), "band paint");
-        g.draw_string_baseline(Point::new(90, 140), "baseline");
-        g.draw_bezel(Rect::new(60, 90, 40, 20), true);
-        g.invert_rect(Rect::new(30, 100, 50, 30));
-        g.bitblt(bits, Rect::new(0, 0, 10, 10), Point::new(170, 120));
-        g.copy_area(Rect::new(0, 0, 60, 30), Point::new(120, 100));
-        g.draw_rect(Rect::new(1, 1, 198, 158));
-        g.flush();
-    }
+        g.fill_rect(Rect::new(40, 30, 20, 20));
+        let restored = g.cur_clip.clone().unwrap();
+        assert!(!Arc::ptr_eq(&restored, &inner) && !Arc::ptr_eq(&restored, &outer));
+        assert_eq!(*restored, *outer);
 
-    #[test]
-    fn parallel_paint_is_byte_identical_to_serial() {
-        let mut ws = X11Sim::new();
-        let mut off = ws.open_offscreen(Size::new(10, 10));
-        off.graphic().fill_rect(Rect::new(0, 0, 10, 10));
-        let bits = off.bits();
+        // The last grestore leaves no clip at all.
+        g.grestore();
+        g.set_foreground(Color::BLUE);
+        g.fill_rect(Rect::new(90, 70, 5, 5));
+        assert_eq!(g.cur_clip, None);
+        assert_eq!(fb_clip(g), None);
 
-        let mut serial = ws.open_window("serial", Size::new(200, 160));
-        busy_scene(serial.as_mut(), &bits);
-        let want = serial.snapshot().unwrap();
-
-        for threads in [2, 4, 8] {
-            let mut par = ws.open_window("par", Size::new(200, 160));
-            par.set_paint_threads(threads);
-            assert_eq!(par.paint_threads(), threads);
-            busy_scene(par.as_mut(), &bits);
-            let got = par.snapshot().unwrap();
-            assert_eq!(got, want, "threads={threads}");
-            let stats = par.take_paint_stats();
-            assert!(stats.flushes >= 1, "expected at least one banded flush");
-            assert!(stats.bands >= stats.flushes);
-            // The copy_area mid-scene must have forced a serial drain.
-            assert_eq!(stats.serial_fallbacks, 1);
-            // Drained means drained.
-            assert_eq!(par.take_paint_stats(), PaintStats::default());
-        }
-    }
-
-    #[test]
-    fn snapshot_flushes_pending_banded_commands() {
-        let mut ws = X11Sim::new();
-        let mut w = ws.open_window("t", Size::new(100, 80));
-        w.set_paint_threads(4);
-        w.graphic().fill_rect(Rect::new(10, 10, 5, 5));
-        // No explicit flush: the snapshot itself must drain the queue.
         let snap = w.snapshot().unwrap();
-        assert_eq!(snap.count_pixels(Rect::new(10, 10, 5, 5), Color::BLACK), 25);
-        assert_eq!(w.take_paint_stats().flushes, 1);
+        assert_eq!(snap.count_pixels(snap.bounds(), Color::RED), 25);
+        assert_eq!(snap.count_pixels(Rect::new(10, 10, 5, 5), Color::RED), 25);
+        assert_eq!(
+            snap.count_pixels(Rect::new(40, 30, 10, 10), Color::BLUE),
+            100
+        );
+        assert_eq!(snap.count_pixels(Rect::new(90, 70, 5, 5), Color::BLUE), 25);
+        assert_eq!(snap.count_pixels(snap.bounds(), Color::BLUE), 125);
+        assert_eq!(
+            snap.count_pixels(Rect::new(50, 0, 50, 70), Color::WHITE),
+            3500
+        );
     }
 
     #[test]

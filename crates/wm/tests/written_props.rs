@@ -1,8 +1,7 @@
 //! Soundness of x11sim's written bounds: every pixel a sequence of
 //! `Graphic` operations changes lies inside what the window reports
-//! through `take_written`, in the serial immediate mode and with banded
-//! recording alike. A frame diff bounded by that rect is then exactly
-//! the full-frame diff.
+//! through `take_written`. A frame diff bounded by that rect is then
+//! exactly the full-frame diff.
 
 use atk_graphics::{Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Size};
 use atk_wm::x11sim::X11Sim;
@@ -125,10 +124,8 @@ fn run(w: &mut dyn Window, op: &Op, bits: &Framebuffer) {
     }
 }
 
-fn open(threads: usize) -> Box<dyn Window> {
-    let mut w = X11Sim::new().open_window("written", Size::new(W, H));
-    w.set_paint_threads(threads);
-    w
+fn open() -> Box<dyn Window> {
+    X11Sim::new().open_window("written", Size::new(W, H))
 }
 
 /// Every pixel where `before` and `after` differ, as a list of points
@@ -156,73 +153,69 @@ proptest! {
         chunks in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..8), 1..6),
     ) {
         let bits = bits();
-        for threads in [1, 4] {
-            let mut w = open(threads);
-            let _ = w.take_written();
-            for chunk in &chunks {
-                let before = w.snapshot().unwrap();
-                for op in chunk {
-                    run(w.as_mut(), op, &bits);
-                }
-                let written = w.take_written().expect("x11sim tracks writes");
-                let after = w.snapshot().unwrap();
-                let out = escaped(&before, &after, written);
-                prop_assert!(
-                    out.is_empty(),
-                    "threads={} {:?} outside {:?} after {:?}",
-                    threads, &out[..out.len().min(4)], written, chunk
-                );
-                prop_assert!(after.bounds().contains_rect(written), "{:?}", written);
-                let bounded = before.diff_region_within(&after, written).unwrap();
-                prop_assert_eq!(bounded, before.diff_region_within(&after, after.bounds()).unwrap());
-                let again = w.take_written().unwrap();
-                prop_assert!(again.is_empty(), "second take reported {:?}", again);
+        let mut w = open();
+        let _ = w.take_written();
+        for chunk in &chunks {
+            let before = w.snapshot().unwrap();
+            for op in chunk {
+                run(w.as_mut(), op, &bits);
             }
+            let written = w.take_written().expect("x11sim tracks writes");
+            let after = w.snapshot().unwrap();
+            let out = escaped(&before, &after, written);
+            prop_assert!(
+                out.is_empty(),
+                "{:?} outside {:?} after {:?}",
+                &out[..out.len().min(4)], written, chunk
+            );
+            prop_assert!(after.bounds().contains_rect(written), "{:?}", written);
+            let bounded = before.diff_region_within(&after, written).unwrap();
+            prop_assert_eq!(bounded, before.diff_region_within(&after, after.bounds()).unwrap());
+            let again = w.take_written().unwrap();
+            prop_assert!(again.is_empty(), "second take reported {:?}", again);
         }
     }
 }
 
 #[test]
 fn resize_and_adopt_frame_report_the_whole_window() {
-    for threads in [1, 4] {
-        let mut w = open(threads);
-        assert_eq!(
-            w.take_written(),
-            Some(Rect::new(0, 0, W, H)),
-            "a fresh window"
-        );
-        assert_eq!(w.take_written(), Some(Rect::EMPTY));
+    let mut w = open();
+    assert_eq!(
+        w.take_written(),
+        Some(Rect::new(0, 0, W, H)),
+        "a fresh window"
+    );
+    assert_eq!(w.take_written(), Some(Rect::EMPTY));
 
-        w.graphic().fill_rect(Rect::new(3, 3, 4, 4));
-        w.resize(Size::new(70, 50));
-        assert_eq!(w.take_written(), Some(Rect::new(0, 0, 70, 50)), "resize");
-        assert_eq!(w.take_written(), Some(Rect::EMPTY));
+    w.graphic().fill_rect(Rect::new(3, 3, 4, 4));
+    w.resize(Size::new(70, 50));
+    assert_eq!(w.take_written(), Some(Rect::new(0, 0, 70, 50)), "resize");
+    assert_eq!(w.take_written(), Some(Rect::EMPTY));
 
-        let mut frame = Framebuffer::new(70, 50, Color::WHITE);
-        frame.fill_rect(Rect::new(60, 40, 5, 5), Color::BLUE);
-        w.adopt_frame(&frame);
-        assert_eq!(
-            w.take_written(),
-            Some(Rect::new(0, 0, 70, 50)),
-            "adopt_frame"
-        );
-        assert_eq!(w.take_written(), Some(Rect::EMPTY));
+    let mut frame = Framebuffer::new(70, 50, Color::WHITE);
+    frame.fill_rect(Rect::new(60, 40, 5, 5), Color::BLUE);
+    w.adopt_frame(&frame);
+    assert_eq!(
+        w.take_written(),
+        Some(Rect::new(0, 0, 70, 50)),
+        "adopt_frame"
+    );
+    assert_eq!(w.take_written(), Some(Rect::EMPTY));
 
-        // Drawing recorded but not yet flushed is already reported.
-        let g = w.graphic();
-        g.gsave();
-        g.clip_rect(Rect::new(10, 12, 5, 6));
-        g.fill_rect(Rect::new(0, 0, 40, 40));
-        g.grestore();
-        assert_eq!(w.take_written(), Some(Rect::new(10, 12, 5, 6)));
-        w.graphic().flush();
-        assert_eq!(w.take_written(), Some(Rect::EMPTY));
-    }
+    // Drawing is reported as soon as it is drawn; a flush adds nothing.
+    let g = w.graphic();
+    g.gsave();
+    g.clip_rect(Rect::new(10, 12, 5, 6));
+    g.fill_rect(Rect::new(0, 0, 40, 40));
+    g.grestore();
+    assert_eq!(w.take_written(), Some(Rect::new(10, 12, 5, 6)));
+    w.graphic().flush();
+    assert_eq!(w.take_written(), Some(Rect::EMPTY));
 }
 
 #[test]
 fn written_bounds_follow_the_clip_and_translation() {
-    let mut w = open(1);
+    let mut w = open();
     let _ = w.take_written();
     let g = w.graphic();
     g.gsave();

@@ -61,13 +61,6 @@ kill "$served_pid"
 wait "$served_pid" 2>/dev/null || true
 served_pid=""
 
-echo "==> parallel-paint + encoder smoke (4 bands, RLE wire, zero drops)"
-# The encoder is on by default; --paint-threads 4 puts the banded
-# rasterizer under the same zero-drop, byte-accounted load.
-cargo run --release -q -p atk-serve --bin loadgen -- \
-    --mem --sessions 4 --steps 40 --profile typing \
-    --paint-threads 4 --max-drops 0
-
 echo "==> chaos loadgen (seeded transport faults + injected disconnects)"
 # Every client's pipe runs under a seeded fault schedule (short
 # reads/writes, WouldBlock storms) and every 5th client is cut
@@ -131,8 +124,8 @@ CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e12_incremental_layou
 echo "==> e13 quick smoke (latency attribution, capped sample time)"
 CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e13_latency
 
-echo "==> e14 quick smoke (parallel paint + wire encoder, capped sample time)"
-CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e14_parallel_paint
+echo "==> e14 quick smoke (full-window paint + wire encoder, capped sample time)"
+CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e14_paint_wire
 
 echo "==> e15 quick smoke (shard dispatch at 1/2/4/8 shards, capped sample time)"
 CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e15_shards
