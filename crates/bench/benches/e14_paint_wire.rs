@@ -12,18 +12,27 @@
 //!   before it, over the whole 560×560 frame (`full`) vs over the rect
 //!   the window reports written (`written`), which is what serving
 //!   runs. Both build the same region.
+//! * `codec/` — the fig5 initial keyframe (the frame every `Hello`
+//!   ships) through the packed encoder (`encode`) and back through
+//!   `ServerFrame::decode` (`decode`).
 //!
 //! Headlines printed outside criterion: the full-window repaint time,
-//! the keystroke diff over the full frame vs the written rect, and the
-//! typing-profile bytes-on-wire ratio raw ÷ encoded (bar: ≥2×).
+//! the keystroke diff over the full frame vs the written rect, the
+//! typing-profile bytes-on-wire ratio raw ÷ encoded (bar: ≥2×), and
+//! the fig5 keyframe's encoded bytes, encode and decode time next to a
+//! plain copy of the same frame for scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 use atk_apps::scenes::build_scene;
 use atk_graphics::{BitmapFont, Color, FontDesc, Framebuffer, Point, Rect};
-use atk_serve::{run_loadgen_mem, LoadConfig, Profile};
+use atk_serve::{
+    run_loadgen_mem, Encoding, HostedSession, LoadConfig, Profile, ServerFrame, SessionConfig,
+};
+use atk_trace::Collector;
 use atk_wm::WindowEvent;
 
 /// Fig5's window is 560×560; one full-window repaint of a compound
@@ -175,8 +184,42 @@ fn bench_encode(c: &mut Criterion) {
     g.finish();
 }
 
+/// The fig5 initial keyframe and its packed (RLE) body.
+fn fig5_keyframe() -> (ServerFrame, Vec<u8>) {
+    let mut session =
+        HostedSession::open("fig5", SessionConfig::default(), Arc::new(Collector::new())).unwrap();
+    let key = session.initial_keyframe();
+    let (bytes, encoding) = key.encode_packed();
+    assert_eq!(encoding, Encoding::Rle, "the fig5 keyframe compresses");
+    assert_eq!(ServerFrame::decode(&bytes).unwrap(), key);
+    (key, bytes)
+}
+
+fn bench_codec(c: &mut Criterion) {
+    let (key, bytes) = fig5_keyframe();
+    let mut g = c.benchmark_group("e14/codec");
+    g.bench_function("encode", |b| b.iter(|| black_box(&key).encode_packed()));
+    g.bench_function("decode", |b| {
+        b.iter(|| ServerFrame::decode(black_box(&bytes)).unwrap())
+    });
+    g.finish();
+}
+
+/// Median of `n` timed calls of `f`, microseconds.
+fn median_us<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
+    let mut samples = Vec::with_capacity(n);
+    for _ in 0..n {
+        let t0 = Instant::now();
+        black_box(f());
+        samples.push(t0.elapsed().as_secs_f64() * 1e6);
+    }
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
+}
+
 /// The acceptance headlines: the full-window repaint, the keystroke
-/// diff, and the typing-profile bytes-on-wire ratio.
+/// diff, the typing-profile bytes-on-wire ratio, and the keyframe
+/// codec.
 fn print_headline() {
     let mut fb = Framebuffer::new(W, H, Color::WHITE);
     let mut ops = 0;
@@ -194,16 +237,7 @@ fn print_headline() {
     );
 
     let (before, after, written) = fig5_keystroke();
-    let diff_us = |within: Rect| -> f64 {
-        let mut samples = Vec::with_capacity(31);
-        for _ in 0..31 {
-            let t0 = Instant::now();
-            black_box(before.diff_region_within(&after, within));
-            samples.push(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    };
+    let diff_us = |within: Rect| median_us(31, || before.diff_region_within(&after, within));
     println!(
         "e14 headline: fig5 keystroke diff: full {W}x{H} {:.1} us vs written \
          {}x{} {:.1} us",
@@ -220,6 +254,20 @@ fn print_headline() {
          ({:.1}x; bar: >=2x)",
         rle.bytes_on_wire, rle.encoded_bytes, rle.encode_ratio
     );
+
+    let (key, bytes) = fig5_keyframe();
+    let ServerFrame::Keyframe { frame, .. } = &key else {
+        unreachable!("initial_keyframe builds a keyframe");
+    };
+    println!(
+        "e14 headline: fig5 keyframe codec: {} raw bytes -> {} encoded; \
+         encode {:.0} us, decode {:.0} us; plain frame copy {:.0} us",
+        key.wire_len(),
+        bytes.len(),
+        median_us(31, || key.encode_packed()),
+        median_us(31, || ServerFrame::decode(&bytes).unwrap()),
+        median_us(31, || frame.pixels().to_vec())
+    );
 }
 
 fn benches_with_headline(c: &mut Criterion) {
@@ -227,6 +275,7 @@ fn benches_with_headline(c: &mut Criterion) {
     bench_paint(c);
     bench_diff(c);
     bench_encode(c);
+    bench_codec(c);
 }
 
 criterion_group!(benches, benches_with_headline);

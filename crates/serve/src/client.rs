@@ -4,7 +4,7 @@
 
 use std::io;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use atk_core::ScriptStep;
 use atk_graphics::Framebuffer;
@@ -77,6 +77,9 @@ pub struct ClientStats {
     /// microseconds. The number the template-fork fast path exists to
     /// shrink.
     pub ttff_us: u64,
+    /// The client's share of `ttff_us`: decoding the initial keyframe
+    /// and adopting its pixels, microseconds.
+    pub ttff_decode_us: u64,
 }
 
 impl ClientStats {
@@ -197,7 +200,7 @@ impl<T: FrameTransport> ServeClient<T> {
             ended: false,
         };
         // The initial keyframe follows the welcome unconditionally.
-        client.recv_and_apply()?;
+        client.stats.ttff_decode_us = client.recv_and_apply()?.as_micros() as u64;
         client.stats.ttff_us = connect_started.elapsed().as_micros() as u64;
         Ok(client)
     }
@@ -241,11 +244,14 @@ impl<T: FrameTransport> ServeClient<T> {
         Ok(())
     }
 
-    /// Blocks for the next server frame and applies it.
-    fn recv_and_apply(&mut self) -> Result<(), ClientError> {
+    /// Blocks for the next server frame and applies it, returning the
+    /// time spent decoding and applying (not waiting for) the frame.
+    fn recv_and_apply(&mut self) -> Result<Duration, ClientError> {
         let body = self.t.recv()?;
+        let started = Instant::now();
         let frame = ServerFrame::decode(&body)?;
-        self.apply_frame(frame, body.len())
+        self.apply_frame(frame, body.len())?;
+        Ok(started.elapsed())
     }
 
     /// Pipelining window: how many sent steps no frame has covered yet.
@@ -406,24 +412,49 @@ mod tests {
     use crate::transport::MemTransport;
     use atk_graphics::Rect;
 
-    /// A client handshaken against a preloaded 4×2 keyframe.
-    fn client() -> ServeClient<MemTransport> {
+    /// A client handshaken against a preloaded `width`×`height`
+    /// keyframe of `pixels`, shipped in its packed encoding.
+    fn client_of(width: i32, height: i32, pixels: Vec<u32>) -> ServeClient<MemTransport> {
         let (client_half, mut server_half) = MemTransport::pair();
         let welcome = ServerFrame::Welcome {
             session_id: 1,
-            width: 4,
-            height: 2,
+            width: width as u32,
+            height: height as u32,
         };
         let key = ServerFrame::Keyframe {
             seq: 0,
-            frame: Arc::new(Framebuffer::from_pixels(4, 2, (0..8).collect())),
+            frame: Arc::new(Framebuffer::from_pixels(width, height, pixels)),
         };
         server_half.send(&welcome.encode()).unwrap();
-        server_half.send(&key.encode()).unwrap();
+        server_half.send(&key.encode_packed().0).unwrap();
         let client = ServeClient::handshake(client_half).unwrap();
         // The server half may drop: the client never reads again.
         drop(server_half);
         client
+    }
+
+    /// A client handshaken against a preloaded 4×2 keyframe.
+    fn client() -> ServeClient<MemTransport> {
+        client_of(4, 2, (0..8).collect())
+    }
+
+    #[test]
+    fn ttff_records_the_keyframe_decode_inside_it() {
+        // A fig5-sized frame, shipped RLE-encoded as servers ship it.
+        let c = client_of(560, 560, vec![0xFFFFFF; 560 * 560]);
+        assert_eq!(c.framebuffer().pixels().len(), 560 * 560);
+        let stats = c.stats();
+        assert_eq!(stats.key_frames, 1);
+        assert!(
+            stats.encoded_bytes < stats.full_bytes,
+            "the keyframe shipped packed"
+        );
+        assert!(
+            stats.ttff_decode_us <= stats.ttff_us,
+            "decode {} us outside ttff {} us",
+            stats.ttff_decode_us,
+            stats.ttff_us
+        );
     }
 
     #[test]

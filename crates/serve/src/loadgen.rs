@@ -183,6 +183,9 @@ pub struct LoadReport {
     pub ttff_p50_us: u64,
     /// p99 of time-to-first-frame, microseconds.
     pub ttff_p99_us: u64,
+    /// p50 of the client's share of time-to-first-frame (decoding and
+    /// adopting the initial keyframe), microseconds.
+    pub ttff_decode_p50_us: u64,
     /// `world.forks` from the in-process server's merged snapshot —
     /// sessions born by template fork (`None` against remote servers).
     pub forks: Option<u64>,
@@ -397,6 +400,7 @@ struct Tally {
     ops: u64,
     latencies: Vec<u64>,
     ttffs: Vec<u64>,
+    ttff_decodes: Vec<u64>,
 }
 
 impl Tally {
@@ -416,6 +420,7 @@ impl Tally {
                 self.ops += ops;
                 self.latencies.extend(stats.latencies_us);
                 self.ttffs.push(stats.ttff_us);
+                self.ttff_decodes.push(stats.ttff_decode_us);
                 return Ok(fb);
             }
             Ok(DriveOutcome::InjectedDisconnect) => self.injected += 1,
@@ -431,6 +436,7 @@ impl Tally {
         let wall_s = started.elapsed().as_secs_f64().max(1e-9);
         self.latencies.sort_unstable();
         self.ttffs.sort_unstable();
+        self.ttff_decodes.sort_unstable();
         let ratio = |num: u64, den: u64| {
             if den == 0 {
                 0.0
@@ -454,6 +460,7 @@ impl Tally {
             p99_us: percentile(&self.latencies, 0.99),
             ttff_p50_us: percentile(&self.ttffs, 0.50),
             ttff_p99_us: percentile(&self.ttffs, 0.99),
+            ttff_decode_p50_us: percentile(&self.ttff_decodes, 0.50),
             injected_disconnects: self.injected,
             ops_per_s: self.ops as f64 / wall_s,
             divergences,
@@ -814,8 +821,9 @@ pub fn format_report(cfg: &LoadConfig, r: &LoadReport) -> String {
         r.p99_us as f64 / 1000.0
     ));
     out.push_str(&format!(
-        "  ttff: p50 {:.2} ms, p99 {:.2} ms\n",
+        "  ttff: p50 {:.2} ms (client decode p50 {:.2} ms), p99 {:.2} ms\n",
         r.ttff_p50_us as f64 / 1000.0,
+        r.ttff_decode_p50_us as f64 / 1000.0,
         r.ttff_p99_us as f64 / 1000.0
     ));
     if let (Some(forks), Some(builds)) = (r.forks, r.template_builds) {

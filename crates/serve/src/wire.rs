@@ -227,7 +227,8 @@ fn put_pixels(out: &mut Vec<u8>, pixels: &[u32]) {
 /// Screen content is mostly vertical runs of unchanged background, so
 /// the delta stream collapses to a handful of runs on typing workloads.
 /// A row equal to the row above is all zero deltas, so it extends the
-/// run by a whole row after one slice compare.
+/// run by a whole row after one slice compare; any other row is cut
+/// into maximal runs span by span, one [`Runs::push`] per run.
 fn put_rle_pixels(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
     let npairs_pos = out.len();
     put_u32(out, 0); // Patched once the pair count is known.
@@ -241,11 +242,8 @@ fn put_rle_pixels(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
     for row in pixels.chunks(row_len.max(1)) {
         match above {
             Some(prev) if row == prev => runs.push(0, row.len() as u32),
-            Some(prev) => row
-                .iter()
-                .zip(prev)
-                .for_each(|(&p, &a)| runs.push(p ^ a, 1)),
-            None => row.iter().for_each(|&p| runs.push(p, 1)),
+            Some(prev) => push_delta_runs(&mut runs, row, prev),
+            None => push_raw_runs(&mut runs, row),
         }
         above = Some(row);
     }
@@ -253,6 +251,53 @@ fn put_rle_pixels(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
     // Every pair is 8 bytes.
     let npairs = ((out.len() - npairs_pos - 4) / 8) as u32;
     out[npairs_pos..npairs_pos + 4].copy_from_slice(&npairs.to_le_bytes());
+}
+
+/// Pushes the runs of `row` XOR `prev`: a zero-delta span advances
+/// eight pixels per compare (of arrays, which compile inline rather
+/// than to a `memcmp` call), and a non-zero run ends at the first pixel
+/// whose delta differs.
+fn push_delta_runs(runs: &mut Runs<'_>, row: &[u32], prev: &[u32]) {
+    let prev = &prev[..row.len()];
+    let mut x = 0;
+    while x < row.len() {
+        let start = x;
+        let delta = row[x] ^ prev[x];
+        if delta == 0 {
+            while let (Some(a), Some(b)) =
+                (row[x..].first_chunk::<8>(), prev[x..].first_chunk::<8>())
+            {
+                if a != b {
+                    break;
+                }
+                x += 8;
+            }
+            while x < row.len() && row[x] == prev[x] {
+                x += 1;
+            }
+        } else {
+            x += 1;
+            while x < row.len() && row[x] ^ prev[x] == delta {
+                x += 1;
+            }
+        }
+        runs.push(delta, (x - start) as u32);
+    }
+}
+
+/// Pushes the runs of equal raw values in `row` (the first row, which
+/// has no row above to delta against).
+fn push_raw_runs(runs: &mut Runs<'_>, row: &[u32]) {
+    let mut x = 0;
+    while x < row.len() {
+        let start = x;
+        let value = row[x];
+        x += 1;
+        while x < row.len() && row[x] == value {
+            x += 1;
+        }
+        runs.push(value, (x - start) as u32);
+    }
 }
 
 /// The `(count, value)` pair writer behind [`put_rle_pixels`].
@@ -344,6 +389,12 @@ impl<'a> Reader<'a> {
     /// Decodes a [`put_rle_pixels`] block into exactly `count` pixels.
     /// Every pair count is validated against the remaining budget
     /// before any writes, so hostile input cannot over-allocate.
+    ///
+    /// The row delta is undone as each run lands, so every pixel is
+    /// written once: the part of a run inside the first row is the raw
+    /// value, and the rest copies the row above (in chunks of at most
+    /// `width`, each wholly decoded already) and XORs in the run's
+    /// value when it is non-zero.
     fn rle_pixels(&mut self, count: usize, width: usize) -> Result<Vec<u32>, WireError> {
         let npairs = self.u32()? as usize;
         // Each pair covers at least one pixel.
@@ -351,22 +402,29 @@ impl<'a> Reader<'a> {
             return Err(WireError::TooLarge);
         }
         let mut px: Vec<u32> = Vec::with_capacity(count);
+        // Width 0 carries no rows to delta against: the pixels go raw.
+        let first_row = if width == 0 { count } else { width };
         for _ in 0..npairs {
             let c = self.u32()? as usize;
             let v = self.u32()?;
             if c == 0 || px.len() + c > count {
                 return Err(WireError::TooLarge);
             }
-            px.resize(px.len() + c, v);
+            let end = px.len() + c;
+            if px.len() < first_row {
+                px.resize(end.min(first_row), v);
+            }
+            while px.len() < end {
+                let at = px.len();
+                let n = (end - at).min(width);
+                px.extend_from_within(at - width..at - width + n);
+                if v != 0 {
+                    px[at..].iter_mut().for_each(|p| *p ^= v);
+                }
+            }
         }
         if px.len() != count {
             return Err(WireError::Truncated);
-        }
-        // Undo the row delta top-down: each decoded row feeds the next.
-        if width > 0 {
-            for i in width..count {
-                px[i] ^= px[i - width];
-            }
         }
         Ok(px)
     }
@@ -869,6 +927,41 @@ mod tests {
                 "prefix of {cut} bytes decoded"
             );
         }
+    }
+
+    #[test]
+    fn frame_dimensions_are_capped_at_max_dim() {
+        let header = |width: u32| {
+            let mut buf = vec![TAG_KEYFRAME];
+            put_u64(&mut buf, 0);
+            put_u32(&mut buf, width);
+            put_u32(&mut buf, 1);
+            buf
+        };
+        // One row of MAX_DIM + 1 pixels is far under MAX_FRAME_BYTES,
+        // so only the dimension check can refuse it.
+        const { assert!((MAX_DIM as usize + 1) * 4 < MAX_FRAME_BYTES) };
+        assert_eq!(
+            ServerFrame::decode(&header(MAX_DIM + 1)),
+            Err(WireError::TooLarge)
+        );
+        // At the cap the header passes; the missing pixels are the error.
+        assert_eq!(
+            ServerFrame::decode(&header(MAX_DIM)),
+            Err(WireError::Truncated)
+        );
+    }
+
+    #[test]
+    fn strings_are_capped_at_max_string_bytes() {
+        let hello = |len: usize| ClientFrame::Hello {
+            scene: "s".repeat(len),
+            backend: None,
+        };
+        let over = hello(MAX_STRING_BYTES + 1).encode().unwrap();
+        assert_eq!(ClientFrame::decode(&over), Err(WireError::BadString));
+        let at = hello(MAX_STRING_BYTES);
+        assert_eq!(ClientFrame::decode(&at.encode().unwrap()), Ok(at));
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Property tests over the wire protocol: every well-formed frame
 //! round-trips byte-exactly, no byte sequence — truncated, corrupted,
-//! or pure noise — makes the decoder panic, and the packed encoder
-//! emits exactly what a straightforward reference encoder would.
+//! or pure noise — makes the decoder panic, the packed encoder emits
+//! exactly what a straightforward reference encoder would, and the RLE
+//! decoder returns exactly what a straightforward two-pass reference
+//! decoder would, pixels or error.
 
 use std::sync::Arc;
 
 use atk_core::ScriptStep;
 use atk_graphics::{Framebuffer, Point, Rect, Size};
-use atk_serve::wire::{ClientFrame, Encoding, PatchRect, ServerFrame};
+use atk_serve::wire::{
+    ClientFrame, Encoding, PatchRect, ServerFrame, WireError, MAX_DIM, MAX_FRAME_BYTES, MAX_RECTS,
+};
 use atk_wm::{Key, MouseAction, WindowEvent};
 use proptest::prelude::*;
 
@@ -184,10 +188,9 @@ fn reference_rle_block(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
     }
 }
 
-/// The reference encoder decision: build both bodies, keep the smaller
-/// (raw on a tie).
-fn reference_packed(frame: &ServerFrame) -> (Vec<u8>, Encoding) {
-    let raw = frame.encode();
+/// The reference RLE body of a pixel-bearing frame (`None` for the
+/// others): the `0x88`/`0x89` layout over [`reference_rle_block`].
+fn reference_rle_body(frame: &ServerFrame) -> Option<Vec<u8>> {
     let mut rle = Vec::new();
     match frame {
         ServerFrame::Update { seq, rects } => {
@@ -209,13 +212,208 @@ fn reference_packed(frame: &ServerFrame) -> (Vec<u8>, Encoding) {
             rle.extend_from_slice(&(frame.height() as u32).to_le_bytes());
             reference_rle_block(&mut rle, frame.pixels(), frame.width() as usize);
         }
-        _ => return (raw, Encoding::Raw),
+        _ => return None,
     }
-    if rle.len() < raw.len() {
-        (rle, Encoding::Rle)
-    } else {
-        (raw, Encoding::Raw)
+    Some(rle)
+}
+
+/// The reference encoder decision: build both bodies, keep the smaller
+/// (raw on a tie).
+fn reference_packed(frame: &ServerFrame) -> (Vec<u8>, Encoding) {
+    let raw = frame.encode();
+    match reference_rle_body(frame) {
+        Some(rle) if rle.len() < raw.len() => (rle, Encoding::Rle),
+        _ => (raw, Encoding::Raw),
     }
+}
+
+/// A bounds-checked cursor over a frame body for the reference
+/// decoder.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if n > self.0.len() {
+            return Err(WireError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    fn dims(&mut self) -> Result<(u32, u32), WireError> {
+        let (w, h) = (self.u32()?, self.u32()?);
+        if w > MAX_DIM || h > MAX_DIM {
+            return Err(WireError::TooLarge);
+        }
+        Ok((w, h))
+    }
+}
+
+/// The reference RLE decoder, in two passes: expand every run, then
+/// undo the row delta top-down over the whole block. It makes the same
+/// checks in the same order as the production decoder.
+fn reference_rle_decode(
+    c: &mut Cursor<'_>,
+    count: usize,
+    width: usize,
+) -> Result<Vec<u32>, WireError> {
+    let npairs = c.u32()? as usize;
+    if npairs > count {
+        return Err(WireError::TooLarge);
+    }
+    let mut px: Vec<u32> = Vec::with_capacity(count);
+    for _ in 0..npairs {
+        let n = c.u32()? as usize;
+        let v = c.u32()?;
+        if n == 0 || px.len() + n > count {
+            return Err(WireError::TooLarge);
+        }
+        px.resize(px.len() + n, v);
+    }
+    if px.len() != count {
+        return Err(WireError::Truncated);
+    }
+    if width > 0 {
+        for i in width..count {
+            px[i] ^= px[i - width];
+        }
+    }
+    Ok(px)
+}
+
+/// Decodes a `0x88` update or `0x89` keyframe body with
+/// [`reference_rle_decode`]; `None` for any other tag.
+fn reference_decode(buf: &[u8]) -> Option<Result<ServerFrame, WireError>> {
+    let (&tag, body) = buf.split_first()?;
+    let mut c = Cursor(body);
+    let frame = match tag {
+        0x88 => reference_update(&mut c),
+        0x89 => reference_keyframe(&mut c),
+        _ => return None,
+    };
+    Some(frame.and_then(|f| {
+        if c.0.is_empty() {
+            Ok(f)
+        } else {
+            Err(WireError::TrailingBytes)
+        }
+    }))
+}
+
+fn reference_update(c: &mut Cursor<'_>) -> Result<ServerFrame, WireError> {
+    let seq = c.u64()?;
+    let n = c.u32()? as usize;
+    if n > MAX_RECTS {
+        return Err(WireError::TooLarge);
+    }
+    let mut rects = Vec::new();
+    let mut total_px = 0usize;
+    for _ in 0..n {
+        let x = c.u32()? as i32;
+        let y = c.u32()? as i32;
+        let (w, h) = c.dims()?;
+        if x < 0 || y < 0 || w == 0 || h == 0 {
+            return Err(WireError::TooLarge);
+        }
+        let count = (w as usize) * (h as usize);
+        total_px += count;
+        if total_px * 4 > MAX_FRAME_BYTES {
+            return Err(WireError::TooLarge);
+        }
+        let pixels = reference_rle_decode(c, count, w as usize)?;
+        rects.push(PatchRect {
+            rect: Rect::new(x, y, w as i32, h as i32),
+            pixels,
+        });
+    }
+    Ok(ServerFrame::Update { seq, rects })
+}
+
+fn reference_keyframe(c: &mut Cursor<'_>) -> Result<ServerFrame, WireError> {
+    let seq = c.u64()?;
+    let (w, h) = c.dims()?;
+    let count = (w as usize) * (h as usize);
+    if count * 4 > MAX_FRAME_BYTES {
+        return Err(WireError::TooLarge);
+    }
+    let pixels = reference_rle_decode(c, count, w as usize)?;
+    Ok(keyframe(seq, w as i32, h as i32, pixels))
+}
+
+/// `raw` `(length, value)` material laid end to end over `count`
+/// pixels: each run is cut to what is left, and a last run of the
+/// final value fills any remainder, so the runs cover `count` exactly.
+fn fit_runs(raw: &[(u32, u32)], count: u32) -> Vec<(u32, u32)> {
+    let mut runs = Vec::new();
+    let mut left = count;
+    for &(len, value) in raw {
+        if left == 0 {
+            break;
+        }
+        let n = len.min(left);
+        runs.push((n, value));
+        left -= n;
+    }
+    if left > 0 {
+        runs.push((left, raw.last().map_or(0, |&(_, v)| v)));
+    }
+    runs
+}
+
+/// A hand-built RLE block: `(width, height, (count, value) runs)`.
+type Block = (u32, u32, Vec<(u32, u32)>);
+
+/// A hand-built RLE block `(width, height, runs)` whose runs cover it
+/// exactly: widths 0, 1, 2 and 1..40; runs short or spanning several
+/// rows, so they end mid-row as often as not; values mixing zero and
+/// non-zero deltas.
+fn arb_rle_block() -> impl Strategy<Value = Block> {
+    (
+        prop_oneof![Just(0u32), Just(1u32), Just(2u32), 1u32..40],
+        1u32..10,
+        proptest::collection::vec(
+            (
+                prop_oneof![1u32..4, 1u32..120],
+                prop_oneof![Just(0u32), Just(0xFFFFFFu32), any::<u32>()],
+            ),
+            0..40,
+        ),
+    )
+        .prop_map(|(width, height, raw)| (width, height, fit_runs(&raw, width * height)))
+}
+
+/// A hand-built `0x89` keyframe (`key`, over the first block) or
+/// `0x88` update (one rect per block) body.
+fn rle_body(key: bool, seq: u64, blocks: &[Block]) -> Vec<u8> {
+    let mut out = vec![if key { 0x89 } else { 0x88 }];
+    out.extend_from_slice(&seq.to_le_bytes());
+    let blocks = if key { &blocks[..1] } else { blocks };
+    if !key {
+        out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+    }
+    for (i, (width, height, runs)) in blocks.iter().enumerate() {
+        if !key {
+            out.extend_from_slice(&(i as u32 * 3).to_le_bytes());
+            out.extend_from_slice(&(i as u32).to_le_bytes());
+        }
+        out.extend_from_slice(&width.to_le_bytes());
+        out.extend_from_slice(&height.to_le_bytes());
+        out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+        for (count, value) in runs {
+            out.extend_from_slice(&count.to_le_bytes());
+            out.extend_from_slice(&value.to_le_bytes());
+        }
+    }
+    out
 }
 
 proptest! {
@@ -317,5 +515,93 @@ proptest! {
         let i = ((mangled.len() as f64 * at) as usize).min(mangled.len() - 1);
         mangled[i] ^= flip;
         let _ = ServerFrame::decode(&mangled); // Ok or Err, never a panic.
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    // The one-pass RLE decoder against the two-pass reference: encoded
+    // screen-shaped frames decode to themselves, and every truncation
+    // and bit flip of their RLE bodies gives the reference's result.
+    #[test]
+    fn rle_decoder_matches_the_reference_on_encoded_frames(
+        frame in arb_packed_frame(),
+        at in 0.0f64..1.0,
+        flip in 1u8..255,
+        cut in 0.0f64..1.0,
+    ) {
+        let body = reference_rle_body(&frame).unwrap();
+        let decoded = ServerFrame::decode(&body);
+        prop_assert_eq!(Some(decoded.clone()), reference_decode(&body));
+        // A zero-width update rect is the one thing the rect check
+        // refuses; every other frame decodes to itself.
+        let zero_width =
+            matches!(&frame, ServerFrame::Update { rects, .. } if rects.iter().any(|p| p.rect.width == 0));
+        prop_assert_eq!(decoded.is_ok(), !zero_width);
+        if let Ok(decoded) = decoded {
+            prop_assert_eq!(decoded, frame);
+        }
+        // Keep the tag byte, drop at least one byte after it.
+        let keep = 1 + ((body.len() - 1) as f64 * cut) as usize;
+        prop_assert_eq!(Some(ServerFrame::decode(&body[..keep])), reference_decode(&body[..keep]));
+        let mut flipped = body;
+        let i = ((flipped.len() as f64 * at) as usize).min(flipped.len() - 1);
+        flipped[i] ^= flip;
+        // A flipped tag byte leaves the RLE layouts; nothing to compare.
+        if let Some(reference) = reference_decode(&flipped) {
+            prop_assert_eq!(ServerFrame::decode(&flipped), reference);
+        }
+    }
+
+    // Hand-built runs at widths 0, 1, 2 and 1..40 that span rows, end
+    // mid-row and mix zero and non-zero values decode like the
+    // reference.
+    #[test]
+    fn rle_decoder_matches_the_reference_on_hand_built_runs(
+        key in any::<bool>(),
+        seq in any::<u64>(),
+        blocks in proptest::collection::vec(arb_rle_block(), 1..4),
+    ) {
+        let body = rle_body(key, seq, &blocks);
+        let decoded = ServerFrame::decode(&body);
+        prop_assert_eq!(Some(decoded.clone()), reference_decode(&body));
+        // Every well-formed block decodes (an update rect of width 0
+        // is the one thing the rect check refuses).
+        prop_assert_eq!(decoded.is_ok(), key || blocks.iter().all(|b| b.0 > 0));
+    }
+
+    // Run counts that overshoot the block, are 0, fall short, or claim
+    // more pairs than pixels give the reference's error.
+    #[test]
+    fn rle_decoder_matches_the_reference_on_miscounted_runs(
+        key in any::<bool>(),
+        blocks in proptest::collection::vec(arb_rle_block(), 1..4),
+        which in any::<usize>(),
+        mode in 0u8..4,
+        at in any::<usize>(),
+        extra in 1u32..100,
+    ) {
+        let mut blocks = blocks;
+        // A keyframe carries only the first block.
+        let shown = if key { 1 } else { blocks.len() };
+        let (width, height, runs) = &mut blocks[which % shown];
+        // Dropping the last run of an empty block leaves it well formed.
+        let still_valid = mode == 2 && runs.is_empty();
+        match mode {
+            0 => match runs.last_mut() {
+                Some((count, _)) => *count += extra,
+                None => runs.push((extra, 0)),
+            },
+            1 => runs.insert(at % (runs.len() + 1), (0, extra)),
+            2 => {
+                runs.pop();
+            }
+            _ => *runs = vec![(1, extra); (*width * *height) as usize + 1],
+        }
+        let body = rle_body(key, 0, &blocks);
+        let decoded = ServerFrame::decode(&body);
+        prop_assert_eq!(Some(decoded.clone()), reference_decode(&body));
+        prop_assert!(decoded.is_err() || still_valid, "miscounted body decoded");
     }
 }
