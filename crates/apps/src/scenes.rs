@@ -46,7 +46,7 @@ impl Scene {
     pub fn fork(&self, backend: &str) -> Result<Scene, String> {
         let world = self.world.fork()?;
         let mut ws = atk_wm::open_window_system(Some(backend))?;
-        let im = self.im.fork_onto(ws.as_mut())?;
+        let im = self.im.fork_onto(ws.as_mut());
         Ok(Scene {
             world,
             im,
@@ -58,10 +58,7 @@ impl Scene {
     pub fn snapshot_to(&self, dir: &std::path::Path) -> Result<std::path::PathBuf, String> {
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
         let path = dir.join(format!("{}.ppm", self.name));
-        let fb = self
-            .im
-            .snapshot()
-            .ok_or("backend cannot snapshot (display-list without replay?)")?;
+        let fb = self.im.window().snapshot();
         atk_graphics::ppm::write_ppm(&fb, &path).map_err(|e| e.to_string())?;
         Ok(path)
     }

@@ -4,10 +4,6 @@
 //! * `paint` — one fig5-sized full-window repaint (a mix of fills,
 //!   text, lines, ovals, wedges and a polygon) drawn straight into a
 //!   framebuffer, as the immediate-mode backend does.
-//! * `encode/` — one full typing-profile loadgen run over the
-//!   in-memory transport with the per-frame raw-vs-RLE wire encoder
-//!   on (`rle`) vs pinned raw (`raw`); the pair is the encoder
-//!   ablation.
 //! * `diff/` — diffing one fig5 keystroke's frame against the frame
 //!   before it, over the whole 560×560 frame (`full`) vs over the rect
 //!   the window reports written (`written`), which is what serving
@@ -18,9 +14,9 @@
 //!
 //! Headlines printed outside criterion: the full-window repaint time,
 //! the keystroke diff over the full frame vs the written rect, the
-//! typing-profile bytes-on-wire ratio raw ÷ encoded (bar: ≥2×), and
-//! the fig5 keyframe's encoded bytes, encode and decode time next to a
-//! plain copy of the same frame for scale.
+//! typing-profile bytes-on-wire ratio raw ÷ encoded from one loadgen
+//! run (bar: ≥2×), and the fig5 keyframe's encoded bytes, encode and
+//! decode time next to a plain copy of the same frame for scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -134,7 +130,7 @@ fn fig5_keystroke() -> (Framebuffer, Framebuffer, Rect) {
     let _ = im.window_mut().take_written();
     im.window_mut().post_event(WindowEvent::ch('x'));
     im.pump(world);
-    let written = im.window_mut().take_written().unwrap();
+    let written = im.window_mut().take_written();
     let after = im.snapshot().unwrap();
     let full = before.diff_region_within(&after, after.bounds());
     assert!(
@@ -151,34 +147,6 @@ fn bench_diff(c: &mut Criterion) {
     for (label, within) in [("full", after.bounds()), ("written", written)] {
         g.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| before.diff_region_within(black_box(&after), black_box(within)))
-        });
-    }
-    g.finish();
-}
-
-fn typing_cfg(encode: bool) -> LoadConfig {
-    let mut cfg = LoadConfig {
-        sessions: 4,
-        steps: 60,
-        scene: "fig5".into(),
-        profile: Profile::Typing,
-        ..LoadConfig::default()
-    };
-    cfg.server.session.encode = encode;
-    cfg
-}
-
-fn bench_encode(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e14/encode");
-    g.sample_size(10);
-    for (label, encode) in [("rle", true), ("raw", false)] {
-        g.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let cfg = typing_cfg(encode);
-            b.iter(|| {
-                let report = run_loadgen_mem(black_box(&cfg)).unwrap();
-                assert!(report.errors.is_empty(), "{:?}", report.errors);
-                report
-            })
         });
     }
     g.finish();
@@ -247,12 +215,19 @@ fn print_headline() {
         diff_us(written)
     );
 
-    let rle = run_loadgen_mem(&typing_cfg(true)).unwrap();
-    assert!(rle.errors.is_empty(), "{:?}", rle.errors);
+    let typing = run_loadgen_mem(&LoadConfig {
+        sessions: 4,
+        steps: 60,
+        scene: "fig5".into(),
+        profile: Profile::Typing,
+        ..LoadConfig::default()
+    })
+    .unwrap();
+    assert!(typing.errors.is_empty(), "{:?}", typing.errors);
     println!(
         "e14 headline: typing fig5 wire: {} raw bytes -> {} encoded \
          ({:.1}x; bar: >=2x)",
-        rle.bytes_on_wire, rle.encoded_bytes, rle.encode_ratio
+        typing.bytes_on_wire, typing.encoded_bytes, typing.encode_ratio
     );
 
     let (key, bytes) = fig5_keyframe();
@@ -274,7 +249,6 @@ fn benches_with_headline(c: &mut Criterion) {
     print_headline();
     bench_paint(c);
     bench_diff(c);
-    bench_encode(c);
     bench_codec(c);
 }
 

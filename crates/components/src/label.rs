@@ -112,7 +112,7 @@ mod tests {
         world.with_view(label, |v, w| {
             v.draw(w, win.graphic(), Update::Full);
         });
-        let snap = win.snapshot().unwrap();
+        let snap = win.snapshot();
         assert!(snap.count_pixels(snap.bounds(), Color::BLACK) > 8);
     }
 

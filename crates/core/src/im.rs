@@ -98,6 +98,11 @@ impl InteractionManager {
         self.running
     }
 
+    /// The underlying window, read-only (to borrow its frame).
+    pub fn window(&self) -> &dyn Window {
+        self.window.as_ref()
+    }
+
     /// The underlying window (to inject events or adjust the title).
     pub fn window_mut(&mut self) -> &mut dyn Window {
         self.window.as_mut()
@@ -109,9 +114,10 @@ impl InteractionManager {
         &self.offered_menus
     }
 
-    /// A snapshot of the window contents.
+    /// A snapshot of the window contents. Every backend renders to
+    /// pixels, so this is always `Some`.
     pub fn snapshot(&self) -> Option<Framebuffer> {
-        self.window.snapshot()
+        Some(self.window.snapshot())
     }
 
     /// Forks this interaction manager onto a fresh window of `ws`,
@@ -119,38 +125,29 @@ impl InteractionManager {
     ///
     /// The new window is opened at the same size/title, its birth events
     /// are drained undelivered (the template already dispatched its
-    /// own), and the template's rendered frame is adopted wholesale
+    /// own), and the template's frame, borrowed through
+    /// [`Window::with_frame`], is adopted wholesale
     /// ([`Window::adopt_frame`] — one buffer hand-off on pixel-store
     /// backends, one blit op elsewhere) so the fork starts from the
     /// exact same frame a cold build would have produced.
     /// Focus, offered menus, stats, and the running flag carry over;
     /// the root id stays valid because the forked world preserves ids.
-    pub fn fork_onto(&self, ws: &mut dyn WindowSystem) -> Result<InteractionManager, String> {
+    pub fn fork_onto(&self, ws: &mut dyn WindowSystem) -> InteractionManager {
         let size = self.window.size();
         let mut window = ws.open_window(self.window.title(), size);
         while window.next_event().is_some() {}
-        // Borrow the template's frame in place when the backend allows
-        // it; only snapshot (a full clone) when it does not.
         let target = window.as_mut();
-        let adopted = self
-            .window
+        self.window
             .with_frame(&mut |frame| target.adopt_frame(frame));
-        if !adopted {
-            let snap = self
-                .window
-                .snapshot()
-                .ok_or("backend cannot snapshot for forking")?;
-            window.adopt_frame(&snap);
-        }
         window.set_cursor(self.window.cursor());
-        Ok(InteractionManager {
+        InteractionManager {
             window,
             root: self.root,
             focus: self.focus,
             offered_menus: self.offered_menus.clone(),
             stats: self.stats,
             running: self.running,
-        })
+        }
     }
 
     /// Processes every queued window event, then settles notifications
@@ -789,7 +786,7 @@ mod tests {
         let (mut world, mut im, _root, child) = setup();
         im.feed(&mut world, WindowEvent::left_down(50, 50)); // Focus the child.
         let mut ws2 = atk_wm::x11sim::X11Sim::new();
-        let fork = im.fork_onto(&mut ws2).unwrap();
+        let fork = im.fork_onto(&mut ws2);
         assert_eq!(fork.focus(), Some(child));
         assert_eq!(fork.stats(), im.stats());
         assert_eq!(fork.root(), im.root());

@@ -1,6 +1,6 @@
 //! The load generator: N concurrent scripted clients against a server,
 //! with the throughput/latency/compression report the `loadgen` bin
-//! prints and the `e11_serve`/`e15_shards` benches sample.
+//! prints and the e13–e17 benches sample.
 //!
 //! Each client thread replays a seed-stable step stream (the fuzzer's
 //! weighted generator, or a deterministic typing-heavy profile for the

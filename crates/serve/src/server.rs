@@ -231,14 +231,20 @@ impl Server {
     /// every shard plane, every retired session's accumulated totals,
     /// and every live session's current snapshot. This is what a
     /// `Stats` request and `--stats-every` report.
+    ///
+    /// The live list and the retired totals are read under both locks,
+    /// taken in the order [`Server::retire_session`] takes them, so a
+    /// closing session is counted exactly once: still live, or already
+    /// retired. Merged counters therefore never go backwards.
     pub fn merged_snapshot(&self) -> Snapshot {
         let mut out = self.collector.snapshot();
         for snap in self.shard_snapshots() {
             out.merge(&snap);
         }
+        let live = self.lock_sessions();
         out.merge(&self.lock_retired());
-        for (_, snap) in self.session_snapshots() {
-            out.merge(&snap);
+        for (_, c) in live.iter() {
+            out.merge(&c.snapshot());
         }
         out
     }
@@ -288,13 +294,15 @@ impl Server {
     /// Unregisters a session's collector and folds its final
     /// (span-stripped) snapshot into the retired accumulator, so
     /// `merged_snapshot` totals survive session churn. Every close
-    /// path — orderly, error, drain — lands here exactly once.
+    /// path — orderly, error, drain — lands here exactly once. The
+    /// move from live to retired happens under both locks (live list
+    /// first), so no merged snapshot sees the session in neither.
     pub(crate) fn retire_session(&self, session_id: u64, collector: &Arc<Collector>) {
+        let mut live = self.lock_sessions();
         let full = collector.snapshot();
-        let mut sessions = self.lock_sessions();
-        sessions.retain(|(id, _)| *id != session_id);
-        drop(sessions);
+        live.retain(|(id, _)| *id != session_id);
         self.lock_retired().merge(&full.without_spans());
+        drop(live);
         if self.cfg.retain_session_traces {
             let mut snaps = self.trace_snaps.lock().unwrap_or_else(|e| e.into_inner());
             if snaps.len() < TRACE_RETAIN_CAP {
@@ -673,6 +681,68 @@ mod tests {
         assert_eq!(
             server.shard_snapshots()[0].counter("serve.shard.failures"),
             2
+        );
+    }
+
+    /// A server with no shards, for driving the session registry
+    /// directly.
+    fn registry_only(cfg: ServerConfig) -> Arc<Server> {
+        let collector = Arc::new(Collector::new());
+        collector.enable();
+        Server::new(cfg, collector)
+    }
+
+    /// A `Stats` reply that lands while a session is closing must count
+    /// it once — live or retired — never in neither, or a merged
+    /// counter steps backwards.
+    #[test]
+    fn merged_counters_never_go_backwards_while_sessions_churn() {
+        const SESSIONS: u64 = 3000;
+        let server = registry_only(ServerConfig::default());
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let mut reads = 0u64;
+        thread::scope(|s| {
+            s.spawn(|| {
+                for id in 0..SESSIONS {
+                    let c = server.open_session_collector(id);
+                    c.count("churn.ops", 1);
+                    server.retire_session(id, &c);
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let mut last = 0;
+            while !done.load(Ordering::SeqCst) {
+                let now = server.merged_snapshot().counter("churn.ops");
+                assert!(now >= last, "merged churn.ops went {last} -> {now}");
+                last = now;
+                reads += 1;
+            }
+        });
+        assert!(reads > 0);
+        assert_eq!(server.merged_snapshot().counter("churn.ops"), SESSIONS);
+    }
+
+    #[test]
+    fn retained_session_traces_stop_at_the_cap() {
+        let server = registry_only(ServerConfig {
+            retain_session_traces: true,
+            ..ServerConfig::default()
+        });
+        let cap = TRACE_RETAIN_CAP as u64;
+        for id in 0..=cap {
+            let c = server.open_session_collector(id);
+            server.retire_session(id, &c);
+        }
+        let kept: Vec<String> = server
+            .trace_parts()
+            .into_iter()
+            .map(|(label, _)| label)
+            .filter(|label| label.starts_with("session-"))
+            .collect();
+        assert_eq!(kept.len(), TRACE_RETAIN_CAP);
+        assert!(
+            !kept.contains(&format!("session-{cap}")),
+            "the session past the cap was kept"
         );
     }
 }

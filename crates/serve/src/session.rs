@@ -50,12 +50,9 @@ pub struct SessionConfig {
     /// budget dumps its stage breakdown and triggering step to the
     /// slow-frame log. `None` disables the watchdog.
     pub slo_us: Option<u64>,
-    /// Pick the smaller of raw and RLE wire bodies per frame; off pins
-    /// raw (the e14 baseline).
-    pub encode: bool,
     /// Window-system backend the session's scene is built on:
     /// `x11sim` (pixel framebuffer) or `awmsim` (display list, replayed
-    /// to pixels per snapshot).
+    /// to pixels as each frame is lent).
     pub backend: String,
 }
 
@@ -68,7 +65,6 @@ impl Default for SessionConfig {
             idle_ms: None,
             frame_trace: true,
             slo_us: None,
-            encode: true,
             backend: "x11sim".to_string(),
         }
     }
@@ -343,7 +339,7 @@ impl HostedSession {
     /// A snapshot of the current backend framebuffer (the oracle's
     /// ground truth for comparisons).
     pub fn framebuffer(&self) -> Framebuffer {
-        self.current_fb()
+        self.im.window().snapshot()
     }
 
     /// Stamps the server-assigned id into slow-frame dumps.
@@ -533,17 +529,12 @@ impl HostedSession {
         self.keyframe()
     }
 
-    fn current_fb(&self) -> Framebuffer {
-        self.im
-            .snapshot()
-            .expect("serving needs a pixel-backed backend")
-    }
-
     /// A keyframe of the current screen: one full copy of the backend
-    /// framebuffer, which the shipped frame and the new diff baseline
-    /// share.
+    /// framebuffer (counted in `serve.frame_copies`), which the shipped
+    /// frame and the new diff baseline share.
     fn keyframe(&mut self) -> ServerFrame {
-        let fb = Arc::new(self.copy_frame());
+        self.collector.count("serve.frame_copies", 1);
+        let fb = Arc::new(self.framebuffer());
         self.ship_keyframe(fb)
     }
 
@@ -562,27 +553,6 @@ impl HostedSession {
         self.collector
             .count("serve.full_bytes", frame.wire_len() as u64);
         frame
-    }
-
-    /// One full copy of the backend framebuffer, read through a borrow
-    /// when the backend offers one. Counted in `serve.frame_copies`.
-    fn copy_frame(&mut self) -> Framebuffer {
-        self.collector.count("serve.frame_copies", 1);
-        let mut copy = None;
-        let borrowed = self.im.window_mut().with_frame(&mut |cur| {
-            copy = Some(Framebuffer::from_pixels(
-                cur.width(),
-                cur.height(),
-                cur.pixels().to_vec(),
-            ));
-        });
-        if borrowed {
-            copy.expect("with_frame ran the closure")
-        } else {
-            let mut fb = self.current_fb();
-            fb.set_clip(None);
-            fb
-        }
     }
 
     /// Encodes the initial keyframe once, for a cache that ships the
@@ -634,34 +604,19 @@ impl HostedSession {
             return self.keyframe();
         }
         // Everything drawn since the baseline last equalled the screen
-        // lies inside the window's written bounds (`None`: the backend
-        // does not track them, so diff the whole frame). Taking them
-        // here clears them, and every plan below leaves the baseline
-        // equal to the screen again.
+        // lies inside the window's written bounds. Taking them here
+        // clears them, and every plan below leaves the baseline equal
+        // to the screen again.
         let written = self.im.window_mut().take_written();
-        // Diff against a *borrow* of the backend framebuffer when the
-        // window offers one — a no-change batch then costs one compare
-        // and zero clones. Backends without `with_frame` fall back to
-        // the snapshot clone.
+        // Diff against a *borrow* of the backend framebuffer — a
+        // no-change batch then costs one compare and zero clones.
         let shipped = &self.shipped;
         let collector = &self.collector;
         let budget = self.cfg.dirty_budget_bytes;
-        let mut plan = None;
-        let borrowed = self.im.window_mut().with_frame(&mut |cur| {
-            plan = Some(plan_update(
-                shipped.as_deref(),
-                cur,
-                written,
-                budget,
-                collector,
-            ));
+        let mut plan = Plan::Keyframe;
+        self.im.window().with_frame(&mut |cur| {
+            plan = plan_update(shipped.as_deref(), cur, written, budget, collector);
         });
-        let plan = if borrowed {
-            plan.expect("with_frame ran the closure")
-        } else {
-            let cur = self.current_fb();
-            plan_update(self.shipped.as_deref(), &cur, written, budget, collector)
-        };
         match plan {
             Plan::Keyframe => self.keyframe(),
             Plan::Unchanged => {
@@ -706,21 +661,16 @@ impl HostedSession {
         }
     }
 
-    /// Encodes a frame for the wire, letting pixel frames pick the
-    /// smaller of their raw and RLE bodies (unless
-    /// [`SessionConfig::encode`] pinned raw), and counts the choice plus the bytes that
-    /// actually ship.
+    /// Encodes a frame for the wire, letting pixel frames ship the
+    /// smaller of their raw and RLE bodies, and counts the choice plus
+    /// the bytes that actually ship.
     pub fn encode_frame(&self, frame: &ServerFrame) -> Vec<u8> {
         self.encode_counted(frame).0
     }
 
     /// [`HostedSession::encode_frame`], also naming the body encoding.
     fn encode_counted(&self, frame: &ServerFrame) -> (Vec<u8>, Encoding) {
-        let (bytes, encoding) = if self.cfg.encode {
-            frame.encode_packed()
-        } else {
-            (frame.encode(), Encoding::Raw)
-        };
+        let (bytes, encoding) = frame.encode_packed();
         self.count_encoded(frame, encoding, bytes.len());
         (bytes, encoding)
     }
@@ -768,19 +718,19 @@ enum Plan {
 }
 
 /// Diff-or-degrade decision against the shipped baseline, comparing
-/// only the `written` rect (the whole frame when `None`) and counting
-/// the pixels compared in `serve.diff_px`. `budget` is the dirty-byte
-/// ceiling; the estimate below is exactly the update frame's wire
-/// length (13-byte header, 16 bytes per rect header, 4 bytes per
-/// pixel), so the stats plane and the budget agree.
+/// only the `written` rect and counting the pixels compared in
+/// `serve.diff_px`. `budget` is the dirty-byte ceiling; the estimate
+/// below is exactly the update frame's wire length (13-byte header, 16
+/// bytes per rect header, 4 bytes per pixel), so the stats plane and
+/// the budget agree.
 fn plan_update(
     shipped: Option<&Framebuffer>,
     cur: &Framebuffer,
-    written: Option<Rect>,
+    written: Rect,
     budget: usize,
     collector: &Collector,
 ) -> Plan {
-    let within = written.map_or(cur.bounds(), |r| r.intersect(cur.bounds()));
+    let within = written.intersect(cur.bounds());
     let diff = match shipped.and_then(|prev| prev.diff_region_within(cur, within)) {
         Some(region) => region,
         // Size changed (resize) — no diff across that. Same when no
@@ -1028,32 +978,46 @@ mod tests {
         assert_eq!(estimate, frame.wire_len());
     }
 
-    /// Runs `steps` one batch each on a fresh fig5 session and checks,
-    /// after every shipped frame, that the diff baseline patched in
-    /// place equals the screen. Returns (updates, keyframes) shipped
-    /// after the initial keyframe.
+    /// Runs `steps` one batch each on a fresh fig5 session on each
+    /// backend and checks, after every shipped frame, that the diff
+    /// baseline patched in place equals the screen. Both backends must
+    /// ship the same frames; returns the (updates, keyframes) they
+    /// shipped after the initial keyframe.
     fn baseline_tracks_screen(cfg: SessionConfig, steps: &[ScriptStep]) -> (usize, usize) {
-        let collector = Arc::new(Collector::new());
-        let mut s = HostedSession::open("fig5", cfg, collector).unwrap();
-        let _ = s.initial_keyframe();
-        let (mut updates, mut keyframes) = (0, 0);
-        for (i, step) in steps.iter().enumerate() {
-            let (frame, _) = s.apply_batch(std::slice::from_ref(step), 0);
-            match &frame {
-                ServerFrame::Update { rects, .. } if !rects.is_empty() => updates += 1,
-                ServerFrame::Keyframe { .. } => keyframes += 1,
-                _ => {}
+        let run = |backend: &str| {
+            let cfg = SessionConfig {
+                backend: backend.to_string(),
+                ..cfg.clone()
+            };
+            let mut s = HostedSession::open("fig5", cfg, Arc::new(Collector::new())).unwrap();
+            let mut frames = vec![s.initial_keyframe()];
+            for (i, step) in steps.iter().enumerate() {
+                frames.push(s.apply_batch(std::slice::from_ref(step), 0).0);
+                let shipped = s.shipped.as_deref().expect("a baseline after every frame");
+                let screen = s.framebuffer();
+                assert!(
+                    shipped.width() == screen.width()
+                        && shipped.height() == screen.height()
+                        && shipped.pixels() == screen.pixels(),
+                    "{backend} step {i} ({step:?}): baseline differs from the screen"
+                );
             }
-            drop(frame);
-            let shipped = s.shipped.as_deref().expect("a baseline after every frame");
-            let screen = s.current_fb();
-            assert!(
-                shipped.width() == screen.width()
-                    && shipped.height() == screen.height()
-                    && shipped.pixels() == screen.pixels(),
-                "step {i} ({step:?}): baseline differs from the screen"
-            );
-        }
+            frames
+        };
+        let frames = run("x11sim");
+        assert!(
+            frames == run("awmsim"),
+            "the backends shipped different frames"
+        );
+        let updates = frames
+            .iter()
+            .filter(|f| matches!(f, ServerFrame::Update { rects, .. } if !rects.is_empty()))
+            .count();
+        let keyframes = frames
+            .iter()
+            .skip(1)
+            .filter(|f| matches!(f, ServerFrame::Keyframe { .. }))
+            .count();
         (updates, keyframes)
     }
 
@@ -1133,7 +1097,7 @@ mod tests {
                     .map(|m| format!("{}/{}", m.card, m.label))
                     .expect("fig3 offers menus");
             let _ = s.apply_batch(&[ScriptStep::MenuSelect(label)], 0);
-            s.current_fb().pixels().to_vec()
+            s.framebuffer().pixels().to_vec()
         };
         let origin = run(atk_graphics::Point::ORIGIN);
         let offset = run(atk_graphics::Point::new(300, 220));

@@ -385,13 +385,12 @@ fn pump_handshake(
     // a cold build has no template.
     let template_key = match &first {
         ClientFrame::Hello { scene, backend } if templates.is_some() => {
-            let cfg = &server.cfg().session;
+            let default = &server.cfg().session.backend;
             atk_apps::scenes::resolve_scene_name(scene)
                 .ok()
                 .map(|scene| TemplateKey {
                     scene,
-                    backend: backend.clone().unwrap_or_else(|| cfg.backend.clone()),
-                    encode: cfg.encode,
+                    backend: backend.as_ref().unwrap_or(default).clone(),
                 })
         }
         _ => None,
@@ -434,12 +433,11 @@ fn pump_handshake(
 }
 
 /// What a forked session's first keyframe is a function of: its
-/// template (resolved scene name and backend) and the wire encoding.
+/// template (resolved scene name and backend).
 #[derive(PartialEq, Eq, Hash)]
 struct TemplateKey {
     scene: &'static str,
     backend: String,
-    encode: bool,
 }
 
 /// Each template's first keyframe, encoded once per shard. Templates

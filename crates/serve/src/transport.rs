@@ -391,8 +391,8 @@ impl MemQueue {
 }
 
 /// In-memory [`FrameTransport`]: a pair of condvar-guarded queues. This
-/// is what the unit tests, the differential oracle, and the `e11_serve`
-/// bench run over — same protocol, no sockets. A send wakes a receiver
+/// is what the unit tests, the differential oracle, and the loadgen
+/// benches (`run_loadgen_mem`) run over — same protocol, no sockets. A send wakes a receiver
 /// blocked in `recv` and rings the receiving half's doorbell.
 pub struct MemTransport {
     tx: Arc<MemQueue>,

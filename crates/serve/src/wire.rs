@@ -548,24 +548,8 @@ impl ServerFrame {
                 put_u32(&mut out, *height);
             }
             ServerFrame::Busy => out.push(TAG_BUSY),
-            ServerFrame::Update { seq, rects } => {
-                out.push(TAG_UPDATE);
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, rects.len() as u32);
-                for patch in rects {
-                    put_u32(&mut out, patch.rect.x as u32);
-                    put_u32(&mut out, patch.rect.y as u32);
-                    put_u32(&mut out, patch.rect.width as u32);
-                    put_u32(&mut out, patch.rect.height as u32);
-                    put_pixels(&mut out, &patch.pixels);
-                }
-            }
-            ServerFrame::Keyframe { seq, frame } => {
-                out.push(TAG_KEYFRAME);
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, frame.width() as u32);
-                put_u32(&mut out, frame.height() as u32);
-                put_pixels(&mut out, frame.pixels());
+            ServerFrame::Update { .. } | ServerFrame::Keyframe { .. } => {
+                self.put_pixel_frame(&mut out, Encoding::Raw);
             }
             ServerFrame::Bye { reason } => {
                 out.push(TAG_S_BYE);
@@ -677,41 +661,49 @@ impl ServerFrame {
     /// so only the RLE body is built up front; the raw one is built
     /// only when it wins. Only pixel-bearing frames (`Update`, `Keyframe`)
     /// ever choose [`Encoding::Rle`]; the compressed body decodes back
-    /// to the identical frame via [`ServerFrame::decode`], and old
-    /// clients that only know the raw tags are never sent compressed
-    /// frames unless they negotiated for them (the caller's choice).
+    /// to the identical frame via [`ServerFrame::decode`].
     pub fn encode_packed(&self) -> (Vec<u8>, Encoding) {
-        let rle = match self {
-            ServerFrame::Update { seq, rects } => {
-                let mut out = Vec::new();
-                out.push(TAG_UPDATE_RLE);
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, rects.len() as u32);
-                for patch in rects {
-                    put_u32(&mut out, patch.rect.x as u32);
-                    put_u32(&mut out, patch.rect.y as u32);
-                    put_u32(&mut out, patch.rect.width as u32);
-                    put_u32(&mut out, patch.rect.height as u32);
-                    put_rle_pixels(&mut out, &patch.pixels, patch.rect.width as usize);
-                }
-                out
-            }
-            ServerFrame::Keyframe { seq, frame } => {
-                let mut out = Vec::new();
-                out.push(TAG_KEYFRAME_RLE);
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, frame.width() as u32);
-                put_u32(&mut out, frame.height() as u32);
-                put_rle_pixels(&mut out, frame.pixels(), frame.width() as usize);
-                out
-            }
-            other => return (other.encode(), Encoding::Raw),
-        };
-        if rle.len() < self.wire_len() {
+        let mut rle = Vec::new();
+        if self.put_pixel_frame(&mut rle, Encoding::Rle) && rle.len() < self.wire_len() {
             (rle, Encoding::Rle)
         } else {
             (self.encode(), Encoding::Raw)
         }
+    }
+
+    /// Writes an `Update` or `Keyframe` body with its pixel blocks in
+    /// `encoding`; the two encodings share every header field and
+    /// differ only in the tag and the blocks. Returns false, writing
+    /// nothing, for frames that carry no pixels.
+    fn put_pixel_frame(&self, out: &mut Vec<u8>, encoding: Encoding) -> bool {
+        let block = |out: &mut Vec<u8>, pixels: &[u32], width: i32| match encoding {
+            Encoding::Raw => put_pixels(out, pixels),
+            Encoding::Rle => put_rle_pixels(out, pixels, width as usize),
+        };
+        let rle = encoding == Encoding::Rle;
+        match self {
+            ServerFrame::Update { seq, rects } => {
+                out.push(if rle { TAG_UPDATE_RLE } else { TAG_UPDATE });
+                put_u64(out, *seq);
+                put_u32(out, rects.len() as u32);
+                for patch in rects {
+                    put_u32(out, patch.rect.x as u32);
+                    put_u32(out, patch.rect.y as u32);
+                    put_u32(out, patch.rect.width as u32);
+                    put_u32(out, patch.rect.height as u32);
+                    block(out, &patch.pixels, patch.rect.width);
+                }
+            }
+            ServerFrame::Keyframe { seq, frame } => {
+                out.push(if rle { TAG_KEYFRAME_RLE } else { TAG_KEYFRAME });
+                put_u64(out, *seq);
+                put_u32(out, frame.width() as u32);
+                put_u32(out, frame.height() as u32);
+                block(out, frame.pixels(), frame.width());
+            }
+            _ => return false,
+        }
+        true
     }
 
     /// Encoded body size in bytes (what the wire will carry, minus the

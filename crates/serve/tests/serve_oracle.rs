@@ -3,49 +3,43 @@
 //! byte-identity coverage; the sharded differential covers forking):
 //!
 //! * served-vs-in-process: a served session replaying a fuzzer script
-//!   ends byte-identical to the same script run in-process (three
-//!   scenes × four seeds, 40 steps each);
-//! * `encode`: the same differential at the default config, where the
-//!   RLE wire encoder is on — every scene × the same seeds — so the
-//!   encoder round-trip is proven end to end, and no frame's chosen
-//!   body is larger than the raw one;
+//!   ends byte-identical to the same script run in-process (four
+//!   seeds, 40 steps each). `encode_oracle_fig*` runs every scene on
+//!   x11sim; every frame crosses the wire in the smaller of its raw and
+//!   RLE bodies, so this also proves the encoder round-trip end to end,
+//!   and that the encoded bytes never exceed the raw ones.
+//!   `served_matches_in_process_fig{1,3,5}` runs the same differential
+//!   on awmsim, whose frames are display-list replays lent to the
+//!   session a piece at a time;
 //! * menu position: a recorded `menu request x y` + `menu select`
 //!   script replays served and in-process to the same pixels.
 
-use atk_serve::{serve_differential, ServedRun, SessionConfig, Topology, Traffic};
+use atk_serve::{serve_differential, Topology, Traffic};
 
 const SEEDS: [u64; 4] = [1, 2, 7, 42];
 const STEPS: usize = 40;
 
-fn cold(session: SessionConfig) -> Topology {
+fn cold() -> Topology {
     Topology {
-        session,
         fork: false,
         ..Topology::default()
     }
 }
 
-fn run(scene: &str, seed: u64, session: SessionConfig) -> ServedRun {
-    let traffic = Traffic::fuzz(scene, None, seed, 1, STEPS).unwrap();
-    let report = serve_differential(scene, &traffic, &cold(session))
-        .unwrap_or_else(|e| panic!("{scene} seed {seed}: {e}"));
-    assert_eq!(report.steps, STEPS);
-    assert!(
-        report.diff_frames + report.key_frames > 0,
-        "{scene} seed {seed}: no frames shipped"
-    );
-    report
-}
-
 fn run_scene(scene: &str) {
-    for seed in SEEDS {
-        run(scene, seed, SessionConfig::default());
-    }
+    run_scene_on(scene, None);
 }
 
-fn run_scene_encoded(scene: &str) {
+fn run_scene_on(scene: &str, backend: Option<&str>) {
     for seed in SEEDS {
-        let report = run(scene, seed, SessionConfig::default());
+        let traffic = Traffic::fuzz(scene, backend, seed, 1, STEPS).unwrap();
+        let report = serve_differential(scene, &traffic, &cold())
+            .unwrap_or_else(|e| panic!("{scene} seed {seed}: {e}"));
+        assert_eq!(report.steps, STEPS);
+        assert!(
+            report.diff_frames + report.key_frames > 0,
+            "{scene} seed {seed}: no frames shipped"
+        );
         assert!(
             report.encoded_bytes <= report.raw_bytes,
             "{scene} seed {seed}: encoder inflated the wire \
@@ -58,42 +52,42 @@ fn run_scene_encoded(scene: &str) {
 
 #[test]
 fn served_matches_in_process_fig1() {
-    run_scene("fig1");
+    run_scene_on("fig1", Some("awmsim"));
 }
 
 #[test]
 fn served_matches_in_process_fig3() {
-    run_scene("fig3");
+    run_scene_on("fig3", Some("awmsim"));
 }
 
 #[test]
 fn served_matches_in_process_fig5() {
-    run_scene("fig5");
+    run_scene_on("fig5", Some("awmsim"));
 }
 
 #[test]
 fn encode_oracle_fig1() {
-    run_scene_encoded("fig1");
+    run_scene("fig1");
 }
 
 #[test]
 fn encode_oracle_fig2() {
-    run_scene_encoded("fig2");
+    run_scene("fig2");
 }
 
 #[test]
 fn encode_oracle_fig3() {
-    run_scene_encoded("fig3");
+    run_scene("fig3");
 }
 
 #[test]
 fn encode_oracle_fig4() {
-    run_scene_encoded("fig4");
+    run_scene("fig4");
 }
 
 #[test]
 fn encode_oracle_fig5() {
-    run_scene_encoded("fig5");
+    run_scene("fig5");
 }
 
 #[test]
@@ -127,6 +121,6 @@ fn menu_position_survives_the_wire() {
         scripts: vec![script],
         backend: None,
     };
-    let report = serve_differential("fig3", &traffic, &cold(SessionConfig::default())).unwrap();
+    let report = serve_differential("fig3", &traffic, &cold()).unwrap();
     assert_eq!(report.steps, 3);
 }

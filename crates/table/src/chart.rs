@@ -510,7 +510,7 @@ mod tests {
         for (view, wpx, hpx) in [(pie, 100, 100), (bar, 120, 80)] {
             let mut win = ws.open_window("t", Size::new(wpx, hpx));
             world.with_view(view, |v, w| v.draw(w, win.graphic(), Update::Full));
-            let snap = win.snapshot().unwrap();
+            let snap = win.snapshot();
             let colored = (0..wpx)
                 .flat_map(|x| (0..hpx).map(move |y| (x, y)))
                 .filter(|&(x, y)| {

@@ -69,7 +69,7 @@ mod tests {
         let b = world.view_bounds(view);
         let mut win = ws.open_window("t", Size::new(b.width, b.height));
         world.with_view(view, |v, w| v.draw(w, win.graphic(), Update::Full));
-        win.snapshot().unwrap()
+        win.snapshot()
     }
 
     #[test]

@@ -403,7 +403,7 @@ mod tests {
         let mut ws = atk_wm::x11sim::X11Sim::new();
         let mut win = ws.open_window("t", Size::new(460, 600));
         world.with_view(view, |v, w| v.draw(w, win.graphic(), Update::Full));
-        let snap = win.snapshot().unwrap();
+        let snap = win.snapshot();
         // Page outline + text ink, and the gray drop shadow.
         assert!(snap.count_pixels(snap.bounds(), Color::BLACK) > 500);
         assert!(snap.count_pixels(snap.bounds(), Color::GRAY) > 500);
@@ -425,7 +425,7 @@ mod tests {
         world.with_view(view, |v, w| v.draw(w, win.graphic(), Update::Full));
         // Ink exists; the placeholder's diagonal adds gray strokes inside
         // the content area.
-        let snap = win.snapshot().unwrap();
+        let snap = win.snapshot();
         assert!(snap.count_pixels(Rect::new(44, 44, 200, 120), Color::GRAY) > 30);
     }
 

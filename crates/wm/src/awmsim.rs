@@ -5,7 +5,9 @@
 //! protocol. This backend models that: drawing operations are **recorded**
 //! as a display list of [`DrawOp`]s (and can be encoded to and decoded
 //! from a wire-format byte stream), then **replayed** to pixels on demand
-//! — which is also how [`crate::Window::snapshot`] works here.
+//! — which is how [`crate::Window::with_frame`] lends a frame here. Like
+//! a display server, each window keeps the pixels it has replayed and
+//! replays only the ops recorded since.
 //!
 //! Running the same application on `x11sim` and `awmsim` and comparing
 //! snapshots is how the integration tests demonstrate the paper's §8
@@ -134,6 +136,30 @@ pub struct AwmWindow {
     graphic: AwmGraphic,
     events: VecDeque<WindowEvent>,
     cursor: CursorHandle,
+    /// Display-list length at the last [`Window::take_written`], or
+    /// `None` when the window is new or resized since.
+    taken_at: Option<usize>,
+    /// What the display server shows: the display list replayed so
+    /// far, so lending a frame replays only the ops recorded since.
+    screen: RefCell<Screen>,
+}
+
+/// A window's replayed display list: its pixels, the replay state the
+/// last op left, and how many ops that was.
+struct Screen {
+    fb: Framebuffer,
+    st: GraphicState,
+    replayed: usize,
+}
+
+impl Screen {
+    fn new(size: Size) -> Screen {
+        Screen {
+            fb: Framebuffer::new(size.width, size.height, Color::WHITE),
+            st: GraphicState::new(),
+            replayed: 0,
+        }
+    }
 }
 
 impl AwmWindow {
@@ -151,6 +177,8 @@ impl AwmWindow {
                 shape: CursorShape::Arrow,
                 id: 0,
             },
+            taken_at: None,
+            screen: RefCell::new(Screen::new(size)),
         }
     }
 
@@ -169,6 +197,8 @@ impl Window for AwmWindow {
     fn resize(&mut self, size: Size) {
         self.size = size;
         self.graphic.ops.borrow_mut().clear();
+        self.taken_at = None;
+        *self.screen.get_mut() = Screen::new(size);
         self.events.push_back(WindowEvent::Resize(size));
         self.events
             .push_back(WindowEvent::Expose(Rect::at(Point::ORIGIN, size)));
@@ -202,14 +232,29 @@ impl Window for AwmWindow {
         self.events.pop_front()
     }
 
-    fn snapshot(&self) -> Option<Framebuffer> {
-        let mut fb = Framebuffer::new(self.size.width, self.size.height, Color::WHITE);
-        replay(&self.graphic.ops.borrow(), &mut fb);
-        Some(fb)
-    }
-
     fn op_count(&self) -> u64 {
         self.graphic.ops.borrow().len() as u64
+    }
+
+    fn with_frame(&self, f: &mut dyn FnMut(&Framebuffer)) {
+        let ops = self.graphic.ops.borrow();
+        let mut screen = self.screen.borrow_mut();
+        let Screen { fb, st, replayed } = &mut *screen;
+        replay_from(st, &ops[*replayed..], fb);
+        *replayed = ops.len();
+        f(fb);
+    }
+
+    /// The whole window if the display list grew or the window resized
+    /// since the last call: a recorded op is not replayed until a frame
+    /// is asked for, so where it lands is not known here.
+    fn take_written(&mut self) -> Rect {
+        let len = self.graphic.ops.borrow().len();
+        if self.taken_at.replace(len) == Some(len) {
+            Rect::EMPTY
+        } else {
+            Rect::at(Point::ORIGIN, self.size)
+        }
     }
 }
 
@@ -405,7 +450,12 @@ impl Graphic for AwmGraphic {
 
 /// Executes a display list into a framebuffer.
 pub fn replay(ops: &[DrawOp], fb: &mut Framebuffer) {
-    let mut st = GraphicState::new();
+    replay_from(&mut GraphicState::new(), ops, fb);
+}
+
+/// Executes `ops` into `fb` from the replay state `st`, leaving `st` as
+/// the last op left it — so a display list can be replayed in pieces.
+fn replay_from(st: &mut GraphicState, ops: &[DrawOp], fb: &mut Framebuffer) {
     // The clip is shared with the framebuffer and copied only when it
     // changes, not once per drawing op.
     let mut shared: Option<Arc<Region>> = None;
@@ -434,36 +484,36 @@ pub fn replay(ops: &[DrawOp], fb: &mut Framebuffer) {
                 st.clip_region(&region);
             }
             DrawOp::Line(a, b) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 fb.draw_line(st.to_device(*a), st.to_device(*b), st.line_width, st.fg);
             }
             DrawOp::RectOutline(r) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 fb.draw_rect(st.rect_to_device(*r), st.fg);
             }
             DrawOp::RectFill(r) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 fb.fill_rect_op(st.rect_to_device(*r), st.fg, st.rop);
             }
             DrawOp::RectClear(r) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 fb.fill_rect(st.rect_to_device(*r), st.bg);
             }
             DrawOp::OvalOutline(r) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 fb.draw_oval(st.rect_to_device(*r), st.fg);
             }
             DrawOp::OvalFill(r) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 fb.fill_oval(st.rect_to_device(*r), st.fg);
             }
             DrawOp::PolyFill(pts) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 let dev: Vec<Point> = pts.iter().map(|p| st.to_device(*p)).collect();
                 fb.fill_polygon(&dev, st.fg);
             }
             DrawOp::WedgeFill(r, a0, a1) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 fb.fill_wedge(
                     st.rect_to_device(*r),
                     *a0 as f64 / 100.0,
@@ -472,11 +522,11 @@ pub fn replay(ops: &[DrawOp], fb: &mut Framebuffer) {
                 );
             }
             DrawOp::Text(p, s) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 BitmapFont::draw(fb, st.to_device(*p), s, &st.font, st.fg);
             }
             DrawOp::TextBaseline(p, s) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 BitmapFont::draw_baseline(fb, st.to_device(*p), s, &st.font, st.fg);
             }
             DrawOp::Blit {
@@ -485,7 +535,7 @@ pub fn replay(ops: &[DrawOp], fb: &mut Framebuffer) {
                 pixels,
                 dst,
             } => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 let mut src = Framebuffer::new(*width, *height, Color::WHITE);
                 for y in 0..*height {
                     for x in 0..*width {
@@ -495,7 +545,7 @@ pub fn replay(ops: &[DrawOp], fb: &mut Framebuffer) {
                 fb.blit(&src, src.bounds(), st.to_device(*dst), st.rop);
             }
             DrawOp::CopyArea(src, dst) => {
-                apply_clip(&st, fb);
+                apply_clip(st, fb);
                 fb.copy_within(st.rect_to_device(*src), st.to_device(*dst));
             }
         }
@@ -807,7 +857,7 @@ mod tests {
         g.grestore();
         g.draw_string(Point::new(2, 20), "hi");
 
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
 
         // Same ops straight into a framebuffer.
         let mut direct = Framebuffer::new(60, 40, Color::WHITE);
@@ -884,7 +934,7 @@ mod tests {
         let decoded = decode(&bytes).unwrap();
         let mut fb = Framebuffer::new(30, 30, Color::WHITE);
         replay(&decoded, &mut fb);
-        assert_eq!(fb, w.snapshot().unwrap());
+        assert_eq!(fb, w.snapshot());
     }
 
     #[test]
@@ -893,7 +943,39 @@ mod tests {
         src.set(1, 1, Color::RED);
         let mut w = AwmWindow::new("t", Size::new(10, 10));
         w.graphic().bitblt(&src, src.bounds(), Point::new(4, 4));
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(snap.get(5, 5), Color::RED);
+    }
+
+    #[test]
+    fn lending_a_frame_in_pieces_matches_one_full_replay() {
+        let mut w = AwmWindow::new("t", Size::new(40, 30));
+        let full = |w: &AwmWindow| {
+            let mut fb = Framebuffer::new(40, 30, Color::WHITE);
+            replay(&w.display_list(), &mut fb);
+            fb
+        };
+        // The state a piece leaves behind — translation, clip, colour,
+        // a pushed save — carries into the next piece.
+        let g = w.graphic();
+        g.gsave();
+        g.translate(5, 5);
+        g.clip_rect(Rect::new(0, 0, 20, 10));
+        g.set_foreground(Color::RED);
+        g.fill_rect(Rect::new(0, 0, 40, 40));
+        assert_eq!(w.snapshot(), full(&w));
+        let g = w.graphic();
+        g.fill_oval(Rect::new(-5, -5, 30, 30));
+        g.grestore();
+        g.draw_line(Point::new(0, 29), Point::new(39, 0));
+        g.copy_area(Rect::new(0, 0, 20, 15), Point::new(20, 15));
+        assert_eq!(w.snapshot(), full(&w));
+
+        // A resize starts the screen over at the new size.
+        w.resize(Size::new(12, 8));
+        w.graphic().fill_rect(Rect::new(2, 2, 3, 3));
+        let mut fb = Framebuffer::new(12, 8, Color::WHITE);
+        replay(&w.display_list(), &mut fb);
+        assert_eq!(w.snapshot(), fb);
     }
 }

@@ -51,8 +51,9 @@ pub fn port_surface() -> &'static [PortClass] {
                 "cursor",
                 "post_event",
                 "next_event",
-                "snapshot",
                 "op_count",
+                "with_frame",
+                "take_written",
             ],
             graphics_layer: false,
         },

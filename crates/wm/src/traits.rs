@@ -111,28 +111,30 @@ pub trait Window {
     fn post_event(&mut self, event: WindowEvent);
     /// Dequeues the next pending event.
     fn next_event(&mut self) -> Option<WindowEvent>;
-    /// Renders the current contents to pixels, if the backend can.
-    fn snapshot(&self) -> Option<Framebuffer>;
     /// Number of drawing operations performed (instrumentation for the
     /// window-system-independence benchmarks).
     fn op_count(&self) -> u64;
 
-    /// Runs `f` over a borrow of the current frame pixels without
-    /// cloning. Returns false when the backend cannot expose its frame
-    /// by reference (callers fall back to [`Window::snapshot`]).
-    fn with_frame(&self, _f: &mut dyn FnMut(&Framebuffer)) -> bool {
-        false
-    }
+    /// Runs `f` once over the current frame's pixels. A backend that
+    /// keeps a pixel store lends it without cloning; a display-list
+    /// backend first replays the ops it recorded since the last call
+    /// onto the frame it keeps, and lends that.
+    fn with_frame(&self, f: &mut dyn FnMut(&Framebuffer));
 
     /// Takes the device-space bounds of every pixel written since the
-    /// last call, leaving them empty. Drawing adds its clip's bounds
-    /// (the whole window when unclipped); a resize or an adopted frame
-    /// counts as the whole window. Every frame pixel that changed since
-    /// the last call lies inside the returned rect. `None` (this default)
-    /// means the backend does not track writes: assume anything
-    /// changed.
-    fn take_written(&mut self) -> Option<Rect> {
-        None
+    /// last call, leaving them empty. Every frame pixel that changed
+    /// since the last call lies inside the returned rect; a resize or an
+    /// adopted frame counts as the whole window. How tight the bounds
+    /// are is the backend's choice: a pixel store adds each drawing
+    /// call's clip bounds, a display list reports the whole window
+    /// whenever it recorded anything.
+    fn take_written(&mut self) -> Rect;
+
+    /// A copy of the current frame's pixels.
+    fn snapshot(&self) -> Framebuffer {
+        let mut snap = Framebuffer::new(0, 0, Color::WHITE);
+        self.with_frame(&mut |fb| snap = fb.clone());
+        snap
     }
 
     /// Replaces the window's contents with `frame` wholesale — the

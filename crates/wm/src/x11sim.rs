@@ -146,21 +146,16 @@ impl Window for X11Window {
         self.events.pop_front()
     }
 
-    fn snapshot(&self) -> Option<Framebuffer> {
-        Some(self.fb.borrow().clone())
-    }
-
     fn op_count(&self) -> u64 {
         self.graphic.ops.get()
     }
 
-    fn with_frame(&self, f: &mut dyn FnMut(&Framebuffer)) -> bool {
+    fn with_frame(&self, f: &mut dyn FnMut(&Framebuffer)) {
         f(&self.fb.borrow());
-        true
     }
 
-    fn take_written(&mut self) -> Option<Rect> {
-        Some(std::mem::take(&mut self.graphic.written))
+    fn take_written(&mut self) -> Rect {
+        std::mem::take(&mut self.graphic.written)
     }
 
     fn adopt_frame(&mut self, frame: &Framebuffer) {
@@ -460,7 +455,7 @@ mod tests {
     fn drawing_lands_in_snapshot() {
         let mut w = window();
         w.graphic().fill_rect(Rect::new(10, 10, 5, 5));
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(snap.count_pixels(Rect::new(10, 10, 5, 5), Color::BLACK), 25);
         assert_eq!(w.op_count(), 1);
     }
@@ -474,7 +469,7 @@ mod tests {
         g.fill_rect(Rect::new(0, 0, 2, 2));
         g.grestore();
         g.fill_rect(Rect::new(0, 0, 2, 2));
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(snap.count_pixels(Rect::new(20, 30, 2, 2), Color::BLACK), 4);
         assert_eq!(snap.count_pixels(Rect::new(0, 0, 2, 2), Color::BLACK), 4);
     }
@@ -487,7 +482,7 @@ mod tests {
         g.clip_rect(Rect::new(0, 0, 10, 10));
         g.fill_rect(Rect::new(0, 0, 100, 100));
         g.grestore();
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(snap.count_pixels(snap.bounds(), Color::BLACK), 100);
     }
 
@@ -499,7 +494,7 @@ mod tests {
         g.translate(40, 40);
         // Local (0,0,20,20) is device (40,40,20,20); clip leaves 10x10.
         g.fill_rect(Rect::new(0, 0, 20, 20));
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(snap.count_pixels(snap.bounds(), Color::BLACK), 100);
     }
 
@@ -510,7 +505,7 @@ mod tests {
         g.move_to(Point::new(5, 5));
         g.line_to(Point::new(10, 5));
         assert_eq!(g.current_point(), Point::new(10, 5));
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(snap.count_pixels(Rect::new(5, 5, 6, 1), Color::BLACK), 6);
     }
 
@@ -521,7 +516,7 @@ mod tests {
         g.fill_rect(Rect::new(0, 0, 20, 20));
         g.set_background(Color::WHITE);
         g.clear_rect(Rect::new(5, 5, 5, 5));
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(snap.count_pixels(Rect::new(5, 5, 5, 5), Color::WHITE), 25);
     }
 
@@ -534,7 +529,7 @@ mod tests {
         let mut w = ws.open_window("t", Size::new(40, 40));
         w.graphic()
             .bitblt(&bits, Rect::new(0, 0, 10, 10), Point::new(15, 15));
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(
             snap.count_pixels(Rect::new(15, 15, 10, 10), Color::BLACK),
             100
@@ -547,7 +542,7 @@ mod tests {
         w.graphic().fill_rect(Rect::new(0, 0, 100, 10));
         w.graphic()
             .copy_area(Rect::new(0, 0, 100, 10), Point::new(0, 40));
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(
             snap.count_pixels(Rect::new(0, 40, 100, 10), Color::BLACK),
             1000
@@ -562,7 +557,7 @@ mod tests {
         w.resize(Size::new(50, 50));
         assert_eq!(w.next_event(), Some(WindowEvent::Resize(Size::new(50, 50))));
         assert!(matches!(w.next_event(), Some(WindowEvent::Expose(_))));
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(snap.count_pixels(snap.bounds(), Color::BLACK), 0);
     }
 
@@ -570,11 +565,11 @@ mod tests {
     fn invert_rect_is_self_inverse_through_trait() {
         let mut w = window();
         w.graphic().fill_rect(Rect::new(0, 0, 10, 20));
-        let before = w.snapshot().unwrap();
+        let before = w.snapshot();
         w.graphic().invert_rect(Rect::new(5, 5, 10, 10));
-        assert_ne!(w.snapshot().unwrap(), before);
+        assert_ne!(w.snapshot(), before);
         w.graphic().invert_rect(Rect::new(5, 5, 10, 10));
-        assert_eq!(w.snapshot().unwrap(), before);
+        assert_eq!(w.snapshot(), before);
     }
 
     /// The address of the region the framebuffer clips a drawing call
@@ -630,7 +625,7 @@ mod tests {
         assert_eq!(g.cur_clip, None);
         assert_eq!(fb_clip(g), None);
 
-        let snap = w.snapshot().unwrap();
+        let snap = w.snapshot();
         assert_eq!(snap.count_pixels(snap.bounds(), Color::RED), 25);
         assert_eq!(snap.count_pixels(Rect::new(10, 10, 5, 5), Color::RED), 25);
         assert_eq!(
@@ -651,11 +646,12 @@ mod tests {
         let mut w = ws.open_window("t", Size::new(100, 80));
         w.graphic().fill_rect(Rect::new(0, 0, 3, 3));
         let mut seen = 0usize;
-        let ok = w.with_frame(&mut |fb| {
+        let mut calls = 0;
+        w.with_frame(&mut |fb| {
             seen = fb.count_pixels(Rect::new(0, 0, 3, 3), Color::BLACK);
+            calls += 1;
         });
-        assert!(ok);
-        assert_eq!(seen, 9);
+        assert_eq!((calls, seen), (1, 9));
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Soundness of x11sim's written bounds: every pixel a sequence of
-//! `Graphic` operations changes lies inside what the window reports
+//! Soundness of each backend's written bounds: every pixel a sequence
+//! of `Graphic` operations changes lies inside what the window reports
 //! through `take_written`. A frame diff bounded by that rect is then
 //! exactly the full-frame diff.
 
 use atk_graphics::{Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Size};
-use atk_wm::x11sim::X11Sim;
-use atk_wm::{Window, WindowSystem};
+use atk_wm::{open_window_system, Window};
 use proptest::prelude::*;
 
 const W: i32 = 120;
@@ -124,8 +123,12 @@ fn run(w: &mut dyn Window, op: &Op, bits: &Framebuffer) {
     }
 }
 
-fn open() -> Box<dyn Window> {
-    X11Sim::new().open_window("written", Size::new(W, H))
+const BACKENDS: [&str; 2] = ["x11sim", "awmsim"];
+
+fn open(backend: &str) -> Box<dyn Window> {
+    open_window_system(Some(backend))
+        .unwrap()
+        .open_window("written", Size::new(W, H))
 }
 
 /// Every pixel where `before` and `after` differ, as a list of points
@@ -150,72 +153,75 @@ proptest! {
     /// lie inside the reported rect, and asking again reports nothing.
     #[test]
     fn every_changed_pixel_lies_inside_the_written_bounds(
+        backend in prop_oneof![Just(BACKENDS[0]), Just(BACKENDS[1])],
         chunks in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..8), 1..6),
     ) {
         let bits = bits();
-        let mut w = open();
+        let mut w = open(backend);
         let _ = w.take_written();
         for chunk in &chunks {
-            let before = w.snapshot().unwrap();
+            let before = w.snapshot();
             for op in chunk {
                 run(w.as_mut(), op, &bits);
             }
-            let written = w.take_written().expect("x11sim tracks writes");
-            let after = w.snapshot().unwrap();
+            let written = w.take_written();
+            let after = w.snapshot();
             let out = escaped(&before, &after, written);
             prop_assert!(
                 out.is_empty(),
-                "{:?} outside {:?} after {:?}",
-                &out[..out.len().min(4)], written, chunk
+                "{}: {:?} outside {:?} after {:?}",
+                backend, &out[..out.len().min(4)], written, chunk
             );
             prop_assert!(after.bounds().contains_rect(written), "{:?}", written);
             let bounded = before.diff_region_within(&after, written).unwrap();
             prop_assert_eq!(bounded, before.diff_region_within(&after, after.bounds()).unwrap());
-            let again = w.take_written().unwrap();
-            prop_assert!(again.is_empty(), "second take reported {:?}", again);
+            let again = w.take_written();
+            prop_assert!(again.is_empty(), "{}: second take reported {:?}", backend, again);
         }
     }
 }
 
 #[test]
 fn resize_and_adopt_frame_report_the_whole_window() {
-    let mut w = open();
-    assert_eq!(
-        w.take_written(),
-        Some(Rect::new(0, 0, W, H)),
-        "a fresh window"
-    );
-    assert_eq!(w.take_written(), Some(Rect::EMPTY));
+    for backend in BACKENDS {
+        let mut w = open(backend);
+        assert_eq!(w.take_written(), Rect::new(0, 0, W, H), "{backend}: fresh");
+        assert_eq!(w.take_written(), Rect::EMPTY);
 
-    w.graphic().fill_rect(Rect::new(3, 3, 4, 4));
-    w.resize(Size::new(70, 50));
-    assert_eq!(w.take_written(), Some(Rect::new(0, 0, 70, 50)), "resize");
-    assert_eq!(w.take_written(), Some(Rect::EMPTY));
+        w.graphic().fill_rect(Rect::new(3, 3, 4, 4));
+        w.resize(Size::new(70, 50));
+        let whole = Rect::new(0, 0, 70, 50);
+        assert_eq!(w.take_written(), whole, "{backend}: resize");
+        assert_eq!(w.take_written(), Rect::EMPTY);
 
-    let mut frame = Framebuffer::new(70, 50, Color::WHITE);
-    frame.fill_rect(Rect::new(60, 40, 5, 5), Color::BLUE);
-    w.adopt_frame(&frame);
-    assert_eq!(
-        w.take_written(),
-        Some(Rect::new(0, 0, 70, 50)),
-        "adopt_frame"
-    );
-    assert_eq!(w.take_written(), Some(Rect::EMPTY));
+        let mut frame = Framebuffer::new(70, 50, Color::WHITE);
+        frame.fill_rect(Rect::new(60, 40, 5, 5), Color::BLUE);
+        w.adopt_frame(&frame);
+        assert_eq!(w.take_written(), whole, "{backend}: adopt_frame");
+        assert_eq!(w.take_written(), Rect::EMPTY);
+        assert_eq!(w.snapshot(), frame, "{backend}: adopted pixels");
 
-    // Drawing is reported as soon as it is drawn; a flush adds nothing.
-    let g = w.graphic();
-    g.gsave();
-    g.clip_rect(Rect::new(10, 12, 5, 6));
-    g.fill_rect(Rect::new(0, 0, 40, 40));
-    g.grestore();
-    assert_eq!(w.take_written(), Some(Rect::new(10, 12, 5, 6)));
-    w.graphic().flush();
-    assert_eq!(w.take_written(), Some(Rect::EMPTY));
+        // Drawing is reported as soon as it is drawn; a flush adds
+        // nothing. The pixel store reports the clip, the display list
+        // the whole window.
+        let g = w.graphic();
+        g.gsave();
+        g.clip_rect(Rect::new(10, 12, 5, 6));
+        g.fill_rect(Rect::new(0, 0, 40, 40));
+        g.grestore();
+        let clipped = match backend {
+            "x11sim" => Rect::new(10, 12, 5, 6),
+            _ => whole,
+        };
+        assert_eq!(w.take_written(), clipped, "{backend}: clipped fill");
+        w.graphic().flush();
+        assert_eq!(w.take_written(), Rect::EMPTY, "{backend}: flush");
+    }
 }
 
 #[test]
 fn written_bounds_follow_the_clip_and_translation() {
-    let mut w = open();
+    let mut w = open("x11sim");
     let _ = w.take_written();
     let g = w.graphic();
     g.gsave();
@@ -223,7 +229,7 @@ fn written_bounds_follow_the_clip_and_translation() {
     g.clip_rect(Rect::new(0, 0, 30, 5));
     g.fill_rect(Rect::new(-50, -50, 500, 500));
     g.grestore();
-    assert_eq!(w.take_written(), Some(Rect::new(10, 20, 30, 5)));
+    assert_eq!(w.take_written(), Rect::new(10, 20, 30, 5));
     // The mark is the clip's bounds, however little of them the op
     // covers, and the whole window when there is no clip.
     let g = w.graphic();
@@ -231,7 +237,7 @@ fn written_bounds_follow_the_clip_and_translation() {
     g.clip_rect(Rect::new(0, 0, 10, 10));
     g.fill_rect(Rect::new(2, 2, 1, 1));
     g.grestore();
-    assert_eq!(w.take_written(), Some(Rect::new(0, 0, 10, 10)));
+    assert_eq!(w.take_written(), Rect::new(0, 0, 10, 10));
     w.graphic().fill_rect(Rect::new(2, 2, 1, 1));
-    assert_eq!(w.take_written(), Some(Rect::new(0, 0, W, H)));
+    assert_eq!(w.take_written(), Rect::new(0, 0, W, H));
 }

@@ -124,7 +124,9 @@ CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e12_incremental_layou
 echo "==> e13 quick smoke (latency attribution, capped sample time)"
 CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e13_latency
 
-echo "==> e14 quick smoke (full-window paint + wire encoder, capped sample time)"
+# e14 runs paint, diff and codec groups; its headline's raw -> encoded
+# wire ratio comes from one encoded loadgen run.
+echo "==> e14 quick smoke (paint, diff and codec, capped sample time)"
 CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e14_paint_wire
 
 echo "==> e15 quick smoke (shard dispatch at 1/2/4/8 shards, capped sample time)"
