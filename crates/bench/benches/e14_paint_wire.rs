@@ -4,32 +4,40 @@
 //! * `paint` — one fig5-sized full-window repaint (a mix of fills,
 //!   text, lines, ovals, wedges and a polygon) drawn straight into a
 //!   framebuffer, as the immediate-mode backend does.
-//! * `diff/` — diffing one fig5 keystroke's frame against the frame
-//!   before it, over the whole 560×560 frame (`full`) vs over the rect
-//!   the window reports written (`written`), which is what serving
-//!   runs. Both build the same region.
+//! * `update/` — what a session does between paint and the wire for
+//!   one frame of a fig5 typing script: scan the written rect for the
+//!   bounds of what changed, then XOR, run-length code and copy those
+//!   rows into the baseline in one pass (`XorRect::encode`), and write
+//!   the update body. `line` is a keystroke that wrote one text line
+//!   (most frames); `window` is the frame of the script that wrote
+//!   the whole window below its title bar and changed the most (a
+//!   newline that moves every line below it). Each
+//!   iteration ships the update and then its inverse, so the baseline
+//!   ends where it started; one update costs half an iteration.
 //! * `codec/` — the fig5 initial keyframe (the frame every `Hello`
 //!   ships) through the packed encoder (`encode`) and back through
 //!   `ServerFrame::decode` (`decode`).
 //!
 //! Headlines printed outside criterion: the full-window repaint time,
-//! the keystroke diff over the full frame vs the written rect, the
-//! typing-profile bytes-on-wire ratio raw ÷ encoded from one loadgen
-//! run (bar: ≥2×), and the fig5 keyframe's encoded bytes, encode and
-//! decode time next to a plain copy of the same frame for scale.
+//! the update path on the line and window frames (time and bytes),
+//! the typing-profile bytes-on-wire ratio raw ÷ encoded from one
+//! loadgen run (bar: ≥2×), and the fig5 keyframe's encoded bytes,
+//! encode and decode time next to a plain copy of the same frame for
+//! scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use atk_apps::scenes::build_scene;
+use atk_check::Session;
 use atk_graphics::{BitmapFont, Color, FontDesc, Framebuffer, Point, Rect};
+use atk_serve::loadgen::client_script;
 use atk_serve::{
     run_loadgen_mem, Encoding, HostedSession, LoadConfig, Profile, ServerFrame, SessionConfig,
+    XorRect,
 };
 use atk_trace::Collector;
-use atk_wm::WindowEvent;
 
 /// Fig5's window is 560×560; one full-window repaint of a compound
 /// document is on the order of a few hundred resolved primitives.
@@ -114,39 +122,64 @@ fn bench_paint(c: &mut Criterion) {
     });
 }
 
-/// One fig5 keystroke, as serving sees it: the frame before and after
-/// typing a character into the focused text view (which already holds
-/// a few words), and the rect the window reports written in between.
-fn fig5_keystroke() -> (Framebuffer, Framebuffer, Rect) {
-    let mut scene = build_scene("fig5", "x11sim").unwrap();
-    let (world, im) = (&mut scene.world, &mut scene.im);
-    let mut events = vec![WindowEvent::left_down(70, 70), WindowEvent::left_up(70, 70)];
-    events.extend("a few words ".chars().map(WindowEvent::ch));
-    for ev in events {
-        im.window_mut().post_event(ev);
-        im.pump(world);
+/// One frame as serving sees it: the frame shipped before, the frame
+/// after, and the rect the window reports written in between.
+type Step = (Framebuffer, Framebuffer, Rect);
+
+/// Two frames of a fig5 typing script (the perfbench `edit` script
+/// shape: a focus click, then keys): the first keystroke that wrote
+/// one text line, and the frame that wrote most of the window and
+/// changed the most.
+fn fig5_typing_frames() -> (Step, Step) {
+    let script = client_script(Profile::Typing, "fig5", 77, 2 + 384).unwrap();
+    let mut session = Session::build("fig5", "x11sim").unwrap();
+    let mut before = session.im.snapshot().unwrap();
+    let _ = session.im.window_mut().take_written();
+    let (mut line, mut window): (Option<Step>, Option<(usize, Step)>) = (None, None);
+    for step in &script {
+        session.apply(step);
+        let written = session.im.window_mut().take_written();
+        let after = session.im.snapshot().unwrap();
+        let changed = before.diff_bounds_within(&after, written).unwrap();
+        let area = changed.area() as usize;
+        if line.is_none() && area > 0 && written.height <= 40 {
+            line = Some((before.clone(), after.clone(), written));
+        }
+        let whole = written.area() * 2 > after.bounds().area();
+        if whole && window.as_ref().is_none_or(|(a, _)| area > *a) {
+            window = Some((area, (before.clone(), after.clone(), written)));
+        }
+        before = after;
     }
-    let before = im.snapshot().unwrap();
-    let _ = im.window_mut().take_written();
-    im.window_mut().post_event(WindowEvent::ch('x'));
-    im.pump(world);
-    let written = im.window_mut().take_written();
-    let after = im.snapshot().unwrap();
-    let full = before.diff_region_within(&after, after.bounds());
-    assert!(
-        full.as_ref().is_some_and(|d| !d.is_empty()),
-        "the keystroke drew"
-    );
-    assert_eq!(before.diff_region_within(&after, written), full);
-    (before, after, written)
+    (line.unwrap(), window.unwrap().1)
 }
 
-fn bench_diff(c: &mut Criterion) {
-    let (before, after, written) = fig5_keystroke();
-    let mut g = c.benchmark_group("e14/diff");
-    for (label, within) in [("full", after.bounds()), ("written", written)] {
+/// One frame's update path: the bounds of the change inside the
+/// written rect, the one-pass encode (which brings `base` up to
+/// `cur`) and the update body.
+fn ship_update(base: &mut Framebuffer, cur: &Framebuffer, written: Rect) -> Vec<u8> {
+    let changed = base.diff_bounds_within(cur, written).unwrap();
+    let patch = (!changed.is_empty()).then(|| XorRect::encode(base, cur, changed, usize::MAX));
+    ServerFrame::Update {
+        seq: 1,
+        patch: patch.map(Option::unwrap),
+    }
+    .encode()
+}
+
+/// The update from `before` to `after` and back again, on a baseline
+/// that starts and ends as `before`.
+fn ship_round_trip(base: &mut Framebuffer, (before, after, written): &Step) -> usize {
+    ship_update(base, after, *written).len() + ship_update(base, before, *written).len()
+}
+
+fn bench_update(c: &mut Criterion) {
+    let (line, window) = fig5_typing_frames();
+    let mut g = c.benchmark_group("e14/update");
+    for (label, step) in [("line", &line), ("window", &window)] {
+        let mut base = step.0.clone();
         g.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| before.diff_region_within(black_box(&after), black_box(within)))
+            b.iter(|| ship_round_trip(black_box(&mut base), step))
         });
     }
     g.finish();
@@ -204,16 +237,27 @@ fn print_headline() {
         samples[samples.len() / 2]
     );
 
-    let (before, after, written) = fig5_keystroke();
-    let diff_us = |within: Rect| median_us(31, || before.diff_region_within(&after, within));
-    println!(
-        "e14 headline: fig5 keystroke diff: full {W}x{H} {:.1} us vs written \
-         {}x{} {:.1} us",
-        diff_us(after.bounds()),
-        written.width,
-        written.height,
-        diff_us(written)
-    );
+    let (line, window) = fig5_typing_frames();
+    for (label, step) in [("line", &line), ("window", &window)] {
+        let (before, after, written) = step;
+        let mut base = before.clone();
+        let bytes = ship_update(&mut base, after, *written).len();
+        assert_eq!(
+            &base, after,
+            "{label}: the update brought the baseline along"
+        );
+        let changed = before.diff_bounds_within(after, *written).unwrap();
+        let round_trip_us = median_us(31, || ship_round_trip(&mut base, step));
+        println!(
+            "e14 headline: fig5 {label} update: written {}x{}, changed {}x{}, \
+             {bytes} bytes, {:.1} us",
+            written.width,
+            written.height,
+            changed.width,
+            changed.height,
+            round_trip_us / 2.0
+        );
+    }
 
     let typing = run_loadgen_mem(&LoadConfig {
         sessions: 4,
@@ -248,7 +292,7 @@ fn print_headline() {
 fn benches_with_headline(c: &mut Criterion) {
     print_headline();
     bench_paint(c);
-    bench_diff(c);
+    bench_update(c);
     bench_codec(c);
 }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use crate::color::Color;
 use crate::geom::{Point, Rect};
-use crate::region::{Region, RowSpans};
+use crate::region::Region;
 
 /// How a blit combines source and destination pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -441,13 +441,33 @@ impl Framebuffer {
 
     /// Overwrites rectangle `r` with `pixels` (row-major,
     /// `r.width * r.height` of them), one slice copy per row, ignoring
-    /// the clip — how a patch rect lands on a framebuffer.
+    /// the clip — how a server brings its copy of a client's frame up
+    /// to date.
     ///
     /// # Panics
     ///
     /// Panics if `r` is not inside the bounds or `pixels.len()` is not
     /// its area.
     pub fn put_rect(&mut self, r: Rect, pixels: &[u32]) {
+        self.land_rect(r, pixels, |row, src| row.copy_from_slice(src));
+    }
+
+    /// XORs `pixels` (row-major, `r.width * r.height` of them) into
+    /// rectangle `r`, ignoring the clip — how an update, the change
+    /// against the frame a client holds, lands on that frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not inside the bounds or `pixels.len()` is not
+    /// its area.
+    pub fn xor_rect(&mut self, r: Rect, pixels: &[u32]) {
+        self.land_rect(r, pixels, |row, src| {
+            row.iter_mut().zip(src).for_each(|(p, s)| *p ^= s)
+        });
+    }
+
+    /// Lands `pixels` on rect `r` one row at a time through `land`.
+    fn land_rect(&mut self, r: Rect, pixels: &[u32], land: impl Fn(&mut [u32], &[u32])) {
         assert!(
             r.x >= 0 && r.y >= 0 && r.right() <= self.width && r.bottom() <= self.height,
             "rect {r:?} outside {}x{}",
@@ -464,7 +484,7 @@ impl Framebuffer {
             return;
         }
         for (src, y) in pixels.chunks_exact(w).zip(r.y..) {
-            self.row_mut(y)[r.x as usize..r.x as usize + w].copy_from_slice(src);
+            land(&mut self.row_mut(y)[r.x as usize..r.x as usize + w], src);
         }
     }
 
@@ -523,50 +543,59 @@ impl Framebuffer {
         s
     }
 
+    /// Gives back the pixel store, for a decoder to reuse.
+    pub fn into_pixels(self) -> Vec<u32> {
+        self.pixels
+    }
+
     /// Raw pixel access for encoders.
     pub fn pixels(&self) -> &[u32] {
         &self.pixels
     }
 
-    /// The region where `self` and `other` differ inside `within`
-    /// (clamped to the bounds; pass [`Framebuffer::bounds`] for the
-    /// whole frame). Pixels outside `within` are never read, so a
-    /// caller that knows every difference lies inside it gets the
-    /// same region a full scan would, at the cost of the rect.
-    ///
-    /// Each row's maximal differing spans come out y/x-sorted,
-    /// disjoint and non-adjacent, so the canonical banded region is
-    /// built in the same pass: a row with the previous row's
-    /// x-structure extends that band. Returns `None` when the buffers
-    /// have different dimensions — there is no meaningful diff across
-    /// a resize, callers should fall back to shipping the whole frame.
-    pub fn diff_region_within(&self, other: &Framebuffer, within: Rect) -> Option<Region> {
+    /// The bounding box of the pixels where `self` and `other` differ
+    /// inside `within` (clamped to the bounds; pass
+    /// [`Framebuffer::bounds`] for the whole frame), or an empty rect
+    /// when they agree there. Pixels outside `within` are never read,
+    /// so a caller that knows every difference lies inside it gets the
+    /// box a full scan would, at the cost of the rect. Each row costs
+    /// one slice compare, and a changed row one more per side of the
+    /// box found so far: only pixels outside the box can widen it, and
+    /// a side that differs is scanned in from its far end.
+    /// Returns `None` when the buffers have different dimensions —
+    /// there is no meaningful diff across a resize, callers should
+    /// fall back to shipping the whole frame.
+    pub fn diff_bounds_within(&self, other: &Framebuffer, within: Rect) -> Option<Rect> {
         if self.width != other.width || self.height != other.height {
             return None;
         }
         let r = within.intersect(self.bounds());
-        let mut out = RowSpans::default();
         let (x0, x1) = (r.x as usize, r.right() as usize);
+        let mut rows: Option<(i32, i32)> = None;
+        // The box's columns so far, relative to `x0`: `lo..hi`.
+        let (mut lo, mut hi) = (x1 - x0, 0);
         for y in r.y..r.bottom() {
             let a = &self.row(y)[x0..x1];
             let b = &other.row(y)[x0..x1];
             if a == b {
                 continue;
             }
-            let mut x = 0;
-            while let Some(d) = a[x..].iter().zip(&b[x..]).position(|(p, q)| p != q) {
-                let start = x + d;
-                let len = a[start..]
-                    .iter()
-                    .zip(&b[start..])
-                    .position(|(p, q)| p == q)
-                    .unwrap_or(a.len() - start);
-                out.push((x0 + start) as i32, y, len as i32);
-                x = start + len;
+            if a[..lo] != b[..lo] {
+                lo = a.iter().zip(b).position(|(p, q)| p != q).unwrap_or(lo);
             }
-            out.end_row();
+            if a[hi..] != b[hi..] {
+                hi = a
+                    .iter()
+                    .zip(b)
+                    .rposition(|(p, q)| p != q)
+                    .map_or(hi, |p| p + 1);
+            }
+            rows = Some((rows.map_or(y, |(top, _)| top), y + 1));
         }
-        Some(out.finish())
+        Some(match rows {
+            Some((top, bottom)) => Rect::new((x0 + lo) as i32, top, (hi - lo) as i32, bottom - top),
+            None => Rect::EMPTY,
+        })
     }
 }
 
@@ -733,7 +762,7 @@ mod tests {
     fn diff_region_of_identical_buffers_is_empty() {
         let a = Framebuffer::new(8, 8, Color::WHITE);
         let b = a.clone();
-        assert!(a.diff_region_within(&b, a.bounds()).unwrap().is_empty());
+        assert!(a.diff_bounds_within(&b, a.bounds()).unwrap().is_empty());
     }
 
     #[test]
@@ -741,9 +770,12 @@ mod tests {
         let a = Framebuffer::new(16, 16, Color::WHITE);
         let mut b = a.clone();
         b.fill_rect(Rect::new(3, 2, 5, 4), Color::BLACK);
-        let diff = a.diff_region_within(&b, a.bounds()).unwrap();
-        assert_eq!(diff.rects(), &[Rect::new(3, 2, 5, 4)]);
-        assert_eq!(diff.area(), 20);
+        let diff = a.diff_bounds_within(&b, a.bounds()).unwrap();
+        assert_eq!(diff, Rect::new(3, 2, 5, 4));
+        // A second block below a gap row widens the box over the gap.
+        b.fill_rect(Rect::new(1, 7, 2, 1), Color::BLACK);
+        let diff = a.diff_bounds_within(&b, a.bounds()).unwrap();
+        assert_eq!(diff, Rect::new(1, 2, 7, 6));
     }
 
     #[test]
@@ -754,11 +786,11 @@ mod tests {
         b.set(1, 0, Color::BLACK);
         b.set(9, 0, Color::BLACK);
         b.set(4, 2, Color::BLACK);
-        let diff = a.diff_region_within(&b, a.bounds()).unwrap();
-        assert_eq!(diff.area(), 4);
-        assert!(diff.contains(Point::new(9, 0)));
-        assert!(diff.contains(Point::new(4, 2)));
-        assert!(!diff.contains(Point::new(5, 0)));
+        let diff = a.diff_bounds_within(&b, a.bounds()).unwrap();
+        assert_eq!(diff, a.bounds());
+        // Inside a rect that leaves out column 9, the box ends at 4.
+        let diff = a.diff_bounds_within(&b, Rect::new(0, 0, 9, 3)).unwrap();
+        assert_eq!(diff, Rect::new(0, 0, 5, 3));
     }
 
     #[test]
@@ -817,15 +849,13 @@ mod tests {
     fn diff_region_rejects_size_mismatch() {
         let a = Framebuffer::new(4, 4, Color::WHITE);
         let b = Framebuffer::new(5, 4, Color::WHITE);
-        assert!(a.diff_region_within(&b, a.bounds()).is_none());
+        assert!(a.diff_bounds_within(&b, a.bounds()).is_none());
     }
 }
 
-/// The one-pass diff against the reference construction: every
-/// maximal differing row span of a full per-pixel scan, unioned
-/// through [`Region::from_rects`]. The banded form is canonical, so
-/// the two must be structurally equal, not merely cover the same
-/// pixels.
+/// The bounds scan against the reference construction: the bounding
+/// box of every maximal differing row span of a full per-pixel scan,
+/// unioned through [`Region::from_rects`].
 #[cfg(test)]
 mod diff_props {
     use super::*;
@@ -850,13 +880,12 @@ mod diff_props {
         Region::from_rects(spans)
     }
 
-    /// Asserts the one-pass diff equals the reference over the whole
-    /// frame and over the tightest rect covering the differences.
+    /// Asserts the bounds scan equals the reference's bounding box over
+    /// the whole frame and over that box itself.
     fn check(a: &Framebuffer, b: &Framebuffer) {
-        let want = reference(a, b);
-        assert_eq!(a.diff_region_within(b, a.bounds()).unwrap(), want);
-        let tight = a.diff_region_within(b, want.bounding_box()).unwrap();
-        assert_eq!(tight, want);
+        let want = reference(a, b).bounding_box();
+        assert_eq!(a.diff_bounds_within(b, a.bounds()).unwrap(), want);
+        assert_eq!(a.diff_bounds_within(b, want).unwrap(), want);
     }
 
     /// A frame pair of the given size whose second frame differs from
@@ -878,7 +907,7 @@ mod diff_props {
     fn empty_frames_diff_to_nothing() {
         for (w, h) in [(0, 0), (0, 7), (7, 0)] {
             let (a, b) = pair(w, h, |_, _| true);
-            let d = a.diff_region_within(&b, Rect::new(-3, -3, 20, 20)).unwrap();
+            let d = a.diff_bounds_within(&b, Rect::new(-3, -3, 20, 20)).unwrap();
             assert!(d.is_empty(), "{w}x{h}");
             check(&a, &b);
         }
@@ -888,32 +917,30 @@ mod diff_props {
     fn a_frame_that_differs_everywhere_is_one_rect() {
         let (a, b) = pair(13, 9, |_, _| true);
         check(&a, &b);
-        assert_eq!(
-            a.diff_region_within(&b, a.bounds()).unwrap().rects(),
-            &[a.bounds()]
-        );
+        assert_eq!(a.diff_bounds_within(&b, a.bounds()).unwrap(), a.bounds());
     }
 
     #[test]
     fn alternating_pixels_make_many_spans_per_row() {
-        // Checkerboard: every row has width/2 spans and alternates
-        // structure with its neighbours, so no two rows share a band.
+        // Checkerboard: every row has width/2 spans, and the first and
+        // last differing columns alternate between rows.
         let (a, b) = pair(31, 12, |x, y| (x + y) % 2 == 0);
         check(&a, &b);
-        // Column stripes: every row has the same structure, so all
-        // rows coalesce into one band of tall rects.
+        // Column stripes: the box runs from the first odd column to
+        // the last.
         let (a, b) = pair(31, 12, |x, _| x % 2 == 1);
         check(&a, &b);
-        let d = a.diff_region_within(&b, a.bounds()).unwrap();
-        assert_eq!(d.rects().len(), 15);
-        assert!(d.rects().iter().all(|r| r.height == 12));
+        assert_eq!(
+            a.diff_bounds_within(&b, a.bounds()).unwrap(),
+            Rect::new(1, 0, 29, 12)
+        );
     }
 
     #[test]
     fn pixels_outside_the_rect_are_not_compared() {
         let (a, b) = pair(10, 10, |x, y| (x, y) == (1, 1) || (x, y) == (8, 8));
-        let d = a.diff_region_within(&b, Rect::new(0, 0, 5, 5)).unwrap();
-        assert_eq!(d.rects(), &[Rect::new(1, 1, 1, 1)]);
+        let d = a.diff_bounds_within(&b, Rect::new(0, 0, 5, 5)).unwrap();
+        assert_eq!(d, Rect::new(1, 1, 1, 1));
     }
 
     proptest! {
@@ -937,17 +964,16 @@ mod diff_props {
             for (x, y, bw, bh) in blocks {
                 b.fill_rect(Rect::new(x, y, bw, bh), Color(7));
             }
-            let want = reference(&a, &b);
-            let bb = want.bounding_box();
+            let want = reference(&a, &b).bounding_box();
             let within = Rect::new(
-                bb.x - pad.0,
-                bb.y - pad.1,
-                bb.width + pad.0 + pad.2,
-                bb.height + pad.1 + pad.3,
+                want.x - pad.0,
+                want.y - pad.1,
+                want.width + pad.0 + pad.2,
+                want.height + pad.1 + pad.3,
             );
             let within = if want.is_empty() { Rect::new(pad.0, pad.1, pad.2, pad.3) } else { within };
-            prop_assert_eq!(a.diff_region_within(&b, within).unwrap(), want.clone());
-            prop_assert_eq!(a.diff_region_within(&b, a.bounds()).unwrap(), want);
+            prop_assert_eq!(a.diff_bounds_within(&b, within).unwrap(), want);
+            prop_assert_eq!(a.diff_bounds_within(&b, a.bounds()).unwrap(), want);
         }
     }
 }

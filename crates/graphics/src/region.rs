@@ -291,67 +291,6 @@ impl Region {
     }
 }
 
-/// Builds a region in one pass from 1-pixel-high spans fed row by row.
-///
-/// Rows must arrive in increasing `y`, and each row's spans in
-/// increasing `x`, pairwise disjoint and non-adjacent (maximal runs, as
-/// a row scan yields them). Under that contract the canonical banded
-/// form falls out directly: a row whose x-structure matches the band
-/// just above it grows that band by one row; any other row starts a
-/// new band. The result is structurally equal to
-/// [`Region::from_rects`] over the same spans, without its sort and
-/// log-depth union tree.
-#[derive(Debug, Default)]
-pub(crate) struct RowSpans {
-    rects: Vec<Rect>,
-    /// Index of the first rect of the last band.
-    band: usize,
-    /// Index of the first rect of the row being fed.
-    row: usize,
-}
-
-impl RowSpans {
-    /// Adds the next span `[x, x + width)` of row `y`.
-    pub(crate) fn push(&mut self, x: i32, y: i32, width: i32) {
-        debug_assert!(width > 0);
-        self.rects.push(Rect::new(x, y, width, 1));
-    }
-
-    /// Closes the row fed since the last call, merging it into the
-    /// band above when that band ends on the row and has the same
-    /// x-structure.
-    pub(crate) fn end_row(&mut self) {
-        let (band, row) = (self.band, self.row);
-        let n = self.rects.len();
-        if n == row {
-            return;
-        }
-        let prev = &self.rects[band..row];
-        let extends = !prev.is_empty()
-            && prev[0].bottom() == self.rects[row].y
-            && prev.len() == n - row
-            && prev
-                .iter()
-                .zip(&self.rects[row..])
-                .all(|(p, q)| p.x == q.x && p.width == q.width);
-        if extends {
-            self.rects.truncate(row);
-            for r in &mut self.rects[band..] {
-                r.height += 1;
-            }
-        } else {
-            self.band = row;
-            self.row = n;
-        }
-    }
-
-    /// The region covering every span fed (and closed) so far.
-    pub(crate) fn finish(self) -> Region {
-        debug_assert_eq!(self.row, self.rects.len(), "unclosed row");
-        Region { rects: self.rects }
-    }
-}
-
 /// Counts a short-circuit in the region algebra on the process-wide
 /// collector (disabled collectors make this one relaxed atomic load).
 fn fast_path() {

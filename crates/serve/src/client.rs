@@ -10,7 +10,7 @@ use atk_core::ScriptStep;
 use atk_graphics::Framebuffer;
 
 use crate::transport::FrameTransport;
-use crate::wire::{ClientFrame, PatchRect, ServerFrame, WireError};
+use crate::wire::{ClientFrame, ServerFrame, WireError, MAX_FRAME_BYTES};
 
 /// Anything that can go wrong on the client side of a session.
 #[derive(Debug)]
@@ -55,7 +55,7 @@ impl From<WireError> for ClientError {
 pub struct ClientStats {
     /// Frames received (updates + keyframes).
     pub frames: u64,
-    /// Region-diffed updates among them.
+    /// Updates among them (the change against the frame held).
     pub diff_frames: u64,
     /// Full keyframes among them.
     pub key_frames: u64,
@@ -178,8 +178,12 @@ impl<T: FrameTransport> ServeClient<T> {
 
     fn handshake(mut t: T) -> Result<ServeClient<T>, ClientError> {
         let connect_started = Instant::now();
-        let session_id = match ServerFrame::decode(&t.recv()?)? {
-            ServerFrame::Welcome { session_id, .. } => session_id,
+        let (session_id, pixels) = match ServerFrame::decode(&t.recv()?)? {
+            ServerFrame::Welcome {
+                session_id,
+                width,
+                height,
+            } => (session_id, width as usize * height as usize),
             ServerFrame::Busy => return Err(ClientError::Busy),
             ServerFrame::Error { message } => return Err(ClientError::Server(message)),
             other => {
@@ -188,10 +192,17 @@ impl<T: FrameTransport> ServeClient<T> {
                 )))
             }
         };
+        // The client's one frame store, sized now: the keyframe that
+        // follows decodes into it before its bytes take any memory.
+        let store = Vec::with_capacity(if pixels * 4 <= MAX_FRAME_BYTES {
+            pixels
+        } else {
+            0
+        });
         let mut client = ServeClient {
             t,
             // Empty until the initial keyframe, which always replaces it.
-            fb: Framebuffer::from_pixels(0, 0, Vec::new()),
+            fb: Framebuffer::from_pixels(0, 0, store),
             session_id,
             sent: 0,
             acked: 0,
@@ -249,9 +260,15 @@ impl<T: FrameTransport> ServeClient<T> {
     fn recv_and_apply(&mut self) -> Result<Duration, ClientError> {
         let body = self.t.recv()?;
         let started = Instant::now();
-        let frame = ServerFrame::decode(&body)?;
-        self.apply_frame(frame, body.len())?;
+        self.decode_and_apply(&body)?;
         Ok(started.elapsed())
+    }
+
+    /// Decodes one frame body, a keyframe into the store of the frame
+    /// it replaces, and applies it.
+    fn decode_and_apply(&mut self, body: &[u8]) -> Result<(), ClientError> {
+        let frame = ServerFrame::decode_replacing(body, &mut self.fb)?;
+        self.apply_frame(frame, body.len())
     }
 
     /// Pipelining window: how many sent steps no frame has covered yet.
@@ -269,8 +286,7 @@ impl<T: FrameTransport> ServeClient<T> {
         while !self.ended {
             match self.t.try_recv()? {
                 Some(body) => {
-                    let frame = ServerFrame::decode(&body)?;
-                    self.apply_frame(frame, body.len())?;
+                    self.decode_and_apply(&body)?;
                     applied += 1;
                 }
                 None => break,
@@ -291,7 +307,7 @@ impl<T: FrameTransport> ServeClient<T> {
         self.t.send(&ClientFrame::StatsReq.encode()?)?;
         loop {
             let body = self.t.recv()?;
-            let frame = ServerFrame::decode(&body)?;
+            let frame = ServerFrame::decode_replacing(&body, &mut self.fb)?;
             if let ServerFrame::Stats { text, json } = frame {
                 return Ok((text, json));
             }
@@ -350,14 +366,14 @@ impl<T: FrameTransport> ServeClient<T> {
     }
 
     /// Applies one decoded frame. `encoded_len` is the length of the
-    /// wire body it arrived in (RLE bodies are shorter than
+    /// wire body it arrived in (a packed keyframe is shorter than
     /// [`ServerFrame::wire_len`], and the stats track both).
     fn apply_frame(&mut self, frame: ServerFrame, encoded_len: usize) -> Result<(), ClientError> {
         let wire_len = frame.wire_len();
         match frame {
-            ServerFrame::Update { seq, rects } => {
-                for patch in &rects {
-                    self.apply_patch(patch)?;
+            ServerFrame::Update { seq, patch } => {
+                if let Some(patch) = &patch {
+                    patch.apply_to(&mut self.fb)?;
                 }
                 self.note_frame(seq, wire_len, encoded_len, false);
             }
@@ -383,33 +399,13 @@ impl<T: FrameTransport> ServeClient<T> {
         }
         Ok(())
     }
-
-    fn apply_patch(&mut self, patch: &PatchRect) -> Result<(), ClientError> {
-        let r = patch.rect;
-        // Widened so a hostile origin near `i32::MAX` cannot wrap past
-        // the bounds check.
-        let inside = |origin: i32, extent: i32, limit: i32| {
-            origin >= 0 && extent >= 0 && origin as i64 + extent as i64 <= limit as i64
-        };
-        if !inside(r.x, r.width, self.fb.width())
-            || !inside(r.y, r.height, self.fb.height())
-            || patch.pixels.len() != (r.width as usize) * (r.height as usize)
-        {
-            return Err(ClientError::Protocol(format!(
-                "patch rect {r:?} outside {}x{} frame",
-                self.fb.width(),
-                self.fb.height()
-            )));
-        }
-        self.fb.put_rect(r, &patch.pixels);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::MemTransport;
+    use crate::wire::XorRect;
     use atk_graphics::Rect;
 
     /// A client handshaken against a preloaded `width`×`height`
@@ -461,12 +457,18 @@ mod tests {
     fn keyframe_is_adopted_and_patches_land_by_row() {
         let mut c = client();
         assert_eq!(c.framebuffer().pixels(), &[0, 1, 2, 3, 4, 5, 6, 7]);
-        c.apply_patch(&PatchRect {
-            rect: Rect::new(1, 0, 3, 2),
-            pixels: vec![10, 11, 12, 13, 14, 15],
-        })
-        .unwrap();
-        assert_eq!(c.framebuffer().pixels(), &[0, 10, 11, 12, 4, 13, 14, 15]);
+        // The server's copy of the client's frame, brought to `want` by
+        // the update it encodes.
+        let mut base = c.framebuffer().clone();
+        let want = Framebuffer::from_pixels(4, 2, vec![0, 10, 11, 12, 4, 13, 14, 15]);
+        let patch = XorRect::encode(&mut base, &want, Rect::new(1, 0, 3, 2), usize::MAX);
+        let update = ServerFrame::Update {
+            seq: 0,
+            patch: Some(patch.unwrap()),
+        };
+        c.decode_and_apply(&update.encode()).unwrap();
+        assert_eq!(c.framebuffer(), &want);
+        assert_eq!(base, want);
     }
 
     #[test]
@@ -478,12 +480,18 @@ mod tests {
             Rect::new(0, i32::MAX, 1, 2),
             Rect::new(2, 1, 3, 1),
         ] {
-            let pixels = vec![0; (rect.width * rect.height) as usize];
+            // An update body with one run over the whole rect.
+            let mut body = vec![0x83];
+            body.extend_from_slice(&0u64.to_le_bytes());
+            let count = (rect.width * rect.height) as u32;
+            for v in [1, rect.x as u32, rect.y as u32, rect.width as u32]
+                .into_iter()
+                .chain([rect.height as u32, 1, count, 0xFF])
+            {
+                body.extend_from_slice(&v.to_le_bytes());
+            }
             assert!(
-                matches!(
-                    c.apply_patch(&PatchRect { rect, pixels }),
-                    Err(ClientError::Protocol(_))
-                ),
+                matches!(c.decode_and_apply(&body), Err(ClientError::Protocol(_))),
                 "{rect:?}"
             );
         }

@@ -6,7 +6,8 @@
 //! printer — is someone else's business. This crate puts a *wire*
 //! behind it: a headless server hosts many concurrent
 //! `World`+`InteractionManager` sessions, one per connection, and ships
-//! their framebuffers to thin clients as region-diffed updates over a
+//! their framebuffers to thin clients as updates — the change against
+//! the frame the client already holds, one XOR rect per frame — over a
 //! length-prefixed binary protocol. The views never find out.
 //!
 //! Sessions come in two flavors: `Hello` opens a private session, and
@@ -99,4 +100,4 @@ pub use oracle::{divergence, serve_differential, ServedRun, Topology, Traffic};
 pub use server::{serve_listener_sharded, Server, ServerConfig};
 pub use session::{HostedSession, SessionConfig, SessionEnd};
 pub use transport::{FrameTransport, MemTransport, TcpTransport};
-pub use wire::{ClientFrame, Encoding, PatchRect, ServerFrame, WireError};
+pub use wire::{ClientFrame, Encoding, ServerFrame, WireError, XorRect};

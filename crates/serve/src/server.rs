@@ -232,17 +232,21 @@ impl Server {
     /// and every live session's current snapshot. This is what a
     /// `Stats` request and `--stats-every` report.
     ///
-    /// The live list and the retired totals are read under both locks,
-    /// taken in the order [`Server::retire_session`] takes them, so a
-    /// closing session is counted exactly once: still live, or already
+    /// The shard list, the live list and the retired totals are read
+    /// under all three locks, taken in the order
+    /// [`Server::retire_session`] and [`Server::shutdown_shards`] take
+    /// them (shards, live list, retired), so a closing session or a
+    /// stopped shard is counted exactly once: still listed, or already
     /// retired. Merged counters therefore never go backwards.
     pub fn merged_snapshot(&self) -> Snapshot {
         let mut out = self.collector.snapshot();
-        for snap in self.shard_snapshots() {
-            out.merge(&snap);
-        }
+        let shards = self.lock_shards();
         let live = self.lock_sessions();
-        out.merge(&self.lock_retired());
+        let retired = self.lock_retired();
+        for s in shards.iter() {
+            out.merge(&s.collector().snapshot());
+        }
+        out.merge(&retired);
         for (_, c) in live.iter() {
             out.merge(&c.snapshot());
         }
@@ -437,17 +441,29 @@ impl Server {
     /// as [`Server::drain_shard`]) and joins them. Tests and loadgen
     /// call this so shard threads never outlive the measurement.
     pub fn shutdown_shards(&self) {
-        let shards = std::mem::take(&mut *self.lock_shards());
-        for s in &shards {
-            s.shutdown();
+        // The handles stay listed while the threads stop, so a merged
+        // snapshot taken meanwhile still reads their planes. No lock is
+        // held across the join: a stopping shard may answer a `Stats`
+        // request, which takes them all.
+        let joins: Vec<_> = self
+            .lock_shards()
+            .iter()
+            .filter_map(|s| {
+                s.shutdown();
+                s.take_join()
+            })
+            .collect();
+        for h in joins {
+            let _ = h.join();
         }
-        for s in &shards {
-            s.join();
-        }
-        // Fold the scheduling counters into the retired accumulator so
-        // `merged_snapshot` keeps them after the threads are gone.
+        // Move the scheduling counters from the list into the retired
+        // accumulator in one step, holding the shard list as
+        // `merged_snapshot` does while it reads both, so it keeps them
+        // after the threads are gone and never sees them in neither
+        // place.
+        let mut shards = self.lock_shards();
         let mut retired = self.lock_retired();
-        for s in &shards {
+        for s in shards.drain(..) {
             retired.merge(&s.collector().snapshot().without_spans());
         }
     }
@@ -720,6 +736,66 @@ mod tests {
         });
         assert!(reads > 0);
         assert_eq!(server.merged_snapshot().counter("churn.ops"), SESSIONS);
+    }
+
+    /// A merged snapshot taken while the shards stop must count each
+    /// shard plane once — still listed, or folded into the retired
+    /// totals — never in neither, or a `serve.shard.*` counter steps
+    /// backwards.
+    #[test]
+    fn merged_shard_counters_never_go_backwards_across_shutdown() {
+        let mut reads = 0u64;
+        for _ in 0..200 {
+            let server = Server::start(ServerConfig::default(), 2);
+            for s in server.lock_shards().iter() {
+                // The shard thread enables its plane as it starts; this
+                // may run first.
+                s.collector().enable();
+                s.collector().count("churn.shard", 1);
+            }
+            let done = std::sync::atomic::AtomicBool::new(false);
+            thread::scope(|s| {
+                s.spawn(|| {
+                    server.shutdown_shards();
+                    done.store(true, Ordering::SeqCst);
+                });
+                while !done.load(Ordering::SeqCst) {
+                    let now = server.merged_snapshot().counter("churn.shard");
+                    assert_eq!(now, 2, "merged churn.shard read {now} mid-shutdown");
+                    reads += 1;
+                }
+            });
+            assert_eq!(server.shard_count(), 0);
+            assert_eq!(server.merged_snapshot().counter("churn.shard"), 2);
+        }
+        assert!(reads > 0);
+    }
+
+    #[test]
+    fn session_collectors_keep_the_newest_spans_up_to_the_cap() {
+        let server = registry_only(ServerConfig::default());
+        let c = server.open_session_collector(1);
+        for _ in 0..SESSION_SPAN_CAPACITY + 5 {
+            drop(c.span("bounded.span"));
+        }
+        let snap = c.snapshot();
+        assert_eq!(snap.spans.len(), SESSION_SPAN_CAPACITY);
+        assert_eq!(snap.dropped_spans, 5);
+    }
+
+    #[test]
+    fn the_slow_frame_log_keeps_the_newest_dumps_up_to_the_cap() {
+        let server = registry_only(ServerConfig::default());
+        for i in 0..=SLOW_LOG_CAPACITY {
+            server.slow_log().push(format!("dump {i}"));
+        }
+        let kept = server.slow_log().entries();
+        assert_eq!(kept.len(), SLOW_LOG_CAPACITY);
+        assert_eq!(kept.first().map(String::as_str), Some("dump 1"));
+        assert_eq!(
+            server.slow_log().total_pushed(),
+            SLOW_LOG_CAPACITY as u64 + 1
+        );
     }
 
     #[test]

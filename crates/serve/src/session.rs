@@ -23,7 +23,7 @@ use atk_graphics::{Framebuffer, Rect};
 use atk_trace::{Collector, FrameLog, FrameTrace, SlowFrameLog, Stage};
 use atk_wm::{MouseAction, WindowEvent};
 
-use crate::wire::{Encoding, PatchRect, ServerFrame};
+use crate::wire::{Encoding, ServerFrame, XorRect};
 
 /// Frames of attribution history each session retains (ring).
 pub const FRAME_LOG_CAPACITY: usize = 128;
@@ -34,7 +34,8 @@ pub struct SessionConfig {
     /// Most steps consumed per batch; a drained burst beyond this drops
     /// the oldest steps (`serve.backpressure_drops`).
     pub queue_cap: usize,
-    /// Diff payloads above this many bytes degrade to a keyframe.
+    /// An update whose encoded body would pass this many bytes
+    /// degrades to a keyframe.
     pub dirty_budget_bytes: usize,
     /// A full keyframe is forced every this many shipped frames;
     /// 0 = every frame is a keyframe (the always-keyframe baseline).
@@ -85,10 +86,11 @@ pub struct HostedSession {
     im: InteractionManager,
     cfg: SessionConfig,
     collector: Arc<Collector>,
-    /// Last framebuffer shipped to the client, the diff baseline.
-    /// Shared copy-on-write with the keyframe that shipped it (and, for
-    /// a session that adopted a template's cached first keyframe, with
-    /// that cache entry); updates patch it in place.
+    /// The frame the client holds: the last one shipped, the diff
+    /// baseline. Shared copy-on-write with the keyframe that shipped it
+    /// (and, for a session that adopted a template's cached first
+    /// keyframe, with that cache entry); updates bring it along in
+    /// place as they encode.
     shipped: Option<Arc<Framebuffer>>,
     seq: u64,
     frames_since_key: u32,
@@ -584,8 +586,9 @@ impl HostedSession {
     }
 
     /// Frame assembly under the `diff` stage stamp: everything between
-    /// paint and encode (band diffing, patch extraction, or the
-    /// keyframe pixel copy) is attributed to `serve.stage_us.diff`.
+    /// paint and the wire (the bounds scan and the update's one-pass
+    /// encode, or the keyframe pixel copy) is attributed to
+    /// `serve.stage_us.diff`.
     fn ship_frame(&mut self, ft: &mut FrameTrace) -> ServerFrame {
         ft.enter(Stage::Diff);
         let frame = self.assemble_frame();
@@ -594,11 +597,11 @@ impl HostedSession {
     }
 
     /// Diffs the current framebuffer against the last shipped one and
-    /// picks the cheaper shipping shape: an empty-rect acknowledgement
-    /// when nothing changed (no snapshot clone, no pixel payload),
-    /// changed bands, or a keyframe when the diff blows the dirty-byte
-    /// budget, the keyframe cadence is due (always, at
-    /// `keyframe_every: 0`), or the window resized.
+    /// picks the shipping shape: an empty ack when nothing changed (no
+    /// snapshot clone, no pixel payload), the changed rect XORed
+    /// against the baseline, or a keyframe when the update's encoded
+    /// body passes the dirty-byte budget, the keyframe cadence is due
+    /// (always, at `keyframe_every: 0`), or the window resized.
     fn assemble_frame(&mut self) -> ServerFrame {
         if self.frames_since_key >= self.cfg.keyframe_every {
             return self.keyframe();
@@ -610,59 +613,37 @@ impl HostedSession {
         let written = self.im.window_mut().take_written();
         // Diff against a *borrow* of the backend framebuffer — a
         // no-change batch then costs one compare and zero clones.
-        let shipped = &self.shipped;
+        let shipped = &mut self.shipped;
         let collector = &self.collector;
         let budget = self.cfg.dirty_budget_bytes;
-        let mut plan = Plan::Keyframe;
+        let mut plan = None;
         self.im.window().with_frame(&mut |cur| {
-            plan = plan_update(shipped.as_deref(), cur, written, budget, collector);
+            plan = plan_update(shipped, cur, written, budget, collector);
         });
-        match plan {
-            Plan::Keyframe => self.keyframe(),
-            Plan::Unchanged => {
-                // Nothing changed on screen: ship a 13-byte empty
-                // update so pipelined clients still see one frame per
-                // batch, but leave the diff baseline and keyframe
-                // cadence alone.
-                self.collector.count("serve.frames", 1);
-                self.collector.count("serve.frames_unchanged", 1);
-                ServerFrame::Update {
-                    seq: self.seq,
-                    rects: Vec::new(),
-                }
-            }
-            Plan::Update(rects) => {
-                // The rects cover exactly the diff region, so patching
-                // them into the baseline makes it equal the current
-                // frame. A baseline still shared with the keyframe
-                // cache is copied once, here.
-                let shipped = self
-                    .shipped
-                    .as_mut()
-                    .expect("an update diffs against a baseline");
-                let before = Arc::as_ptr(shipped);
-                let base = Arc::make_mut(shipped);
-                if !std::ptr::eq(before, base) {
-                    self.collector.count("serve.frame_copies", 1);
-                }
-                for patch in &rects {
-                    base.put_rect(patch.rect, &patch.pixels);
-                }
-                let frame = ServerFrame::Update {
-                    seq: self.seq,
-                    rects,
-                };
-                self.frames_since_key += 1;
-                self.collector.count("serve.frames", 1);
-                self.collector
-                    .count("serve.diff_bytes", frame.wire_len() as u64);
-                frame
-            }
+        let Some(patch) = plan else {
+            return self.keyframe();
+        };
+        let changed = patch.is_some();
+        let frame = ServerFrame::Update {
+            seq: self.seq,
+            patch,
+        };
+        self.collector.count("serve.frames", 1);
+        if changed {
+            self.frames_since_key += 1;
+            self.collector
+                .count("serve.diff_bytes", frame.wire_len() as u64);
+        } else {
+            // Nothing changed on screen: a 13-byte empty update, so
+            // pipelined clients still see one frame per batch. The
+            // keyframe cadence stays where it was.
+            self.collector.count("serve.frames_unchanged", 1);
         }
+        frame
     }
 
-    /// Encodes a frame for the wire, letting pixel frames ship the
-    /// smaller of their raw and RLE bodies, and counts the choice plus
+    /// Encodes a frame for the wire, letting a keyframe ship the
+    /// smaller of its raw and RLE bodies, and counts the choice plus
     /// the bytes that actually ship.
     pub fn encode_frame(&self, frame: &ServerFrame) -> Vec<u8> {
         self.encode_counted(frame).0
@@ -706,60 +687,36 @@ pub(crate) struct SharedKeyframe {
     pub(crate) frame: Arc<Framebuffer>,
 }
 
-/// What [`HostedSession::assemble_frame`] decided while holding the
-/// backend framebuffer borrow.
-enum Plan {
-    /// Byte-identical to the shipped baseline — nothing to send.
-    Unchanged,
-    /// Resize or blown budget — send everything.
-    Keyframe,
-    /// Changed bands, with the current frame's pixels.
-    Update(Vec<PatchRect>),
-}
-
 /// Diff-or-degrade decision against the shipped baseline, comparing
 /// only the `written` rect and counting the pixels compared in
-/// `serve.diff_px`. `budget` is the dirty-byte ceiling; the estimate
-/// below is exactly the update frame's wire length (13-byte header, 16
-/// bytes per rect header, 4 bytes per pixel), so the stats plane and
-/// the budget agree.
+/// `serve.diff_px`: `Some(None)` when nothing changed, `Some(patch)`
+/// for an update, which has brought the baseline up to `cur`, and
+/// `None` for a keyframe — after a resize, with no baseline yet, or
+/// when the update frame would pass `budget` bytes or a raw keyframe.
 fn plan_update(
-    shipped: Option<&Framebuffer>,
+    shipped: &mut Option<Arc<Framebuffer>>,
     cur: &Framebuffer,
     written: Rect,
     budget: usize,
     collector: &Collector,
-) -> Plan {
+) -> Option<Option<XorRect>> {
+    let base = shipped.as_mut()?;
     let within = written.intersect(cur.bounds());
-    let diff = match shipped.and_then(|prev| prev.diff_region_within(cur, within)) {
-        Some(region) => region,
-        // Size changed (resize) — no diff across that. Same when no
-        // baseline exists yet.
-        None => return Plan::Keyframe,
-    };
+    // `None` on a size change (resize): no diff across that.
+    let changed = base.diff_bounds_within(cur, within)?;
     collector.count("serve.diff_px", within.area() as u64);
-    if diff.is_empty() {
-        return Plan::Unchanged;
+    if changed.is_empty() {
+        return Some(None);
     }
-    let payload = 13 + diff.area() as usize * 4 + diff.rects().len() * 16;
+    // A baseline still shared with the keyframe cache is copied once,
+    // here.
+    let before = Arc::as_ptr(base);
+    let base = Arc::make_mut(base);
+    if !std::ptr::eq(before, base) {
+        collector.count("serve.frame_copies", 1);
+    }
     let key_payload = 17 + cur.pixels().len() * 4;
-    if payload > budget.min(key_payload) {
-        return Plan::Keyframe;
-    }
-    let rects = diff
-        .rects()
-        .iter()
-        .map(|&r| {
-            let mut pixels = Vec::with_capacity((r.width * r.height) as usize);
-            for y in r.y..r.bottom() {
-                let row = y as usize * cur.width() as usize;
-                pixels
-                    .extend_from_slice(&cur.pixels()[row + r.x as usize..row + r.right() as usize]);
-            }
-            PatchRect { rect: r, pixels }
-        })
-        .collect();
-    Plan::Update(rects)
+    XorRect::encode(base, cur, changed, budget.min(key_payload)).map(Some)
 }
 
 /// Collapses runs of consecutive pointer movements down to the last
@@ -847,7 +804,7 @@ mod tests {
         );
         let (frame, end) = s.apply_batch(&[ScriptStep::Event(WindowEvent::ch('x'))], 0);
         match &frame {
-            ServerFrame::Update { rects, .. } => assert!(!rects.is_empty()),
+            ServerFrame::Update { patch, .. } => assert!(patch.is_some()),
             other => panic!("typing shipped {other:?}"),
         }
         assert_eq!(end, None);
@@ -942,7 +899,7 @@ mod tests {
         // (13-byte ack), not re-clone and re-ship anything.
         let (frame, end) = s.apply_batch(&[ScriptStep::Event(WindowEvent::Tick(5))], 0);
         match &frame {
-            ServerFrame::Update { rects, .. } => assert!(rects.is_empty(), "{rects:?}"),
+            ServerFrame::Update { patch, .. } => assert!(patch.is_none(), "{patch:?}"),
             other => panic!("no-change batch shipped {other:?}"),
         }
         assert_eq!(frame.wire_len(), 13);
@@ -952,35 +909,45 @@ mod tests {
         // The ack never becomes the diff baseline, so real input later
         // still diffs against the last *pixel* frame.
         let (frame, _) = s.apply_batch(&[ScriptStep::Event(WindowEvent::Tick(5))], 0);
-        assert!(matches!(frame, ServerFrame::Update { ref rects, .. } if rects.is_empty()));
+        assert!(matches!(frame, ServerFrame::Update { patch: None, .. }));
     }
 
     #[test]
     fn dirty_budget_estimate_matches_wire_len() {
-        let collector = Arc::new(Collector::new());
-        let mut s = HostedSession::open("fig5", SessionConfig::default(), collector).unwrap();
-        let _ = s.initial_keyframe();
-        let _ = s.apply_batch(
-            &[
-                ScriptStep::Event(WindowEvent::left_down(70, 70)),
-                ScriptStep::Event(WindowEvent::left_up(70, 70)),
-            ],
-            0,
-        );
-        let (frame, _) = s.apply_batch(&[ScriptStep::Event(WindowEvent::ch('x'))], 0);
-        let ServerFrame::Update { rects, .. } = &frame else {
-            panic!("typing shipped {frame:?}");
+        // The frame one typed character ships under `budget`.
+        let typed = |budget: usize| {
+            let cfg = SessionConfig {
+                dirty_budget_bytes: budget,
+                ..SessionConfig::default()
+            };
+            let mut s = HostedSession::open("fig5", cfg, Arc::new(Collector::new())).unwrap();
+            let _ = s.initial_keyframe();
+            let _ = s.apply_batch(
+                &[
+                    ScriptStep::Event(WindowEvent::left_down(70, 70)),
+                    ScriptStep::Event(WindowEvent::left_up(70, 70)),
+                ],
+                0,
+            );
+            s.apply_batch(&[ScriptStep::Event(WindowEvent::ch('x'))], 0)
+                .0
         };
-        assert!(!rects.is_empty());
-        // The budget estimate must be the actual wire length: 13-byte
-        // header + 16 bytes per rect header + 4 bytes per pixel.
-        let estimate: usize = 13 + rects.iter().map(|p| p.pixels.len() * 4 + 16).sum::<usize>();
-        assert_eq!(estimate, frame.wire_len());
+        let frame = typed(SessionConfig::default().dirty_budget_bytes);
+        assert!(
+            matches!(frame, ServerFrame::Update { patch: Some(_), .. }),
+            "typing shipped {frame:?}"
+        );
+        // The budget bounds exactly the encoded update: a budget of its
+        // wire length ships it, one byte less ships a keyframe.
+        let len = frame.wire_len();
+        assert_eq!(frame.encode().len(), len);
+        assert_eq!(typed(len), frame);
+        assert!(matches!(typed(len - 1), ServerFrame::Keyframe { .. }));
     }
 
     /// Runs `steps` one batch each on a fresh fig5 session on each
     /// backend and checks, after every shipped frame, that the diff
-    /// baseline patched in place equals the screen. Both backends must
+    /// baseline brought along in place equals the screen. Both backends must
     /// ship the same frames; returns the (updates, keyframes) they
     /// shipped after the initial keyframe.
     fn baseline_tracks_screen(cfg: SessionConfig, steps: &[ScriptStep]) -> (usize, usize) {
@@ -1011,7 +978,7 @@ mod tests {
         );
         let updates = frames
             .iter()
-            .filter(|f| matches!(f, ServerFrame::Update { rects, .. } if !rects.is_empty()))
+            .filter(|f| matches!(f, ServerFrame::Update { patch: Some(_), .. }))
             .count();
         let keyframes = frames
             .iter()
@@ -1049,12 +1016,26 @@ mod tests {
         // Forty short lines run well past the bottom of fig5's text
         // view, so it scrolls.
         let text: String = (0..40).map(|i| format!("line {i}\n")).collect();
-        let (updates, keyframes) =
-            baseline_tracks_screen(SessionConfig::default(), &focus_then_type(&text));
+        let steps = focus_then_type(&text);
+        let (updates, keyframes) = baseline_tracks_screen(SessionConfig::default(), &steps);
         assert!(updates > 100, "typing shipped {updates} updates");
-        // A scroll moves most of the view: the diff blows the dirty
-        // budget and a keyframe resets the baseline.
-        assert!(keyframes >= 1, "the scroll shipped no keyframe");
+        // A scroll's update XORs most of the view and still fits the
+        // default budget; the cadence resets the baseline between runs
+        // of updates.
+        assert!(keyframes >= 1, "the cadence shipped no keyframe");
+        // Under a 16 KiB budget the big updates pass it mid-encode: the
+        // encoder stops with the baseline partly brought along, and
+        // the keyframe shipped instead must leave it equal to the
+        // screen all the same.
+        let tight = SessionConfig {
+            dirty_budget_bytes: 16 * 1024,
+            ..SessionConfig::default()
+        };
+        let (_, tight_keyframes) = baseline_tracks_screen(tight, &steps);
+        assert!(
+            tight_keyframes > keyframes,
+            "the budget degraded nothing: {tight_keyframes} keyframes"
+        );
     }
 
     #[test]
@@ -1062,7 +1043,7 @@ mod tests {
         // A scripted resize relayouts and redraws the whole tree (the
         // backend framebuffer keeps its size). The cadence forces a
         // keyframe every third pixel frame, so keyframes reset the
-        // baseline between runs of in-place patches.
+        // baseline between runs of in-place updates.
         let mut steps = focus_then_type("before");
         steps.push(ScriptStep::Event(WindowEvent::Resize(
             atk_graphics::Size::new(400, 300),
@@ -1105,6 +1086,23 @@ mod tests {
             origin, offset,
             "menu select replay ignored the recorded request position"
         );
+    }
+
+    #[test]
+    fn the_frame_log_keeps_the_newest_frames_up_to_the_cap() {
+        let collector = Arc::new(Collector::new());
+        collector.enable();
+        let mut s = HostedSession::open("fig1", SessionConfig::default(), collector).unwrap();
+        let _ = s.initial_keyframe();
+        for _ in 0..=FRAME_LOG_CAPACITY {
+            let _ = s.apply_batch(&[ScriptStep::Event(WindowEvent::Tick(1))], 0);
+        }
+        assert_eq!(s.frame_log().len(), FRAME_LOG_CAPACITY);
+        assert_eq!(s.frame_log().total_pushed(), FRAME_LOG_CAPACITY as u64 + 1);
+        // The oldest frame (seq 1) went; the newest stayed.
+        let seqs: Vec<u64> = s.frame_log().records().map(|r| r.seq).collect();
+        assert_eq!(seqs.first(), Some(&2));
+        assert_eq!(seqs.last(), Some(&(FRAME_LOG_CAPACITY as u64 + 1)));
     }
 
     #[test]

@@ -165,11 +165,10 @@ impl ShardHandle {
         self.thread.unpark();
     }
 
-    pub(crate) fn join(&self) {
-        let handle = self.join.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
+    /// The shard thread's join handle, once: whoever takes it joins
+    /// the thread without holding anything the thread may wait on.
+    pub(crate) fn take_join(&self) -> Option<JoinHandle<()>> {
+        self.join.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 }
 
@@ -469,7 +468,8 @@ impl KeyframeCache {
         let shared = session.share_initial_keyframe();
         let bytes = Arc::clone(&shared.bytes);
         // The entry keeps a frame of its own, so this session's
-        // baseline is not shared and its updates patch it in place.
+        // baseline is not shared and its updates bring it along in
+        // place.
         let entry = SharedKeyframe {
             frame: Arc::new((*shared.frame).clone()),
             ..shared

@@ -7,7 +7,8 @@
 //! [`ScriptStep`]-equivalent events — encoded as their script *line*
 //! text, so the wire reuses the exact parser and printer that
 //! `runapp --script` and the fuzzer already trust — and server→client
-//! bodies ship region-diffed framebuffer updates or full keyframes.
+//! bodies ship full keyframes, or updates that carry the change against
+//! the frame the client already holds as one XOR rect.
 //!
 //! Every decode path is bounds-checked and capped; malformed, truncated,
 //! or hostile input returns [`WireError`], never panics (the proptests
@@ -29,8 +30,6 @@ pub const MAX_STRING_BYTES: usize = 4096;
 /// (a merged many-session snapshot is far bigger than a script line,
 /// but nothing legitimate approaches 4 MiB).
 pub const MAX_STATS_BYTES: usize = 1 << 22;
-/// Cap on rect count in one update frame.
-pub const MAX_RECTS: usize = 1 << 16;
 /// Cap on either framebuffer dimension.
 pub const MAX_DIM: u32 = 16384;
 
@@ -61,6 +60,9 @@ pub enum WireError {
     TooLarge,
     /// The frame decoded but left unread payload bytes.
     TrailingBytes,
+    /// An update's rect does not lie inside the frame it applies to
+    /// (no frame yet counts as a 0×0 one).
+    OutsideFrame,
 }
 
 impl std::fmt::Display for WireError {
@@ -72,19 +74,120 @@ impl std::fmt::Display for WireError {
             WireError::BadStep(e) => write!(f, "bad step: {e}"),
             WireError::TooLarge => write!(f, "field exceeds protocol cap"),
             WireError::TrailingBytes => write!(f, "trailing bytes after frame"),
+            WireError::OutsideFrame => write!(f, "update rect outside the frame"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-/// One damaged band of pixels in an update frame.
+/// The change an update carries: one rect of the new frame XORed with
+/// the frame the client holds, as a row-delta + RLE block (the layout
+/// of a packed keyframe's pixels), so unchanged pixels only lengthen
+/// zero runs. Built only by [`XorRect::encode`] or by a decode that
+/// checked its runs cover the rect exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PatchRect {
-    /// Where the band lands in the client framebuffer.
-    pub rect: Rect,
-    /// Row-major pixels, `rect.width * rect.height` of them.
-    pub pixels: Vec<u32>,
+pub struct XorRect {
+    rect: Rect,
+    /// `[u32 npairs][npairs × (u32 count, u32 value)]`, as on the wire.
+    block: Vec<u8>,
+}
+
+/// Bytes of an update frame before its rect: tag, `seq`, rect count.
+const UPDATE_HEADER_BYTES: usize = 1 + 8 + 4;
+/// Bytes of a rect header: x, y, width, height.
+const RECT_HEADER_BYTES: usize = 16;
+
+impl XorRect {
+    /// Encodes `cur` XOR `base` over `rect` and brings `base` up to
+    /// `cur` there, in one pass: each row is XORed against the
+    /// baseline, run-length coded against the XOR row above, and
+    /// copied into the baseline. Every pixel of `rect` is coded, so it
+    /// should be the bounds of what changed
+    /// ([`Framebuffer::diff_bounds_within`]). Returns `None`, with
+    /// `base` partly brought along, once the update frame would pass
+    /// `limit` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frames differ in size or `rect` is empty or not
+    /// inside them.
+    pub fn encode(
+        base: &mut Framebuffer,
+        cur: &Framebuffer,
+        rect: Rect,
+        limit: usize,
+    ) -> Option<XorRect> {
+        assert!(
+            base.bounds() == cur.bounds() && !rect.is_empty() && cur.bounds().contains_rect(rect),
+            "update rect {rect:?} outside the frames"
+        );
+        let (stride, w) = (cur.width() as usize, rect.width as usize);
+        let limit = limit.checked_sub(UPDATE_HEADER_BYTES + RECT_HEADER_BYTES)?;
+        let mut block = Vec::new();
+        let mut runs = Runs::new(&mut block);
+        // This row's XOR and the row above's.
+        let (mut xor, mut above) = (vec![0u32; w], vec![0u32; w]);
+        for y in rect.y..rect.bottom() {
+            let at = y as usize * stride + rect.x as usize;
+            let new = &cur.pixels()[at..at + w];
+            let old = &base.pixels()[at..at + w];
+            xor.iter_mut()
+                .zip(new.iter().zip(old))
+                .for_each(|(x, (n, o))| *x = n ^ o);
+            if y == rect.y {
+                push_raw_runs(&mut runs, &xor);
+            } else {
+                push_delta_runs(&mut runs, &xor, &above);
+            }
+            std::mem::swap(&mut xor, &mut above);
+            base.put_rect(Rect::new(rect.x, y, rect.width, 1), new);
+            if runs.out.len() > limit {
+                return None;
+            }
+        }
+        runs.finish();
+        (block.len() <= limit).then_some(XorRect { rect, block })
+    }
+
+    /// XORs the rect into `fb`, turning the frame the server encoded
+    /// against into the one it encoded. The runs land in one row of
+    /// XOR values, undoing the row delta in place, and each row is
+    /// XORed into `fb` as it completes.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::OutsideFrame`], leaving `fb` untouched, when the
+    /// rect does not lie inside `fb`.
+    pub fn apply_to(&self, fb: &mut Framebuffer) -> Result<(), WireError> {
+        let r = self.rect;
+        // Widened so a hostile origin near `i32::MAX` cannot wrap past
+        // the bounds check.
+        if r.x as i64 + r.width as i64 > fb.width() as i64
+            || r.y as i64 + r.height as i64 > fb.height() as i64
+        {
+            return Err(WireError::OutsideFrame);
+        }
+        let w = r.width as usize;
+        let (mut row, mut x, mut y) = (vec![0u32; w], 0, r.y);
+        Reader::new(&self.block).runs(w * r.height as usize, |mut count, value| {
+            while count > 0 {
+                let n = count.min(w - x);
+                let span = &mut row[x..x + n];
+                if y == r.y {
+                    span.fill(value);
+                } else if value != 0 {
+                    span.iter_mut().for_each(|p| *p ^= value);
+                }
+                (x, count) = (x + n, count - n);
+                if x == w {
+                    fb.xor_rect(Rect::new(r.x, y, r.width, 1), &row);
+                    (x, y) = (0, y + 1);
+                }
+            }
+        })?;
+        Ok(())
+    }
 }
 
 /// Client→server frames.
@@ -136,12 +239,16 @@ pub enum ServerFrame {
     },
     /// Admission control rejected the connection; try again later.
     Busy,
-    /// Region-diffed update: only the changed bands, in band order.
+    /// The change against the frame the client holds. Updates depend
+    /// on every frame before them, which the transport delivers in
+    /// order and whole until a disconnect, and a disconnect ends the
+    /// session.
     Update {
         /// Cumulative count of client steps consumed so far.
         seq: u64,
-        /// Changed bands with their pixels (may be empty — a pure ack).
-        rects: Vec<PatchRect>,
+        /// The changed rect, XORed with the client's pixels; `None`
+        /// when no pixel changed (a pure ack).
+        patch: Option<XorRect>,
     },
     /// Full frame replacing the client framebuffer (also carries
     /// resizes: the dimensions are authoritative).
@@ -186,16 +293,17 @@ const TAG_KEYFRAME: u8 = 0x84;
 const TAG_S_BYE: u8 = 0x85;
 const TAG_ERROR: u8 = 0x86;
 const TAG_STATS: u8 = 0x87;
-const TAG_UPDATE_RLE: u8 = 0x88;
 const TAG_KEYFRAME_RLE: u8 = 0x89;
 
 /// Which body encoding [`ServerFrame::encode_packed`] chose for a
-/// frame. The choice is per-frame, by comparing actual encoded sizes.
+/// frame. A keyframe's is chosen per frame, by comparing actual encoded
+/// sizes; an update's rect is always run-length coded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
-    /// Raw little-endian pixels (tags `0x83`/`0x84`).
+    /// Raw little-endian pixels (tag `0x84`), or no pixels at all.
     Raw,
-    /// Row-delta + run-length encoded pixels (tags `0x88`/`0x89`).
+    /// Row-delta + run-length encoded pixels (tag `0x89`, and `0x83`
+    /// with a rect).
     Rle,
 }
 
@@ -214,6 +322,13 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// A keyframe's header after its tag: `seq` and the frame's size.
+fn put_keyframe_header(out: &mut Vec<u8>, seq: u64, frame: &Framebuffer) {
+    put_u64(out, seq);
+    put_u32(out, frame.width() as u32);
+    put_u32(out, frame.height() as u32);
+}
+
 fn put_pixels(out: &mut Vec<u8>, pixels: &[u32]) {
     out.reserve(pixels.len() * 4);
     for p in pixels {
@@ -230,12 +345,7 @@ fn put_pixels(out: &mut Vec<u8>, pixels: &[u32]) {
 /// run by a whole row after one slice compare; any other row is cut
 /// into maximal runs span by span, one [`Runs::push`] per run.
 fn put_rle_pixels(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
-    let npairs_pos = out.len();
-    put_u32(out, 0); // Patched once the pair count is known.
-    let mut runs = Runs {
-        out: &mut *out,
-        run: None,
-    };
+    let mut runs = Runs::new(out);
     // Width 0 carries no rows to delta against: the pixels go raw.
     let row_len = if width == 0 { pixels.len() } else { width };
     let mut above: Option<&[u32]> = None;
@@ -247,10 +357,7 @@ fn put_rle_pixels(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
         }
         above = Some(row);
     }
-    runs.flush();
-    // Every pair is 8 bytes.
-    let npairs = ((out.len() - npairs_pos - 4) / 8) as u32;
-    out[npairs_pos..npairs_pos + 4].copy_from_slice(&npairs.to_le_bytes());
+    runs.finish();
 }
 
 /// Pushes the runs of `row` XOR `prev`: a zero-delta span advances
@@ -300,14 +407,23 @@ fn push_raw_runs(runs: &mut Runs<'_>, row: &[u32]) {
     }
 }
 
-/// The `(count, value)` pair writer behind [`put_rle_pixels`].
+/// The `(count, value)` pair writer behind [`put_rle_pixels`] and
+/// [`XorRect::encode`]: a block's pair count, then its pairs.
 struct Runs<'a> {
     out: &'a mut Vec<u8>,
+    /// Where the pair count goes, patched in by [`Runs::finish`].
+    at: usize,
     /// The open run: (delta value, count).
     run: Option<(u32, u32)>,
 }
 
 impl Runs<'_> {
+    fn new(out: &mut Vec<u8>) -> Runs<'_> {
+        let at = out.len();
+        put_u32(out, 0);
+        Runs { out, at, run: None }
+    }
+
     fn push(&mut self, value: u32, count: u32) {
         match &mut self.run {
             Some((v, c)) if *v == value => *c += count,
@@ -323,6 +439,14 @@ impl Runs<'_> {
             put_u32(self.out, c);
             put_u32(self.out, v);
         }
+    }
+
+    /// Closes the open run and writes the pair count.
+    fn finish(mut self) {
+        self.flush();
+        // Every pair is 8 bytes.
+        let npairs = ((self.out.len() - self.at - 4) / 8) as u32;
+        self.out[self.at..self.at + 4].copy_from_slice(&npairs.to_le_bytes());
     }
 }
 
@@ -378,38 +502,63 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadString)
     }
 
-    fn pixels(&mut self, count: usize) -> Result<Vec<u32>, WireError> {
+    /// Reads `count` raw pixels into `px`'s allocation.
+    fn pixels(&mut self, count: usize, mut px: Vec<u32>) -> Result<Vec<u32>, WireError> {
         let bytes = self.take(count.checked_mul(4).ok_or(WireError::TooLarge)?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let le = |c: &[u8]| u32::from_le_bytes(c.try_into().unwrap());
+        px.clear();
+        px.extend(bytes.chunks_exact(4).map(le));
+        Ok(px)
     }
 
-    /// Decodes a [`put_rle_pixels`] block into exactly `count` pixels.
-    /// Every pair count is validated against the remaining budget
-    /// before any writes, so hostile input cannot over-allocate.
-    ///
-    /// The row delta is undone as each run lands, so every pixel is
-    /// written once: the part of a run inside the first row is the raw
-    /// value, and the rest copies the row above (in chunks of at most
-    /// `width`, each wholly decoded already) and XORs in the run's
-    /// value when it is non-zero.
-    fn rle_pixels(&mut self, count: usize, width: usize) -> Result<Vec<u32>, WireError> {
+    /// Reads a [`put_rle_pixels`] block covering exactly `count`
+    /// pixels, handing each run's `(count, value)` to `run` once it is
+    /// checked to fit what is left, and returns the block's bytes.
+    /// Hostile counts fail before `run` sees them.
+    fn runs(
+        &mut self,
+        count: usize,
+        mut run: impl FnMut(usize, u32),
+    ) -> Result<&'a [u8], WireError> {
+        let start = self.pos;
         let npairs = self.u32()? as usize;
         // Each pair covers at least one pixel.
         if npairs > count {
             return Err(WireError::TooLarge);
         }
-        let mut px: Vec<u32> = Vec::with_capacity(count);
-        // Width 0 carries no rows to delta against: the pixels go raw.
-        let first_row = if width == 0 { count } else { width };
+        let mut covered = 0;
         for _ in 0..npairs {
             let c = self.u32()? as usize;
             let v = self.u32()?;
-            if c == 0 || px.len() + c > count {
+            if c == 0 || covered + c > count {
                 return Err(WireError::TooLarge);
             }
+            covered += c;
+            run(c, v);
+        }
+        if covered != count {
+            return Err(WireError::Truncated);
+        }
+        Ok(&self.buf[start..self.pos])
+    }
+
+    /// Decodes a [`put_rle_pixels`] block into exactly `count` pixels,
+    /// in `px`'s allocation. The row delta is undone as each run lands,
+    /// so every pixel is written once: the part of a run inside the
+    /// first row is the raw value, and the rest copies the row above
+    /// (in chunks of at most `width`, each wholly decoded already) and
+    /// XORs in the run's value when it is non-zero.
+    fn rle_pixels(
+        &mut self,
+        count: usize,
+        width: usize,
+        mut px: Vec<u32>,
+    ) -> Result<Vec<u32>, WireError> {
+        px.clear();
+        px.reserve(count);
+        // Width 0 carries no rows to delta against: the pixels go raw.
+        let first_row = if width == 0 { count } else { width };
+        self.runs(count, |c, v| {
             let end = px.len() + c;
             if px.len() < first_row {
                 px.resize(end.min(first_row), v);
@@ -422,10 +571,7 @@ impl<'a> Reader<'a> {
                     px[at..].iter_mut().for_each(|p| *p ^= v);
                 }
             }
-        }
-        if px.len() != count {
-            return Err(WireError::Truncated);
-        }
+        })?;
         Ok(px)
     }
 
@@ -548,8 +694,22 @@ impl ServerFrame {
                 put_u32(&mut out, *height);
             }
             ServerFrame::Busy => out.push(TAG_BUSY),
-            ServerFrame::Update { .. } | ServerFrame::Keyframe { .. } => {
-                self.put_pixel_frame(&mut out, Encoding::Raw);
+            ServerFrame::Update { seq, patch } => {
+                out.reserve(self.wire_len());
+                out.push(TAG_UPDATE);
+                put_u64(&mut out, *seq);
+                put_u32(&mut out, patch.is_some() as u32);
+                if let Some(p) = patch {
+                    for v in [p.rect.x, p.rect.y, p.rect.width, p.rect.height] {
+                        put_u32(&mut out, v as u32);
+                    }
+                    out.extend_from_slice(&p.block);
+                }
+            }
+            ServerFrame::Keyframe { seq, frame } => {
+                out.push(TAG_KEYFRAME);
+                put_keyframe_header(&mut out, *seq, frame);
+                put_pixels(&mut out, frame.pixels());
             }
             ServerFrame::Bye { reason } => {
                 out.push(TAG_S_BYE);
@@ -571,6 +731,19 @@ impl ServerFrame {
     /// Decodes a frame body. Never panics on arbitrary input: every
     /// count and dimension is capped before any allocation it sizes.
     pub fn decode(buf: &[u8]) -> Result<ServerFrame, WireError> {
+        ServerFrame::decode_with(buf, None)
+    }
+
+    /// [`ServerFrame::decode`] for a receiver holding the frame `held`.
+    /// A keyframe replaces that frame, so it decodes into `held`'s
+    /// pixel store, leaving `held` empty (0×0) even if decoding then
+    /// fails: replacing a frame allocates nothing, and the receiver
+    /// never holds two. Any other frame leaves `held` as it was.
+    pub fn decode_replacing(buf: &[u8], held: &mut Framebuffer) -> Result<ServerFrame, WireError> {
+        ServerFrame::decode_with(buf, Some(held))
+    }
+
+    fn decode_with(buf: &[u8], held: Option<&mut Framebuffer>) -> Result<ServerFrame, WireError> {
         let mut r = Reader::new(buf);
         let frame = match r.u8()? {
             TAG_WELCOME => {
@@ -583,37 +756,29 @@ impl ServerFrame {
                 }
             }
             TAG_BUSY => ServerFrame::Busy,
-            tag @ (TAG_UPDATE | TAG_UPDATE_RLE) => {
+            TAG_UPDATE => {
                 let seq = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > MAX_RECTS {
-                    return Err(WireError::TooLarge);
-                }
-                let mut rects = Vec::with_capacity(n.min(1024));
-                let mut total_px = 0usize;
-                for _ in 0..n {
-                    let x = r.i32()?;
-                    let y = r.i32()?;
-                    let (w, h) = r.dims()?;
-                    if x < 0 || y < 0 || w == 0 || h == 0 {
-                        return Err(WireError::TooLarge);
+                let patch = match r.u32()? {
+                    0 => None,
+                    1 => {
+                        let x = r.i32()?;
+                        let y = r.i32()?;
+                        let (w, h) = r.dims()?;
+                        if x < 0 || y < 0 || w == 0 || h == 0 {
+                            return Err(WireError::TooLarge);
+                        }
+                        let count = (w as usize) * (h as usize);
+                        if count * 4 > MAX_FRAME_BYTES {
+                            return Err(WireError::TooLarge);
+                        }
+                        Some(XorRect {
+                            rect: Rect::new(x, y, w as i32, h as i32),
+                            block: r.runs(count, |_, _| ())?.to_vec(),
+                        })
                     }
-                    let count = (w as usize) * (h as usize);
-                    total_px = total_px.checked_add(count).ok_or(WireError::TooLarge)?;
-                    if total_px * 4 > MAX_FRAME_BYTES {
-                        return Err(WireError::TooLarge);
-                    }
-                    let pixels = if tag == TAG_UPDATE_RLE {
-                        r.rle_pixels(count, w as usize)?
-                    } else {
-                        r.pixels(count)?
-                    };
-                    rects.push(PatchRect {
-                        rect: Rect::new(x, y, w as i32, h as i32),
-                        pixels,
-                    });
-                }
-                ServerFrame::Update { seq, rects }
+                    _ => return Err(WireError::TooLarge),
+                };
+                ServerFrame::Update { seq, patch }
             }
             tag @ (TAG_KEYFRAME | TAG_KEYFRAME_RLE) => {
                 let seq = r.u64()?;
@@ -622,10 +787,13 @@ impl ServerFrame {
                 if count * 4 > MAX_FRAME_BYTES {
                     return Err(WireError::TooLarge);
                 }
+                let store = held.map_or_else(Vec::new, |fb| {
+                    std::mem::replace(fb, Framebuffer::from_pixels(0, 0, Vec::new())).into_pixels()
+                });
                 let pixels = if tag == TAG_KEYFRAME_RLE {
-                    r.rle_pixels(count, width as usize)?
+                    r.rle_pixels(count, width as usize, store)?
                 } else {
-                    r.pixels(count)?
+                    r.pixels(count, store)?
                 };
                 // Both readers return exactly `count` pixels, and the
                 // dimension cap keeps them inside `i32`.
@@ -655,66 +823,43 @@ impl ServerFrame {
         Ok(frame)
     }
 
-    /// Encodes the frame body, choosing per frame between the raw
-    /// layout and the row-delta + RLE layout by comparing the actual
-    /// encoded sizes. The raw body's size is [`ServerFrame::wire_len`],
-    /// so only the RLE body is built up front; the raw one is built
-    /// only when it wins. Only pixel-bearing frames (`Update`, `Keyframe`)
-    /// ever choose [`Encoding::Rle`]; the compressed body decodes back
-    /// to the identical frame via [`ServerFrame::decode`].
+    /// Encodes the frame body. A keyframe ships the smaller of the raw
+    /// layout and the row-delta + RLE layout, by comparing the actual
+    /// encoded sizes: the raw body's size is [`ServerFrame::wire_len`],
+    /// so only the RLE body is built up front, and the raw one only
+    /// when it wins. Every other frame has one body, an update's rect
+    /// already run-length coded. Either body decodes back to the
+    /// identical frame via [`ServerFrame::decode`].
     pub fn encode_packed(&self) -> (Vec<u8>, Encoding) {
-        let mut rle = Vec::new();
-        if self.put_pixel_frame(&mut rle, Encoding::Rle) && rle.len() < self.wire_len() {
-            (rle, Encoding::Rle)
-        } else {
-            (self.encode(), Encoding::Raw)
+        if let ServerFrame::Keyframe { seq, frame } = self {
+            let mut rle = vec![TAG_KEYFRAME_RLE];
+            put_keyframe_header(&mut rle, *seq, frame);
+            put_rle_pixels(&mut rle, frame.pixels(), frame.width() as usize);
+            if rle.len() < self.wire_len() {
+                return (rle, Encoding::Rle);
+            }
         }
+        let coded = matches!(self, ServerFrame::Update { patch: Some(_), .. });
+        (
+            self.encode(),
+            if coded { Encoding::Rle } else { Encoding::Raw },
+        )
     }
 
-    /// Writes an `Update` or `Keyframe` body with its pixel blocks in
-    /// `encoding`; the two encodings share every header field and
-    /// differ only in the tag and the blocks. Returns false, writing
-    /// nothing, for frames that carry no pixels.
-    fn put_pixel_frame(&self, out: &mut Vec<u8>, encoding: Encoding) -> bool {
-        let block = |out: &mut Vec<u8>, pixels: &[u32], width: i32| match encoding {
-            Encoding::Raw => put_pixels(out, pixels),
-            Encoding::Rle => put_rle_pixels(out, pixels, width as usize),
-        };
-        let rle = encoding == Encoding::Rle;
-        match self {
-            ServerFrame::Update { seq, rects } => {
-                out.push(if rle { TAG_UPDATE_RLE } else { TAG_UPDATE });
-                put_u64(out, *seq);
-                put_u32(out, rects.len() as u32);
-                for patch in rects {
-                    put_u32(out, patch.rect.x as u32);
-                    put_u32(out, patch.rect.y as u32);
-                    put_u32(out, patch.rect.width as u32);
-                    put_u32(out, patch.rect.height as u32);
-                    block(out, &patch.pixels, patch.rect.width);
-                }
-            }
-            ServerFrame::Keyframe { seq, frame } => {
-                out.push(if rle { TAG_KEYFRAME_RLE } else { TAG_KEYFRAME });
-                put_u64(out, *seq);
-                put_u32(out, frame.width() as u32);
-                put_u32(out, frame.height() as u32);
-                block(out, frame.pixels(), frame.width());
-            }
-            _ => return false,
-        }
-        true
-    }
-
-    /// Encoded body size in bytes (what the wire will carry, minus the
-    /// 4-byte length prefix) — the accounting unit for
-    /// `serve.diff_bytes` / `serve.full_bytes`.
+    /// Size in bytes of the body [`ServerFrame::encode`] writes (the
+    /// wire minus its 4-byte length prefix) — the accounting unit for
+    /// `serve.diff_bytes` / `serve.full_bytes`. An update has only the
+    /// one body, so this is what it ships; a keyframe may ship shorter
+    /// (see [`ServerFrame::encode_packed`]).
     pub fn wire_len(&self) -> usize {
         match self {
             ServerFrame::Welcome { .. } => 1 + 8 + 4 + 4,
             ServerFrame::Busy => 1,
-            ServerFrame::Update { rects, .. } => {
-                1 + 8 + 4 + rects.iter().map(|p| 16 + p.pixels.len() * 4).sum::<usize>()
+            ServerFrame::Update { patch, .. } => {
+                UPDATE_HEADER_BYTES
+                    + patch
+                        .as_ref()
+                        .map_or(0, |p| RECT_HEADER_BYTES + p.block.len())
             }
             ServerFrame::Keyframe { frame, .. } => 1 + 8 + 4 + 4 + frame.pixels().len() * 4,
             ServerFrame::Bye { reason } => 1 + 4 + reason.len(),
@@ -734,6 +879,16 @@ mod tests {
             seq,
             frame: Arc::new(Framebuffer::from_pixels(width, height, pixels)),
         }
+    }
+
+    /// The update from `before` to `after`, over the bounds of what
+    /// changed; `before` ends equal to `after`.
+    fn update(seq: u64, before: &mut Framebuffer, after: &Framebuffer) -> ServerFrame {
+        let changed = before.diff_bounds_within(after, after.bounds()).unwrap();
+        let patch = (!changed.is_empty())
+            .then(|| XorRect::encode(before, after, changed, usize::MAX).unwrap());
+        assert_eq!(before, after, "the encoder brings the baseline along");
+        ServerFrame::Update { seq, patch }
     }
 
     #[test]
@@ -796,12 +951,14 @@ mod tests {
             },
             ServerFrame::Busy,
             ServerFrame::Update {
-                seq: 3,
-                rects: vec![PatchRect {
-                    rect: Rect::new(2, 5, 3, 2),
-                    pixels: vec![1, 2, 3, 4, 5, 6],
-                }],
+                seq: 2,
+                patch: None,
             },
+            update(
+                3,
+                &mut Framebuffer::from_pixels(3, 2, vec![0; 6]),
+                &Framebuffer::from_pixels(3, 2, vec![1, 2, 3, 4, 5, 6]),
+            ),
             keyframe(9, 2, 2, vec![0xAABBCC, 0, 1, 2]),
             ServerFrame::Bye {
                 reason: "idle".into(),
@@ -825,27 +982,18 @@ mod tests {
 
     #[test]
     fn packed_frames_round_trip_and_compress_flat_content() {
-        // A typing-workload-shaped patch: constant background with one
-        // small glyph strip — long vertical runs, RLE must win big.
-        let mut pixels = vec![0xFFFFFFu32; 40 * 30];
-        for x in 5..12 {
-            pixels[7 * 40 + x] = 0;
-        }
-        let update = ServerFrame::Update {
-            seq: 11,
-            rects: vec![PatchRect {
-                rect: Rect::new(8, 16, 40, 30),
-                pixels,
-            }],
-        };
+        // A typing-workload-shaped change: one glyph strip drawn on a
+        // constant background ships as a handful of runs.
+        let mut before = Framebuffer::from_pixels(40, 30, vec![0xFFFFFFu32; 40 * 30]);
+        let mut after = before.clone();
+        after.put_rect(Rect::new(5, 7, 7, 3), &[0; 21]);
+        let update = update(11, &mut before, &after);
         let (bytes, enc) = update.encode_packed();
         assert_eq!(enc, Encoding::Rle);
-        assert!(
-            bytes.len() * 2 < update.wire_len(),
-            "rle {} vs raw {}",
-            bytes.len(),
-            update.wire_len()
-        );
+        assert_eq!(bytes.len(), update.wire_len());
+        // Header, rect, pair count and two runs: the first row's XOR,
+        // then a zero delta for the two rows repeating it.
+        assert_eq!(bytes.len(), 13 + 16 + 4 + 2 * 8, "{bytes:?}");
         assert_eq!(ServerFrame::decode(&bytes).unwrap(), update);
 
         let key = keyframe(3, 64, 48, vec![0xABCDEFu32; 64 * 48]);
@@ -861,17 +1009,11 @@ mod tests {
         let pixels: Vec<u32> = (0..16u32 * 16)
             .map(|i| i.wrapping_mul(2654435761))
             .collect();
-        let update = ServerFrame::Update {
-            seq: 1,
-            rects: vec![PatchRect {
-                rect: Rect::new(0, 0, 16, 16),
-                pixels,
-            }],
-        };
-        let (bytes, enc) = update.encode_packed();
+        let key = keyframe(1, 16, 16, pixels);
+        let (bytes, enc) = key.encode_packed();
         assert_eq!(enc, Encoding::Raw);
-        assert_eq!(bytes.len(), update.wire_len());
-        assert_eq!(ServerFrame::decode(&bytes).unwrap(), update);
+        assert_eq!(bytes.len(), key.wire_len());
+        assert_eq!(ServerFrame::decode(&bytes).unwrap(), key);
         // Non-pixel frames are always raw.
         let (_, enc) = ServerFrame::Busy.encode_packed();
         assert_eq!(enc, Encoding::Raw);
@@ -964,10 +1106,20 @@ mod tests {
         buf.extend_from_slice(&16384u32.to_le_bytes());
         buf.extend_from_slice(&16384u32.to_le_bytes());
         assert_eq!(ServerFrame::decode(&buf), Err(WireError::TooLarge));
-        // Update claiming u32::MAX rects.
+        // Update claiming two rects, or u32::MAX: an update carries
+        // at most one.
+        for n in [2, u32::MAX] {
+            let mut buf = vec![0x83u8];
+            buf.extend_from_slice(&0u64.to_le_bytes());
+            buf.extend_from_slice(&n.to_le_bytes());
+            assert_eq!(ServerFrame::decode(&buf), Err(WireError::TooLarge));
+        }
+        // Update claiming a 16384×16384 rect, one run long.
         let mut buf = vec![0x83u8];
         buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        for v in [1, 0, 0, 16384, 16384, 1, 16384 * 16384, 0] {
+            buf.extend_from_slice(&(v as u32).to_le_bytes());
+        }
         assert_eq!(ServerFrame::decode(&buf), Err(WireError::TooLarge));
         // Stats claiming a text blob past MAX_STATS_BYTES.
         let mut buf = vec![0x87u8];

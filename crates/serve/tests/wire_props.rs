@@ -1,17 +1,19 @@
 //! Property tests over the wire protocol: every well-formed frame
 //! round-trips byte-exactly, no byte sequence — truncated, corrupted,
-//! or pure noise — makes the decoder panic, the packed encoder emits
-//! exactly what a straightforward reference encoder would, and the RLE
-//! decoder returns exactly what a straightforward two-pass reference
-//! decoder would, pixels or error.
+//! or pure noise — makes the decoder or the client panic, the packed
+//! encoder and the one-pass update encoder emit exactly what
+//! straightforward reference encoders would, and a decoded frame does
+//! to a client's framebuffer exactly what a straightforward two-pass
+//! reference decoder says, pixels or error.
 
 use std::sync::Arc;
 
 use atk_core::ScriptStep;
-use atk_graphics::{Framebuffer, Point, Rect, Size};
+use atk_graphics::{Color, Framebuffer, Point, Rect, Size};
 use atk_serve::wire::{
-    ClientFrame, Encoding, PatchRect, ServerFrame, WireError, MAX_DIM, MAX_FRAME_BYTES, MAX_RECTS,
+    ClientFrame, Encoding, ServerFrame, WireError, XorRect, MAX_DIM, MAX_FRAME_BYTES,
 };
+use atk_serve::{ClientError, FrameTransport, MemTransport, ServeClient};
 use atk_wm::{Key, MouseAction, WindowEvent};
 use proptest::prelude::*;
 
@@ -65,15 +67,14 @@ fn arb_client_frame() -> impl Strategy<Value = ClientFrame> {
     ]
 }
 
-fn arb_patch() -> impl Strategy<Value = PatchRect> {
-    (0i32..500, 0i32..500, 1i32..32, 1i32..32, any::<u32>()).prop_map(|(x, y, w, h, fill)| {
-        PatchRect {
-            rect: Rect::new(x, y, w, h),
-            pixels: (0..(w * h) as usize)
-                .map(|i| fill.wrapping_add(i as u32))
-                .collect(),
-        }
-    })
+/// The update that brings `before` to `after` as a session builds it:
+/// the bounds of what changed, encoded in one pass. `before` ends equal
+/// to `after`.
+fn update(seq: u64, before: &mut Framebuffer, after: &Framebuffer) -> ServerFrame {
+    let changed = before.diff_bounds_within(after, after.bounds()).unwrap();
+    let patch =
+        (!changed.is_empty()).then(|| XorRect::encode(before, after, changed, usize::MAX).unwrap());
+    ServerFrame::Update { seq, patch }
 }
 
 fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
@@ -86,8 +87,11 @@ fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
             }
         }),
         Just(ServerFrame::Busy),
-        (any::<u64>(), proptest::collection::vec(arb_patch(), 0..6))
-            .prop_map(|(seq, rects)| ServerFrame::Update { seq, rects }),
+        (any::<u64>(), arb_pair()).prop_map(|(seq, (mut before, after))| update(
+            seq,
+            &mut before,
+            &after
+        )),
         (any::<u64>(), 1i32..48, 1i32..48, any::<u32>()).prop_map(|(seq, width, height, fill)| {
             keyframe(
                 seq,
@@ -145,24 +149,52 @@ fn arb_grid(min: i32) -> impl Strategy<Value = (i32, i32, Vec<u32>)> {
         })
 }
 
-fn arb_packed_frame() -> impl Strategy<Value = ServerFrame> {
+/// A screen-shaped frame `before` and the frame `after` it becomes: a
+/// few blocks filled, a few pixels set and a few rows copied from
+/// elsewhere, as typing, selection and scrolling change a screen. Some
+/// pairs are equal.
+fn arb_pair() -> impl Strategy<Value = (Framebuffer, Framebuffer)> {
+    (
+        arb_grid(1),
+        proptest::collection::vec((0i32..40, 0i32..40, 1i32..12, 1i32..8, 0u32..3), 0..4),
+        proptest::collection::vec((0i32..40, 0i32..40, any::<u32>()), 0..12),
+        proptest::collection::vec((0i32..40, 0i32..40), 0..3),
+    )
+        .prop_map(|((w, h, pixels), blocks, dots, rows)| {
+            let before = Framebuffer::from_pixels(w, h, pixels);
+            let mut after = before.clone();
+            for (x, y, bw, bh, c) in blocks {
+                after.fill_rect(
+                    Rect::new(x, y, bw, bh),
+                    Color([0, 0xFFFFFF, 0x123456][c as usize]),
+                );
+            }
+            for (x, y, c) in dots {
+                after.set(x, y, Color(c));
+            }
+            for (from, to) in rows {
+                let (from, to) = (from % h, to % h);
+                let row: Vec<u32> = (0..w).map(|x| before.get(x, from).0).collect();
+                after.put_rect(Rect::new(0, to, w, 1), &row);
+            }
+            (before, after)
+        })
+}
+
+/// A pixel-bearing frame from the encoders as sessions use them, with
+/// the frame a client holds before it: a keyframe of a screen-shaped
+/// grid (any client frame), or the update from a pair's first frame to
+/// its second.
+fn arb_packed_frame() -> impl Strategy<Value = (ServerFrame, Framebuffer)> {
     prop_oneof![
-        (any::<u64>(), arb_grid(0))
-            .prop_map(|(seq, (width, height, pixels))| keyframe(seq, width, height, pixels)),
-        (
-            any::<u64>(),
-            proptest::collection::vec((0i32..500, 0i32..500, arb_grid(1)), 0..4),
-        )
-            .prop_map(|(seq, patches)| ServerFrame::Update {
-                seq,
-                rects: patches
-                    .into_iter()
-                    .map(|(x, y, (w, h, pixels))| PatchRect {
-                        rect: Rect::new(x, y, w, h),
-                        pixels,
-                    })
-                    .collect(),
-            }),
+        (any::<u64>(), arb_grid(0)).prop_map(|(seq, (width, height, pixels))| (
+            keyframe(seq, width, height, pixels),
+            Framebuffer::new(3, 2, Color::WHITE)
+        )),
+        (any::<u64>(), arb_pair()).prop_map(|(seq, (before, after))| {
+            let held = before.clone();
+            (update(seq, &mut before.clone(), &after), held)
+        }),
     ]
 }
 
@@ -188,43 +220,63 @@ fn reference_rle_block(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
     }
 }
 
-/// The reference RLE body of a pixel-bearing frame (`None` for the
-/// others): the `0x88`/`0x89` layout over [`reference_rle_block`].
+/// The reference RLE body of a keyframe (`None` for other frames): the
+/// `0x89` layout over [`reference_rle_block`].
 fn reference_rle_body(frame: &ServerFrame) -> Option<Vec<u8>> {
-    let mut rle = Vec::new();
-    match frame {
-        ServerFrame::Update { seq, rects } => {
-            rle.push(0x88);
-            rle.extend_from_slice(&seq.to_le_bytes());
-            rle.extend_from_slice(&(rects.len() as u32).to_le_bytes());
-            for patch in rects {
-                let r = patch.rect;
-                for v in [r.x, r.y, r.width, r.height] {
-                    rle.extend_from_slice(&(v as u32).to_le_bytes());
-                }
-                reference_rle_block(&mut rle, &patch.pixels, r.width as usize);
-            }
-        }
-        ServerFrame::Keyframe { seq, frame } => {
-            rle.push(0x89);
-            rle.extend_from_slice(&seq.to_le_bytes());
-            rle.extend_from_slice(&(frame.width() as u32).to_le_bytes());
-            rle.extend_from_slice(&(frame.height() as u32).to_le_bytes());
-            reference_rle_block(&mut rle, frame.pixels(), frame.width() as usize);
-        }
-        _ => return None,
-    }
+    let ServerFrame::Keyframe { seq, frame } = frame else {
+        return None;
+    };
+    let mut rle = vec![0x89];
+    rle.extend_from_slice(&seq.to_le_bytes());
+    rle.extend_from_slice(&(frame.width() as u32).to_le_bytes());
+    rle.extend_from_slice(&(frame.height() as u32).to_le_bytes());
+    reference_rle_block(&mut rle, frame.pixels(), frame.width() as usize);
     Some(rle)
 }
 
-/// The reference encoder decision: build both bodies, keep the smaller
-/// (raw on a tie).
+/// The reference encoder decision: build both keyframe bodies, keep
+/// the smaller (raw on a tie). An update has one body, RLE coded when
+/// it carries a rect; every other frame ships raw.
 fn reference_packed(frame: &ServerFrame) -> (Vec<u8>, Encoding) {
     let raw = frame.encode();
-    match reference_rle_body(frame) {
-        Some(rle) if rle.len() < raw.len() => (rle, Encoding::Rle),
+    match (frame, reference_rle_body(frame)) {
+        (_, Some(rle)) if rle.len() < raw.len() => (rle, Encoding::Rle),
+        (ServerFrame::Update { patch: Some(_), .. }, _) => (raw, Encoding::Rle),
         _ => (raw, Encoding::Raw),
     }
+}
+
+/// The reference update body from `before` to `after`, built the long
+/// way: the bounding box of every differing pixel by a per-pixel scan,
+/// the XOR of the two frames over it, and that grid through
+/// [`reference_rle_block`].
+fn reference_update_body(seq: u64, before: &Framebuffer, after: &Framebuffer) -> Vec<u8> {
+    let mut out = vec![0x83];
+    out.extend_from_slice(&seq.to_le_bytes());
+    let (mut x0, mut y0, mut x1, mut y1) = (i32::MAX, i32::MAX, i32::MIN, i32::MIN);
+    for y in 0..after.height() {
+        for x in 0..after.width() {
+            if before.get(x, y) != after.get(x, y) {
+                (x0, y0, x1, y1) = (x0.min(x), y0.min(y), x1.max(x + 1), y1.max(y + 1));
+            }
+        }
+    }
+    if x1 < x0 {
+        out.extend_from_slice(&0u32.to_le_bytes());
+        return out;
+    }
+    out.extend_from_slice(&1u32.to_le_bytes());
+    for v in [x0, y0, x1 - x0, y1 - y0] {
+        out.extend_from_slice(&(v as u32).to_le_bytes());
+    }
+    let mut xor = Vec::new();
+    for y in y0..y1 {
+        for x in x0..x1 {
+            xor.push(before.get(x, y).0 ^ after.get(x, y).0);
+        }
+    }
+    reference_rle_block(&mut out, &xor, (x1 - x0) as usize);
+    out
 }
 
 /// A bounds-checked cursor over a frame body for the reference
@@ -290,55 +342,90 @@ fn reference_rle_decode(
     Ok(px)
 }
 
-/// Decodes a `0x88` update or `0x89` keyframe body with
-/// [`reference_rle_decode`]; `None` for any other tag.
-fn reference_decode(buf: &[u8]) -> Option<Result<ServerFrame, WireError>> {
-    let (&tag, body) = buf.split_first()?;
-    let mut c = Cursor(body);
-    let frame = match tag {
-        0x88 => reference_update(&mut c),
+/// What a client holding `held` is left with after a frame body: the
+/// frame's `seq` and the client's framebuffer.
+type Outcome = Result<(u64, Framebuffer), WireError>;
+
+/// The production path: [`ServerFrame::decode`], then a keyframe
+/// replaces `held` and an update XORs its rect into it. `None` for a
+/// body that decodes to any other frame.
+fn production(body: &[u8], held: &Framebuffer) -> Option<Outcome> {
+    let frame = match ServerFrame::decode(body) {
+        Ok(frame) => frame,
+        Err(e) => return Some(Err(e)),
+    };
+    match frame {
+        ServerFrame::Keyframe { seq, frame } => Some(Ok((seq, (*frame).clone()))),
+        ServerFrame::Update { seq, patch } => {
+            let mut fb = held.clone();
+            Some(match patch.map(|p| p.apply_to(&mut fb)) {
+                Some(Err(e)) => Err(e),
+                _ => Ok((seq, fb)),
+            })
+        }
+        _ => None,
+    }
+}
+
+/// The reference decoder for a `0x83` update or `0x89` keyframe body,
+/// applied to a client holding `held`: decode the runs with
+/// [`reference_rle_decode`], then XOR the rect in one pixel at a time.
+/// `None` for any other tag.
+fn reference(body: &[u8], held: &Framebuffer) -> Option<Outcome> {
+    let (&tag, rest) = body.split_first()?;
+    let mut c = Cursor(rest);
+    let outcome = match tag {
+        0x83 => reference_update(&mut c, held),
         0x89 => reference_keyframe(&mut c),
         _ => return None,
     };
-    Some(frame.and_then(|f| {
-        if c.0.is_empty() {
-            Ok(f)
-        } else {
+    Some(outcome.and_then(|(seq, fb, fits)| {
+        if !c.0.is_empty() {
             Err(WireError::TrailingBytes)
+        } else if !fits {
+            Err(WireError::OutsideFrame)
+        } else {
+            Ok((seq, fb))
         }
     }))
 }
 
-fn reference_update(c: &mut Cursor<'_>) -> Result<ServerFrame, WireError> {
+/// Decodes an update against `held`; the flag says whether its rect
+/// fits the frame (checked only once the whole body decoded).
+fn reference_update(
+    c: &mut Cursor<'_>,
+    held: &Framebuffer,
+) -> Result<(u64, Framebuffer, bool), WireError> {
     let seq = c.u64()?;
-    let n = c.u32()? as usize;
-    if n > MAX_RECTS {
+    let mut fb = held.clone();
+    match c.u32()? {
+        0 => return Ok((seq, fb, true)),
+        1 => {}
+        _ => return Err(WireError::TooLarge),
+    }
+    let x = c.u32()? as i32;
+    let y = c.u32()? as i32;
+    let (w, h) = c.dims()?;
+    if x < 0 || y < 0 || w == 0 || h == 0 {
         return Err(WireError::TooLarge);
     }
-    let mut rects = Vec::new();
-    let mut total_px = 0usize;
-    for _ in 0..n {
-        let x = c.u32()? as i32;
-        let y = c.u32()? as i32;
-        let (w, h) = c.dims()?;
-        if x < 0 || y < 0 || w == 0 || h == 0 {
-            return Err(WireError::TooLarge);
-        }
-        let count = (w as usize) * (h as usize);
-        total_px += count;
-        if total_px * 4 > MAX_FRAME_BYTES {
-            return Err(WireError::TooLarge);
-        }
-        let pixels = reference_rle_decode(c, count, w as usize)?;
-        rects.push(PatchRect {
-            rect: Rect::new(x, y, w as i32, h as i32),
-            pixels,
-        });
+    let count = (w as usize) * (h as usize);
+    if count * 4 > MAX_FRAME_BYTES {
+        return Err(WireError::TooLarge);
     }
-    Ok(ServerFrame::Update { seq, rects })
+    let xor = reference_rle_decode(c, count, w as usize)?;
+    let fits =
+        x as i64 + w as i64 <= fb.width() as i64 && y as i64 + h as i64 <= fb.height() as i64;
+    if fits {
+        for (i, v) in xor.into_iter().enumerate() {
+            let (px, py) = (x + (i % w as usize) as i32, y + (i / w as usize) as i32);
+            fb.set(px, py, Color(fb.get(px, py).0 ^ v));
+        }
+    }
+    Ok((seq, fb, fits))
 }
 
-fn reference_keyframe(c: &mut Cursor<'_>) -> Result<ServerFrame, WireError> {
+fn reference_keyframe(c: &mut Cursor<'_>) -> Result<(u64, Framebuffer, bool), WireError> {
     let seq = c.u64()?;
     let (w, h) = c.dims()?;
     let count = (w as usize) * (h as usize);
@@ -346,7 +433,11 @@ fn reference_keyframe(c: &mut Cursor<'_>) -> Result<ServerFrame, WireError> {
         return Err(WireError::TooLarge);
     }
     let pixels = reference_rle_decode(c, count, w as usize)?;
-    Ok(keyframe(seq, w as i32, h as i32, pixels))
+    Ok((
+        seq,
+        Framebuffer::from_pixels(w as i32, h as i32, pixels),
+        true,
+    ))
 }
 
 /// `raw` `(length, value)` material laid end to end over `count`
@@ -391,29 +482,55 @@ fn arb_rle_block() -> impl Strategy<Value = Block> {
         .prop_map(|(width, height, raw)| (width, height, fit_runs(&raw, width * height)))
 }
 
-/// A hand-built `0x89` keyframe (`key`, over the first block) or
-/// `0x88` update (one rect per block) body.
-fn rle_body(key: bool, seq: u64, blocks: &[Block]) -> Vec<u8> {
-    let mut out = vec![if key { 0x89 } else { 0x88 }];
+/// A hand-built `0x89` keyframe (`key`) or `0x83` update body over
+/// `block`; the update's rect lands at `at`.
+fn rle_body(key: bool, seq: u64, at: (u32, u32), block: &Block) -> Vec<u8> {
+    let (width, height, runs) = block;
+    let mut out = vec![if key { 0x89 } else { 0x83 }];
     out.extend_from_slice(&seq.to_le_bytes());
-    let blocks = if key { &blocks[..1] } else { blocks };
     if !key {
-        out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&at.0.to_le_bytes());
+        out.extend_from_slice(&at.1.to_le_bytes());
     }
-    for (i, (width, height, runs)) in blocks.iter().enumerate() {
-        if !key {
-            out.extend_from_slice(&(i as u32 * 3).to_le_bytes());
-            out.extend_from_slice(&(i as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&width.to_le_bytes());
-        out.extend_from_slice(&height.to_le_bytes());
-        out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-        for (count, value) in runs {
-            out.extend_from_slice(&count.to_le_bytes());
-            out.extend_from_slice(&value.to_le_bytes());
-        }
+    out.extend_from_slice(&width.to_le_bytes());
+    out.extend_from_slice(&height.to_le_bytes());
+    out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+    for (count, value) in runs {
+        out.extend_from_slice(&count.to_le_bytes());
+        out.extend_from_slice(&value.to_le_bytes());
     }
     out
+}
+
+/// A frame a client may hold: big enough for every hand-built rect
+/// when `fits`, one pixel too narrow for any that sits at x = 1.
+fn held_frame(fits: bool) -> Framebuffer {
+    let pixels = (0..48u32 * 20)
+        .map(|i| i.wrapping_mul(0x9E37_79B9))
+        .collect();
+    let fb = Framebuffer::from_pixels(48, 20, pixels);
+    if fits {
+        fb
+    } else {
+        Framebuffer::from_pixels(1, 20, vec![7; 20])
+    }
+}
+
+/// A client handshaken against a keyframe of `frame`, and the server
+/// half of its transport.
+fn client_holding(frame: &Framebuffer) -> (ServeClient<MemTransport>, MemTransport) {
+    let (client_half, mut server_half) = MemTransport::pair();
+    let welcome = ServerFrame::Welcome {
+        session_id: 1,
+        width: frame.width() as u32,
+        height: frame.height() as u32,
+    };
+    server_half.send(&welcome.encode()).unwrap();
+    let key = keyframe(0, frame.width(), frame.height(), frame.pixels().to_vec());
+    server_half.send(&key.encode_packed().0).unwrap();
+    let client = ServeClient::connect(client_half, "scene").unwrap();
+    (client, server_half)
 }
 
 proptest! {
@@ -425,10 +542,119 @@ proptest! {
     // other frame.
     #[test]
     fn packed_encoder_matches_the_build_both_reference(
-        frame in prop_oneof![arb_packed_frame(), arb_server_frame()],
+        frame in prop_oneof![arb_packed_frame().prop_map(|(f, _)| f), arb_server_frame()],
     ) {
         prop_assert_eq!(frame.encode_packed(), reference_packed(&frame));
     }
+
+    // The one-pass update encoder against the long way round: the same
+    // bytes for any rect that holds every change (the written bounds a
+    // window reports), a baseline brought up to the new frame, and a
+    // refusal exactly when the body passes the byte limit.
+    #[test]
+    fn update_encoder_matches_the_reference(
+        pair in arb_pair(),
+        seq in any::<u64>(),
+        pad in (0i32..6, 0i32..6, 0i32..6, 0i32..6),
+        slack in -40i64..40,
+    ) {
+        let (before, after) = pair;
+        let want = reference_update_body(seq, &before, &after);
+        let within = Rect::new(
+            -pad.0,
+            -pad.1,
+            after.width() + pad.0 + pad.2,
+            after.height() + pad.1 + pad.3,
+        );
+        let mut base = before.clone();
+        let changed = base.diff_bounds_within(&after, within).unwrap();
+        let patch = (!changed.is_empty())
+            .then(|| XorRect::encode(&mut base, &after, changed, usize::MAX).unwrap());
+        let frame = ServerFrame::Update { seq, patch };
+        prop_assert_eq!(frame.encode(), want.clone());
+        prop_assert_eq!(frame.wire_len(), want.len());
+        prop_assert_eq!(&base, &after);
+        if !changed.is_empty() {
+            let limit = (want.len() as i64 + slack).max(0) as usize;
+            let encoded = XorRect::encode(&mut before.clone(), &after, changed, limit);
+            prop_assert_eq!(encoded.is_some(), want.len() <= limit);
+        }
+    }
+
+    // The hand-written reference decoder against the production path a
+    // client runs: decode, then XOR the rect into the frame it holds.
+    #[test]
+    fn xor_updates_land_like_the_reference_decoder(
+        pair in arb_pair(),
+        seq in any::<u64>(),
+    ) {
+        let (before, after) = pair;
+        let body = update(seq, &mut before.clone(), &after).encode();
+        prop_assert_eq!(
+            reference(&body, &before),
+            Some(Ok((seq, after.clone())))
+        );
+        prop_assert_eq!(production(&body, &before), reference(&body, &before));
+        let (mut client, mut server) = client_holding(&before);
+        server.send(&body).unwrap();
+        prop_assert_eq!(client.drain_frames().unwrap(), 1);
+        prop_assert_eq!(client.framebuffer(), &after);
+    }
+
+    // Truncated or bit-flipped update bodies, and updates whose rect
+    // misses the frame the client holds, give the reference's error
+    // (or its frame): `WireError` from the decoder, `Protocol` from the
+    // client, never a panic.
+    #[test]
+    fn hostile_update_bodies_are_errors_not_panics(
+        pair in arb_pair(),
+        at in 0.0f64..1.0,
+        flip in 1u8..255,
+        cut in 0.0f64..1.0,
+        narrow in any::<bool>(),
+    ) {
+        let (before, after) = pair;
+        let body = update(7, &mut before.clone(), &after).encode();
+        let keep = ((body.len() as f64 * cut) as usize).min(body.len() - 1);
+        prop_assert!(ServerFrame::decode(&body[..keep]).is_err());
+        let mut flipped = body.clone();
+        let i = ((flipped.len() as f64 * at) as usize).min(flipped.len() - 1);
+        flipped[i] ^= flip;
+        // A client one column narrower than the frame it was sent for.
+        let held = if narrow && before.width() > 1 {
+            Framebuffer::from_pixels(
+                before.width() - 1,
+                before.height(),
+                vec![0; ((before.width() - 1) * before.height()) as usize],
+            )
+        } else {
+            before.clone()
+        };
+        for body in [&body, &flipped] {
+            let (mut client, mut server) = client_holding(&held);
+            server.send(body).unwrap();
+            let got = client.drain_frames();
+            // A flipped tag byte leaves the update layout; the client
+            // must still not panic on it.
+            let Some(want) = reference(body, &held) else {
+                continue;
+            };
+            prop_assert_eq!(production(body, &held), Some(want.clone()));
+            match want {
+                Ok((_, frame)) => prop_assert_eq!(client.framebuffer(), &frame),
+                Err(_) => prop_assert!(
+                    matches!(got, Err(ClientError::Protocol(_))),
+                    "{:?}",
+                    got
+                ),
+            }
+        }
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
 
     #[test]
     fn client_frames_round_trip(frame in arb_client_frame()) {
@@ -521,54 +747,53 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(600))]
 
-    // The one-pass RLE decoder against the two-pass reference: encoded
-    // screen-shaped frames decode to themselves, and every truncation
-    // and bit flip of their RLE bodies gives the reference's result.
+    // The one-pass decoders against the two-pass reference: encoded
+    // screen-shaped frames land as themselves, and every truncation
+    // and bit flip of their bodies gives the reference's result.
     #[test]
     fn rle_decoder_matches_the_reference_on_encoded_frames(
-        frame in arb_packed_frame(),
+        case in arb_packed_frame(),
         at in 0.0f64..1.0,
         flip in 1u8..255,
         cut in 0.0f64..1.0,
     ) {
-        let body = reference_rle_body(&frame).unwrap();
-        let decoded = ServerFrame::decode(&body);
-        prop_assert_eq!(Some(decoded.clone()), reference_decode(&body));
-        // A zero-width update rect is the one thing the rect check
-        // refuses; every other frame decodes to itself.
-        let zero_width =
-            matches!(&frame, ServerFrame::Update { rects, .. } if rects.iter().any(|p| p.rect.width == 0));
-        prop_assert_eq!(decoded.is_ok(), !zero_width);
-        if let Ok(decoded) = decoded {
-            prop_assert_eq!(decoded, frame);
-        }
+        let (frame, held) = case;
+        let body = reference_rle_body(&frame).unwrap_or_else(|| frame.encode());
+        let decoded = production(&body, &held).unwrap();
+        prop_assert_eq!(Some(decoded.clone()), reference(&body, &held));
+        prop_assert!(decoded.is_ok());
+        prop_assert_eq!(ServerFrame::decode(&body).unwrap(), frame);
         // Keep the tag byte, drop at least one byte after it.
         let keep = 1 + ((body.len() - 1) as f64 * cut) as usize;
-        prop_assert_eq!(Some(ServerFrame::decode(&body[..keep])), reference_decode(&body[..keep]));
+        prop_assert_eq!(production(&body[..keep], &held), reference(&body[..keep], &held));
         let mut flipped = body;
         let i = ((flipped.len() as f64 * at) as usize).min(flipped.len() - 1);
         flipped[i] ^= flip;
-        // A flipped tag byte leaves the RLE layouts; nothing to compare.
-        if let Some(reference) = reference_decode(&flipped) {
-            prop_assert_eq!(ServerFrame::decode(&flipped), reference);
+        // A flipped tag byte leaves the pixel layouts; nothing to compare.
+        if let Some(reference) = reference(&flipped, &held) {
+            prop_assert_eq!(production(&flipped, &held), Some(reference));
         }
     }
 
     // Hand-built runs at widths 0, 1, 2 and 1..40 that span rows, end
     // mid-row and mix zero and non-zero values decode like the
-    // reference.
+    // reference, and an update rect the held frame cannot take is
+    // refused the same way.
     #[test]
     fn rle_decoder_matches_the_reference_on_hand_built_runs(
         key in any::<bool>(),
         seq in any::<u64>(),
-        blocks in proptest::collection::vec(arb_rle_block(), 1..4),
+        block in arb_rle_block(),
+        fits in any::<bool>(),
     ) {
-        let body = rle_body(key, seq, &blocks);
-        let decoded = ServerFrame::decode(&body);
-        prop_assert_eq!(Some(decoded.clone()), reference_decode(&body));
+        let held = held_frame(fits);
+        let body = rle_body(key, seq, (1, 2), &block);
+        let decoded = production(&body, &held).unwrap();
+        prop_assert_eq!(Some(decoded.clone()), reference(&body, &held));
         // Every well-formed block decodes (an update rect of width 0
-        // is the one thing the rect check refuses).
-        prop_assert_eq!(decoded.is_ok(), key || blocks.iter().all(|b| b.0 > 0));
+        // is the one thing the rect check refuses) and lands when the
+        // held frame has room for it.
+        prop_assert_eq!(decoded.is_ok(), key || (block.0 > 0 && fits));
     }
 
     // Run counts that overshoot the block, are 0, fall short, or claim
@@ -576,16 +801,12 @@ proptest! {
     #[test]
     fn rle_decoder_matches_the_reference_on_miscounted_runs(
         key in any::<bool>(),
-        blocks in proptest::collection::vec(arb_rle_block(), 1..4),
-        which in any::<usize>(),
+        block in arb_rle_block(),
         mode in 0u8..4,
         at in any::<usize>(),
         extra in 1u32..100,
     ) {
-        let mut blocks = blocks;
-        // A keyframe carries only the first block.
-        let shown = if key { 1 } else { blocks.len() };
-        let (width, height, runs) = &mut blocks[which % shown];
+        let (width, height, mut runs) = block;
         // Dropping the last run of an empty block leaves it well formed.
         let still_valid = mode == 2 && runs.is_empty();
         match mode {
@@ -597,11 +818,35 @@ proptest! {
             2 => {
                 runs.pop();
             }
-            _ => *runs = vec![(1, extra); (*width * *height) as usize + 1],
+            _ => runs = vec![(1, extra); (width * height) as usize + 1],
         }
-        let body = rle_body(key, 0, &blocks);
-        let decoded = ServerFrame::decode(&body);
-        prop_assert_eq!(Some(decoded.clone()), reference_decode(&body));
+        let held = held_frame(true);
+        let body = rle_body(key, 0, (1, 2), &(width, height, runs));
+        let decoded = production(&body, &held).unwrap();
+        prop_assert_eq!(Some(decoded.clone()), reference(&body, &held));
         prop_assert!(decoded.is_err() || still_valid, "miscounted body decoded");
     }
+}
+
+// An XOR rect means nothing without the frame it was taken against: a
+// client that gets one where the initial keyframe belongs refuses it.
+#[test]
+fn an_update_before_any_keyframe_is_a_protocol_error() {
+    let (client_half, mut server_half) = MemTransport::pair();
+    let welcome = ServerFrame::Welcome {
+        session_id: 1,
+        width: 4,
+        height: 2,
+    };
+    server_half.send(&welcome.encode()).unwrap();
+    let mut before = Framebuffer::new(4, 2, Color::WHITE);
+    let mut after = before.clone();
+    after.set(1, 1, Color::BLACK);
+    server_half
+        .send(&update(1, &mut before, &after).encode())
+        .unwrap();
+    assert!(matches!(
+        ServeClient::connect(client_half, "scene"),
+        Err(ClientError::Protocol(_))
+    ));
 }

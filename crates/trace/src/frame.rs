@@ -35,8 +35,8 @@ pub enum Stage {
     Settle,
     /// The update pass: damage → draw.
     Paint,
-    /// Damage banding / frame assembly (`diff_region_within` or keyframe
-    /// pixel copy).
+    /// Frame assembly: the changed-bounds scan and the one-pass XOR
+    /// update encode, or the keyframe pixel copy.
     Diff,
     /// Encode and socket write of the outgoing frame.
     Ship,
