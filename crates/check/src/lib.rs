@@ -181,8 +181,9 @@ pub struct Session {
     pub world: World,
     /// The interaction manager over the scene's window.
     pub im: InteractionManager,
-    /// True when menu traffic may have painted the transient pop-up
-    /// overlay since the last full redraw (see
+    /// True when the last step put the transient menu pop-up up (a menu
+    /// request, or a menu choice, which pops the menu first): it stays
+    /// until the next step takes it down (see
     /// [`oracles::check_repaint`]).
     pub overlay_possible: bool,
     /// Step semantics shared with [`EventScript::run`] and the serve
@@ -216,12 +217,10 @@ impl Session {
     /// Applies one step with the same semantics as [`EventScript::run`].
     pub fn apply(&mut self, step: &ScriptStep) {
         self.driver.apply(&mut self.im, &mut self.world, step);
-        if matches!(
+        self.overlay_possible = matches!(
             step,
             ScriptStep::Event(WindowEvent::MenuRequest { .. }) | ScriptStep::MenuSelect(_)
-        ) {
-            self.overlay_possible = true;
-        }
+        );
     }
 
     /// The planted repaint bug: paint a pixel behind the damage

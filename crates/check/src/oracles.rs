@@ -118,10 +118,11 @@ fn count_pixel_diffs(a: &atk_graphics::Framebuffer, b: &atk_graphics::Framebuffe
 ///
 /// A `MenuRequest` paints a transient pop-up overlay directly on the
 /// window without posting damage — the period behaviour of a grabbed X
-/// pop-up — so right after menu traffic the incremental framebuffer
-/// *legitimately* differs from a full redraw. The session tracks that
-/// ([`Session::overlay_possible`]); here we skip the comparison for that
-/// window and only resynchronise with a full redraw.
+/// pop-up — so while it is up the incremental framebuffer
+/// *legitimately* differs from a full redraw. The next step takes it
+/// down and exposes what it covered. The session tracks whether the
+/// last step put it up ([`Session::overlay_possible`]); then we skip
+/// the comparison and only resynchronise with a full redraw.
 pub fn check_repaint(s: &mut Session) -> Option<String> {
     let before = s.im.snapshot()?;
     s.im.redraw_full(&mut s.world);

@@ -1,0 +1,69 @@
+//! Minimized fuzzer finds, pinned.
+//!
+//! Each script is a 1-minimal reproduction `runcheck --window 1` once
+//! shrank. It replays one step at a time, and its oracle runs after
+//! every step, exactly as the fuzzer's one-step window does.
+
+use atk_check::oracles::{check_layout, check_repaint};
+use atk_check::Session;
+use atk_core::EventScript;
+
+fn replay(scene: &str, script: &str, oracle: fn(&mut Session) -> Option<String>) {
+    let mut session = Session::build(scene, "x11sim").expect("scene builds");
+    let steps = EventScript::parse(script).expect("script parses").steps;
+    for (i, step) in steps.iter().enumerate() {
+        session.apply(step);
+        if let Some(detail) = oracle(&mut session) {
+            panic!("{scene}, step {i} ({step:?}): {detail}");
+        }
+    }
+}
+
+// A resize relays the text out at the new width; the click that
+// follows must repaint against that layout, not the one on screen
+// before the resize.
+#[test]
+fn fig3_seed2_resize_then_click_repaints() {
+    replay("fig3", "resize 457 182\nmouse down 253 19\n", check_repaint);
+}
+
+#[test]
+fn fig3_seed11_resize_then_click_repaints() {
+    replay("fig3", "resize 507 146\nmouse down 218 19\n", check_repaint);
+}
+
+#[test]
+fn fig3_seed19_resize_then_click_repaints() {
+    replay("fig3", "resize 367 201\nmouse down 156 47\n", check_repaint);
+}
+
+#[test]
+fn fig2_seed3_click_resize_click_repaints() {
+    replay(
+        "fig2",
+        "mouse down 541 56\nresize 309 161\nmouse down 235 43\n",
+        check_repaint,
+    );
+}
+
+// Killing a line inside a multi-line selection clears the selection:
+// its highlight on lines outside the killed strip must be repainted.
+#[test]
+fn fig1_seed18_kill_inside_a_selection_repaints() {
+    replay(
+        "fig1",
+        "mouse down 35 171\nmouse drag 21 38\nkey C-k\n",
+        check_repaint,
+    );
+}
+
+// Zooming after a drag changes every line's height; the incremental
+// layout must match a from-scratch one.
+#[test]
+fn fig4_seeds10_12_zoom_after_drag_relays_out() {
+    replay(
+        "fig4",
+        "mouse drag 27 88\nmenu select Zoom In\n",
+        check_layout,
+    );
+}

@@ -63,6 +63,13 @@ impl ListView {
         self.font.metrics().line_height + 2
     }
 
+    /// Row `index`'s strip, in view coordinates.
+    fn row_rect(&self, world: &World, index: usize) -> Rect {
+        let rh = self.row_height();
+        let width = world.view_bounds(self.base.id).width;
+        Rect::new(0, index as i32 * rh - self.offset, width, rh)
+    }
+
     fn row_at(&self, pt: Point) -> Option<usize> {
         let idx = (pt.y + self.offset) / self.row_height();
         if idx >= 0 && (idx as usize) < self.items.len() {
@@ -77,8 +84,13 @@ impl ListView {
         if index >= self.items.len() {
             return;
         }
+        // Only the old and the new row change: each is drawn, and
+        // highlighted, inside its own strip.
+        if let Some(old) = self.selected {
+            world.post_damage(self.base.id, self.row_rect(world, old));
+        }
         self.selected = Some(index);
-        world.post_damage_full(self.base.id);
+        world.post_damage(self.base.id, self.row_rect(world, index));
         if let Some(target) = self.target {
             // Deferred: the target is often an ancestor currently on the
             // dispatch stack.
@@ -271,6 +283,46 @@ mod tests {
             }
         });
         assert_eq!(world.view_as::<ListView>(lid).unwrap().selected, Some(2));
+    }
+
+    // Selecting damages the old and the new row only, and painting that
+    // damage gives the same pixels as a full redraw.
+    #[test]
+    fn selection_damages_two_rows_and_matches_a_full_redraw() {
+        use atk_core::InteractionManager;
+        use atk_wm::WindowSystem;
+
+        let mut world = World::new();
+        let lid = world.insert_view(Box::new(ListView::new("pick")));
+        let mut ws = atk_wm::x11sim::X11Sim::new();
+        let window = ws.open_window("list", Size::new(120, 100));
+        let mut im = InteractionManager::new(&mut world, window, lid);
+        world.with_view(lid, |v, w| {
+            let lv = v.as_any_mut().downcast_mut::<ListView>().unwrap();
+            lv.set_items(w, (0..8).map(|i| format!("row {i}")).collect());
+            lv.select_index(w, 1);
+        });
+        im.settle(&mut world);
+        let rh = world.view_as::<ListView>(lid).unwrap().row_height();
+
+        world.with_view(lid, |v, w| {
+            v.as_any_mut()
+                .downcast_mut::<ListView>()
+                .unwrap()
+                .select_index(w, 4);
+        });
+        let region = world.take_damage_region_for(lid);
+        let old_row = Rect::new(0, rh, 120, rh);
+        let new_row = Rect::new(0, 4 * rh, 120, rh);
+        assert_eq!(
+            region,
+            atk_graphics::Region::from_rects(vec![old_row, new_row])
+        );
+
+        im.draw_region(&mut world, &region);
+        let incremental = im.snapshot().unwrap();
+        im.redraw_full(&mut world);
+        assert_eq!(incremental, im.snapshot().unwrap());
     }
 
     #[test]

@@ -90,6 +90,26 @@ impl ScrollView {
         }
     }
 
+    /// Paints the gutter and the elevator, returning the elevator drawn.
+    fn draw_bar(&self, world: &World, g: &mut dyn Graphic) -> Option<Rect> {
+        let bar = self.bar_rect(world);
+        g.set_foreground(Color::LIGHT_GRAY);
+        g.fill_rect(bar);
+        g.set_foreground(Color::BLACK);
+        g.draw_line(
+            Point::new(bar.right() - 1, 0),
+            Point::new(bar.right() - 1, bar.height - 1),
+        );
+        let thumb = self.thumb_rect(world);
+        if let Some(thumb) = thumb {
+            g.set_foreground(Color::WHITE);
+            g.fill_rect(thumb);
+            g.set_foreground(Color::BLACK);
+            g.draw_rect(thumb);
+        }
+        thumb
+    }
+
     fn offset_for_bar_y(&self, world: &World, y: i32) -> i32 {
         let Some(body) = self.body else { return 0 };
         let Some(info) = world.view_dyn(body).and_then(|v| v.scroll_info(world)) else {
@@ -149,23 +169,15 @@ impl View for ScrollView {
 
     fn draw(&mut self, world: &mut World, g: &mut dyn Graphic, update: Update) {
         let bar = self.bar_rect(world);
-        if update.touches(bar) {
-            g.set_foreground(Color::LIGHT_GRAY);
-            g.fill_rect(bar);
-            g.set_foreground(Color::BLACK);
-            g.draw_line(
-                Point::new(bar.right() - 1, 0),
-                Point::new(bar.right() - 1, bar.height - 1),
-            );
-            if let Some(thumb) = self.thumb_rect(world) {
-                g.set_foreground(Color::WHITE);
-                g.fill_rect(thumb);
-                g.set_foreground(Color::BLACK);
-                g.draw_rect(thumb);
-            }
-        }
+        let drawn = update.touches(bar).then(|| self.draw_bar(world, g));
         if let Some(body) = self.body {
             world.draw_child(body, g, update);
+        }
+        // A body may lay itself out lazily as it draws (a text view whose
+        // document was just replaced), changing the extent the elevator
+        // was drawn from: draw the bar again if the elevator moved.
+        if drawn.is_some_and(|thumb| thumb != self.thumb_rect(world)) {
+            self.draw_bar(world, g);
         }
     }
 

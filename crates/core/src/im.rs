@@ -58,6 +58,9 @@ pub struct InteractionManager {
     root: ViewId,
     focus: Option<ViewId>,
     offered_menus: Vec<MenuItem>,
+    /// Where the menu pop-up is painted while it is up (window
+    /// coordinates); see [`InteractionManager::dismiss_menu_overlay`].
+    menu_overlay: Option<Rect>,
     stats: ImStats,
     running: bool,
 }
@@ -73,6 +76,7 @@ impl InteractionManager {
             root,
             focus: Some(root),
             offered_menus: Vec::new(),
+            menu_overlay: None,
             stats: ImStats::default(),
             running: true,
         }
@@ -145,6 +149,7 @@ impl InteractionManager {
             root: self.root,
             focus: self.focus,
             offered_menus: self.offered_menus.clone(),
+            menu_overlay: self.menu_overlay,
             stats: self.stats,
             running: self.running,
         }
@@ -173,6 +178,9 @@ impl InteractionManager {
         self.stats.events += 1;
         world.collector().count("im.events", 1);
         let _span = world.collector().span("im.dispatch");
+        if !matches!(ev, WindowEvent::MenuRequest { .. }) {
+            self.dismiss_menu_overlay(world);
+        }
         match ev {
             WindowEvent::Mouse { action, pos } => {
                 world.with_view(self.root, |v, w| v.mouse(w, action, pos));
@@ -408,10 +416,20 @@ impl InteractionManager {
         self.draw(world, Update::Full);
     }
 
+    /// Takes the menu pop-up down: like an unmapped X pop-up, it exposes
+    /// what it covered, so the next update pass repaints all of it. The
+    /// pop-up stays up through the menu choice and goes with the next
+    /// event.
+    fn dismiss_menu_overlay(&mut self, world: &mut World) {
+        if let Some(r) = self.menu_overlay.take() {
+            world.post_damage(self.root, r);
+        }
+    }
+
     /// Paints the merged menu as a transient pop-up overlay at `pos`, in
-    /// the period style (cards side by side, items beneath). The next
-    /// update pass repaints over it — like a grabbed X pop-up, it lives
-    /// only until the next screen change.
+    /// the period style (cards side by side, items beneath), painted
+    /// straight onto the window: it is no view's content, and lives
+    /// only until [`InteractionManager::dismiss_menu_overlay`].
     fn draw_menu_overlay(&mut self, pos: Point) {
         if self.offered_menus.is_empty() {
             return;
@@ -435,6 +453,10 @@ impl InteractionManager {
             card_w * cards.len() as i32 + 2,
             row_h * (max_rows + 1) + 4,
         );
+        self.menu_overlay = Some(match self.menu_overlay {
+            Some(up) => up.union(total),
+            None => total,
+        });
         g.gsave();
         g.set_foreground(atk_graphics::Color::WHITE);
         g.fill_rect(total);
@@ -888,6 +910,45 @@ mod menu_overlay_tests {
         assert_eq!(im.offered_menus().len(), 2);
         // The overlay is transient: a full redraw wipes it.
         im.redraw_full(&mut world);
+        assert_eq!(im.snapshot().unwrap(), before);
+    }
+
+    // Whatever the next event damages, the pop-up goes with it: its
+    // whole rect is exposed, as an unmapped X pop-up's would be.
+    #[test]
+    fn the_next_event_takes_the_popup_down() {
+        let mut world = World::new();
+        let root = world.insert_view(Box::new(Menued {
+            base: ViewBase::new(),
+        }));
+        let mut ws = atk_wm::x11sim::X11Sim::new();
+        let win = ws.open_window("t", Size::new(300, 200));
+        let mut im = InteractionManager::new(&mut world, win, root);
+        im.pump(&mut world);
+        let before = im.snapshot().unwrap();
+        for _ in 0..2 {
+            im.feed(
+                &mut world,
+                WindowEvent::MenuRequest {
+                    pos: Point::new(40, 30),
+                },
+            );
+        }
+        assert_ne!(before, im.snapshot().unwrap());
+        im.feed(&mut world, WindowEvent::Tick(1));
+        assert_eq!(im.snapshot().unwrap(), before);
+        // It stays up through a menu choice, and goes with the event
+        // after it.
+        im.feed(
+            &mut world,
+            WindowEvent::MenuRequest {
+                pos: Point::new(100, 60),
+            },
+        );
+        im.select_menu(&mut world, "Save");
+        im.pump(&mut world);
+        assert_ne!(before, im.snapshot().unwrap());
+        im.feed(&mut world, WindowEvent::Tick(1));
         assert_eq!(im.snapshot().unwrap(), before);
     }
 }

@@ -245,6 +245,21 @@ impl RasterView {
             zoom: 1,
         }
     }
+
+    /// Changes the magnification. The view's desired size changes with
+    /// it, so the parent is asked to lay it out again (the toolkit's
+    /// `WantNewSize`): a text view holding the raster as an inset
+    /// re-wraps the line around it.
+    fn set_zoom(&mut self, world: &mut World, zoom: i32) {
+        if zoom == self.zoom {
+            return;
+        }
+        self.zoom = zoom;
+        world.post_damage_full(self.base.id);
+        if let Some(parent) = world.view_parent(self.base.id) {
+            world.post_command(parent, "want-new-size");
+        }
+    }
 }
 
 impl Default for RasterView {
@@ -346,13 +361,11 @@ impl View for RasterView {
                 true
             }
             "raster-zoom-in" => {
-                self.zoom = (self.zoom + 1).min(8);
-                world.post_damage_full(self.base.id);
+                self.set_zoom(world, (self.zoom + 1).min(8));
                 true
             }
             "raster-zoom-out" => {
-                self.zoom = (self.zoom - 1).max(1);
-                world.post_damage_full(self.base.id);
+                self.set_zoom(world, (self.zoom - 1).max(1));
                 true
             }
             _ => false,

@@ -843,6 +843,25 @@ mod tests {
         assert!(matches!(frame, ServerFrame::Keyframe { .. }), "{frame:?}");
     }
 
+    /// The focus click a typing session opens with repaints the lines
+    /// of the old and the new caret, so the diff compares a strip, not
+    /// the window: it compared 298 116 of fig5's 313 600 px while a
+    /// text view damaged itself whole on every caret or focus change.
+    #[test]
+    fn a_focus_click_diffs_the_caret_lines_only() {
+        let collector = Arc::new(Collector::new());
+        collector.enable();
+        let mut s =
+            HostedSession::open("fig5", SessionConfig::default(), collector.clone()).unwrap();
+        let _ = s.initial_keyframe();
+        let (w, h) = s.size();
+        let click = WindowEvent::left_down(w as i32 / 8, h as i32 / 8);
+        let (frame, _) = s.apply_batch(&[ScriptStep::Event(click)], 0);
+        assert!(matches!(frame, ServerFrame::Update { patch: Some(_), .. }));
+        let px = collector.snapshot().counter("serve.diff_px");
+        assert!(px > 0 && px <= 33_000, "the click compared {px} px");
+    }
+
     #[test]
     fn keyframe_cadence_and_ablation_force_full_frames() {
         let collector = Arc::new(Collector::new());

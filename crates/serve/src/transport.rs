@@ -16,7 +16,6 @@
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, Thread};
@@ -229,8 +228,10 @@ impl Drop for TcpTransport {
         if self.reader.is_some() {
             // The reader blocks in `read` on a clone of this socket, so
             // closing this handle alone would neither end that read nor
-            // tell the peer. Shutting the socket down does both.
+            // tell the peer. Shutting the socket down does both, so from
+            // here the reader is on its way back to the pool.
             let _ = self.stream.shutdown(Shutdown::Both);
+            lock(&READERS).live -= 1;
         }
     }
 }
@@ -295,33 +296,60 @@ impl ReadJob {
     }
 }
 
-/// Reader threads waiting for a connection, each behind its own job
-/// channel.
-static IDLE_READERS: Mutex<Vec<Sender<ReadJob>>> = Mutex::new(Vec::new());
+/// The TCP reader pool.
+struct ReaderPool {
+    /// Reader threads waiting for a connection, each behind its own job
+    /// channel.
+    idle: Vec<Sender<ReadJob>>,
+    /// Reader threads alive.
+    threads: usize,
+    /// Transports whose reader started and that are not dropped yet.
+    live: usize,
+}
 
-/// Reader threads spawned so far. They never exit, and a thread is only
-/// spawned when every existing one is busy with a live connection, so
-/// this never exceeds the peak count of concurrent reading connections.
-static READER_THREADS: AtomicUsize = AtomicUsize::new(0);
+static READERS: Mutex<ReaderPool> = Mutex::new(ReaderPool {
+    idle: Vec::new(),
+    threads: 0,
+    live: 0,
+});
+
+/// Rung whenever a reader rejoins the idle list.
+static READER_IDLE: Condvar = Condvar::new();
 
 /// Hands `job` to an idle reader thread, or spawns one if none is idle.
-fn start_reader(job: ReadJob) -> io::Result<()> {
-    let idle = lock(&IDLE_READERS).pop();
-    let job = match idle {
-        Some(reader) => match reader.send(job) {
-            Ok(()) => return Ok(()),
-            // That reader is gone; spawn a fresh one instead.
-            Err(mpsc::SendError(job)) => job,
-        },
-        None => job,
-    };
+///
+/// A busy reader serves a live transport, so with no reader idle, more
+/// threads than live transports means one whose transport was dropped
+/// is still on its way back (its socket is shut down, so its read has
+/// returned or returns at once). That reader is waited for, not
+/// doubled: the pool never grows past the peak count of concurrent
+/// live transports.
+fn start_reader(mut job: ReadJob) -> io::Result<()> {
+    let mut pool = lock(&READERS);
+    loop {
+        match pool.idle.pop() {
+            Some(reader) => match reader.send(job) {
+                Ok(()) => {
+                    pool.live += 1;
+                    return Ok(());
+                }
+                // That reader is gone; look for another.
+                Err(mpsc::SendError(back)) => job = back,
+            },
+            None if pool.threads > pool.live => {
+                pool = READER_IDLE.wait(pool).unwrap_or_else(|e| e.into_inner());
+            }
+            None => break,
+        }
+    }
     let (tx, rx) = mpsc::channel();
     tx.send(job).expect("the receiver is alive");
     thread::Builder::new()
         .name("atk-tcp-reader".into())
         .stack_size(READER_STACK)
         .spawn(move || reader_thread(tx, rx))?;
-    READER_THREADS.fetch_add(1, Ordering::Relaxed);
+    pool.threads += 1;
+    pool.live += 1;
     Ok(())
 }
 
@@ -329,17 +357,28 @@ fn start_reader(job: ReadJob) -> io::Result<()> {
 /// after each. It holds its own sender, so it waits for jobs for the
 /// life of the process.
 fn reader_thread(me: Sender<ReadJob>, jobs: Receiver<ReadJob>) {
+    // Only a panic ends this thread; count it out of the pool then, so
+    // `start_reader` never waits for a reader that cannot come back.
+    struct Exit;
+    impl Drop for Exit {
+        fn drop(&mut self) {
+            lock(&READERS).threads -= 1;
+            READER_IDLE.notify_all();
+        }
+    }
+    let _exit = Exit;
     let mut chunk = vec![0u8; READ_CHUNK];
     while let Ok(job) = jobs.recv() {
         job.run(&mut chunk);
-        lock(&IDLE_READERS).push(me.clone());
+        lock(&READERS).idle.push(me.clone());
+        READER_IDLE.notify_all();
     }
 }
 
 /// The TCP reader pool's size, for tests and diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReaderPoolStats {
-    /// Reader threads alive (spawned so far; they never exit).
+    /// Reader threads alive (they exit only on a panic).
     pub threads: usize,
     /// Of those, the ones waiting for a connection.
     pub idle: usize,
@@ -347,9 +386,10 @@ pub struct ReaderPoolStats {
 
 /// How many TCP reader threads exist, and how many are idle.
 pub fn reader_pool_stats() -> ReaderPoolStats {
+    let pool = lock(&READERS);
     ReaderPoolStats {
-        threads: READER_THREADS.load(Ordering::Relaxed),
-        idle: lock(&IDLE_READERS).len(),
+        threads: pool.threads,
+        idle: pool.idle.len(),
     }
 }
 

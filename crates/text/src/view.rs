@@ -258,10 +258,10 @@ impl TextView {
 
     /// Moves the caret (clamped), clearing the selection.
     pub fn set_caret(&mut self, world: &mut World, pos: usize) {
-        let len = self.data_len(world);
-        self.caret = pos.min(len);
+        let before = self.marks_strip(world);
+        self.caret = pos.min(self.data_len(world));
         self.sel_anchor = None;
-        world.post_damage_full(self.base.id);
+        self.damage_marks(world, before);
     }
 
     /// The selected range, if any.
@@ -275,9 +275,10 @@ impl TextView {
 
     /// Selects a range explicitly.
     pub fn select(&mut self, world: &mut World, start: usize, end: usize) {
+        let before = self.marks_strip(world);
         self.sel_anchor = Some(start);
         self.caret = end;
-        world.post_damage_full(self.base.id);
+        self.damage_marks(world, before);
     }
 
     fn data_len(&self, world: &World) -> usize {
@@ -752,9 +753,9 @@ impl TextView {
     /// Inserts text at the caret (replacing any selection).
     pub fn insert_at_caret(&mut self, world: &mut World, s: &str) {
         if let Some((a, b)) = self.selection() {
+            self.clear_selection_for_edit(world);
             self.with_data(world, |t| ((), t.delete(a, b - a)));
             self.caret = a;
-            self.sel_anchor = None;
         }
         let caret = self.caret;
         let n = s.chars().count();
@@ -764,10 +765,84 @@ impl TextView {
 
     fn delete_range(&mut self, world: &mut World, a: usize, b: usize) {
         if b > a {
+            self.clear_selection_for_edit(world);
             self.with_data(world, |t| ((), t.delete(a, b - a)));
             self.caret = a;
-            self.sel_anchor = None;
         }
+    }
+
+    // --- Caret, selection and focus damage -------------------------------------
+    //
+    // The caret, the selection highlight and the focus show only on the
+    // lines the caret and the selection span, so a change to them
+    // damages those lines' full-width strips, before and after — never
+    // the whole view, unless the line table may not match the screen.
+
+    /// The strip `(top, bottom)`, in view coordinates, of the lines the
+    /// caret or the selection is drawn on, or `None` when the line table
+    /// may not describe the screen: layout is stale, or a change
+    /// notification is still queued (positions already moved, lines not
+    /// yet).
+    fn marks_strip(&self, world: &World) -> Option<(i32, i32)> {
+        let width = world.view_bounds(self.base.id).width - 2 * MARGIN;
+        if !self.layout_valid || self.layout_width != width || world.has_pending_notifications() {
+            return None;
+        }
+        let (lo, hi) = self.selection().unwrap_or((self.caret, self.caret));
+        let first = self.lines.get(self.line_index_of(lo))?;
+        let last = self.lines.get(self.line_index_of(hi))?;
+        Some((
+            first.y - self.scroll_y,
+            last.y + last.height - self.scroll_y,
+        ))
+    }
+
+    /// Posts a full-width strip from [`TextView::marks_strip`], or the
+    /// whole view when the strip is unknown.
+    fn post_strip(&mut self, world: &mut World, strip: Option<(i32, i32)>) {
+        let bounds = world.view_bounds(self.base.id);
+        let view = Rect::new(0, 0, bounds.width, bounds.height);
+        match strip {
+            Some((top, bottom)) => {
+                let rect = Rect::new(0, top, bounds.width, bottom - top).intersect(view);
+                self.stats.partial += 1;
+                self.stats.damage_area += rect.area();
+                world.post_damage(self.base.id, rect);
+            }
+            None => {
+                self.stats.full += 1;
+                self.stats.damage_area += view.area();
+                world.post_damage_full(self.base.id);
+            }
+        }
+    }
+
+    /// Damages the lines the caret or selection was drawn on (`before`,
+    /// taken with [`TextView::marks_strip`] ahead of the change) and the
+    /// lines it is drawn on now. A focus change calls this too: the caret
+    /// shows only in a focused view.
+    fn damage_marks(&mut self, world: &mut World, before: Option<(i32, i32)>) {
+        match (before, self.marks_strip(world)) {
+            (Some(a), Some(b)) if a.0 <= b.1 && b.0 <= a.1 => {
+                self.post_strip(world, Some((a.0.min(b.0), a.1.max(b.1))));
+            }
+            (Some(a), Some(b)) => {
+                self.post_strip(world, Some(a));
+                self.post_strip(world, Some(b));
+            }
+            _ => self.post_strip(world, None),
+        }
+    }
+
+    /// Drops the selection ahead of an edit. The edit damages the lines
+    /// it re-lays; the highlight may cover lines it does not, so they
+    /// are damaged here, while the line table still matches the screen.
+    fn clear_selection_for_edit(&mut self, world: &mut World) {
+        if self.selection().is_some() {
+            let strip = self.marks_strip(world);
+            self.post_strip(world, strip);
+        }
+        self.sel_anchor = None;
     }
 
     fn line_of_caret(&self) -> usize {
@@ -775,6 +850,7 @@ impl TextView {
     }
 
     fn move_caret_line(&mut self, world: &mut World, delta: i32) {
+        let before = self.marks_strip(world);
         self.ensure_layout(world);
         let li = self.line_of_caret() as i32 + delta;
         let li = li.clamp(0, self.lines.len().saturating_sub(1) as i32) as usize;
@@ -784,7 +860,7 @@ impl TextView {
         }
         self.sel_anchor = None;
         self.scroll_caret_into_view(world);
-        world.post_damage_full(self.base.id);
+        self.damage_marks(world, before);
     }
 
     /// Changes the scroll offset, posting the damage the move implies.
@@ -798,6 +874,15 @@ impl TextView {
     fn set_scroll_y(&mut self, world: &mut World, y: i32) {
         if y == self.scroll_y {
             return;
+        }
+        // Inset bounds are view coordinates: they move with the scroll.
+        // The draw pass repositions only the insets it paints, so one
+        // scrolled out of sight would otherwise keep taking clicks where
+        // it used to be.
+        let dy = self.scroll_y - y;
+        for &(_, vid) in &self.insets {
+            let b = world.view_bounds(vid);
+            world.set_view_bounds(vid, Rect::new(b.x, b.y + dy, b.width, b.height));
         }
         self.scroll_y = y;
         world.post_damage_full(self.base.id);
@@ -1205,6 +1290,9 @@ impl View for TextView {
     }
 
     fn mouse(&mut self, world: &mut World, action: MouseAction, pt: Point) -> bool {
+        // Taken before `ensure_layout`: a relayout here means the marks
+        // on screen were drawn against another line table.
+        let before = self.marks_strip(world);
         self.ensure_layout(world);
         // Editable in place: a press inside an inset goes to the inset.
         // Reverse anchor order: when insets overlap, the topmost (last
@@ -1220,15 +1308,15 @@ impl View for TextView {
                 let pos = self.pos_at_point(world, pt);
                 self.caret = pos;
                 self.sel_anchor = Some(pos);
+                self.damage_marks(world, before);
                 world.request_focus(self.base.id);
-                world.post_damage_full(self.base.id);
                 true
             }
             MouseAction::Drag(Button::Left) => {
                 let pos = self.pos_at_point(world, pt);
                 if pos != self.caret {
                     self.caret = pos;
-                    world.post_damage_full(self.base.id);
+                    self.damage_marks(world, before);
                 }
                 true
             }
@@ -1283,40 +1371,46 @@ impl View for TextView {
         let len = self.data_len(world);
         match command {
             "forward-char" => {
+                let before = self.marks_strip(world);
                 self.caret = (self.caret + 1).min(len);
                 self.sel_anchor = None;
-                world.post_damage_full(self.base.id);
+                self.damage_marks(world, before);
             }
             "backward-char" => {
+                let before = self.marks_strip(world);
                 self.caret = self.caret.saturating_sub(1);
                 self.sel_anchor = None;
-                world.post_damage_full(self.base.id);
+                self.damage_marks(world, before);
             }
             "next-line" => self.move_caret_line(world, 1),
             "previous-line" => self.move_caret_line(world, -1),
             "beginning-of-line" => {
+                let before = self.marks_strip(world);
                 if let Some(d) = self.data {
                     let t = world.data::<TextData>(d).unwrap();
                     self.caret = t.line_start(self.caret);
                 }
-                world.post_damage_full(self.base.id);
+                self.damage_marks(world, before);
             }
             "end-of-line" => {
+                let before = self.marks_strip(world);
                 if let Some(d) = self.data {
                     let t = world.data::<TextData>(d).unwrap();
                     self.caret = t.line_end(self.caret);
                 }
-                world.post_damage_full(self.base.id);
+                self.damage_marks(world, before);
             }
             "beginning-of-text" => {
+                let before = self.marks_strip(world);
                 self.caret = 0;
                 self.set_scroll_y(world, 0);
-                world.post_damage_full(self.base.id);
+                self.damage_marks(world, before);
             }
             "end-of-text" => {
+                let before = self.marks_strip(world);
                 self.caret = len;
                 self.scroll_caret_into_view(world);
-                world.post_damage_full(self.base.id);
+                self.damage_marks(world, before);
             }
             "delete-char" => {
                 if let Some((a, b)) = self.selection() {
@@ -1364,6 +1458,21 @@ impl View for TextView {
                 self.set_scroll_y(world, target);
                 world.post_damage_full(self.base.id);
             }
+            "want-new-size" => {
+                // An inset's desired size changed (a raster zoomed), so
+                // the wrap around it is stale. Re-wrap now rather than at
+                // the next draw, so a parent scroller's elevator is drawn
+                // from the new extent.
+                let old_height = self.content_height();
+                self.layout_valid = false;
+                self.ensure_layout(world);
+                if self.content_height() != old_height {
+                    if let Some(parent) = world.view_parent(self.base.id) {
+                        world.post_command(parent, "scroll-sync");
+                    }
+                }
+                self.post_strip(world, None);
+            }
             "set-bold" => self.style_selection(world, |s| s.bolded()),
             "set-italic" => self.style_selection(world, |s| s.italicized()),
             "set-plain" => self.style_selection(world, |s| Style {
@@ -1397,10 +1506,11 @@ impl View for TextView {
                             .find(|&i| chars[i..].starts_with(&pat[..]))
                     };
                     if let Some(hit) = find_from(from).or_else(|| find_from(0)) {
+                        let before = self.marks_strip(world);
                         self.caret = hit;
                         self.sel_anchor = Some(hit + pat.len());
                         self.scroll_caret_into_view(world);
-                        world.post_damage_full(self.base.id);
+                        self.damage_marks(world, before);
                     }
                 }
             }
@@ -1467,8 +1577,9 @@ impl View for TextView {
     }
 
     fn on_focus(&mut self, world: &mut World, gained: bool) {
+        let before = self.marks_strip(world);
         self.focused = gained;
-        world.post_damage_full(self.base.id);
+        self.damage_marks(world, before);
     }
 
     fn scroll_info(&self, world: &World) -> Option<ScrollInfo> {

@@ -26,6 +26,15 @@ echo "==> runcheck smoke (fixed seed, all oracles)"
 cargo run --release -q -p atk-check --bin runcheck -- \
     --seed 42 --steps 500 --scene fig1,fig3,fig5 --oracle all
 
+echo "==> runcheck one-step windows (every oracle after every step, seeds that once diverged)"
+# With --window 1 each oracle runs after every step, so a divergence
+# that a later step would paint over is still seen. These seeds each
+# found one (caret, selection, elevator, inset and layout damage).
+for seed in 2 3 8 10 11 12 18 19; do
+    cargo run --release -q -p atk-check --bin runcheck -- \
+        --seed "$seed" --scene all --oracle all --window 1
+done
+
 echo "==> loadgen smoke (8 served sessions, zero drops tolerated)"
 cargo run --release -q -p atk-serve --bin loadgen -- \
     --sessions 8 --steps 50 --max-drops 0
