@@ -15,6 +15,7 @@ use std::any::Any;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use atk_core::{
     document_to_string, read_document, AppOutcome, Application, ChangeRec, DataId,
@@ -48,19 +49,44 @@ impl Caption {
     }
 }
 
-/// The on-disk message store.
+/// The on-disk message store. Clones share one directory.
 #[derive(Clone)]
 pub struct MessageStore {
     root: PathBuf,
+    /// Set for a store made by [`MessageStore::scratch`]: the last clone
+    /// to drop removes the directory.
+    scratch: Option<Arc<ScratchDir>>,
+}
+
+/// A directory removed, with everything in it, when dropped.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 impl MessageStore {
-    /// Opens (creating if needed) a store rooted at `root`.
+    /// Opens (creating if needed) a store rooted at `root`. The
+    /// directory outlives the store.
     pub fn open(root: &Path) -> std::io::Result<MessageStore> {
         fs::create_dir_all(root)?;
         Ok(MessageStore {
             root: root.to_path_buf(),
+            scratch: None,
         })
+    }
+
+    /// An empty store in a fresh directory under the system temp dir,
+    /// named `<prefix>_<pid>_<n>`, which the store owns: the last clone
+    /// to drop removes it.
+    pub fn scratch(prefix: &str) -> std::io::Result<MessageStore> {
+        let root = crate::scenes::unique_temp_dir(prefix);
+        let _ = fs::remove_dir_all(&root);
+        let mut store = MessageStore::open(&root)?;
+        store.scratch = Some(Arc::new(ScratchDir(root)));
+        Ok(store)
     }
 
     /// Folder names (directories), sorted.

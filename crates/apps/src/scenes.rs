@@ -187,9 +187,9 @@ pub fn fig2_help(ws: &mut dyn WindowSystem) -> Result<Scene, String> {
 /// message whose body embeds a drawing.
 pub fn fig3_messages_reading(ws: &mut dyn WindowSystem) -> Result<Scene, String> {
     let mut world = crate::standard_world();
-    let root = unique_temp_dir("atk_fig3");
-    let _ = std::fs::remove_dir_all(&root);
-    let store = crate::MessageStore::open(&root).map_err(|e| e.to_string())?;
+    // Forks clone the mail view and its store; the last one to go
+    // removes the store's directory.
+    let store = crate::MessageStore::scratch("atk_fig3").map_err(|e| e.to_string())?;
     store.seed_demo(&mut world).map_err(|e| e.to_string())?;
 
     let mail = world.insert_view(Box::new(crate::messages::MailView::new()));

@@ -37,9 +37,10 @@
 //! * [`transport`] — TCP framing plus an in-memory pair for tests
 //! * [`fault`] — seeded transport fault injection (short reads/writes,
 //!   `WouldBlock` storms, mid-frame disconnects) for the chaos tests
-//! * [`session`] — one hosted session: batch coalescing, region
-//!   diffing against the last shipped frame, keyframe cadence/budget,
-//!   idle eviction on the session's own virtual clock
+//! * [`session`] — one hosted session: batch coalescing, XOR updates
+//!   against the frame the client holds (a keyframe only when there is
+//!   none, the window resized, or an update would outweigh one), idle
+//!   eviction on the session's own virtual clock
 //! * [`server`] — admission control, the stats plane, and the
 //!   shared-document registry
 //! * [`shard`] — the worker-shard readiness loop and the per-connection

@@ -18,7 +18,7 @@
 //! server's per-batch settle structurally identical to the in-process
 //! `im.feed` per step, and private sessions run one after another, which
 //! pins every counter the caller may compare (batch sizes, peak
-//! concurrency, keyframe cadence) to one deterministic interleaving.
+//! concurrency, frames by kind) to one deterministic interleaving.
 //! The sharded-vs-single comparison then reads
 //! [`ServedRun::shard_invariant_counters`]: everything except the
 //! shard-local `serve.shard.*` scheduling plane and the per-shard

@@ -28,18 +28,16 @@ use crate::wire::{Encoding, ServerFrame, XorRect};
 /// Frames of attribution history each session retains (ring).
 pub const FRAME_LOG_CAPACITY: usize = 128;
 
+/// An update whose encoded body would pass this many bytes ships as a
+/// keyframe instead.
+const UPDATE_BUDGET_BYTES: usize = 256 * 1024;
+
 /// Per-session tuning; the server clones one of these per connection.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Most steps consumed per batch; a drained burst beyond this drops
     /// the oldest steps (`serve.backpressure_drops`).
     pub queue_cap: usize,
-    /// An update whose encoded body would pass this many bytes
-    /// degrades to a keyframe.
-    pub dirty_budget_bytes: usize,
-    /// A full keyframe is forced every this many shipped frames;
-    /// 0 = every frame is a keyframe (the always-keyframe baseline).
-    pub keyframe_every: u32,
     /// Evict the session once the *virtual* clock has advanced this far
     /// beyond the last non-tick input. `None` disables eviction.
     pub idle_ms: Option<u64>,
@@ -61,8 +59,6 @@ impl Default for SessionConfig {
     fn default() -> SessionConfig {
         SessionConfig {
             queue_cap: 256,
-            dirty_budget_bytes: 256 * 1024,
-            keyframe_every: 64,
             idle_ms: None,
             frame_trace: true,
             slo_us: None,
@@ -93,7 +89,6 @@ pub struct HostedSession {
     /// place as they encode.
     shipped: Option<Arc<Framebuffer>>,
     seq: u64,
-    frames_since_key: u32,
     last_input_ms: u64,
     /// Server-assigned id, stamped into slow-frame dumps.
     session_id: u64,
@@ -161,7 +156,6 @@ impl HostedSession {
             collector,
             shipped: None,
             seq: 0,
-            frames_since_key: 0,
             last_input_ms,
             session_id: 0,
             frame_log: FrameLog::new(FRAME_LOG_CAPACITY),
@@ -546,7 +540,6 @@ impl HostedSession {
     fn ship_keyframe(&mut self, fb: Arc<Framebuffer>) -> ServerFrame {
         let _ = self.im.window_mut().take_written();
         self.shipped = Some(Arc::clone(&fb));
-        self.frames_since_key = 0;
         let frame = ServerFrame::Keyframe {
             seq: self.seq,
             frame: fb,
@@ -591,7 +584,7 @@ impl HostedSession {
     /// `serve.stage_us.diff`.
     fn ship_frame(&mut self, ft: &mut FrameTrace) -> ServerFrame {
         ft.enter(Stage::Diff);
-        let frame = self.assemble_frame();
+        let frame = self.assemble_frame(UPDATE_BUDGET_BYTES);
         ft.exit();
         frame
     }
@@ -599,13 +592,12 @@ impl HostedSession {
     /// Diffs the current framebuffer against the last shipped one and
     /// picks the shipping shape: an empty ack when nothing changed (no
     /// snapshot clone, no pixel payload), the changed rect XORed
-    /// against the baseline, or a keyframe when the update's encoded
-    /// body passes the dirty-byte budget, the keyframe cadence is due
-    /// (always, at `keyframe_every: 0`), or the window resized.
-    fn assemble_frame(&mut self) -> ServerFrame {
-        if self.frames_since_key >= self.cfg.keyframe_every {
-            return self.keyframe();
-        }
+    /// against the baseline, or a keyframe when there is no baseline,
+    /// the window resized, or the update's encoded body would pass
+    /// `budget` bytes or a raw keyframe. The client holds the baseline
+    /// over an ordered, lossless transport, so no other frame needs a
+    /// keyframe.
+    fn assemble_frame(&mut self, budget: usize) -> ServerFrame {
         // Everything drawn since the baseline last equalled the screen
         // lies inside the window's written bounds. Taking them here
         // clears them, and every plan below leaves the baseline equal
@@ -615,7 +607,6 @@ impl HostedSession {
         // no-change batch then costs one compare and zero clones.
         let shipped = &mut self.shipped;
         let collector = &self.collector;
-        let budget = self.cfg.dirty_budget_bytes;
         let mut plan = None;
         self.im.window().with_frame(&mut |cur| {
             plan = plan_update(shipped, cur, written, budget, collector);
@@ -630,13 +621,11 @@ impl HostedSession {
         };
         self.collector.count("serve.frames", 1);
         if changed {
-            self.frames_since_key += 1;
             self.collector
                 .count("serve.diff_bytes", frame.wire_len() as u64);
         } else {
             // Nothing changed on screen: a 13-byte empty update, so
-            // pipelined clients still see one frame per batch. The
-            // keyframe cadence stays where it was.
+            // pipelined clients still see one frame per batch.
             self.collector.count("serve.frames_unchanged", 1);
         }
         frame
@@ -764,6 +753,14 @@ mod tests {
         })
     }
 
+    /// Applies `step` and ships its frame with updates held to `budget`
+    /// bytes; a session itself always ships under
+    /// [`UPDATE_BUDGET_BYTES`].
+    fn ship_within(s: &mut HostedSession, step: &ScriptStep, budget: usize) -> ServerFrame {
+        s.replay_steps(std::slice::from_ref(step));
+        s.assemble_frame(budget)
+    }
+
     #[test]
     fn coalescer_keeps_last_of_a_movement_run() {
         let batch = vec![
@@ -823,14 +820,9 @@ mod tests {
         ));
         assert_eq!(s.seq(), 4);
 
-        // A one-byte dirty budget degrades every nonempty diff to a
-        // keyframe.
-        let cfg = SessionConfig {
-            dirty_budget_bytes: 1,
-            ..SessionConfig::default()
-        };
+        // A one-byte budget degrades every nonempty diff to a keyframe.
         let collector = Arc::new(Collector::new());
-        let mut s = HostedSession::open("fig5", cfg, collector).unwrap();
+        let mut s = HostedSession::open("fig5", SessionConfig::default(), collector).unwrap();
         let _ = s.initial_keyframe();
         let _ = s.apply_batch(
             &[
@@ -839,7 +831,7 @@ mod tests {
             ],
             0,
         );
-        let (frame, _) = s.apply_batch(&[ScriptStep::Event(WindowEvent::ch('x'))], 0);
+        let frame = ship_within(&mut s, &ScriptStep::Event(WindowEvent::ch('x')), 1);
         assert!(matches!(frame, ServerFrame::Keyframe { .. }), "{frame:?}");
     }
 
@@ -860,50 +852,6 @@ mod tests {
         assert!(matches!(frame, ServerFrame::Update { patch: Some(_), .. }));
         let px = collector.snapshot().counter("serve.diff_px");
         assert!(px > 0 && px <= 33_000, "the click compared {px} px");
-    }
-
-    #[test]
-    fn keyframe_cadence_and_ablation_force_full_frames() {
-        let collector = Arc::new(Collector::new());
-        let cfg = SessionConfig {
-            keyframe_every: 2,
-            ..SessionConfig::default()
-        };
-        let mut s = HostedSession::open("fig5", cfg, collector.clone()).unwrap();
-        let _ = s.initial_keyframe();
-        // Focus a text view so every typed character really changes
-        // pixels — only *shipped pixel* frames advance the cadence.
-        let _ = s.apply_batch(
-            &[
-                ScriptStep::Event(WindowEvent::left_down(70, 70)),
-                ScriptStep::Event(WindowEvent::left_up(70, 70)),
-            ],
-            0,
-        );
-        let mut kinds = Vec::new();
-        for c in ['a', 'b', 'c', 'd', 'e'] {
-            let (frame, _) = s.apply_batch(&[ScriptStep::Event(WindowEvent::ch(c))], 0);
-            kinds.push(matches!(frame, ServerFrame::Keyframe { .. }));
-        }
-        // The click shipped one update, so the second typed character
-        // hits `keyframe_every: 2`; the cadence then restarts.
-        assert!(
-            kinds.iter().any(|&k| k),
-            "cadence keyframe never fired: {kinds:?}"
-        );
-
-        // `keyframe_every: 0` is the always-keyframe baseline: every
-        // batch ships a keyframe, even one that changed no pixel.
-        let cfg = SessionConfig {
-            keyframe_every: 0,
-            ..SessionConfig::default()
-        };
-        let mut s = HostedSession::open("fig1", cfg, collector).unwrap();
-        let _ = s.initial_keyframe();
-        for _ in 0..2 {
-            let (frame, _) = s.apply_batch(&[ScriptStep::Event(WindowEvent::Tick(1))], 0);
-            assert!(matches!(frame, ServerFrame::Keyframe { .. }), "{frame:?}");
-        }
     }
 
     #[test]
@@ -935,11 +883,9 @@ mod tests {
     fn dirty_budget_estimate_matches_wire_len() {
         // The frame one typed character ships under `budget`.
         let typed = |budget: usize| {
-            let cfg = SessionConfig {
-                dirty_budget_bytes: budget,
-                ..SessionConfig::default()
-            };
-            let mut s = HostedSession::open("fig5", cfg, Arc::new(Collector::new())).unwrap();
+            let mut s =
+                HostedSession::open("fig5", SessionConfig::default(), Arc::new(Collector::new()))
+                    .unwrap();
             let _ = s.initial_keyframe();
             let _ = s.apply_batch(
                 &[
@@ -948,10 +894,9 @@ mod tests {
                 ],
                 0,
             );
-            s.apply_batch(&[ScriptStep::Event(WindowEvent::ch('x'))], 0)
-                .0
+            ship_within(&mut s, &ScriptStep::Event(WindowEvent::ch('x')), budget)
         };
-        let frame = typed(SessionConfig::default().dirty_budget_bytes);
+        let frame = typed(UPDATE_BUDGET_BYTES);
         assert!(
             matches!(frame, ServerFrame::Update { patch: Some(_), .. }),
             "typing shipped {frame:?}"
@@ -964,21 +909,22 @@ mod tests {
         assert!(matches!(typed(len - 1), ServerFrame::Keyframe { .. }));
     }
 
-    /// Runs `steps` one batch each on a fresh fig5 session on each
-    /// backend and checks, after every shipped frame, that the diff
-    /// baseline brought along in place equals the screen. Both backends must
-    /// ship the same frames; returns the (updates, keyframes) they
-    /// shipped after the initial keyframe.
-    fn baseline_tracks_screen(cfg: SessionConfig, steps: &[ScriptStep]) -> (usize, usize) {
+    /// Ships `steps` one frame each, updates held to `budget` bytes, on
+    /// a fresh fig5 session on each backend and checks, after every
+    /// shipped frame, that the diff baseline brought along in place
+    /// equals the screen. Both backends must ship the same frames;
+    /// returns the (updates, keyframes) they shipped after the initial
+    /// keyframe.
+    fn baseline_tracks_screen(budget: usize, steps: &[ScriptStep]) -> (usize, usize) {
         let run = |backend: &str| {
             let cfg = SessionConfig {
                 backend: backend.to_string(),
-                ..cfg.clone()
+                ..SessionConfig::default()
             };
             let mut s = HostedSession::open("fig5", cfg, Arc::new(Collector::new())).unwrap();
             let mut frames = vec![s.initial_keyframe()];
             for (i, step) in steps.iter().enumerate() {
-                frames.push(s.apply_batch(std::slice::from_ref(step), 0).0);
+                frames.push(ship_within(&mut s, step, budget));
                 let shipped = s.shipped.as_deref().expect("a baseline after every frame");
                 let screen = s.framebuffer();
                 assert!(
@@ -1023,10 +969,8 @@ mod tests {
 
     #[test]
     fn patched_baseline_equals_the_screen_while_typing() {
-        let (updates, _) = baseline_tracks_screen(
-            SessionConfig::default(),
-            &focus_then_type("Hello, baseline"),
-        );
+        let (updates, _) =
+            baseline_tracks_screen(UPDATE_BUDGET_BYTES, &focus_then_type("Hello, baseline"));
         assert!(updates >= 10, "typing shipped {updates} updates");
     }
 
@@ -1036,23 +980,19 @@ mod tests {
         // view, so it scrolls.
         let text: String = (0..40).map(|i| format!("line {i}\n")).collect();
         let steps = focus_then_type(&text);
-        let (updates, keyframes) = baseline_tracks_screen(SessionConfig::default(), &steps);
+        let (updates, keyframes) = baseline_tracks_screen(UPDATE_BUDGET_BYTES, &steps);
         assert!(updates > 100, "typing shipped {updates} updates");
         // A scroll's update XORs most of the view and still fits the
-        // default budget; the cadence resets the baseline between runs
-        // of updates.
-        assert!(keyframes >= 1, "the cadence shipped no keyframe");
+        // budget, so the whole session is one chain of updates on the
+        // initial keyframe.
+        assert_eq!(keyframes, 0, "typing shipped keyframes");
         // Under a 16 KiB budget the big updates pass it mid-encode: the
         // encoder stops with the baseline partly brought along, and
         // the keyframe shipped instead must leave it equal to the
         // screen all the same.
-        let tight = SessionConfig {
-            dirty_budget_bytes: 16 * 1024,
-            ..SessionConfig::default()
-        };
-        let (_, tight_keyframes) = baseline_tracks_screen(tight, &steps);
+        let (_, tight_keyframes) = baseline_tracks_screen(16 * 1024, &steps);
         assert!(
-            tight_keyframes > keyframes,
+            tight_keyframes > 0,
             "the budget degraded nothing: {tight_keyframes} keyframes"
         );
     }
@@ -1060,21 +1000,21 @@ mod tests {
     #[test]
     fn patched_baseline_equals_the_screen_across_resize_and_keyframes() {
         // A scripted resize relayouts and redraws the whole tree (the
-        // backend framebuffer keeps its size). The cadence forces a
-        // keyframe every third pixel frame, so keyframes reset the
-        // baseline between runs of in-place updates.
+        // backend framebuffer keeps its size), which still ships as
+        // one update in the chain.
         let mut steps = focus_then_type("before");
         steps.push(ScriptStep::Event(WindowEvent::Resize(
             atk_graphics::Size::new(400, 300),
         )));
         steps.extend(focus_then_type("after").into_iter().skip(2));
-        let cfg = SessionConfig {
-            keyframe_every: 3,
-            ..SessionConfig::default()
-        };
-        let (updates, keyframes) = baseline_tracks_screen(cfg, &steps);
-        assert!(keyframes >= 3, "the cadence shipped {keyframes} keyframes");
-        assert!(updates >= 6, "typing shipped {updates} updates");
+        let (updates, keyframes) = baseline_tracks_screen(UPDATE_BUDGET_BYTES, &steps);
+        assert_eq!(keyframes, 0, "the resize shipped a keyframe");
+        assert!(updates >= 12, "typing shipped {updates} updates");
+        // Under a 4 KiB budget the redraw degrades to a keyframe, and
+        // typing goes on in place on top of it.
+        let (updates, keyframes) = baseline_tracks_screen(4 * 1024, &steps);
+        assert_eq!(keyframes, 1, "the redraw shipped as an update");
+        assert!(updates >= 12, "typing shipped {updates} updates");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   and that the encoded bytes never exceed the raw ones.
 //!   `served_matches_in_process_fig{1,3,5}` runs the same differential
 //!   on awmsim, whose frames are display-list replays lent to the
-//!   session a piece at a time;
+//!   session a piece at a time. fig5 also replays one long script, so
+//!   a chain of hundreds of updates on one keyframe must cross the
+//!   wire byte-identical;
 //! * menu position: a recorded `menu request x y` + `menu select`
 //!   script replays served and in-process to the same pixels.
 
@@ -18,6 +20,8 @@ use atk_serve::{serve_differential, Topology, Traffic};
 
 const SEEDS: [u64; 4] = [1, 2, 7, 42];
 const STEPS: usize = 40;
+/// The long fig5 input: (seed, steps).
+const LONG_FIG5: (u64, usize) = (3, 240);
 
 fn cold() -> Topology {
     Topology {
@@ -31,11 +35,21 @@ fn run_scene(scene: &str) {
 }
 
 fn run_scene_on(scene: &str, backend: Option<&str>) {
-    for seed in SEEDS {
-        let traffic = Traffic::fuzz(scene, backend, seed, 1, STEPS).unwrap();
+    let long = (scene == "fig5").then_some(LONG_FIG5);
+    for (seed, steps) in SEEDS.map(|seed| (seed, STEPS)).into_iter().chain(long) {
+        let traffic = Traffic::fuzz(scene, backend, seed, 1, steps).unwrap();
         let report = serve_differential(scene, &traffic, &cold())
             .unwrap_or_else(|e| panic!("{scene} seed {seed}: {e}"));
-        assert_eq!(report.steps, STEPS);
+        assert_eq!(report.steps, steps);
+        if long == Some((seed, steps)) {
+            // One keyframe, then an unbroken chain of pixel updates.
+            let changed = report.diff_frames - report.merged.counter("serve.frames_unchanged");
+            assert!(
+                report.key_frames == 1 && changed > 64,
+                "{scene} seed {seed}: {} keyframes, {changed} pixel updates",
+                report.key_frames
+            );
+        }
         assert!(
             report.diff_frames + report.key_frames > 0,
             "{scene} seed {seed}: no frames shipped"

@@ -253,16 +253,23 @@ fn typing_sessions(
 /// The copy budget: a fig5 session typing N keys makes one full-frame
 /// copy — its initial keyframe's, or, when it adopted the template's
 /// cached keyframe, its first update's — however many frames it ships,
-/// and forking does not change the count.
+/// and forking does not change the count. 80 keys ship more than 64
+/// pixel frames, so a periodic keyframe would show as a second copy.
 #[test]
 fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
     for fork in [true, false] {
-        let (_, sessions, _) = typing_sessions(fork, 3, 24, Duration::ZERO);
+        let (_, sessions, _) = typing_sessions(fork, 3, 80, Duration::ZERO);
         assert_eq!(sessions.len(), 3);
         for (k, snap) in sessions.iter().enumerate() {
             assert!(
-                snap.counter("serve.frames") > 20,
+                snap.counter("serve.frames") > 80,
                 "session {k}: one frame per step"
+            );
+            let pixel_frames =
+                snap.counter("serve.frames") - snap.counter("serve.frames_unchanged");
+            assert!(
+                pixel_frames > 64,
+                "session {k}: {pixel_frames} pixel frames"
             );
             assert_eq!(
                 snap.counter("serve.frame_copies"),

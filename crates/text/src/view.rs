@@ -598,10 +598,12 @@ impl TextView {
     }
 
     /// Differential oracle hook: checks that the incrementally
-    /// maintained line table is byte-identical to a from-scratch
-    /// relayout at the same width, describing the first divergence on
-    /// failure. The from-scratch table is left in place (identical to
-    /// what it replaced whenever the check passes).
+    /// maintained line table, and the bounds it gave each inset, are
+    /// identical to a from-scratch relayout at the same width,
+    /// describing the first divergence on failure. The check changes
+    /// nothing it checks: the line table and every inset's bounds are
+    /// put back before it returns, so a stale inset is reported here,
+    /// not repaired for the next comparison to miss.
     pub fn verify_layout_against_full(&mut self, world: &mut World) -> Result<(), String> {
         let width = world.view_bounds(self.base.id).width - 2 * MARGIN;
         if !self.layout_valid || self.layout_width != width {
@@ -609,26 +611,48 @@ impl TextView {
             // ensure_layout starts from scratch anyway.
             return Ok(());
         }
+        let inset_bounds = |tv: &TextView, world: &World| -> Vec<(ViewId, Rect)> {
+            tv.insets
+                .iter()
+                .map(|&(_, v)| (v, world.view_bounds(v)))
+                .collect()
+        };
+        let incremental_bounds = inset_bounds(self, world);
         let incremental = std::mem::take(&mut self.lines);
         self.layout_valid = false;
         self.ensure_layout(world);
-        if incremental == self.lines {
-            return Ok(());
+        let full = std::mem::replace(&mut self.lines, incremental);
+        let full_bounds = inset_bounds(self, world);
+        for &(v, b) in &incremental_bounds {
+            world.set_view_bounds(v, b);
         }
-        let i = incremental
+        let incremental = &self.lines;
+        if *incremental != full {
+            let i = incremental
+                .iter()
+                .zip(&full)
+                .position(|(a, b)| a != b)
+                .unwrap_or_else(|| incremental.len().min(full.len()));
+            return Err(format!(
+                "incremental layout diverged from full relayout: \
+                 {} vs {} lines, first difference at line {} ({:?} vs {:?})",
+                incremental.len(),
+                full.len(),
+                i,
+                incremental.get(i),
+                full.get(i),
+            ));
+        }
+        match incremental_bounds
             .iter()
-            .zip(&self.lines)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| incremental.len().min(self.lines.len()));
-        Err(format!(
-            "incremental layout diverged from full relayout: \
-             {} vs {} lines, first difference at line {} ({:?} vs {:?})",
-            incremental.len(),
-            self.lines.len(),
-            i,
-            incremental.get(i),
-            self.lines.get(i),
-        ))
+            .zip(&full_bounds)
+            .find(|(a, b)| a != b)
+        {
+            Some(((v, incremental), (_, full))) => Err(format!(
+                "inset {v:?} bounds diverged from full relayout: {incremental:?} vs {full:?}"
+            )),
+            None => Ok(()),
+        }
     }
 
     fn inset_view(&self, data: DataId) -> Option<ViewId> {

@@ -7,7 +7,7 @@
 //! `layout` oracle in atk-check fuzzes at session scale.
 
 use atk_core::{DataId, ViewId, World};
-use atk_graphics::Rect;
+use atk_graphics::{Point, Rect};
 use atk_text::{TextData, TextView};
 use proptest::prelude::*;
 
@@ -87,6 +87,33 @@ fn check_after(world: &mut World, data: DataId, view: ViewId, op: &Op) -> Result
     with_tv(world, view, |tv, w| tv.verify_layout_against_full(w))
 }
 
+/// What the layout check must leave as it found: the line table (its
+/// length, height and the position under a probe every 4 px down the
+/// content) and the bounds of every inset.
+fn layout_state(world: &mut World, view: ViewId) -> (Vec<usize>, i32, Vec<Rect>) {
+    let table = with_tv(world, view, |tv, w| {
+        let probes = (0..tv.content_height())
+            .step_by(4)
+            .map(|y| tv.pos_at_point(w, Point::new(30, y)));
+        let mut table = vec![tv.line_count()];
+        table.extend(probes);
+        (table, tv.content_height())
+    });
+    let insets = insets_of(world, view)
+        .into_iter()
+        .map(|v| world.view_bounds(v))
+        .collect();
+    (table.0, table.1, insets)
+}
+
+fn insets_of(world: &World, view: ViewId) -> Vec<ViewId> {
+    world
+        .view_ids()
+        .into_iter()
+        .filter(|&v| world.view_parent(v) == Some(view))
+        .collect()
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(usize, String),
@@ -134,6 +161,50 @@ proptest! {
         for op in &ops {
             prop_assert_eq!(check_after(&mut world, data, view, op), Ok(()));
         }
+    }
+
+    /// The check reports what it finds and repairs nothing. After
+    /// random edits the layout is left current (`stale` 0) or made
+    /// stale behind the view's back: text inserted with no
+    /// notification (1), or the inset moved off its place (2). Either
+    /// way a call leaves the line table and the inset's bounds as they
+    /// were, and it fails exactly when the layout is stale.
+    #[test]
+    fn the_layout_check_leaves_the_layout_as_it_was(
+        doc in arb_doc(),
+        inset_at in 0usize..60,
+        ops in proptest::collection::vec(arb_op(), 0..12),
+        stale in 0u8..3,
+    ) {
+        let (mut world, data, view) = build_world(&doc, &[inset_at]);
+        for op in &ops {
+            prop_assert_eq!(check_after(&mut world, data, view, op), Ok(()));
+        }
+        // Edits may have deleted the inset's anchor or left it on a
+        // newline or past the end, where no line lays it out; moving
+        // the inset is then no divergence.
+        let text = world.data::<TextData>(data).unwrap();
+        let anchored = text
+            .anchors()
+            .iter()
+            .any(|&(p, ..)| text.char_at(p).is_some_and(|c| c != '\n'));
+        match stale {
+            1 => {
+                let _ = world.data_mut::<TextData>(data).unwrap().insert(0, "\n\n\n");
+            }
+            2 => {
+                for v in insets_of(&world, view) {
+                    let b = world.view_bounds(v);
+                    world.set_view_bounds(v, Rect { y: b.y + 7, ..b });
+                }
+            }
+            _ => {}
+        }
+        let before = layout_state(&mut world, view);
+        let verdict = with_tv(&mut world, view, |tv, w| tv.verify_layout_against_full(w));
+        prop_assert_eq!(layout_state(&mut world, view), before);
+        let diverged = stale == 1 || (stale == 2 && anchored);
+        prop_assert_eq!(verdict.is_err(), diverged, "{:?}", verdict);
     }
 }
 
