@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn ez_opens_types_and_saves() {
-        let dir = std::env::temp_dir().join("atk_ez_test");
+        let dir = crate::scenes::unique_temp_dir("atk_ez_test");
         std::fs::create_dir_all(&dir).unwrap();
         let save = dir.join("out.d");
         let mut world = standard_world();
@@ -143,11 +143,12 @@ mod tests {
         let saved = std::fs::read_to_string(&save).unwrap();
         assert!(saved.contains("Hello, Andrew"));
         assert!(saved.starts_with("\\begindata{text,1}"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn ez_round_trips_its_own_documents() {
-        let dir = std::env::temp_dir().join("atk_ez_rt");
+        let dir = crate::scenes::unique_temp_dir("atk_ez_rt");
         std::fs::create_dir_all(&dir).unwrap();
         let first = dir.join("first.d");
         let second = dir.join("second.d");
@@ -188,6 +189,7 @@ mod tests {
             std::fs::read_to_string(&first).unwrap(),
             std::fs::read_to_string(&second).unwrap()
         );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

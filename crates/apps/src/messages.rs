@@ -526,16 +526,13 @@ impl Application for MessagesApp {
         let args = AppArgs::parse(args);
         crate::register_components(&mut world.catalog);
 
-        // Store root: positional arg or a temp demo store.
-        let root = match &args.doc {
-            Some(p) => PathBuf::from(p),
-            None => {
-                let dir =
-                    std::env::temp_dir().join(format!("atk_messages_demo_{}", std::process::id()));
-                dir
-            }
-        };
-        let store = MessageStore::open(&root).map_err(|e| e.to_string())?;
+        // Store root: positional arg, or a demo store in a scratch
+        // directory that goes with the last view holding the store.
+        let store = match &args.doc {
+            Some(p) => MessageStore::open(Path::new(p)),
+            None => MessageStore::scratch("atk_messages_demo"),
+        }
+        .map_err(|e| e.to_string())?;
         if store.folders().is_empty() {
             store.seed_demo(world).map_err(|e| e.to_string())?;
         }
@@ -582,16 +579,14 @@ mod tests {
     use super::*;
     use crate::standard_world;
 
-    fn temp_store(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("atk_store_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    /// A scratch store, removed when the test drops it.
+    fn temp_store(tag: &str) -> MessageStore {
+        MessageStore::scratch(&format!("atk_store_{tag}")).unwrap()
     }
 
     #[test]
     fn store_deliver_and_read() {
-        let root = temp_store("basic");
-        let store = MessageStore::open(&root).unwrap();
+        let store = temp_store("basic");
         let id = store
             .deliver(
                 "inbox",
@@ -615,9 +610,8 @@ mod tests {
 
     #[test]
     fn seeded_demo_has_multimedia_bodies() {
-        let root = temp_store("seed");
+        let store = temp_store("seed");
         let mut world = standard_world();
-        let store = MessageStore::open(&root).unwrap();
         store.seed_demo(&mut world).unwrap();
         assert_eq!(store.folders().len(), 2);
         let caps = store.captions("andrew.messages");
@@ -633,11 +627,10 @@ mod tests {
 
     #[test]
     fn app_opens_folder_and_message_via_script() {
-        let root = temp_store("app");
+        let store = temp_store("app");
         let mut world = standard_world();
         let mut ws = atk_wm::x11sim::X11Sim::new();
         // Pre-seed so the app's own seed path is exercised elsewhere.
-        let store = MessageStore::open(&root).unwrap();
         store.seed_demo(&mut world).unwrap();
         // Click the first folder (folders pane, row 0), then the second
         // caption (captions pane).
@@ -647,7 +640,7 @@ mod tests {
                 &mut world,
                 &mut ws,
                 &[
-                    root.to_str().unwrap().to_string(),
+                    store.root.to_str().unwrap().to_string(),
                     "--script-text".to_string(),
                     script.to_string(),
                 ],

@@ -131,8 +131,8 @@ impl InteractionManager {
     /// are drained undelivered (the template already dispatched its
     /// own), and the template's frame, borrowed through
     /// [`Window::with_frame`], is adopted wholesale
-    /// ([`Window::adopt_frame`] — one buffer hand-off on pixel-store
-    /// backends, one blit op elsewhere) so the fork starts from the
+    /// ([`Window::adopt_frame`] — a clone sharing the frame's bands on
+    /// pixel-store backends, one blit op elsewhere) so the fork starts from the
     /// exact same frame a cold build would have produced.
     /// Focus, offered menus, stats, and the running flag carry over;
     /// the root id stays valid because the forked world preserves ids.

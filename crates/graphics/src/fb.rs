@@ -15,12 +15,54 @@
 //! pixels written, not pixels × clip rects. The per-pixel test remains
 //! only for point plotters: 1-pixel Bresenham lines and the oval
 //! outlines built from them.
+//!
+//! Pixels are stored in bands of [`BAND_ROWS`] rows, each an `Arc`, so
+//! a clone shares every band and costs no pixel copy (paper §7's
+//! `runapp` shares one base image among its applications the same
+//! way). A write copies a band only if another frame still shares it,
+//! once per band per drawing call; [`band_copies`] counts those copies.
+//! A frame built by [`Framebuffer::from_pixels`] — a decoded keyframe —
+//! is held as one band, so [`Framebuffer::pixels`] on it is free.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use crate::color::Color;
 use crate::geom::{Point, Rect};
 use crate::region::Region;
+
+/// Rows per band of a frame built by [`Framebuffer::new`]: the unit a
+/// clone shares and a write copies.
+pub const BAND_ROWS: i32 = 1 << BAND_SHIFT;
+
+/// `log2(BAND_ROWS)`: a row's band is its index shifted right by this.
+const BAND_SHIFT: u32 = 4;
+
+/// The band shift of a frame held as one band: every row index a frame
+/// can have (below `2^31`) lands in band 0.
+const ONE_BAND_SHIFT: u32 = 31;
+
+thread_local! {
+    static BAND_COPIES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many bands writes on this thread have copied because another
+/// frame shared them: the copy-on-write price of cheap clones.
+pub fn band_copies() -> u64 {
+    BAND_COPIES.with(Cell::get)
+}
+
+/// Band `band`'s pixels, writable: copied first (and counted in
+/// [`band_copies`]) if another frame shares it.
+fn band_mut(band: &mut Arc<Vec<u32>>) -> &mut Vec<u32> {
+    let before = Arc::as_ptr(band);
+    let px = Arc::make_mut(band);
+    if !std::ptr::eq(before, px) {
+        BAND_COPIES.with(|n| n.set(n.get() + 1));
+    }
+    px
+}
 
 /// How a blit combines source and destination pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,34 +88,77 @@ fn combine(dst: u32, src: u32, op: RasterOp) -> u32 {
     }
 }
 
-/// A rectangular array of packed RGB pixels.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A rectangular array of packed RGB pixels, stored as bands of rows
+/// shared copy-on-write (see the module docs).
+#[derive(Debug)]
 pub struct Framebuffer {
     width: i32,
     height: i32,
-    pixels: Vec<u32>,
+    /// `log2` of the rows a band holds: [`BAND_SHIFT`], or
+    /// [`ONE_BAND_SHIFT`] for a frame held as one band.
+    shift: u32,
+    /// The rows top down, `1 << shift` to a band (the last band may
+    /// hold fewer), each band `rows * width` pixels.
+    bands: Vec<Arc<Vec<u32>>>,
     clip: Option<Arc<Region>>,
+    /// [`Framebuffer::pixels`] of a frame of several bands, joined on
+    /// first call and dropped by the next write.
+    joined: OnceLock<Vec<u32>>,
 }
 
+impl Clone for Framebuffer {
+    /// Shares every band: no pixel is copied until one side writes.
+    fn clone(&self) -> Framebuffer {
+        Framebuffer {
+            width: self.width,
+            height: self.height,
+            shift: self.shift,
+            bands: self.bands.clone(),
+            clip: self.clip.clone(),
+            joined: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for Framebuffer {
+    fn eq(&self, other: &Framebuffer) -> bool {
+        self.clip == other.clip && self.same_pixels(other)
+    }
+}
+
+impl Eq for Framebuffer {}
+
 impl Framebuffer {
-    /// Creates a framebuffer filled with `fill`.
+    /// Creates a framebuffer filled with `fill`. Its bands all share
+    /// one filled band, so a fresh frame costs one band of memory until
+    /// it is drawn on.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is negative.
     pub fn new(width: i32, height: i32, fill: Color) -> Framebuffer {
         assert!(width >= 0 && height >= 0, "negative framebuffer dimension");
+        let (w, h, per) = (width as usize, height as usize, BAND_ROWS as usize);
+        let mut bands = Vec::with_capacity(h.div_ceil(per));
+        if h >= per {
+            bands.resize(h / per, Arc::new(vec![fill.0; per * w]));
+        }
+        if h % per != 0 {
+            bands.push(Arc::new(vec![fill.0; (h % per) * w]));
+        }
         Framebuffer {
             width,
             height,
-            pixels: vec![fill.0; (width as usize) * (height as usize)],
+            shift: BAND_SHIFT,
+            bands,
             clip: None,
+            joined: OnceLock::new(),
         }
     }
 
     /// Adopts `pixels` (row-major, `width * height` of them) as a
-    /// framebuffer without copying them — how a decoded keyframe
-    /// becomes a client's framebuffer.
+    /// framebuffer held as one band, without copying them — how a
+    /// decoded keyframe becomes a client's framebuffer.
     ///
     /// # Panics
     ///
@@ -89,8 +174,10 @@ impl Framebuffer {
         Framebuffer {
             width,
             height,
-            pixels,
+            shift: ONE_BAND_SHIFT,
+            bands: vec![Arc::new(pixels)],
             clip: None,
+            joined: OnceLock::new(),
         }
     }
 
@@ -130,23 +217,53 @@ impl Framebuffer {
         if x < 0 || y < 0 || x >= self.width || y >= self.height {
             return Color::WHITE;
         }
-        Color(self.pixels[(y as usize) * (self.width as usize) + x as usize])
+        Color(self.row(y)[x as usize])
     }
 
-    /// Row `y` of pixels; `y` must be inside the bounds.
+    /// Row `y` of pixels — how encoders and compares read a frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is outside the bounds.
     #[inline]
-    fn row(&self, y: i32) -> &[u32] {
-        let w = self.width as usize;
-        let off = y as usize * w;
-        &self.pixels[off..off + w]
+    pub fn row(&self, y: i32) -> &[u32] {
+        let (w, y) = (self.width as usize, y as usize);
+        let at = (y & ((1 << self.shift) - 1)) * w;
+        &self.bands[y >> self.shift][at..at + w]
     }
 
-    /// Mutable row `y` of pixels; `y` must be inside the bounds.
-    #[inline]
-    fn row_mut(&mut self, y: i32) -> &mut [u32] {
-        let w = self.width as usize;
-        let off = y as usize * w;
-        &mut self.pixels[off..off + w]
+    /// Rows `rows` (cut to the bounds) top down, writable, ignoring the
+    /// clip; none when the width is 0. A band is taken for writing —
+    /// copied if another frame shares it — only when the iteration
+    /// reaches it, so stopping early copies no further band.
+    pub fn rows_mut(&mut self, rows: Range<i32>) -> impl Iterator<Item = &mut [u32]> + '_ {
+        let (top, bottom) = (rows.start.max(0), rows.end.min(self.height));
+        let (top, bottom) = (top as usize, bottom.max(top) as usize);
+        let (w, shift) = (self.width as usize, self.shift);
+        let bands = if top < bottom {
+            top >> shift..((bottom - 1) >> shift) + 1
+        } else {
+            0..0
+        };
+        let first = bands.start;
+        self.bands_mut()[bands]
+            .iter_mut()
+            .enumerate()
+            .flat_map(move |(i, band)| {
+                let start = (first + i) << shift;
+                let (lo, hi) = (
+                    top.max(start) - start,
+                    bottom.min(start + (1 << shift)) - start,
+                );
+                band_mut(band)[lo * w..hi * w].chunks_exact_mut(w.max(1))
+            })
+    }
+
+    /// The bands, for writing: drops the joined copy
+    /// [`Framebuffer::pixels`] may hold.
+    fn bands_mut(&mut self) -> &mut [Arc<Vec<u32>>] {
+        self.joined.take();
+        &mut self.bands
     }
 
     /// The smallest rect holding every pixel drawing may write: the
@@ -171,30 +288,43 @@ impl Framebuffer {
             .is_none_or(|region| region.contains(Point::new(x, y)))
     }
 
+    /// Pixel `(x, y)`, writable; it must be inside the bounds.
+    fn pixel_mut(&mut self, x: i32, y: i32) -> &mut u32 {
+        let (w, y, shift) = (self.width as usize, y as usize, self.shift);
+        let at = (y & ((1 << shift) - 1)) * w + x as usize;
+        &mut band_mut(&mut self.bands_mut()[y >> shift])[at]
+    }
+
     /// Writes a pixel, honoring bounds and clip.
     #[inline]
     pub fn set(&mut self, x: i32, y: i32, color: Color) {
         if self.writable(x, y) {
-            self.row_mut(y)[x as usize] = color.0;
+            *self.pixel_mut(x, y) = color.0;
         }
     }
 
     /// Writes a pixel combining with the existing value via `op`.
     pub fn set_op(&mut self, x: i32, y: i32, color: Color, op: RasterOp) {
         if self.writable(x, y) {
-            let px = &mut self.row_mut(y)[x as usize];
+            let px = self.pixel_mut(x, y);
             *px = combine(*px, color.0, op);
         }
     }
 
-    /// Fills the whole buffer (ignoring clip).
+    /// Fills the whole buffer (ignoring clip). A band another frame
+    /// shares is replaced rather than copied.
     pub fn clear(&mut self, color: Color) {
-        self.pixels.fill(color.0);
+        for band in self.bands_mut() {
+            match Arc::get_mut(band) {
+                Some(px) => px.fill(color.0),
+                None => *band = Arc::new(vec![color.0; band.len()]),
+            }
+        }
     }
 
-    /// The span clipper: calls `f(rows, at, y, x0, x1)` once for each
-    /// row span `[x0, x1)` of `r` that lies inside bounds and clip,
-    /// where `rows[at + x]` is pixel `(x, y)` of the whole pixel store.
+    /// The span clipper: calls `f(rows, y, x0, x1)` once for each row
+    /// span `[x0, x1)` of `r` that lies inside bounds and clip, where
+    /// `rows.row(y)` is row `y`, writable.
     ///
     /// The clip's bands meeting `r` are found by binary search and
     /// walked row by row, each row's rects left to right; `backward`
@@ -205,16 +335,24 @@ impl Framebuffer {
         &mut self,
         r: Rect,
         backward: bool,
-        mut f: impl FnMut(&mut [u32], usize, i32, i32, i32),
+        mut f: impl FnMut(&mut SpanRows<'_>, i32, i32, i32),
     ) {
         let r = r.intersect(self.bounds());
         if r.is_empty() {
             return;
         }
-        let w = self.width as usize;
+        self.joined.take();
         let whole = [r];
-        let (clip, rows) = (self.clip.as_deref(), &mut self.pixels[..]);
+        let clip = self.clip.as_deref();
         let rects = clip.map_or(&whole[..], |c| c.rects_in_rows(r.y, r.bottom()));
+        let mut rows = SpanRows {
+            rest: &mut self.bands,
+            first: 0,
+            cur: None,
+            backward,
+            shift: self.shift,
+            width: self.width as usize,
+        };
         let mut band_spans = |band: &[Rect]| {
             // The band's rects that meet r's columns (x-sorted, so a
             // contiguous run), and the band's rows inside r.
@@ -225,8 +363,7 @@ impl Framebuffer {
             };
             let (top, bot) = (first.y.max(r.y), first.bottom().min(r.bottom()));
             let mut row = |y: i32, c: &Rect| {
-                let at = y as usize * w;
-                f(rows, at, y, c.x.max(r.x), c.right().min(r.right()));
+                f(&mut rows, y, c.x.max(r.x), c.right().min(r.right()));
             };
             if backward {
                 for y in (top..bot).rev() {
@@ -254,13 +391,33 @@ impl Framebuffer {
     /// Fills a rectangle with a raster op: one slice op per clipped
     /// row span.
     pub fn fill_rect_op(&mut self, r: Rect, color: Color, op: RasterOp) {
-        self.for_each_span(r, false, |rows, at, _, x0, x1| {
-            let span = &mut rows[at + x0 as usize..at + x1 as usize];
+        self.for_each_span(r, false, |rows, y, x0, x1| {
+            let span = &mut rows.row(y)[x0 as usize..x1 as usize];
             match op {
                 RasterOp::Copy => span.fill(color.0),
                 _ => span
                     .iter_mut()
                     .for_each(|px| *px = combine(*px, color.0, op)),
+            }
+        });
+    }
+
+    /// Fills the runs of a shape inside `r`: `runs(y)` yields row `y`'s
+    /// runs as half-open `(x0, x1)` column ranges, which are clipped
+    /// like any fill. The whole shape is one span walk, so a glyph costs
+    /// one call rather than one per run.
+    pub fn fill_runs<I: IntoIterator<Item = (i32, i32)>>(
+        &mut self,
+        r: Rect,
+        color: Color,
+        runs: impl Fn(i32) -> I,
+    ) {
+        self.for_each_span(r, false, |rows, y, x0, x1| {
+            for (a, b) in runs(y) {
+                let (a, b) = (a.max(x0), b.min(x1));
+                if a < b {
+                    rows.row(y)[a as usize..b as usize].fill(color.0);
+                }
             }
         });
     }
@@ -425,9 +582,9 @@ impl Framebuffer {
         self.for_each_span(
             Rect::at(dst_origin, src_rect.size()),
             false,
-            |rows, at, y, x0, x1| {
+            |rows, y, x0, x1| {
                 let from = &src.row(y + dy)[(x0 + dx) as usize..(x1 + dx) as usize];
-                let span = &mut rows[at + x0 as usize..at + x1 as usize];
+                let span = &mut rows.row(y)[x0 as usize..x1 as usize];
                 match op {
                     RasterOp::Copy => span.copy_from_slice(from),
                     _ => span
@@ -483,8 +640,9 @@ impl Framebuffer {
         if w == 0 {
             return;
         }
-        for (src, y) in pixels.chunks_exact(w).zip(r.y..) {
-            land(&mut self.row_mut(y)[r.x as usize..r.x as usize + w], src);
+        let x = r.x as usize;
+        for (src, row) in pixels.chunks_exact(w).zip(self.rows_mut(r.y..r.bottom())) {
+            land(&mut row[x..x + w], src);
         }
     }
 
@@ -498,16 +656,12 @@ impl Framebuffer {
         // side the copy moves toward reads every pixel before the walk
         // overwrites it.
         let backward = dy < 0 || (dy == 0 && dx < 0);
-        let shift = dy as isize * self.width as isize + dx as isize;
         self.for_each_span(
             Rect::at(dst_origin, src_rect.size()),
             backward,
-            |rows, at, _, x0, x1| {
-                let (a, b) = (at + x0 as usize, at + x1 as usize);
-                rows.copy_within(
-                    a.wrapping_add_signed(shift)..b.wrapping_add_signed(shift),
-                    a,
-                );
+            |rows, y, x0, x1| {
+                let len = (x1 - x0) as usize;
+                rows.copy(((x0 + dx) as usize, y + dy), (x0 as usize, y), len);
             },
         );
     }
@@ -543,14 +697,52 @@ impl Framebuffer {
         s
     }
 
-    /// Gives back the pixel store, for a decoder to reuse.
-    pub fn into_pixels(self) -> Vec<u32> {
-        self.pixels
+    /// Gives back the pixels as one row-major store, for a decoder to
+    /// reuse: a frame held as one band hands over that band's store
+    /// (copied only if another frame shares it); any other is joined.
+    pub fn into_pixels(mut self) -> Vec<u32> {
+        if self.bands.len() == 1 {
+            let band = self.bands.pop().expect("one band");
+            return Arc::try_unwrap(band).unwrap_or_else(|shared| (*shared).clone());
+        }
+        self.joined.take().unwrap_or_else(|| self.join())
     }
 
-    /// Raw pixel access for encoders.
+    /// All pixels, row-major, as one slice. Free on a frame held as one
+    /// band (a decoded keyframe, or one of at most [`BAND_ROWS`] rows);
+    /// a frame of several bands joins them into a copy it keeps until
+    /// the next write, so hot paths read [`Framebuffer::row`] instead.
     pub fn pixels(&self) -> &[u32] {
-        &self.pixels
+        match &self.bands[..] {
+            [] => &[],
+            [one] => one,
+            _ => self.joined.get_or_init(|| self.join()),
+        }
+    }
+
+    /// The bands' pixels in one store.
+    fn join(&self) -> Vec<u32> {
+        let mut px = Vec::with_capacity(self.width as usize * self.height as usize);
+        self.bands
+            .iter()
+            .for_each(|band| px.extend_from_slice(band));
+        px
+    }
+
+    /// Whether `other` has this frame's size and pixels, whatever either
+    /// clip: bands the two share are not read.
+    pub fn same_pixels(&self, other: &Framebuffer) -> bool {
+        if (self.width, self.height) != (other.width, other.height) {
+            return false;
+        }
+        if self.shift == other.shift {
+            return self
+                .bands
+                .iter()
+                .zip(&other.bands)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b);
+        }
+        (0..self.height).all(|y| self.row(y) == other.row(y))
     }
 
     /// The bounding box of the pixels where `self` and `other` differ
@@ -596,6 +788,75 @@ impl Framebuffer {
             Some((top, bottom)) => Rect::new((x0 + lo) as i32, top, (hi - lo) as i32, bottom - top),
             None => Rect::EMPTY,
         })
+    }
+}
+
+/// The rows one drawing call writes, handed out in the order the call
+/// walks them (top down, or bottom up when backward): each band is
+/// taken for writing ([`band_mut`]) once, when the walk enters it, and
+/// a row's band is found by shift and mask.
+struct SpanRows<'a> {
+    /// The bands the walk has not entered: those below the current one,
+    /// or above it when walking backward.
+    rest: &'a mut [Arc<Vec<u32>>],
+    /// The index of `rest[0]`.
+    first: usize,
+    /// The band being written: its index and pixels.
+    cur: Option<(usize, &'a mut Vec<u32>)>,
+    backward: bool,
+    shift: u32,
+    width: usize,
+}
+
+impl SpanRows<'_> {
+    /// Enters the band holding row `y` unless the walk is in it, and
+    /// gives the offset of row `y` in that band.
+    #[inline]
+    fn enter(&mut self, y: i32) -> usize {
+        let (y, shift) = (y as usize, self.shift);
+        let b = y >> shift;
+        if !matches!(self.cur, Some((at, _)) if at == b) {
+            let rest = std::mem::take(&mut self.rest);
+            let (before, from) = rest.split_at_mut(b - self.first);
+            let (band, after) = from
+                .split_first_mut()
+                .expect("a span walk moves one way through the bands");
+            if self.backward {
+                self.rest = before;
+            } else {
+                (self.rest, self.first) = (after, b + 1);
+            }
+            self.cur = Some((b, band_mut(band)));
+        }
+        (y & ((1 << shift) - 1)) * self.width
+    }
+
+    /// Row `y`, writable.
+    #[inline]
+    fn row(&mut self, y: i32) -> &mut [u32] {
+        let (at, w) = (self.enter(y), self.width);
+        let Some((_, px)) = &mut self.cur else {
+            unreachable!("enter sets the current band")
+        };
+        &mut px[at..at + w]
+    }
+
+    /// Copies `len` pixels from `(sx, sy)` to `(x, y)`. A source row in
+    /// another band lies in one the walk has not entered — the walk
+    /// starts from the side the copy moves toward — so it still holds
+    /// the pixels from before the copy.
+    fn copy(&mut self, (sx, sy): (usize, i32), (x, y): (usize, i32), len: usize) {
+        let at = self.enter(y) + x;
+        let from = (sy as usize & ((1 << self.shift) - 1)) * self.width + sx;
+        let Some((b, px)) = &mut self.cur else {
+            unreachable!("enter sets the current band")
+        };
+        let source = sy as usize >> self.shift;
+        if source == *b {
+            px.copy_within(from..from + len, at);
+        } else {
+            px[at..at + len].copy_from_slice(&self.rest[source - self.first][from..from + len]);
+        }
     }
 }
 
@@ -843,6 +1104,69 @@ mod tests {
     fn put_rect_rejects_a_rect_past_the_edge() {
         let mut fb = Framebuffer::new(4, 4, Color::WHITE);
         fb.put_rect(Rect::new(2, 0, 3, 1), &[0; 3]);
+    }
+
+    #[test]
+    fn a_write_copies_only_the_shared_bands_it_touches() {
+        assert_eq!(BAND_ROWS, 16, "the band size DESIGN.md prices");
+        // Four bands, the last 5 rows short; the three full ones share
+        // one fill band, so filling copies two and finds the third
+        // alone.
+        let (w, h) = (8, 3 * BAND_ROWS + 5);
+        let mut a = Framebuffer::new(w, h, Color::WHITE);
+        let before = band_copies();
+        a.fill_rect(a.bounds(), Color::BLACK);
+        assert_eq!(band_copies() - before, 2);
+        // A clone shares all four; a write across the edge of bands 0
+        // and 1 copies those two, once each, and never again.
+        let mut b = a.clone();
+        let before = band_copies();
+        b.fill_rect(Rect::new(0, BAND_ROWS - 1, w, 2), Color::WHITE);
+        assert_eq!(band_copies() - before, 2);
+        b.fill_rect(Rect::new(0, 0, w, 2 * BAND_ROWS), Color::RED);
+        b.set(3, 2, Color::BLUE);
+        assert_eq!(band_copies() - before, 2);
+        assert_eq!(a.count_pixels(a.bounds(), Color::BLACK), (w * h) as usize);
+        assert_eq!(
+            b.count_pixels(b.bounds(), Color::BLACK),
+            (w * (h - 2 * BAND_ROWS)) as usize
+        );
+    }
+
+    #[test]
+    fn pixels_of_a_banded_frame_follow_its_writes() {
+        let mut fb = Framebuffer::new(3, 40, Color::WHITE);
+        assert_eq!(fb.pixels(), &[Color::WHITE.0; 120][..]);
+        fb.set(1, 39, Color::BLACK);
+        fb.copy_within(Rect::new(0, 39, 3, 1), Point::new(0, 0));
+        let px = fb.pixels();
+        assert_eq!((px[1], px[39 * 3 + 1], px[2]), (0, 0, Color::WHITE.0));
+        let flat = Framebuffer::from_pixels(3, 40, fb.clone().into_pixels());
+        assert!(flat.same_pixels(&fb) && fb.same_pixels(&flat));
+        assert_eq!(flat, fb);
+        fb.set(0, 20, Color::BLACK);
+        assert!(!flat.same_pixels(&fb));
+        assert_eq!(Framebuffer::new(5, 0, Color::WHITE).pixels(), &[] as &[u32]);
+    }
+
+    #[test]
+    fn rows_mut_stops_copying_where_the_caller_stops() {
+        let a = Framebuffer::new(4, 4 * BAND_ROWS, Color::WHITE);
+        let mut b = a.clone();
+        let before = band_copies();
+        for (y, row) in (BAND_ROWS - 2..).zip(b.rows_mut(BAND_ROWS - 2..100)) {
+            row.fill(y as u32);
+            if y == BAND_ROWS {
+                break;
+            }
+        }
+        assert_eq!(band_copies() - before, 2, "bands 0 and 1, not 2 and 3");
+        assert_eq!(
+            (b.get(0, BAND_ROWS - 2), b.get(3, BAND_ROWS)),
+            (Color(14), Color(16))
+        );
+        assert_eq!(b.get(0, BAND_ROWS + 1), Color::WHITE);
+        assert_eq!(b.rows_mut(-5..0).count() + b.rows_mut(70..90).count(), 0);
     }
 
     #[test]

@@ -364,9 +364,10 @@ impl BitmapFont {
         }
     }
 
-    /// Draws each glyph row as its maximal runs of lit columns, one
-    /// fill per run. Bold widens every run by one scaled pixel: exactly
-    /// the union of the plain strike and the strike one pixel right.
+    /// Draws each glyph row as its maximal runs of lit columns, all in
+    /// one [`Framebuffer::fill_runs`] over the glyph's cell. Bold widens
+    /// every run by one scaled pixel: exactly the union of the plain
+    /// strike and the strike one pixel right.
     fn draw_glyph(
         fb: &mut Framebuffer,
         origin: Point,
@@ -376,24 +377,27 @@ impl BitmapFont {
     ) {
         let s = desc.scale();
         let bold = if desc.style.bold { s } else { 0 };
-        for (row, &bits) in (0..).zip(&glyph.rows) {
+        let cell = Rect::new(origin.x, origin.y, (GLYPH_COLS + 2) * s, GLYPH_ROWS * s);
+        fb.fill_runs(cell, color, |y| {
+            let row = (y - origin.y) / s;
+            let bits = glyph.rows[row as usize];
             // Italic: shear the top rows one scaled pixel rightward.
-            let shear = if desc.style.italic && row < 3 { s } else { 0 };
-            let py = origin.y + row * s;
+            let x = origin.x + if desc.style.italic && row < 3 { s } else { 0 };
             let mut col = 0;
-            while col < GLYPH_COLS {
-                if bits & (0x10 >> col) == 0 {
+            std::iter::from_fn(move || {
+                while col < GLYPH_COLS && bits & (0x10 >> col) == 0 {
                     col += 1;
-                    continue;
+                }
+                if col == GLYPH_COLS {
+                    return None;
                 }
                 let start = col;
                 while col < GLYPH_COLS && bits & (0x10 >> col) != 0 {
                     col += 1;
                 }
-                let px = origin.x + start * s + shear;
-                fb.fill_rect(Rect::new(px, py, (col - start) * s + bold, s), color);
-            }
-        }
+                Some((x + start * s, x + col * s + bold))
+            })
+        });
     }
 }
 

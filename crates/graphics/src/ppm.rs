@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn files_round_trip_to_disk() {
-        let dir = std::env::temp_dir().join("atk_ppm_test");
+        let dir = std::env::temp_dir().join(format!("atk_ppm_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let fb = Framebuffer::new(4, 4, Color::GRAY);
         let p1 = dir.join("t.ppm");
@@ -79,5 +79,6 @@ mod tests {
         write_pgm(&fb, &p2).unwrap();
         assert!(std::fs::metadata(&p1).unwrap().len() > 0);
         assert!(std::fs::metadata(&p2).unwrap().len() > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

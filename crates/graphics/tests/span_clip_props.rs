@@ -3,16 +3,50 @@
 //! style — must leave exactly the pixels a per-pixel reference leaves.
 //! The reference, kept here, tests each pixel against every clip rect
 //! in turn, as the rasterizer did before it walked the clip's bands. It
-//! runs against a whole framebuffer and against one painted band by
-//! band.
+//! runs against a whole framebuffer — held as one band, as bands of
+//! [`BAND_ROWS`] rows (a height that is a multiple of it and one that is
+//! not), and as a clone sharing its bands with a frame that must not
+//! change — and against one painted clip band by clip band.
 
 use atk_graphics::{
-    BitmapFont, Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Region,
+    BitmapFont, Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Region, BAND_ROWS,
 };
 use proptest::prelude::*;
 
 const W: i32 = 64;
-const H: i32 = 48;
+/// Three bands.
+const H: i32 = 3 * BAND_ROWS;
+/// Not a multiple of `BAND_ROWS`: the last band is short.
+const SHORT: i32 = H - 3;
+
+/// How the rasterized frame holds its pixels.
+#[derive(Debug, Clone, Copy)]
+enum Storage {
+    /// One band, as [`Framebuffer::from_pixels`] holds a decoded frame.
+    OneBand,
+    /// Bands of `BAND_ROWS` rows, as [`Framebuffer::new`] builds them,
+    /// this many rows high.
+    Banded(i32),
+    /// A clone of a banded frame, sharing all its bands: every write
+    /// must copy the band it touches and leave the original as it was.
+    Shared,
+}
+
+const STORAGES: [Storage; 4] = [
+    Storage::OneBand,
+    Storage::Banded(H),
+    Storage::Banded(SHORT),
+    Storage::Shared,
+];
+
+impl Storage {
+    fn height(self) -> i32 {
+        match self {
+            Storage::Banded(h) => h,
+            Storage::OneBand | Storage::Shared => H,
+        }
+    }
+}
 
 /// One drawing call, with the clip it runs under (`None`: bounds only).
 #[derive(Debug, Clone)]
@@ -30,10 +64,10 @@ enum Op {
     Text(Point, String, FontDesc, u32),
 }
 
-/// The start image: every pixel differs from its neighbours, so a
-/// misplaced copy or a missed XOR shows.
-fn canvas() -> Vec<u32> {
-    (0..W * H)
+/// The start image, `h` rows high: every pixel differs from its
+/// neighbours, so a misplaced copy or a missed XOR shows.
+fn canvas(h: i32) -> Vec<u32> {
+    (0..W * h)
         .map(|i| (i as u32).wrapping_mul(0x9E37_79B9) ^ 0x00A5_5A5A)
         .collect()
 }
@@ -53,6 +87,7 @@ fn source() -> Framebuffer {
 /// The per-pixel reference rasterizer.
 struct Reference {
     px: Vec<u32>,
+    h: i32,
     clip: Option<Region>,
 }
 
@@ -60,7 +95,7 @@ impl Reference {
     fn writable(&self, x: i32, y: i32) -> bool {
         let p = Point::new(x, y);
         (0..W).contains(&x)
-            && (0..H).contains(&y)
+            && (0..self.h).contains(&y)
             && self
                 .clip
                 .as_ref()
@@ -116,7 +151,7 @@ impl Reference {
     }
 
     fn copy_within(&mut self, src_rect: Rect, dst: Point) {
-        let sr = src_rect.intersect(Rect::new(0, 0, W, H));
+        let sr = src_rect.intersect(Rect::new(0, 0, W, self.h));
         let snapshot = self.px.clone();
         for dy in 0..sr.height {
             for dx in 0..sr.width {
@@ -199,9 +234,10 @@ impl Reference {
     }
 }
 
-fn reference(cmds: &[Cmd], src: &Framebuffer) -> Vec<u32> {
+fn reference(cmds: &[Cmd], src: &Framebuffer, h: i32) -> Vec<u32> {
     let mut r = Reference {
-        px: canvas(),
+        px: canvas(h),
+        h,
         clip: None,
     };
     for cmd in cmds {
@@ -210,9 +246,34 @@ fn reference(cmds: &[Cmd], src: &Framebuffer) -> Vec<u32> {
     r.px
 }
 
-/// Runs `cmds` through the span-clipping rasterizer.
+/// The start image held as `storage` holds it.
+fn start(storage: Storage) -> Framebuffer {
+    match storage {
+        Storage::OneBand => Framebuffer::from_pixels(W, H, canvas(H)),
+        Storage::Banded(h) => {
+            let mut fb = Framebuffer::new(W, h, Color::WHITE);
+            fb.put_rect(fb.bounds(), &canvas(h));
+            fb
+        }
+        Storage::Shared => start(Storage::Banded(H)).clone(),
+    }
+}
+
+/// Runs `cmds` through the span-clipping rasterizer on a frame held as
+/// one band.
 fn whole(cmds: &[Cmd], src: &Framebuffer) -> Framebuffer {
-    let mut fb = Framebuffer::from_pixels(W, H, canvas());
+    stored(cmds, src, Storage::OneBand)
+}
+
+/// Runs `cmds` through the span-clipping rasterizer on a frame held as
+/// `storage`. For [`Storage::Shared`] the frame it was cloned from is
+/// checked unchanged after every command.
+fn stored(cmds: &[Cmd], src: &Framebuffer, storage: Storage) -> Framebuffer {
+    let original = match storage {
+        Storage::Shared => Some(start(Storage::Banded(H))),
+        _ => None,
+    };
+    let mut fb = original.clone().unwrap_or_else(|| start(storage));
     for cmd in cmds {
         fb.set_clip(cmd.clip.clone());
         match &cmd.op {
@@ -224,6 +285,13 @@ fn whole(cmds: &[Cmd], src: &Framebuffer) -> Framebuffer {
                 BitmapFont::draw(&mut fb, *p, s, d, Color(*c));
             }
         }
+        if let Some(original) = &original {
+            assert_eq!(
+                original.pixels(),
+                &canvas(H)[..],
+                "a shared band was written"
+            );
+        }
     }
     fb
 }
@@ -232,7 +300,7 @@ fn whole(cmds: &[Cmd], src: &Framebuffer) -> Framebuffer {
 /// clipped to its own clip narrowed to the band, so every glyph, line
 /// and fill that crosses a band edge is drawn in pieces.
 fn banded(cmds: &[Cmd], src: &Framebuffer, n: i32) -> Framebuffer {
-    let mut px = canvas();
+    let mut px = canvas(H);
     for i in 0..n {
         let band = Rect::new(0, H * i / n, W, H * (i + 1) / n - H * i / n);
         let narrowed: Vec<Cmd> = cmds
@@ -345,13 +413,17 @@ fn cmds(op: impl Strategy<Value = Op>) -> impl Strategy<Value = Vec<Cmd>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every op, `copy_within` included, under every clip shape.
+    /// Every op, `copy_within` included, under every clip shape, on
+    /// every storage.
     #[test]
     fn whole_framebuffer_matches_per_pixel_reference(
         cmds in cmds(prop_oneof![arb_draw_op(), arb_draw_op(), arb_copy()]),
     ) {
         let src = source();
-        prop_assert_eq!(whole(&cmds, &src).pixels(), &reference(&cmds, &src)[..]);
+        for storage in STORAGES {
+            let want = reference(&cmds, &src, storage.height());
+            prop_assert_eq!(stored(&cmds, &src, storage).pixels(), &want[..], "{:?}", storage);
+        }
     }
 
     /// Band splits painted one band at a time, so glyphs, lines and
@@ -359,7 +431,7 @@ proptest! {
     #[test]
     fn band_splits_match_per_pixel_reference(cmds in cmds(arb_draw_op())) {
         let src = source();
-        let want = reference(&cmds, &src);
+        let want = reference(&cmds, &src, H);
         for n in [1, 4] {
             prop_assert_eq!(banded(&cmds, &src, n).pixels(), &want[..], "{} bands", n);
         }
@@ -399,7 +471,7 @@ fn copy_within_is_overlap_safe_in_every_direction() {
                 }];
                 assert_eq!(
                     whole(&cmds, &src).pixels(),
-                    &reference(&cmds, &src)[..],
+                    &reference(&cmds, &src, H)[..],
                     "shift ({dx}, {dy})"
                 );
             }
@@ -433,7 +505,7 @@ fn text_straddling_clip_and_band_edges_matches_reference() {
                         clip: clip.clone(),
                         op: Op::Text(Point::new(x, y), "M#W\u{e9}".into(), desc.clone(), 7),
                     }];
-                    let want = reference(&cmds, &src);
+                    let want = reference(&cmds, &src, H);
                     assert_eq!(whole(&cmds, &src).pixels(), &want[..], "{desc} at {x},{y}");
                     assert_eq!(
                         banded(&cmds, &src, 4).pixels(),
@@ -441,6 +513,32 @@ fn text_straddling_clip_and_band_edges_matches_reference() {
                         "{desc} at {x},{y}, 4 bands"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Scrolls of more than a band, up and down, with and without a clip of
+/// many bands: each row copies from a row in another band, which the
+/// walk must read before it writes it (the walk starts from the side
+/// the copy moves toward) and, on a shared frame, read from the band
+/// the original still holds.
+#[test]
+fn a_scroll_across_bands_matches_reference() {
+    let clip = Region::from_rects((0..H / 3).map(|i| Rect::new(i % 4, 3 * i, 50, 2)));
+    let src = source();
+    for storage in STORAGES {
+        for dy in [-33, -17, -16, -5, 5, 16, 17, 33] {
+            for clip in [None, Some(clip.clone())] {
+                let cmds = [Cmd {
+                    clip,
+                    op: Op::CopyWithin(Rect::new(2, 0, 56, H), Point::new(3, dy)),
+                }];
+                assert_eq!(
+                    stored(&cmds, &src, storage).pixels(),
+                    &reference(&cmds, &src, storage.height())[..],
+                    "{storage:?} scroll by {dy}"
+                );
             }
         }
     }

@@ -574,10 +574,7 @@ fn run_collab(cfg: &LoadConfig, connect: &Connector) -> Result<LoadReport, Strin
     let mut divergences = 0usize;
     for doc in &finals {
         if let Some(first) = doc.first() {
-            divergences += doc[1..]
-                .iter()
-                .filter(|fb| fb.pixels() != first.pixels())
-                .count();
+            divergences += doc[1..].iter().filter(|fb| !fb.same_pixels(first)).count();
         }
     }
     Ok(tally.report(started, Some(divergences)))

@@ -154,19 +154,15 @@ impl ServedRun {
     /// are per shard, so how many shards built a template
     /// (`world.template_builds`) and how many sessions found its
     /// keyframe cached (`serve.keyframe_cache_hits`) depend on
-    /// placement — and so does `serve.frame_copies`, because a session
-    /// that adopted a cached keyframe copies its baseline at its first
-    /// update instead of at the keyframe, or never if it ships none.
-    /// `world.forks` stays: one fork per session, whatever the layout.
+    /// placement. `world.forks` stays: one fork per session, whatever
+    /// the layout. So does `serve.band_copies`: a cached keyframe's
+    /// frame shares its bands with the session that built it as with
+    /// every later one, so each copies the same bands, hit or miss.
     /// So does `serve.diff_px`: every session clears its window's
     /// written bounds at its first keyframe, copied or adopted from the
     /// cache, so the pixels its diffs compare follow its own drawing.
     pub fn shard_invariant_counters(&self) -> Vec<(&'static str, u64)> {
-        const PLACEMENT: [&str; 3] = [
-            "world.template_builds",
-            "serve.keyframe_cache_hits",
-            "serve.frame_copies",
-        ];
+        const PLACEMENT: [&str; 2] = ["world.template_builds", "serve.keyframe_cache_hits"];
         self.merged
             .counters
             .iter()
@@ -371,8 +367,7 @@ fn serve_shared(
 /// Only dimensions and pixels count — a leftover clip region on a
 /// server-side snapshot would be a false alarm.
 pub fn divergence(want: &Framebuffer, got: &Framebuffer) -> Option<String> {
-    if got.width() == want.width() && got.height() == want.height() && got.pixels() == want.pixels()
-    {
+    if got.same_pixels(want) {
         return None;
     }
     let mut differing = 0usize;

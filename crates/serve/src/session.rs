@@ -19,7 +19,7 @@ use std::time::Instant;
 use atk_apps::scenes::build_scene;
 use atk_collab::{Attachment, Doc, Op};
 use atk_core::{InteractionManager, ScriptStep, StepDriver, World};
-use atk_graphics::{Framebuffer, Rect};
+use atk_graphics::{band_copies, Framebuffer, Rect};
 use atk_trace::{Collector, FrameLog, FrameTrace, SlowFrameLog, Stage};
 use atk_wm::{MouseAction, WindowEvent};
 
@@ -83,10 +83,10 @@ pub struct HostedSession {
     cfg: SessionConfig,
     collector: Arc<Collector>,
     /// The frame the client holds: the last one shipped, the diff
-    /// baseline. Shared copy-on-write with the keyframe that shipped it
-    /// (and, for a session that adopted a template's cached first
+    /// baseline. It shares its bands with the screen it was snapshotted
+    /// from (and, for a session that adopted a template's cached first
     /// keyframe, with that cache entry); updates bring it along in
-    /// place as they encode.
+    /// place as they encode, copying a shared band once.
     shipped: Option<Arc<Framebuffer>>,
     seq: u64,
     last_input_ms: u64,
@@ -271,7 +271,7 @@ impl HostedSession {
         ops: &[Op],
         ft: &mut FrameTrace,
     ) -> (ServerFrame, Option<SessionEnd>) {
-        let started = Instant::now();
+        let (started, copies) = (Instant::now(), band_copies());
         if self.cfg.slo_us.is_some() && ft.is_enabled() {
             self.last_trigger = ops.last().map(|op| {
                 op.step
@@ -304,12 +304,7 @@ impl HostedSession {
             let lag = r.attachment.doc().head().saturating_sub(r.applied);
             self.collector.observe("serve.collab.replay_lag", lag);
         }
-
-        let frame = self.ship_frame(ft);
-        self.collector
-            .observe("serve.frame_us", started.elapsed().as_micros() as u64);
-
-        (frame, self.session_end())
+        self.close_frame(ft, started, copies)
     }
 
     /// One op, with the exact semantics the in-process reference uses
@@ -444,7 +439,7 @@ impl HostedSession {
         dropped: u64,
         ft: &mut FrameTrace,
     ) -> (ServerFrame, Option<SessionEnd>) {
-        let started = Instant::now();
+        let (started, copies) = (Instant::now(), band_copies());
         if self.cfg.slo_us.is_some() && ft.is_enabled() {
             self.last_trigger = batch
                 .last()
@@ -498,11 +493,25 @@ impl HostedSession {
         if saw_real_input {
             self.last_input_ms = self.world.now_ms();
         }
+        self.close_frame(ft, started, copies)
+    }
 
+    /// Ships the frame of a run of input that began at `started`, when
+    /// this thread had copied `copies` bands, and counts the frame's
+    /// time and the bands its drawing and diff copied
+    /// (`serve.band_copies`: the screen's and the baseline's bands
+    /// that another frame still shared).
+    fn close_frame(
+        &mut self,
+        ft: &mut FrameTrace,
+        started: Instant,
+        copies: u64,
+    ) -> (ServerFrame, Option<SessionEnd>) {
         let frame = self.ship_frame(ft);
         self.collector
             .observe("serve.frame_us", started.elapsed().as_micros() as u64);
-
+        self.collector
+            .count("serve.band_copies", band_copies() - copies);
         (frame, self.session_end())
     }
 
@@ -525,11 +534,11 @@ impl HostedSession {
         self.keyframe()
     }
 
-    /// A keyframe of the current screen: one full copy of the backend
-    /// framebuffer (counted in `serve.frame_copies`), which the shipped
-    /// frame and the new diff baseline share.
+    /// A keyframe of the current screen: a snapshot sharing the backend
+    /// framebuffer's bands, which the shipped frame and the new diff
+    /// baseline share in turn. No pixel is copied here; a band is
+    /// copied when the screen or the baseline next writes it.
     fn keyframe(&mut self) -> ServerFrame {
-        self.collector.count("serve.frame_copies", 1);
         let fb = Arc::new(self.framebuffer());
         self.ship_keyframe(fb)
     }
@@ -570,8 +579,8 @@ impl HostedSession {
     /// session was forked from — as this session's initial keyframe:
     /// no copy, no encode, the same counters as
     /// [`HostedSession::initial_keyframe`] plus
-    /// [`HostedSession::encode_frame`]. The baseline stays shared with
-    /// the cache until the first update copies it.
+    /// [`HostedSession::encode_frame`]. The baseline shares the cached
+    /// frame's bands; updates copy only the bands they bring along.
     pub(crate) fn adopt_initial_keyframe(&mut self, key: &SharedKeyframe) {
         debug_assert_eq!(self.seq, 0, "only a fresh session adopts a keyframe");
         let frame = self.ship_keyframe(Arc::clone(&key.frame));
@@ -580,7 +589,7 @@ impl HostedSession {
 
     /// Frame assembly under the `diff` stage stamp: everything between
     /// paint and the wire (the bounds scan and the update's one-pass
-    /// encode, or the keyframe pixel copy) is attributed to
+    /// encode, or the keyframe snapshot) is attributed to
     /// `serve.stage_us.diff`.
     fn ship_frame(&mut self, ft: &mut FrameTrace) -> ServerFrame {
         ft.enter(Stage::Diff);
@@ -697,14 +706,10 @@ fn plan_update(
     if changed.is_empty() {
         return Some(None);
     }
-    // A baseline still shared with the keyframe cache is copied once,
-    // here.
-    let before = Arc::as_ptr(base);
+    // A baseline still shared with the keyframe cache or the screen
+    // shares its bands: the encode copies only those it writes.
     let base = Arc::make_mut(base);
-    if !std::ptr::eq(before, base) {
-        collector.count("serve.frame_copies", 1);
-    }
-    let key_payload = 17 + cur.pixels().len() * 4;
+    let key_payload = 17 + cur.width() as usize * cur.height() as usize * 4;
     XorRect::encode(base, cur, changed, budget.min(key_payload)).map(Some)
 }
 
@@ -928,9 +933,7 @@ mod tests {
                 let shipped = s.shipped.as_deref().expect("a baseline after every frame");
                 let screen = s.framebuffer();
                 assert!(
-                    shipped.width() == screen.width()
-                        && shipped.height() == screen.height()
-                        && shipped.pixels() == screen.pixels(),
+                    shipped.same_pixels(&screen),
                     "{backend} step {i} ({step:?}): baseline differs from the screen"
                 );
             }

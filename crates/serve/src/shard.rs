@@ -465,16 +465,11 @@ impl KeyframeCache {
             session.adopt_initial_keyframe(hit);
             return Arc::clone(&hit.bytes);
         }
+        // The entry shares this session's baseline: the session's
+        // updates copy only the bands they write.
         let shared = session.share_initial_keyframe();
         let bytes = Arc::clone(&shared.bytes);
-        // The entry keeps a frame of its own, so this session's
-        // baseline is not shared and its updates bring it along in
-        // place.
-        let entry = SharedKeyframe {
-            frame: Arc::new((*shared.frame).clone()),
-            ..shared
-        };
-        self.entries.insert(key, entry);
+        self.entries.insert(key, shared);
         bytes
     }
 }

@@ -104,9 +104,10 @@ impl XorRect {
     /// baseline, run-length coded against the XOR row above, and
     /// copied into the baseline. Every pixel of `rect` is coded, so it
     /// should be the bounds of what changed
-    /// ([`Framebuffer::diff_bounds_within`]). Returns `None`, with
-    /// `base` partly brought along, once the update frame would pass
-    /// `limit` bytes.
+    /// ([`Framebuffer::diff_bounds_within`]). Reads and writes row by
+    /// row, so a baseline band another frame shares is copied once,
+    /// when the walk reaches it. Returns `None`, with `base` partly
+    /// brought along, once the update frame would pass `limit` bytes.
     ///
     /// # Panics
     ///
@@ -122,18 +123,16 @@ impl XorRect {
             base.bounds() == cur.bounds() && !rect.is_empty() && cur.bounds().contains_rect(rect),
             "update rect {rect:?} outside the frames"
         );
-        let (stride, w) = (cur.width() as usize, rect.width as usize);
+        let (x0, x1) = (rect.x as usize, rect.right() as usize);
         let limit = limit.checked_sub(UPDATE_HEADER_BYTES + RECT_HEADER_BYTES)?;
         let mut block = Vec::new();
         let mut runs = Runs::new(&mut block);
         // This row's XOR and the row above's.
-        let (mut xor, mut above) = (vec![0u32; w], vec![0u32; w]);
-        for y in rect.y..rect.bottom() {
-            let at = y as usize * stride + rect.x as usize;
-            let new = &cur.pixels()[at..at + w];
-            let old = &base.pixels()[at..at + w];
+        let (mut xor, mut above) = (vec![0u32; x1 - x0], vec![0u32; x1 - x0]);
+        for (y, old) in (rect.y..).zip(base.rows_mut(rect.y..rect.bottom())) {
+            let (new, old) = (&cur.row(y)[x0..x1], &mut old[x0..x1]);
             xor.iter_mut()
-                .zip(new.iter().zip(old))
+                .zip(new.iter().zip(old.iter()))
                 .for_each(|(x, (n, o))| *x = n ^ o);
             if y == rect.y {
                 push_raw_runs(&mut runs, &xor);
@@ -141,7 +140,7 @@ impl XorRect {
                 push_delta_runs(&mut runs, &xor, &above);
             }
             std::mem::swap(&mut xor, &mut above);
-            base.put_rect(Rect::new(rect.x, y, rect.width, 1), new);
+            old.copy_from_slice(new);
             if runs.out.len() > limit {
                 return None;
             }
@@ -256,8 +255,9 @@ pub enum ServerFrame {
         /// Cumulative count of client steps consumed so far.
         seq: u64,
         /// The whole frame, shared rather than copied: on the server it
-        /// is the session's diff baseline, on the client the decoded
-        /// pixels the reconstruction adopts.
+        /// is the session's diff baseline, sharing its bands with the
+        /// screen; on the client the decoded pixels, held as one band,
+        /// that the reconstruction adopts.
         frame: Arc<Framebuffer>,
     },
     /// Server is closing the session (client `Bye`, idle eviction, app
@@ -329,27 +329,34 @@ fn put_keyframe_header(out: &mut Vec<u8>, seq: u64, frame: &Framebuffer) {
     put_u32(out, frame.height() as u32);
 }
 
-fn put_pixels(out: &mut Vec<u8>, pixels: &[u32]) {
-    out.reserve(pixels.len() * 4);
-    for p in pixels {
-        out.extend_from_slice(&p.to_le_bytes());
+/// A frame's pixels raw, row by row.
+fn put_pixels(out: &mut Vec<u8>, frame: &Framebuffer) {
+    out.reserve(frame.width() as usize * frame.height() as usize * 4);
+    for y in 0..frame.height() {
+        for p in frame.row(y) {
+            out.extend_from_slice(&p.to_le_bytes());
+        }
     }
 }
 
-/// Row-delta + RLE pixel block: each row (of `width` pixels) is XORed
-/// with the row above (first row raw), then the delta stream is
-/// run-length encoded as `[u32 npairs][npairs × (u32 count, u32 value)]`.
+/// Row-delta + RLE pixel block: each row of `frame` is XORed with the
+/// row above (first row raw), then the delta stream is run-length
+/// encoded as `[u32 npairs][npairs × (u32 count, u32 value)]`.
 /// Screen content is mostly vertical runs of unchanged background, so
 /// the delta stream collapses to a handful of runs on typing workloads.
 /// A row equal to the row above is all zero deltas, so it extends the
 /// run by a whole row after one slice compare; any other row is cut
 /// into maximal runs span by span, one [`Runs::push`] per run.
-fn put_rle_pixels(out: &mut Vec<u8>, pixels: &[u32], width: usize) {
+fn put_rle_pixels(out: &mut Vec<u8>, frame: &Framebuffer) {
     let mut runs = Runs::new(out);
-    // Width 0 carries no rows to delta against: the pixels go raw.
-    let row_len = if width == 0 { pixels.len() } else { width };
+    // A frame 0 wide has no pixels, so no rows to code.
+    let rows = if frame.width() == 0 {
+        0
+    } else {
+        frame.height()
+    };
     let mut above: Option<&[u32]> = None;
-    for row in pixels.chunks(row_len.max(1)) {
+    for row in (0..rows).map(|y| frame.row(y)) {
         match above {
             Some(prev) if row == prev => runs.push(0, row.len() as u32),
             Some(prev) => push_delta_runs(&mut runs, row, prev),
@@ -709,7 +716,7 @@ impl ServerFrame {
             ServerFrame::Keyframe { seq, frame } => {
                 out.push(TAG_KEYFRAME);
                 put_keyframe_header(&mut out, *seq, frame);
-                put_pixels(&mut out, frame.pixels());
+                put_pixels(&mut out, frame);
             }
             ServerFrame::Bye { reason } => {
                 out.push(TAG_S_BYE);
@@ -834,7 +841,7 @@ impl ServerFrame {
         if let ServerFrame::Keyframe { seq, frame } = self {
             let mut rle = vec![TAG_KEYFRAME_RLE];
             put_keyframe_header(&mut rle, *seq, frame);
-            put_rle_pixels(&mut rle, frame.pixels(), frame.width() as usize);
+            put_rle_pixels(&mut rle, frame);
             if rle.len() < self.wire_len() {
                 return (rle, Encoding::Rle);
             }
@@ -861,7 +868,9 @@ impl ServerFrame {
                         .as_ref()
                         .map_or(0, |p| RECT_HEADER_BYTES + p.block.len())
             }
-            ServerFrame::Keyframe { frame, .. } => 1 + 8 + 4 + 4 + frame.pixels().len() * 4,
+            ServerFrame::Keyframe { frame, .. } => {
+                1 + 8 + 4 + 4 + frame.width() as usize * frame.height() as usize * 4
+            }
             ServerFrame::Bye { reason } => 1 + 4 + reason.len(),
             ServerFrame::Error { message } => 1 + 4 + message.len(),
             ServerFrame::Stats { text, json } => 1 + 4 + text.len() + 4 + json.len(),

@@ -7,6 +7,7 @@
 //! keyframe cache serves a `Hello`.
 
 use atk_core::ScriptStep;
+use atk_graphics::BAND_ROWS;
 use atk_serve::{
     ClientFrame, HostedSession, MemTransport, ServeClient, Server, ServerConfig, ServerFrame,
     SessionConfig,
@@ -250,32 +251,44 @@ fn typing_sessions(
     (server, sessions, shard)
 }
 
-/// The copy budget: a fig5 session typing N keys makes one full-frame
-/// copy — its initial keyframe's, or, when it adopted the template's
-/// cached keyframe, its first update's — however many frames it ships,
-/// and forking does not change the count. 80 keys ship more than 64
-/// pixel frames, so a periodic keyframe would show as a second copy.
+/// The copy budget, in bands. A fork shares its template's frame and a
+/// keyframe shares the screen's bands, so a session copies only the
+/// bands its screen draws on and the bands its updates bring its
+/// baseline along on — never a whole frame at a fork, a keyframe or a
+/// first update. A fig5 session's focus click and first 16 keys copy
+/// fewer bands than one frame holds, forked or cold. 80 keys reflow
+/// the paragraph and redraw most of the frame (31 of its 35 bands), so
+/// they copy more, but each band at most once on each side: under two
+/// frames' worth. 80 keys ship more than 64 pixel frames, so a frame
+/// copy per keyframe or per update would show.
 #[test]
 fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
+    let (_, h) = HostedSession::open("fig5", SessionConfig::default(), Arc::new(Collector::new()))
+        .unwrap()
+        .size();
+    let frame_bands = u64::from(h.div_ceil(BAND_ROWS as u32));
     for fork in [true, false] {
-        let (_, sessions, _) = typing_sessions(fork, 3, 80, Duration::ZERO);
-        assert_eq!(sessions.len(), 3);
-        for (k, snap) in sessions.iter().enumerate() {
-            assert!(
-                snap.counter("serve.frames") > 80,
-                "session {k}: one frame per step"
-            );
-            let pixel_frames =
-                snap.counter("serve.frames") - snap.counter("serve.frames_unchanged");
-            assert!(
-                pixel_frames > 64,
-                "session {k}: {pixel_frames} pixel frames"
-            );
-            assert_eq!(
-                snap.counter("serve.frame_copies"),
-                1,
-                "fork={fork} session {k}: full-frame copies"
-            );
+        for (keys, budget) in [(16, frame_bands), (80, 2 * frame_bands)] {
+            let (_, sessions, _) = typing_sessions(fork, 3, keys, Duration::ZERO);
+            assert_eq!(sessions.len(), 3);
+            for (k, snap) in sessions.iter().enumerate() {
+                assert!(
+                    snap.counter("serve.frames") > keys as u64,
+                    "session {k}: one frame per step"
+                );
+                let pixel_frames =
+                    snap.counter("serve.frames") - snap.counter("serve.frames_unchanged");
+                assert!(
+                    pixel_frames > keys as u64 * 4 / 5,
+                    "{keys} keys, session {k}: {pixel_frames} pixel frames"
+                );
+                let copies = snap.counter("serve.band_copies");
+                assert!(
+                    copies > 0 && copies < budget,
+                    "fork={fork} {keys} keys, session {k}: {copies} band copies, \
+                     {frame_bands} bands a frame"
+                );
+            }
         }
     }
 }

@@ -153,7 +153,9 @@ impl TextData {
         self.buffer.insert(pos, "\u{FFFC}");
         self.runs.adjust_insert(pos, 1);
         self.marks.adjust_insert(pos, 1);
-        let mark = self.marks.create(pos, Gravity::Left);
+        // Right gravity: text typed at the anchor lands before the
+        // object character, and the anchor moves with the character.
+        let mark = self.marks.create(pos, Gravity::Right);
         self.anchors.push(Anchor {
             mark,
             data,
@@ -380,7 +382,9 @@ impl DataObject for TextData {
         self.marks = MarkTable::new();
         self.anchors.clear();
         for (pos, data, view_class) in anchors {
-            let mark = self.marks.create(pos.min(self.buffer.len()), Gravity::Left);
+            let mark = self
+                .marks
+                .create(pos.min(self.buffer.len()), Gravity::Right);
             self.anchors.push(Anchor {
                 mark,
                 data,
@@ -450,6 +454,25 @@ mod tests {
         t.delete(0, 4);
         assert_eq!(t.anchors()[0].0, 6);
         assert_eq!(t.anchor_at(6), Some((table, "spread".to_string())));
+        // Text typed exactly at the anchor lands before its object
+        // character, and the anchor moves with that character.
+        t.insert(6, "ab");
+        assert_eq!(t.anchors()[0].0, 8);
+        assert_eq!(t.char_at(8), Some('\u{FFFC}'));
+        // So does an anchor read back from a datastream.
+        world
+            .catalog
+            .register_data("text", || Box::new(TextData::new()));
+        let inner = world.insert_data(Box::new(TextData::from_str("inner")));
+        let mut outer = TextData::from_str("before after");
+        outer.add_embedded(6, inner, "textview");
+        let oid = world.insert_data(Box::new(outer));
+        let doc = atk_core::document_to_string(&world, oid);
+        let rid = atk_core::read_document(&mut world, &doc).unwrap();
+        let read = world.data_mut::<TextData>(rid).unwrap();
+        read.insert(6, "\n");
+        assert_eq!(read.anchors()[0].0, 7);
+        assert_eq!(read.char_at(7), Some('\u{FFFC}'));
     }
 
     #[test]

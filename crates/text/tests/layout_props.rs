@@ -296,6 +296,30 @@ fn rewrap_across_inset_relayouts_cleanly() {
 }
 
 #[test]
+fn a_newline_typed_at_an_inset_keeps_it_on_its_object() {
+    // A newline typed exactly at an inset's anchor lands before the
+    // object character. The anchor must move with that character: left
+    // on the newline, no line would lay the inset out, and it would
+    // stay where an older layout put it.
+    let (mut world, data, view) = build_world("words before the object\nafter line", &[12]);
+    assert_eq!(
+        check_after(&mut world, data, view, &Op::Insert(12, "\n".to_string())),
+        Ok(())
+    );
+    let text = world.data::<TextData>(data).unwrap();
+    let (anchor, ..) = text.anchors()[0];
+    assert_eq!((anchor, text.char_at(anchor)), (13, Some('\u{FFFC}')));
+    // The inset is laid out on its object, so moving it is a
+    // divergence the layout check reports.
+    for v in insets_of(&world, view) {
+        let b = world.view_bounds(v);
+        world.set_view_bounds(v, Rect { y: b.y + 7, ..b });
+    }
+    let verdict = with_tv(&mut world, view, |tv, w| tv.verify_layout_against_full(w));
+    assert!(verdict.is_err(), "{verdict:?}");
+}
+
+#[test]
 fn edit_local_relayout_reuses_the_tail() {
     // A keystroke near the top of a many-line document must re-wrap a
     // handful of lines and splice the rest — the counters are the whole

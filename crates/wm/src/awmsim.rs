@@ -536,12 +536,7 @@ fn replay_from(st: &mut GraphicState, ops: &[DrawOp], fb: &mut Framebuffer) {
                 dst,
             } => {
                 apply_clip(st, fb);
-                let mut src = Framebuffer::new(*width, *height, Color::WHITE);
-                for y in 0..*height {
-                    for x in 0..*width {
-                        src.set(x, y, Color(pixels[(y * width + x) as usize]));
-                    }
-                }
+                let src = Framebuffer::from_pixels(*width, *height, pixels.clone());
                 fb.blit(&src, src.bounds(), st.to_device(*dst), st.rop);
             }
             DrawOp::CopyArea(src, dst) => {

@@ -139,11 +139,10 @@ pub trait Window {
 
     /// Replaces the window's contents with `frame` wholesale — the
     /// session-fork fast path. `frame` must match the window's size.
-    /// Backends that own a pixel store copy row-wise into the buffer
-    /// they already allocated (no per-pixel work, no fresh
-    /// allocation); this default falls back to one blit through the
-    /// drawable, which is a single recorded op for display-list
-    /// backends.
+    /// Backends that own a pixel store share `frame`'s bands (no pixel
+    /// is copied until the fork draws); this default falls back to one
+    /// blit through the drawable, which is a single recorded op for
+    /// display-list backends.
     fn adopt_frame(&mut self, frame: &Framebuffer) {
         let g = self.graphic();
         g.bitblt(frame, frame.bounds(), Point::ORIGIN);

@@ -159,17 +159,11 @@ impl Window for X11Window {
     }
 
     fn adopt_frame(&mut self, frame: &Framebuffer) {
-        // Row-copy into the buffer open_window already allocated (and
-        // just warmed with its white fill) — no per-pixel walk, no
-        // second allocation per fork.
+        // Share the frame's bands: a fork copies only the bands it
+        // later draws on.
         let mut fb = self.fb.borrow_mut();
+        *fb = frame.clone();
         fb.set_clip(None);
-        if fb.width() == frame.width() && fb.height() == frame.height() {
-            fb.blit(frame, frame.bounds(), Point::ORIGIN, RasterOp::Copy);
-        } else {
-            *fb = frame.clone();
-            fb.set_clip(None);
-        }
         self.graphic.written = fb.bounds();
     }
 }

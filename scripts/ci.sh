@@ -14,8 +14,19 @@ trap 'if [ -n "$served_pid" ]; then kill "$served_pid" 2>/dev/null || true; fi; 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q (temp dir: a scratch dir, left with no atk_* entry)"
+# Tests that write message stores, saved documents or snapshots under
+# the temp dir must remove them; a leak fails the gate here instead of
+# filling the host's temp dir run by run.
+tests_tmp="$scratch/tmp"
+mkdir "$tests_tmp"
+TMPDIR="$tests_tmp" cargo test -q
+leaked=$(ls "$tests_tmp" | grep '^atk_' || true)
+if [ -n "$leaked" ]; then
+    echo "cargo test left these in the temp dir:" >&2
+    echo "$leaked" >&2
+    exit 1
+fi
 
 echo "==> cargo test -q --release -p atk-serve (serve tests at release speed)"
 # Races between a shard and its clients show only when the server is
