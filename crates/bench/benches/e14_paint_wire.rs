@@ -9,17 +9,21 @@
 //!   bounds of what changed, then XOR, run-length code and copy those
 //!   rows into the baseline in one pass (`XorRect::encode`), and write
 //!   the update body. `line` is a keystroke that wrote one text line
-//!   (most frames); `window` is the frame of the script that wrote
-//!   the whole window below its title bar and changed the most (a
-//!   newline that moves every line below it). Each
-//!   iteration ships the update and then its inverse, so the baseline
-//!   ends where it started; one update costs half an iteration.
+//!   (most frames); `window` is the frame of the script that changed
+//!   the most, shipped as one XOR rect over everything it wrote and
+//!   moved — what a newline that moves every line below it cost
+//!   before moves shipped on the wire. Each iteration ships the update
+//!   and then its inverse, so the baseline ends where it started; one
+//!   update costs half an iteration.
 //! * `codec/` — the fig5 initial keyframe (the frame every `Hello`
 //!   ships) through the packed encoder (`encode`) and back through
 //!   `ServerFrame::decode` (`decode`).
 //!
 //! Headlines printed outside criterion: the full-window repaint time,
-//! the update path on the line and window frames (time and bytes),
+//! the update path on the line and window frames (time and bytes), a
+//! fig5 typing session's steps split by kind — a character, a Return,
+//! a step that scrolled — with each kind's paint and diff time and
+//! update bytes as a served session ships them,
 //! the typing-profile bytes-on-wire ratio raw ÷ encoded from one
 //! loadgen run (bar: ≥2×), and the fig5 keyframe's encoded bytes,
 //! encode and decode time next to a plain copy of the same frame for
@@ -31,13 +35,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use atk_check::Session;
+use atk_core::{ScriptStep, World};
 use atk_graphics::{BitmapFont, Color, FontDesc, Framebuffer, Point, Rect};
 use atk_serve::loadgen::client_script;
 use atk_serve::{
     run_loadgen_mem, Encoding, HostedSession, LoadConfig, Profile, ServerFrame, SessionConfig,
     XorRect,
 };
-use atk_trace::Collector;
+use atk_trace::{Collector, Stage};
+use atk_wm::{Key, WindowEvent};
 
 /// Fig5's window is 560×560; one full-window repaint of a compound
 /// document is on the order of a few hundred resolved primitives.
@@ -138,7 +144,12 @@ fn fig5_typing_frames() -> (Step, Step) {
     let (mut line, mut window): (Option<Step>, Option<(usize, Step)>) = (None, None);
     for step in &script {
         session.apply(step);
+        // Everything the frame wrote or moved, as one rect.
         let written = session.im.window_mut().take_written();
+        let written = match written.moved {
+            Some(m) => written.rect.union(m.dst_rect()),
+            None => written.rect,
+        };
         let after = session.im.snapshot().unwrap();
         let changed = before.diff_bounds_within(&after, written).unwrap();
         let area = changed.area() as usize;
@@ -162,6 +173,7 @@ fn ship_update(base: &mut Framebuffer, cur: &Framebuffer, written: Rect) -> Vec<
     let patch = (!changed.is_empty()).then(|| XorRect::encode(base, cur, changed, usize::MAX));
     ServerFrame::Update {
         seq: 1,
+        moved: None,
         patch: patch.map(Option::unwrap),
     }
     .encode()
@@ -259,6 +271,8 @@ fn print_headline() {
         );
     }
 
+    print_step_kinds();
+
     let typing = run_loadgen_mem(&LoadConfig {
         sessions: 4,
         steps: 60,
@@ -287,6 +301,81 @@ fn print_headline() {
         median_us(31, || ServerFrame::decode(&bytes).unwrap()),
         median_us(31, || frame.pixels().to_vec())
     );
+}
+
+/// Keys typed after the focus click in the step-kind headline: twice
+/// perfbench `edit`'s 384, so the caret passes the view's bottom and
+/// later Returns scroll it.
+const STEP_KIND_KEYS: usize = 768;
+
+/// The scroll offset of the first text view in `world`.
+fn text_scroll(world: &World) -> i32 {
+    world
+        .view_ids()
+        .into_iter()
+        .filter_map(|v| world.view_dyn(v))
+        .find(|v| v.class_name() == "textview")
+        .and_then(|v| v.scroll_info(world))
+        .map_or(0, |s| s.offset)
+}
+
+/// A fig5 typing session (the perfbench `edit` script shape, made
+/// longer) served step by step in process, each step's paint and diff
+/// stage time and update bytes reported by the kind of step: a
+/// character, a Return, or a step that scrolled the text view (told
+/// apart on an in-process replay, so the split does not depend on how
+/// the frame shipped).
+fn print_step_kinds() {
+    let script = client_script(Profile::Typing, "fig5", 77, 2 + STEP_KIND_KEYS).unwrap();
+    let mut probe = Session::build("fig5", "x11sim").unwrap();
+    let kinds: Vec<&str> = script
+        .iter()
+        .map(|step| {
+            let before = text_scroll(&probe.world);
+            probe.apply(step);
+            match step {
+                _ if text_scroll(&probe.world) != before => "scroll",
+                ScriptStep::Event(WindowEvent::Key(Key::Return)) => "Return",
+                ScriptStep::Event(WindowEvent::Key(Key::Char(_))) => "character",
+                _ => "click",
+            }
+        })
+        .collect();
+    let collector = Arc::new(Collector::new());
+    collector.enable();
+    let mut session = HostedSession::open("fig5", SessionConfig::default(), collector).unwrap();
+    let _ = session.initial_keyframe();
+    let mut rows: Vec<(&str, Vec<u64>, Vec<u64>, u64)> = Vec::new();
+    for (step, kind) in script.iter().zip(kinds) {
+        let (frame, _) = session.apply_batch(std::slice::from_ref(step), 0);
+        let bytes = session.encode_frame(&frame).len() as u64;
+        let rec = session.frame_log().records().last().unwrap();
+        let at = match rows.iter().position(|r| r.0 == kind) {
+            Some(at) => at,
+            None => {
+                rows.push((kind, Vec::new(), Vec::new(), 0));
+                rows.len() - 1
+            }
+        };
+        let row = &mut rows[at];
+        row.1.push(rec.stage_us(Stage::Paint));
+        row.2.push(rec.stage_us(Stage::Diff));
+        row.3 += bytes;
+    }
+    let median = |v: &mut Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    for (kind, mut paint, mut diff, bytes) in rows {
+        let n = paint.len() as u64;
+        println!(
+            "e14 headline: fig5 typing step kind {kind}: {n} steps, paint p50 {} us, \
+             diff p50 {} us, {} B/step",
+            median(&mut paint),
+            median(&mut diff),
+            bytes / n
+        );
+    }
 }
 
 fn benches_with_headline(c: &mut Criterion) {

@@ -200,6 +200,12 @@ impl View for FrameView {
         self.upper.into_iter().chain(self.lower).collect()
     }
 
+    /// The divider is drawn over the panes; a lone pane is never
+    /// painted over.
+    fn paints_over_children(&self) -> bool {
+        self.lower.is_some()
+    }
+
     fn desired_size(&mut self, world: &mut World, budget: i32) -> Size {
         let mut s = Size::new(budget, MESSAGE_LINE_HEIGHT);
         if let Some(u) = self.upper {

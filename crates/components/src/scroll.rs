@@ -140,6 +140,11 @@ impl View for ScrollView {
         self.body.into_iter().collect()
     }
 
+    /// The bar is drawn beside the body, never over it.
+    fn paints_over_children(&self) -> bool {
+        false
+    }
+
     fn perform(&mut self, world: &mut World, command: &str) -> bool {
         // A body that scrolled itself (caret tracking, home/end, paging)
         // says so through the deferred command channel; the elevator

@@ -20,7 +20,9 @@
 //!    ([`World::flush_notifications`]);
 //! 4. turns accumulated damage into **one** update pass down the tree —
 //!    the "post up, come back down" protocol that lets parents repaint
-//!    over children in the right order.
+//!    over children in the right order. Moves views posted
+//!    ([`World::post_move`]) are copied on screen first, so the pass
+//!    repaints only what changed.
 
 use atk_graphics::{Framebuffer, Point, Rect, Region};
 use atk_wm::{CursorShape, Key, MouseAction, Window, WindowEvent, WindowSystem};
@@ -28,7 +30,7 @@ use atk_wm::{CursorShape, Key, MouseAction, Window, WindowEvent, WindowSystem};
 use crate::ids::ViewId;
 use crate::menus::{merge_menus, MenuItem};
 use crate::view::Update;
-use crate::world::World;
+use crate::world::{rows_outside, World};
 
 /// Statistics kept by the interaction manager.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -127,22 +129,21 @@ impl InteractionManager {
     /// Forks this interaction manager onto a fresh window of `ws`,
     /// pairing with [`World::fork`] to duplicate a whole session.
     ///
-    /// The new window is opened at the same size/title, its birth events
-    /// are drained undelivered (the template already dispatched its
-    /// own), and the template's frame, borrowed through
-    /// [`Window::with_frame`], is adopted wholesale
-    /// ([`Window::adopt_frame`] — a clone sharing the frame's bands on
-    /// pixel-store backends, one blit op elsewhere) so the fork starts from the
-    /// exact same frame a cold build would have produced.
-    /// Focus, offered menus, stats, and the running flag carry over;
-    /// the root id stays valid because the forked world preserves ids.
+    /// The new window is opened at the same title on the template's
+    /// frame, borrowed through [`Window::with_frame`]
+    /// ([`WindowSystem::open_window_on`] — a clone sharing the frame's
+    /// bands on pixel-store backends, one blit op elsewhere), with no
+    /// birth events (the template already dispatched its own), so the
+    /// fork starts from the exact same frame a cold build would have
+    /// produced. Focus, offered menus, stats, and the running flag
+    /// carry over; the root id stays valid because the forked world
+    /// preserves ids.
     pub fn fork_onto(&self, ws: &mut dyn WindowSystem) -> InteractionManager {
-        let size = self.window.size();
-        let mut window = ws.open_window(self.window.title(), size);
-        while window.next_event().is_some() {}
-        let target = window.as_mut();
+        let title = self.window.title();
+        let mut opened = None;
         self.window
-            .with_frame(&mut |frame| target.adopt_frame(frame));
+            .with_frame(&mut |frame| opened = Some(ws.open_window_on(title, frame)));
+        let mut window = opened.expect("with_frame lends the frame once");
         window.set_cursor(self.window.cursor());
         InteractionManager {
             window,
@@ -193,7 +194,7 @@ impl InteractionManager {
             }
             WindowEvent::MenuRequest { pos } => {
                 self.offered_menus = self.collect_menus(world);
-                self.draw_menu_overlay(pos);
+                self.draw_menu_overlay(world, pos);
             }
             WindowEvent::MenuSelect(command) => {
                 self.dispatch_command(world, &command);
@@ -354,10 +355,11 @@ impl InteractionManager {
         self.apply_focus_request(world);
     }
 
-    /// The paint half of [`InteractionManager::settle`]: converts
-    /// accumulated damage into one clipped update pass. Returns true
-    /// if anything was painted.
+    /// The paint half of [`InteractionManager::settle`]: copies the
+    /// queued moves on screen, then converts accumulated damage into
+    /// one clipped update pass. Returns true if anything was painted.
     pub fn repaint_damage(&mut self, world: &mut World) -> bool {
+        let moved = self.apply_moves(world);
         if world.has_damage() {
             let region = world.take_damage_region_for(self.root);
             if !region.is_empty() {
@@ -365,7 +367,43 @@ impl InteractionManager {
                 return true;
             }
         }
-        false
+        moved
+    }
+
+    /// Copies this window's queued moves on screen, unclipped and in the
+    /// order they were posted ([`World::post_move`]). Everything that
+    /// paints the window runs this first: a move describes the screen
+    /// as the last paint left it. The view tree may reach past the
+    /// window's frame (a scripted resize lays the tree out at a size
+    /// the frame does not take), so the rows a move would have brought
+    /// from past the frame's edge are damaged instead, and so is
+    /// wherever a later move carries them. Returns true if anything
+    /// moved.
+    fn apply_moves(&mut self, world: &mut World) -> bool {
+        let moves = world.take_moves_for(self.root);
+        if moves.is_empty() {
+            return false;
+        }
+        let frame = Rect::at(Point::ORIGIN, self.window.size());
+        let g = self.window.graphic();
+        let mut missing: Vec<Rect> = Vec::new();
+        for &(src, dy) in &moves {
+            let carried: Vec<Rect> = missing
+                .iter()
+                .map(|r| r.intersect(src).translate(0, dy))
+                .collect();
+            missing.extend(carried);
+            let copied = src.intersect(frame).translate(0, dy).intersect(frame);
+            missing.extend(rows_outside(src.translate(0, dy).intersect(frame), copied));
+            if !copied.is_empty() {
+                g.copy_area(copied.translate(0, -dy), copied.origin());
+            }
+        }
+        g.flush();
+        for r in missing {
+            world.post_damage(self.root, r);
+        }
+        true
     }
 
     /// An update pass clipped to a damage region (window coordinates).
@@ -392,6 +430,7 @@ impl InteractionManager {
 
     /// One update pass down the tree.
     pub fn draw(&mut self, world: &mut World, update: Update) {
+        self.apply_moves(world);
         self.stats.full_redraws += 1;
         world.collector().count("im.full_redraws", 1);
         {
@@ -430,10 +469,11 @@ impl InteractionManager {
     /// the period style (cards side by side, items beneath), painted
     /// straight onto the window: it is no view's content, and lives
     /// only until [`InteractionManager::dismiss_menu_overlay`].
-    fn draw_menu_overlay(&mut self, pos: Point) {
+    fn draw_menu_overlay(&mut self, world: &mut World, pos: Point) {
         if self.offered_menus.is_empty() {
             return;
         }
+        self.apply_moves(world);
         // Group items by card preserving order.
         let mut cards: Vec<(&str, Vec<&MenuItem>)> = Vec::new();
         for item in &self.offered_menus {

@@ -185,6 +185,16 @@ pub trait View: Any {
         let _ = (world, token);
     }
 
+    /// Whether [`View::draw`] may paint inside a child's bounds after
+    /// the child drew (a border, a highlight, a divider over it). A
+    /// child of such a view does not own the pixels it shows, so
+    /// [`World::post_move`] damages its rows instead of moving them.
+    /// The default says yes; a container that only ever paints beside
+    /// its children says no.
+    fn paints_over_children(&self) -> bool {
+        true
+    }
+
     /// Scroll protocol, if this view is scrollable.
     fn scroll_info(&self, world: &World) -> Option<ScrollInfo> {
         let _ = world;

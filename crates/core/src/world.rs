@@ -16,7 +16,10 @@
 //! * the **damage list**: views post view-local dirty rectangles
 //!   ([`World::post_damage`]), and the update cycle converts them to
 //!   window coordinates by walking the parent chain (the paper's
-//!   "update request is posted up the tree");
+//!   "update request is posted up the tree"). A view whose pixels only
+//!   shift vertically posts a move instead ([`World::post_move`]): the
+//!   update cycle copies those pixels on screen before it repaints the
+//!   damage;
 //! * the **virtual clock and timers** that drive animations and the
 //!   console deterministically;
 //! * the component [`Catalog`].
@@ -68,12 +71,23 @@ struct CachedXform {
     root: ViewId,
 }
 
+/// A queued move: the window-space rows of `src`, in the window whose
+/// root view is `root`, shift down by `dy` (up when negative).
+#[derive(Clone, Copy)]
+struct PendingMove {
+    root: ViewId,
+    src: Rect,
+    dy: i32,
+}
+
 /// The object world. See the module docs.
 pub struct World {
     data: Arena<DataSlot, DataMark>,
     views: Arena<ViewSlot, ViewMark>,
     pending: VecDeque<(DataId, ChangeRec)>,
     damage: Vec<(ViewId, Rect)>,
+    /// Moves in the order they were posted; see [`World::post_move`].
+    moves: Vec<PendingMove>,
     /// Component catalog (public: applications register components).
     pub catalog: Catalog,
     focus_request: Option<ViewId>,
@@ -104,6 +118,7 @@ impl World {
             views: Arena::new(),
             pending: VecDeque::new(),
             damage: Vec::new(),
+            moves: Vec::new(),
             catalog,
             focus_request: None,
             pending_commands: Vec::new(),
@@ -134,7 +149,9 @@ impl World {
     /// Deep-forks the whole world: both arenas (slot-for-slot, so every
     /// `DataId`/`ViewId` stays valid), observer lists, the pending
     /// notification queue, the damage list, deferred commands, the focus
-    /// request, the virtual clock and timers, and the catalog.
+    /// request, the virtual clock and timers, and the catalog. Pending
+    /// moves are not carried: they describe the source's screen, which
+    /// a forked window only copies once the source has settled.
     ///
     /// The xform cache and its epoch are *carried*, not reset: the
     /// fork's geometry is identical, so carrying the cache keeps a
@@ -199,6 +216,7 @@ impl World {
             views,
             pending: self.pending.clone(),
             damage: self.damage.clone(),
+            moves: Vec::new(),
             catalog: self.catalog.clone(),
             focus_request: self.focus_request,
             pending_commands: self.pending_commands.clone(),
@@ -572,6 +590,95 @@ impl World {
         self.collector.count("world.post_damage", 1);
     }
 
+    /// Posts a vertical move of the view's pixels: the view-local rows
+    /// of `local` shift down by `dy` (up when negative). The move is cut
+    /// to the view's visible window rect, both where the pixels come
+    /// from and where they land, and queued in order with damage: the
+    /// update cycle copies the pixels on screen
+    /// ([`World::take_moves_for`]) before it repaints the damage. What
+    /// the copy cannot supply is damaged: the rows the move leaves
+    /// behind, rows of `local` that land in sight from out of it, and
+    /// whatever earlier posts damaged inside the source, which is stale
+    /// and rides along to where the move puts it.
+    ///
+    /// The view promises that, once the move is made, every pixel it
+    /// lands is right unless damage covers it. It can keep that promise
+    /// only for pixels it alone paints, so a view with an ancestor that
+    /// [paints over its children](View::paints_over_children) has the
+    /// rows damaged instead.
+    pub fn post_move(&mut self, view: ViewId, local: Rect, dy: i32) {
+        if dy == 0 || local.is_empty() {
+            return;
+        }
+        let x = self.window_xform(view);
+        let whole = local.translate(x.dx, x.dy);
+        let rows = whole.intersect(x.clip);
+        let lands = rows.translate(0, dy).intersect(x.clip);
+        let ghost = whole.translate(0, dy).intersect(x.clip);
+        if lands.is_empty() || self.painted_over(view) {
+            self.post_window_damage(x.root, rows);
+            self.post_window_damage(x.root, ghost);
+            return;
+        }
+        let src = lands.translate(0, -dy);
+        let mut stale = Vec::new();
+        for i in 0..self.damage.len() {
+            let (v, r) = self.damage[i];
+            if self.window_xform(v).root == x.root {
+                let carried = self.clip_damage_to_window(v, r).intersect(src);
+                stale.push(carried.translate(0, dy));
+            }
+        }
+        stale.extend(rows_outside(rows, whole.translate(0, dy)));
+        stale.extend(rows_outside(ghost, lands));
+        for r in stale {
+            self.post_window_damage(x.root, r);
+        }
+        self.moves.push(PendingMove {
+            root: x.root,
+            src,
+            dy,
+        });
+        self.collector.count("world.moves", 1);
+    }
+
+    /// Whether an ancestor of `view` may paint over it. An ancestor out
+    /// of its slot (mid-dispatch) cannot be asked, so it counts as one
+    /// that may.
+    fn painted_over(&self, view: ViewId) -> bool {
+        let mut at = self.view_parent(view);
+        while let Some(parent) = at {
+            if self
+                .view_dyn(parent)
+                .is_none_or(|p| p.paints_over_children())
+            {
+                return true;
+            }
+            at = self.view_parent(parent);
+        }
+        false
+    }
+
+    /// Posts a window-space rect as damage of the root view `root`.
+    fn post_window_damage(&mut self, root: ViewId, r: Rect) {
+        let x = self.window_xform(root);
+        self.post_damage(root, r.translate(-x.dx, -x.dy));
+    }
+
+    /// Takes the queued moves of the window whose root view is `root`,
+    /// in the order they were posted, as window-space `(rows, dy)`.
+    pub fn take_moves_for(&mut self, root: ViewId) -> Vec<(Rect, i32)> {
+        let mut taken = Vec::new();
+        self.moves.retain(|m| {
+            let mine = m.root == root;
+            if mine {
+                taken.push((m.src, m.dy));
+            }
+            !mine
+        });
+        taken
+    }
+
     /// Posts the view's whole bounds as damage.
     pub fn post_damage_full(&mut self, view: ViewId) {
         let size = self.view_bounds(view).size();
@@ -824,6 +931,20 @@ impl Default for World {
     }
 }
 
+/// The rows of `a` above and below the rows of `b`, for rects that
+/// span the same columns.
+pub(crate) fn rows_outside(a: Rect, b: Rect) -> [Rect; 2] {
+    if b.is_empty() {
+        return [a, Rect::EMPTY];
+    }
+    let above = a.bottom().min(b.y);
+    let below = a.y.max(b.bottom());
+    [
+        Rect::new(a.x, a.y, a.width, above - a.y),
+        Rect::new(a.x, below, a.width, a.bottom() - below),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -967,6 +1088,43 @@ mod tests {
         let region = w.take_damage_region();
         assert_eq!(region.bounding_box(), Rect::new(111, 72, 5, 5));
         assert!(!w.has_damage());
+    }
+
+    /// A move is cut to the view and queued; the rows it leaves behind,
+    /// rows of the moved rect coming into sight, and earlier damage
+    /// inside its source (carried to where it lands) are damaged.
+    #[test]
+    fn a_move_damages_what_the_copy_cannot_supply() {
+        let mut w = World::new();
+        let v = w.insert_view(Box::new(ProbeView::new()));
+        w.set_view_bounds(v, Rect::new(0, 0, 100, 100));
+        w.post_damage(v, Rect::new(0, 50, 100, 5));
+        // Rows 40..140 shift down 10: 40..90 of them are in sight.
+        w.post_move(v, Rect::new(0, 40, 100, 100), 10);
+        assert_eq!(w.take_moves_for(v), vec![(Rect::new(0, 40, 100, 50), 10)]);
+        let region = w.take_damage_region();
+        for (y, damaged) in [(39, false), (40, true), (49, true), (50, true), (55, false)] {
+            assert_eq!(region.contains(Point::new(5, y)), damaged, "row {y}");
+        }
+        // The earlier damage at 50..55 rides along to 60..65.
+        assert!(region.contains(Point::new(5, 62)));
+        assert!(!region.contains(Point::new(5, 70)));
+        // Moving up: the rows that come into sight from below the view,
+        // 90..100, are damaged.
+        w.post_move(v, Rect::new(0, 40, 100, 100), -10);
+        assert_eq!(w.take_moves_for(v), vec![(Rect::new(0, 40, 100, 60), -10)]);
+        let region = w.take_damage_region();
+        assert!(region.contains(Point::new(5, 95)) && !region.contains(Point::new(5, 85)));
+        // A child of a view that may paint over it gets damage only.
+        let child = w.insert_view(Box::new(ProbeView::new()));
+        w.set_view_parent(child, Some(v));
+        w.set_view_bounds(child, Rect::new(0, 0, 50, 50));
+        w.post_move(child, Rect::new(0, 10, 50, 40), 5);
+        assert!(w.take_moves_for(v).is_empty());
+        assert_eq!(
+            w.take_damage_region().bounding_box(),
+            Rect::new(0, 10, 50, 40)
+        );
     }
 
     #[test]

@@ -64,6 +64,38 @@ fn band_mut(band: &mut Arc<Vec<u32>>) -> &mut Vec<u32> {
     px
 }
 
+/// A rect of a frame's pixels copied to another place in the same
+/// frame, as [`Framebuffer::copy_within`] copies it (X's CopyArea,
+/// VNC's CopyRect): `src` lands with its top-left corner at `dst`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Move {
+    /// The pixels copied.
+    pub src: Rect,
+    /// Where `src`'s top-left corner lands.
+    pub dst: Point,
+}
+
+impl Move {
+    /// The rect the pixels land on.
+    pub fn dst_rect(self) -> Rect {
+        Rect::at(self.dst, self.src.size())
+    }
+
+    /// Whether the move copies a non-empty rect from inside `bounds`
+    /// to inside `bounds`. Computed in `i64`, so coordinates near
+    /// `i32::MAX` cannot wrap past the check.
+    pub fn fits(self, bounds: Rect) -> bool {
+        let (w, h) = (self.src.width as i64, self.src.height as i64);
+        let inside = |at: Point| {
+            at.x >= bounds.x
+                && at.y >= bounds.y
+                && at.x as i64 + w <= bounds.right() as i64
+                && at.y as i64 + h <= bounds.bottom() as i64
+        };
+        w > 0 && h > 0 && inside(self.src.origin()) && inside(self.dst)
+    }
+}
+
 /// How a blit combines source and destination pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RasterOp {

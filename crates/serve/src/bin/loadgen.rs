@@ -40,7 +40,10 @@
 //! Observability: `--slo-us` arms the server's frame-budget watchdog
 //! and prints retained slow-frame dumps after the run; `--stats` sends
 //! a `Stats` wire request once the fleet finishes, validates the JSON
-//! reply, and requires the stage histograms to be non-empty; `--trace
+//! reply, and requires the stage histograms to be non-empty and, on a
+//! self-hosted typing run long enough to type a Return (every 24th
+//! key), `serve.moves` to be non-zero: a Return mid-text ships the
+//! lines it shifted as a move; `--trace
 //! FILE` writes a Chrome trace with one track per session, and fails
 //! the run if that trace does not parse or carries no session track
 //! (self-hosted runs only: a remote server keeps its traces).
@@ -285,6 +288,14 @@ fn main() {
             eprintln!("loadgen: stats snapshot has no stage histograms");
             failed = true;
         }
+        if cfg.connect.is_none()
+            && cfg.profile == Profile::Typing
+            && cfg.steps >= 24
+            && json_counter(json, "serve.moves") == 0
+        {
+            eprintln!("loadgen: a typing run shipped no move (serve.moves is 0)");
+            failed = true;
+        }
     }
     if let Some(path) = &trace_file {
         let parts: Vec<(&str, atk_trace::Snapshot)> = report
@@ -320,4 +331,16 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
+}
+
+/// The counter `name` of a stats snapshot's JSON, 0 when absent.
+fn json_counter(json: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    json.find(&key).map_or(0, |at| {
+        let digits: String = json[at + key.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap_or(0)
+    })
 }

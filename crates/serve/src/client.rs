@@ -10,7 +10,7 @@ use atk_core::ScriptStep;
 use atk_graphics::Framebuffer;
 
 use crate::transport::FrameTransport;
-use crate::wire::{ClientFrame, ServerFrame, WireError, MAX_FRAME_BYTES};
+use crate::wire::{apply_update, ClientFrame, ServerFrame, WireError, MAX_FRAME_BYTES};
 
 /// Anything that can go wrong on the client side of a session.
 #[derive(Debug)]
@@ -361,7 +361,8 @@ impl<T: FrameTransport> ServeClient<T> {
             self.stats.diff_frames += 1;
             self.stats.diff_bytes += wire_len as u64;
         }
-        self.stats.keyframe_equiv_bytes += (self.fb.pixels().len() * 4 + 1 + 8 + 4 + 4) as u64;
+        let pixels = self.fb.width() as u64 * self.fb.height() as u64;
+        self.stats.keyframe_equiv_bytes += pixels * 4 + 1 + 8 + 4 + 4;
         self.stats.encoded_bytes += encoded_len as u64;
     }
 
@@ -371,10 +372,8 @@ impl<T: FrameTransport> ServeClient<T> {
     fn apply_frame(&mut self, frame: ServerFrame, encoded_len: usize) -> Result<(), ClientError> {
         let wire_len = frame.wire_len();
         match frame {
-            ServerFrame::Update { seq, patch } => {
-                if let Some(patch) = &patch {
-                    patch.apply_to(&mut self.fb)?;
-                }
+            ServerFrame::Update { seq, moved, patch } => {
+                apply_update(&mut self.fb, moved, patch.as_ref())?;
                 self.note_frame(seq, wire_len, encoded_len, false);
             }
             ServerFrame::Keyframe { seq, frame } => {
@@ -464,6 +463,7 @@ mod tests {
         let patch = XorRect::encode(&mut base, &want, Rect::new(1, 0, 3, 2), usize::MAX);
         let update = ServerFrame::Update {
             seq: 0,
+            moved: None,
             patch: Some(patch.unwrap()),
         };
         c.decode_and_apply(&update.encode()).unwrap();

@@ -19,9 +19,9 @@ use std::time::Instant;
 use atk_apps::scenes::build_scene;
 use atk_collab::{Attachment, Doc, Op};
 use atk_core::{InteractionManager, ScriptStep, StepDriver, World};
-use atk_graphics::{band_copies, Framebuffer, Rect};
+use atk_graphics::{band_copies, Framebuffer, Move};
 use atk_trace::{Collector, FrameLog, FrameTrace, SlowFrameLog, Stage};
-use atk_wm::{MouseAction, WindowEvent};
+use atk_wm::{MouseAction, WindowEvent, Written};
 
 use crate::wire::{Encoding, ServerFrame, XorRect};
 
@@ -31,6 +31,12 @@ pub const FRAME_LOG_CAPACITY: usize = 128;
 /// An update whose encoded body would pass this many bytes ships as a
 /// keyframe instead.
 const UPDATE_BUDGET_BYTES: usize = 256 * 1024;
+
+/// An update whose encoded body passes this many bytes is weighed
+/// against the packed keyframe of the same screen, and ships as that
+/// keyframe when it is no smaller. Typing updates stay far below it, so
+/// they never pay for the keyframe encode.
+const KEYFRAME_PROBE_BYTES: usize = 16 * 1024;
 
 /// Per-session tuning; the server clones one of these per connection.
 #[derive(Debug, Clone)]
@@ -600,17 +606,18 @@ impl HostedSession {
 
     /// Diffs the current framebuffer against the last shipped one and
     /// picks the shipping shape: an empty ack when nothing changed (no
-    /// snapshot clone, no pixel payload), the changed rect XORed
-    /// against the baseline, or a keyframe when there is no baseline,
-    /// the window resized, or the update's encoded body would pass
-    /// `budget` bytes or a raw keyframe. The client holds the baseline
-    /// over an ordered, lossless transport, so no other frame needs a
-    /// keyframe.
+    /// snapshot clone, no pixel payload), the window's move and the
+    /// changed rect XORed against the moved baseline, or a keyframe
+    /// when there is no baseline, the window resized, or the update's
+    /// encoded body would pass `budget` bytes, a raw keyframe, or (past
+    /// [`KEYFRAME_PROBE_BYTES`]) the packed keyframe. The client holds
+    /// the baseline over an ordered, lossless transport, so no other
+    /// frame needs a keyframe.
     fn assemble_frame(&mut self, budget: usize) -> ServerFrame {
-        // Everything drawn since the baseline last equalled the screen
-        // lies inside the window's written bounds. Taking them here
-        // clears them, and every plan below leaves the baseline equal
-        // to the screen again.
+        // The baseline, moved as the screen was, differs from the
+        // screen only inside the written rect. Taking it here clears
+        // it, and every plan below leaves the baseline equal to the
+        // screen again.
         let written = self.im.window_mut().take_written();
         // Diff against a *borrow* of the backend framebuffer — a
         // no-change batch then costs one compare and zero clones.
@@ -620,15 +627,29 @@ impl HostedSession {
         self.im.window().with_frame(&mut |cur| {
             plan = plan_update(shipped, cur, written, budget, collector);
         });
-        let Some(patch) = plan else {
+        let Some((moved, patch)) = plan else {
             return self.keyframe();
         };
-        let changed = patch.is_some();
+        let changed = moved.is_some() || patch.is_some();
         let frame = ServerFrame::Update {
             seq: self.seq,
+            moved,
             patch,
         };
+        if frame.wire_len() > KEYFRAME_PROBE_BYTES {
+            let key = ServerFrame::Keyframe {
+                seq: self.seq,
+                frame: Arc::new(self.framebuffer()),
+            };
+            if key.encode_packed().0.len() <= frame.wire_len() {
+                return self.keyframe();
+            }
+        }
         self.collector.count("serve.frames", 1);
+        if let Some(m) = moved {
+            self.collector.count("serve.moves", 1);
+            self.collector.count("serve.moved_px", m.src.area() as u64);
+        }
         if changed {
             self.collector
                 .count("serve.diff_bytes", frame.wire_len() as u64);
@@ -685,32 +706,41 @@ pub(crate) struct SharedKeyframe {
     pub(crate) frame: Arc<Framebuffer>,
 }
 
-/// Diff-or-degrade decision against the shipped baseline, comparing
-/// only the `written` rect and counting the pixels compared in
-/// `serve.diff_px`: `Some(None)` when nothing changed, `Some(patch)`
-/// for an update, which has brought the baseline up to `cur`, and
-/// `None` for a keyframe — after a resize, with no baseline yet, or
-/// when the update frame would pass `budget` bytes or a raw keyframe.
+/// Diff-or-degrade decision against the shipped baseline: makes the
+/// window's move on the baseline, then compares only the written rect,
+/// counting the pixels compared in `serve.diff_px`. Returns the move
+/// and the patch of an update, which has brought the baseline up to
+/// `cur` (both `None` when nothing changed), or `None` for a keyframe —
+/// after a resize, with no baseline yet, or when the update frame would
+/// pass `budget` bytes or a raw keyframe.
 fn plan_update(
     shipped: &mut Option<Arc<Framebuffer>>,
     cur: &Framebuffer,
-    written: Rect,
+    written: Written,
     budget: usize,
     collector: &Collector,
-) -> Option<Option<XorRect>> {
+) -> Option<(Option<Move>, Option<XorRect>)> {
     let base = shipped.as_mut()?;
-    let within = written.intersect(cur.bounds());
-    // `None` on a size change (resize): no diff across that.
+    // No diff across a size change (resize).
+    if base.bounds() != cur.bounds() || written.moved.is_some_and(|m| !m.fits(cur.bounds())) {
+        return None;
+    }
+    // A baseline still shared with the keyframe cache or the screen
+    // shares its bands: the move and the encode copy only those they
+    // write.
+    if let Some(m) = written.moved {
+        Arc::make_mut(base).copy_within(m.src, m.dst);
+    }
+    let within = written.rect.intersect(cur.bounds());
     let changed = base.diff_bounds_within(cur, within)?;
     collector.count("serve.diff_px", within.area() as u64);
     if changed.is_empty() {
-        return Some(None);
+        return Some((written.moved, None));
     }
-    // A baseline still shared with the keyframe cache or the screen
-    // shares its bands: the encode copies only those it writes.
     let base = Arc::make_mut(base);
     let key_payload = 17 + cur.width() as usize * cur.height() as usize * 4;
-    XorRect::encode(base, cur, changed, budget.min(key_payload)).map(Some)
+    let patch = XorRect::encode(base, cur, changed, budget.min(key_payload))?;
+    Some((written.moved, Some(patch)))
 }
 
 /// Collapses runs of consecutive pointer movements down to the last
@@ -914,46 +944,99 @@ mod tests {
         assert!(matches!(typed(len - 1), ServerFrame::Keyframe { .. }));
     }
 
+    /// What one backend shipped for a run of steps.
+    struct Shipped {
+        /// Updates that changed pixels.
+        updates: usize,
+        /// Keyframes after the initial one.
+        keyframes: usize,
+        /// Updates that carried a move.
+        moves: usize,
+    }
+
     /// Ships `steps` one frame each, updates held to `budget` bytes, on
     /// a fresh fig5 session on each backend and checks, after every
     /// shipped frame, that the diff baseline brought along in place
-    /// equals the screen. Both backends must ship the same frames;
-    /// returns the (updates, keyframes) they shipped after the initial
-    /// keyframe.
-    fn baseline_tracks_screen(budget: usize, steps: &[ScriptStep]) -> (usize, usize) {
-        let run = |backend: &str| {
+    /// equals the screen, that a client applying the frames holds the
+    /// screen too, that both backends show the same screen, and that no
+    /// update is longer than the packed keyframe of its screen. The
+    /// backends may ship different frames (only the pixel store reports
+    /// moves); returns what each shipped, x11sim first.
+    fn baseline_tracks_screen(budget: usize, steps: &[ScriptStep]) -> [Shipped; 2] {
+        let open = |backend: &str| {
             let cfg = SessionConfig {
                 backend: backend.to_string(),
                 ..SessionConfig::default()
             };
             let mut s = HostedSession::open("fig5", cfg, Arc::new(Collector::new())).unwrap();
-            let mut frames = vec![s.initial_keyframe()];
-            for (i, step) in steps.iter().enumerate() {
-                frames.push(ship_within(&mut s, step, budget));
-                let shipped = s.shipped.as_deref().expect("a baseline after every frame");
+            let ServerFrame::Keyframe { frame, .. } = s.initial_keyframe() else {
+                unreachable!("the initial frame is a keyframe");
+            };
+            (s, (*frame).clone())
+        };
+        let mut runs = [open("x11sim"), open("awmsim")];
+        let mut shipped = [0, 1].map(|_| Shipped {
+            updates: 0,
+            keyframes: 0,
+            moves: 0,
+        });
+        for (i, step) in steps.iter().enumerate() {
+            for ((s, client), out) in runs.iter_mut().zip(&mut shipped) {
+                let frame = ship_within(s, step, budget);
                 let screen = s.framebuffer();
+                let backend = s.cfg.backend.clone();
+                match frame {
+                    ServerFrame::Update { moved, patch, .. } => {
+                        let key = ServerFrame::Keyframe {
+                            seq: 0,
+                            frame: Arc::new(screen.clone()),
+                        };
+                        let (len, key_len) = (
+                            frame_len(moved, patch.as_ref()),
+                            key.encode_packed().0.len(),
+                        );
+                        assert!(
+                            len <= key_len,
+                            "{backend} step {i} ({step:?}): a {len}-byte update \
+                             outgrew the {key_len}-byte keyframe"
+                        );
+                        crate::wire::apply_update(client, moved, patch.as_ref()).unwrap();
+                        out.updates += usize::from(patch.is_some() || moved.is_some());
+                        out.moves += usize::from(moved.is_some());
+                    }
+                    ServerFrame::Keyframe { frame, .. } => {
+                        *client = (*frame).clone();
+                        out.keyframes += 1;
+                    }
+                    other => panic!("{backend} shipped {other:?}"),
+                }
+                let baseline = s.shipped.as_deref().expect("a baseline after every frame");
                 assert!(
-                    shipped.same_pixels(&screen),
+                    baseline.same_pixels(&screen),
                     "{backend} step {i} ({step:?}): baseline differs from the screen"
                 );
+                assert!(
+                    client.same_pixels(&screen),
+                    "{backend} step {i} ({step:?}): the client's frame differs"
+                );
             }
-            frames
-        };
-        let frames = run("x11sim");
-        assert!(
-            frames == run("awmsim"),
-            "the backends shipped different frames"
-        );
-        let updates = frames
-            .iter()
-            .filter(|f| matches!(f, ServerFrame::Update { patch: Some(_), .. }))
-            .count();
-        let keyframes = frames
-            .iter()
-            .skip(1)
-            .filter(|f| matches!(f, ServerFrame::Keyframe { .. }))
-            .count();
-        (updates, keyframes)
+            let [(x11, _), (awm, _)] = &runs;
+            assert!(
+                x11.framebuffer().same_pixels(&awm.framebuffer()),
+                "step {i} ({step:?}): the backends show different screens"
+            );
+        }
+        shipped
+    }
+
+    /// The wire length of an update carrying `moved` and `patch`.
+    fn frame_len(moved: Option<Move>, patch: Option<&XorRect>) -> usize {
+        ServerFrame::Update {
+            seq: 0,
+            moved,
+            patch: patch.cloned(),
+        }
+        .wire_len()
     }
 
     fn focus_then_type(text: &str) -> Vec<ScriptStep> {
@@ -972,31 +1055,43 @@ mod tests {
 
     #[test]
     fn patched_baseline_equals_the_screen_while_typing() {
-        let (updates, _) =
+        let [x11, awm] =
             baseline_tracks_screen(UPDATE_BUDGET_BYTES, &focus_then_type("Hello, baseline"));
-        assert!(updates >= 10, "typing shipped {updates} updates");
+        assert!(x11.updates >= 10, "typing shipped {} updates", x11.updates);
+        assert!(awm.updates >= 10, "typing shipped {} updates", awm.updates);
     }
 
+    /// Every update is checked against the packed keyframe of its
+    /// screen: a newline XORing every line below it once shipped about
+    /// 38.6 KB where that keyframe took 38.4 KB, and the display list,
+    /// which reports no moves, still ships such newlines.
     #[test]
     fn patched_baseline_equals_the_screen_through_a_scroll() {
-        // Forty short lines run well past the bottom of fig5's text
-        // view, so it scrolls.
+        // Forty short lines typed mid-text run well past the bottom of
+        // fig5's text view, so its tail shifts down a line a newline
+        // and, once the caret reaches the bottom, the view scrolls.
         let text: String = (0..40).map(|i| format!("line {i}\n")).collect();
         let steps = focus_then_type(&text);
-        let (updates, keyframes) = baseline_tracks_screen(UPDATE_BUDGET_BYTES, &steps);
-        assert!(updates > 100, "typing shipped {updates} updates");
-        // A scroll's update XORs most of the view and still fits the
-        // budget, so the whole session is one chain of updates on the
-        // initial keyframe.
-        assert_eq!(keyframes, 0, "typing shipped keyframes");
-        // Under a 16 KiB budget the big updates pass it mid-encode: the
-        // encoder stops with the baseline partly brought along, and
-        // the keyframe shipped instead must leave it equal to the
-        // screen all the same.
-        let (_, tight_keyframes) = baseline_tracks_screen(16 * 1024, &steps);
+        let [x11, awm] = baseline_tracks_screen(UPDATE_BUDGET_BYTES, &steps);
+        assert!(x11.updates > 100, "typing shipped {} updates", x11.updates);
+        // The pixel store ships each newline and scroll as a move, so
+        // the whole session is one chain of updates on the initial
+        // keyframe; the display list ships the same screens as big XOR
+        // updates, or as keyframes where those would be longer.
+        assert_eq!(x11.keyframes, 0, "typing shipped keyframes");
+        assert!(x11.moves >= 30, "{} updates carried a move", x11.moves);
+        assert_eq!(awm.moves, 0, "the display list reported a move");
+        assert!(awm.updates + awm.keyframes > 100);
+        // Under a 2 KiB budget the big updates pass it mid-encode: the
+        // encoder stops with the baseline partly brought along (moved
+        // first, on the pixel store), and the keyframe shipped instead
+        // must leave it equal to the screen all the same.
+        let [x11, awm] = baseline_tracks_screen(2 * 1024, &steps);
         assert!(
-            tight_keyframes > 0,
-            "the budget degraded nothing: {tight_keyframes} keyframes"
+            x11.keyframes > 0 && awm.keyframes > 0,
+            "the budget degraded nothing: {} and {} keyframes",
+            x11.keyframes,
+            awm.keyframes
         );
     }
 
@@ -1010,14 +1105,16 @@ mod tests {
             atk_graphics::Size::new(400, 300),
         )));
         steps.extend(focus_then_type("after").into_iter().skip(2));
-        let (updates, keyframes) = baseline_tracks_screen(UPDATE_BUDGET_BYTES, &steps);
-        assert_eq!(keyframes, 0, "the resize shipped a keyframe");
-        assert!(updates >= 12, "typing shipped {updates} updates");
+        for run in baseline_tracks_screen(UPDATE_BUDGET_BYTES, &steps) {
+            assert_eq!(run.keyframes, 0, "the resize shipped a keyframe");
+            assert!(run.updates >= 12, "typing shipped {} updates", run.updates);
+        }
         // Under a 4 KiB budget the redraw degrades to a keyframe, and
         // typing goes on in place on top of it.
-        let (updates, keyframes) = baseline_tracks_screen(4 * 1024, &steps);
-        assert_eq!(keyframes, 1, "the redraw shipped as an update");
-        assert!(updates >= 12, "typing shipped {updates} updates");
+        for run in baseline_tracks_screen(4 * 1024, &steps) {
+            assert_eq!(run.keyframes, 1, "the redraw shipped as an update");
+            assert!(run.updates >= 12, "typing shipped {} updates", run.updates);
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! text, so the wire reuses the exact parser and printer that
 //! `runapp --script` and the fuzzer already trust — and server→client
 //! bodies ship full keyframes, or updates that carry the change against
-//! the frame the client already holds as one XOR rect.
+//! the frame the client already holds: at most one move of pixels
+//! within it (VNC's CopyRect), then one XOR rect.
 //!
 //! Every decode path is bounds-checked and capped; malformed, truncated,
 //! or hostile input returns [`WireError`], never panics (the proptests
@@ -18,7 +19,7 @@
 use std::sync::Arc;
 
 use atk_core::{EventScript, ScriptStep};
-use atk_graphics::{Framebuffer, Rect};
+use atk_graphics::{Framebuffer, Move, Point, Rect};
 
 /// Hard cap on one frame body, enforced by both transports and the
 /// decoders (a 4096×4096 keyframe is ~64 MiB; nothing legitimate is
@@ -60,8 +61,8 @@ pub enum WireError {
     TooLarge,
     /// The frame decoded but left unread payload bytes.
     TrailingBytes,
-    /// An update's rect does not lie inside the frame it applies to
-    /// (no frame yet counts as a 0×0 one).
+    /// An update's move or rect does not lie inside the frame it
+    /// applies to (no frame yet counts as a 0×0 one).
     OutsideFrame,
 }
 
@@ -74,7 +75,7 @@ impl std::fmt::Display for WireError {
             WireError::BadStep(e) => write!(f, "bad step: {e}"),
             WireError::TooLarge => write!(f, "field exceeds protocol cap"),
             WireError::TrailingBytes => write!(f, "trailing bytes after frame"),
-            WireError::OutsideFrame => write!(f, "update rect outside the frame"),
+            WireError::OutsideFrame => write!(f, "update outside the frame"),
         }
     }
 }
@@ -93,10 +94,13 @@ pub struct XorRect {
     block: Vec<u8>,
 }
 
-/// Bytes of an update frame before its rect: tag, `seq`, rect count.
+/// Bytes of an update frame apart from its move and rect: tag, `seq`,
+/// rect count.
 const UPDATE_HEADER_BYTES: usize = 1 + 8 + 4;
 /// Bytes of a rect header: x, y, width, height.
 const RECT_HEADER_BYTES: usize = 16;
+/// Bytes of a move: its source rect, then where it lands (x, y).
+const MOVE_BYTES: usize = RECT_HEADER_BYTES + 8;
 
 impl XorRect {
     /// Encodes `cur` XOR `base` over `rect` and brings `base` up to
@@ -159,14 +163,10 @@ impl XorRect {
     /// [`WireError::OutsideFrame`], leaving `fb` untouched, when the
     /// rect does not lie inside `fb`.
     pub fn apply_to(&self, fb: &mut Framebuffer) -> Result<(), WireError> {
-        let r = self.rect;
-        // Widened so a hostile origin near `i32::MAX` cannot wrap past
-        // the bounds check.
-        if r.x as i64 + r.width as i64 > fb.width() as i64
-            || r.y as i64 + r.height as i64 > fb.height() as i64
-        {
+        if !self.fits(fb) {
             return Err(WireError::OutsideFrame);
         }
+        let r = self.rect;
         let w = r.width as usize;
         let (mut row, mut x, mut y) = (vec![0u32; w], 0, r.y);
         Reader::new(&self.block).runs(w * r.height as usize, |mut count, value| {
@@ -187,6 +187,35 @@ impl XorRect {
         })?;
         Ok(())
     }
+
+    /// Whether the rect lies inside `fb`. Widened so a hostile origin
+    /// near `i32::MAX` cannot wrap past the check.
+    fn fits(&self, fb: &Framebuffer) -> bool {
+        let r = self.rect;
+        r.x as i64 + r.width as i64 <= fb.width() as i64
+            && r.y as i64 + r.height as i64 <= fb.height() as i64
+    }
+}
+
+/// Applies an update's move, then its patch, to `fb`, the frame the
+/// update was encoded against.
+///
+/// # Errors
+///
+/// [`WireError::OutsideFrame`], leaving `fb` untouched, when the move's
+/// source or destination or the patch's rect does not lie inside `fb`.
+pub fn apply_update(
+    fb: &mut Framebuffer,
+    moved: Option<Move>,
+    patch: Option<&XorRect>,
+) -> Result<(), WireError> {
+    if moved.is_some_and(|m| !m.fits(fb.bounds())) || patch.is_some_and(|p| !p.fits(fb)) {
+        return Err(WireError::OutsideFrame);
+    }
+    if let Some(m) = moved {
+        fb.copy_within(m.src, m.dst);
+    }
+    patch.map_or(Ok(()), |p| p.apply_to(fb))
 }
 
 /// Client→server frames.
@@ -238,15 +267,19 @@ pub enum ServerFrame {
     },
     /// Admission control rejected the connection; try again later.
     Busy,
-    /// The change against the frame the client holds. Updates depend
-    /// on every frame before them, which the transport delivers in
-    /// order and whole until a disconnect, and a disconnect ends the
-    /// session.
+    /// The change against the frame the client holds: first `moved`,
+    /// then `patch` (see [`apply_update`]). Updates depend on every
+    /// frame before them, which the transport delivers in order and
+    /// whole until a disconnect, and a disconnect ends the session.
     Update {
         /// Cumulative count of client steps consumed so far.
         seq: u64,
-        /// The changed rect, XORed with the client's pixels; `None`
-        /// when no pixel changed (a pure ack).
+        /// Pixels copied within the client's frame before the patch
+        /// (lines a reflow or a scroll shifted); `None` when none moved.
+        moved: Option<Move>,
+        /// The changed rect of the moved frame, XORed with its pixels;
+        /// `None` when no other pixel changed (with no move, a pure
+        /// ack).
         patch: Option<XorRect>,
     },
     /// Full frame replacing the client framebuffer (also carries
@@ -294,16 +327,18 @@ const TAG_S_BYE: u8 = 0x85;
 const TAG_ERROR: u8 = 0x86;
 const TAG_STATS: u8 = 0x87;
 const TAG_KEYFRAME_RLE: u8 = 0x89;
+const TAG_UPDATE_MOVED: u8 = 0x8A;
 
 /// Which body encoding [`ServerFrame::encode_packed`] chose for a
 /// frame. A keyframe's is chosen per frame, by comparing actual encoded
-/// sizes; an update's rect is always run-length coded.
+/// sizes; an update's rect is always run-length coded, and its move is
+/// six integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
     /// Raw little-endian pixels (tag `0x84`), or no pixels at all.
     Raw,
     /// Row-delta + run-length encoded pixels (tag `0x89`, and `0x83`
-    /// with a rect).
+    /// or `0x8A` with a rect), or a move with no rect.
     Rle,
 }
 
@@ -582,6 +617,16 @@ impl<'a> Reader<'a> {
         Ok(px)
     }
 
+    /// A move's corner: both coordinates in `0..=MAX_DIM`, the most a
+    /// point inside any frame can have.
+    fn point(&mut self) -> Result<(i32, i32), WireError> {
+        let (x, y) = (self.i32()?, self.i32()?);
+        if !(0..=MAX_DIM as i32).contains(&x) || !(0..=MAX_DIM as i32).contains(&y) {
+            return Err(WireError::TooLarge);
+        }
+        Ok((x, y))
+    }
+
     fn dims(&mut self) -> Result<(u32, u32), WireError> {
         let w = self.u32()?;
         let h = self.u32()?;
@@ -701,10 +746,26 @@ impl ServerFrame {
                 put_u32(&mut out, *height);
             }
             ServerFrame::Busy => out.push(TAG_BUSY),
-            ServerFrame::Update { seq, patch } => {
+            ServerFrame::Update { seq, moved, patch } => {
                 out.reserve(self.wire_len());
-                out.push(TAG_UPDATE);
+                out.push(if moved.is_some() {
+                    TAG_UPDATE_MOVED
+                } else {
+                    TAG_UPDATE
+                });
                 put_u64(&mut out, *seq);
+                if let Some(m) = moved {
+                    for v in [
+                        m.src.x,
+                        m.src.y,
+                        m.src.width,
+                        m.src.height,
+                        m.dst.x,
+                        m.dst.y,
+                    ] {
+                        put_u32(&mut out, v as u32);
+                    }
+                }
                 put_u32(&mut out, patch.is_some() as u32);
                 if let Some(p) = patch {
                     for v in [p.rect.x, p.rect.y, p.rect.width, p.rect.height] {
@@ -763,8 +824,22 @@ impl ServerFrame {
                 }
             }
             TAG_BUSY => ServerFrame::Busy,
-            TAG_UPDATE => {
+            tag @ (TAG_UPDATE | TAG_UPDATE_MOVED) => {
                 let seq = r.u64()?;
+                let moved = if tag == TAG_UPDATE_MOVED {
+                    let (x, y) = r.point()?;
+                    let (w, h) = r.dims()?;
+                    if w == 0 || h == 0 {
+                        return Err(WireError::TooLarge);
+                    }
+                    let (dx, dy) = r.point()?;
+                    Some(Move {
+                        src: Rect::new(x, y, w as i32, h as i32),
+                        dst: Point::new(dx, dy),
+                    })
+                } else {
+                    None
+                };
                 let patch = match r.u32()? {
                     0 => None,
                     1 => {
@@ -785,7 +860,7 @@ impl ServerFrame {
                     }
                     _ => return Err(WireError::TooLarge),
                 };
-                ServerFrame::Update { seq, patch }
+                ServerFrame::Update { seq, moved, patch }
             }
             tag @ (TAG_KEYFRAME | TAG_KEYFRAME_RLE) => {
                 let seq = r.u64()?;
@@ -846,7 +921,10 @@ impl ServerFrame {
                 return (rle, Encoding::Rle);
             }
         }
-        let coded = matches!(self, ServerFrame::Update { patch: Some(_), .. });
+        let coded = matches!(
+            self,
+            ServerFrame::Update { patch: Some(_), .. } | ServerFrame::Update { moved: Some(_), .. }
+        );
         (
             self.encode(),
             if coded { Encoding::Rle } else { Encoding::Raw },
@@ -862,8 +940,9 @@ impl ServerFrame {
         match self {
             ServerFrame::Welcome { .. } => 1 + 8 + 4 + 4,
             ServerFrame::Busy => 1,
-            ServerFrame::Update { patch, .. } => {
+            ServerFrame::Update { moved, patch, .. } => {
                 UPDATE_HEADER_BYTES
+                    + moved.map_or(0, |_| MOVE_BYTES)
                     + patch
                         .as_ref()
                         .map_or(0, |p| RECT_HEADER_BYTES + p.block.len())
@@ -897,7 +976,11 @@ mod tests {
         let patch = (!changed.is_empty())
             .then(|| XorRect::encode(before, after, changed, usize::MAX).unwrap());
         assert_eq!(before, after, "the encoder brings the baseline along");
-        ServerFrame::Update { seq, patch }
+        ServerFrame::Update {
+            seq,
+            moved: None,
+            patch,
+        }
     }
 
     #[test]
@@ -961,6 +1044,15 @@ mod tests {
             ServerFrame::Busy,
             ServerFrame::Update {
                 seq: 2,
+                moved: None,
+                patch: None,
+            },
+            ServerFrame::Update {
+                seq: 5,
+                moved: Some(Move {
+                    src: Rect::new(0, 1, 3, 2),
+                    dst: Point::new(0, 0),
+                }),
                 patch: None,
             },
             update(

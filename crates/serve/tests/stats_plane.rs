@@ -326,6 +326,47 @@ fn a_typing_session_diffs_only_what_it_drew() {
     );
 }
 
+/// A Return typed mid-text shifts every line below the caret down one
+/// line. The window reports that shift as a move, so the update carries
+/// the move and only the re-wrapped lines: a few kilobytes, where an
+/// XOR of every shifted line took about 33.7 KB. `serve.moves` and
+/// `serve.moved_px` count the moves shipped and the pixels they moved.
+#[test]
+fn a_return_ships_its_shifted_lines_as_a_move() {
+    let server = Server::start(ServerConfig::default(), 1);
+    let mut client = ServeClient::connect(server.connect_mem(None).unwrap(), "fig5").unwrap();
+    let mut steps = vec![
+        ScriptStep::Event(WindowEvent::left_down(70, 70)),
+        ScriptStep::Event(WindowEvent::left_up(70, 70)),
+    ];
+    for c in (0..12).flat_map(|i| format!("line {i}\n").chars().collect::<Vec<_>>()) {
+        steps.push(ScriptStep::Event(match c {
+            '\n' => WindowEvent::Key(atk_wm::Key::Return),
+            c => WindowEvent::ch(c),
+        }));
+    }
+    let mut returns = Vec::new();
+    for step in &steps {
+        let before = client.stats().diff_bytes;
+        client.step_sync(step).unwrap();
+        if *step == ScriptStep::Event(WindowEvent::Key(atk_wm::Key::Return)) {
+            returns.push(client.stats().diff_bytes - before);
+        }
+    }
+    client.finish().unwrap();
+    while server.shard_loads() != [0] {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let snap = server.merged_snapshot();
+    assert_eq!(snap.counter("serve.moves"), 12, "one move per Return");
+    assert!(snap.counter("serve.moved_px") > 12 * 546 * 100);
+    assert_eq!(returns.len(), 12);
+    assert!(
+        returns.iter().all(|&b| b > 0 && b <= 4096),
+        "update bytes per Return: {returns:?}"
+    );
+}
+
 /// The template keyframe cache counts on the shard plane: the first
 /// fig5 `Hello` on a shard encodes the keyframe, every later one is a
 /// hit, and `--no-fork` admissions never touch the cache. A hit

@@ -9,9 +9,9 @@
 use std::sync::Arc;
 
 use atk_core::ScriptStep;
-use atk_graphics::{Color, Framebuffer, Point, Rect, Size};
+use atk_graphics::{Color, Framebuffer, Move, Point, Rect, Size};
 use atk_serve::wire::{
-    ClientFrame, Encoding, ServerFrame, WireError, XorRect, MAX_DIM, MAX_FRAME_BYTES,
+    apply_update, ClientFrame, Encoding, ServerFrame, WireError, XorRect, MAX_DIM, MAX_FRAME_BYTES,
 };
 use atk_serve::{ClientError, FrameTransport, MemTransport, ServeClient};
 use atk_wm::{Key, MouseAction, WindowEvent};
@@ -71,10 +71,67 @@ fn arb_client_frame() -> impl Strategy<Value = ClientFrame> {
 /// the bounds of what changed, encoded in one pass. `before` ends equal
 /// to `after`.
 fn update(seq: u64, before: &mut Framebuffer, after: &Framebuffer) -> ServerFrame {
+    moved_update(seq, before, after, None)
+}
+
+/// [`update`] after the move `moved`, made on `before` first, as a
+/// session makes the window's move on its baseline.
+fn moved_update(
+    seq: u64,
+    before: &mut Framebuffer,
+    after: &Framebuffer,
+    moved: Option<Move>,
+) -> ServerFrame {
+    if let Some(m) = moved {
+        before.copy_within(m.src, m.dst);
+    }
     let changed = before.diff_bounds_within(after, after.bounds()).unwrap();
     let patch =
         (!changed.is_empty()).then(|| XorRect::encode(before, after, changed, usize::MAX).unwrap());
-    ServerFrame::Update { seq, patch }
+    ServerFrame::Update { seq, moved, patch }
+}
+
+/// A pair from [`arb_pair`] whose second frame first had a move made
+/// on it (rows shifted as a reflow or a scroll shifts them, or any
+/// rect anywhere), then its blocks and pixels drawn: the frames and
+/// the move. A pair with no pixels becomes a 1×1 frame.
+fn arb_moved_pair() -> impl Strategy<Value = (Framebuffer, Framebuffer, Move)> {
+    (
+        arb_pair(),
+        (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        (0.0f64..1.0, 0.0f64..1.0, any::<bool>()),
+    )
+        .prop_map(|((before, drawn), (x, y, w, h), (dx, dy, rows))| {
+            let (before, drawn) = if before.width() == 0 {
+                let one = Framebuffer::from_pixels(1, 1, vec![0]);
+                (one.clone(), one)
+            } else {
+                (before, drawn)
+            };
+            let (fw, fh) = (before.width(), before.height());
+            let at = |f: f64, n: i32| ((f * n as f64) as i32).min(n - 1);
+            let src = if rows {
+                let top = at(y, fh);
+                Rect::new(0, top, fw, fh - top)
+            } else {
+                let (sx, sy) = (at(x, fw), at(y, fh));
+                Rect::new(sx, sy, 1 + at(w, fw - sx), 1 + at(h, fh - sy))
+            };
+            let dst = Point::new(
+                if rows { 0 } else { at(dx, fw - src.width + 1) },
+                at(dy, fh - src.height + 1),
+            );
+            let mv = Move { src, dst };
+            let mut after = before.clone();
+            after.copy_within(src, dst);
+            // Whatever the pair drew lands on top of the move.
+            let d = before.diff_bounds_within(&drawn, drawn.bounds()).unwrap();
+            for y in d.y..d.bottom() {
+                let row: Vec<u32> = (d.x..d.right()).map(|x| drawn.get(x, y).0).collect();
+                after.put_rect(Rect::new(d.x, y, d.width, 1), &row);
+            }
+            (before, after, mv)
+        })
 }
 
 fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
@@ -92,6 +149,9 @@ fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
             &mut before,
             &after
         )),
+        (any::<u64>(), arb_moved_pair()).prop_map(|(seq, (mut before, after, mv))| {
+            moved_update(seq, &mut before, &after, Some(mv))
+        }),
         (any::<u64>(), 1i32..48, 1i32..48, any::<u32>()).prop_map(|(seq, width, height, fill)| {
             keyframe(
                 seq,
@@ -195,6 +255,13 @@ fn arb_packed_frame() -> impl Strategy<Value = (ServerFrame, Framebuffer)> {
             let held = before.clone();
             (update(seq, &mut before.clone(), &after), held)
         }),
+        (any::<u64>(), arb_moved_pair()).prop_map(|(seq, (before, after, mv))| {
+            let held = before.clone();
+            (
+                moved_update(seq, &mut before.clone(), &after, Some(mv)),
+                held,
+            )
+        }),
     ]
 }
 
@@ -241,7 +308,8 @@ fn reference_packed(frame: &ServerFrame) -> (Vec<u8>, Encoding) {
     let raw = frame.encode();
     match (frame, reference_rle_body(frame)) {
         (_, Some(rle)) if rle.len() < raw.len() => (rle, Encoding::Rle),
-        (ServerFrame::Update { patch: Some(_), .. }, _) => (raw, Encoding::Rle),
+        (ServerFrame::Update { patch: Some(_), .. }, _)
+        | (ServerFrame::Update { moved: Some(_), .. }, _) => (raw, Encoding::Rle),
         _ => (raw, Encoding::Raw),
     }
 }
@@ -356,26 +424,24 @@ fn production(body: &[u8], held: &Framebuffer) -> Option<Outcome> {
     };
     match frame {
         ServerFrame::Keyframe { seq, frame } => Some(Ok((seq, (*frame).clone()))),
-        ServerFrame::Update { seq, patch } => {
+        ServerFrame::Update { seq, moved, patch } => {
             let mut fb = held.clone();
-            Some(match patch.map(|p| p.apply_to(&mut fb)) {
-                Some(Err(e)) => Err(e),
-                _ => Ok((seq, fb)),
-            })
+            Some(apply_update(&mut fb, moved, patch.as_ref()).map(|()| (seq, fb)))
         }
         _ => None,
     }
 }
 
-/// The reference decoder for a `0x83` update or `0x89` keyframe body,
-/// applied to a client holding `held`: decode the runs with
-/// [`reference_rle_decode`], then XOR the rect in one pixel at a time.
-/// `None` for any other tag.
+/// The reference decoder for a `0x83` or `0x8A` update or `0x89`
+/// keyframe body, applied to a client holding `held`: make the move one
+/// pixel at a time, decode the runs with [`reference_rle_decode`], then
+/// XOR the rect in one pixel at a time. `None` for any other tag.
 fn reference(body: &[u8], held: &Framebuffer) -> Option<Outcome> {
     let (&tag, rest) = body.split_first()?;
     let mut c = Cursor(rest);
     let outcome = match tag {
-        0x83 => reference_update(&mut c, held),
+        0x83 => reference_update(&mut c, held, false),
+        0x8A => reference_update(&mut c, held, true),
         0x89 => reference_keyframe(&mut c),
         _ => return None,
     };
@@ -390,16 +456,47 @@ fn reference(body: &[u8], held: &Framebuffer) -> Option<Outcome> {
     }))
 }
 
-/// Decodes an update against `held`; the flag says whether its rect
-/// fits the frame (checked only once the whole body decoded).
+/// Decodes an update, with a move when `moved`, against `held`; the
+/// flag says whether its move and rect fit the frame (checked only once
+/// the whole body decoded).
 fn reference_update(
     c: &mut Cursor<'_>,
     held: &Framebuffer,
+    moved: bool,
 ) -> Result<(u64, Framebuffer, bool), WireError> {
     let seq = c.u64()?;
     let mut fb = held.clone();
+    let mut fits = true;
+    if moved {
+        let corner = |c: &mut Cursor<'_>| -> Result<(i32, i32), WireError> {
+            let (x, y) = (c.u32()?, c.u32()?);
+            if x > MAX_DIM || y > MAX_DIM {
+                return Err(WireError::TooLarge);
+            }
+            Ok((x as i32, y as i32))
+        };
+        let (x, y) = corner(c)?;
+        let (w, h) = c.dims()?;
+        if w == 0 || h == 0 {
+            return Err(WireError::TooLarge);
+        }
+        let (dx, dy) = corner(c)?;
+        let (w, h) = (w as i32, h as i32);
+        fits = x + w <= fb.width()
+            && y + h <= fb.height()
+            && dx + w <= fb.width()
+            && dy + h <= fb.height();
+        if fits {
+            let old = fb.clone();
+            for py in 0..h {
+                for px in 0..w {
+                    fb.set(dx + px, dy + py, old.get(x + px, y + py));
+                }
+            }
+        }
+    }
     match c.u32()? {
-        0 => return Ok((seq, fb, true)),
+        0 => return Ok((seq, if fits { fb } else { held.clone() }, fits)),
         1 => {}
         _ => return Err(WireError::TooLarge),
     }
@@ -414,8 +511,9 @@ fn reference_update(
         return Err(WireError::TooLarge);
     }
     let xor = reference_rle_decode(c, count, w as usize)?;
-    let fits =
-        x as i64 + w as i64 <= fb.width() as i64 && y as i64 + h as i64 <= fb.height() as i64;
+    let fits = fits
+        && x as i64 + w as i64 <= fb.width() as i64
+        && y as i64 + h as i64 <= fb.height() as i64;
     if fits {
         for (i, v) in xor.into_iter().enumerate() {
             let (px, py) = (x + (i % w as usize) as i32, y + (i / w as usize) as i32);
@@ -570,7 +668,7 @@ proptest! {
         let changed = base.diff_bounds_within(&after, within).unwrap();
         let patch = (!changed.is_empty())
             .then(|| XorRect::encode(&mut base, &after, changed, usize::MAX).unwrap());
-        let frame = ServerFrame::Update { seq, patch };
+        let frame = ServerFrame::Update { seq, moved: None, patch };
         prop_assert_eq!(frame.encode(), want.clone());
         prop_assert_eq!(frame.wire_len(), want.len());
         prop_assert_eq!(&base, &after);
@@ -607,14 +705,21 @@ proptest! {
     // client, never a panic.
     #[test]
     fn hostile_update_bodies_are_errors_not_panics(
-        pair in arb_pair(),
+        pair in arb_moved_pair(),
+        with_move in any::<bool>(),
         at in 0.0f64..1.0,
         flip in 1u8..255,
         cut in 0.0f64..1.0,
         narrow in any::<bool>(),
     ) {
-        let (before, after) = pair;
-        let body = update(7, &mut before.clone(), &after).encode();
+        let (before, after, mv) = pair;
+        let mut after = after;
+        if !with_move {
+            after = before.clone();
+            after.fill_rect(Rect::new(0, 0, 2, 1), Color::BLACK);
+        }
+        let moved = with_move.then_some(mv);
+        let body = moved_update(7, &mut before.clone(), &after, moved).encode();
         let keep = ((body.len() as f64 * cut) as usize).min(body.len() - 1);
         prop_assert!(ServerFrame::decode(&body[..keep]).is_err());
         let mut flipped = body.clone();
@@ -825,6 +930,69 @@ proptest! {
         let decoded = production(&body, &held).unwrap();
         prop_assert_eq!(Some(decoded.clone()), reference(&body, &held));
         prop_assert!(decoded.is_err() || still_valid, "miscounted body decoded");
+    }
+}
+
+// A move whose corner lies past any frame, or near `i32::MAX` where a
+// careless bounds check would wrap, is refused by the decoder; one
+// whose source or destination leaves the frame the client holds is
+// refused by the client, which keeps its frame. Nothing panics.
+#[test]
+fn hostile_moves_are_errors_not_panics() {
+    let held = held_frame(true);
+    let body = |src: Rect, dst: Point| {
+        let mut out = vec![0x8A];
+        out.extend_from_slice(&3u64.to_le_bytes());
+        for v in [src.x, src.y, src.width, src.height, dst.x, dst.y, 0] {
+            out.extend_from_slice(&(v as u32).to_le_bytes());
+        }
+        out
+    };
+    let (w, h) = (held.width(), held.height());
+    let max = i32::MAX;
+    for (src, dst) in [
+        (Rect::new(max - 1, 0, 4, 1), Point::new(0, 0)),
+        (Rect::new(0, max, 1, 2), Point::new(0, 0)),
+        (Rect::new(0, 0, 4, 4), Point::new(max - 2, 0)),
+        (Rect::new(0, 0, 4, 4), Point::new(0, max)),
+        (Rect::new(-1, 0, 4, 4), Point::new(0, 0)),
+        (Rect::new(0, 0, 0, 4), Point::new(0, 0)),
+        (Rect::new(0, 0, 4, MAX_DIM as i32 + 1), Point::new(0, 0)),
+    ] {
+        assert_eq!(
+            ServerFrame::decode(&body(src, dst)),
+            Err(WireError::TooLarge),
+            "{src:?} -> {dst:?}"
+        );
+    }
+    for (src, dst) in [
+        // Source past the right or bottom edge.
+        (Rect::new(w - 3, 0, 4, 4), Point::new(0, 0)),
+        (Rect::new(0, h - 1, 4, 2), Point::new(0, 0)),
+        // Destination past the right or bottom edge.
+        (Rect::new(0, 0, 4, 4), Point::new(w - 3, 0)),
+        (Rect::new(0, 0, w, 4), Point::new(0, h - 3)),
+        // Both inside a frame of the dimension cap, not this one.
+        (Rect::new(0, 0, 4, 4), Point::new(MAX_DIM as i32 - 4, 0)),
+    ] {
+        let frame = ServerFrame::decode(&body(src, dst)).expect("decodes");
+        let mut fb = held.clone();
+        let ServerFrame::Update { moved, patch, .. } = frame else {
+            panic!("not an update: {frame:?}");
+        };
+        assert_eq!(
+            apply_update(&mut fb, moved, patch.as_ref()),
+            Err(WireError::OutsideFrame),
+            "{src:?} -> {dst:?}"
+        );
+        assert_eq!(fb, held, "a refused move changed the frame");
+        let (mut client, mut server) = client_holding(&held);
+        server.send(&body(src, dst)).unwrap();
+        assert!(matches!(
+            client.drain_frames(),
+            Err(ClientError::Protocol(_))
+        ));
+        assert_eq!(client.framebuffer(), &held);
     }
 }
 

@@ -210,14 +210,26 @@ mod tests {
                 .unwrap()
                 .ensure_layout(w);
         });
-        // Split line 1: everything from line 1 down shifts.
+        // Split line 1: everything from line 1 down shifts. The split
+        // line is damaged; the lines below it keep their pixels, which
+        // move down a line instead of repainting.
         let rec = world.data_mut::<TextData>(data).unwrap().insert(5, "\n");
         world.notify(data, rec);
         world.flush_notifications();
         let region = world.take_damage_region();
         let bb = region.bounding_box();
         assert!(bb.y >= 8, "line 0 untouched, got {bb}");
-        assert!(bb.height >= 30, "shifted strip covers the rest, got {bb}");
+        let moves = world.take_moves_for(view);
+        let &[(rows, dy)] = &moves[..] else {
+            panic!("one move expected, got {moves:?}");
+        };
+        assert!(dy >= 8 && rows.y >= bb.y + dy, "{rows} moved by {dy}");
+        assert_eq!(
+            bb.bottom(),
+            rows.y + dy,
+            "the split line's strip ends where the tail lands"
+        );
+        assert!(bb.height >= 2 * dy, "the split line's two halves, got {bb}");
     }
 
     #[test]

@@ -71,6 +71,15 @@ struct WrapEnd {
     converged: Option<usize>,
 }
 
+/// What an edit moved on screen, in content coordinates.
+struct Reflow {
+    /// Rows whose pixels may have changed: `(top, bottom)`.
+    strip: (i32, i32),
+    /// Lines that kept their wrap but shifted: `(old top, old bottom,
+    /// dy)`, the bottom being the end of the text.
+    tail: Option<(i32, i32, i32)>,
+}
+
 /// Convergence target for an incremental wrap pass.
 struct Converge<'a> {
     /// The pre-edit line table.
@@ -509,16 +518,16 @@ impl TextView {
     /// Edit-local relayout for a `ChangeRec::Text`: keeps the prefix of
     /// lines whose wrap scan never reached the edit, re-wraps until line
     /// starts re-converge with the old table, then splices the old tail
-    /// shifted by the byte and height deltas. Returns the vertical strip
-    /// (content coordinates) whose pixels may have changed, or `None`
-    /// when the bound data is gone.
+    /// shifted by the byte and height deltas. Returns the re-wrapped
+    /// strip and how far the tail shifted, or `None` when the bound
+    /// data is gone.
     fn relayout_edit(
         &mut self,
         world: &mut World,
         pos: usize,
         inserted: usize,
         deleted: usize,
-    ) -> Option<(i32, i32)> {
+    ) -> Option<Reflow> {
         let data_id = self.data?;
         world.data::<TextData>(data_id)?;
         let old_lines = std::mem::take(&mut self.lines);
@@ -567,15 +576,25 @@ impl TextView {
                         self.shift_tail_insets(world, data_id, tail_start, dy);
                     }
                 }
-                if dy == 0 {
-                    // The re-laid strip slotted back in exactly; only it
-                    // can have changed.
-                    Some((start_y, end.next_y))
+                // Only the re-laid strip changed; a tail that shifted
+                // kept its pixels. A tail shorter than it moves up
+                // leaves rows of the old strip below its new end,
+                // which the strip covers too.
+                let old_tail = old_lines[qi].y;
+                let bottom = if old_total + dy < old_tail {
+                    old_tail
                 } else {
-                    Some((start_y, old_total.max(self.content_height())))
-                }
+                    end.next_y
+                };
+                Some(Reflow {
+                    strip: (start_y, bottom),
+                    tail: (dy != 0).then_some((old_tail, old_total, dy)),
+                })
             }
-            None => Some((start_y, old_total.max(self.content_height()))),
+            None => Some(Reflow {
+                strip: (start_y, old_total.max(self.content_height())),
+                tail: None,
+            }),
         }
     }
 
@@ -802,11 +821,12 @@ impl TextView {
     // damages those lines' full-width strips, before and after — never
     // the whole view, unless the line table may not match the screen.
 
-    /// The strip `(top, bottom)`, in view coordinates, of the lines the
-    /// caret or the selection is drawn on, or `None` when the line table
-    /// may not describe the screen: layout is stale, or a change
+    /// The strip `(top, bottom)`, in content coordinates, of the lines
+    /// the caret or the selection is drawn on, or `None` when the line
+    /// table may not describe the screen: layout is stale, or a change
     /// notification is still queued (positions already moved, lines not
-    /// yet).
+    /// yet). Content coordinates, because a scroll between taking the
+    /// strip and posting it moves the drawn marks with the text.
     fn marks_strip(&self, world: &World) -> Option<(i32, i32)> {
         let width = world.view_bounds(self.base.id).width - 2 * MARGIN;
         if !self.layout_valid || self.layout_width != width || world.has_pending_notifications() {
@@ -815,10 +835,7 @@ impl TextView {
         let (lo, hi) = self.selection().unwrap_or((self.caret, self.caret));
         let first = self.lines.get(self.line_index_of(lo))?;
         let last = self.lines.get(self.line_index_of(hi))?;
-        Some((
-            first.y - self.scroll_y,
-            last.y + last.height - self.scroll_y,
-        ))
+        Some((first.y, last.y + last.height))
     }
 
     /// Posts a full-width strip from [`TextView::marks_strip`], or the
@@ -828,7 +845,8 @@ impl TextView {
         let view = Rect::new(0, 0, bounds.width, bounds.height);
         match strip {
             Some((top, bottom)) => {
-                let rect = Rect::new(0, top, bounds.width, bottom - top).intersect(view);
+                let rect =
+                    Rect::new(0, top - self.scroll_y, bounds.width, bottom - top).intersect(view);
                 self.stats.partial += 1;
                 self.stats.damage_area += rect.area();
                 world.post_damage(self.base.id, rect);
@@ -887,7 +905,9 @@ impl TextView {
         self.damage_marks(world, before);
     }
 
-    /// Changes the scroll offset, posting the damage the move implies.
+    /// Changes the scroll offset, moving the visible pixels by the
+    /// scroll delta ([`World::post_move`] damages the strip the move
+    /// exposes); a scroll by the view's height or more damages it all.
     ///
     /// Scrolling shifts every visible pixel; the line-strip diff in
     /// `post_incremental_damage` works in content coordinates and cannot
@@ -909,7 +929,12 @@ impl TextView {
             world.set_view_bounds(vid, Rect::new(b.x, b.y + dy, b.width, b.height));
         }
         self.scroll_y = y;
-        world.post_damage_full(self.base.id);
+        let size = world.view_bounds(self.base.id).size();
+        if dy.abs() < size.height {
+            world.post_move(self.base.id, Rect::at(Point::ORIGIN, size), dy);
+        } else {
+            world.post_damage_full(self.base.id);
+        }
         if let Some(parent) = world.view_parent(self.base.id) {
             world.post_command(parent, "scroll-sync");
         }
@@ -953,7 +978,12 @@ impl TextView {
         self.with_data(world, |t| ((), t.apply_style(a, b, styled)));
     }
 
-    fn post_incremental_damage(&mut self, world: &mut World, change: &ChangeRec) {
+    /// Damages what a change to the bound text changed on screen. An
+    /// edit that shifts the lines below it moves their pixels instead
+    /// ([`World::post_move`]), unless it is another view's edit while
+    /// this view holds a selection anchor: the anchor does not follow
+    /// remote edits, so the highlight it draws may not follow the text.
+    fn post_incremental_damage(&mut self, world: &mut World, change: &ChangeRec, own: bool) {
         let bounds = world.view_bounds(self.base.id);
         match change {
             ChangeRec::Text {
@@ -968,13 +998,27 @@ impl TextView {
                 // path (`incremental` off, or the cached layout is for a
                 // stale width): full relayout, then diff the old and new
                 // line tables to find the changed strip.
-                let strip = if self.incremental && self.layout_width == width {
-                    self.relayout_edit(world, *pos, *inserted, *deleted)
+                let (strip, tail) = if self.incremental && self.layout_width == width {
+                    match self.relayout_edit(world, *pos, *inserted, *deleted) {
+                        Some(r) => (Some(r.strip), r.tail),
+                        None => (None, None),
+                    }
                 } else {
                     let old_lines = std::mem::take(&mut self.lines);
                     self.layout_valid = false;
                     self.ensure_layout(world);
-                    diff_strip(&old_lines, &self.lines, *pos, *inserted, *deleted)
+                    let strip = diff_strip(&old_lines, &self.lines, *pos, *inserted, *deleted);
+                    (strip, None)
+                };
+                let strip = match tail {
+                    Some((top, bottom, dy)) if own || self.sel_anchor.is_none() => {
+                        let rows = Rect::new(0, top - self.scroll_y, bounds.width, bottom - top);
+                        world.post_move(self.base.id, rows, dy);
+                        strip
+                    }
+                    // The tail repaints with the strip.
+                    Some(_) => strip.map(|(top, _)| (top, bounds.height + self.scroll_y)),
+                    None => strip,
                 };
                 if self.content_height() != old_height {
                     // The scroll extent changed, so a parent scroller's
@@ -1480,7 +1524,6 @@ impl View for TextView {
                 let max = (self.content_height() - h).max(0);
                 let target = (self.scroll_y + delta).clamp(0, max);
                 self.set_scroll_y(world, target);
-                world.post_damage_full(self.base.id);
             }
             "want-new-size" => {
                 // An inset's desired size changed (a raster zoomed), so
@@ -1585,7 +1628,8 @@ impl View for TextView {
         // Keep the caret sane across *remote* edits (another view of the
         // same data object may have mutated it). Our own edits already
         // moved the caret, so skip the adjustment for those.
-        if self.self_changes > 0 {
+        let own = self.self_changes > 0;
+        if own {
             self.self_changes -= 1;
         } else if let ChangeRec::Text {
             pos,
@@ -1597,7 +1641,7 @@ impl View for TextView {
                 self.caret = self.caret.saturating_sub((*deleted).min(self.caret - pos)) + inserted;
             }
         }
-        self.post_incremental_damage(world, change);
+        self.post_incremental_damage(world, change, own);
     }
 
     fn on_focus(&mut self, world: &mut World, gained: bool) {
@@ -1618,7 +1662,6 @@ impl View for TextView {
         let h = world.view_bounds(self.base.id).height;
         let max = (self.content_height() - h).max(0);
         self.set_scroll_y(world, offset.clamp(0, max));
-        world.post_damage_full(self.base.id);
     }
 
     fn fork(&self) -> Option<Box<dyn View>> {

@@ -27,7 +27,7 @@ use atk_graphics::{
 use crate::event::WindowEvent;
 use crate::traits::{
     BuiltinFontDriver, CursorHandle, CursorShape, FontDriver, Graphic, GraphicState,
-    OffscreenWindow, Window, WindowSystem,
+    OffscreenWindow, Window, WindowSystem, Written,
 };
 
 /// One recorded drawing operation — an entry in the display list and a
@@ -246,15 +246,17 @@ impl Window for AwmWindow {
     }
 
     /// The whole window if the display list grew or the window resized
-    /// since the last call: a recorded op is not replayed until a frame
-    /// is asked for, so where it lands is not known here.
-    fn take_written(&mut self) -> Rect {
+    /// since the last call, and never a move: a recorded op is not
+    /// replayed until a frame is asked for, so where it lands is not
+    /// known here.
+    fn take_written(&mut self) -> Written {
         let len = self.graphic.ops.borrow().len();
-        if self.taken_at.replace(len) == Some(len) {
+        let rect = if self.taken_at.replace(len) == Some(len) {
             Rect::EMPTY
         } else {
             Rect::at(Point::ORIGIN, self.size)
-        }
+        };
+        Written { moved: None, rect }
     }
 }
 

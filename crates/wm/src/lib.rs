@@ -47,7 +47,7 @@ pub mod x11sim;
 pub use event::{Button, Key, MouseAction, WindowEvent};
 pub use traits::{
     CursorHandle, CursorShape, FontDriver, Graphic, GraphicState, OffscreenWindow, Window,
-    WindowSystem,
+    WindowSystem, Written,
 };
 
 use std::env;

@@ -7,7 +7,7 @@
 //! its size.
 
 use atk_graphics::{
-    Color, FontDesc, FontMetrics, Framebuffer, Point, RasterOp, Rect, Region, Size,
+    Color, FontDesc, FontMetrics, Framebuffer, Move, Point, RasterOp, Rect, Region, Size,
 };
 
 use crate::event::WindowEvent;
@@ -85,6 +85,32 @@ pub trait WindowSystem {
     fn define_cursor(&mut self, shape: CursorShape) -> CursorHandle;
     /// The backend's font service.
     fn font_driver(&self) -> &dyn FontDriver;
+
+    /// Opens a top-level window already showing `frame`, its size, with
+    /// no event queued — the session-fork path, where the template
+    /// already dispatched the birth events. This default opens a window,
+    /// drops its birth events and adopts the frame
+    /// ([`Window::adopt_frame`]); a pixel-store backend builds the
+    /// window on the frame directly instead of filling one it drops.
+    fn open_window_on(&mut self, title: &str, frame: &Framebuffer) -> Box<dyn Window> {
+        let mut window = self.open_window(title, frame.bounds().size());
+        while window.next_event().is_some() {}
+        window.adopt_frame(frame);
+        window
+    }
+}
+
+/// What a window's frame went through since the last
+/// [`Window::take_written`]: at most one move, then writes. Applying
+/// `moved` to the frame as it was at the last take, every pixel that
+/// still differs from the frame now lies inside `rect`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Written {
+    /// Pixels the frame copied within itself
+    /// ([`Graphic::copy_area`]), as they landed.
+    pub moved: Option<Move>,
+    /// Device-space bounds of every pixel written apart from the move.
+    pub rect: Rect,
 }
 
 /// Class 2 of 6 — a top-level window: event source and drawable owner.
@@ -121,14 +147,14 @@ pub trait Window {
     /// onto the frame it keeps, and lends that.
     fn with_frame(&self, f: &mut dyn FnMut(&Framebuffer));
 
-    /// Takes the device-space bounds of every pixel written since the
-    /// last call, leaving them empty. Every frame pixel that changed
-    /// since the last call lies inside the returned rect; a resize or an
-    /// adopted frame counts as the whole window. How tight the bounds
-    /// are is the backend's choice: a pixel store adds each drawing
-    /// call's clip bounds, a display list reports the whole window
-    /// whenever it recorded anything.
-    fn take_written(&mut self) -> Rect;
+    /// Takes what the frame went through since the last call (see
+    /// [`Written`]), leaving nothing. A resize or an adopted frame
+    /// counts as the whole window written. How tight the bounds are is
+    /// the backend's choice: a pixel store reports the first unclipped
+    /// [`Graphic::copy_area`] as a move and adds each other drawing
+    /// call's clip bounds, a display list reports no move and the whole
+    /// window whenever it recorded anything.
+    fn take_written(&mut self) -> Written;
 
     /// A copy of the current frame's pixels.
     fn snapshot(&self) -> Framebuffer {
@@ -137,12 +163,9 @@ pub trait Window {
         snap
     }
 
-    /// Replaces the window's contents with `frame` wholesale — the
-    /// session-fork fast path. `frame` must match the window's size.
-    /// Backends that own a pixel store share `frame`'s bands (no pixel
-    /// is copied until the fork draws); this default falls back to one
-    /// blit through the drawable, which is a single recorded op for
-    /// display-list backends.
+    /// Replaces the window's contents with `frame` wholesale, as one
+    /// blit through the drawable (a single recorded op on a
+    /// display-list backend). `frame` must match the window's size.
     fn adopt_frame(&mut self, frame: &Framebuffer) {
         let g = self.graphic();
         g.bitblt(frame, frame.bounds(), Point::ORIGIN);

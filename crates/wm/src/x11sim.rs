@@ -12,13 +12,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use atk_graphics::{
-    BitmapFont, Color, FontDesc, FontMetrics, Framebuffer, Point, RasterOp, Rect, Region, Size,
+    BitmapFont, Color, FontDesc, FontMetrics, Framebuffer, Move, Point, RasterOp, Rect, Region,
+    Size,
 };
 
 use crate::event::WindowEvent;
 use crate::traits::{
     BuiltinFontDriver, CursorHandle, CursorShape, FontDriver, Graphic, GraphicState,
-    OffscreenWindow, Window, WindowSystem,
+    OffscreenWindow, Window, WindowSystem, Written,
 };
 
 /// The simulated X.11 window system.
@@ -48,7 +49,23 @@ impl WindowSystem for X11Sim {
 
     fn open_window(&mut self, title: &str, size: Size) -> Box<dyn Window> {
         self.windows_opened += 1;
-        Box::new(X11Window::new(title, size))
+        let frame = Framebuffer::new(size.width.max(0), size.height.max(0), Color::WHITE);
+        let mut window = X11Window::on_frame(title, size, frame);
+        // A fresh window is born exposed, as under a real server.
+        window
+            .events
+            .push_back(WindowEvent::Expose(Rect::at(Point::ORIGIN, size)));
+        Box::new(window)
+    }
+
+    /// Builds the window on a clone of `frame`, sharing its bands: no
+    /// band is filled only to be dropped, and a fork copies only the
+    /// bands it later draws on.
+    fn open_window_on(&mut self, title: &str, frame: &Framebuffer) -> Box<dyn Window> {
+        self.windows_opened += 1;
+        let mut frame = frame.clone();
+        frame.set_clip(None);
+        Box::new(X11Window::on_frame(title, frame.bounds().size(), frame))
     }
 
     fn open_offscreen(&mut self, size: Size) -> Box<dyn OffscreenWindow> {
@@ -79,22 +96,17 @@ pub struct X11Window {
 }
 
 impl X11Window {
-    fn new(title: &str, size: Size) -> X11Window {
-        let fb = Rc::new(RefCell::new(Framebuffer::new(
-            size.width.max(0),
-            size.height.max(0),
-            Color::WHITE,
-        )));
+    /// A window of `size` showing `frame`, with no event queued; its
+    /// whole frame counts as written.
+    fn on_frame(title: &str, size: Size, frame: Framebuffer) -> X11Window {
+        let fb = Rc::new(RefCell::new(frame));
         let graphic = X11Graphic::new(fb.clone());
-        let mut events = VecDeque::new();
-        // A fresh window is born exposed, as under a real server.
-        events.push_back(WindowEvent::Expose(Rect::at(Point::ORIGIN, size)));
         X11Window {
             title: title.to_string(),
             size,
             fb,
             graphic,
-            events,
+            events: VecDeque::new(),
             cursor: CursorHandle {
                 shape: CursorShape::Arrow,
                 id: 0,
@@ -112,6 +124,7 @@ impl Window for X11Window {
         self.size = size;
         let fb = Framebuffer::new(size.width.max(0), size.height.max(0), Color::WHITE);
         self.graphic.written = fb.bounds();
+        self.graphic.moved = None;
         *self.fb.borrow_mut() = fb;
         self.events.push_back(WindowEvent::Resize(size));
         self.events
@@ -154,17 +167,11 @@ impl Window for X11Window {
         f(&self.fb.borrow());
     }
 
-    fn take_written(&mut self) -> Rect {
-        std::mem::take(&mut self.graphic.written)
-    }
-
-    fn adopt_frame(&mut self, frame: &Framebuffer) {
-        // Share the frame's bands: a fork copies only the bands it
-        // later draws on.
-        let mut fb = self.fb.borrow_mut();
-        *fb = frame.clone();
-        fb.set_clip(None);
-        self.graphic.written = fb.bounds();
+    fn take_written(&mut self) -> Written {
+        Written {
+            moved: self.graphic.moved.take(),
+            rect: std::mem::take(&mut self.graphic.written),
+        }
     }
 }
 
@@ -213,8 +220,11 @@ pub struct X11Graphic {
     cur_clip: Option<Arc<Region>>,
     clip_dirty: bool,
     /// Device-space bounds of every pixel written since the owning
-    /// window last handed them out via [`Window::take_written`].
+    /// window last handed them out via [`Window::take_written`], apart
+    /// from `moved`.
     written: Rect,
+    /// The first unclipped copy since the last take, as it landed.
+    moved: Option<Move>,
 }
 
 impl X11Graphic {
@@ -227,6 +237,7 @@ impl X11Graphic {
             cur_clip: None,
             clip_dirty: false,
             written,
+            moved: None,
         }
     }
 
@@ -241,6 +252,16 @@ impl X11Graphic {
     /// written bounds. Update passes always draw under the damage clip,
     /// so an op's own extent would not tighten this.
     fn with_fb<R>(&mut self, f: impl FnOnce(&mut Framebuffer) -> R) -> R {
+        self.with_fb_marking(|hit| hit, f)
+    }
+
+    /// [`X11Graphic::with_fb`], adding `mark(hit)` to the written
+    /// bounds in place of what the call may write, `hit`.
+    fn with_fb_marking<R>(
+        &mut self,
+        mark: impl FnOnce(Rect) -> Rect,
+        f: impl FnOnce(&mut Framebuffer) -> R,
+    ) -> R {
         if self.clip_dirty {
             self.cur_clip = self.st.clip.clone().map(Arc::new);
             self.clip_dirty = false;
@@ -250,7 +271,7 @@ impl X11Graphic {
             Some(c) => c.bounding_box().intersect(fb.bounds()),
             None => fb.bounds(),
         };
-        self.written = self.written.union(hit);
+        self.written = self.written.union(mark(hit));
         fb.set_clip_shared(self.cur_clip.clone());
         let r = f(&mut fb);
         fb.set_clip(None);
@@ -406,11 +427,30 @@ impl Graphic for X11Graphic {
         self.with_fb(|fb| fb.blit(bits, src, ddst, rop));
     }
 
+    /// The first unclipped copy since the last take is recorded as the
+    /// move [`Framebuffer::copy_within`] makes of it: the source cut to
+    /// the frame, then its landing rect cut to the frame. Pixels
+    /// written before it inside its source ride along, so their landing
+    /// rect counts as written too. Any other copy is a write of its
+    /// landing rect.
     fn copy_area(&mut self, src: Rect, dst: Point) {
         self.tick();
-        let dsrc = self.st.rect_to_device(src);
-        let ddst = self.st.to_device(dst);
-        self.with_fb(|fb| fb.copy_within(dsrc, ddst));
+        let (src, dst) = (self.st.rect_to_device(src), self.st.to_device(dst));
+        let bounds = self.fb.borrow().bounds();
+        let cut = src.intersect(bounds);
+        let (dx, dy) = (dst.x - cut.x, dst.y - cut.y);
+        let lands = Rect::at(dst, cut.size()).intersect(bounds);
+        if self.st.clip.is_none() && self.moved.is_none() && !lands.is_empty() {
+            let from = lands.translate(-dx, -dy);
+            let carried = self.written.intersect(from).translate(dx, dy);
+            self.moved = Some(Move {
+                src: from,
+                dst: lands.origin(),
+            });
+            self.with_fb_marking(|_| carried, |fb| fb.copy_within(src, dst));
+        } else {
+            self.with_fb_marking(|hit| hit.intersect(lands), |fb| fb.copy_within(src, dst));
+        }
     }
 
     fn flush(&mut self) {
@@ -574,7 +614,11 @@ mod tests {
 
     #[test]
     fn ops_under_one_clip_share_one_interned_region() {
-        let mut w = X11Window::new("t", Size::new(100, 80));
+        let mut w = X11Window::on_frame(
+            "t",
+            Size::new(100, 80),
+            Framebuffer::new(100, 80, Color::WHITE),
+        );
         let g = &mut w.graphic;
         assert_eq!(fb_clip(g), None);
         g.gsave();

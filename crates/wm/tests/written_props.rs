@@ -1,10 +1,12 @@
-//! Soundness of each backend's written bounds: every pixel a sequence
-//! of `Graphic` operations changes lies inside what the window reports
-//! through `take_written`. A frame diff bounded by that rect is then
-//! exactly the full-frame diff.
+//! Soundness of each backend's written bounds: once the move a window
+//! reports through `take_written` is made on the frame as it was, every
+//! pixel a sequence of `Graphic` operations changed lies inside the
+//! written rect. A frame diff bounded by that rect is then exactly the
+//! full-frame diff, and the moved frame patched over that rect is the
+//! screen.
 
 use atk_graphics::{Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Size};
-use atk_wm::{open_window_system, Window};
+use atk_wm::{open_window_system, Window, Written};
 use proptest::prelude::*;
 
 const W: i32 = 120;
@@ -146,63 +148,171 @@ fn escaped(before: &Framebuffer, after: &Framebuffer, written: Rect) -> Vec<Poin
     out
 }
 
+/// Runs `chunks` of ops on a fresh window of `backend`, checking after
+/// each chunk that its reported move and written rect rebuild the
+/// screen from the frame before the chunk, the way a server brings its
+/// copy of the client's frame along, and that asking again reports
+/// nothing. Returns how many chunks reported a move.
+fn check_chunks(backend: &str, chunks: &[Vec<Op>]) -> usize {
+    let bits = bits();
+    let mut w = open(backend);
+    let _ = w.take_written();
+    let mut moves = 0;
+    for chunk in chunks {
+        let mut base = w.snapshot();
+        for op in chunk {
+            run(w.as_mut(), op, &bits);
+        }
+        let Written { moved, rect } = w.take_written();
+        let after = w.snapshot();
+        if let Some(m) = moved {
+            prop_assert_eq!(backend, "x11sim", "a display list reports no move");
+            prop_assert!(m.fits(base.bounds()), "{:?} leaves the frame", m);
+            base.copy_within(m.src, m.dst);
+            moves += 1;
+        }
+        let out = escaped(&base, &after, rect);
+        prop_assert!(
+            out.is_empty(),
+            "{}: {:?} outside {:?} after {:?} and {:?}",
+            backend,
+            &out[..out.len().min(4)],
+            rect,
+            moved,
+            chunk
+        );
+        prop_assert!(after.bounds().contains_rect(rect), "{:?}", rect);
+        // So the server's bounds scan, which reads only inside the
+        // written rect, finds what a whole-frame scan finds...
+        prop_assert_eq!(
+            base.diff_bounds_within(&after, rect),
+            base.diff_bounds_within(&after, after.bounds())
+        );
+        // ...and the moved frame patched over the rect is the screen.
+        for y in rect.y..rect.bottom() {
+            let row = &after.row(y)[rect.x as usize..rect.right() as usize];
+            base.put_rect(Rect::new(rect.x, y, rect.width, 1), row);
+        }
+        prop_assert!(
+            base.same_pixels(&after),
+            "{}: patched frame differs",
+            backend
+        );
+        let again = w.take_written();
+        prop_assert_eq!(again, Written::default(), "{}: second take", backend);
+    }
+    moves
+}
+
+/// An op mix where half the ops copy within the window, clipped or
+/// not, as scrolling and reflowing views do.
+fn arb_copy_heavy_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        arb_op(),
+        (arb_rect(), arb_point()).prop_map(|(r, p)| Op::CopyArea(r, p)),
+        (0i32..H, -40i32..40).prop_map(|(top, dy)| Op::CopyArea(
+            Rect::new(0, top, W, H - top),
+            Point::new(0, top + dy)
+        )),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Scripts run in chunks; after each chunk the changed pixels must
-    /// lie inside the reported rect, and asking again reports nothing.
+    /// lie inside the reported rect once the reported move is made,
+    /// and asking again reports nothing.
     #[test]
     fn every_changed_pixel_lies_inside_the_written_bounds(
         backend in prop_oneof![Just(BACKENDS[0]), Just(BACKENDS[1])],
         chunks in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..8), 1..6),
     ) {
-        let bits = bits();
-        let mut w = open(backend);
-        let _ = w.take_written();
-        for chunk in &chunks {
-            let before = w.snapshot();
-            for op in chunk {
-                run(w.as_mut(), op, &bits);
-            }
-            let written = w.take_written();
-            let after = w.snapshot();
-            let out = escaped(&before, &after, written);
-            prop_assert!(
-                out.is_empty(),
-                "{}: {:?} outside {:?} after {:?}",
-                backend, &out[..out.len().min(4)], written, chunk
-            );
-            prop_assert!(after.bounds().contains_rect(written), "{:?}", written);
-            // So the server's bounds scan, which reads only inside the
-            // written rect, finds what a whole-frame scan finds.
-            prop_assert_eq!(
-                before.diff_bounds_within(&after, written),
-                before.diff_bounds_within(&after, after.bounds())
-            );
-            let again = w.take_written();
-            prop_assert!(again.is_empty(), "{}: second take reported {:?}", backend, again);
-        }
+        check_chunks(backend, &chunks);
     }
+
+    /// Writes and copies mixed on the pixel store: the frame before,
+    /// moved as reported and patched over the written rect, is the
+    /// screen — the contract a server's update rests on.
+    #[test]
+    fn a_move_then_the_written_rect_rebuild_the_screen(
+        chunks in proptest::collection::vec(
+            proptest::collection::vec(arb_copy_heavy_op(), 1..8),
+            1..6,
+        ),
+    ) {
+        check_chunks("x11sim", &chunks);
+    }
+}
+
+#[test]
+fn the_first_unclipped_copy_is_the_move_and_carries_what_was_written() {
+    let mut w = open("x11sim");
+    let _ = w.take_written();
+    let g = w.graphic();
+    g.fill_rect(Rect::new(10, 10, 4, 4));
+    let drawn = w.take_written();
+    assert_eq!(drawn.rect, Rect::new(0, 0, W, H), "an unclipped fill");
+    // A clipped write, then a scroll of the rows below it by 5: the
+    // written rows that move land 5 lower, and count as written there.
+    let g = w.graphic();
+    g.gsave();
+    g.clip_rect(Rect::new(0, 20, W, 8));
+    g.fill_rect(Rect::new(0, 0, W, H));
+    g.grestore();
+    g.copy_area(Rect::new(0, 24, W, H - 24), Point::new(0, 29));
+    let moved = Written {
+        moved: Some(atk_graphics::Move {
+            src: Rect::new(0, 24, W, H - 29),
+            dst: Point::new(0, 29),
+        }),
+        rect: Rect::new(0, 20, W, 13),
+    };
+    assert_eq!(w.take_written(), moved);
+    // A second copy in one take, or a clipped one, is a write of where
+    // it lands.
+    let g = w.graphic();
+    g.copy_area(Rect::new(0, 0, 10, 10), Point::new(50, 50));
+    g.copy_area(Rect::new(0, 0, 10, 10), Point::new(60, 70));
+    let two = w.take_written();
+    assert_eq!(two.moved.map(|m| m.dst), Some(Point::new(50, 50)));
+    assert_eq!(two.rect, Rect::new(60, 70, 10, 10));
+    let g = w.graphic();
+    g.gsave();
+    g.clip_rect(Rect::new(0, 0, 65, 65));
+    g.copy_area(Rect::new(0, 0, 10, 10), Point::new(60, 60));
+    g.grestore();
+    assert_eq!(
+        w.take_written(),
+        Written {
+            moved: None,
+            rect: Rect::new(60, 60, 5, 5)
+        }
+    );
 }
 
 #[test]
 fn resize_and_adopt_frame_report_the_whole_window() {
     for backend in BACKENDS {
         let mut w = open(backend);
-        assert_eq!(w.take_written(), Rect::new(0, 0, W, H), "{backend}: fresh");
-        assert_eq!(w.take_written(), Rect::EMPTY);
+        assert_eq!(
+            w.take_written().rect,
+            Rect::new(0, 0, W, H),
+            "{backend}: fresh"
+        );
+        assert_eq!(w.take_written(), Written::default());
 
         w.graphic().fill_rect(Rect::new(3, 3, 4, 4));
         w.resize(Size::new(70, 50));
         let whole = Rect::new(0, 0, 70, 50);
-        assert_eq!(w.take_written(), whole, "{backend}: resize");
-        assert_eq!(w.take_written(), Rect::EMPTY);
+        assert_eq!(w.take_written().rect, whole, "{backend}: resize");
+        assert_eq!(w.take_written(), Written::default());
 
         let mut frame = Framebuffer::new(70, 50, Color::WHITE);
         frame.fill_rect(Rect::new(60, 40, 5, 5), Color::BLUE);
         w.adopt_frame(&frame);
-        assert_eq!(w.take_written(), whole, "{backend}: adopt_frame");
-        assert_eq!(w.take_written(), Rect::EMPTY);
+        assert_eq!(w.take_written().rect, whole, "{backend}: adopt_frame");
+        assert_eq!(w.take_written(), Written::default());
         assert_eq!(w.snapshot(), frame, "{backend}: adopted pixels");
 
         // Drawing is reported as soon as it is drawn; a flush adds
@@ -217,9 +327,9 @@ fn resize_and_adopt_frame_report_the_whole_window() {
             "x11sim" => Rect::new(10, 12, 5, 6),
             _ => whole,
         };
-        assert_eq!(w.take_written(), clipped, "{backend}: clipped fill");
+        assert_eq!(w.take_written().rect, clipped, "{backend}: clipped fill");
         w.graphic().flush();
-        assert_eq!(w.take_written(), Rect::EMPTY, "{backend}: flush");
+        assert_eq!(w.take_written(), Written::default(), "{backend}: flush");
     }
 }
 
@@ -233,7 +343,7 @@ fn written_bounds_follow_the_clip_and_translation() {
     g.clip_rect(Rect::new(0, 0, 30, 5));
     g.fill_rect(Rect::new(-50, -50, 500, 500));
     g.grestore();
-    assert_eq!(w.take_written(), Rect::new(10, 20, 30, 5));
+    assert_eq!(w.take_written().rect, Rect::new(10, 20, 30, 5));
     // The mark is the clip's bounds, however little of them the op
     // covers, and the whole window when there is no clip.
     let g = w.graphic();
@@ -241,7 +351,7 @@ fn written_bounds_follow_the_clip_and_translation() {
     g.clip_rect(Rect::new(0, 0, 10, 10));
     g.fill_rect(Rect::new(2, 2, 1, 1));
     g.grestore();
-    assert_eq!(w.take_written(), Rect::new(0, 0, 10, 10));
+    assert_eq!(w.take_written().rect, Rect::new(0, 0, 10, 10));
     w.graphic().fill_rect(Rect::new(2, 2, 1, 1));
-    assert_eq!(w.take_written(), Rect::new(0, 0, W, H));
+    assert_eq!(w.take_written().rect, Rect::new(0, 0, W, H));
 }

@@ -52,11 +52,14 @@ cargo run --release -q -p atk-serve --bin loadgen -- \
 
 echo "==> stats-plane smoke (mem loadgen, SLO watchdog armed, Stats probe, trace)"
 # --stats makes loadgen fetch the server-wide snapshot over the wire,
-# validate the JSON, and fail unless the stage histograms are non-empty.
+# validate the JSON, and fail unless the stage histograms are non-empty
+# and the typing shipped moves (serve.moves > 0). 400 typed steps carry
+# the caret past the bottom of fig5's text view, so Returns shift the
+# lines below them and later steps scroll the view.
 # --trace fails the run unless the Chrome trace parses and carries at
 # least one session track.
 cargo run --release -q -p atk-serve --bin loadgen -- \
-    --mem --sessions 4 --steps 30 --profile typing \
+    --mem --sessions 4 --steps 400 --profile typing \
     --slo-us 10000000 --stats --max-drops 0 --trace "$scratch/trace.json"
 
 echo "==> served + loadgen --connect smoke (2 shards, 4 remote sessions)"
