@@ -23,6 +23,12 @@
 //! once per band per drawing call; [`band_copies`] counts those copies.
 //! A frame built by [`Framebuffer::from_pixels`] — a decoded keyframe —
 //! is held as one band, so [`Framebuffer::pixels`] on it is free.
+//!
+//! A frame keeps the one record of what was drawn on it, [`Written`]:
+//! each writer marks what it wrote, once per call, and a window hands
+//! the record out through [`Framebuffer::take_written`]. So a backend
+//! that draws through a frame, immediately or by replaying a display
+//! list, keeps no record of its own.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -96,6 +102,19 @@ impl Move {
     }
 }
 
+/// What a frame went through since the last
+/// [`Framebuffer::take_written`]: at most one move, then writes. Making
+/// `moved` on the frame as it was at the last take, every pixel that
+/// still differs from the frame now lies inside `rect`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Written {
+    /// The first copy within the frame since the last take that no
+    /// clip cut ([`Framebuffer::copy_within`]), as it landed.
+    pub moved: Option<Move>,
+    /// Bounds of every pixel written apart from the move.
+    pub rect: Rect,
+}
+
 /// How a blit combines source and destination pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RasterOp {
@@ -136,19 +155,18 @@ pub struct Framebuffer {
     /// [`Framebuffer::pixels`] of a frame of several bands, joined on
     /// first call and dropped by the next write.
     joined: OnceLock<Vec<u32>>,
+    /// What was drawn since the last [`Framebuffer::take_written`].
+    written: Written,
 }
 
 impl Clone for Framebuffer {
     /// Shares every band: no pixel is copied until one side writes.
+    /// The clone counts as wholly written, like a new frame.
     fn clone(&self) -> Framebuffer {
-        Framebuffer {
-            width: self.width,
-            height: self.height,
-            shift: self.shift,
-            bands: self.bands.clone(),
-            clip: self.clip.clone(),
-            joined: OnceLock::new(),
-        }
+        let bands = self.bands.clone();
+        let mut fb = Framebuffer::from_bands(self.width, self.height, self.shift, bands);
+        fb.clip = self.clip.clone();
+        fb
     }
 }
 
@@ -161,9 +179,9 @@ impl PartialEq for Framebuffer {
 impl Eq for Framebuffer {}
 
 impl Framebuffer {
-    /// Creates a framebuffer filled with `fill`. Its bands all share
-    /// one filled band, so a fresh frame costs one band of memory until
-    /// it is drawn on.
+    /// Creates a framebuffer filled with `fill`, counted as wholly
+    /// written. Its bands all share one filled band, so a fresh frame
+    /// costs one band of memory until it is drawn on.
     ///
     /// # Panics
     ///
@@ -178,19 +196,13 @@ impl Framebuffer {
         if h % per != 0 {
             bands.push(Arc::new(vec![fill.0; (h % per) * w]));
         }
-        Framebuffer {
-            width,
-            height,
-            shift: BAND_SHIFT,
-            bands,
-            clip: None,
-            joined: OnceLock::new(),
-        }
+        Framebuffer::from_bands(width, height, BAND_SHIFT, bands)
     }
 
     /// Adopts `pixels` (row-major, `width * height` of them) as a
-    /// framebuffer held as one band, without copying them — how a
-    /// decoded keyframe becomes a client's framebuffer.
+    /// framebuffer held as one band, counted as wholly written, without
+    /// copying them — how a decoded keyframe becomes a client's
+    /// framebuffer.
     ///
     /// # Panics
     ///
@@ -203,13 +215,23 @@ impl Framebuffer {
             (width as usize) * (height as usize),
             "pixel count does not match {width}x{height}"
         );
+        Framebuffer::from_bands(width, height, ONE_BAND_SHIFT, vec![Arc::new(pixels)])
+    }
+
+    /// A frame of `width` × `height` held in `bands` of `1 << shift`
+    /// rows, unclipped and counted as wholly written.
+    fn from_bands(width: i32, height: i32, shift: u32, bands: Vec<Arc<Vec<u32>>>) -> Framebuffer {
         Framebuffer {
             width,
             height,
-            shift: ONE_BAND_SHIFT,
-            bands: vec![Arc::new(pixels)],
+            shift,
+            bands,
             clip: None,
             joined: OnceLock::new(),
+            written: Written {
+                moved: None,
+                rect: Rect::new(0, 0, width, height),
+            },
         }
     }
 
@@ -265,11 +287,13 @@ impl Framebuffer {
     }
 
     /// Rows `rows` (cut to the bounds) top down, writable, ignoring the
-    /// clip; none when the width is 0. A band is taken for writing —
-    /// copied if another frame shares it — only when the iteration
-    /// reaches it, so stopping early copies no further band.
+    /// clip; none when the width is 0. They are marked written whole. A
+    /// band is taken for writing — copied if another frame shares it —
+    /// only when the iteration reaches it, so stopping early copies no
+    /// further band.
     pub fn rows_mut(&mut self, rows: Range<i32>) -> impl Iterator<Item = &mut [u32]> + '_ {
         let (top, bottom) = (rows.start.max(0), rows.end.min(self.height));
+        self.mark(Rect::new(0, top, self.width, bottom - top));
         let (top, bottom) = (top as usize, bottom.max(top) as usize);
         let (w, shift) = (self.width as usize, self.shift);
         let bands = if top < bottom {
@@ -298,6 +322,18 @@ impl Framebuffer {
         &mut self.bands
     }
 
+    /// Adds `r` to the written bounds.
+    fn mark(&mut self, r: Rect) {
+        self.written.rect = self.written.rect.union(r);
+    }
+
+    /// Takes what the frame went through since the last call (see
+    /// [`Written`]), leaving nothing. A new frame or a clone counts as
+    /// wholly written.
+    pub fn take_written(&mut self) -> Written {
+        std::mem::take(&mut self.written)
+    }
+
     /// The smallest rect holding every pixel drawing may write: the
     /// bounds cut to the clip's bounding box.
     pub(crate) fn writable_bounds(&self) -> Rect {
@@ -320,32 +356,38 @@ impl Framebuffer {
             .is_none_or(|region| region.contains(Point::new(x, y)))
     }
 
-    /// Pixel `(x, y)`, writable; it must be inside the bounds.
-    fn pixel_mut(&mut self, x: i32, y: i32) -> &mut u32 {
+    /// The point plotter: combines pixel `(x, y)` with `color` via
+    /// `op` if it is inside bounds and clip, and says whether it was.
+    /// Marks nothing: its callers mark once per call.
+    #[inline]
+    fn plot(&mut self, x: i32, y: i32, color: Color, op: RasterOp) -> bool {
+        if !self.writable(x, y) {
+            return false;
+        }
         let (w, y, shift) = (self.width as usize, y as usize, self.shift);
         let at = (y & ((1 << shift) - 1)) * w + x as usize;
-        &mut band_mut(&mut self.bands_mut()[y >> shift])[at]
+        let px = &mut band_mut(&mut self.bands_mut()[y >> shift])[at];
+        *px = combine(*px, color.0, op);
+        true
     }
 
     /// Writes a pixel, honoring bounds and clip.
     #[inline]
     pub fn set(&mut self, x: i32, y: i32, color: Color) {
-        if self.writable(x, y) {
-            *self.pixel_mut(x, y) = color.0;
-        }
+        self.set_op(x, y, color, RasterOp::Copy);
     }
 
     /// Writes a pixel combining with the existing value via `op`.
     pub fn set_op(&mut self, x: i32, y: i32, color: Color, op: RasterOp) {
-        if self.writable(x, y) {
-            let px = self.pixel_mut(x, y);
-            *px = combine(*px, color.0, op);
+        if self.plot(x, y, color, op) {
+            self.mark(Rect::new(x, y, 1, 1));
         }
     }
 
     /// Fills the whole buffer (ignoring clip). A band another frame
     /// shares is replaced rather than copied.
     pub fn clear(&mut self, color: Color) {
+        self.mark(self.bounds());
         for band in self.bands_mut() {
             match Arc::get_mut(band) {
                 Some(px) => px.fill(color.0),
@@ -356,7 +398,8 @@ impl Framebuffer {
 
     /// The span clipper: calls `f(rows, y, x0, x1)` once for each row
     /// span `[x0, x1)` of `r` that lies inside bounds and clip, where
-    /// `rows.row(y)` is row `y`, writable.
+    /// `rows.row(y)` is row `y`, writable, then marks the bounds of
+    /// those spans written.
     ///
     /// The clip's bands meeting `r` are found by binary search and
     /// walked row by row, each row's rects left to right; `backward`
@@ -385,15 +428,18 @@ impl Framebuffer {
             shift: self.shift,
             width: self.width as usize,
         };
+        let mut hit = Rect::EMPTY;
         let mut band_spans = |band: &[Rect]| {
             // The band's rects that meet r's columns (x-sorted, so a
             // contiguous run), and the band's rows inside r.
             let band = &band[band.partition_point(|c| c.right() <= r.x)..];
             let band = &band[..band.partition_point(|c| c.x < r.right())];
-            let Some(first) = band.first() else {
+            let (Some(first), Some(last)) = (band.first(), band.last()) else {
                 return;
             };
             let (top, bot) = (first.y.max(r.y), first.bottom().min(r.bottom()));
+            let (x0, x1) = (first.x.max(r.x), last.right().min(r.right()));
+            hit = hit.union(Rect::new(x0, top, x1 - x0, bot - top));
             let mut row = |y: i32, c: &Rect| {
                 f(&mut rows, y, c.x.max(r.x), c.right().min(r.right()));
             };
@@ -413,6 +459,7 @@ impl Framebuffer {
         } else {
             bands.for_each(band_spans);
         }
+        self.mark(hit);
     }
 
     /// Fills a rectangle.
@@ -469,6 +516,11 @@ impl Framebuffer {
     /// each plotted position into a small square).
     pub fn draw_line(&mut self, a: Point, b: Point, thickness: i32, color: Color) {
         let thickness = thickness.max(1);
+        if thickness == 1 {
+            let (x, y) = (a.x.min(b.x), a.y.min(b.y));
+            let line = Rect::new(x, y, (a.x - b.x).abs() + 1, (a.y - b.y).abs() + 1);
+            self.mark(line.intersect(self.writable_bounds()));
+        }
         let (mut x0, mut y0) = (a.x, a.y);
         let (x1, y1) = (b.x, b.y);
         let dx = (x1 - x0).abs();
@@ -478,7 +530,7 @@ impl Framebuffer {
         let mut err = dx + dy;
         loop {
             if thickness == 1 {
-                self.set(x0, y0, color);
+                self.plot(x0, y0, color, RasterOp::Copy);
             } else {
                 let half = thickness / 2;
                 self.fill_rect(Rect::new(x0 - half, y0 - half, thickness, thickness), color);
@@ -679,11 +731,20 @@ impl Framebuffer {
     }
 
     /// Copies a rectangle within this framebuffer (handles overlap),
-    /// e.g. for scrolling. The destination is clipped like any other
-    /// write.
+    /// e.g. for scrolling: `src_rect` is cut to the frame, and its
+    /// top-left corner lands at `dst_origin`. The destination is
+    /// clipped like any other write.
+    ///
+    /// The first copy since the last take made with no clip is the
+    /// frame's move: its source is what lands inside the frame, and
+    /// pixels written earlier inside that source are carried to where
+    /// they land, so their landing rect counts as written. Any other
+    /// copy is a write of where it lands.
     pub fn copy_within(&mut self, src_rect: Rect, dst_origin: Point) {
         let src_rect = src_rect.intersect(self.bounds());
         let (dx, dy) = (src_rect.x - dst_origin.x, src_rect.y - dst_origin.y);
+        let lands = Rect::at(dst_origin, src_rect.size()).intersect(self.bounds());
+        let kept = self.written.rect;
         // Each pixel copies the one (dx, dy) away. Starting from the
         // side the copy moves toward reads every pixel before the walk
         // overwrites it.
@@ -696,6 +757,17 @@ impl Framebuffer {
                 rows.copy(((x0 + dx) as usize, y + dy), (x0 as usize, y), len);
             },
         );
+        if self.clip.is_none() && self.written.moved.is_none() && !lands.is_empty() {
+            let from = lands.translate(dx, dy);
+            let carried = kept.intersect(from).translate(-dx, -dy);
+            self.written = Written {
+                moved: Some(Move {
+                    src: from,
+                    dst: lands.origin(),
+                }),
+                rect: kept.union(carried),
+            };
+        }
     }
 
     /// Counts pixels equal to `color` within `r` (test helper, also used
@@ -1199,6 +1271,149 @@ mod tests {
         );
         assert_eq!(b.get(0, BAND_ROWS + 1), Color::WHITE);
         assert_eq!(b.rows_mut(-5..0).count() + b.rows_mut(70..90).count(), 0);
+    }
+
+    /// Every public writer, under no clip and under a clip of two
+    /// rects: once the reported move is made on the frame as it was,
+    /// each pixel the writer changed lies inside the reported rect, the
+    /// rect lies inside what the clip lets through, and a second take
+    /// reports nothing.
+    #[test]
+    fn every_writer_reports_the_pixels_it_changed() {
+        let mut bits = Framebuffer::new(9, 7, Color::WHITE);
+        bits.fill_rect(Rect::new(1, 1, 5, 4), Color::RED);
+        type Writer = Box<dyn Fn(&mut Framebuffer)>;
+        let writers: Vec<(&str, Writer)> = vec![
+            ("set", Box::new(|fb| fb.set(7, 5, Color::RED))),
+            (
+                "set_op",
+                Box::new(|fb| fb.set_op(8, 9, Color::RED, RasterOp::Xor)),
+            ),
+            ("clear", Box::new(|fb| fb.clear(Color::RED))),
+            (
+                "fill_rect",
+                Box::new(|fb| fb.fill_rect(Rect::new(3, 4, 20, 6), Color::RED)),
+            ),
+            (
+                "fill_rect_op",
+                Box::new(|fb| fb.fill_rect_op(Rect::new(-3, 6, 30, 20), Color::RED, RasterOp::Xor)),
+            ),
+            (
+                "fill_runs",
+                Box::new(|fb| {
+                    fb.fill_runs(Rect::new(2, 2, 30, 30), Color::RED, |y| [(4 + y, 9 + y)])
+                }),
+            ),
+            (
+                "draw_rect",
+                Box::new(|fb| fb.draw_rect(Rect::new(5, 3, 20, 25), Color::RED)),
+            ),
+            (
+                "draw_line",
+                Box::new(|fb| fb.draw_line(Point::new(30, 2), Point::new(1, 33), 1, Color::RED)),
+            ),
+            (
+                "thick draw_line",
+                Box::new(|fb| fb.draw_line(Point::new(2, 30), Point::new(35, 8), 3, Color::RED)),
+            ),
+            (
+                "draw_oval",
+                Box::new(|fb| fb.draw_oval(Rect::new(4, 6, 30, 20), Color::RED)),
+            ),
+            (
+                "fill_oval",
+                Box::new(|fb| fb.fill_oval(Rect::new(4, 6, 30, 20), Color::RED)),
+            ),
+            (
+                "fill_polygon",
+                Box::new(|fb| {
+                    let pts = [Point::new(2, 2), Point::new(30, 9), Point::new(9, 33)];
+                    fb.fill_polygon(&pts, Color::RED)
+                }),
+            ),
+            (
+                "fill_wedge",
+                Box::new(|fb| fb.fill_wedge(Rect::new(0, 0, 36, 36), 30.0, 200.0, Color::RED)),
+            ),
+            (
+                "blit",
+                Box::new(move |fb| {
+                    fb.blit(&bits, bits.bounds(), Point::new(3, 4), RasterOp::Copy);
+                    fb.blit(&bits, bits.bounds(), Point::new(16, 17), RasterOp::Xor);
+                }),
+            ),
+            (
+                "put_rect",
+                Box::new(|fb| fb.put_rect(Rect::new(6, 7, 3, 2), &[1, 2, 3, 4, 5, 6])),
+            ),
+            (
+                "xor_rect",
+                Box::new(|fb| fb.xor_rect(Rect::new(6, 30, 3, 2), &[1, 2, 3, 4, 5, 6])),
+            ),
+            (
+                "rows_mut",
+                Box::new(|fb| fb.rows_mut(14..19).for_each(|row| row[3] = 7)),
+            ),
+            (
+                "copy_within",
+                Box::new(|fb| fb.copy_within(Rect::new(-4, 0, 24, 12), Point::new(9, 17))),
+            ),
+            (
+                "a write, then copy_within over it",
+                Box::new(|fb| {
+                    fb.set(1, 1, Color::RED);
+                    fb.set(30, 30, Color::RED);
+                    fb.copy_within(Rect::new(0, 0, 20, 12), Point::new(5, 20));
+                    fb.copy_within(Rect::new(0, 0, 20, 12), Point::new(18, 2));
+                }),
+            ),
+        ];
+        let two = Region::from_rects(vec![Rect::new(2, 3, 10, 8), Rect::new(15, 18, 20, 9)]);
+        for clip in [None, Some(two)] {
+            for (name, write) in &writers {
+                // Three bands, the top 10 rows blue, so copies change
+                // pixels too.
+                let mut fb = Framebuffer::new(40, 36, Color::WHITE);
+                fb.fill_rect(Rect::new(0, 0, 40, 10), Color::BLUE);
+                fb.set_clip(clip.clone());
+                let _ = fb.take_written();
+                let mut before = fb.clone();
+                before.set_clip(None);
+                write(&mut fb);
+                let Written { moved, rect } = fb.take_written();
+                let changed = before.diff_bounds_within(&fb, fb.bounds()).unwrap();
+                assert!(!changed.is_empty(), "{name}: changed nothing");
+                if let Some(m) = moved {
+                    assert!(clip.is_none(), "{name}: a clipped copy moved");
+                    before.copy_within(m.src, m.dst);
+                }
+                let changed = before.diff_bounds_within(&fb, fb.bounds()).unwrap();
+                assert!(
+                    rect.contains_rect(changed),
+                    "{name} under {clip:?}: changed {changed:?}, reported {rect:?}"
+                );
+                let room = fb.writable_bounds();
+                let ignores_clip = ["clear", "put_rect", "xor_rect", "rows_mut"];
+                if !ignores_clip.contains(name) {
+                    assert!(room.contains_rect(rect), "{name}: {rect:?} past {room:?}");
+                }
+                assert_eq!(fb.take_written(), Written::default(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn new_frames_and_clones_count_as_wholly_written() {
+        let mut fb = Framebuffer::new(6, 40, Color::WHITE);
+        let whole = Written {
+            moved: None,
+            rect: fb.bounds(),
+        };
+        assert_eq!(fb.take_written(), whole);
+        assert_eq!(fb.clone().take_written(), whole);
+        assert_eq!(fb.take_written(), Written::default());
+        let mut flat = Framebuffer::from_pixels(6, 40, fb.into_pixels());
+        assert_eq!(flat.take_written(), whole);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod ppm;
 pub mod region;
 
 pub use color::Color;
-pub use fb::{band_copies, Framebuffer, Move, RasterOp, BAND_ROWS};
+pub use fb::{band_copies, Framebuffer, Move, RasterOp, Written, BAND_ROWS};
 pub use font::{BitmapFont, FontDesc, FontMetrics, FontStyle, WidthTable};
 pub use geom::{Point, Rect, Size};
 pub use region::Region;

@@ -317,7 +317,7 @@ enum DriveOutcome {
     /// divergence check) and the ops it submitted.
     Completed {
         stats: ClientStats,
-        fb: Option<Framebuffer>,
+        fb: Option<Box<Framebuffer>>,
         ops: u64,
     },
     /// The client dropped its transport mid-script on purpose.
@@ -421,7 +421,7 @@ impl Tally {
                 self.latencies.extend(stats.latencies_us);
                 self.ttffs.push(stats.ttff_us);
                 self.ttff_decodes.push(stats.ttff_decode_us);
-                return Ok(fb);
+                return Ok(fb.map(|fb| *fb));
             }
             Ok(DriveOutcome::InjectedDisconnect) => self.injected += 1,
             Err(e) if e.contains("server busy") => self.rejected += 1,
@@ -506,7 +506,7 @@ fn drive_replica(
     let (stats, fb) = client.finish_with_frame().map_err(|e| e.to_string())?;
     Ok(DriveOutcome::Completed {
         stats,
-        fb: Some(fb),
+        fb: Some(Box::new(fb)),
         ops: script.len() as u64,
     })
 }

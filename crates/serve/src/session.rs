@@ -959,9 +959,8 @@ mod tests {
     /// shipped frame, that the diff baseline brought along in place
     /// equals the screen, that a client applying the frames holds the
     /// screen too, that both backends show the same screen, and that no
-    /// update is longer than the packed keyframe of its screen. The
-    /// backends may ship different frames (only the pixel store reports
-    /// moves); returns what each shipped, x11sim first.
+    /// update is longer than the packed keyframe of its screen. Returns
+    /// what each backend shipped, x11sim first.
     fn baseline_tracks_screen(budget: usize, steps: &[ScriptStep]) -> [Shipped; 2] {
         let open = |backend: &str| {
             let cfg = SessionConfig {
@@ -1063,8 +1062,7 @@ mod tests {
 
     /// Every update is checked against the packed keyframe of its
     /// screen: a newline XORing every line below it once shipped about
-    /// 38.6 KB where that keyframe took 38.4 KB, and the display list,
-    /// which reports no moves, still ships such newlines.
+    /// 38.6 KB where that keyframe took 38.4 KB.
     #[test]
     fn patched_baseline_equals_the_screen_through_a_scroll() {
         // Forty short lines typed mid-text run well past the bottom of
@@ -1072,20 +1070,18 @@ mod tests {
         // and, once the caret reaches the bottom, the view scrolls.
         let text: String = (0..40).map(|i| format!("line {i}\n")).collect();
         let steps = focus_then_type(&text);
-        let [x11, awm] = baseline_tracks_screen(UPDATE_BUDGET_BYTES, &steps);
-        assert!(x11.updates > 100, "typing shipped {} updates", x11.updates);
-        // The pixel store ships each newline and scroll as a move, so
-        // the whole session is one chain of updates on the initial
-        // keyframe; the display list ships the same screens as big XOR
-        // updates, or as keyframes where those would be longer.
-        assert_eq!(x11.keyframes, 0, "typing shipped keyframes");
-        assert!(x11.moves >= 30, "{} updates carried a move", x11.moves);
-        assert_eq!(awm.moves, 0, "the display list reported a move");
-        assert!(awm.updates + awm.keyframes > 100);
+        // Each newline and scroll ships as a move, on either backend,
+        // so the whole session is one chain of updates on the initial
+        // keyframe.
+        for run in baseline_tracks_screen(UPDATE_BUDGET_BYTES, &steps) {
+            assert!(run.updates > 100, "typing shipped {} updates", run.updates);
+            assert_eq!(run.keyframes, 0, "typing shipped keyframes");
+            assert!(run.moves >= 30, "{} updates carried a move", run.moves);
+        }
         // Under a 2 KiB budget the big updates pass it mid-encode: the
         // encoder stops with the baseline partly brought along (moved
-        // first, on the pixel store), and the keyframe shipped instead
-        // must leave it equal to the screen all the same.
+        // first), and the keyframe shipped instead must leave it equal
+        // to the screen all the same.
         let [x11, awm] = baseline_tracks_screen(2 * 1024, &steps);
         assert!(
             x11.keyframes > 0 && awm.keyframes > 0,
@@ -1093,6 +1089,47 @@ mod tests {
             x11.keyframes,
             awm.keyframes
         );
+    }
+
+    /// awmsim keeps no wire it has replayed. A forked window adopts
+    /// its template's frame as one `Blit` of every pixel; the first
+    /// frame replays it and drops it, and after every frame of a long
+    /// typing session (Returns and scrolls included) the display list
+    /// is empty again, so it does not grow with the session's age.
+    #[test]
+    fn an_awmsim_display_list_is_empty_after_every_frame() {
+        let cfg = SessionConfig {
+            backend: "awmsim".to_string(),
+            ..SessionConfig::default()
+        };
+        let mut templates = atk_apps::TemplateRegistry::new(Arc::new(Collector::new()));
+        let collector = Arc::new(Collector::new());
+        let mut s = HostedSession::open_with("fig5", cfg, collector, Some(&mut templates)).unwrap();
+        let pending = |s: &HostedSession| {
+            let window: &dyn std::any::Any = s.im.window();
+            let window = window.downcast_ref::<atk_wm::awmsim::AwmWindow>();
+            window.expect("an awmsim window").display_list()
+        };
+        let (w, h) = s.size();
+        let blit = pending(&s).into_iter().find_map(|op| match op {
+            atk_wm::awmsim::DrawOp::Blit { pixels, .. } => Some(pixels.len()),
+            _ => None,
+        });
+        assert_eq!(
+            blit,
+            Some(w as usize * h as usize),
+            "the fork adopts one blit"
+        );
+        let _ = s.initial_keyframe();
+        assert!(pending(&s).is_empty(), "the first frame kept the blit");
+        let text: String = (0..250).map(|i| format!("line {i}\n")).collect();
+        let steps = focus_then_type(&text);
+        assert!(steps.len() >= 2000, "{} steps", steps.len());
+        for (i, step) in steps.iter().enumerate() {
+            ship_within(&mut s, step, UPDATE_BUDGET_BYTES);
+            let left = pending(&s).len();
+            assert_eq!(left, 0, "step {i} ({step:?}) left {left} ops");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   wire byte-identical;
 //! * moves: fig5 typing with Returns mid-text and past the view's
 //!   bottom, on both backends, ends byte-identical to the in-process
-//!   run; the pixel store ships each Return's shifted lines as a move;
+//!   run; each Return's shifted lines ship as a move;
 //! * menu position: a recorded `menu request x y` + `menu select`
 //!   script replays served and in-process to the same pixels.
 
@@ -153,15 +153,10 @@ fn typed_returns_ship_as_moves_and_match_in_process() {
             report.merged.counter("serve.moves"),
             report.merged.counter("world.moves"),
         );
-        if backend == "x11sim" {
-            // A move per Return while the lines below the caret show,
-            // then one per scroll.
-            assert!(moves >= 30, "{backend}: {moves} moves shipped");
-            assert_eq!(posted, moves, "{backend}: a frame posted two moves");
-        } else {
-            assert_eq!(moves, 0, "a display list reported a move");
-            assert!(posted >= 30, "{backend}: {posted} moves posted");
-        }
+        // A move per Return while the lines below the caret show, then
+        // one per scroll.
+        assert!(moves >= 30, "{backend}: {moves} moves shipped");
+        assert_eq!(posted, moves, "{backend}: a frame posted two moves");
     }
 }
 

@@ -201,10 +201,11 @@ fn slow_frame_dump_is_deterministic_under_manual_clock() {
 }
 
 /// Serves `sessions` fig5 sessions one after another on a one-shard
-/// server, each a focus click plus `keys` typed keys, one frame per
-/// step. Returns the server, every session's retired snapshot in
-/// admission order, and the shard plane.
+/// server on `backend`, each a focus click plus `keys` typed keys, one
+/// frame per step. Returns the server, every session's retired
+/// snapshot in admission order, and the shard plane.
 fn typing_sessions(
+    backend: &str,
     fork: bool,
     sessions: usize,
     keys: usize,
@@ -213,6 +214,10 @@ fn typing_sessions(
     let cfg = ServerConfig {
         fork,
         retain_session_traces: true,
+        session: SessionConfig {
+            backend: backend.to_string(),
+            ..SessionConfig::default()
+        },
         ..ServerConfig::default()
     };
     let server = Server::start(cfg, 1);
@@ -269,7 +274,7 @@ fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
     let frame_bands = u64::from(h.div_ceil(BAND_ROWS as u32));
     for fork in [true, false] {
         for (keys, budget) in [(16, frame_bands), (80, 2 * frame_bands)] {
-            let (_, sessions, _) = typing_sessions(fork, 3, keys, Duration::ZERO);
+            let (_, sessions, _) = typing_sessions("x11sim", fork, 3, keys, Duration::ZERO);
             assert_eq!(sessions.len(), 3);
             for (k, snap) in sessions.iter().enumerate() {
                 assert!(
@@ -294,36 +299,40 @@ fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
 }
 
 /// The diff costs what was drawn: each frame compares only the rect
-/// the window reports written since the baseline last equalled the
-/// screen, so a fig5 typing session compares under a tenth of the
-/// pixels a full-frame scan per frame would. A keystroke redraws one
-/// 546×20 text line; the focus click and a line wrap redraw most of
-/// the frame, which the 48 keys amortize. The count follows the
+/// the window's frame records written since the baseline last equalled
+/// the screen, so a fig5 typing session compares under a tenth of the
+/// pixels a full-frame scan per frame would, on either backend (a
+/// display list records what its replay writes). A keystroke redraws
+/// one 546×20 text line; the focus click and a line wrap redraw most
+/// of the frame, which the 48 keys amortize. The count follows the
 /// session's drawing alone: a cold session, a template-cache miss and
-/// a cache hit (which must clear the bounds when it adopts the cached
+/// a cache hit (which must clear the record when it adopts the cached
 /// keyframe) all compare the same pixels.
 #[test]
 fn a_typing_session_diffs_only_what_it_drew() {
     let (w, h) = HostedSession::open("fig5", SessionConfig::default(), Arc::new(Collector::new()))
         .unwrap()
         .size();
-    let mut compared = Vec::new();
-    for fork in [true, false] {
-        let (_, sessions, _) = typing_sessions(fork, 2, 48, Duration::ZERO);
-        for (k, snap) in sessions.iter().enumerate() {
-            let full = snap.counter("serve.frames") * u64::from(w) * u64::from(h);
-            let px = snap.counter("serve.diff_px");
-            assert!(
-                px > 0 && px * 10 < full,
-                "fork={fork} session {k}: compared {px} of {full} pixels"
-            );
-            compared.push(px);
+    for backend in ["x11sim", "awmsim"] {
+        let mut compared = Vec::new();
+        for fork in [true, false] {
+            let (_, sessions, _) = typing_sessions(backend, fork, 2, 48, Duration::ZERO);
+            for (k, snap) in sessions.iter().enumerate() {
+                let full = snap.counter("serve.frames") * u64::from(w) * u64::from(h);
+                let px = snap.counter("serve.diff_px");
+                assert!(
+                    px > 0 && px * 10 < full,
+                    "{backend} fork={fork} session {k}: compared {px} of {full} pixels"
+                );
+                compared.push(px);
+            }
         }
+        assert!(
+            compared.iter().all(|&px| px == compared[0]),
+            "{backend}: pixels compared, per session \
+             (forked miss, forked hit, cold, cold): {compared:?}"
+        );
     }
-    assert!(
-        compared.iter().all(|&px| px == compared[0]),
-        "pixels compared, per session (forked miss, forked hit, cold, cold): {compared:?}"
-    );
 }
 
 /// A Return typed mid-text shifts every line below the caret down one
@@ -373,7 +382,7 @@ fn a_return_ships_its_shifted_lines_as_a_move() {
 /// leaves the session's own keyframe counters as a miss left them.
 #[test]
 fn keyframe_cache_hits_count_on_the_shard_plane() {
-    let (server, sessions, shard) = typing_sessions(true, 3, 4, Duration::ZERO);
+    let (server, sessions, shard) = typing_sessions("x11sim", true, 3, 4, Duration::ZERO);
     assert_eq!(shard.counter("serve.keyframe_cache_hits"), 2);
     assert_eq!(
         server
@@ -396,7 +405,7 @@ fn keyframe_cache_hits_count_on_the_shard_plane() {
         );
     }
 
-    let (server, _, shard) = typing_sessions(false, 3, 4, Duration::ZERO);
+    let (server, _, shard) = typing_sessions("x11sim", false, 3, 4, Duration::ZERO);
     assert_eq!(shard.counter("serve.keyframe_cache_hits"), 0);
     assert_eq!(
         server
@@ -413,7 +422,7 @@ fn keyframe_cache_hits_count_on_the_shard_plane() {
 /// unless it was descheduled through every pause.
 #[test]
 fn a_typing_session_records_shard_wakeups() {
-    let (_, _, shard) = typing_sessions(true, 1, 24, Duration::from_millis(2));
+    let (_, _, shard) = typing_sessions("x11sim", true, 1, 24, Duration::from_millis(2));
     assert!(shard.counter("serve.shard.wakeups") > 0, "wakeups");
     assert!(shard.counter("serve.shard.parked_us") > 0, "time parked");
 }

@@ -7,7 +7,10 @@
 //! from a wire-format byte stream), then **replayed** to pixels on demand
 //! — which is how [`crate::Window::with_frame`] lends a frame here. Like
 //! a display server, each window keeps the pixels it has replayed and
-//! replays only the ops recorded since.
+//! drops the ops it replayed, as a server does not keep the wire it has
+//! consumed. The replay writes through a [`Framebuffer`], whose record
+//! of what was written is what [`crate::Window::take_written`] reports:
+//! the backend keeps no record of its own.
 //!
 //! Running the same application on `x11sim` and `awmsim` and comparing
 //! snapshots is how the integration tests demonstrate the paper's §8
@@ -16,7 +19,6 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use atk_graphics::{
@@ -136,20 +138,15 @@ pub struct AwmWindow {
     graphic: AwmGraphic,
     events: VecDeque<WindowEvent>,
     cursor: CursorHandle,
-    /// Display-list length at the last [`Window::take_written`], or
-    /// `None` when the window is new or resized since.
-    taken_at: Option<usize>,
-    /// What the display server shows: the display list replayed so
-    /// far, so lending a frame replays only the ops recorded since.
+    /// What the display server shows: every op replayed so far.
     screen: RefCell<Screen>,
 }
 
-/// A window's replayed display list: its pixels, the replay state the
-/// last op left, and how many ops that was.
+/// A window's replayed display list: its pixels and the replay state
+/// the last op left.
 struct Screen {
     fb: Framebuffer,
     st: GraphicState,
-    replayed: usize,
 }
 
 impl Screen {
@@ -157,8 +154,13 @@ impl Screen {
         Screen {
             fb: Framebuffer::new(size.width, size.height, Color::WHITE),
             st: GraphicState::new(),
-            replayed: 0,
         }
+    }
+
+    /// Replays `ops` onto the screen and drops them.
+    fn consume(&mut self, ops: &mut Vec<DrawOp>) {
+        replay_from(&mut self.st, ops, &mut self.fb);
+        ops.clear();
     }
 }
 
@@ -177,13 +179,13 @@ impl AwmWindow {
                 shape: CursorShape::Arrow,
                 id: 0,
             },
-            taken_at: None,
             screen: RefCell::new(Screen::new(size)),
         }
     }
 
-    /// The recorded display list (what would have been sent down the
-    /// network connection).
+    /// The ops recorded since the window last replayed its display list
+    /// (what is still on its way down the network connection): lending
+    /// or taking a frame consumes them.
     pub fn display_list(&self) -> Vec<DrawOp> {
         self.graphic.ops.borrow().clone()
     }
@@ -196,8 +198,7 @@ impl Window for AwmWindow {
 
     fn resize(&mut self, size: Size) {
         self.size = size;
-        self.graphic.ops.borrow_mut().clear();
-        self.taken_at = None;
+        self.graphic.ops.get_mut().clear();
         *self.screen.get_mut() = Screen::new(size);
         self.events.push_back(WindowEvent::Resize(size));
         self.events
@@ -233,30 +234,19 @@ impl Window for AwmWindow {
     }
 
     fn op_count(&self) -> u64 {
-        self.graphic.ops.borrow().len() as u64
+        self.graphic.recorded
     }
 
     fn with_frame(&self, f: &mut dyn FnMut(&Framebuffer)) {
-        let ops = self.graphic.ops.borrow();
         let mut screen = self.screen.borrow_mut();
-        let Screen { fb, st, replayed } = &mut *screen;
-        replay_from(st, &ops[*replayed..], fb);
-        *replayed = ops.len();
-        f(fb);
+        screen.consume(&mut self.graphic.ops.borrow_mut());
+        f(&screen.fb);
     }
 
-    /// The whole window if the display list grew or the window resized
-    /// since the last call, and never a move: a recorded op is not
-    /// replayed until a frame is asked for, so where it lands is not
-    /// known here.
     fn take_written(&mut self) -> Written {
-        let len = self.graphic.ops.borrow().len();
-        let rect = if self.taken_at.replace(len) == Some(len) {
-            Rect::EMPTY
-        } else {
-            Rect::at(Point::ORIGIN, self.size)
-        };
-        Written { moved: None, rect }
+        let screen = self.screen.get_mut();
+        screen.consume(self.graphic.ops.get_mut());
+        screen.fb.take_written()
     }
 }
 
@@ -295,19 +285,23 @@ impl OffscreenWindow for AwmOffscreen {
 /// answered from a mirrored [`GraphicState`].
 pub struct AwmGraphic {
     st: GraphicState,
-    ops: Rc<RefCell<Vec<DrawOp>>>,
+    ops: RefCell<Vec<DrawOp>>,
+    /// Ops recorded so far, replayed or not.
+    recorded: u64,
 }
 
 impl AwmGraphic {
     fn new() -> AwmGraphic {
         AwmGraphic {
             st: GraphicState::new(),
-            ops: Rc::new(RefCell::new(Vec::new())),
+            ops: RefCell::new(Vec::new()),
+            recorded: 0,
         }
     }
 
-    fn push(&self, op: DrawOp) {
-        self.ops.borrow_mut().push(op);
+    fn push(&mut self, op: DrawOp) {
+        self.recorded += 1;
+        self.ops.get_mut().push(op);
     }
 }
 
@@ -461,12 +455,6 @@ fn replay_from(st: &mut GraphicState, ops: &[DrawOp], fb: &mut Framebuffer) {
     // The clip is shared with the framebuffer and copied only when it
     // changes, not once per drawing op.
     let mut shared: Option<Arc<Region>> = None;
-    let mut apply_clip = |st: &GraphicState, fb: &mut Framebuffer| {
-        if shared.as_deref() != st.clip.as_ref() {
-            shared = st.clip.clone().map(Arc::new);
-        }
-        fb.set_clip_shared(shared.clone());
-    };
     for op in ops {
         match op {
             DrawOp::SetFg(c) => st.fg = *c,
@@ -485,69 +473,53 @@ fn replay_from(st: &mut GraphicState, ops: &[DrawOp], fb: &mut Framebuffer) {
                 }
                 st.clip_region(&region);
             }
-            DrawOp::Line(a, b) => {
-                apply_clip(st, fb);
-                fb.draw_line(st.to_device(*a), st.to_device(*b), st.line_width, st.fg);
-            }
-            DrawOp::RectOutline(r) => {
-                apply_clip(st, fb);
-                fb.draw_rect(st.rect_to_device(*r), st.fg);
-            }
-            DrawOp::RectFill(r) => {
-                apply_clip(st, fb);
-                fb.fill_rect_op(st.rect_to_device(*r), st.fg, st.rop);
-            }
-            DrawOp::RectClear(r) => {
-                apply_clip(st, fb);
-                fb.fill_rect(st.rect_to_device(*r), st.bg);
-            }
-            DrawOp::OvalOutline(r) => {
-                apply_clip(st, fb);
-                fb.draw_oval(st.rect_to_device(*r), st.fg);
-            }
-            DrawOp::OvalFill(r) => {
-                apply_clip(st, fb);
-                fb.fill_oval(st.rect_to_device(*r), st.fg);
-            }
-            DrawOp::PolyFill(pts) => {
-                apply_clip(st, fb);
-                let dev: Vec<Point> = pts.iter().map(|p| st.to_device(*p)).collect();
-                fb.fill_polygon(&dev, st.fg);
-            }
-            DrawOp::WedgeFill(r, a0, a1) => {
-                apply_clip(st, fb);
-                fb.fill_wedge(
-                    st.rect_to_device(*r),
-                    *a0 as f64 / 100.0,
-                    *a1 as f64 / 100.0,
-                    st.fg,
-                );
-            }
-            DrawOp::Text(p, s) => {
-                apply_clip(st, fb);
-                BitmapFont::draw(fb, st.to_device(*p), s, &st.font, st.fg);
-            }
-            DrawOp::TextBaseline(p, s) => {
-                apply_clip(st, fb);
-                BitmapFont::draw_baseline(fb, st.to_device(*p), s, &st.font, st.fg);
-            }
-            DrawOp::Blit {
-                width,
-                height,
-                pixels,
-                dst,
-            } => {
-                apply_clip(st, fb);
-                let src = Framebuffer::from_pixels(*width, *height, pixels.clone());
-                fb.blit(&src, src.bounds(), st.to_device(*dst), st.rop);
-            }
-            DrawOp::CopyArea(src, dst) => {
-                apply_clip(st, fb);
-                fb.copy_within(st.rect_to_device(*src), st.to_device(*dst));
+            _ => {
+                if shared.as_deref() != st.clip.as_ref() {
+                    shared = st.clip.clone().map(Arc::new);
+                }
+                fb.set_clip_shared(shared.clone());
+                draw(st, op, fb);
             }
         }
     }
     fb.set_clip(None);
+}
+
+/// Executes drawing op `op` into `fb` under the state `st`.
+fn draw(st: &GraphicState, op: &DrawOp, fb: &mut Framebuffer) {
+    let (fg, dev) = (st.fg, |r: &Rect| st.rect_to_device(*r));
+    match op {
+        DrawOp::Line(a, b) => fb.draw_line(st.to_device(*a), st.to_device(*b), st.line_width, fg),
+        DrawOp::RectOutline(r) => fb.draw_rect(dev(r), fg),
+        DrawOp::RectFill(r) => fb.fill_rect_op(dev(r), fg, st.rop),
+        DrawOp::RectClear(r) => fb.fill_rect(dev(r), st.bg),
+        DrawOp::OvalOutline(r) => fb.draw_oval(dev(r), fg),
+        DrawOp::OvalFill(r) => fb.fill_oval(dev(r), fg),
+        DrawOp::PolyFill(pts) => {
+            let pts: Vec<Point> = pts.iter().map(|p| st.to_device(*p)).collect();
+            fb.fill_polygon(&pts, fg);
+        }
+        DrawOp::WedgeFill(r, a0, a1) => {
+            fb.fill_wedge(dev(r), *a0 as f64 / 100.0, *a1 as f64 / 100.0, fg)
+        }
+        DrawOp::Text(p, s) => {
+            BitmapFont::draw(fb, st.to_device(*p), s, &st.font, fg);
+        }
+        DrawOp::TextBaseline(p, s) => {
+            BitmapFont::draw_baseline(fb, st.to_device(*p), s, &st.font, fg);
+        }
+        DrawOp::Blit {
+            width,
+            height,
+            pixels,
+            dst,
+        } => {
+            let src = Framebuffer::from_pixels(*width, *height, pixels.clone());
+            fb.blit(&src, src.bounds(), st.to_device(*dst), st.rop);
+        }
+        DrawOp::CopyArea(src, dst) => fb.copy_within(dev(src), st.to_device(*dst)),
+        _ => unreachable!("{op:?} sets state and draws nothing"),
+    }
 }
 
 // --- Wire protocol ---------------------------------------------------------
@@ -597,6 +569,12 @@ impl Cursor<'_> {
     }
     fn u32(&mut self) -> Result<u32, String> {
         Ok(self.i32()? as u32)
+    }
+    /// A capacity for `n` items of `size` bytes each, cut to what the
+    /// bytes left could hold, so a hostile count allocates nothing
+    /// past the stream's own size.
+    fn room(&self, n: i32, size: usize) -> usize {
+        (n.max(0) as usize).min((self.buf.len() - self.pos) / size)
     }
     fn string(&mut self) -> Result<String, String> {
         let len = self.u32()? as usize;
@@ -795,7 +773,7 @@ fn decode_op(cur: &mut Cursor<'_>) -> Result<DrawOp, String> {
         9 => DrawOp::ClipRect(rect(cur)?),
         10 => {
             let n = cur.i32()?;
-            let mut rects = Vec::with_capacity(n.max(0) as usize);
+            let mut rects = Vec::with_capacity(cur.room(n, 16));
             for _ in 0..n {
                 rects.push(rect(cur)?);
             }
@@ -809,7 +787,7 @@ fn decode_op(cur: &mut Cursor<'_>) -> Result<DrawOp, String> {
         16 => DrawOp::OvalFill(rect(cur)?),
         17 => {
             let n = cur.i32()?;
-            let mut pts = Vec::with_capacity(n.max(0) as usize);
+            let mut pts = Vec::with_capacity(cur.room(n, 8));
             for _ in 0..n {
                 pts.push(point(cur)?);
             }
@@ -822,8 +800,12 @@ fn decode_op(cur: &mut Cursor<'_>) -> Result<DrawOp, String> {
             let width = cur.i32()?;
             let height = cur.i32()?;
             let dst = point(cur)?;
-            let mut pixels = Vec::with_capacity((width * height).max(0) as usize);
-            for _ in 0..width * height {
+            let n = width
+                .checked_mul(height)
+                .filter(|_| width >= 0 && height >= 0)
+                .ok_or_else(|| format!("bad blit size {width}x{height}"))?;
+            let mut pixels = Vec::with_capacity(cur.room(n, 4));
+            for _ in 0..n {
                 pixels.push(cur.u32()?);
             }
             DrawOp::Blit {
@@ -919,6 +901,31 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(decode(&[255]).is_err());
         assert!(decode(&[11, 1, 2]).is_err()); // Truncated line op.
+                                               // Counts and sizes past anything the bytes could hold: errors,
+                                               // with no overflow and no allocation sized by the claim.
+        let header = |code: u8, fields: &[i32]| {
+            let mut out = vec![code];
+            fields.iter().for_each(|&v| put_i32(&mut out, v));
+            out
+        };
+        for (w, h) in [
+            (65_536, 65_536),
+            (i32::MAX, 2),
+            (-1, 4),
+            (4, -1),
+            (1 << 14, 1 << 14),
+        ] {
+            let blit = header(21, &[w, h, 0, 0]);
+            assert_eq!(blit.len(), 17);
+            assert!(decode(&blit).is_err(), "{w}x{h} blit");
+        }
+        assert!(decode(&header(10, &[i32::MAX, 1, 2, 3])).is_err());
+        assert!(decode(&header(17, &[i32::MAX, 1, 2, 3])).is_err());
+        // A negative count is an empty list, as it always was.
+        assert_eq!(
+            decode(&header(17, &[-5])).unwrap(),
+            vec![DrawOp::PolyFill(Vec::new())]
+        );
     }
 
     #[test]
@@ -947,10 +954,16 @@ mod tests {
     #[test]
     fn lending_a_frame_in_pieces_matches_one_full_replay() {
         let mut w = AwmWindow::new("t", Size::new(40, 30));
-        let full = |w: &AwmWindow| {
+        // Each lent frame consumes the ops recorded since the last one;
+        // the pieces, concatenated, replay to the same pixels at once.
+        let mut wire = Vec::new();
+        let mut lend = |w: &AwmWindow| {
+            wire.extend(w.display_list());
+            let snap = w.snapshot();
+            assert!(w.display_list().is_empty(), "the replayed ops are kept");
             let mut fb = Framebuffer::new(40, 30, Color::WHITE);
-            replay(&w.display_list(), &mut fb);
-            fb
+            replay(&wire, &mut fb);
+            assert_eq!(snap, fb);
         };
         // The state a piece leaves behind — translation, clip, colour,
         // a pushed save — carries into the next piece.
@@ -960,13 +973,14 @@ mod tests {
         g.clip_rect(Rect::new(0, 0, 20, 10));
         g.set_foreground(Color::RED);
         g.fill_rect(Rect::new(0, 0, 40, 40));
-        assert_eq!(w.snapshot(), full(&w));
+        lend(&w);
         let g = w.graphic();
         g.fill_oval(Rect::new(-5, -5, 30, 30));
         g.grestore();
         g.draw_line(Point::new(0, 29), Point::new(39, 0));
         g.copy_area(Rect::new(0, 0, 20, 15), Point::new(20, 15));
-        assert_eq!(w.snapshot(), full(&w));
+        lend(&w);
+        assert_eq!(w.op_count(), 9, "every op recorded counts");
 
         // A resize starts the screen over at the new size.
         w.resize(Size::new(12, 8));

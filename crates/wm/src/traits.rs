@@ -6,8 +6,9 @@
 //! [`surface`](crate::surface) module records the exact routine list and
 //! its size.
 
+pub use atk_graphics::Written;
 use atk_graphics::{
-    Color, FontDesc, FontMetrics, Framebuffer, Move, Point, RasterOp, Rect, Region, Size,
+    Color, FontDesc, FontMetrics, Framebuffer, Point, RasterOp, Rect, Region, Size,
 };
 
 use crate::event::WindowEvent;
@@ -100,25 +101,14 @@ pub trait WindowSystem {
     }
 }
 
-/// What a window's frame went through since the last
-/// [`Window::take_written`]: at most one move, then writes. Applying
-/// `moved` to the frame as it was at the last take, every pixel that
-/// still differs from the frame now lies inside `rect`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Written {
-    /// Pixels the frame copied within itself
-    /// ([`Graphic::copy_area`]), as they landed.
-    pub moved: Option<Move>,
-    /// Device-space bounds of every pixel written apart from the move.
-    pub rect: Rect,
-}
-
 /// Class 2 of 6 — a top-level window: event source and drawable owner.
 ///
 /// This is the window-system half of the paper's *interaction manager*:
 /// it yields translated input events and owns the [`Graphic`] the view
-/// tree draws through.
-pub trait Window {
+/// tree draws through. It is [`Any`](std::any::Any), so a caller that
+/// knows the backend can reach the concrete window (awmsim's display
+/// list).
+pub trait Window: std::any::Any {
     /// Current size.
     fn size(&self) -> Size;
     /// Resizes the window (posts a `Resize` event).
@@ -141,19 +131,16 @@ pub trait Window {
     /// window-system-independence benchmarks).
     fn op_count(&self) -> u64;
 
-    /// Runs `f` once over the current frame's pixels. A backend that
-    /// keeps a pixel store lends it without cloning; a display-list
-    /// backend first replays the ops it recorded since the last call
-    /// onto the frame it keeps, and lends that.
+    /// Runs `f` once over the current frame's pixels, without cloning
+    /// them. A display-list backend first replays the ops it recorded
+    /// since the last call onto the frame it keeps, and lends that.
     fn with_frame(&self, f: &mut dyn FnMut(&Framebuffer));
 
-    /// Takes what the frame went through since the last call (see
-    /// [`Written`]), leaving nothing. A resize or an adopted frame
-    /// counts as the whole window written. How tight the bounds are is
-    /// the backend's choice: a pixel store reports the first unclipped
-    /// [`Graphic::copy_area`] as a move and adds each other drawing
-    /// call's clip bounds, a display list reports no move and the whole
-    /// window whenever it recorded anything.
+    /// Takes what the window's frame went through since the last call
+    /// (see [`Written`]), leaving nothing: the frame's own record, taken
+    /// with [`Framebuffer::take_written`] once every recorded op has
+    /// reached it. A new or resized window's frame, and one adopted
+    /// whole, count as wholly written.
     fn take_written(&mut self) -> Written;
 
     /// A copy of the current frame's pixels.

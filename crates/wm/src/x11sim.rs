@@ -12,8 +12,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use atk_graphics::{
-    BitmapFont, Color, FontDesc, FontMetrics, Framebuffer, Move, Point, RasterOp, Rect, Region,
-    Size,
+    BitmapFont, Color, FontDesc, FontMetrics, Framebuffer, Point, RasterOp, Rect, Region, Size,
 };
 
 use crate::event::WindowEvent;
@@ -60,7 +59,7 @@ impl WindowSystem for X11Sim {
 
     /// Builds the window on a clone of `frame`, sharing its bands: no
     /// band is filled only to be dropped, and a fork copies only the
-    /// bands it later draws on.
+    /// bands it later draws on. The clone counts as wholly written.
     fn open_window_on(&mut self, title: &str, frame: &Framebuffer) -> Box<dyn Window> {
         self.windows_opened += 1;
         let mut frame = frame.clone();
@@ -96,8 +95,7 @@ pub struct X11Window {
 }
 
 impl X11Window {
-    /// A window of `size` showing `frame`, with no event queued; its
-    /// whole frame counts as written.
+    /// A window of `size` showing `frame`, with no event queued.
     fn on_frame(title: &str, size: Size, frame: Framebuffer) -> X11Window {
         let fb = Rc::new(RefCell::new(frame));
         let graphic = X11Graphic::new(fb.clone());
@@ -122,10 +120,8 @@ impl Window for X11Window {
 
     fn resize(&mut self, size: Size) {
         self.size = size;
-        let fb = Framebuffer::new(size.width.max(0), size.height.max(0), Color::WHITE);
-        self.graphic.written = fb.bounds();
-        self.graphic.moved = None;
-        *self.fb.borrow_mut() = fb;
+        *self.fb.borrow_mut() =
+            Framebuffer::new(size.width.max(0), size.height.max(0), Color::WHITE);
         self.events.push_back(WindowEvent::Resize(size));
         self.events
             .push_back(WindowEvent::Expose(Rect::at(Point::ORIGIN, size)));
@@ -168,10 +164,7 @@ impl Window for X11Window {
     }
 
     fn take_written(&mut self) -> Written {
-        Written {
-            moved: self.graphic.moved.take(),
-            rect: std::mem::take(&mut self.graphic.written),
-        }
+        self.fb.borrow_mut().take_written()
     }
 }
 
@@ -219,25 +212,16 @@ pub struct X11Graphic {
     /// rect vector per op.
     cur_clip: Option<Arc<Region>>,
     clip_dirty: bool,
-    /// Device-space bounds of every pixel written since the owning
-    /// window last handed them out via [`Window::take_written`], apart
-    /// from `moved`.
-    written: Rect,
-    /// The first unclipped copy since the last take, as it landed.
-    moved: Option<Move>,
 }
 
 impl X11Graphic {
     fn new(fb: Rc<RefCell<Framebuffer>>) -> X11Graphic {
-        let written = fb.borrow().bounds();
         X11Graphic {
             fb,
             st: GraphicState::new(),
             ops: Rc::new(Cell::new(0)),
             cur_clip: None,
             clip_dirty: false,
-            written,
-            moved: None,
         }
     }
 
@@ -247,31 +231,12 @@ impl X11Graphic {
     }
 
     /// Runs one drawing call on the framebuffer under the state's clip.
-    /// First adds what the call may write — the clip's bounding box cut
-    /// to the frame, or the whole frame when there is no clip — to the
-    /// written bounds. Update passes always draw under the damage clip,
-    /// so an op's own extent would not tighten this.
     fn with_fb<R>(&mut self, f: impl FnOnce(&mut Framebuffer) -> R) -> R {
-        self.with_fb_marking(|hit| hit, f)
-    }
-
-    /// [`X11Graphic::with_fb`], adding `mark(hit)` to the written
-    /// bounds in place of what the call may write, `hit`.
-    fn with_fb_marking<R>(
-        &mut self,
-        mark: impl FnOnce(Rect) -> Rect,
-        f: impl FnOnce(&mut Framebuffer) -> R,
-    ) -> R {
         if self.clip_dirty {
             self.cur_clip = self.st.clip.clone().map(Arc::new);
             self.clip_dirty = false;
         }
         let mut fb = self.fb.borrow_mut();
-        let hit = match &self.cur_clip {
-            Some(c) => c.bounding_box().intersect(fb.bounds()),
-            None => fb.bounds(),
-        };
-        self.written = self.written.union(mark(hit));
         fb.set_clip_shared(self.cur_clip.clone());
         let r = f(&mut fb);
         fb.set_clip(None);
@@ -427,30 +392,10 @@ impl Graphic for X11Graphic {
         self.with_fb(|fb| fb.blit(bits, src, ddst, rop));
     }
 
-    /// The first unclipped copy since the last take is recorded as the
-    /// move [`Framebuffer::copy_within`] makes of it: the source cut to
-    /// the frame, then its landing rect cut to the frame. Pixels
-    /// written before it inside its source ride along, so their landing
-    /// rect counts as written too. Any other copy is a write of its
-    /// landing rect.
     fn copy_area(&mut self, src: Rect, dst: Point) {
         self.tick();
         let (src, dst) = (self.st.rect_to_device(src), self.st.to_device(dst));
-        let bounds = self.fb.borrow().bounds();
-        let cut = src.intersect(bounds);
-        let (dx, dy) = (dst.x - cut.x, dst.y - cut.y);
-        let lands = Rect::at(dst, cut.size()).intersect(bounds);
-        if self.st.clip.is_none() && self.moved.is_none() && !lands.is_empty() {
-            let from = lands.translate(-dx, -dy);
-            let carried = self.written.intersect(from).translate(dx, dy);
-            self.moved = Some(Move {
-                src: from,
-                dst: lands.origin(),
-            });
-            self.with_fb_marking(|_| carried, |fb| fb.copy_within(src, dst));
-        } else {
-            self.with_fb_marking(|hit| hit.intersect(lands), |fb| fb.copy_within(src, dst));
-        }
+        self.with_fb(|fb| fb.copy_within(src, dst));
     }
 
     fn flush(&mut self) {

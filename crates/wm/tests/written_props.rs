@@ -1,9 +1,9 @@
-//! Soundness of each backend's written bounds: once the move a window
-//! reports through `take_written` is made on the frame as it was, every
-//! pixel a sequence of `Graphic` operations changed lies inside the
-//! written rect. A frame diff bounded by that rect is then exactly the
-//! full-frame diff, and the moved frame patched over that rect is the
-//! screen.
+//! Soundness of the written record a window's frame keeps, on both
+//! backends: once the move a window reports through `take_written` is
+//! made on the frame as it was, every pixel a sequence of `Graphic`
+//! operations changed lies inside the written rect. A frame diff
+//! bounded by that rect is then exactly the full-frame diff, and the
+//! moved frame patched over that rect is the screen.
 
 use atk_graphics::{Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Size};
 use atk_wm::{open_window_system, Window, Written};
@@ -166,7 +166,6 @@ fn check_chunks(backend: &str, chunks: &[Vec<Op>]) -> usize {
         let Written { moved, rect } = w.take_written();
         let after = w.snapshot();
         if let Some(m) = moved {
-            prop_assert_eq!(backend, "x11sim", "a display list reports no move");
             prop_assert!(m.fits(base.bounds()), "{:?} leaves the frame", m);
             base.copy_within(m.src, m.dst);
             moves += 1;
@@ -231,64 +230,68 @@ proptest! {
         check_chunks(backend, &chunks);
     }
 
-    /// Writes and copies mixed on the pixel store: the frame before,
-    /// moved as reported and patched over the written rect, is the
-    /// screen — the contract a server's update rests on.
+    /// Writes and copies mixed: the frame before, moved as reported
+    /// and patched over the written rect, is the screen — the contract
+    /// a server's update rests on.
     #[test]
     fn a_move_then_the_written_rect_rebuild_the_screen(
+        backend in prop_oneof![Just(BACKENDS[0]), Just(BACKENDS[1])],
         chunks in proptest::collection::vec(
             proptest::collection::vec(arb_copy_heavy_op(), 1..8),
             1..6,
         ),
     ) {
-        check_chunks("x11sim", &chunks);
+        check_chunks(backend, &chunks);
     }
 }
 
 #[test]
 fn the_first_unclipped_copy_is_the_move_and_carries_what_was_written() {
-    let mut w = open("x11sim");
-    let _ = w.take_written();
-    let g = w.graphic();
-    g.fill_rect(Rect::new(10, 10, 4, 4));
-    let drawn = w.take_written();
-    assert_eq!(drawn.rect, Rect::new(0, 0, W, H), "an unclipped fill");
-    // A clipped write, then a scroll of the rows below it by 5: the
-    // written rows that move land 5 lower, and count as written there.
-    let g = w.graphic();
-    g.gsave();
-    g.clip_rect(Rect::new(0, 20, W, 8));
-    g.fill_rect(Rect::new(0, 0, W, H));
-    g.grestore();
-    g.copy_area(Rect::new(0, 24, W, H - 24), Point::new(0, 29));
-    let moved = Written {
-        moved: Some(atk_graphics::Move {
-            src: Rect::new(0, 24, W, H - 29),
-            dst: Point::new(0, 29),
-        }),
-        rect: Rect::new(0, 20, W, 13),
-    };
-    assert_eq!(w.take_written(), moved);
-    // A second copy in one take, or a clipped one, is a write of where
-    // it lands.
-    let g = w.graphic();
-    g.copy_area(Rect::new(0, 0, 10, 10), Point::new(50, 50));
-    g.copy_area(Rect::new(0, 0, 10, 10), Point::new(60, 70));
-    let two = w.take_written();
-    assert_eq!(two.moved.map(|m| m.dst), Some(Point::new(50, 50)));
-    assert_eq!(two.rect, Rect::new(60, 70, 10, 10));
-    let g = w.graphic();
-    g.gsave();
-    g.clip_rect(Rect::new(0, 0, 65, 65));
-    g.copy_area(Rect::new(0, 0, 10, 10), Point::new(60, 60));
-    g.grestore();
-    assert_eq!(
-        w.take_written(),
-        Written {
-            moved: None,
-            rect: Rect::new(60, 60, 5, 5)
-        }
-    );
+    for backend in BACKENDS {
+        let mut w = open(backend);
+        let _ = w.take_written();
+        w.graphic().fill_rect(Rect::new(10, 10, 4, 4));
+        let drawn = w.take_written();
+        assert_eq!(drawn.rect, Rect::new(10, 10, 4, 4), "{backend}: a fill");
+        // A clipped write, then a scroll of the rows below it by 5: the
+        // written rows that move land 5 lower, and count as written
+        // there.
+        let g = w.graphic();
+        g.gsave();
+        g.clip_rect(Rect::new(0, 20, W, 8));
+        g.fill_rect(Rect::new(0, 0, W, H));
+        g.grestore();
+        g.copy_area(Rect::new(0, 24, W, H - 24), Point::new(0, 29));
+        let moved = Written {
+            moved: Some(atk_graphics::Move {
+                src: Rect::new(0, 24, W, H - 29),
+                dst: Point::new(0, 29),
+            }),
+            rect: Rect::new(0, 20, W, 13),
+        };
+        assert_eq!(w.take_written(), moved, "{backend}: a scroll");
+        // A second copy in one take, or a clipped one, is a write of
+        // where it lands.
+        let g = w.graphic();
+        g.copy_area(Rect::new(0, 0, 10, 10), Point::new(50, 50));
+        g.copy_area(Rect::new(0, 0, 10, 10), Point::new(60, 70));
+        let two = w.take_written();
+        assert_eq!(two.moved.map(|m| m.dst), Some(Point::new(50, 50)));
+        assert_eq!(two.rect, Rect::new(60, 70, 10, 10), "{backend}: two copies");
+        let g = w.graphic();
+        g.gsave();
+        g.clip_rect(Rect::new(0, 0, 65, 65));
+        g.copy_area(Rect::new(0, 0, 10, 10), Point::new(60, 60));
+        g.grestore();
+        assert_eq!(
+            w.take_written(),
+            Written {
+                moved: None,
+                rect: Rect::new(60, 60, 5, 5)
+            },
+            "{backend}: a clipped copy"
+        );
+    }
 }
 
 #[test]
@@ -316,17 +319,13 @@ fn resize_and_adopt_frame_report_the_whole_window() {
         assert_eq!(w.snapshot(), frame, "{backend}: adopted pixels");
 
         // Drawing is reported as soon as it is drawn; a flush adds
-        // nothing. The pixel store reports the clip, the display list
-        // the whole window.
+        // nothing.
         let g = w.graphic();
         g.gsave();
         g.clip_rect(Rect::new(10, 12, 5, 6));
         g.fill_rect(Rect::new(0, 0, 40, 40));
         g.grestore();
-        let clipped = match backend {
-            "x11sim" => Rect::new(10, 12, 5, 6),
-            _ => whole,
-        };
+        let clipped = Rect::new(10, 12, 5, 6);
         assert_eq!(w.take_written().rect, clipped, "{backend}: clipped fill");
         w.graphic().flush();
         assert_eq!(w.take_written(), Written::default(), "{backend}: flush");
@@ -335,23 +334,25 @@ fn resize_and_adopt_frame_report_the_whole_window() {
 
 #[test]
 fn written_bounds_follow_the_clip_and_translation() {
-    let mut w = open("x11sim");
-    let _ = w.take_written();
-    let g = w.graphic();
-    g.gsave();
-    g.translate(10, 20);
-    g.clip_rect(Rect::new(0, 0, 30, 5));
-    g.fill_rect(Rect::new(-50, -50, 500, 500));
-    g.grestore();
-    assert_eq!(w.take_written().rect, Rect::new(10, 20, 30, 5));
-    // The mark is the clip's bounds, however little of them the op
-    // covers, and the whole window when there is no clip.
-    let g = w.graphic();
-    g.gsave();
-    g.clip_rect(Rect::new(0, 0, 10, 10));
-    g.fill_rect(Rect::new(2, 2, 1, 1));
-    g.grestore();
-    assert_eq!(w.take_written().rect, Rect::new(0, 0, 10, 10));
-    w.graphic().fill_rect(Rect::new(2, 2, 1, 1));
-    assert_eq!(w.take_written().rect, Rect::new(0, 0, W, H));
+    for backend in BACKENDS {
+        let mut w = open(backend);
+        let _ = w.take_written();
+        let g = w.graphic();
+        g.gsave();
+        g.translate(10, 20);
+        g.clip_rect(Rect::new(0, 0, 30, 5));
+        g.fill_rect(Rect::new(-50, -50, 500, 500));
+        g.grestore();
+        assert_eq!(w.take_written().rect, Rect::new(10, 20, 30, 5), "{backend}");
+        // The mark is what the op wrote, however wide the clip around
+        // it, or the absence of one.
+        let g = w.graphic();
+        g.gsave();
+        g.clip_rect(Rect::new(0, 0, 10, 10));
+        g.fill_rect(Rect::new(2, 2, 1, 1));
+        g.grestore();
+        assert_eq!(w.take_written().rect, Rect::new(2, 2, 1, 1), "{backend}");
+        w.graphic().fill_rect(Rect::new(2, 2, 1, 1));
+        assert_eq!(w.take_written().rect, Rect::new(2, 2, 1, 1), "{backend}");
+    }
 }

@@ -14,6 +14,9 @@ trap 'if [ -n "$served_pid" ]; then kill "$served_pid" 2>/dev/null || true; fi; 
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> non-test lines per crate (informational, not a gate)"
+sh scripts/loc.sh
+
 echo "==> cargo test -q (temp dir: a scratch dir, left with no atk_* entry)"
 # Tests that write message stores, saved documents or snapshots under
 # the temp dir must remove them; a leak fails the gate here instead of

@@ -80,8 +80,8 @@ fn wire_protocol_round_trip_preserves_the_scene() {
     // replay the decoded stream, and compare pixels.
     let mut w = atk_wm::awmsim::AwmWindow::new("t", Size::new(110, 120));
     draw_scene(w.graphic());
-    let direct = w.snapshot();
     let ops = w.display_list();
+    let direct = w.snapshot();
     let bytes = atk_wm::awmsim::encode(&ops);
     assert!(!bytes.is_empty());
     let decoded = atk_wm::awmsim::decode(&bytes).unwrap();
