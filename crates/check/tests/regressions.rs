@@ -8,7 +8,7 @@ use atk_check::oracles::{check_layout, check_repaint};
 use atk_check::Session;
 use atk_core::EventScript;
 
-fn replay(scene: &str, script: &str, oracle: fn(&mut Session) -> Option<String>) {
+fn replay(scene: &str, script: &str, oracle: fn(&mut Session) -> Option<String>) -> Session {
     let mut session = Session::build(scene, "x11sim").expect("scene builds");
     let steps = EventScript::parse(script).expect("script parses").steps;
     for (i, step) in steps.iter().enumerate() {
@@ -17,6 +17,7 @@ fn replay(scene: &str, script: &str, oracle: fn(&mut Session) -> Option<String>)
             panic!("{scene}, step {i} ({step:?}): {detail}");
         }
     }
+    session
 }
 
 // A resize relays the text out at the new width; the click that
@@ -66,4 +67,34 @@ fn fig4_seeds10_12_zoom_after_drag_relays_out() {
         "mouse drag 27 88\nmenu select Zoom In\n",
         check_layout,
     );
+}
+
+// Killing the rest of a line moves what follows it left; a kill
+// wider than what follows leaves killed glyphs past where that lands,
+// which must be repainted.
+#[test]
+fn fig1_seed1_kill_wider_than_the_rest_of_the_line_repaints() {
+    replay(
+        "fig1",
+        "mouse down 246 235\nmouse drag 142 20\nkey RET\ntype =7dsyk9g\n\
+         menu select Bigger\nresize 165 347\nkey RET\ntype Ag\nkey UP\nkey C-k\n",
+        check_repaint,
+    );
+}
+
+// A character typed into a line shifts the rest of the line sideways on
+// screen instead of repainting it. fig5's title line is bold; here its
+// first word is made italic too, and text is typed and deleted just
+// before that run and just after its first glyph. Capitals ink the top
+// rows, which the italic shear slants rightward, so a glyph inking
+// outside its advance cell would leave stale pixels beside the edit
+// column.
+#[test]
+fn fig5_typing_beside_an_italic_bold_run_repaints() {
+    let script = "mouse down 20 70\nmouse up 20 70\nmenu select Italic\n\
+                  type TE\nkey BS\nkey BS\n\
+                  key C-f\ntype TH\nkey BS\nkey DEL\n";
+    let session = replay("fig5", script, check_repaint);
+    let moves = session.world.collector().snapshot().counter("world.moves");
+    assert!(moves >= 7, "{moves} edits moved their line's tail");
 }

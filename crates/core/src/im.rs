@@ -30,7 +30,7 @@ use atk_wm::{CursorShape, Key, MouseAction, Window, WindowEvent, WindowSystem};
 use crate::ids::ViewId;
 use crate::menus::{merge_menus, MenuItem};
 use crate::view::Update;
-use crate::world::{rows_outside, World};
+use crate::world::World;
 
 /// Statistics kept by the interaction manager.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -375,7 +375,7 @@ impl InteractionManager {
     /// paints the window runs this first: a move describes the screen
     /// as the last paint left it. The view tree may reach past the
     /// window's frame (a scripted resize lays the tree out at a size
-    /// the frame does not take), so the rows a move would have brought
+    /// the frame does not take), so the pixels a move would have brought
     /// from past the frame's edge are damaged instead, and so is
     /// wherever a later move carries them. Returns true if anything
     /// moved.
@@ -387,16 +387,16 @@ impl InteractionManager {
         let frame = Rect::at(Point::ORIGIN, self.window.size());
         let g = self.window.graphic();
         let mut missing: Vec<Rect> = Vec::new();
-        for &(src, dy) in &moves {
+        for &(src, dx, dy) in &moves {
             let carried: Vec<Rect> = missing
                 .iter()
-                .map(|r| r.intersect(src).translate(0, dy))
+                .map(|r| r.intersect(src).translate(dx, dy))
                 .collect();
             missing.extend(carried);
-            let copied = src.intersect(frame).translate(0, dy).intersect(frame);
-            missing.extend(rows_outside(src.translate(0, dy).intersect(frame), copied));
+            let copied = src.intersect(frame).translate(dx, dy).intersect(frame);
+            missing.extend(src.translate(dx, dy).intersect(frame).subtract(copied));
             if !copied.is_empty() {
-                g.copy_area(copied.translate(0, -dy), copied.origin());
+                g.copy_area(copied.translate(-dx, -dy), copied.origin());
             }
         }
         g.flush();

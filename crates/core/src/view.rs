@@ -188,7 +188,7 @@ pub trait View: Any {
     /// Whether [`View::draw`] may paint inside a child's bounds after
     /// the child drew (a border, a highlight, a divider over it). A
     /// child of such a view does not own the pixels it shows, so
-    /// [`World::post_move`] damages its rows instead of moving them.
+    /// [`World::post_move`] damages its pixels instead of moving them.
     /// The default says yes; a container that only ever paints beside
     /// its children says no.
     fn paints_over_children(&self) -> bool {

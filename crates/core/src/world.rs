@@ -17,9 +17,8 @@
 //!   ([`World::post_damage`]), and the update cycle converts them to
 //!   window coordinates by walking the parent chain (the paper's
 //!   "update request is posted up the tree"). A view whose pixels only
-//!   shift vertically posts a move instead ([`World::post_move`]): the
-//!   update cycle copies those pixels on screen before it repaints the
-//!   damage;
+//!   shift posts a move instead ([`World::post_move`]): the update
+//!   cycle copies those pixels on screen before it repaints the damage;
 //! * the **virtual clock and timers** that drive animations and the
 //!   console deterministically;
 //! * the component [`Catalog`].
@@ -71,12 +70,13 @@ struct CachedXform {
     root: ViewId,
 }
 
-/// A queued move: the window-space rows of `src`, in the window whose
-/// root view is `root`, shift down by `dy` (up when negative).
+/// A queued move: the window-space pixels of `src`, in the window
+/// whose root view is `root`, shift by `(dx, dy)`.
 #[derive(Clone, Copy)]
 struct PendingMove {
     root: ViewId,
     src: Rect,
+    dx: i32,
     dy: i32,
 }
 
@@ -590,53 +590,54 @@ impl World {
         self.collector.count("world.post_damage", 1);
     }
 
-    /// Posts a vertical move of the view's pixels: the view-local rows
-    /// of `local` shift down by `dy` (up when negative). The move is cut
-    /// to the view's visible window rect, both where the pixels come
-    /// from and where they land, and queued in order with damage: the
-    /// update cycle copies the pixels on screen
-    /// ([`World::take_moves_for`]) before it repaints the damage. What
-    /// the copy cannot supply is damaged: the rows the move leaves
-    /// behind, rows of `local` that land in sight from out of it, and
-    /// whatever earlier posts damaged inside the source, which is stale
-    /// and rides along to where the move puts it.
+    /// Posts a move of the view's pixels: the view-local rect `local`
+    /// shifts by `(dx, dy)`. The move is cut to the view's visible
+    /// window rect, both where the pixels come from and where they land,
+    /// and queued in order with damage: the update cycle copies the
+    /// pixels on screen ([`World::take_moves_for`]) before it repaints
+    /// the damage. What the copy cannot supply is damaged: the part of
+    /// `local` the move leaves behind, the part of where it lands that
+    /// comes into sight from out of it, and whatever earlier posts
+    /// damaged inside the source, which is stale and rides along to
+    /// where the move puts it.
     ///
     /// The view promises that, once the move is made, every pixel it
     /// lands is right unless damage covers it. It can keep that promise
     /// only for pixels it alone paints, so a view with an ancestor that
     /// [paints over its children](View::paints_over_children) has the
-    /// rows damaged instead.
-    pub fn post_move(&mut self, view: ViewId, local: Rect, dy: i32) {
-        if dy == 0 || local.is_empty() {
+    /// rect damaged instead.
+    pub fn post_move(&mut self, view: ViewId, local: Rect, dx: i32, dy: i32) {
+        if (dx, dy) == (0, 0) || local.is_empty() {
             return;
         }
         let x = self.window_xform(view);
         let whole = local.translate(x.dx, x.dy);
-        let rows = whole.intersect(x.clip);
-        let lands = rows.translate(0, dy).intersect(x.clip);
-        let ghost = whole.translate(0, dy).intersect(x.clip);
+        let shown = whole.intersect(x.clip);
+        let lands = shown.translate(dx, dy).intersect(x.clip);
+        let ghost = whole.translate(dx, dy).intersect(x.clip);
         if lands.is_empty() || self.painted_over(view) {
-            self.post_window_damage(x.root, rows);
+            self.post_window_damage(x.root, shown);
             self.post_window_damage(x.root, ghost);
             return;
         }
-        let src = lands.translate(0, -dy);
+        let src = lands.translate(-dx, -dy);
         let mut stale = Vec::new();
         for i in 0..self.damage.len() {
             let (v, r) = self.damage[i];
             if self.window_xform(v).root == x.root {
                 let carried = self.clip_damage_to_window(v, r).intersect(src);
-                stale.push(carried.translate(0, dy));
+                stale.push(carried.translate(dx, dy));
             }
         }
-        stale.extend(rows_outside(rows, whole.translate(0, dy)));
-        stale.extend(rows_outside(ghost, lands));
+        stale.extend(shown.subtract(whole.translate(dx, dy)));
+        stale.extend(ghost.subtract(lands));
         for r in stale {
             self.post_window_damage(x.root, r);
         }
         self.moves.push(PendingMove {
             root: x.root,
             src,
+            dx,
             dy,
         });
         self.collector.count("world.moves", 1);
@@ -666,13 +667,13 @@ impl World {
     }
 
     /// Takes the queued moves of the window whose root view is `root`,
-    /// in the order they were posted, as window-space `(rows, dy)`.
-    pub fn take_moves_for(&mut self, root: ViewId) -> Vec<(Rect, i32)> {
+    /// in the order they were posted, as window-space `(src, dx, dy)`.
+    pub fn take_moves_for(&mut self, root: ViewId) -> Vec<(Rect, i32, i32)> {
         let mut taken = Vec::new();
         self.moves.retain(|m| {
             let mine = m.root == root;
             if mine {
-                taken.push((m.src, m.dy));
+                taken.push((m.src, m.dx, m.dy));
             }
             !mine
         });
@@ -931,20 +932,6 @@ impl Default for World {
     }
 }
 
-/// The rows of `a` above and below the rows of `b`, for rects that
-/// span the same columns.
-pub(crate) fn rows_outside(a: Rect, b: Rect) -> [Rect; 2] {
-    if b.is_empty() {
-        return [a, Rect::EMPTY];
-    }
-    let above = a.bottom().min(b.y);
-    let below = a.y.max(b.bottom());
-    [
-        Rect::new(a.x, a.y, a.width, above - a.y),
-        Rect::new(a.x, below, a.width, a.bottom() - below),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1090,9 +1077,9 @@ mod tests {
         assert!(!w.has_damage());
     }
 
-    /// A move is cut to the view and queued; the rows it leaves behind,
-    /// rows of the moved rect coming into sight, and earlier damage
-    /// inside its source (carried to where it lands) are damaged.
+    /// A move is cut to the view and queued; the pixels it leaves
+    /// behind, pixels of the moved rect coming into sight, and earlier
+    /// damage inside its source (carried to where it lands) are damaged.
     #[test]
     fn a_move_damages_what_the_copy_cannot_supply() {
         let mut w = World::new();
@@ -1100,8 +1087,11 @@ mod tests {
         w.set_view_bounds(v, Rect::new(0, 0, 100, 100));
         w.post_damage(v, Rect::new(0, 50, 100, 5));
         // Rows 40..140 shift down 10: 40..90 of them are in sight.
-        w.post_move(v, Rect::new(0, 40, 100, 100), 10);
-        assert_eq!(w.take_moves_for(v), vec![(Rect::new(0, 40, 100, 50), 10)]);
+        w.post_move(v, Rect::new(0, 40, 100, 100), 0, 10);
+        assert_eq!(
+            w.take_moves_for(v),
+            vec![(Rect::new(0, 40, 100, 50), 0, 10)]
+        );
         let region = w.take_damage_region();
         for (y, damaged) in [(39, false), (40, true), (49, true), (50, true), (55, false)] {
             assert_eq!(region.contains(Point::new(5, y)), damaged, "row {y}");
@@ -1111,19 +1101,64 @@ mod tests {
         assert!(!region.contains(Point::new(5, 70)));
         // Moving up: the rows that come into sight from below the view,
         // 90..100, are damaged.
-        w.post_move(v, Rect::new(0, 40, 100, 100), -10);
-        assert_eq!(w.take_moves_for(v), vec![(Rect::new(0, 40, 100, 60), -10)]);
+        w.post_move(v, Rect::new(0, 40, 100, 100), 0, -10);
+        assert_eq!(
+            w.take_moves_for(v),
+            vec![(Rect::new(0, 40, 100, 60), 0, -10)]
+        );
         let region = w.take_damage_region();
         assert!(region.contains(Point::new(5, 95)) && !region.contains(Point::new(5, 85)));
         // A child of a view that may paint over it gets damage only.
         let child = w.insert_view(Box::new(ProbeView::new()));
         w.set_view_parent(child, Some(v));
         w.set_view_bounds(child, Rect::new(0, 0, 50, 50));
-        w.post_move(child, Rect::new(0, 10, 50, 40), 5);
+        w.post_move(child, Rect::new(0, 10, 50, 40), 0, 5);
         assert!(w.take_moves_for(v).is_empty());
         assert_eq!(
             w.take_damage_region().bounding_box(),
             Rect::new(0, 10, 50, 40)
+        );
+    }
+
+    /// A sideways move: a row's tail shifts right past the view's edge,
+    /// or left, leaving its edge's strip behind; earlier damage in the
+    /// source rides along sideways.
+    #[test]
+    fn a_sideways_move_damages_the_columns_it_exposes() {
+        let mut w = World::new();
+        let v = w.insert_view(Box::new(ProbeView::new()));
+        w.set_view_bounds(v, Rect::new(0, 0, 100, 100));
+        w.post_damage(v, Rect::new(60, 20, 1, 10));
+        // Columns 30..100 of rows 20..30 shift right 14: what lands past
+        // the right edge is dropped, and columns 30..44 are left behind.
+        w.post_move(v, Rect::new(30, 20, 70, 10), 14, 0);
+        assert_eq!(
+            w.take_moves_for(v),
+            vec![(Rect::new(30, 20, 56, 10), 14, 0)]
+        );
+        let region = w.take_damage_region();
+        for (x, damaged) in [
+            (29, false),
+            (30, true),
+            (43, true),
+            (44, false),
+            (60, true),
+            (74, true),
+            (75, false),
+        ] {
+            assert_eq!(region.contains(Point::new(x, 25)), damaged, "column {x}");
+        }
+        assert!(!region.contains(Point::new(35, 19)) && !region.contains(Point::new(35, 30)));
+        // Shifting left: columns 86..100 come into sight from past the
+        // right edge of the source.
+        w.post_move(v, Rect::new(44, 20, 56, 10), -14, 0);
+        assert_eq!(
+            w.take_moves_for(v),
+            vec![(Rect::new(44, 20, 56, 10), -14, 0)]
+        );
+        assert_eq!(
+            w.take_damage_region().bounding_box(),
+            Rect::new(86, 20, 14, 10)
         );
     }
 

@@ -1347,6 +1347,39 @@ mod tests {
         assert_eq!(adv, d.string_width(text));
     }
 
+    /// A text view shifts the rest of a line sideways by the advance an
+    /// edit added, so no glyph may ink outside its own advance cell, in
+    /// any style or family (the hollow box included).
+    #[test]
+    fn every_glyph_inks_inside_its_advance() {
+        for family in ["andy", "andytype"] {
+            for (bold, italic, underline) in (0..8).map(|b| (b & 1 != 0, b & 2 != 0, b & 4 != 0)) {
+                let style = FontStyle {
+                    bold,
+                    italic,
+                    underline,
+                };
+                let d = FontDesc::new(family, style, 20);
+                for ch in (' '..='~').chain(['\u{00e9}']) {
+                    let mut fb = Framebuffer::new(60, 30, Color::WHITE);
+                    let adv = BitmapFont::draw(
+                        &mut fb,
+                        Point::new(20, 0),
+                        &ch.to_string(),
+                        &d,
+                        Color::BLACK,
+                    );
+                    let inside = fb.count_pixels(Rect::new(20, 0, adv, 30), Color::BLACK);
+                    assert_eq!(
+                        fb.count_pixels(fb.bounds(), Color::BLACK),
+                        inside,
+                        "{d} {ch:?} inks outside its {adv}-pixel advance"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn unknown_char_renders_box() {
         let mut fb = Framebuffer::new(20, 12, Color::WHITE);

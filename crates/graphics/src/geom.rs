@@ -239,6 +239,22 @@ impl Rect {
         Rect::new(x, y, r - x, b - y)
     }
 
+    /// The pixels of `self` outside `other`, as four disjoint rects,
+    /// some of them empty: the full-width bands above and below the
+    /// overlap, then the parts left and right of it.
+    pub fn subtract(self, other: Rect) -> [Rect; 4] {
+        let o = self.intersect(other);
+        if o.is_empty() {
+            return [self, Rect::EMPTY, Rect::EMPTY, Rect::EMPTY];
+        }
+        [
+            Rect::new(self.x, self.y, self.width, o.y - self.y),
+            Rect::new(self.x, o.bottom(), self.width, self.bottom() - o.bottom()),
+            Rect::new(self.x, o.y, o.x - self.x, o.height),
+            Rect::new(o.right(), o.y, self.right() - o.right(), o.height),
+        ]
+    }
+
     /// The rectangle moved by `(dx, dy)`.
     pub fn translate(self, dx: i32, dy: i32) -> Rect {
         Rect::new(self.x + dx, self.y + dy, self.width, self.height)
@@ -302,6 +318,30 @@ mod tests {
         let disjoint = Rect::new(100, 100, 5, 5);
         assert!(a.intersect(disjoint).is_empty());
         assert!(!a.intersects(disjoint));
+    }
+
+    /// The difference covers exactly the pixels of `a` not in `b`,
+    /// each once, for overlaps on every side and for none.
+    #[test]
+    fn subtract_covers_each_pixel_outside_once() {
+        let a = Rect::new(0, 0, 10, 8);
+        for b in [
+            Rect::new(3, 2, 4, 3),
+            Rect::new(-5, 2, 8, 30),
+            Rect::new(4, -1, 20, 4),
+            Rect::new(0, 0, 10, 8),
+            Rect::new(20, 20, 3, 3),
+        ] {
+            let parts = a.subtract(b);
+            for y in -2..12 {
+                for x in -2..14 {
+                    let p = Point::new(x, y);
+                    let hits = parts.iter().filter(|r| r.contains(p)).count();
+                    let outside = a.contains(p) && !b.contains(p);
+                    assert_eq!(hits, usize::from(outside), "{a} - {b} at {p}");
+                }
+            }
+        }
     }
 
     #[test]

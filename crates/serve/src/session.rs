@@ -23,7 +23,7 @@ use atk_graphics::{band_copies, Framebuffer, Move};
 use atk_trace::{Collector, FrameLog, FrameTrace, SlowFrameLog, Stage};
 use atk_wm::{MouseAction, WindowEvent, Written};
 
-use crate::wire::{Encoding, ServerFrame, XorRect};
+use crate::wire::{Encoding, ServerFrame, XorRect, MOVE_BYTES};
 
 /// Frames of attribution history each session retains (ring).
 pub const FRAME_LOG_CAPACITY: usize = 128;
@@ -111,6 +111,10 @@ pub struct HostedSession {
     /// The replica side of a shared-document attachment, when this
     /// session opened via `Attach` instead of `Hello`.
     collab: Option<Replica>,
+    /// The keyframe the last probe packed and shipped in place of an
+    /// update: [`HostedSession::encode_frame`] ships these bytes rather
+    /// than packing the frame a second time.
+    probed: Option<SharedKeyframe<Vec<u8>>>,
 }
 
 /// Replica bookkeeping for an attached session: the live subscription
@@ -169,6 +173,7 @@ impl HostedSession {
             last_trigger: None,
             driver: StepDriver::default(),
             collab: None,
+            probed: None,
         })
     }
 
@@ -637,12 +642,21 @@ impl HostedSession {
             patch,
         };
         if frame.wire_len() > KEYFRAME_PROBE_BYTES {
-            let key = ServerFrame::Keyframe {
+            self.collector.count("serve.keyframe_probes", 1);
+            let key = Arc::new(self.framebuffer());
+            let (bytes, encoding) = ServerFrame::Keyframe {
                 seq: self.seq,
-                frame: Arc::new(self.framebuffer()),
-            };
-            if key.encode_packed().0.len() <= frame.wire_len() {
-                return self.keyframe();
+                frame: Arc::clone(&key),
+            }
+            .encode_packed();
+            if bytes.len() <= frame.wire_len() {
+                self.collector.count("serve.keyframe_probe_wins", 1);
+                self.probed = Some(SharedKeyframe {
+                    bytes,
+                    encoding,
+                    frame: Arc::clone(&key),
+                });
+                return self.ship_keyframe(key);
             }
         }
         self.collector.count("serve.frames", 1);
@@ -663,14 +677,20 @@ impl HostedSession {
 
     /// Encodes a frame for the wire, letting a keyframe ship the
     /// smaller of its raw and RLE bodies, and counts the choice plus
-    /// the bytes that actually ship.
-    pub fn encode_frame(&self, frame: &ServerFrame) -> Vec<u8> {
+    /// the bytes that actually ship. The keyframe a probe already
+    /// packed ships the probe's bytes.
+    pub fn encode_frame(&mut self, frame: &ServerFrame) -> Vec<u8> {
         self.encode_counted(frame).0
     }
 
     /// [`HostedSession::encode_frame`], also naming the body encoding.
-    fn encode_counted(&self, frame: &ServerFrame) -> (Vec<u8>, Encoding) {
-        let (bytes, encoding) = frame.encode_packed();
+    fn encode_counted(&mut self, frame: &ServerFrame) -> (Vec<u8>, Encoding) {
+        let (bytes, encoding) = match (frame, self.probed.take()) {
+            (ServerFrame::Keyframe { frame, .. }, Some(p)) if Arc::ptr_eq(frame, &p.frame) => {
+                (p.bytes, p.encoding)
+            }
+            _ => frame.encode_packed(),
+        };
         self.count_encoded(frame, encoding, bytes.len());
         (bytes, encoding)
     }
@@ -693,13 +713,15 @@ impl HostedSession {
     }
 }
 
-/// A template's first keyframe, encoded once: the wire bytes every
-/// session forked from the template ships, and the frame they carry,
-/// which those sessions share as their diff baseline until their first
-/// update.
-pub(crate) struct SharedKeyframe {
+/// A keyframe encoded once: the wire bytes it ships as, and the frame
+/// they carry. A template's first keyframe is shared this way, its
+/// bytes shipped to every session forked from the template, which
+/// share the frame as their diff baseline until their first update; a
+/// session keeps the keyframe its probe packed the same way, owning
+/// the bytes.
+pub(crate) struct SharedKeyframe<B = Arc<[u8]>> {
     /// The encoded body, exactly as it ships.
-    pub(crate) bytes: Arc<[u8]>,
+    pub(crate) bytes: B,
     /// The body encoding the bytes use.
     pub(crate) encoding: Encoding,
     /// The frame the bytes carry.
@@ -739,7 +761,10 @@ fn plan_update(
     }
     let base = Arc::make_mut(base);
     let key_payload = 17 + cur.width() as usize * cur.height() as usize * 4;
-    let patch = XorRect::encode(base, cur, changed, budget.min(key_payload))?;
+    // The move ships in the same frame, so it counts against the limit.
+    let limit = budget.min(key_payload);
+    let limit = limit.saturating_sub(written.moved.map_or(0, |_| MOVE_BYTES));
+    let patch = XorRect::encode(base, cur, changed, limit)?;
     Some((written.moved, Some(patch)))
 }
 
@@ -1091,11 +1116,11 @@ mod tests {
         );
     }
 
-    /// awmsim keeps no wire it has replayed. A forked window adopts
-    /// its template's frame as one `Blit` of every pixel; the first
-    /// frame replays it and drops it, and after every frame of a long
-    /// typing session (Returns and scrolls included) the display list
-    /// is empty again, so it does not grow with the session's age.
+    /// awmsim keeps no wire it has replayed. A forked window opens on
+    /// its template's frame with no op recorded, and after every frame
+    /// of a long typing session (Returns and scrolls included) the
+    /// display list is empty again, so it does not grow with the
+    /// session's age.
     #[test]
     fn an_awmsim_display_list_is_empty_after_every_frame() {
         let cfg = SessionConfig {
@@ -1110,18 +1135,8 @@ mod tests {
             let window = window.downcast_ref::<atk_wm::awmsim::AwmWindow>();
             window.expect("an awmsim window").display_list()
         };
-        let (w, h) = s.size();
-        let blit = pending(&s).into_iter().find_map(|op| match op {
-            atk_wm::awmsim::DrawOp::Blit { pixels, .. } => Some(pixels.len()),
-            _ => None,
-        });
-        assert_eq!(
-            blit,
-            Some(w as usize * h as usize),
-            "the fork adopts one blit"
-        );
+        assert!(pending(&s).is_empty(), "the fork recorded ops");
         let _ = s.initial_keyframe();
-        assert!(pending(&s).is_empty(), "the first frame kept the blit");
         let text: String = (0..250).map(|i| format!("line {i}\n")).collect();
         let steps = focus_then_type(&text);
         assert!(steps.len() >= 2000, "{} steps", steps.len());

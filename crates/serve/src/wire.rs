@@ -100,7 +100,7 @@ const UPDATE_HEADER_BYTES: usize = 1 + 8 + 4;
 /// Bytes of a rect header: x, y, width, height.
 const RECT_HEADER_BYTES: usize = 16;
 /// Bytes of a move: its source rect, then where it lands (x, y).
-const MOVE_BYTES: usize = RECT_HEADER_BYTES + 8;
+pub(crate) const MOVE_BYTES: usize = RECT_HEADER_BYTES + 8;
 
 impl XorRect {
     /// Encodes `cur` XOR `base` over `rect` and brings `base` up to

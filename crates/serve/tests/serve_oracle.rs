@@ -15,7 +15,8 @@
 //!   wire byte-identical;
 //! * moves: fig5 typing with Returns mid-text and past the view's
 //!   bottom, on both backends, ends byte-identical to the in-process
-//!   run; each Return's shifted lines ship as a move;
+//!   run; each Return's shifted lines ship as a move; each character
+//!   typed mid-line, with no Return, ships its line's tail as a move;
 //! * menu position: a recorded `menu request x y` + `menu select`
 //!   script replays served and in-process to the same pixels.
 
@@ -153,10 +154,62 @@ fn typed_returns_ship_as_moves_and_match_in_process() {
             report.merged.counter("serve.moves"),
             report.merged.counter("world.moves"),
         );
-        // A move per Return while the lines below the caret show, then
-        // one per scroll.
-        assert!(moves >= 30, "{backend}: {moves} moves shipped");
+        // Every typed character ships a move: its line's tail shifting
+        // right, or the scroll it brings about. A frame carries one
+        // move, so a frame that scrolls and shifts a line tail ships
+        // the second copy as pixels; the caret reaches a new line, and
+        // scrolls the view, only after a Return.
+        let chars = typing_returns().len() as u64 - 2 - 40;
+        assert!(moves >= chars, "{backend}: {moves} moves shipped");
+        assert!(
+            posted >= moves && posted - moves <= 40,
+            "{backend}: {posted} moves posted, {moves} shipped"
+        );
+    }
+}
+
+/// A focus click mid-line in fig5, then `chars` characters typed
+/// there with no Return.
+fn typing_mid_line(chars: usize) -> Vec<atk_core::ScriptStep> {
+    use atk_core::ScriptStep;
+    use atk_wm::WindowEvent;
+    let mut steps = vec![
+        ScriptStep::Event(WindowEvent::left_down(70, 70)),
+        ScriptStep::Event(WindowEvent::left_up(70, 70)),
+    ];
+    let typed = "typing".chars().cycle().take(chars);
+    steps.extend(typed.map(|c| ScriptStep::Event(WindowEvent::ch(c))));
+    steps
+}
+
+/// Each character typed mid-line shifts the rest of its line one glyph
+/// right: the update ships that as a move plus the new glyph's cell, a
+/// few hundred bytes where an XOR of the line's tail took about 2.2 KB.
+/// The bytes are counted past the focus click's own frames.
+#[test]
+fn typed_characters_ship_their_line_tail_as_a_move() {
+    const CHARS: usize = 30;
+    for backend in ["x11sim", "awmsim"] {
+        let run = |chars: usize| {
+            let traffic = Traffic::Private {
+                scripts: vec![typing_mid_line(chars)],
+                backend: Some(backend.to_string()),
+            };
+            serve_differential("fig5", &traffic, &cold())
+                .unwrap_or_else(|e| panic!("{backend}, {chars} chars: {e}"))
+        };
+        let (clicked, typed) = (run(0), run(CHARS));
+        let (moves, posted) = (
+            typed.merged.counter("serve.moves"),
+            typed.merged.counter("world.moves"),
+        );
+        assert!(moves >= CHARS as u64, "{backend}: {moves} moves shipped");
         assert_eq!(posted, moves, "{backend}: a frame posted two moves");
+        let bytes = typed.encoded_bytes - clicked.encoded_bytes;
+        assert!(
+            bytes <= 400 * CHARS as u64,
+            "{backend}: {bytes} B for {CHARS} characters"
+        );
     }
 }
 

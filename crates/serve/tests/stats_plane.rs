@@ -3,11 +3,12 @@
 //! against an independent merge), the SLO watchdog's slow-frame
 //! dumps must be byte-deterministic under the manual clock, and the
 //! frame-path counters pin how many full-frame copies a session makes,
-//! how many pixels its diffs compare, and how often a shard's template
-//! keyframe cache serves a `Hello`.
+//! how many pixels its diffs compare, how often a shard's template
+//! keyframe cache serves a `Hello`, and how often a keyframe probe
+//! packs a keyframe and ships it.
 
 use atk_core::ScriptStep;
-use atk_graphics::BAND_ROWS;
+use atk_graphics::{Size, BAND_ROWS};
 use atk_serve::{
     ClientFrame, HostedSession, MemTransport, ServeClient, Server, ServerConfig, ServerFrame,
     SessionConfig,
@@ -338,8 +339,10 @@ fn a_typing_session_diffs_only_what_it_drew() {
 /// A Return typed mid-text shifts every line below the caret down one
 /// line. The window reports that shift as a move, so the update carries
 /// the move and only the re-wrapped lines: a few kilobytes, where an
-/// XOR of every shifted line took about 33.7 KB. `serve.moves` and
-/// `serve.moved_px` count the moves shipped and the pixels they moved.
+/// XOR of every shifted line took about 33.7 KB. A typed character
+/// shifts the rest of its line sideways, also as a move. `serve.moves`
+/// and `serve.moved_px` count the moves shipped and the pixels they
+/// moved.
 #[test]
 fn a_return_ships_its_shifted_lines_as_a_move() {
     let server = Server::start(ServerConfig::default(), 1);
@@ -367,13 +370,43 @@ fn a_return_ships_its_shifted_lines_as_a_move() {
         thread::sleep(Duration::from_millis(1));
     }
     let snap = server.merged_snapshot();
-    assert_eq!(snap.counter("serve.moves"), 12, "one move per Return");
+    // One move per typed key: a Return shifts the lines below it, a
+    // character the rest of its line.
+    assert_eq!(
+        snap.counter("serve.moves"),
+        steps.len() as u64 - 2,
+        "one move per key"
+    );
     assert!(snap.counter("serve.moved_px") > 12 * 546 * 100);
     assert_eq!(returns.len(), 12);
     assert!(
         returns.iter().all(|&b| b > 0 && b <= 4096),
         "update bytes per Return: {returns:?}"
     );
+}
+
+/// An update past the probe size is weighed against the packed
+/// keyframe of its screen. fig3 resized smaller, then back: the first
+/// resize's update is smaller than the keyframe and ships; after the
+/// second the keyframe wins and ships with the bytes the probe packed.
+/// `serve.keyframe_probes` counts the keyframes packed to weigh an
+/// update, `serve.keyframe_probe_wins` those that shipped.
+#[test]
+fn keyframe_probes_count_what_they_packed_and_what_shipped() {
+    let server = Server::start(ServerConfig::default(), 1);
+    let mut client = ServeClient::connect(server.connect_mem(None).unwrap(), "fig3").unwrap();
+    for size in [Size::new(400, 300), Size::new(560, 560)] {
+        client
+            .step_sync(&ScriptStep::Event(WindowEvent::Resize(size)))
+            .unwrap();
+    }
+    client.finish().unwrap();
+    while server.shard_loads() != [0] {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let snap = server.merged_snapshot();
+    assert_eq!(snap.counter("serve.keyframe_probes"), 2);
+    assert_eq!(snap.counter("serve.keyframe_probe_wins"), 1);
 }
 
 /// The template keyframe cache counts on the shard plane: the first

@@ -190,6 +190,13 @@ impl TextData {
         })
     }
 
+    /// True if an embedded object is anchored inside `range`.
+    pub fn has_anchor_in(&self, range: std::ops::Range<usize>) -> bool {
+        self.anchors
+            .iter()
+            .any(|a| self.marks.pos(a.mark).is_some_and(|p| range.contains(&p)))
+    }
+
     /// Line start before `pos`.
     pub fn line_start(&self, pos: usize) -> usize {
         self.buffer.line_start(pos)

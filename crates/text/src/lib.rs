@@ -220,7 +220,7 @@ mod tests {
         let bb = region.bounding_box();
         assert!(bb.y >= 8, "line 0 untouched, got {bb}");
         let moves = world.take_moves_for(view);
-        let &[(rows, dy)] = &moves[..] else {
+        let &[(rows, 0, dy)] = &moves[..] else {
             panic!("one move expected, got {moves:?}");
         };
         assert!(dy >= 8 && rows.y >= bb.y + dy, "{rows} moved by {dy}");

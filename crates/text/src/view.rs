@@ -49,6 +49,8 @@ struct Line {
     height: i32,
     /// Baseline offset from the line top.
     baseline: i32,
+    /// Left indent of the line's style: its text starts this far in.
+    indent: i32,
     /// Pixel width of the line's content including its indent (the x
     /// the wrap scan reached at `end`), memoized so hit-testing past
     /// the line edge can skip the per-char re-measure.
@@ -78,6 +80,9 @@ struct Reflow {
     /// Lines that kept their wrap but shifted: `(old top, old bottom,
     /// dy)`, the bottom being the end of the text.
     tail: Option<(i32, i32, i32)>,
+    /// The one line re-laid, `(before, after)`, when the edit re-laid
+    /// only its own line and every other line kept its place.
+    row: Option<(Line, Line)>,
 }
 
 /// Convergence target for an incremental wrap pass.
@@ -468,6 +473,7 @@ impl TextView {
                 y,
                 height: line_height,
                 baseline: ascent,
+                indent,
                 width: x,
                 scan_end,
             });
@@ -486,6 +492,7 @@ impl TextView {
                         y,
                         height: m.line_height,
                         baseline: m.ascent,
+                        indent: m.indent,
                         width: 0,
                         scan_end: len,
                     });
@@ -560,6 +567,8 @@ impl TextView {
         match end.converged {
             Some(qi) => {
                 let dy = end.next_y - old_lines[qi].y;
+                let row = (dy == 0 && qi == first + 1 && self.lines.len() == qi)
+                    .then(|| (old_lines[first], self.lines[first]));
                 world.collector().count("text.layout_reuse_tail", 1);
                 if delta == 0 && dy == 0 {
                     self.lines.extend_from_slice(&old_lines[qi..]);
@@ -589,11 +598,13 @@ impl TextView {
                 Some(Reflow {
                     strip: (start_y, bottom),
                     tail: (dy != 0).then_some((old_tail, old_total, dy)),
+                    row,
                 })
             }
             None => Some(Reflow {
                 strip: (start_y, old_total.max(self.content_height())),
                 tail: None,
+                row: None,
             }),
         }
     }
@@ -931,7 +942,7 @@ impl TextView {
         self.scroll_y = y;
         let size = world.view_bounds(self.base.id).size();
         if dy.abs() < size.height {
-            world.post_move(self.base.id, Rect::at(Point::ORIGIN, size), dy);
+            world.post_move(self.base.id, Rect::at(Point::ORIGIN, size), 0, dy);
         } else {
             world.post_damage_full(self.base.id);
         }
@@ -998,22 +1009,28 @@ impl TextView {
                 // path (`incremental` off, or the cached layout is for a
                 // stale width): full relayout, then diff the old and new
                 // line tables to find the changed strip.
-                let (strip, tail) = if self.incremental && self.layout_width == width {
+                let (strip, tail, row) = if self.incremental && self.layout_width == width {
                     match self.relayout_edit(world, *pos, *inserted, *deleted) {
-                        Some(r) => (Some(r.strip), r.tail),
-                        None => (None, None),
+                        Some(r) => (Some(r.strip), r.tail, r.row),
+                        None => (None, None, None),
                     }
                 } else {
                     let old_lines = std::mem::take(&mut self.lines);
                     self.layout_valid = false;
                     self.ensure_layout(world);
                     let strip = diff_strip(&old_lines, &self.lines, *pos, *inserted, *deleted);
-                    (strip, None)
+                    (strip, None, None)
                 };
+                let movable = own || self.sel_anchor.is_none();
+                if let Some((before, after)) = row.filter(|_| movable) {
+                    if self.shift_row_tail(world, before, after, *pos, *inserted) {
+                        return;
+                    }
+                }
                 let strip = match tail {
-                    Some((top, bottom, dy)) if own || self.sel_anchor.is_none() => {
+                    Some((top, bottom, dy)) if movable => {
                         let rows = Rect::new(0, top - self.scroll_y, bounds.width, bottom - top);
-                        world.post_move(self.base.id, rows, dy);
+                        world.post_move(self.base.id, rows, 0, dy);
                         strip
                     }
                     // The tail repaints with the strip.
@@ -1049,6 +1066,83 @@ impl TextView {
                 self.layout_valid = false;
             }
         }
+    }
+
+    /// The sideways fast path for an edit that re-laid only its own
+    /// line, `before` → `after`, leaving every other line in place: the
+    /// rest of the line after the edit moves by the width the edit added
+    /// or removed ([`World::post_move`] damages the strip a delete
+    /// exposes at the right edge). What the move cannot supply is
+    /// damaged: the edited glyph cells and the column just past them,
+    /// where the caret's pixels land when the caret sat at the edit (a
+    /// remote insert there leaves the caret in place), deleted cells
+    /// the rest of the line does not land on, and the caret's new
+    /// column.
+    ///
+    /// Moving pixels sideways relies on every glyph inking only inside
+    /// its advance cell, which the bitmap font guarantees in every
+    /// style. Returns false, having posted nothing, unless the line
+    /// keeps its start, indent, height and baseline, the edit lies
+    /// within it, the rest of the line started inside the view, and no
+    /// inset is anchored after the edit (its view's bounds would have
+    /// to move too).
+    fn shift_row_tail(
+        &mut self,
+        world: &mut World,
+        before: Line,
+        after: Line,
+        pos: usize,
+        inserted: usize,
+    ) -> bool {
+        let tail = pos + inserted;
+        let Some(text) = self.data.and_then(|d| world.data::<TextData>(d)) else {
+            return false;
+        };
+        if (before.start, before.indent, before.height, before.baseline)
+            != (after.start, after.indent, after.height, after.baseline)
+            || pos < after.start
+            || tail > after.end
+            || text.has_anchor_in(tail..after.end)
+        {
+            return false;
+        }
+        let x_at = |p: usize| self.char_rect_internal(world, p).map_or(0, |r| r.x);
+        let edit_x = x_at(pos);
+        let tail_x = edit_x
+            + (pos..tail)
+                .map(|i| self.char_width_at(world, text, i))
+                .sum::<i32>();
+        let caret = match self.caret {
+            c if c == tail => Some(tail_x),
+            c if self.line_index_of(c) == self.line_index_of(pos) => Some(x_at(c)),
+            _ => None,
+        };
+        let dx = after.width - before.width;
+        let from = tail_x - dx;
+        let width = world.view_bounds(self.base.id).width;
+        if from >= width {
+            return false;
+        }
+        let y = after.y - self.scroll_y;
+        world.post_move(
+            self.base.id,
+            Rect::new(from, y, width - from, after.height),
+            dx,
+            0,
+        );
+        let cells = Rect::new(edit_x, y, tail_x - edit_x + 1, after.height);
+        // A delete wider than the rest of the line leaves deleted cells
+        // between where the rest lands and where it came from.
+        let left = Rect::new(width + dx, y, from - width - dx, after.height);
+        for r in [cells, left] {
+            world.post_damage(self.base.id, r);
+            self.stats.damage_area += r.area();
+        }
+        if let Some(x) = caret {
+            world.post_damage(self.base.id, Rect::new(x, y, 1, after.height));
+        }
+        self.stats.partial += 1;
+        true
     }
 }
 

@@ -114,6 +114,10 @@ impl WindowSystem for AwmSim {
         Box::new(AwmWindow::new(title, size))
     }
 
+    fn open_window_on(&mut self, title: &str, frame: &Framebuffer) -> Box<dyn Window> {
+        Box::new(AwmWindow::on_frame(title, frame.clone()))
+    }
+
     fn open_offscreen(&mut self, size: Size) -> Box<dyn OffscreenWindow> {
         Box::new(AwmOffscreen::new(size))
     }
@@ -150,9 +154,11 @@ struct Screen {
 }
 
 impl Screen {
-    fn new(size: Size) -> Screen {
+    /// A screen showing `fb`, unclipped, in the initial replay state.
+    fn on(mut fb: Framebuffer) -> Screen {
+        fb.set_clip(None);
         Screen {
-            fb: Framebuffer::new(size.width, size.height, Color::WHITE),
+            fb,
             st: GraphicState::new(),
         }
     }
@@ -168,18 +174,28 @@ impl AwmWindow {
     /// Creates a window directly (the window system's `open_window` is
     /// the normal path; this is public for protocol-level tests).
     pub fn new(title: &str, size: Size) -> AwmWindow {
-        let mut events = VecDeque::new();
-        events.push_back(WindowEvent::Expose(Rect::at(Point::ORIGIN, size)));
+        let frame = Framebuffer::new(size.width, size.height, Color::WHITE);
+        let mut window = AwmWindow::on_frame(title, frame);
+        // A fresh window is born exposed, as under a real server.
+        window
+            .events
+            .push_back(WindowEvent::Expose(Rect::at(Point::ORIGIN, size)));
+        window
+    }
+
+    /// A window showing `frame`, with no op recorded and no event
+    /// queued.
+    fn on_frame(title: &str, frame: Framebuffer) -> AwmWindow {
         AwmWindow {
             title: title.to_string(),
-            size,
+            size: frame.bounds().size(),
             graphic: AwmGraphic::new(),
-            events,
+            events: VecDeque::new(),
             cursor: CursorHandle {
                 shape: CursorShape::Arrow,
                 id: 0,
             },
-            screen: RefCell::new(Screen::new(size)),
+            screen: RefCell::new(Screen::on(frame)),
         }
     }
 
@@ -199,7 +215,8 @@ impl Window for AwmWindow {
     fn resize(&mut self, size: Size) {
         self.size = size;
         self.graphic.ops.get_mut().clear();
-        *self.screen.get_mut() = Screen::new(size);
+        *self.screen.get_mut() =
+            Screen::on(Framebuffer::new(size.width, size.height, Color::WHITE));
         self.events.push_back(WindowEvent::Resize(size));
         self.events
             .push_back(WindowEvent::Expose(Rect::at(Point::ORIGIN, size)));
@@ -533,18 +550,111 @@ pub fn encode(ops: &[DrawOp]) -> Vec<u8> {
     out
 }
 
+/// Largest magnitude a decoded coordinate, size, pen width or
+/// `Translate` offset may have, and the replay origin may reach through
+/// the translations: 2²⁴ px, far past any window. Replay adds at most a
+/// coordinate, a size and the origin, or a glyph run's advance, so no
+/// sum a replay forms can pass `i32`.
+pub const MAX_COORD: i32 = 1 << 24;
+/// Largest font size a decoded stream may set.
+pub const MAX_FONT_SIZE: u32 = 1 << 12;
+/// Most characters in one decoded string: a run of the widest glyphs
+/// at [`MAX_FONT_SIZE`] advances less than [`MAX_COORD`].
+pub const MAX_TEXT_CHARS: usize = 1 << 12;
+
 /// Decodes a protocol byte stream back into a display list.
+///
+/// A stream is refused where replaying it could overflow `i32`: a
+/// coordinate, size, pen width or translation past [`MAX_COORD`], an
+/// origin the translations carry past it, a font size past
+/// [`MAX_FONT_SIZE`] or a string past [`MAX_TEXT_CHARS`].
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed message.
+/// Returns a description of the first malformed or out-of-bounds
+/// message.
 pub fn decode(bytes: &[u8]) -> Result<Vec<DrawOp>, String> {
     let mut ops = Vec::new();
     let mut cur = Cursor { buf: bytes, pos: 0 };
+    let mut origin = Origin::default();
     while !cur.done() {
-        ops.push(decode_op(&mut cur)?);
+        let op = decode_op(&mut cur)?;
+        origin.admit(&op)?;
+        ops.push(op);
     }
     Ok(ops)
+}
+
+/// The replay origin a decoded stream reaches, saved and restored as
+/// [`GraphicState`] does, to refuse a stream that carries it past
+/// [`MAX_COORD`].
+#[derive(Default)]
+struct Origin {
+    at: (i64, i64),
+    saved: Vec<(i64, i64)>,
+}
+
+impl Origin {
+    /// Checks `op`'s bounds and moves the origin as replaying it would.
+    fn admit(&mut self, op: &DrawOp) -> Result<(), String> {
+        let rect = |r: &Rect| [r.x, r.y, r.width, r.height];
+        let point = |p: &Point| [p.x, p.y];
+        let coords: Vec<i32> = match op {
+            DrawOp::SetLineWidth(w) => vec![*w],
+            DrawOp::SetFont(f) if f.size > MAX_FONT_SIZE => {
+                return Err(format!("font size {} past the bound", f.size));
+            }
+            DrawOp::GSave => {
+                self.saved.push(self.at);
+                Vec::new()
+            }
+            DrawOp::GRestore => {
+                if let Some(at) = self.saved.pop() {
+                    self.at = at;
+                }
+                Vec::new()
+            }
+            DrawOp::Translate(dx, dy) => {
+                self.at = (self.at.0 + *dx as i64, self.at.1 + *dy as i64);
+                let limit = MAX_COORD as i64;
+                if self.at.0.abs() > limit || self.at.1.abs() > limit {
+                    return Err(format!("translation to {:?} past the bound", self.at));
+                }
+                vec![*dx, *dy]
+            }
+            DrawOp::ClipRect(r)
+            | DrawOp::RectOutline(r)
+            | DrawOp::RectFill(r)
+            | DrawOp::RectClear(r)
+            | DrawOp::OvalOutline(r)
+            | DrawOp::OvalFill(r)
+            | DrawOp::WedgeFill(r, ..) => rect(r).to_vec(),
+            DrawOp::ClipRegion(rects) => rects.iter().flat_map(rect).collect(),
+            DrawOp::Line(a, b) => [point(a), point(b)].concat(),
+            DrawOp::PolyFill(pts) => pts.iter().flat_map(point).collect(),
+            DrawOp::Text(_, s) | DrawOp::TextBaseline(_, s)
+                if s.chars().count() > MAX_TEXT_CHARS =>
+            {
+                return Err(format!(
+                    "a {}-char string past the bound",
+                    s.chars().count()
+                ));
+            }
+            DrawOp::Text(p, _) | DrawOp::TextBaseline(p, _) => point(p).to_vec(),
+            DrawOp::Blit {
+                width, height, dst, ..
+            } => [[*width, *height], point(dst)].concat(),
+            DrawOp::CopyArea(r, p) => rect(r).into_iter().chain(point(p)).collect(),
+            _ => Vec::new(),
+        };
+        match coords
+            .into_iter()
+            .find(|v| v.unsigned_abs() > MAX_COORD as u32)
+        {
+            Some(v) => Err(format!("coordinate {v} past the bound")),
+            None => Ok(()),
+        }
+    }
 }
 
 struct Cursor<'a> {
@@ -921,6 +1031,31 @@ mod tests {
         }
         assert!(decode(&header(10, &[i32::MAX, 1, 2, 3])).is_err());
         assert!(decode(&header(17, &[i32::MAX, 1, 2, 3])).is_err());
+        // Coordinates whose replay would overflow `i32`: a fill whose
+        // right edge passes it (17 bytes, which replayed into a 10×10
+        // frame once panicked), and translations that each stay inside
+        // the bound but together carry the origin past it.
+        let fill = header(13, &[i32::MAX - 1, 0, 10, 1]);
+        assert_eq!(fill.len(), 17);
+        assert!(decode(&fill).is_err());
+        let step = header(8, &[MAX_COORD, 0]);
+        assert!(decode(&step).is_ok());
+        assert!(decode(&[step.clone(), step.clone()].concat()).is_err());
+        // A restore puts the origin back, as replay does.
+        let saved = [vec![6], step.clone(), vec![7], step].concat();
+        assert!(decode(&saved).is_ok());
+        // Everything at the bounds replays without overflow.
+        let (m, n) = (MAX_COORD, -MAX_COORD);
+        let edge = vec![
+            DrawOp::Translate(m, n),
+            DrawOp::SetFont(FontDesc::new("andy", FontStyle::BOLD, MAX_FONT_SIZE)),
+            DrawOp::RectFill(Rect::new(m, n, m, m)),
+            DrawOp::ClipRect(Rect::new(n, m, m, m)),
+            DrawOp::CopyArea(Rect::new(m, m, m, m), Point::new(n, n)),
+            DrawOp::Text(Point::new(m, m), "W".repeat(MAX_TEXT_CHARS)),
+        ];
+        let decoded = decode(&encode(&edge)).unwrap();
+        replay(&decoded, &mut Framebuffer::new(10, 10, Color::WHITE));
         // A negative count is an empty list, as it always was.
         assert_eq!(
             decode(&header(17, &[-5])).unwrap(),

@@ -88,17 +88,12 @@ pub trait WindowSystem {
     fn font_driver(&self) -> &dyn FontDriver;
 
     /// Opens a top-level window already showing `frame`, its size, with
-    /// no event queued — the session-fork path, where the template
-    /// already dispatched the birth events. This default opens a window,
-    /// drops its birth events and adopts the frame
-    /// ([`Window::adopt_frame`]); a pixel-store backend builds the
-    /// window on the frame directly instead of filling one it drops.
-    fn open_window_on(&mut self, title: &str, frame: &Framebuffer) -> Box<dyn Window> {
-        let mut window = self.open_window(title, frame.bounds().size());
-        while window.next_event().is_some() {}
-        window.adopt_frame(frame);
-        window
-    }
+    /// no event queued and no drawing recorded — the session-fork path,
+    /// where the template already dispatched the birth events. The
+    /// window is built on a clone of the frame, sharing its bands, so
+    /// it copies only the bands it later draws on; the clone counts as
+    /// wholly written.
+    fn open_window_on(&mut self, title: &str, frame: &Framebuffer) -> Box<dyn Window>;
 }
 
 /// Class 2 of 6 — a top-level window: event source and drawable owner.
@@ -139,8 +134,8 @@ pub trait Window: std::any::Any {
     /// Takes what the window's frame went through since the last call
     /// (see [`Written`]), leaving nothing: the frame's own record, taken
     /// with [`Framebuffer::take_written`] once every recorded op has
-    /// reached it. A new or resized window's frame, and one adopted
-    /// whole, count as wholly written.
+    /// reached it. A new, forked or resized window's frame counts as
+    /// wholly written.
     fn take_written(&mut self) -> Written;
 
     /// A copy of the current frame's pixels.
@@ -148,15 +143,6 @@ pub trait Window: std::any::Any {
         let mut snap = Framebuffer::new(0, 0, Color::WHITE);
         self.with_frame(&mut |fb| snap = fb.clone());
         snap
-    }
-
-    /// Replaces the window's contents with `frame` wholesale, as one
-    /// blit through the drawable (a single recorded op on a
-    /// display-list backend). `frame` must match the window's size.
-    fn adopt_frame(&mut self, frame: &Framebuffer) {
-        let g = self.graphic();
-        g.bitblt(frame, frame.bounds(), Point::ORIGIN);
-        g.flush();
     }
 }
 

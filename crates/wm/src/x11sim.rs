@@ -57,9 +57,6 @@ impl WindowSystem for X11Sim {
         Box::new(window)
     }
 
-    /// Builds the window on a clone of `frame`, sharing its bands: no
-    /// band is filled only to be dropped, and a fork copies only the
-    /// bands it later draws on. The clone counts as wholly written.
     fn open_window_on(&mut self, title: &str, frame: &Framebuffer) -> Box<dyn Window> {
         self.windows_opened += 1;
         let mut frame = frame.clone();

@@ -5,7 +5,9 @@
 //! bounded by that rect is then exactly the full-frame diff, and the
 //! moved frame patched over that rect is the screen.
 
-use atk_graphics::{Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Size};
+use atk_graphics::{
+    band_copies, Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Size,
+};
 use atk_wm::{open_window_system, Window, Written};
 use proptest::prelude::*;
 
@@ -203,8 +205,8 @@ fn check_chunks(backend: &str, chunks: &[Vec<Op>]) -> usize {
     moves
 }
 
-/// An op mix where half the ops copy within the window, clipped or
-/// not, as scrolling and reflowing views do.
+/// An op mix where most ops copy within the window, clipped or not,
+/// as scrolling, reflowing and typed-into views do.
 fn arb_copy_heavy_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         arb_op(),
@@ -212,6 +214,11 @@ fn arb_copy_heavy_op() -> impl Strategy<Value = Op> {
         (0i32..H, -40i32..40).prop_map(|(top, dy)| Op::CopyArea(
             Rect::new(0, top, W, H - top),
             Point::new(0, top + dy)
+        )),
+        // A row's tail shifted sideways, past the right edge or not.
+        (0i32..H, 1i32..30, 0i32..W, -30i32..30).prop_map(|(top, h, x, dx)| Op::CopyArea(
+            Rect::new(x, top, W - x, h),
+            Point::new(x + dx, top)
         )),
     ]
 }
@@ -295,7 +302,7 @@ fn the_first_unclipped_copy_is_the_move_and_carries_what_was_written() {
 }
 
 #[test]
-fn resize_and_adopt_frame_report_the_whole_window() {
+fn resize_and_open_window_on_report_the_whole_window() {
     for backend in BACKENDS {
         let mut w = open(backend);
         assert_eq!(
@@ -313,10 +320,12 @@ fn resize_and_adopt_frame_report_the_whole_window() {
 
         let mut frame = Framebuffer::new(70, 50, Color::WHITE);
         frame.fill_rect(Rect::new(60, 40, 5, 5), Color::BLUE);
-        w.adopt_frame(&frame);
-        assert_eq!(w.take_written().rect, whole, "{backend}: adopt_frame");
+        let mut w = open_window_system(Some(backend))
+            .unwrap()
+            .open_window_on("fork", &frame);
+        assert_eq!(w.take_written().rect, whole, "{backend}: open_window_on");
         assert_eq!(w.take_written(), Written::default());
-        assert_eq!(w.snapshot(), frame, "{backend}: adopted pixels");
+        assert_eq!(w.snapshot(), frame, "{backend}: the frame's pixels");
 
         // Drawing is reported as soon as it is drawn; a flush adds
         // nothing.
@@ -329,6 +338,76 @@ fn resize_and_adopt_frame_report_the_whole_window() {
         assert_eq!(w.take_written().rect, clipped, "{backend}: clipped fill");
         w.graphic().flush();
         assert_eq!(w.take_written(), Written::default(), "{backend}: flush");
+    }
+}
+
+/// A forked window opens on a clone of the template's frame: it shows
+/// the frame's pixels, with no event queued and no drawing op recorded,
+/// and shares the frame's bands, copying one only when it draws on it.
+#[test]
+fn a_window_opened_on_a_frame_shares_its_bands() {
+    for backend in BACKENDS {
+        let mut frame = Framebuffer::new(W, H, Color::WHITE);
+        frame.fill_rect(Rect::new(60, 40, 5, 5), Color::BLUE);
+        let mut ws = open_window_system(Some(backend)).unwrap();
+        let copies = band_copies();
+        let mut w = ws.open_window_on("fork", &frame);
+        assert_eq!(w.op_count(), 0, "{backend}: ops recorded");
+        let window: &dyn std::any::Any = w.as_ref();
+        if let Some(awm) = window.downcast_ref::<atk_wm::awmsim::AwmWindow>() {
+            assert!(awm.display_list().is_empty(), "{backend}: display list");
+        }
+        assert_eq!(w.next_event(), None, "{backend}: events queued");
+        assert_eq!(w.snapshot(), frame, "{backend}: the frame's pixels");
+        assert_eq!(band_copies(), copies, "{backend}: opening copied a band");
+        w.graphic().fill_rect(Rect::new(0, 0, 1, 1));
+        assert_eq!(w.take_written().rect, Rect::new(0, 0, W, H));
+        assert_eq!(
+            band_copies(),
+            copies + 1,
+            "{backend}: a draw copies its band"
+        );
+    }
+}
+
+/// A row's tail copied sideways, as a character typed mid-line shifts
+/// the rest of its line: right and left inside the frame, and right
+/// past its right edge, where what would land outside is dropped. Each
+/// is the move, from exactly the pixels that land inside the frame.
+#[test]
+fn a_sideways_copy_is_the_move() {
+    for backend in BACKENDS {
+        for (src, dst, from) in [
+            (
+                Rect::new(30, 10, 40, 20),
+                Point::new(44, 10),
+                Rect::new(30, 10, 40, 20),
+            ),
+            (
+                Rect::new(44, 10, 40, 20),
+                Point::new(30, 10),
+                Rect::new(44, 10, 40, 20),
+            ),
+            (
+                Rect::new(30, 10, W - 30, 20),
+                Point::new(44, 10),
+                Rect::new(30, 10, W - 44, 20),
+            ),
+        ] {
+            let mut w = open(backend);
+            let g = w.graphic();
+            g.set_font(FontDesc::new("andy", FontStyle::PLAIN, 24));
+            g.draw_string(Point::new(2, 12), "Sideways tail");
+            let _ = w.take_written();
+            let mut base = w.snapshot();
+            w.graphic().copy_area(src, dst);
+            let written = w.take_written();
+            let m = written.moved.expect("the copy is the move");
+            assert_eq!((m.src, m.dst), (from, dst), "{backend}: {src} to {dst}");
+            assert!(written.rect.is_empty(), "{backend}: {:?}", written.rect);
+            base.copy_within(m.src, m.dst);
+            assert_eq!(base, w.snapshot(), "{backend}: {src} to {dst}");
+        }
     }
 }
 
