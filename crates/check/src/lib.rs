@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use atk_core::{EventScript, InteractionManager, ScriptStep, StepDriver, World};
 use atk_graphics::{Color, Rect};
-use atk_trace::{Collector, Snapshot};
+use atk_trace::{Collector, FrameTrace, Snapshot};
 use atk_wm::WindowEvent;
 
 pub use oracles::{Oracle, Violation};
@@ -216,7 +216,8 @@ impl Session {
 
     /// Applies one step with the same semantics as [`EventScript::run`].
     pub fn apply(&mut self, step: &ScriptStep) {
-        self.driver.apply(&mut self.im, &mut self.world, step);
+        let ft = &mut FrameTrace::disabled();
+        self.driver.apply(&mut self.im, &mut self.world, step, ft);
         self.overlay_possible = matches!(
             step,
             ScriptStep::Event(WindowEvent::MenuRequest { .. }) | ScriptStep::MenuSelect(_)

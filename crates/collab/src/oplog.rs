@@ -267,6 +267,31 @@ mod tests {
         assert_eq!(OpLog::decode(&bytes), Err(WireError::TooLarge));
     }
 
+    /// A log one op past [`MAX_LOG_OPS`], every op as short as an op
+    /// can be (a 20-byte header and a 5-byte `close` line), fails
+    /// closed, and the same log one op shorter decodes. The bytes are
+    /// built once, by copying one encoded op.
+    #[test]
+    fn a_log_past_max_log_ops_fails_closed() {
+        let close = Op {
+            seq: 1,
+            author: 1,
+            step: ScriptStep::Event(WindowEvent::Close),
+        };
+        let mut one = Vec::new();
+        close.encode_into(&mut one).unwrap();
+        assert_eq!(one.len(), 25);
+        let ops = MAX_LOG_OPS as u64 + 1;
+        let mut bytes = Vec::with_capacity(one.len() * ops as usize);
+        for seq in 1..=ops {
+            bytes.extend_from_slice(&seq.to_le_bytes());
+            bytes.extend_from_slice(&one[8..]);
+        }
+        assert_eq!(OpLog::decode(&bytes), Err(WireError::TooLarge));
+        let at_cap = OpLog::decode(&bytes[..bytes.len() - one.len()]);
+        assert_eq!(at_cap.map(|log| log.len()), Ok(MAX_LOG_OPS));
+    }
+
     #[test]
     fn unencodable_step_reports_bad_step() {
         let mut log = OpLog::new();

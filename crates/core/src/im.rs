@@ -159,12 +159,20 @@ impl InteractionManager {
     /// Processes every queued window event, then settles notifications
     /// and damage. Returns the number of events handled.
     pub fn pump(&mut self, world: &mut World) -> usize {
+        let handled = self.dispatch_queued(world);
+        self.settle(world);
+        handled
+    }
+
+    /// The dispatch half of [`InteractionManager::pump`]: routes every
+    /// queued window event, without settling. Returns the number of
+    /// events handled.
+    pub(crate) fn dispatch_queued(&mut self, world: &mut World) -> usize {
         let mut handled = 0;
         while let Some(ev) = self.window.next_event() {
             self.dispatch(world, ev);
             handled += 1;
         }
-        self.settle(world);
         handled
     }
 
@@ -339,8 +347,8 @@ impl InteractionManager {
     /// The flush half of [`InteractionManager::settle`]: drains
     /// deferred commands and notifications to quiescence and grants
     /// any pending focus request, without painting. Exposed separately
-    /// so embedders (the serve layer's frame-stage attribution) can
-    /// time the settle and paint phases apart.
+    /// so [`StepDriver::apply`](crate::StepDriver::apply) can time the
+    /// settle and paint phases apart.
     pub fn flush_quiescent(&mut self, world: &mut World) {
         // Deferred commands first (child -> ancestor messages), then
         // notifications; both may post damage. Loop until quiescent.

@@ -21,6 +21,7 @@
 //! ```
 
 use atk_graphics::{Point, Size};
+use atk_trace::{FrameTrace, Stage};
 use atk_wm::{Button, Key, MouseAction, WindowEvent};
 
 use crate::im::InteractionManager;
@@ -209,13 +210,20 @@ impl EventScript {
     pub fn run(&self, im: &mut InteractionManager, world: &mut World) {
         let mut driver = StepDriver::default();
         for step in &self.steps {
-            driver.apply(im, world, step);
+            driver.apply(im, world, step, &mut FrameTrace::disabled());
         }
     }
 }
 
 /// The one meaning of a script step, shared by script replay, the
-/// fuzzer's sessions and the server's hosted sessions.
+/// fuzzer's sessions and every hosted session, private or replica.
+///
+/// Each step lands on a settled world and leaves one behind (paper §2's
+/// delayed update): its events are dispatched, then change records and
+/// notifications are flushed to quiescence, then the damage is
+/// repainted. A server that drains a burst of steps applies them one by
+/// one this way and ships one frame for the burst, so what a client
+/// sees does not depend on how the transport batched its input.
 ///
 /// A `menu select` re-requests the menu at the position the preceding
 /// `menu request` recorded (origin when none was recorded), so replays
@@ -227,39 +235,49 @@ pub struct StepDriver {
 }
 
 impl StepDriver {
-    /// Applies one step: an event is fed (posted and pumped), a menu
-    /// selection runs [`StepDriver::select`].
-    pub fn apply(&mut self, im: &mut InteractionManager, world: &mut World, step: &ScriptStep) {
+    /// Applies one step and stamps its stages on `ft`: posting the
+    /// event (or requesting the menu and selecting the item) and
+    /// dispatching every queued event under [`Stage::Apply`],
+    /// [`InteractionManager::flush_quiescent`] under [`Stage::Settle`],
+    /// and [`InteractionManager::repaint_damage`] under
+    /// [`Stage::Paint`]. Callers with no frame to attribute pass
+    /// [`FrameTrace::disabled`].
+    pub fn apply(
+        &mut self,
+        im: &mut InteractionManager,
+        world: &mut World,
+        step: &ScriptStep,
+        ft: &mut FrameTrace,
+    ) {
+        ft.enter(Stage::Apply);
         match step {
             ScriptStep::Event(ev) => {
                 self.observe(ev);
-                im.feed(world, ev.clone());
+                im.window_mut().post_event(ev.clone());
             }
-            ScriptStep::MenuSelect(label) => self.select(im, world, label),
+            ScriptStep::MenuSelect(label) => {
+                im.feed(
+                    world,
+                    WindowEvent::MenuRequest {
+                        pos: self.last_menu_pos,
+                    },
+                );
+                im.select_menu(world, label);
+            }
         }
+        im.dispatch_queued(world);
+        ft.enter(Stage::Settle);
+        im.flush_quiescent(world);
+        ft.enter(Stage::Paint);
+        im.repaint_damage(world);
+        ft.exit();
     }
 
-    /// Records a `MenuRequest` event's position. Callers that post
-    /// events themselves (to pump a whole run once) call this for each
-    /// event they post.
-    #[inline]
-    pub fn observe(&mut self, ev: &WindowEvent) {
+    /// Records a `MenuRequest` event's position.
+    fn observe(&mut self, ev: &WindowEvent) {
         if let WindowEvent::MenuRequest { pos } = ev {
             self.last_menu_pos = *pos;
         }
-    }
-
-    /// The `menu select` sequence: request the menu at the recorded
-    /// position, select `label`, pump.
-    pub fn select(&self, im: &mut InteractionManager, world: &mut World, label: &str) {
-        im.feed(
-            world,
-            WindowEvent::MenuRequest {
-                pos: self.last_menu_pos,
-            },
-        );
-        im.select_menu(world, label);
-        im.pump(world);
     }
 }
 

@@ -240,8 +240,7 @@ impl<T: FrameTransport> ServeClient<T> {
     }
 
     /// Sends a step and blocks until a frame covering it arrives
-    /// (synchronous mode — what the differential oracle runs, so the
-    /// server settles exactly once per step like `im.feed` does).
+    /// (synchronous mode: one step, one frame).
     pub fn step_sync(&mut self, step: &ScriptStep) -> Result<(), ClientError> {
         self.send_step(step)?;
         self.sync()

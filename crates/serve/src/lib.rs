@@ -37,7 +37,8 @@
 //! * [`transport`] — TCP framing plus an in-memory pair for tests
 //! * [`fault`] — seeded transport fault injection (short reads/writes,
 //!   `WouldBlock` storms, mid-frame disconnects) for the chaos tests
-//! * [`session`] — one hosted session: batch coalescing, XOR updates
+//! * [`session`] — one hosted session: every step through the one step
+//!   driver, one frame per drained batch, XOR updates
 //!   against the frame the client holds (a keyframe only when there is
 //!   none, the window resized, or an update would outweigh one), idle
 //!   eviction on the session's own virtual clock
@@ -50,8 +51,9 @@
 //! * [`client`] — the client half: framebuffer reconstruction plus
 //!   latency/byte accounting
 //! * [`oracle`] — the one serve differential: scripted private sessions
-//!   or shared-document replicas, on any shard/fault/fork topology,
-//!   byte-identical to the in-process reference
+//!   (stepping synchronously or pipelined) or shared-document replicas,
+//!   on any shard/fault/fork topology, byte-identical to the in-process
+//!   reference
 //! * [`loadgen`] — N concurrent scripted clients (rendezvous, chaos
 //!   faults, replicated-document fleets, admission storms) and the
 //!   report behind EXPERIMENTS.md E11/E15/E16/E17
@@ -61,8 +63,7 @@
 //! Trace counters: `serve.sessions`, `serve.active_sessions` (gauge),
 //! `serve.frames`, `serve.frames_unchanged`, `serve.diff_bytes`,
 //! `serve.full_bytes`, `serve.encode.raw`, `serve.encode.rle`,
-//! `serve.encoded_bytes`, `serve.coalesced`,
-//! `serve.backpressure_drops`, `serve.busy_rejects`,
+//! `serve.encoded_bytes`, `serve.backpressure_drops`, `serve.busy_rejects`,
 //! `serve.idle_evictions`, `serve.stats_requests`, `serve.collab.docs`,
 //! `serve.collab.ops` (plus the `serve.collab.fanout_us` and
 //! `serve.collab.replay_lag` histograms),

@@ -5,8 +5,8 @@
 //! Each client thread replays a seed-stable step stream (the fuzzer's
 //! weighted generator, or a deterministic typing-heavy profile for the
 //! diff-compression measurements) with a pipelining window of
-//! `WINDOW` (8) steps, so bursts actually reach the server-side batch
-//! coalescer without unbounded frames piling up in flight.
+//! `WINDOW` (8) steps, so bursts actually reach the server as batches
+//! without unbounded frames piling up in flight.
 //!
 //! Scale knobs: [`LoadConfig::shards`] sets how many worker shards host
 //! the fleet; [`LoadConfig::rendezvous`] parks every connected client at a

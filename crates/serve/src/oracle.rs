@@ -10,20 +10,25 @@
 //! reconstruction must be byte-identical to the in-process reference:
 //! `atk_check::Session` replaying the same script for private sessions,
 //! one [`HostedSession`] replaying the merged op order for a shared
-//! document — whose per-replica counter planes must match it too. The
-//! wire, the batching, the diff shipping, the shard placement, the
-//! fault schedule and the fanout must all be invisible.
+//! document. Every session's counter plane, minus the `serve.*` keys,
+//! must match its reference's too. The wire, the batching, the diff
+//! shipping, the shard placement, the fault schedule and the fanout
+//! must all be invisible.
 //!
-//! Clients step synchronously (one step, one frame), which makes the
-//! server's per-batch settle structurally identical to the in-process
-//! `im.feed` per step, and private sessions run one after another, which
-//! pins every counter the caller may compare (batch sizes, peak
-//! concurrency, frames by kind) to one deterministic interleaving.
+//! A private client sends [`Traffic::Private`]'s `window` steps before
+//! it waits for the frames covering them, so the server may drain any
+//! chunk of them as one batch; a window of 1 steps synchronously. The
+//! step driver gives a batch the meaning of its steps applied one by
+//! one, so no window may change a pixel or a counter of the world.
+//! Private sessions run one after another, which pins every counter the
+//! caller may compare (batch sizes, peak concurrency, frames by kind)
+//! to one deterministic interleaving at a window of 1.
 //! The sharded-vs-single comparison then reads
 //! [`ServedRun::shard_invariant_counters`]: everything except the
 //! shard-local `serve.shard.*` scheduling plane and the per-shard
 //! template cache builds, the only places shard count may leave a mark.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use atk_check::gen::interleaved_script;
@@ -74,6 +79,10 @@ pub enum Traffic {
         scripts: Vec<Vec<ScriptStep>>,
         /// Backend requested in every `Hello`.
         backend: Option<String>,
+        /// Steps a client sends before it waits for the frames covering
+        /// them: 1 steps synchronously, `usize::MAX` sends the whole
+        /// script before one sync.
+        window: usize,
     },
     /// Replicas attached to one shared document: writers submit the
     /// merged `(writer, step)` order through the document's op log,
@@ -89,14 +98,16 @@ pub enum Traffic {
 }
 
 impl Traffic {
-    /// `sessions` private sessions on `backend`; session `k` replays
-    /// `steps` fuzzer steps recorded from seed `seed + 1000 k`.
+    /// `sessions` private sessions on `backend`, each sending `window`
+    /// steps before it syncs; session `k` replays `steps` fuzzer steps
+    /// recorded from seed `seed + 1000 k`.
     pub fn fuzz(
         scene: &str,
         backend: Option<&str>,
         seed: u64,
         sessions: usize,
         steps: usize,
+        window: usize,
     ) -> Result<Traffic, String> {
         let scripts = (0..sessions as u64)
             .map(|k| fuzz_script(scene, backend.unwrap_or("x11sim"), seed + 1000 * k, steps))
@@ -104,6 +115,7 @@ impl Traffic {
         Ok(Traffic::Private {
             scripts,
             backend: backend.map(str::to_string),
+            window,
         })
     }
 
@@ -131,8 +143,7 @@ pub struct ServedRun {
     pub steps: usize,
     /// Final client-side framebuffers, one per session or replica.
     pub framebuffers: Vec<Framebuffer>,
-    /// Per-replica counter planes checked against the reference (0 for
-    /// private traffic).
+    /// Per-session counter planes checked against the reference.
     pub counter_planes: usize,
     /// The server-wide merged snapshot after every shard joined.
     pub merged: Snapshot,
@@ -173,9 +184,8 @@ impl ServedRun {
 }
 
 /// Serves `traffic` for `scene` on a server laid out by `topo` and
-/// demands every client's final framebuffer byte-identical to the
-/// in-process reference (plus, for shared documents, every replica's
-/// non-`serve.*` counter plane).
+/// demands every client's final framebuffer and every session's
+/// non-`serve.*` counter plane identical to the in-process reference's.
 ///
 /// # Errors
 ///
@@ -198,9 +208,11 @@ pub fn serve_differential(
     let server = Server::start(server_cfg, topo.shards);
     let connect = |i: usize| server.connect_mem(topo.fault_seed.map(|seed| seed ^ i as u64));
     let served = match traffic {
-        Traffic::Private { scripts, backend } => {
-            serve_private(scene, scripts, backend.as_deref(), connect)
-        }
+        Traffic::Private {
+            scripts,
+            backend,
+            window,
+        } => serve_private(scene, scripts, backend.as_deref(), *window, connect),
         Traffic::Shared {
             script,
             writers,
@@ -210,11 +222,21 @@ pub fn serve_differential(
     // Join the shard threads before reading counters, so every close
     // has landed.
     server.shutdown_shards();
-    let (framebuffers, stats) = served?;
+    let (framebuffers, stats, ids) = served?;
+    // Each session's own counter plane, by session id.
+    let parts: HashMap<String, Snapshot> = server.trace_parts().into_iter().collect();
+    let plane_of = |id: u64| {
+        let name = format!("session-{id}");
+        let snap = parts
+            .get(&name)
+            .ok_or(format!("{scene}: no trace of {name}"))?;
+        Ok::<_, String>(strip_serve_plane(snap))
+    };
 
-    let mut counter_planes = 0;
     let steps = match traffic {
-        Traffic::Private { scripts, backend } => {
+        Traffic::Private {
+            scripts, backend, ..
+        } => {
             let backend = backend.as_deref().unwrap_or(&topo.session.backend);
             for (k, (script, got)) in scripts.iter().zip(&framebuffers).enumerate() {
                 let mut reference = Session::build(scene, backend)?;
@@ -228,6 +250,8 @@ pub fn serve_differential(
                 if let Some(d) = divergence(&want, got) {
                     return Err(format!("{scene} session {k}: served diverges: {d}"));
                 }
+                let want = strip_serve_plane(&reference.world.collector().snapshot());
+                check_plane(&format!("{scene} session {k}"), &want, &plane_of(ids[k])?)?;
             }
             scripts.iter().map(Vec::len).sum()
         }
@@ -245,28 +269,10 @@ pub fn serve_differential(
                     return Err(format!("{scene}: replica {i} diverges: {d}"));
                 }
             }
-            // Every replica's own counter plane (its session collector,
-            // minus the serve-side shipping/scheduling keys) must equal
-            // the reference's: each replica computed the same world.
-            let want_counters = strip_serve_plane(&ref_collector.snapshot());
-            for (name, snap) in server.trace_parts() {
-                if !name.starts_with("session-") {
-                    continue;
-                }
-                let got = strip_serve_plane(&snap);
-                if got != want_counters {
-                    return Err(format!(
-                        "{scene}: {name} counter plane diverges from the in-process \
-                         reference:\n  want {want_counters:?}\n  got  {got:?}"
-                    ));
-                }
-                counter_planes += 1;
-            }
-            if counter_planes != framebuffers.len() {
-                return Err(format!(
-                    "{scene}: expected {} replica counter planes, found {counter_planes}",
-                    framebuffers.len()
-                ));
+            // Each replica computed the same world as the reference.
+            let want = strip_serve_plane(&ref_collector.snapshot());
+            for (i, id) in ids.iter().enumerate() {
+                check_plane(&format!("{scene}: replica {i}"), &want, &plane_of(*id)?)?;
             }
             script.len()
         }
@@ -274,8 +280,8 @@ pub fn serve_differential(
 
     Ok(ServedRun {
         steps,
+        counter_planes: framebuffers.len(),
         framebuffers,
-        counter_planes,
         merged: server.merged_snapshot(),
         diff_frames: stats.iter().map(|s| s.diff_frames).sum(),
         key_frames: stats.iter().map(|s| s.key_frames).sum(),
@@ -284,33 +290,38 @@ pub fn serve_differential(
     })
 }
 
-type Served = Result<(Vec<Framebuffer>, Vec<ClientStats>), String>;
+/// Each client's final framebuffer, its accounting and its session id.
+type Served = Result<(Vec<Framebuffer>, Vec<ClientStats>, Vec<u64>), String>;
 
-/// Runs each private script in its own session, one after another.
+/// Runs each private script in its own session, one after another,
+/// sending `window` steps before each sync.
 fn serve_private(
     scene: &str,
     scripts: &[Vec<ScriptStep>],
     backend: Option<&str>,
+    window: usize,
     connect: impl Fn(usize) -> Result<Box<dyn FrameTransport>, String>,
 ) -> Served {
     let mut framebuffers = Vec::with_capacity(scripts.len());
     let mut stats = Vec::with_capacity(scripts.len());
+    let mut ids = Vec::with_capacity(scripts.len());
     for (i, script) in scripts.iter().enumerate() {
         let t = connect(i).map_err(|e| format!("session {i}: {e}"))?;
         let mut client = ServeClient::connect_backend(t, scene, backend)
             .map_err(|e| format!("session {i}: connect: {e}"))?;
-        for step in script {
-            client
-                .step_sync(step)
+        for chunk in script.chunks(window.max(1)) {
+            let sent = chunk.iter().try_for_each(|step| client.send_step(step));
+            sent.and_then(|()| client.sync())
                 .map_err(|e| format!("session {i}: {e}"))?;
             if client.ended() {
                 return Err(format!("session {i}: server ended session mid-script"));
             }
         }
+        ids.push(client.session_id());
         framebuffers.push(client.framebuffer().clone());
         stats.push(client.finish().map_err(|e| format!("session {i}: {e}"))?);
     }
-    Ok((framebuffers, stats))
+    Ok((framebuffers, stats, ids))
 }
 
 /// Attaches every replica before the first edit, then submits the
@@ -352,14 +363,16 @@ fn serve_shared(
     }
     let mut framebuffers = Vec::with_capacity(clients.len());
     let mut stats = Vec::with_capacity(clients.len());
+    let mut ids = Vec::with_capacity(clients.len());
     for (i, client) in clients.into_iter().enumerate() {
+        ids.push(client.session_id());
         let (s, fb) = client
             .finish_with_frame()
             .map_err(|e| format!("replica {i}: finish: {e}"))?;
         framebuffers.push(fb);
         stats.push(s);
     }
-    Ok((framebuffers, stats))
+    Ok((framebuffers, stats, ids))
 }
 
 /// `None` when `got` matches `want` in size and pixels; otherwise the
@@ -386,6 +399,22 @@ pub fn divergence(want: &Framebuffer, got: &Framebuffer) -> Option<String> {
         got.height(),
         want.width(),
         want.height(),
+    ))
+}
+
+/// `Err` naming `who` when a served session's counter plane differs
+/// from its reference's.
+fn check_plane(
+    who: &str,
+    want: &[(&'static str, u64)],
+    got: &[(&'static str, u64)],
+) -> Result<(), String> {
+    if got == want {
+        return Ok(());
+    }
+    Err(format!(
+        "{who}: counter plane diverges from the in-process reference:\n  \
+         want {want:?}\n  got  {got:?}"
     ))
 }
 

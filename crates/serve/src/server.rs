@@ -649,6 +649,98 @@ mod tests {
         );
     }
 
+    /// The default queue cap, at its value: a preloaded burst one step
+    /// past it drains as one batch, drops its oldest step, still counts
+    /// every step in `seq`, and ships the frame of the steps it kept.
+    /// The burst is a focus click and typing, so the dropped press
+    /// leaves the typing unfocused: keeping it would show the text.
+    #[test]
+    fn a_burst_one_past_the_default_queue_cap_drops_one_step() {
+        let cap = SessionConfig::default().queue_cap;
+        assert_eq!(cap, 256);
+        let mut steps = vec![
+            ScriptStep::Event(WindowEvent::left_down(70, 70)),
+            ScriptStep::Event(WindowEvent::left_up(70, 70)),
+        ];
+        let text = "a queue of typing\n".chars().cycle().take(cap - 1);
+        steps.extend(text.map(|c| {
+            ScriptStep::Event(match c {
+                '\n' => WindowEvent::Key(atk_wm::Key::Return),
+                c => WindowEvent::ch(c),
+            })
+        }));
+        let server = Server::start(ServerConfig::default(), 1);
+        let (mut client, server_half) = MemTransport::pair();
+        send(&mut client, hello("fig5"));
+        for step in &steps {
+            send(&mut client, ClientFrame::Step(step.clone()));
+        }
+        send(&mut client, ClientFrame::Bye);
+        assert!(server.admit(Box::new(server_half)).is_ok());
+
+        assert!(matches!(recv(&mut client), ServerFrame::Welcome { .. }));
+        let ServerFrame::Keyframe { seq: 0, frame } = recv(&mut client) else {
+            panic!("no initial keyframe");
+        };
+        let mut fb = (*frame).clone();
+        match recv(&mut client) {
+            ServerFrame::Update { seq, moved, patch } => {
+                assert_eq!(seq, cap as u64 + 1);
+                crate::wire::apply_update(&mut fb, moved, patch.as_ref()).unwrap();
+            }
+            ServerFrame::Keyframe { seq, frame } => {
+                assert_eq!(seq, cap as u64 + 1);
+                fb = (*frame).clone();
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(recv(&mut client), ServerFrame::Bye { .. }));
+        assert_no_leaks(&server);
+        assert_eq!(
+            server.merged_snapshot().counter("serve.backpressure_drops"),
+            1
+        );
+        let replay = |steps: &[ScriptStep]| {
+            let mut reference = atk_check::Session::build("fig5", "x11sim").unwrap();
+            for step in steps {
+                reference.apply(step);
+            }
+            reference.im.snapshot().unwrap()
+        };
+        assert_eq!(crate::oracle::divergence(&replay(&steps[1..]), &fb), None);
+        assert!(crate::oracle::divergence(&replay(&steps), &fb).is_some());
+    }
+
+    /// The default session cap, at its value: 128 concurrent sessions
+    /// are admitted, and the 129th `Hello` is answered `Busy`.
+    #[test]
+    fn the_default_session_cap_turns_away_the_next_hello() {
+        let max = ServerConfig::default().max_sessions;
+        assert_eq!(max, 128);
+        let server = Server::start(ServerConfig::default(), 1);
+        let live: Vec<_> = (0..max)
+            .map(|_| {
+                let mut c = server.connect_mem(None).unwrap();
+                send(&mut c, hello("fig1"));
+                assert!(matches!(recv(&mut c), ServerFrame::Welcome { .. }));
+                assert!(matches!(recv(&mut c), ServerFrame::Keyframe { .. }));
+                c
+            })
+            .collect();
+        let mut turned_away = server.connect_mem(None).unwrap();
+        send(&mut turned_away, hello("fig1"));
+        assert_eq!(recv(&mut turned_away), ServerFrame::Busy);
+        for mut c in live {
+            send(&mut c, ClientFrame::Bye);
+            assert!(matches!(recv(&mut c), ServerFrame::Bye { .. }));
+        }
+        assert_no_leaks(&server);
+        assert_eq!(
+            server.collector().snapshot().counter("serve.busy_rejects"),
+            1
+        );
+    }
+
     #[test]
     fn unknown_scene_reports_error_and_releases_slot() {
         let server = Server::start(ServerConfig::default(), 1);

@@ -2,16 +2,13 @@
 //! its connection's thread, fed batches of script steps and producing
 //! one shipped frame per batch.
 //!
-//! The batch path is the serving analogue of the toolkit's own update
-//! discipline: events are *posted* first and the tree `settle`s once per
-//! batch (the IM's `pump` already dequeues everything before its single
-//! settle), so a burst of mouse movement costs one relayout and one
-//! damage pass, not one per event. On top of that the coalescer drops
-//! all but the last of a run of consecutive pointer movements — the
-//! cursor only ends up in one place. Clock ticks are **never** merged:
-//! a timer that fires at +10 and reschedules itself +10 fires twice
-//! under `tick 10, tick 10` but once under `tick 20`, and the
-//! served-vs-in-process oracle insists on byte identity.
+//! Every step, private or replicated, goes through [`StepDriver::apply`],
+//! the one definition of a step the in-process reference
+//! (`atk_check::Session`) uses too: dispatch, settle, paint. A drained
+//! burst applies its steps one by one and ships **one** frame: one diff
+//! against the shipped baseline, one encode, one send. So a session's
+//! world and pixels are a function of its steps alone, never of how the
+//! transport chunked them.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +18,7 @@ use atk_collab::{Attachment, Doc, Op};
 use atk_core::{InteractionManager, ScriptStep, StepDriver, World};
 use atk_graphics::{band_copies, Framebuffer, Move};
 use atk_trace::{Collector, FrameLog, FrameTrace, SlowFrameLog, Stage};
-use atk_wm::{MouseAction, WindowEvent, Written};
+use atk_wm::{WindowEvent, Written};
 
 use crate::wire::{Encoding, ServerFrame, XorRect, MOVE_BYTES};
 
@@ -198,8 +195,10 @@ impl HostedSession {
             attachment,
             applied: 0,
         });
+        let ft = &mut FrameTrace::disabled();
         for op in &backlog {
-            session.apply_one_op(&op.step);
+            let (im, world) = (&mut session.im, &mut session.world);
+            session.driver.apply(im, world, &op.step, ft);
         }
         if let Some(r) = session.collab.as_mut() {
             r.applied = backlog.last().map_or(0, |op| op.seq);
@@ -261,13 +260,12 @@ impl HostedSession {
     }
 
     /// Applies a drained run of shared-document ops and returns the
-    /// frame to ship. Ops apply **one at a time** with the recorded
-    /// per-step semantics — each op settles and repaints before the
-    /// next applies — so a replica's world, counters, and pixels are a
-    /// pure function of the log prefix, independent of how transport
-    /// drains or shard scheduling chunked the ops. (Per-op settle and
-    /// paint are attributed to the `apply` stage; the one shipped
-    /// frame still diffs the cumulative change as usual.)
+    /// frame to ship. Ops apply one at a time through the step driver,
+    /// so a replica's world, counters, and pixels are a pure function
+    /// of the log prefix, independent of how transport drains or shard
+    /// scheduling chunked the ops. Each op's apply, settle and paint
+    /// land in their own stages; the one shipped frame diffs the
+    /// cumulative change.
     ///
     /// `seq` advances only by ops *authored by this session*: the
     /// shipped sequence number keeps counting the client's own steps,
@@ -283,29 +281,20 @@ impl HostedSession {
         ft: &mut FrameTrace,
     ) -> (ServerFrame, Option<SessionEnd>) {
         let (started, copies) = (Instant::now(), band_copies());
-        if self.cfg.slo_us.is_some() && ft.is_enabled() {
-            self.last_trigger = ops.last().map(|op| {
-                op.step
-                    .to_line()
-                    .unwrap_or_else(|| format!("{:?}", op.step))
-            });
-        }
-        ft.enter(Stage::Apply);
+        self.capture_trigger(ops.last().map(|op| &op.step), ft);
         let mut saw_real_input = false;
         let mut own = 0u64;
         for op in ops {
-            if !matches!(op.step, ScriptStep::Event(WindowEvent::Tick(_))) {
-                saw_real_input = true;
-            }
+            saw_real_input |= is_real_input(&op.step);
             if op.author == self.session_id {
                 own += 1;
             }
-            self.apply_one_op(&op.step);
+            self.driver
+                .apply(&mut self.im, &mut self.world, &op.step, ft);
             if let Some(r) = self.collab.as_mut() {
                 r.applied = op.seq;
             }
         }
-        ft.exit();
 
         self.seq += own;
         if saw_real_input {
@@ -318,23 +307,22 @@ impl HostedSession {
         self.close_frame(ft, started, copies)
     }
 
-    /// One op, with the exact semantics the in-process reference uses
-    /// for one script step (`atk_check::Session::apply`), followed by
-    /// a settle and a damage repaint so the next op sees a fully
-    /// repaired world.
-    fn apply_one_op(&mut self, step: &ScriptStep) {
-        self.driver.apply(&mut self.im, &mut self.world, step);
-        self.im.flush_quiescent(&mut self.world);
-        self.im.repaint_damage(&mut self.world);
+    /// Applies plain steps through the step driver with no frame
+    /// assembly. This is how the collab oracle's in-process reference
+    /// replays the merged interleaving: the same per-op funnel the
+    /// replicas run, minus the wire.
+    pub fn replay_steps(&mut self, steps: &[ScriptStep]) {
+        let ft = &mut FrameTrace::disabled();
+        for step in steps {
+            self.driver.apply(&mut self.im, &mut self.world, step, ft);
+        }
     }
 
-    /// Applies plain steps with replica semantics (one settle + paint
-    /// per step, no frame assembly). This is how the collab oracle's
-    /// in-process reference replays the merged interleaving: the same
-    /// per-op funnel the replicas run, minus the wire.
-    pub fn replay_steps(&mut self, steps: &[ScriptStep]) {
-        for step in steps {
-            self.apply_one_op(step);
+    /// Keeps the script line of a batch's last step for slow-frame
+    /// dumps, while the SLO watchdog is armed and the frame traced.
+    fn capture_trigger(&mut self, last: Option<&ScriptStep>, ft: &FrameTrace) {
+        if self.cfg.slo_us.is_some() && ft.is_enabled() {
+            self.last_trigger = last.map(|s| s.to_line().unwrap_or_else(|| format!("{s:?}")));
         }
     }
 
@@ -422,8 +410,8 @@ impl HostedSession {
         self.frame_log.push(rec);
     }
 
-    /// Applies one batch of steps (single settle for event runs) and
-    /// returns the frame to ship plus whether the session must end.
+    /// Applies one batch of steps, each through the step driver, and
+    /// returns the one frame to ship plus whether the session must end.
     /// `dropped` is how many older steps backpressure discarded before
     /// this batch; they still advance `seq` so the client's accounting
     /// stays truthful. Convenience wrapper that owns the whole
@@ -451,57 +439,13 @@ impl HostedSession {
         ft: &mut FrameTrace,
     ) -> (ServerFrame, Option<SessionEnd>) {
         let (started, copies) = (Instant::now(), band_copies());
-        if self.cfg.slo_us.is_some() && ft.is_enabled() {
-            self.last_trigger = batch
-                .last()
-                .map(|s| s.to_line().unwrap_or_else(|| format!("{s:?}")));
+        self.capture_trigger(batch.last(), ft);
+        for step in batch {
+            self.driver.apply(&mut self.im, &mut self.world, step, ft);
         }
-        let coalesced = coalesce(batch);
-        self.collector
-            .count("serve.coalesced", (batch.len() - coalesced.len()) as u64);
-
-        // Post runs of plain events and pump once per run; menu
-        // selections need the request/select/pump sequence in order.
-        // The final pump is spelled out as dispatch / flush / repaint
-        // so the trace can attribute apply, settle, and paint apart —
-        // the sequence is exactly what `pump` runs.
-        ft.enter(Stage::Apply);
-        let mut pending = false;
-        let mut saw_real_input = false;
-        for step in &coalesced {
-            if !matches!(step, ScriptStep::Event(WindowEvent::Tick(_))) {
-                saw_real_input = true;
-            }
-            match step {
-                ScriptStep::Event(ev) => {
-                    self.driver.observe(ev);
-                    self.im.window_mut().post_event(ev.clone());
-                    pending = true;
-                }
-                ScriptStep::MenuSelect(label) => {
-                    if pending {
-                        self.im.pump(&mut self.world);
-                        pending = false;
-                    }
-                    self.driver.select(&mut self.im, &mut self.world, label);
-                }
-            }
-        }
-        if pending {
-            while let Some(ev) = self.im.window_mut().next_event() {
-                self.im.dispatch(&mut self.world, ev);
-            }
-        }
-        ft.exit();
-        ft.measure(Stage::Settle, || {
-            self.im.flush_quiescent(&mut self.world);
-        });
-        ft.measure(Stage::Paint, || {
-            self.im.repaint_damage(&mut self.world);
-        });
 
         self.seq += batch.len() as u64 + dropped;
-        if saw_real_input {
+        if batch.iter().any(is_real_input) {
             self.last_input_ms = self.world.now_ms();
         }
         self.close_frame(ft, started, copies)
@@ -768,50 +712,16 @@ fn plan_update(
     Some((written.moved, Some(patch)))
 }
 
-/// Collapses runs of consecutive pointer movements down to the last
-/// one. Everything else — clicks, keys, ticks, resizes — passes through
-/// untouched and in order.
-fn coalesce(batch: &[ScriptStep]) -> Vec<&ScriptStep> {
-    let mut out: Vec<&ScriptStep> = Vec::with_capacity(batch.len());
-    for step in batch {
-        let is_move = matches!(
-            step,
-            ScriptStep::Event(WindowEvent::Mouse {
-                action: MouseAction::Movement,
-                ..
-            })
-        );
-        if is_move {
-            if let Some(last) = out.last() {
-                if matches!(
-                    last,
-                    ScriptStep::Event(WindowEvent::Mouse {
-                        action: MouseAction::Movement,
-                        ..
-                    })
-                ) {
-                    *out.last_mut().unwrap() = step;
-                    continue;
-                }
-            }
-        }
-        out.push(step);
-    }
-    out
+/// Whether `step` is input that resets the idle horizon: anything but
+/// a clock tick.
+fn is_real_input(step: &ScriptStep) -> bool {
+    !matches!(step, ScriptStep::Event(WindowEvent::Tick(_)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atk_graphics::Point;
     use atk_wm::WindowEvent;
-
-    fn mv(x: i32, y: i32) -> ScriptStep {
-        ScriptStep::Event(WindowEvent::Mouse {
-            action: MouseAction::Movement,
-            pos: Point::new(x, y),
-        })
-    }
 
     /// Applies `step` and ships its frame with updates held to `budget`
     /// bytes; a session itself always ships under
@@ -819,29 +729,6 @@ mod tests {
     fn ship_within(s: &mut HostedSession, step: &ScriptStep, budget: usize) -> ServerFrame {
         s.replay_steps(std::slice::from_ref(step));
         s.assemble_frame(budget)
-    }
-
-    #[test]
-    fn coalescer_keeps_last_of_a_movement_run() {
-        let batch = vec![
-            mv(1, 1),
-            mv(2, 2),
-            mv(3, 3),
-            ScriptStep::Event(WindowEvent::ch('a')),
-            mv(4, 4),
-            ScriptStep::Event(WindowEvent::Tick(5)),
-            ScriptStep::Event(WindowEvent::Tick(5)),
-            mv(5, 5),
-            mv(6, 6),
-        ];
-        let kept = coalesce(&batch);
-        assert_eq!(kept.len(), 6);
-        assert_eq!(kept[0], &mv(3, 3));
-        assert_eq!(kept[2], &mv(4, 4));
-        // Ticks are never merged (timer reschedule semantics).
-        assert_eq!(kept[3], &ScriptStep::Event(WindowEvent::Tick(5)));
-        assert_eq!(kept[4], &ScriptStep::Event(WindowEvent::Tick(5)));
-        assert_eq!(kept[5], &mv(6, 6));
     }
 
     #[test]

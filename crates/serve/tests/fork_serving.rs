@@ -30,7 +30,7 @@ use atk_wm::WindowEvent;
 #[test]
 fn hello_backend_awmsim_round_trips_over_the_wire() {
     let scene = "fig3";
-    let traffic = Traffic::fuzz(scene, Some("awmsim"), 7, 1, 40).expect("scene builds");
+    let traffic = Traffic::fuzz(scene, Some("awmsim"), 7, 1, 40, 1).expect("scene builds");
     let run = serve_differential(scene, &traffic, &Topology::default())
         .unwrap_or_else(|e| panic!("served awmsim session: {e}"));
     assert_eq!(

@@ -18,7 +18,12 @@
 //!   run; each Return's shifted lines ship as a move; each character
 //!   typed mid-line, with no Return, ships its line's tail as a move;
 //! * menu position: a recorded `menu request x y` + `menu select`
-//!   script replays served and in-process to the same pixels.
+//!   script replays served and in-process to the same pixels;
+//! * pipelined: `pipelined_matches_in_process_fig*` runs the fuzzer
+//!   scripts on both backends from a client that sends eight steps
+//!   before each sync, and from one that sends the whole script before
+//!   one sync, so the server drains bursts of steps as one batch. Each
+//!   must end on the in-process frame with the in-process counters.
 
 use atk_serve::{serve_differential, Topology, Traffic};
 
@@ -34,6 +39,47 @@ fn cold() -> Topology {
     }
 }
 
+/// Steps a pipelining client sends before each sync: eight, and the
+/// whole script.
+const WINDOWS: [usize; 2] = [8, usize::MAX];
+
+fn run_pipelined(scene: &str) {
+    for backend in ["x11sim", "awmsim"] {
+        for (window, seed) in WINDOWS.into_iter().flat_map(|w| SEEDS.map(|s| (w, s))) {
+            let traffic = Traffic::fuzz(scene, Some(backend), seed, 1, STEPS, window).unwrap();
+            let report = serve_differential(scene, &traffic, &cold())
+                .unwrap_or_else(|e| panic!("{backend} window {window} seed {seed}: {e}"));
+            assert_eq!(report.steps, STEPS);
+            assert_eq!(report.counter_planes, 1);
+        }
+    }
+}
+
+#[test]
+fn pipelined_matches_in_process_fig1() {
+    run_pipelined("fig1");
+}
+
+#[test]
+fn pipelined_matches_in_process_fig2() {
+    run_pipelined("fig2");
+}
+
+#[test]
+fn pipelined_matches_in_process_fig3() {
+    run_pipelined("fig3");
+}
+
+#[test]
+fn pipelined_matches_in_process_fig4() {
+    run_pipelined("fig4");
+}
+
+#[test]
+fn pipelined_matches_in_process_fig5() {
+    run_pipelined("fig5");
+}
+
 fn run_scene(scene: &str) {
     run_scene_on(scene, None);
 }
@@ -41,7 +87,7 @@ fn run_scene(scene: &str) {
 fn run_scene_on(scene: &str, backend: Option<&str>) {
     let long = (scene == "fig5").then_some(LONG_FIG5);
     for (seed, steps) in SEEDS.map(|seed| (seed, STEPS)).into_iter().chain(long) {
-        let traffic = Traffic::fuzz(scene, backend, seed, 1, steps).unwrap();
+        let traffic = Traffic::fuzz(scene, backend, seed, 1, steps, 1).unwrap();
         let report = serve_differential(scene, &traffic, &cold())
             .unwrap_or_else(|e| panic!("{scene} seed {seed}: {e}"));
         assert_eq!(report.steps, steps);
@@ -147,6 +193,7 @@ fn typed_returns_ship_as_moves_and_match_in_process() {
         let traffic = Traffic::Private {
             scripts: vec![typing_returns()],
             backend: Some(backend.to_string()),
+            window: 1,
         };
         let report = serve_differential("fig5", &traffic, &cold())
             .unwrap_or_else(|e| panic!("{backend}: {e}"));
@@ -194,6 +241,7 @@ fn typed_characters_ship_their_line_tail_as_a_move() {
             let traffic = Traffic::Private {
                 scripts: vec![typing_mid_line(chars)],
                 backend: Some(backend.to_string()),
+                window: 1,
             };
             serve_differential("fig5", &traffic, &cold())
                 .unwrap_or_else(|e| panic!("{backend}, {chars} chars: {e}"))
@@ -243,6 +291,7 @@ fn menu_position_survives_the_wire() {
     let traffic = Traffic::Private {
         scripts: vec![script],
         backend: None,
+        window: 1,
     };
     let report = serve_differential("fig3", &traffic, &cold()).unwrap();
     assert_eq!(report.steps, 3);

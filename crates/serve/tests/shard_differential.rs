@@ -20,7 +20,7 @@ const SESSIONS: usize = 2;
 
 fn run_scene(scene: &str) {
     for seed in SEEDS {
-        let traffic = Traffic::fuzz(scene, None, seed, SESSIONS, STEPS)
+        let traffic = Traffic::fuzz(scene, None, seed, SESSIONS, STEPS, 1)
             .unwrap_or_else(|e| panic!("{scene} seed {seed}: record: {e}"));
         let single = serve_differential(scene, &traffic, &Topology::default())
             .unwrap_or_else(|e| panic!("{scene} seed {seed}: 1-shard run: {e}"));

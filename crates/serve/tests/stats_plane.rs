@@ -4,8 +4,9 @@
 //! dumps must be byte-deterministic under the manual clock, and the
 //! frame-path counters pin how many full-frame copies a session makes,
 //! how many pixels its diffs compare, how often a shard's template
-//! keyframe cache serves a `Hello`, and how often a keyframe probe
-//! packs a keyframe and ships it.
+//! keyframe cache serves a `Hello`, how often a keyframe probe packs
+//! a keyframe and ships it, and that a replica stamps settle and paint
+//! in their own stages.
 
 use atk_core::ScriptStep;
 use atk_graphics::{Size, BAND_ROWS};
@@ -171,16 +172,17 @@ fn slow_frame_dump_is_deterministic_under_manual_clock() {
     let second = slow_frames_for_canned_run();
     assert_eq!(first, second, "dump must not depend on wall time");
 
-    // One coalesced batch → one frame → one violation of the zero
+    // One two-step batch → one frame → one violation of the zero
     // budget, attributed to the batch's last step. Every microsecond
-    // below is a deterministic count of clock reads, so the whole dump
-    // line is golden.
+    // below is a deterministic count of clock reads (each step stamps
+    // its own apply, settle and paint), so the whole dump line is
+    // golden.
     assert_eq!(first.len(), 1);
     let line = &first[0];
     assert_eq!(
         line,
-        "SLO session=1 seq=2 total=14us budget=0us trigger=key b :: \
-         decode 3us | apply 5us | settle 3us | paint 1us | diff 1us | ship 1us"
+        "SLO session=1 seq=2 total=19us budget=0us trigger=key b :: \
+         decode 3us | apply 6us | settle 6us | paint 2us | diff 1us | ship 1us"
     );
     for stage in Stage::ALL {
         assert!(
@@ -199,6 +201,50 @@ fn slow_frame_dump_is_deterministic_under_manual_clock() {
         total >= stage_sum && total - stage_sum <= 16,
         "stages ({stage_sum}us) must account for ~all of the frame ({total}us): {line}"
     );
+}
+
+/// A replica stamps each op's settle and paint in their own stages, as
+/// a private session does: under the manual clock (every stamp reads
+/// it) a silent collab watcher's `serve.stage_us.settle` and
+/// `serve.stage_us.paint` sums are positive.
+#[test]
+fn a_watcher_replica_attributes_settle_and_paint() {
+    let cfg = ServerConfig {
+        manual_clock: Some((1_000, 1)),
+        retain_session_traces: true,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(cfg, 1);
+    let attach = |scene| ServeClient::attach(server.connect_mem(None).unwrap(), "doc", scene);
+    let mut writer = attach(Some("fig5")).unwrap();
+    let watcher = attach(None).unwrap();
+    let mut steps = vec![
+        ScriptStep::Event(WindowEvent::left_down(70, 70)),
+        ScriptStep::Event(WindowEvent::left_up(70, 70)),
+    ];
+    steps.extend(
+        "typing"
+            .chars()
+            .map(|c| ScriptStep::Event(WindowEvent::ch(c))),
+    );
+    for step in &steps {
+        writer.step_sync(step).unwrap();
+    }
+    let watcher_id = watcher.session_id();
+    watcher.finish_with_frame().unwrap();
+    writer.finish().unwrap();
+    while server.shard_loads() != [0] {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let (_, snap) = server
+        .trace_parts()
+        .into_iter()
+        .find(|(label, _)| *label == format!("session-{watcher_id}"))
+        .expect("the watcher's retained trace");
+    for stage in [Stage::Settle, Stage::Paint] {
+        let sum = snap.histogram(stage.key()).map_or(0, |h| h.sum);
+        assert!(sum > 0, "{}: {sum} us", stage.key());
+    }
 }
 
 /// Serves `sessions` fig5 sessions one after another on a one-shard
