@@ -347,9 +347,10 @@ fn print_step_kinds() {
     let _ = session.initial_keyframe();
     let mut rows: Vec<(&str, Vec<u64>, Vec<u64>, u64)> = Vec::new();
     for (step, kind) in script.iter().zip(kinds) {
-        let (frame, _) = session.apply_batch(std::slice::from_ref(step), 0);
+        let mut ft = session.begin_frame();
+        let (frame, _) = session.apply_batch_traced(std::slice::from_ref(step), 0, &mut ft);
+        let rec = session.finish_frame(ft).unwrap();
         let bytes = session.encode_frame(&frame).len() as u64;
-        let rec = session.frame_log().records().last().unwrap();
         let at = match rows.iter().position(|r| r.0 == kind) {
             Some(at) => at,
             None => {

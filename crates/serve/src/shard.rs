@@ -39,9 +39,10 @@
 //! so new connections keep landing elsewhere immediately.
 //!
 //! A shard that forks sessions from templates also encodes each
-//! template's first keyframe once ([`KeyframeCache`]): a forked
-//! session's first frame is a pure function of its template, so every
-//! later `Hello` for that template ships the same shared bytes.
+//! template's first keyframe once, in a cache keyed by `TemplateKey`:
+//! a forked session's first frame is a pure function of its template,
+//! so every later `Hello` for that template ships the same shared
+//! bytes.
 //!
 //! Shard-local scheduling counters live under `serve.shard.*`
 //! (admitted/batches/drained_sessions/busy_on_drain/failures, plus
@@ -223,7 +224,11 @@ fn run_shard(
     // this thread. Fork costs and template builds count on the shard
     // collector and reach the merged stats plane from there.
     let mut templates: Option<atk_apps::TemplateRegistry> = None;
-    let mut keyframes = KeyframeCache::default();
+    // Each template's first keyframe, packed once. Templates are
+    // frozen, so an entry never goes stale, and there is at most one
+    // per template the shard has forked from — the cache needs no bound
+    // beyond the template registry's own.
+    let mut keyframes = HashMap::new();
     let me = thread::current();
     let mut first_iteration = true;
     loop {
@@ -357,7 +362,7 @@ fn pump_handshake(
     collector: &Collector,
     conn: &mut Conn,
     templates: Option<&mut atk_apps::TemplateRegistry>,
-    keyframes: &mut KeyframeCache,
+    keyframes: &mut HashMap<TemplateKey, SharedKeyframe>,
 ) -> Result<Pump, Box<dyn std::error::Error>> {
     let Some(body) = conn.t.try_recv()? else {
         return Ok(Pump::Idle);
@@ -418,15 +423,23 @@ fn pump_handshake(
         }
         .encode(),
     )?;
-    match template_key {
-        Some(key) => {
-            let bytes = keyframes.initial(key, session, collector);
-            conn.t.send(&bytes)?;
-        }
-        None => {
-            let initial = session.initial_keyframe();
-            conn.t.send(&session.encode_frame(&initial))?;
-        }
+    // A cache hit ships the template's packed keyframe as the session's
+    // own: no snapshot, no pack, no copy, and the session's counters
+    // still match a miss's (the hit counts on the shard plane). A
+    // forked miss packs the keyframe and leaves it in the cache.
+    if let Some(hit) = template_key.as_ref().and_then(|key| keyframes.get(key)) {
+        collector.count("serve.keyframe_cache_hits", 1);
+        session.packed = Some(hit.clone());
+    }
+    let initial = session.initial_keyframe();
+    conn.t.send(&session.wire_bytes(&initial))?;
+    if let Some(key) = template_key {
+        keyframes.entry(key).or_insert_with(|| {
+            session
+                .packed
+                .clone()
+                .expect("a shipped keyframe is packed")
+        });
     }
     Ok(Pump::Progress)
 }
@@ -439,43 +452,11 @@ struct TemplateKey {
     backend: String,
 }
 
-/// Each template's first keyframe, encoded once per shard. Templates
-/// are frozen, so an entry never goes stale, and there is at most one
-/// per template the shard has forked from — the cache needs no bound
-/// beyond the template registry's own.
-#[derive(Default)]
-struct KeyframeCache {
-    entries: HashMap<TemplateKey, SharedKeyframe>,
-}
-
-impl KeyframeCache {
-    /// The encoded initial keyframe for `session`, freshly forked from
-    /// `key`'s template. The first session of a template assembles and
-    /// encodes it; every later one adopts the cached entry and counts
-    /// `serve.keyframe_cache_hits` on the shard collector, so its own
-    /// counters still match a cold session's.
-    fn initial(
-        &mut self,
-        key: TemplateKey,
-        session: &mut HostedSession,
-        collector: &Collector,
-    ) -> Arc<[u8]> {
-        if let Some(hit) = self.entries.get(&key) {
-            collector.count("serve.keyframe_cache_hits", 1);
-            session.adopt_initial_keyframe(hit);
-            return Arc::clone(&hit.bytes);
-        }
-        // The entry shares this session's baseline: the session's
-        // updates copy only the bands they write.
-        let shared = session.share_initial_keyframe();
-        let bytes = Arc::clone(&shared.bytes);
-        self.entries.insert(key, shared);
-        bytes
-    }
-}
-
 /// Polls a live session once: drains whatever burst is buffered into
-/// one batch and runs it through [`finish_batch`].
+/// one batch and runs it through [`finish_batch`]. A replica runs it
+/// with no transport traffic too, its batch empty: its frames also come
+/// from *other* replicas' edits, delivered on the document channel, so
+/// a silent watcher makes progress every readiness sweep.
 fn pump_running(
     server: &Server,
     collector: &Collector,
@@ -484,36 +465,24 @@ fn pump_running(
     let ConnState::Running(session) = &mut conn.state else {
         return Ok(Pump::Idle);
     };
-    let Some(first_body) = conn.t.try_recv()? else {
-        // No transport traffic — but an attached session's frames come
-        // from *other* replicas' edits, delivered on the document
-        // channel. Pump that here so a silent watcher makes progress
-        // every readiness sweep.
-        if session.is_attached() {
-            return pump_doc_ops(server, &mut conn.t, session);
-        }
+    let mut body = conn.t.try_recv()?;
+    if body.is_none() && !session.is_attached() {
         return Ok(Pump::Idle);
-    };
-    // The frame trace starts once the first body is in hand, so queue
+    }
+    // The frame trace starts once there is input to look at, so queue
     // idle time is not attributed to any stage; each decode is stamped.
     let mut ft = session.begin_frame();
     let mut batch: Vec<ScriptStep> = Vec::new();
     let mut saw_bye = false;
     let mut stats_req = false;
-    decode_into(
-        &first_body,
-        &mut ft,
-        &mut batch,
-        &mut saw_bye,
-        &mut stats_req,
-    )?;
-    while !saw_bye {
-        match conn.t.try_recv()? {
-            Some(body) => decode_into(&body, &mut ft, &mut batch, &mut saw_bye, &mut stats_req)?,
-            None => break,
-        }
+    let carried = body.is_some();
+    while let Some(b) = body {
+        decode_into(&b, &mut ft, &mut batch, &mut saw_bye, &mut stats_req)?;
+        body = if saw_bye { None } else { conn.t.try_recv()? };
     }
-    collector.count("serve.shard.batches", 1);
+    if carried {
+        collector.count("serve.shard.batches", 1);
+    }
     finish_batch(server, &mut conn.t, session, ft, batch, saw_bye, stats_req)
 }
 
@@ -542,7 +511,8 @@ fn decode_into(
 
 /// Runs one collected batch to completion: backpressure trim, apply +
 /// ship under the frame trace, stats reply, and the goodbye when the
-/// batch (or the client) ended the session.
+/// batch (or the client) ended the session. A call with no client frame
+/// that drained no op did nothing: [`Pump::Idle`].
 fn finish_batch(
     server: &Server,
     t: &mut dyn FrameTransport,
@@ -552,6 +522,7 @@ fn finish_batch(
     saw_bye: bool,
     stats_req: bool,
 ) -> Result<Pump, Box<dyn std::error::Error>> {
+    let client_frames = !batch.is_empty() || saw_bye || stats_req;
     // Backpressure: a burst beyond the queue cap drops its oldest
     // steps; the drops still advance `seq`.
     let dropped = batch.len().saturating_sub(server.cfg().session.queue_cap);
@@ -576,9 +547,10 @@ fn finish_batch(
     } else {
         (!batch.is_empty()).then(|| session.apply_batch_traced(&batch, dropped as u64, &mut ft))
     };
-    // A batchless wakeup (lone StatsReq) drops its inert-ish
-    // trace: no frame shipped, nothing to attribute.
+    // A batchless wakeup (lone StatsReq, or a replica with no op)
+    // drops its inert-ish trace: no frame shipped, nothing to attribute.
     let mut end_after = None;
+    let shipped = applied.is_some();
     if let Some((frame, end)) = applied {
         ship(t, session, &frame, ft)?;
         end_after = end;
@@ -602,30 +574,11 @@ fn finish_batch(
         )?;
         return Ok(Pump::Done);
     }
-    Ok(Pump::Progress)
-}
-
-/// Drains and applies whatever shared-document ops are buffered on an
-/// attached session's subscription, shipping the resulting diff. This
-/// is how a replica makes progress with *no* transport traffic of its
-/// own.
-fn pump_doc_ops(
-    server: &Server,
-    t: &mut dyn FrameTransport,
-    session: &mut HostedSession,
-) -> Result<Pump, Box<dyn std::error::Error>> {
-    let ops = session.drain_ops();
-    if ops.is_empty() {
-        return Ok(Pump::Idle);
-    }
-    let mut ft = session.begin_frame();
-    let (frame, end) = session.apply_ops_traced(&ops, &mut ft);
-    ship(t, session, &frame, ft)?;
-    if let Some(end) = end {
-        goodbye(server, t, end)?;
-        return Ok(Pump::Done);
-    }
-    Ok(Pump::Progress)
+    Ok(if client_frames || shipped {
+        Pump::Progress
+    } else {
+        Pump::Idle
+    })
 }
 
 /// Encodes and sends one assembled frame under the `Ship` stage, then
@@ -637,9 +590,9 @@ fn ship(
     mut ft: FrameTrace,
 ) -> std::io::Result<()> {
     ft.enter(Stage::Ship);
-    t.send(&session.encode_frame(frame))?;
+    t.send(&session.wire_bytes(frame))?;
     ft.exit();
-    session.finish_frame(ft);
+    let _ = session.finish_frame(ft);
     Ok(())
 }
 

@@ -983,6 +983,29 @@ mod tests {
         }
     }
 
+    /// `limit` bounds exactly the update frame: the encoder returns the
+    /// patch at a limit of the frame's wire length and `None` one byte
+    /// under it.
+    #[test]
+    fn an_update_fits_a_limit_of_exactly_its_length() {
+        let before = Framebuffer::from_pixels(16, 8, vec![0; 128]);
+        let after = Framebuffer::from_pixels(16, 8, (0..128).map(|i| i * 0x0101_0101).collect());
+        let rect = before.diff_bounds_within(&after, after.bounds()).unwrap();
+        let encode = |limit| XorRect::encode(&mut before.clone(), &after, rect, limit);
+        let frame = ServerFrame::Update {
+            seq: 0,
+            moved: None,
+            patch: encode(usize::MAX),
+        };
+        let len = frame.wire_len();
+        assert_eq!(frame.encode().len(), len);
+        let ServerFrame::Update { patch, .. } = &frame else {
+            unreachable!("an update was built");
+        };
+        assert_eq!(encode(len).as_ref(), patch.as_ref());
+        assert_eq!(encode(len - 1), None);
+    }
+
     #[test]
     fn client_frames_round_trip() {
         let frames = [

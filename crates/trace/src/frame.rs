@@ -7,8 +7,7 @@
 //! (encode + socket write). A [`FrameTrace`] rides along with one
 //! input batch and stamps each stage on the owning collector's clock;
 //! [`FrameTrace::finish`] folds the stamps into per-stage histograms
-//! (`serve.stage_us.*`) and returns a [`FrameRecord`] for the
-//! session's [`FrameLog`] ring.
+//! (`serve.stage_us.*`) and returns the frame's [`FrameRecord`].
 //!
 //! Because the manual [`Clock`](crate::Clock) auto-steps on every
 //! read, stage durations are fully deterministic under it — which is
@@ -242,56 +241,6 @@ impl FrameTrace {
     }
 }
 
-/// Fixed-capacity overwrite-oldest ring of recent [`FrameRecord`]s —
-/// the per-session frame history behind the stats plane.
-#[derive(Debug)]
-pub struct FrameLog {
-    buf: VecDeque<FrameRecord>,
-    cap: usize,
-    /// Frames pushed since creation (including overwritten ones).
-    total: u64,
-}
-
-impl FrameLog {
-    /// A ring holding the most recent `cap` frames (min 1).
-    pub fn new(cap: usize) -> FrameLog {
-        FrameLog {
-            buf: VecDeque::with_capacity(cap.max(1)),
-            cap: cap.max(1),
-            total: 0,
-        }
-    }
-
-    /// Appends a record, evicting the oldest once full.
-    pub fn push(&mut self, rec: FrameRecord) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(rec);
-        self.total += 1;
-    }
-
-    /// Retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &FrameRecord> {
-        self.buf.iter()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Frames ever pushed, including evicted ones.
-    pub fn total_pushed(&self) -> u64 {
-        self.total
-    }
-}
-
 /// Shared sink for SLO-violation dumps. Sessions push formatted
 /// slow-frame entries; the server (or a test) reads them back. Keeps
 /// the most recent `cap` entries and counts the rest; optionally
@@ -441,24 +390,6 @@ mod tests {
             rec.breakdown(),
             "decode 1us | apply 2us | settle 3us | paint 4us | diff 5us | ship 6us"
         );
-    }
-
-    #[test]
-    fn frame_log_overwrites_oldest() {
-        let mut log = FrameLog::new(2);
-        assert!(log.is_empty());
-        for seq in 0..5u64 {
-            log.push(FrameRecord {
-                seq,
-                start_us: 0,
-                total_us: 0,
-                stages: [0; STAGE_COUNT],
-            });
-        }
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.total_pushed(), 5);
-        let seqs: Vec<u64> = log.records().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![3, 4]);
     }
 
     #[test]

@@ -36,9 +36,7 @@ pub use collector::{Collector, Snapshot, SpanGuard, SpanRecord, DEFAULT_SPAN_CAP
 pub use export::{
     chrome_trace_json, chrome_trace_json_multi, snapshot_json, text_summary, validate_json,
 };
-pub use frame::{
-    FrameLog, FrameRecord, FrameTrace, SlowFrameLog, Stage, STAGE_COUNT, STAGE_TOTAL_KEY,
-};
+pub use frame::{FrameRecord, FrameTrace, SlowFrameLog, Stage, STAGE_COUNT, STAGE_TOTAL_KEY};
 pub use histogram::{bucket_index, bucket_lower_bound, Histogram, BUCKET_COUNT};
 
 use std::sync::{Arc, OnceLock};
