@@ -98,3 +98,52 @@ fn fig5_typing_beside_an_italic_bold_run_repaints() {
     let moves = session.world.collector().snapshot().counter("world.moves");
     assert!(moves >= 7, "{moves} edits moved their line's tail");
 }
+
+// A Return typed on the last visible line scrolls the view in its own
+// frame: the caret's new line lies inside the view right after the
+// step. The view used to measure the caret against the line table from
+// before the Return and scroll only at the next key.
+#[test]
+fn fig5_a_return_past_the_bottom_scrolls_in_its_own_frame() {
+    use atk_core::{ScriptStep, View};
+    use atk_graphics::Point;
+    use atk_text::TextView;
+    use atk_wm::{Key, WindowEvent};
+
+    let mut session = Session::build("fig5", "x11sim").expect("scene builds");
+    let mut script = "mouse down 70 70\nmouse up 70 70\n".to_string();
+    for i in 0..40 {
+        script.push_str(&format!("type line {i}\nkey RET\n"));
+    }
+    let steps = EventScript::parse(&script).expect("script parses").steps;
+    let mut scrolled = 0;
+    for (i, step) in steps.iter().enumerate() {
+        session.apply(step);
+        if *step != ScriptStep::Event(WindowEvent::Key(Key::Return)) {
+            continue;
+        }
+        let world = &session.world;
+        let view = world
+            .view_ids()
+            .into_iter()
+            .filter_map(|v| world.view_dyn(v))
+            .find_map(|v| v.as_any().downcast_ref::<TextView>())
+            .expect("fig5 has a text view");
+        let info = view.scroll_info(world).expect("a text view scrolls");
+        scrolled += usize::from(info.offset > 0);
+        // Each Return leaves the caret at the start of its new line:
+        // the view's top row lies on that line or above it, and its
+        // bottom row on it or below.
+        let caret = view.caret();
+        let top = view.pos_at_point(world, Point::new(0, 0));
+        let bottom = view.pos_at_point(world, Point::new(0, info.visible - 1));
+        assert!(
+            top <= caret && caret <= bottom,
+            "step {i}: the caret at {caret} lies outside rows {top}..={bottom}"
+        );
+    }
+    assert!(
+        scrolled > 10,
+        "only {scrolled} Returns left the view scrolled"
+    );
+}

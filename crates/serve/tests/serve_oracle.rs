@@ -202,16 +202,12 @@ fn typed_returns_ship_as_moves_and_match_in_process() {
             report.merged.counter("world.moves"),
         );
         // Every typed character ships a move: its line's tail shifting
-        // right, or the scroll it brings about. A frame carries one
-        // move, so a frame that scrolls and shifts a line tail ships
-        // the second copy as pixels; the caret reaches a new line, and
-        // scrolls the view, only after a Return.
+        // right. A Return ships the lines below it shifting down or,
+        // on the last visible line, the scroll it brings about in its
+        // own frame. No frame posts two moves, so every one ships.
         let chars = typing_returns().len() as u64 - 2 - 40;
         assert!(moves >= chars, "{backend}: {moves} moves shipped");
-        assert!(
-            posted >= moves && posted - moves <= 40,
-            "{backend}: {posted} moves posted, {moves} shipped"
-        );
+        assert_eq!(posted, moves, "{backend}: moves posted and shipped");
     }
 }
 

@@ -238,6 +238,10 @@ pub struct TextView {
     /// already moved by the editing code, so `observed_changed` must not
     /// adjust it again when the delayed notification arrives.
     self_changes: usize,
+    /// A typed key edited the text: the caret is scrolled into view once
+    /// this view has observed its own edit, when the line table holds
+    /// the caret's new line.
+    scroll_pending: bool,
     /// Redraw accounting.
     pub stats: RedrawStats,
 }
@@ -261,6 +265,7 @@ impl TextView {
             focused: false,
             incremental: true,
             self_changes: 0,
+            scroll_pending: false,
             stats: RedrawStats::default(),
         }
     }
@@ -1521,7 +1526,11 @@ impl View for TextView {
                         _ => {}
                     }
                 }
-                if handled {
+                // The edit's change notification is still queued, so the
+                // line table does not hold the caret's new line yet.
+                if handled && self.self_changes > 0 {
+                    self.scroll_pending = true;
+                } else if handled {
                     self.scroll_caret_into_view(world);
                 }
                 handled
@@ -1736,6 +1745,9 @@ impl View for TextView {
             }
         }
         self.post_incremental_damage(world, change, own);
+        if self.self_changes == 0 && std::mem::take(&mut self.scroll_pending) {
+            self.scroll_caret_into_view(world);
+        }
     }
 
     fn on_focus(&mut self, world: &mut World, gained: bool) {
