@@ -40,14 +40,18 @@
 //! * [`session`] — one hosted session: every step through the one step
 //!   driver, one frame per drained batch, XOR updates
 //!   against the frame the client holds (a keyframe only when there is
-//!   none, the window resized, or an update would outweigh one), idle
-//!   eviction on the session's own virtual clock
+//!   none, the window resized, or an update would outweigh one, and
+//!   packed at most once: one packed-keyframe slot serves the probe and
+//!   the template keyframe cache), idle eviction on the session's own
+//!   virtual clock
 //! * [`server`] — admission control, the stats plane, and the
 //!   shared-document registry
 //! * [`shard`] — the worker-shard readiness loop and the per-connection
 //!   protocol: one thread hosting many sessions (the `World` is
 //!   `!Send`; a session is born and dies on its shard's thread), fed
-//!   by an mpsc admission queue
+//!   by an mpsc admission queue; a replica's frames, remote ops
+//!   included, leave through the same batch path as a private
+//!   session's
 //! * [`client`] — the client half: framebuffer reconstruction plus
 //!   latency/byte accounting
 //! * [`oracle`] — the one serve differential: scripted private sessions
