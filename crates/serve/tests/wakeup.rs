@@ -233,7 +233,11 @@ fn dropping_the_server_ends_parked_shards() {
         client.step_sync(&tick(1)).unwrap();
         client.finish().unwrap();
     });
-    assert_eq!(threads_named("atk-shard-"), 3);
+    // `std` names a thread from inside it, so a shard the OS has not
+    // run yet still shows its spawner's name: wait for all three.
+    wait_until("every shard thread named", || {
+        threads_named("atk-shard-") == 3
+    });
     drop(server);
     wait_until("every shard thread exited", || {
         threads_named("atk-shard-") == 0
