@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use atk_serve::{run_loadgen_mem, LoadConfig, Profile};
+use atk_serve::{run_loadgen, LoadConfig, Profile};
 
 fn typing_cfg(frame_trace: bool) -> LoadConfig {
     let mut cfg = LoadConfig {
@@ -37,7 +37,7 @@ fn bench_attribution(c: &mut Criterion) {
         g.bench_function(BenchmarkId::from_parameter(label), |b| {
             let cfg = typing_cfg(frame_trace);
             b.iter(|| {
-                let report = run_loadgen_mem(black_box(&cfg)).unwrap();
+                let report = run_loadgen(black_box(&cfg)).unwrap();
                 assert!(report.errors.is_empty(), "{:?}", report.errors);
                 report
             })
@@ -53,7 +53,7 @@ fn bench_stats_probe(c: &mut Criterion) {
         let mut cfg = typing_cfg(true);
         cfg.stats_probe = true;
         b.iter(|| {
-            let report = run_loadgen_mem(black_box(&cfg)).unwrap();
+            let report = run_loadgen(black_box(&cfg)).unwrap();
             assert!(report.stats_reply.is_some());
             report
         })
@@ -68,8 +68,8 @@ fn ablation_frames_per_s(pairs: usize) -> (f64, f64) {
     let mut on = Vec::with_capacity(pairs);
     let mut off = Vec::with_capacity(pairs);
     for _ in 0..pairs {
-        on.push(run_loadgen_mem(&on_cfg).unwrap().frames_per_s);
-        off.push(run_loadgen_mem(&off_cfg).unwrap().frames_per_s);
+        on.push(run_loadgen(&on_cfg).unwrap().frames_per_s);
+        off.push(run_loadgen(&off_cfg).unwrap().frames_per_s);
     }
     let median = |v: &mut Vec<f64>| {
         v.sort_by(|a, b| a.total_cmp(b));
@@ -81,7 +81,7 @@ fn ablation_frames_per_s(pairs: usize) -> (f64, f64) {
 /// The acceptance headline: the stage breakdown on the typing profile,
 /// and the cost of collecting it.
 fn print_headline() {
-    let traced = run_loadgen_mem(&typing_cfg(true)).unwrap();
+    let traced = run_loadgen(&typing_cfg(true)).unwrap();
     assert!(traced.errors.is_empty(), "{:?}", traced.errors);
     assert!(
         !traced.stage_us.is_empty(),

@@ -39,8 +39,7 @@ use atk_core::{ScriptStep, World};
 use atk_graphics::{BitmapFont, Color, FontDesc, Framebuffer, Point, Rect};
 use atk_serve::loadgen::client_script;
 use atk_serve::{
-    run_loadgen_mem, Encoding, HostedSession, LoadConfig, Profile, ServerFrame, SessionConfig,
-    XorRect,
+    run_loadgen, Encoding, HostedSession, LoadConfig, Profile, ServerFrame, SessionConfig, XorRect,
 };
 use atk_trace::{Collector, Stage};
 use atk_wm::{Key, WindowEvent};
@@ -273,7 +272,7 @@ fn print_headline() {
 
     print_step_kinds();
 
-    let typing = run_loadgen_mem(&LoadConfig {
+    let typing = run_loadgen(&LoadConfig {
         sessions: 4,
         steps: 60,
         scene: "fig5".into(),

@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use atk_serve::{run_loadgen_mem, LoadConfig, Profile};
+use atk_serve::{run_loadgen, LoadConfig, Profile};
 
 const FLEET: usize = 32;
 
@@ -40,7 +40,7 @@ fn bench_dispatch(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
             let cfg = fleet_cfg(shards);
             b.iter(|| {
-                let report = run_loadgen_mem(black_box(&cfg)).unwrap();
+                let report = run_loadgen(black_box(&cfg)).unwrap();
                 assert_eq!(report.completed, FLEET, "errors: {:?}", report.errors);
                 report
             })
@@ -53,7 +53,7 @@ fn bench_dispatch(c: &mut Criterion) {
 fn print_headline() {
     println!("e15 headline: {FLEET}-session mixed fleet on fig1, per shard count:");
     for shards in [1usize, 2, 4, 8] {
-        let report = run_loadgen_mem(&fleet_cfg(shards)).unwrap();
+        let report = run_loadgen(&fleet_cfg(shards)).unwrap();
         assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
         println!(
             "  {shards} shard(s): {:7.1} sessions/s, p99 {:.2} ms",

@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use atk_serve::{run_loadgen_mem, LoadConfig, LoadReport, Profile};
+use atk_serve::{run_loadgen, LoadConfig, LoadReport, Profile};
 
 const STEPS: usize = 160;
 const SHARDS: usize = 8;
@@ -40,7 +40,7 @@ fn collab_cfg(watchers: usize) -> LoadConfig {
 }
 
 fn run(cfg: &LoadConfig) -> LoadReport {
-    let report = run_loadgen_mem(cfg).unwrap();
+    let report = run_loadgen(cfg).unwrap();
     assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
     assert_eq!(report.divergences, Some(0), "replicas diverged");
     report

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use atk_apps::scenes::{build_scene, scene_names};
 use atk_apps::TemplateRegistry;
-use atk_serve::{run_loadgen_mem, LoadConfig, LoadReport, Profile};
+use atk_serve::{run_loadgen, LoadConfig, LoadReport, Profile};
 use atk_trace::Collector;
 
 const BACKEND: &str = "x11sim";
@@ -74,7 +74,7 @@ fn ramp_cfg(fork: bool) -> LoadConfig {
 }
 
 fn run_ramp(fork: bool) -> LoadReport {
-    let report = run_loadgen_mem(&ramp_cfg(fork)).unwrap();
+    let report = run_loadgen(&ramp_cfg(fork)).unwrap();
     assert!(
         report.errors.is_empty() && report.completed == RAMP_SESSIONS,
         "ramp (fork={fork}): completed {} of {RAMP_SESSIONS}, errors: {:?}",

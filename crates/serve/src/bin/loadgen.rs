@@ -2,40 +2,20 @@
 //!
 //! ```text
 //! loadgen [--sessions N] [--steps N] [--scene NAME] [--seed N]
-//!         [--profile mixed|typing|collab] [--connect HOST:PORT] [--mem]
-//!         [--shards N] [--docs N] [--writers N] [--watchers N]
-//!         [--rendezvous] [--min-concurrent N] [--faults SEED]
-//!         [--disconnect-every N] [--max-sessions N] [--max-drops N]
-//!         [--slo-us N] [--stats] [--trace FILE] [--ramp] [--no-fork]
-//!         [--min-forks N]
+//!         [--profile mixed|typing] [--connect HOST:PORT] [--shards N]
+//!         [--rendezvous] [--min-concurrent N] [--max-sessions N]
+//!         [--max-drops N] [--slo-us N] [--stats] [--trace FILE]
 //! ```
 //!
-//! Self-hosts a server over localhost TCP unless `--connect` points at
-//! a running `served` (or `--mem` keeps everything in-process over the
-//! memory transport). Exits 1 on any client error, when backpressure
+//! Hosts a server in process and connects every client over the
+//! memory transport, unless `--connect` points at a running `served`
+//! to drive over TCP. Exits 1 on any client error, when backpressure
 //! drops exceed `--max-drops`, or when the server's observed peak
 //! concurrency falls short of `--min-concurrent`.
 //!
-//! Scale and chaos: `--shards N` hosts the fleet on N event-driven
-//! worker shards (at least 1), `--rendezvous` holds every client at a barrier
-//! until the whole fleet is connected, `--faults SEED` wraps each
-//! `--mem` transport in a seeded fault injector (short reads/writes,
-//! `WouldBlock` storms), and `--disconnect-every N` makes every Nth
-//! client vanish mid-script. Injected disconnects are never counted as errors.
-//! `--ramp` turns the run into a pure admission storm: every client
-//! connects, waits for its initial keyframe, and says goodbye without
-//! sending a step, so the report's TTFF percentiles isolate session
-//! boot cost. `--no-fork` disables the server's template-fork fast
-//! path (the cold-boot ablation), and `--min-forks N` fails the
-//! run unless the server reports at least N template-forked sessions
-//! (the CI gate that forking really served the fleet).
-//!
-//! Replication: `--profile collab` runs `--docs` shared documents,
-//! each with `--writers` writers submitting one seeded interleaved
-//! edit stream of `--steps` merged ops through the document's op log
-//! and `--watchers` silent replicas. The run exits 1 on *any*
-//! cross-replica divergence, and the report adds ops/s, fanout p99,
-//! and replay-lag percentiles.
+//! Scale: `--shards N` hosts the fleet on N event-driven worker shards
+//! (at least 1), and `--rendezvous` holds every client at a barrier
+//! until the whole fleet is connected.
 //!
 //! Observability: `--slo-us` arms the server's frame-budget watchdog
 //! and prints retained slow-frame dumps after the run; `--stats` sends
@@ -49,17 +29,15 @@
 //! (self-hosted runs only: a remote server keeps its traces).
 
 use atk_serve::loadgen::format_report;
-use atk_serve::{run_loadgen, run_loadgen_mem, LoadConfig, Profile};
+use atk_serve::{run_loadgen, LoadConfig, Profile};
 use atk_trace::{chrome_trace_json_multi, validate_json};
 
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--sessions N] [--steps N] [--scene NAME] [--seed N] \
-         [--profile mixed|typing|collab] [--connect HOST:PORT] [--mem] \
-         [--shards N] [--docs N] [--writers N] [--watchers N] [--rendezvous] \
-         [--min-concurrent N] [--faults SEED] [--disconnect-every N] \
-         [--max-sessions N] [--max-drops N] [--slo-us N] [--stats] \
-         [--trace FILE] [--ramp] [--no-fork] [--min-forks N]"
+         [--profile mixed|typing] [--connect HOST:PORT] [--shards N] \
+         [--rendezvous] [--min-concurrent N] [--max-sessions N] \
+         [--max-drops N] [--slo-us N] [--stats] [--trace FILE]"
     );
     std::process::exit(2);
 }
@@ -77,10 +55,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = LoadConfig::default();
-    let mut mem = false;
     let mut max_drops = u64::MAX;
     let mut min_concurrent: u64 = 0;
-    let mut min_forks: u64 = 0;
     let mut trace_file: Option<String> = None;
     let mut i = 0;
     while i < argv.len() {
@@ -122,24 +98,8 @@ fn main() {
                 };
                 i += 2;
             }
-            "--mem" => {
-                mem = true;
-                i += 1;
-            }
             "--shards" => {
                 cfg.shards = parse_num("--shards", argv.get(i + 1));
-                i += 2;
-            }
-            "--docs" => {
-                cfg.docs = parse_num("--docs", argv.get(i + 1));
-                i += 2;
-            }
-            "--writers" => {
-                cfg.writers = parse_num("--writers", argv.get(i + 1));
-                i += 2;
-            }
-            "--watchers" => {
-                cfg.watchers = parse_num("--watchers", argv.get(i + 1));
                 i += 2;
             }
             "--rendezvous" => {
@@ -148,14 +108,6 @@ fn main() {
             }
             "--min-concurrent" => {
                 min_concurrent = parse_num("--min-concurrent", argv.get(i + 1));
-                i += 2;
-            }
-            "--faults" => {
-                cfg.fault_seed = Some(parse_num("--faults", argv.get(i + 1)));
-                i += 2;
-            }
-            "--disconnect-every" => {
-                cfg.disconnect_every = parse_num("--disconnect-every", argv.get(i + 1));
                 i += 2;
             }
             "--max-sessions" => {
@@ -168,18 +120,6 @@ fn main() {
             }
             "--slo-us" => {
                 cfg.server.session.slo_us = Some(parse_num("--slo-us", argv.get(i + 1)));
-                i += 2;
-            }
-            "--ramp" => {
-                cfg.ramp = true;
-                i += 1;
-            }
-            "--no-fork" => {
-                cfg.server.fork = false;
-                i += 1;
-            }
-            "--min-forks" => {
-                min_forks = parse_num("--min-forks", argv.get(i + 1));
                 i += 2;
             }
             "--stats" => {
@@ -197,25 +137,12 @@ fn main() {
             _ => usage(),
         }
     }
-    if cfg.shards == 0 {
-        eprintln!("loadgen: --shards must be at least 1");
-        usage();
-    }
-    if mem && cfg.connect.is_some() {
-        eprintln!("loadgen: --mem and --connect are mutually exclusive");
-        usage();
-    }
     if trace_file.is_some() && cfg.connect.is_some() {
         eprintln!("loadgen: --trace needs a self-hosted server (no --connect)");
         usage();
     }
 
-    let result = if mem {
-        run_loadgen_mem(&cfg)
-    } else {
-        run_loadgen(&cfg)
-    };
-    let report = match result {
+    let report = match run_loadgen(&cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("loadgen: {e}");
@@ -233,25 +160,6 @@ fn main() {
         if drops > max_drops {
             eprintln!("loadgen: {drops} backpressure drops exceed --max-drops {max_drops}");
             failed = true;
-        }
-    }
-    if let Some(div) = report.divergences {
-        if div > 0 {
-            eprintln!("loadgen: {div} replica(s) diverged from their document");
-            failed = true;
-        }
-    }
-    if min_forks > 0 {
-        match report.forks {
-            Some(forks) if forks >= min_forks => {}
-            Some(forks) => {
-                eprintln!("loadgen: {forks} template fork(s) below --min-forks {min_forks}");
-                failed = true;
-            }
-            None => {
-                eprintln!("loadgen: --min-forks needs a self-hosted server (no --connect)");
-                failed = true;
-            }
         }
     }
     if min_concurrent > 0 {

@@ -23,11 +23,11 @@
 //! Template builds and fork costs count on the server plane
 //! (`world.template_builds`, `world.forks`, `world.fork_us`,
 //! `world.fork_shared_bytes`), never on the forked session's own
-//! collector. `--no-fork` is the cold-boot ablation.
+//! collector. `ServerConfig::fork = false` is the cold-boot ablation.
 //!
 //! There is one dispatch engine: every connection — TCP from the
 //! acceptor, or an in-memory pair from the tests, the oracles and
-//! `--mem` loadgen ([`Server::connect_mem`]) — enters a worker shard
+//! self-hosted loadgen ([`Server::connect_mem`]) — enters a worker shard
 //! through [`Server::admit`], so the differentials prove byte identity
 //! on the path production runs.
 //!
@@ -58,9 +58,10 @@
 //!   (stepping synchronously or pipelined) or shared-document replicas,
 //!   on any shard/fault/fork topology, byte-identical to the in-process
 //!   reference
-//! * [`loadgen`] — N concurrent scripted clients (rendezvous, chaos
-//!   faults, replicated-document fleets, admission storms) and the
-//!   report behind EXPERIMENTS.md E11/E15/E16/E17
+//! * [`loadgen`] — N concurrent scripted clients against an in-process
+//!   or a remote server (rendezvous, replicated-document fleets,
+//!   admission storms) and the report behind EXPERIMENTS.md
+//!   E11/E15/E16/E17
 //!
 //! Two binaries: `served` (the server) and `loadgen` (the fleet).
 //!
@@ -101,7 +102,7 @@ pub mod wire;
 
 pub use client::{ClientError, ClientStats, ServeClient};
 pub use fault::{FaultPlan, FaultTransport};
-pub use loadgen::{run_loadgen, run_loadgen_mem, LoadConfig, LoadReport, Profile};
+pub use loadgen::{run_loadgen, LoadConfig, LoadReport, Profile};
 pub use oracle::{divergence, serve_differential, ServedRun, Topology, Traffic};
 pub use server::{serve_listener_sharded, Server, ServerConfig};
 pub use session::{HostedSession, SessionConfig, SessionEnd};

@@ -8,15 +8,16 @@
 //! `WINDOW` (8) steps, so bursts actually reach the server as batches
 //! without unbounded frames piling up in flight.
 //!
+//! [`run_loadgen`] hosts the server in process and connects every
+//! client through [`Server::connect_mem`], unless [`LoadConfig::connect`]
+//! names a running server to drive over TCP.
+//!
 //! Scale knobs: [`LoadConfig::shards`] sets how many worker shards host
 //! the fleet; [`LoadConfig::rendezvous`] parks every connected client at a
 //! barrier until the whole fleet is live, making "N concurrent
 //! sessions" literal — the server's `serve.peak_sessions` gauge is the
-//! proof. Chaos knobs ([`LoadConfig::fault_seed`],
-//! [`LoadConfig::disconnect_every`]) wrap the in-memory transports in
-//! seeded [`FaultTransport`](crate::FaultTransport)s and cut a fraction
-//! of clients mid-script; those cuts are classified as *injected*
-//! disconnects, never errors.
+//! proof. The benches also drive replicated-document fleets
+//! ([`Profile::Collab`]) and admission storms ([`LoadConfig::ramp`]).
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,7 +33,7 @@ use atk_trace::{Snapshot, Stage};
 use atk_wm::{Key, WindowEvent};
 
 use crate::client::{percentile, ClientStats, ServeClient};
-use crate::server::{serve_listener_sharded, Server, ServerConfig};
+use crate::server::{Server, ServerConfig};
 use crate::transport::{FrameTransport, TcpTransport};
 
 /// Steps a client may send before it waits for a covering frame.
@@ -52,18 +53,17 @@ pub enum Profile {
     /// plus [`LoadConfig::watchers`] silent replicas. The report adds
     /// ops/s, fanout p99, replay-lag percentiles, and a per-document
     /// divergence count (replicas whose final framebuffer disagrees —
-    /// must be 0).
+    /// must be 0). Library only: E16 runs it.
     Collab,
 }
 
 impl Profile {
-    /// Parses `mixed` / `typing` / `collab`.
+    /// Parses `mixed` / `typing`.
     pub fn parse(s: &str) -> Result<Profile, String> {
         match s {
             "mixed" => Ok(Profile::Mixed),
             "typing" => Ok(Profile::Typing),
-            "collab" => Ok(Profile::Collab),
-            other => Err(format!("unknown profile `{other}` (mixed|typing|collab)")),
+            other => Err(format!("unknown profile `{other}` (mixed|typing)")),
         }
     }
 }
@@ -81,8 +81,8 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Step profile.
     pub profile: Profile,
-    /// Run against this already-listening address instead of an
-    /// in-process server.
+    /// Run over TCP against this already-listening address instead of
+    /// an in-process server.
     pub connect: Option<String>,
     /// After the fleet finishes, open one extra session whose only job
     /// is a `Stats` wire request; the reply lands in the report.
@@ -90,24 +90,13 @@ pub struct LoadConfig {
     /// Server-side config when self-hosting.
     pub server: ServerConfig,
     /// Worker shards hosting a self-hosted fleet; must be at least 1
-    /// (the entry points reject 0).
+    /// ([`run_loadgen`] rejects 0).
     pub shards: usize,
     /// Park every connected client at a barrier until the whole fleet
     /// is connected, so "N concurrent sessions" is literal (proven by
     /// `serve.peak_sessions`). Clients whose connect failed still
     /// reach the barrier — a lone `Busy` must not hang the fleet.
     pub rendezvous: bool,
-    /// Chaos: wrap every in-memory transport pair in seeded
-    /// [`FaultTransport`](crate::FaultTransport)s (client `i` uses
-    /// `seed ^ i`). `--mem` only — a TCP server can't fault-wrap its
-    /// half of the stream.
-    pub fault_seed: Option<u64>,
-    /// Chaos: every `n`th client drops its connection mid-script, no
-    /// goodbye. These are counted as injected disconnects, not errors.
-    /// `0` disables. Under the collab profile only *watchers* are cut
-    /// — cutting a writer would strand the fleet waiting for edits
-    /// that will never come.
-    pub disconnect_every: usize,
     /// Collab profile: shared documents in the fleet.
     pub docs: usize,
     /// Collab profile: writers per document. [`LoadConfig::steps`] is
@@ -137,8 +126,6 @@ impl Default for LoadConfig {
             server: ServerConfig::default(),
             shards: 4,
             rendezvous: false,
-            fault_seed: None,
-            disconnect_every: 0,
             docs: 2,
             writers: 2,
             watchers: 2,
@@ -209,10 +196,6 @@ pub struct LoadReport {
     pub slo_violations: Option<u64>,
     /// Slow-frame dump lines from the in-process server's SLO log.
     pub slow_frames: Vec<String>,
-    /// Clients that vanished mid-script *on purpose* (the
-    /// [`LoadConfig::disconnect_every`] chaos knob). Not errors: the CI
-    /// chaos stage asserts `errors` stays empty while this is nonzero.
-    pub injected_disconnects: usize,
     /// Highest concurrent-session count the server observed
     /// (`serve.peak_sessions`) — the proof behind `--min-concurrent`.
     /// `None` against remote servers.
@@ -228,7 +211,7 @@ pub struct LoadReport {
     pub replay_lag_p50_p99: Option<(u64, u64)>,
     /// Collab: replicas whose final framebuffer disagreed with their
     /// document's first replica (`Some(0)` on a clean run; `None` for
-    /// non-collab profiles). Any nonzero count fails the bin.
+    /// non-collab profiles).
     pub divergences: Option<usize>,
     /// `(text, json)` reply of the post-run `Stats` probe, when
     /// [`LoadConfig::stats_probe`] was set.
@@ -308,32 +291,24 @@ fn typing_script(width: i32, height: i32, seed: u64, steps: usize) -> Vec<Script
     out
 }
 
-/// How one client's run ended. Chaos-injected cuts are a first-class
-/// outcome, not an error: the report counts them separately so a chaos
-/// run can still assert zero *real* failures.
-enum DriveOutcome {
-    /// Script fully replayed, goodbye acked. A collab replica also
-    /// carries its final reconstruction (for the cross-replica
-    /// divergence check) and the ops it submitted.
-    Completed {
-        stats: ClientStats,
-        fb: Option<Box<Framebuffer>>,
-        ops: u64,
-    },
-    /// The client dropped its transport mid-script on purpose.
-    InjectedDisconnect,
+/// One client's completed run. A collab replica also carries its
+/// final reconstruction (for the cross-replica divergence check) and
+/// the ops it submitted.
+struct DriveOutcome {
+    stats: ClientStats,
+    fb: Option<Framebuffer>,
+    ops: u64,
 }
 
-/// Replays one script over a fresh connection. With a rendezvous barrier the client parks right
-/// after its handshake — *every* client reaches the barrier, connect
-/// failure or not, so one `Busy` can't deadlock the fleet. `cut_after`
-/// is the chaos knob: vanish before sending step `i`, no goodbye.
+/// Replays one script over a fresh connection. With a rendezvous
+/// barrier the client parks right after its handshake — *every* client
+/// reaches the barrier, connect failure or not, so one `Busy` can't
+/// deadlock the fleet.
 fn drive(
     transport: Result<Box<dyn FrameTransport>, String>,
     scene: &str,
     script: &[ScriptStep],
     rendezvous: Option<Arc<Barrier>>,
-    cut_after: Option<usize>,
 ) -> Result<DriveOutcome, String> {
     let connected =
         transport.and_then(|t| ServeClient::connect(t, scene).map_err(|e| e.to_string()));
@@ -341,13 +316,9 @@ fn drive(
         b.wait();
     }
     let mut client = connected?;
-    if !replay(&mut client, script, cut_after)? {
-        // The server must cope with a mid-script EOF; the client side
-        // records it as injected, never as an error.
-        return Ok(DriveOutcome::InjectedDisconnect);
-    }
+    replay(&mut client, script)?;
     let stats = client.finish().map_err(|e| e.to_string())?;
-    Ok(DriveOutcome::Completed {
+    Ok(DriveOutcome {
         stats,
         fb: None,
         ops: 0,
@@ -355,17 +326,12 @@ fn drive(
 }
 
 /// Sends `script` through `client` with a `WINDOW`-step pipelining
-/// window, then waits for the frame covering its last step. Returns `false`
-/// when the client vanished on purpose before step `cut_after`.
+/// window, then waits for the frame covering its last step.
 fn replay(
     client: &mut ServeClient<Box<dyn FrameTransport>>,
     script: &[ScriptStep],
-    cut_after: Option<usize>,
-) -> Result<bool, String> {
-    for (i, step) in script.iter().enumerate() {
-        if cut_after == Some(i) {
-            return Ok(false);
-        }
+) -> Result<(), String> {
+    for step in script {
         client.send_step(step).map_err(|e| e.to_string())?;
         if client.unacked() >= WINDOW {
             client.sync().map_err(|e| e.to_string())?;
@@ -374,15 +340,7 @@ fn replay(
             return Err("server ended session mid-script".into());
         }
     }
-    client.sync().map_err(|e| e.to_string())?;
-    Ok(true)
-}
-
-/// Script index at which client `i` vanishes (halfway through), per
-/// [`LoadConfig::disconnect_every`].
-fn cut_point(cfg: &LoadConfig, i: usize) -> Option<usize> {
-    (cfg.disconnect_every > 0 && (i + 1).is_multiple_of(cfg.disconnect_every))
-        .then(|| (cfg.steps / 2).max(1))
+    client.sync().map_err(|e| e.to_string())
 }
 
 /// Running totals over finished clients; [`Tally::report`] builds the
@@ -391,7 +349,6 @@ fn cut_point(cfg: &LoadConfig, i: usize) -> Option<usize> {
 struct Tally {
     completed: usize,
     rejected: usize,
-    injected: usize,
     errors: Vec<String>,
     frames: u64,
     bytes: u64,
@@ -411,7 +368,7 @@ impl Tally {
         joined: thread::Result<Result<DriveOutcome, String>>,
     ) -> Result<Option<Framebuffer>, String> {
         match joined.map_err(|_| "client thread panicked")? {
-            Ok(DriveOutcome::Completed { stats, fb, ops }) => {
+            Ok(DriveOutcome { stats, fb, ops }) => {
                 self.completed += 1;
                 self.frames += stats.frames;
                 self.bytes += stats.diff_bytes + stats.full_bytes;
@@ -421,9 +378,8 @@ impl Tally {
                 self.latencies.extend(stats.latencies_us);
                 self.ttffs.push(stats.ttff_us);
                 self.ttff_decodes.push(stats.ttff_decode_us);
-                return Ok(fb.map(|fb| *fb));
+                return Ok(fb);
             }
-            Ok(DriveOutcome::InjectedDisconnect) => self.injected += 1,
             Err(e) if e.contains("server busy") => self.rejected += 1,
             Err(e) => self.errors.push(e),
         }
@@ -461,7 +417,6 @@ impl Tally {
             ttff_p50_us: percentile(&self.ttffs, 0.50),
             ttff_p99_us: percentile(&self.ttffs, 0.99),
             ttff_decode_p50_us: percentile(&self.ttff_decodes, 0.50),
-            injected_disconnects: self.injected,
             ops_per_s: self.ops as f64 / wall_s,
             divergences,
             ..LoadReport::default()
@@ -469,9 +424,9 @@ impl Tally {
     }
 }
 
-/// A shared transport factory: client index → fresh connection (TCP or
-/// in-memory, faulted or not).
-type Connector = Arc<dyn Fn(usize) -> Result<Box<dyn FrameTransport>, String> + Send + Sync>;
+/// A shared transport factory: a fresh connection (TCP or in-memory)
+/// per call.
+type Connector = Arc<dyn Fn() -> Result<Box<dyn FrameTransport>, String> + Send + Sync>;
 
 /// Drives one replica of a shared document. Writers replay their slice
 /// of the document's interleaved script with the usual pipelining
@@ -485,28 +440,20 @@ fn drive_replica(
     scene: &str,
     script: &[ScriptStep],
     writers_left: Arc<AtomicUsize>,
-    cut_after_drains: Option<usize>,
 ) -> Result<DriveOutcome, String> {
     let mut client = ServeClient::attach(t, doc_id, Some(scene)).map_err(|e| e.to_string())?;
     if !script.is_empty() {
-        replay(&mut client, script, None)?;
+        replay(&mut client, script)?;
         writers_left.fetch_sub(1, Ordering::SeqCst);
     }
-    let mut drains = 0usize;
     while writers_left.load(Ordering::SeqCst) > 0 {
         client.drain_frames().map_err(|e| e.to_string())?;
-        drains += 1;
-        if cut_after_drains == Some(drains) {
-            // Vanish without a goodbye; the server must detach the
-            // replica cleanly and the document must not care.
-            return Ok(DriveOutcome::InjectedDisconnect);
-        }
         thread::sleep(Duration::from_millis(1));
     }
     let (stats, fb) = client.finish_with_frame().map_err(|e| e.to_string())?;
-    Ok(DriveOutcome::Completed {
+    Ok(DriveOutcome {
         stats,
-        fb: Some(Box::new(fb)),
+        fb: Some(fb),
         ops: script.len() as u64,
     })
 }
@@ -544,19 +491,14 @@ fn run_collab(cfg: &LoadConfig, connect: &Connector) -> Result<LoadReport, Strin
         // empty script and just apply what fans out.
         let mut doc_scripts = std::mem::take(&mut scripts[d]);
         doc_scripts.resize(per_doc, Vec::new());
-        for (r, script) in doc_scripts.into_iter().enumerate() {
-            let i = d * per_doc + r;
+        for script in doc_scripts {
             let connect = Arc::clone(connect);
             let left = Arc::clone(&writers_left[d]);
             let scene = cfg.scene.clone();
             let doc_id = format!("doc-{d}");
-            let cut = (r >= writers).then(|| cut_point(cfg, i)).flatten();
             handles.push((
                 d,
-                thread::spawn(move || {
-                    let t = connect(i)?;
-                    drive_replica(t, &doc_id, &scene, &script, left, cut)
-                }),
+                thread::spawn(move || drive_replica(connect()?, &doc_id, &scene, &script, left)),
             ));
         }
     }
@@ -569,8 +511,8 @@ fn run_collab(cfg: &LoadConfig, connect: &Connector) -> Result<LoadReport, Strin
         }
     }
 
-    // The honesty gate: within a document, every surviving replica's
-    // final reconstruction must be byte-identical to the first one's.
+    // The honesty gate: within a document, every replica's final
+    // reconstruction must be byte-identical to the first one's.
     let mut divergences = 0usize;
     for doc in &finals {
         if let Some(first) = doc.first() {
@@ -590,13 +532,11 @@ fn run_sessions(cfg: &LoadConfig, connect: &Connector) -> Result<LoadReport, Str
     let started = Instant::now();
     let handles: Vec<_> = scripts
         .into_iter()
-        .enumerate()
-        .map(|(i, script)| {
+        .map(|script| {
             let connect = Arc::clone(connect);
             let scene = cfg.scene.clone();
             let barrier = barrier.clone();
-            let cut = cut_point(cfg, i);
-            thread::spawn(move || drive(connect(i), &scene, &script, barrier, cut))
+            thread::spawn(move || drive(connect(), &scene, &script, barrier))
         })
         .collect();
     let mut tally = Tally::default();
@@ -667,81 +607,45 @@ fn record_scripts(cfg: &LoadConfig) -> Result<Vec<Vec<ScriptStep>>, String> {
     }
 }
 
-/// The in-process server a self-hosted fleet runs against.
-fn host(cfg: &LoadConfig) -> Result<Arc<Server>, String> {
-    if cfg.shards == 0 {
-        return Err("shards must be at least 1".into());
-    }
-    Ok(Server::start(cfg.server.clone(), cfg.shards))
-}
-
-/// The fleet body both entry points share: run the clients over
-/// `connect`, send the optional `Stats` probe, then — when `server` is
-/// the in-process host — quiesce its shards and read the server-side
-/// view.
-fn run_fleet(
-    cfg: &LoadConfig,
-    server: Option<&Server>,
-    connect: Connector,
-) -> Result<LoadReport, String> {
+/// Runs the whole fleet and aggregates the report. Against
+/// `cfg.connect`'s server every client connects over TCP; otherwise a
+/// server with `cfg.shards` shards runs in process, every client enters
+/// it through [`Server::connect_mem`], and once the fleet is done the
+/// report adds the server's side of the run.
+pub fn run_loadgen(cfg: &LoadConfig) -> Result<LoadReport, String> {
+    let (server, connect): (Option<Arc<Server>>, Connector) = match cfg.connect.clone() {
+        Some(addr) => (
+            None,
+            Arc::new(move || {
+                TcpStream::connect(&addr)
+                    .map(|s| Box::new(TcpTransport::new(s)) as Box<dyn FrameTransport>)
+                    .map_err(|e| format!("connect {addr}: {e}"))
+            }),
+        ),
+        None => {
+            if cfg.shards == 0 {
+                return Err("shards must be at least 1".into());
+            }
+            let server = Server::start(cfg.server.clone(), cfg.shards);
+            let srv = Arc::clone(&server);
+            (Some(server), Arc::new(move || srv.connect_mem(None)))
+        }
+    };
     let mut report = match cfg.profile {
         Profile::Collab => run_collab(cfg, &connect)?,
         Profile::Mixed | Profile::Typing => run_sessions(cfg, &connect)?,
     };
     if cfg.stats_probe {
-        let t = connect(cfg.sessions).map_err(|e| format!("stats probe: {e}"))?;
+        let t = connect().map_err(|e| format!("stats probe: {e}"))?;
         report.stats_reply = Some(probe_stats(t, &cfg.scene)?);
     }
-    if let Some(server) = server {
+    if let Some(server) = &server {
         // Joining the shard threads guarantees every in-flight close
         // has landed in its collector before the counters are read.
         server.shutdown_shards();
         attach_server_view(&mut report, server);
     }
     Ok(report)
-}
-
-/// Runs the whole fleet over TCP and aggregates the report. When
-/// `cfg.connect` is `None`, a server is started in-process on
-/// `127.0.0.1:0` and its accept thread dies with the process.
-pub fn run_loadgen(cfg: &LoadConfig) -> Result<LoadReport, String> {
-    if cfg.fault_seed.is_some() {
-        // A fault wrapper must sit on BOTH halves of a stream to keep
-        // the re-framing symmetric; a TCP server owns its half.
-        return Err("fault injection requires the in-memory harness (--mem)".into());
-    }
-    let (server, addr) = match &cfg.connect {
-        Some(addr) => (None, addr.clone()),
-        None => {
-            let server = host(cfg)?;
-            let listener =
-                std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-            let addr = listener.local_addr().map_err(|e| e.to_string())?;
-            let (srv, shards) = (server.clone(), cfg.shards);
-            thread::spawn(move || serve_listener_sharded(srv, listener, shards));
-            (Some(server), addr.to_string())
-        }
-    };
-    let connect: Connector = Arc::new(move |_| {
-        TcpStream::connect(&addr)
-            .map(|s| Box::new(TcpTransport::new(s)) as Box<dyn FrameTransport>)
-            .map_err(|e| format!("connect {addr}: {e}"))
-    });
-    run_fleet(cfg, server.as_deref(), connect)
-}
-
-/// Runs the fleet over in-memory transports instead of TCP — the bench
-/// harness uses this to measure serving cost without socket noise, and
-/// the chaos stage uses it because only here can both transport halves
-/// carry a [`FaultTransport`](crate::FaultTransport) (client `i` uses
-/// `seed ^ i`). Every session enters the shard engine through
-/// [`Server::connect_mem`]; one client thread per session.
-pub fn run_loadgen_mem(cfg: &LoadConfig) -> Result<LoadReport, String> {
-    let server = host(cfg)?;
-    let (srv, fault_seed) = (server.clone(), cfg.fault_seed);
-    let connect: Connector =
-        Arc::new(move |i| srv.connect_mem(fault_seed.map(|seed| seed ^ i as u64)));
-    run_fleet(cfg, Some(&server), connect)
 }
 
 /// Opens one session, issues a `Stats` request, and returns the
@@ -763,28 +667,14 @@ pub fn format_report(cfg: &LoadConfig, r: &LoadReport) -> String {
         Some(addr) => format!("remote server {addr}"),
         None => format!("{} shard(s)", cfg.shards),
     };
-    if cfg.profile == Profile::Collab {
-        out.push_str(&format!(
-            "loadgen: {} doc(s) x ({} writers + {} watchers) x {} merged steps on {} \
-             (Collab profile, window {}, {dispatch})\n",
-            cfg.docs, cfg.writers, cfg.watchers, cfg.steps, cfg.scene, WINDOW
-        ));
-    } else if cfg.ramp {
-        out.push_str(&format!(
-            "loadgen: {} sessions ramp (connect + first frame only) on {} ({dispatch})\n",
-            cfg.sessions, cfg.scene
-        ));
-    } else {
-        out.push_str(&format!(
-            "loadgen: {} sessions x {} steps on {} ({:?} profile, window {}, {dispatch})\n",
-            cfg.sessions, cfg.steps, cfg.scene, cfg.profile, WINDOW
-        ));
-    }
     out.push_str(&format!(
-        "  completed: {} ({} rejected busy, {} injected disconnects, {} errors) in {:.2}s\n",
+        "loadgen: {} sessions x {} steps on {} ({:?} profile, window {}, {dispatch})\n",
+        cfg.sessions, cfg.steps, cfg.scene, cfg.profile, WINDOW
+    ));
+    out.push_str(&format!(
+        "  completed: {} ({} rejected busy, {} errors) in {:.2}s\n",
         r.completed,
         r.rejected,
-        r.injected_disconnects,
         r.errors.len(),
         r.wall_s
     ));
@@ -795,23 +685,6 @@ pub fn format_report(cfg: &LoadConfig, r: &LoadReport) -> String {
         "  throughput: {:.1} sessions/s, {:.0} frames/s\n",
         r.sessions_per_s, r.frames_per_s
     ));
-    if let Some(div) = r.divergences {
-        out.push_str(&format!(
-            "  collab: {:.0} ops/s, {div} divergence(s)\n",
-            r.ops_per_s
-        ));
-        if let Some(p99) = r.fanout_p99_us {
-            out.push_str(&format!(
-                "  fanout: ~p99 {:.3} ms to all replicas\n",
-                p99 as f64 / 1000.0
-            ));
-        }
-        if let Some((p50, p99)) = r.replay_lag_p50_p99 {
-            out.push_str(&format!(
-                "  replay lag: ~p50 {p50} op(s), ~p99 {p99} op(s) behind the log head\n"
-            ));
-        }
-    }
     out.push_str(&format!(
         "  latency: p50 {:.2} ms, p99 {:.2} ms\n",
         r.p50_us as f64 / 1000.0,
@@ -890,7 +763,7 @@ mod tests {
             shards: 2,
             ..LoadConfig::default()
         };
-        let report = run_loadgen_mem(&cfg).unwrap();
+        let report = run_loadgen(&cfg).unwrap();
         assert_eq!(report.completed, 6, "errors: {:?}", report.errors);
         assert!(report.errors.is_empty());
         assert_eq!(report.divergences, Some(0));
@@ -898,31 +771,6 @@ mod tests {
         assert!(report.fanout_p99_us.is_some(), "fanout histogram missing");
         assert!(report.replay_lag_p50_p99.is_some(), "lag histogram missing");
         assert_eq!(report.backpressure_drops, Some(0));
-    }
-
-    #[test]
-    fn collab_fleet_survives_chaos_and_watcher_cuts() {
-        let cfg = LoadConfig {
-            docs: 1,
-            writers: 2,
-            watchers: 2,
-            steps: 20,
-            scene: "fig1".into(),
-            profile: Profile::Collab,
-            shards: 2,
-            fault_seed: Some(7),
-            disconnect_every: 3,
-            ..LoadConfig::default()
-        };
-        let report = run_loadgen_mem(&cfg).unwrap();
-        assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
-        assert_eq!(report.divergences, Some(0));
-        assert!(
-            report.completed + report.injected_disconnects == 4,
-            "completed {} + injected {} != 4",
-            report.completed,
-            report.injected_disconnects
-        );
     }
 
     #[test]
@@ -934,7 +782,7 @@ mod tests {
             profile: Profile::Typing,
             ..LoadConfig::default()
         };
-        let report = run_loadgen_mem(&cfg).unwrap();
+        let report = run_loadgen(&cfg).unwrap();
         assert_eq!(report.completed, 3, "errors: {:?}", report.errors);
         assert!(report.errors.is_empty());
         assert_eq!(report.backpressure_drops, Some(0));

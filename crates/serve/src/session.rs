@@ -130,8 +130,8 @@ impl HostedSession {
 
     /// Opens a session, forking it from a pre-warmed template when a
     /// [`TemplateRegistry`] is supplied (the fast path), building the
-    /// scene from scratch otherwise (the cold path, and the `--no-fork`
-    /// ablation). Either way the session gets its *own* collector after
+    /// scene from scratch otherwise (the cold path, and the
+    /// `ServerConfig::fork = false` ablation). Either way the session gets its *own* collector after
     /// the scene exists, so a forked session's counters are identical
     /// to a cold session's — template builds and fork costs count on
     /// the registry's collector instead.

@@ -432,7 +432,7 @@ impl MemQueue {
 
 /// In-memory [`FrameTransport`]: a pair of condvar-guarded queues. This
 /// is what the unit tests, the differential oracle, and the loadgen
-/// benches (`run_loadgen_mem`) run over — same protocol, no sockets. A send wakes a receiver
+/// benches (`run_loadgen`) run over — same protocol, no sockets. A send wakes a receiver
 /// blocked in `recv` and rings the receiving half's doorbell.
 pub struct MemTransport {
     tx: Arc<MemQueue>,

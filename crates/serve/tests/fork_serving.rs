@@ -5,7 +5,7 @@
 //! gets a forked display-list session whose pixels match an in-process
 //! awmsim build; (2) a one-shard 512-session ramp storm pays exactly
 //! one cold template build and forks every session from it; (3) the
-//! `--no-fork` ablation really builds cold — zero forks, zero template
+//! `ServerConfig::fork = false` ablation really builds cold — zero forks, zero template
 //! builds — and still serves everyone; (4) the keyframe a shard caches
 //! per template is byte for byte a fresh encode of a forked session,
 //! and the updates a session that adopted it ships are byte for byte a
@@ -54,7 +54,7 @@ fn ramp_storm(sessions: usize, fork: bool) -> LoadReport {
     };
     cfg.server.fork = fork;
     cfg.server.max_sessions = sessions;
-    let report = atk_serve::run_loadgen_mem(&cfg).expect("ramp runs");
+    let report = atk_serve::run_loadgen(&cfg).expect("ramp runs");
     assert!(
         report.errors.is_empty(),
         "client errors: {:?}",
@@ -88,7 +88,7 @@ fn ramp_storm_builds_one_template_and_forks_every_session() {
     );
 }
 
-// The --no-fork ablation: same storm shape, cold builds only. Zero
+// The `ServerConfig::fork = false` ablation: same storm shape, cold builds only. Zero
 // forks, zero templates, and the fleet still completes — the knob
 // changes cost, never behaviour.
 #[test]

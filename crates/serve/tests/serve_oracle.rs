@@ -1,5 +1,5 @@
 //! The serving acceptance oracles, all on a cold-booting 1-shard
-//! server (`fork: false` — the `--no-fork` path keeps its own
+//! server (`fork: false` — the cold-boot path keeps its own
 //! byte-identity coverage; the sharded differential covers forking):
 //!
 //! * served-vs-in-process: a served session replaying a fuzzer script

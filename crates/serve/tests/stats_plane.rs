@@ -460,7 +460,8 @@ fn keyframe_probes_count_what_they_packed_and_what_shipped() {
 
 /// The template keyframe cache counts on the shard plane: the first
 /// fig5 `Hello` on a shard encodes the keyframe, every later one is a
-/// hit, and `--no-fork` admissions never touch the cache. A hit
+/// hit, and `ServerConfig::fork = false` admissions never touch the
+/// cache. A hit
 /// leaves the session's own keyframe counters as a miss left them.
 #[test]
 fn keyframe_cache_hits_count_on_the_shard_plane() {

@@ -49,11 +49,7 @@ for seed in 2 3 8 10 11 12 18 19; do
         --seed "$seed" --scene all --oracle all --window 1
 done
 
-echo "==> loadgen smoke (8 served sessions, zero drops tolerated)"
-cargo run --release -q -p atk-serve --bin loadgen -- \
-    --sessions 8 --steps 50 --max-drops 0
-
-echo "==> stats-plane smoke (mem loadgen, SLO watchdog armed, Stats probe, trace)"
+echo "==> stats-plane smoke (in-process loadgen, SLO watchdog armed, Stats probe, trace)"
 # --stats makes loadgen fetch the server-wide snapshot over the wire,
 # validate the JSON, and fail unless the stage histograms are non-empty
 # and the typing shipped moves (serve.moves > 0). 400 typed steps carry
@@ -62,7 +58,7 @@ echo "==> stats-plane smoke (mem loadgen, SLO watchdog armed, Stats probe, trace
 # --trace fails the run unless the Chrome trace parses and carries at
 # least one session track.
 cargo run --release -q -p atk-serve --bin loadgen -- \
-    --mem --sessions 4 --steps 400 --profile typing \
+    --sessions 4 --steps 400 --profile typing \
     --slo-us 10000000 --stats --max-drops 0 --trace "$scratch/trace.json"
 
 echo "==> served + loadgen --connect smoke (2 shards, 4 remote sessions)"
@@ -87,53 +83,12 @@ kill "$served_pid"
 wait "$served_pid" 2>/dev/null || true
 served_pid=""
 
-echo "==> chaos loadgen (seeded transport faults + injected disconnects)"
-# Every client's pipe runs under a seeded fault schedule (short
-# reads/writes, WouldBlock storms) and every 5th client is cut
-# mid-script. Injected disconnects are accounted separately; the gate
-# still tolerates zero NON-injected drops, and the Stats probe's JSON
-# must parse with non-empty stage histograms.
-cargo run --release -q -p atk-serve --bin loadgen -- \
-    --mem --sessions 16 --steps 40 --faults 42 --disconnect-every 5 \
-    --stats --max-drops 0
-
-echo "==> collab loadgen smoke (2 docs x 3 replicas, zero divergences)"
-# Two shared documents, each with 2 writers interleaving one seeded
-# edit stream plus a silent watcher. The run exits 1 if any replica's
-# final framebuffer disagrees with its document, or on any drop.
-cargo run --release -q -p atk-serve --bin loadgen -- \
-    --mem --profile collab --docs 2 --writers 2 --watchers 1 \
-    --steps 40 --max-drops 0
-
-echo "==> collab chaos smoke (seeded faults on every replica's pipe)"
-# Same fleet under a seeded fault schedule: short reads/writes and
-# WouldBlock storms must not reorder, drop, or fork the op log.
-cargo run --release -q -p atk-serve --bin loadgen -- \
-    --mem --profile collab --docs 2 --writers 2 --watchers 1 \
-    --steps 40 --faults 42 --max-drops 0
-
-echo "==> fork-mode ramp smoke (64-session burst, every session forked)"
-# A pure admission storm against the template-fork fast path: zero
-# drops tolerated and the server must report at least 64 forked
-# sessions, proving the fleet was served from templates, not cold
-# builds.
-cargo run --release -q -p atk-serve --bin loadgen -- \
-    --mem --sessions 64 --max-sessions 64 --ramp \
-    --max-drops 0 --min-forks 64
-
-echo "==> no-fork ablation smoke (same burst, cold builds only)"
-# The --no-fork ablation must still serve everyone; it just pays the
-# cold build per session.
-cargo run --release -q -p atk-serve --bin loadgen -- \
-    --mem --sessions 16 --max-sessions 16 --ramp --no-fork \
-    --max-drops 0
-
 echo "==> shard-scale loadgen (512 concurrent sessions, rendezvous)"
 # All 512 clients hold a rendezvous barrier until every session is
 # admitted, so the shards provably host 512 live sessions at once
 # (--min-concurrent fails the run otherwise), then release together.
 cargo run --release -q -p atk-serve --bin loadgen -- \
-    --mem --sessions 512 --max-sessions 512 --steps 12 --profile typing \
+    --sessions 512 --max-sessions 512 --steps 12 --profile typing \
     --rendezvous --min-concurrent 512 --max-drops 0
 
 echo "==> perfbench self-test (the benchmark builds against this tree)"
