@@ -5,14 +5,15 @@
 //!   text, lines, ovals, wedges and a polygon) drawn straight into a
 //!   framebuffer, as the immediate-mode backend does.
 //! * `update/` — what a session does between paint and the wire for
-//!   one frame of a fig5 typing script: scan the written rect for the
-//!   bounds of what changed, then XOR, run-length code and copy those
-//!   rows into the baseline in one pass (`XorRect::encode`), and write
-//!   the update body. `line` is a keystroke that wrote one text line
-//!   (most frames); `window` is the frame of the script that changed
-//!   the most, shipped as one XOR rect over everything it wrote and
-//!   moved — what a newline that moves every line below it cost
-//!   before moves shipped on the wire. Each iteration ships the update
+//!   one frame of a fig5 typing script: scan the written band boxes
+//!   for the boxes of what changed, then XOR, run-length code and copy
+//!   those rows into the baseline in one pass per box
+//!   (`XorRect::encode_boxes`), and write the update body. `line` is a
+//!   keystroke that wrote one text line (most frames); `window` is the
+//!   frame of the script that changed the most, shipped as XOR rects
+//!   over everything it wrote and moved — what a newline that moves
+//!   every line below it cost before moves shipped on the wire. Each
+//!   iteration ships the update
 //!   and then its inverse, so the baseline ends where it started; one
 //!   update costs half an iteration.
 //! * `codec/` — the fig5 initial keyframe (the frame every `Hello`
@@ -22,8 +23,9 @@
 //! Headlines printed outside criterion: the full-window repaint time,
 //! the update path on the line and window frames (time and bytes), a
 //! fig5 typing session's steps split by kind — a character, a Return,
-//! a step that scrolled — with each kind's paint and diff time and
-//! update bytes as a served session ships them,
+//! a step that scrolled — with each kind's paint and diff time,
+//! pixels the diff scanned (`serve.diff_px`) and update bytes as a
+//! served session ships them,
 //! the typing-profile bytes-on-wire ratio raw ÷ encoded from one
 //! loadgen run (bar: ≥2×), and the fig5 keyframe's encoded bytes,
 //! encode and decode time next to a plain copy of the same frame for
@@ -36,7 +38,7 @@ use std::time::Instant;
 
 use atk_check::Session;
 use atk_core::{ScriptStep, World};
-use atk_graphics::{BitmapFont, Color, FontDesc, Framebuffer, Point, Rect};
+use atk_graphics::{BitmapFont, Color, FontDesc, Framebuffer, Point, Rect, Written};
 use atk_serve::loadgen::client_script;
 use atk_serve::{
     run_loadgen, Encoding, HostedSession, LoadConfig, Profile, ServerFrame, SessionConfig, XorRect,
@@ -128,8 +130,9 @@ fn bench_paint(c: &mut Criterion) {
 }
 
 /// One frame as serving sees it: the frame shipped before, the frame
-/// after, and the rect the window reports written in between.
-type Step = (Framebuffer, Framebuffer, Rect);
+/// after, and what the window reports written in between, its move
+/// counted as written where it landed.
+type Step = (Framebuffer, Framebuffer, Written);
 
 /// Two frames of a fig5 typing script (the perfbench `edit` script
 /// shape: a focus click, then keys): the first keystroke that wrote
@@ -140,22 +143,21 @@ fn fig5_typing_frames() -> (Step, Step) {
     let mut session = Session::build("fig5", "x11sim").unwrap();
     let mut before = session.im.snapshot().unwrap();
     let _ = session.im.window_mut().take_written();
-    let (mut line, mut window): (Option<Step>, Option<(usize, Step)>) = (None, None);
+    let (mut line, mut window): (Option<Step>, Option<(i64, Step)>) = (None, None);
     for step in &script {
         session.apply(step);
-        // Everything the frame wrote or moved, as one rect.
-        let written = session.im.window_mut().take_written();
-        let written = match written.moved {
-            Some(m) => written.rect.union(m.dst_rect()),
-            None => written.rect,
-        };
-        let after = session.im.snapshot().unwrap();
-        let changed = before.diff_bounds_within(&after, written).unwrap();
-        let area = changed.area() as usize;
-        if line.is_none() && area > 0 && written.height <= 40 {
-            line = Some((before.clone(), after.clone(), written));
+        // Everything the frame wrote or moved, band by band.
+        let mut written = session.im.window_mut().take_written();
+        if let Some(m) = written.moved.take() {
+            written.mark(m.dst_rect());
         }
-        let whole = written.area() * 2 > after.bounds().area();
+        let after = session.im.snapshot().unwrap();
+        let changed = before.changed_boxes(&after, &written).unwrap();
+        let area: i64 = changed.iter().map(|r| r.area()).sum();
+        if line.is_none() && area > 0 && written.bounds().height <= 40 {
+            line = Some((before.clone(), after.clone(), written.clone()));
+        }
+        let whole = written.area() as i64 * 2 > after.bounds().area();
         if whole && window.as_ref().is_none_or(|(a, _)| area > *a) {
             window = Some((area, (before.clone(), after.clone(), written)));
         }
@@ -164,16 +166,15 @@ fn fig5_typing_frames() -> (Step, Step) {
     (line.unwrap(), window.unwrap().1)
 }
 
-/// One frame's update path: the bounds of the change inside the
-/// written rect, the one-pass encode (which brings `base` up to
+/// One frame's update path: the boxes of the change inside the
+/// written band boxes, the one-pass encode (which brings `base` up to
 /// `cur`) and the update body.
-fn ship_update(base: &mut Framebuffer, cur: &Framebuffer, written: Rect) -> Vec<u8> {
-    let changed = base.diff_bounds_within(cur, written).unwrap();
-    let patch = (!changed.is_empty()).then(|| XorRect::encode(base, cur, changed, usize::MAX));
+fn ship_update(base: &mut Framebuffer, cur: &Framebuffer, written: &Written) -> Vec<u8> {
+    let changed = base.changed_boxes(cur, written).unwrap();
     ServerFrame::Update {
         seq: 1,
         moved: None,
-        patch: patch.map(Option::unwrap),
+        rects: XorRect::encode_boxes(base, cur, changed, usize::MAX).unwrap(),
     }
     .encode()
 }
@@ -181,7 +182,7 @@ fn ship_update(base: &mut Framebuffer, cur: &Framebuffer, written: Rect) -> Vec<
 /// The update from `before` to `after` and back again, on a baseline
 /// that starts and ends as `before`.
 fn ship_round_trip(base: &mut Framebuffer, (before, after, written): &Step) -> usize {
-    ship_update(base, after, *written).len() + ship_update(base, before, *written).len()
+    ship_update(base, after, written).len() + ship_update(base, before, written).len()
 }
 
 fn bench_update(c: &mut Criterion) {
@@ -252,20 +253,20 @@ fn print_headline() {
     for (label, step) in [("line", &line), ("window", &window)] {
         let (before, after, written) = step;
         let mut base = before.clone();
-        let bytes = ship_update(&mut base, after, *written).len();
+        let bytes = ship_update(&mut base, after, written).len();
         assert_eq!(
             &base, after,
             "{label}: the update brought the baseline along"
         );
-        let changed = before.diff_bounds_within(after, *written).unwrap();
+        let changed = before.changed_boxes(after, written).unwrap();
+        let changed_px: i64 = changed.iter().map(|r| r.area()).sum();
         let round_trip_us = median_us(31, || ship_round_trip(&mut base, step));
         println!(
-            "e14 headline: fig5 {label} update: written {}x{}, changed {}x{}, \
-             {bytes} bytes, {:.1} us",
-            written.width,
-            written.height,
-            changed.width,
-            changed.height,
+            "e14 headline: fig5 {label} update: written {} px in {} bands, \
+             changed {changed_px} px in {} boxes, {bytes} bytes, {:.1} us",
+            written.area(),
+            written.bands.iter().filter(|b| !b.is_empty()).count(),
+            changed.len(),
             round_trip_us / 2.0
         );
     }
@@ -318,9 +319,22 @@ fn text_scroll(world: &World) -> i32 {
         .map_or(0, |s| s.offset)
 }
 
+/// One kind of step's figures in the step-kind headline.
+#[derive(Default)]
+struct KindRow {
+    kind: &'static str,
+    /// Paint and diff stage times, one per step, microseconds.
+    paint: Vec<u64>,
+    diff: Vec<u64>,
+    /// Pixels the diffs scanned and bytes shipped, summed.
+    px: u64,
+    bytes: u64,
+}
+
 /// A fig5 typing session (the perfbench `edit` script shape, made
 /// longer) served step by step in process, each step's paint and diff
-/// stage time and update bytes reported by the kind of step: a
+/// stage time, pixels scanned and update bytes reported by the kind of
+/// step: a
 /// character, a Return, or a step that scrolled the text view (told
 /// apart on an in-process replay, so the split does not depend on how
 /// the frame shipped).
@@ -342,37 +356,52 @@ fn print_step_kinds() {
         .collect();
     let collector = Arc::new(Collector::new());
     collector.enable();
-    let mut session = HostedSession::open("fig5", SessionConfig::default(), collector).unwrap();
+    let mut session =
+        HostedSession::open("fig5", SessionConfig::default(), collector.clone()).unwrap();
     let _ = session.initial_keyframe();
-    let mut rows: Vec<(&str, Vec<u64>, Vec<u64>, u64)> = Vec::new();
+    let scanned = || collector.snapshot().counter("serve.diff_px");
+    let mut rows: Vec<KindRow> = Vec::new();
     for (step, kind) in script.iter().zip(kinds) {
+        let px = scanned();
         let mut ft = session.begin_frame();
         let (frame, _) = session.apply_batch_traced(std::slice::from_ref(step), 0, &mut ft);
         let rec = session.finish_frame(ft).unwrap();
         let bytes = session.encode_frame(&frame).len() as u64;
-        let at = match rows.iter().position(|r| r.0 == kind) {
+        let at = match rows.iter().position(|r| r.kind == kind) {
             Some(at) => at,
             None => {
-                rows.push((kind, Vec::new(), Vec::new(), 0));
+                rows.push(KindRow {
+                    kind,
+                    ..KindRow::default()
+                });
                 rows.len() - 1
             }
         };
         let row = &mut rows[at];
-        row.1.push(rec.stage_us(Stage::Paint));
-        row.2.push(rec.stage_us(Stage::Diff));
-        row.3 += bytes;
+        row.paint.push(rec.stage_us(Stage::Paint));
+        row.diff.push(rec.stage_us(Stage::Diff));
+        row.px += scanned() - px;
+        row.bytes += bytes;
     }
     let median = |v: &mut Vec<u64>| {
         v.sort_unstable();
         v[v.len() / 2]
     };
-    for (kind, mut paint, mut diff, bytes) in rows {
+    for KindRow {
+        kind,
+        mut paint,
+        mut diff,
+        px,
+        bytes,
+    } in rows
+    {
         let n = paint.len() as u64;
         println!(
             "e14 headline: fig5 typing step kind {kind}: {n} steps, paint p50 {} us, \
-             diff p50 {} us, {} B/step",
+             diff p50 {} us, {} px scanned/step, {} B/step",
             median(&mut paint),
             median(&mut diff),
+            px / n,
             bytes / n
         );
     }

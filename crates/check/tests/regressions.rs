@@ -147,3 +147,36 @@ fn fig5_a_return_past_the_bottom_scrolls_in_its_own_frame() {
         "only {scrolled} Returns left the view scrolled"
     );
 }
+
+// Damage that is several rects is painted rect by rect: a view draws
+// only the lines and children the clip reaches. Returns that move the
+// elevator's thumb, Returns past the bottom that scroll, and a
+// selection dragged across lines each repaint what a full redraw
+// paints.
+#[test]
+fn fig5_returns_scrolls_and_a_drag_under_multi_rect_damage_repaint() {
+    let mut script = "mouse down 70 70\nmouse up 70 70\n".to_string();
+    for i in 0..30 {
+        script.push_str(&format!("type line {i}\nkey RET\n"));
+    }
+    script
+        .push_str("mouse down 40 120\nmouse drag 300 400\nmouse drag 120 260\nmouse up 120 260\n");
+    let session = replay("fig5", &script, check_repaint);
+    let snap = session.world.collector().snapshot();
+    let rects = snap
+        .histogram("im.damage_rects")
+        .expect("update passes ran");
+    assert!(
+        rects.max >= 2,
+        "no update pass had more than one damage rect"
+    );
+    let world = &session.world;
+    let scrolled = world
+        .view_ids()
+        .into_iter()
+        .filter_map(|v| world.view_dyn(v))
+        .filter(|v| v.class_name() == "textview")
+        .filter_map(|v| v.scroll_info(world))
+        .any(|s| s.offset > 0);
+    assert!(scrolled, "the Returns never scrolled the text");
+}

@@ -226,7 +226,7 @@ impl View for FrameView {
         let size = world.view_bounds(self.base.id).size();
         // Message line.
         let msg_rect = Rect::new(0, 0, size.width, MESSAGE_LINE_HEIGHT);
-        if update.touches(msg_rect) {
+        if g.clip_touches(msg_rect) {
             g.set_foreground(Color::WHITE);
             g.fill_rect(msg_rect);
             g.set_foreground(Color::BLACK);

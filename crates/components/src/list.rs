@@ -114,14 +114,14 @@ impl View for ListView {
         Size::new(budget.min(200), self.row_height() * self.items.len() as i32)
     }
 
-    fn draw(&mut self, world: &mut World, g: &mut dyn Graphic, update: Update) {
+    fn draw(&mut self, world: &mut World, g: &mut dyn Graphic, _update: Update) {
         let size = world.view_bounds(self.base.id).size();
         let rh = self.row_height();
         g.set_font(self.font.clone());
         for (i, item) in self.items.iter().enumerate() {
             let y = i as i32 * rh - self.offset;
             let row = Rect::new(0, y, size.width, rh);
-            if y + rh < 0 || y > size.height || !update.touches(row) {
+            if y + rh < 0 || y > size.height || !g.clip_touches(row) {
                 continue;
             }
             g.set_foreground(Color::BLACK);

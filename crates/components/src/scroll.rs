@@ -26,6 +26,9 @@ pub struct ScrollView {
     body: Option<ViewId>,
     dragging: bool,
     drag_grab_offset: i32,
+    /// The elevator the bar was last drawn with (`None` before the
+    /// first draw, or with no body to scroll).
+    drawn_thumb: Option<Rect>,
 }
 
 impl ScrollView {
@@ -36,6 +39,7 @@ impl ScrollView {
             body: None,
             dragging: false,
             drag_grab_offset: 0,
+            drawn_thumb: None,
         }
     }
 
@@ -120,6 +124,33 @@ impl ScrollView {
     }
 }
 
+/// The bar rows where an elevator drawn at `old` and one drawn at `new`
+/// differ: those between their top edges and those between their bottom
+/// edges, each edge's outline row included. Both elevators are white
+/// inside and the bar is gray outside them, so no other row changes.
+/// Elevators of different columns differ anywhere inside either.
+fn thumb_change(old: Rect, new: Rect) -> [Rect; 2] {
+    if (old.x, old.width) != (new.x, new.width) {
+        return [old, new];
+    }
+    // The rows from edge `a` to edge `b`, and the outline row `line`.
+    let edge = |a: i32, b: i32, line: i32| {
+        if a == b {
+            return Rect::EMPTY;
+        }
+        let rows = Rect::new(old.x, a.min(b), old.width, (a - b).abs());
+        rows.union(Rect::new(old.x, line, old.width, 1))
+    };
+    [
+        edge(old.y, new.y, old.y.max(new.y)),
+        edge(
+            old.bottom(),
+            new.bottom(),
+            old.bottom().min(new.bottom()) - 1,
+        ),
+    ]
+}
+
 impl Default for ScrollView {
     fn default() -> Self {
         ScrollView::new()
@@ -146,13 +177,19 @@ impl View for ScrollView {
     }
 
     fn perform(&mut self, world: &mut World, command: &str) -> bool {
-        // A body that scrolled itself (caret tracking, home/end, paging)
-        // says so through the deferred command channel; the elevator
-        // position is derived from the body's scroll_info at draw time,
-        // so it only needs the bar strip repainted.
+        // A body that scrolled itself or changed its extent (caret
+        // tracking, home/end, paging, a line added) says so through the
+        // deferred command channel; the elevator position is derived
+        // from the body's scroll_info at draw time, so only the rows
+        // where the drawn and the new elevator differ are repainted.
         if command == "scroll-sync" {
-            let bar = self.bar_rect(world);
-            world.post_damage(self.base.id, bar);
+            let damage = match (self.drawn_thumb, self.thumb_rect(world)) {
+                (Some(old), Some(new)) => thumb_change(old, new),
+                _ => [self.bar_rect(world), Rect::EMPTY],
+            };
+            for r in damage.into_iter().filter(|r| !r.is_empty()) {
+                world.post_damage(self.base.id, r);
+            }
             return true;
         }
         false
@@ -173,16 +210,18 @@ impl View for ScrollView {
     }
 
     fn draw(&mut self, world: &mut World, g: &mut dyn Graphic, update: Update) {
-        let bar = self.bar_rect(world);
-        let drawn = update.touches(bar).then(|| self.draw_bar(world, g));
+        let drew_bar = g.clip_touches(self.bar_rect(world));
+        if drew_bar {
+            self.drawn_thumb = self.draw_bar(world, g);
+        }
         if let Some(body) = self.body {
             world.draw_child(body, g, update);
         }
         // A body may lay itself out lazily as it draws (a text view whose
         // document was just replaced), changing the extent the elevator
         // was drawn from: draw the bar again if the elevator moved.
-        if drawn.is_some_and(|thumb| thumb != self.thumb_rect(world)) {
-            self.draw_bar(world, g);
+        if drew_bar && self.drawn_thumb != self.thumb_rect(world) {
+            self.drawn_thumb = self.draw_bar(world, g);
         }
     }
 

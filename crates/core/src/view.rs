@@ -25,7 +25,9 @@ use crate::world::World;
 pub enum Update {
     /// Redraw everything in the view's bounds.
     Full,
-    /// Redraw only the given rectangle (view-local coordinates).
+    /// Redraw only inside the given rectangle (view-local
+    /// coordinates): the bounding box of the damage. The clip holds the
+    /// damage itself, which [`Graphic::clip_touches`] tests.
     Partial(Rect),
 }
 
@@ -43,14 +45,6 @@ impl Update {
         match self {
             Update::Full => local_bounds,
             Update::Partial(r) => r.intersect(local_bounds),
-        }
-    }
-
-    /// True if the update touches `r` (view-local coordinates).
-    pub fn touches(self, r: Rect) -> bool {
-        match self {
-            Update::Full => true,
-            Update::Partial(p) => p.intersects(r),
         }
     }
 }
@@ -276,8 +270,5 @@ mod tests {
         let local = Rect::new(0, 0, 12, 12);
         assert_eq!(u.rect_for(local), Rect::new(10, 10, 2, 2));
         assert_eq!(Update::Full.rect_for(local), local);
-        assert!(u.touches(Rect::new(12, 12, 2, 2)));
-        assert!(!u.touches(Rect::new(0, 0, 5, 5)));
-        assert!(Update::Full.touches(Rect::new(0, 0, 1, 1)));
     }
 }

@@ -793,13 +793,10 @@ impl World {
 
     /// Draws `child` through `g`: clips to the child's bounds, translates
     /// into its space, and calls its draw with a correspondingly
-    /// translated update.
+    /// translated update. A child the clip does not reach is not drawn.
     pub fn draw_child(&mut self, child: ViewId, g: &mut dyn Graphic, update: Update) {
         let b = self.view_bounds(child);
-        if b.is_empty() {
-            return;
-        }
-        if !update.touches(b) {
+        if b.is_empty() || !g.clip_touches(b) {
             return;
         }
         g.gsave();

@@ -102,9 +102,14 @@ impl Region {
         &from[..from.partition_point(|r| r.y < y1)]
     }
 
-    /// True if any pixel of `r` is covered.
+    /// True if any pixel of `r` is covered. Only the bands meeting
+    /// `r`'s rows are read.
     pub fn intersects_rect(&self, r: Rect) -> bool {
-        self.rects.iter().any(|x| x.intersects(r))
+        !r.is_empty()
+            && self
+                .rects_in_rows(r.y, r.bottom())
+                .iter()
+                .any(|x| x.intersects(r))
     }
 
     /// Adds `r` to the region (in place).

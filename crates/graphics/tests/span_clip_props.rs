@@ -543,3 +543,57 @@ fn a_scroll_across_bands_matches_reference() {
         }
     }
 }
+
+/// The three frames a typing session paints under damage of several
+/// rects, each a move and then a repaint clipped to the region: a
+/// Return (the lines below shifted down; the split lines repainted
+/// beside the elevator's two changed edges), a scroll (everything
+/// shifted up; the uncovered bottom line and the thumb's edges), and a
+/// selection dragged over two lines (an XOR under a two-strip clip).
+/// Each leaves what the per-pixel reference leaves, on every storage.
+#[test]
+fn a_return_a_scroll_and_a_drag_under_multi_rect_damage_match_reference() {
+    let src = source();
+    let font = FontDesc::default_body();
+    let repaint = |clip: &Region, lines: &[i32]| {
+        let mut cmds = vec![Cmd {
+            clip: Some(clip.clone()),
+            op: Op::Fill(Rect::new(0, 0, W, H), 0xFF_FFFF, RasterOp::Copy),
+        }];
+        for &y in lines {
+            cmds.push(Cmd {
+                clip: Some(clip.clone()),
+                op: Op::Text(Point::new(6, y), "Return".into(), font.clone(), 0),
+            });
+        }
+        cmds
+    };
+    let elevator = |y: i32| Rect::new(1, y, 3, 2);
+    let ret = Region::from_rects([elevator(3), Rect::new(5, 12, W - 5, 14), elevator(40)]);
+    let scroll = Region::from_rects([elevator(2), elevator(30), Rect::new(5, H - 9, W - 5, 9)]);
+    let drag = Region::from_rects([Rect::new(8, 10, 30, 7), Rect::new(5, 17, 50, 7)]);
+    let mut frames = vec![Cmd {
+        clip: None,
+        op: Op::CopyWithin(Rect::new(5, 12, W - 5, H - 19), Point::new(5, 19)),
+    }];
+    frames.extend(repaint(&ret, &[12, 19]));
+    frames.push(Cmd {
+        clip: None,
+        op: Op::CopyWithin(Rect::new(5, 9, W - 5, H - 9), Point::new(5, 0)),
+    });
+    frames.extend(repaint(&scroll, &[H - 9]));
+    frames.push(Cmd {
+        clip: Some(drag),
+        op: Op::Fill(Rect::new(0, 0, W, H), 0xFF_FFFF, RasterOp::Xor),
+    });
+    for storage in STORAGES {
+        for end in 1..=frames.len() {
+            assert_eq!(
+                stored(&frames[..end], &src, storage).pixels(),
+                &reference(&frames[..end], &src, storage.height())[..],
+                "{storage:?}, {} commands",
+                end
+            );
+        }
+    }
+}

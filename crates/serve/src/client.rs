@@ -371,8 +371,8 @@ impl<T: FrameTransport> ServeClient<T> {
     fn apply_frame(&mut self, frame: ServerFrame, encoded_len: usize) -> Result<(), ClientError> {
         let wire_len = frame.wire_len();
         match frame {
-            ServerFrame::Update { seq, moved, patch } => {
-                apply_update(&mut self.fb, moved, patch.as_ref())?;
+            ServerFrame::Update { seq, moved, rects } => {
+                apply_update(&mut self.fb, moved, &rects)?;
                 self.note_frame(seq, wire_len, encoded_len, false);
             }
             ServerFrame::Keyframe { seq, frame } => {
@@ -463,7 +463,7 @@ mod tests {
         let update = ServerFrame::Update {
             seq: 0,
             moved: None,
-            patch: Some(patch.unwrap()),
+            rects: vec![patch.unwrap()],
         };
         c.decode_and_apply(&update.encode()).unwrap();
         assert_eq!(c.framebuffer(), &want);

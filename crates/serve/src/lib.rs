@@ -7,7 +7,8 @@
 //! behind it: a headless server hosts many concurrent
 //! `World`+`InteractionManager` sessions, one per connection, and ships
 //! their framebuffers to thin clients as updates — the change against
-//! the frame the client already holds, one XOR rect per frame — over a
+//! the frame the client already holds, one XOR rect per changed block
+//! of rows — over a
 //! length-prefixed binary protocol. The views never find out.
 //!
 //! Sessions come in two flavors: `Hello` opens a private session, and

@@ -170,7 +170,7 @@ impl ServedRun {
     /// frame shares its bands with the session that built it as with
     /// every later one, so each copies the same bands, hit or miss.
     /// So does `serve.diff_px`: every session clears its window's
-    /// written bounds at its first keyframe, copied or adopted from the
+    /// written record at its first keyframe, copied or adopted from the
     /// cache, so the pixels its diffs compare follow its own drawing.
     pub fn shard_invariant_counters(&self) -> Vec<(&'static str, u64)> {
         const PLACEMENT: [&str; 2] = ["world.template_builds", "serve.keyframe_cache_hits"];

@@ -684,9 +684,9 @@ mod tests {
         };
         let mut fb = (*frame).clone();
         match recv(&mut client) {
-            ServerFrame::Update { seq, moved, patch } => {
+            ServerFrame::Update { seq, moved, rects } => {
                 assert_eq!(seq, cap as u64 + 1);
-                crate::wire::apply_update(&mut fb, moved, patch.as_ref()).unwrap();
+                crate::wire::apply_update(&mut fb, moved, &rects).unwrap();
             }
             ServerFrame::Keyframe { seq, frame } => {
                 assert_eq!(seq, cap as u64 + 1);

@@ -474,7 +474,7 @@ impl HostedSession {
     }
 
     /// Makes `fb` — equal to the screen — the diff baseline and wraps
-    /// it as the keyframe to ship. The window's written bounds restart
+    /// it as the keyframe to ship. The window's written record restarts
     /// empty: nothing differs from the new baseline yet.
     fn ship_keyframe(&mut self, fb: Arc<Framebuffer>) -> ServerFrame {
         let _ = self.im.window_mut().take_written();
@@ -503,7 +503,7 @@ impl HostedSession {
     /// Diffs the current framebuffer against the last shipped one and
     /// picks the shipping shape: an empty ack when nothing changed (no
     /// snapshot clone, no pixel payload), the window's move and the
-    /// changed rect XORed against the moved baseline, or a keyframe
+    /// changed blocks XORed against the moved baseline, or a keyframe
     /// when there is no baseline, the window resized, or the update
     /// would outweigh a keyframe: its encoded body passes a raw
     /// keyframe, or (past [`KEYFRAME_PROBE_BYTES`]) the packed one. The
@@ -512,7 +512,7 @@ impl HostedSession {
     fn assemble_frame(&mut self) -> ServerFrame {
         self.packed = None;
         // The baseline, moved as the screen was, differs from the
-        // screen only inside the written rect. Taking it here clears
+        // screen only inside the written band boxes. Taking them clears
         // it, and every plan below leaves the baseline equal to the
         // screen again.
         let written = self.im.window_mut().take_written();
@@ -522,16 +522,16 @@ impl HostedSession {
         let collector = &self.collector;
         let mut plan = None;
         self.im.window().with_frame(&mut |cur| {
-            plan = plan_update(shipped, cur, written, collector);
+            plan = plan_update(shipped, cur, &written, collector);
         });
-        let Some((moved, patch)) = plan else {
+        let Some((moved, rects)) = plan else {
             return self.keyframe();
         };
-        let changed = moved.is_some() || patch.is_some();
+        let changed = moved.is_some() || !rects.is_empty();
         let frame = ServerFrame::Update {
             seq: self.seq,
             moved,
-            patch,
+            rects,
         };
         if frame.wire_len() > KEYFRAME_PROBE_BYTES {
             self.collector.count("serve.keyframe_probes", 1);
@@ -636,18 +636,19 @@ impl SharedKeyframe {
 }
 
 /// Diff-or-degrade decision against the shipped baseline: makes the
-/// window's move on the baseline, then compares only the written rect,
-/// counting the pixels compared in `serve.diff_px`. Returns the move
-/// and the patch of an update, which has brought the baseline up to
-/// `cur` (both `None` when nothing changed), or `None` for a keyframe —
-/// after a resize, with no baseline yet, or when the update frame would
-/// pass a raw keyframe.
+/// window's move on the baseline, then compares only the written band
+/// boxes, counting the pixels compared in `serve.diff_px`. Returns the
+/// move and the rects of an update, one per block of changed bands,
+/// which have brought the baseline up to `cur` (`None` and none when
+/// nothing changed), or `None` for a keyframe — after a resize, with
+/// no baseline yet, or when the update frame would pass a raw
+/// keyframe.
 fn plan_update(
     shipped: &mut Option<Arc<Framebuffer>>,
     cur: &Framebuffer,
-    written: Written,
+    written: &Written,
     collector: &Collector,
-) -> Option<(Option<Move>, Option<XorRect>)> {
+) -> Option<(Option<Move>, Vec<XorRect>)> {
     let base = shipped.as_mut()?;
     // No diff across a size change (resize).
     if base.bounds() != cur.bounds() || written.moved.is_some_and(|m| !m.fits(cur.bounds())) {
@@ -657,20 +658,19 @@ fn plan_update(
     // shares its bands: the move and the encode copy only those they
     // write.
     if let Some(m) = written.moved {
-        Arc::make_mut(base).copy_within(m.src, m.dst);
+        Arc::make_mut(base).apply_move(m);
     }
-    let within = written.rect.intersect(cur.bounds());
-    let changed = base.diff_bounds_within(cur, within)?;
-    collector.count("serve.diff_px", within.area() as u64);
+    let changed = base.changed_boxes(cur, written)?;
+    collector.count("serve.diff_px", written.area());
     if changed.is_empty() {
-        return Some((written.moved, None));
+        return Some((written.moved, Vec::new()));
     }
     let base = Arc::make_mut(base);
     let key_payload = 17 + cur.width() as usize * cur.height() as usize * 4;
     // The move ships in the same frame, so it counts against the limit.
     let limit = key_payload.saturating_sub(written.moved.map_or(0, |_| MOVE_BYTES));
-    let patch = XorRect::encode(base, cur, changed, limit)?;
-    Some((written.moved, Some(patch)))
+    let rects = XorRect::encode_boxes(base, cur, changed, limit)?;
+    Some((written.moved, rects))
 }
 
 /// Whether `step` is input that resets the idle horizon: anything but
@@ -714,7 +714,7 @@ mod tests {
         );
         let (frame, end) = s.apply_batch(&[ScriptStep::Event(WindowEvent::ch('x'))], 0);
         match &frame {
-            ServerFrame::Update { patch, .. } => assert!(patch.is_some()),
+            ServerFrame::Update { rects, .. } => assert!(!rects.is_empty()),
             other => panic!("typing shipped {other:?}"),
         }
         assert_eq!(end, None);
@@ -769,7 +769,7 @@ mod tests {
         let (w, h) = s.size();
         let click = WindowEvent::left_down(w as i32 / 8, h as i32 / 8);
         let (frame, _) = s.apply_batch(&[ScriptStep::Event(click)], 0);
-        assert!(matches!(frame, ServerFrame::Update { patch: Some(_), .. }));
+        assert!(matches!(&frame, ServerFrame::Update { rects, .. } if !rects.is_empty()));
         let px = collector.snapshot().counter("serve.diff_px");
         assert!(px > 0 && px <= 33_000, "the click compared {px} px");
     }
@@ -786,7 +786,7 @@ mod tests {
         // (13-byte ack), not re-clone and re-ship anything.
         let (frame, end) = s.apply_batch(&[ScriptStep::Event(WindowEvent::Tick(5))], 0);
         match &frame {
-            ServerFrame::Update { patch, .. } => assert!(patch.is_none(), "{patch:?}"),
+            ServerFrame::Update { rects, .. } => assert!(rects.is_empty(), "{rects:?}"),
             other => panic!("no-change batch shipped {other:?}"),
         }
         assert_eq!(frame.wire_len(), 13);
@@ -796,7 +796,7 @@ mod tests {
         // The ack never becomes the diff baseline, so real input later
         // still diffs against the last *pixel* frame.
         let (frame, _) = s.apply_batch(&[ScriptStep::Event(WindowEvent::Tick(5))], 0);
-        assert!(matches!(frame, ServerFrame::Update { patch: None, .. }));
+        assert!(matches!(&frame, ServerFrame::Update { rects, .. } if rects.is_empty()));
     }
 
     /// What one backend shipped for a run of steps.
@@ -839,27 +839,24 @@ mod tests {
                 let frame = ship(s, step);
                 let screen = s.framebuffer();
                 let backend = s.cfg.backend.clone();
-                match frame {
-                    ServerFrame::Update { moved, patch, .. } => {
+                match &frame {
+                    ServerFrame::Update { moved, rects, .. } => {
                         let key = ServerFrame::Keyframe {
                             seq: 0,
                             frame: Arc::new(screen.clone()),
                         };
-                        let (len, key_len) = (
-                            frame_len(moved, patch.as_ref()),
-                            key.encode_packed().0.len(),
-                        );
+                        let (len, key_len) = (frame.wire_len(), key.encode_packed().0.len());
                         assert!(
                             len <= key_len,
                             "{backend} step {i} ({step:?}): a {len}-byte update \
                              outgrew the {key_len}-byte keyframe"
                         );
-                        crate::wire::apply_update(client, moved, patch.as_ref()).unwrap();
-                        out.updates += usize::from(patch.is_some() || moved.is_some());
+                        crate::wire::apply_update(client, *moved, rects).unwrap();
+                        out.updates += usize::from(!rects.is_empty() || moved.is_some());
                         out.moves += usize::from(moved.is_some());
                     }
                     ServerFrame::Keyframe { frame, .. } => {
-                        *client = (*frame).clone();
+                        *client = (**frame).clone();
                         out.keyframes += 1;
                     }
                     other => panic!("{backend} shipped {other:?}"),
@@ -881,16 +878,6 @@ mod tests {
             );
         }
         shipped
-    }
-
-    /// The wire length of an update carrying `moved` and `patch`.
-    fn frame_len(moved: Option<Move>, patch: Option<&XorRect>) -> usize {
-        ServerFrame::Update {
-            seq: 0,
-            moved,
-            patch: patch.cloned(),
-        }
-        .wire_len()
     }
 
     fn focus_then_type(text: &str) -> Vec<ScriptStep> {

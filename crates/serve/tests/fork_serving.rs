@@ -201,8 +201,8 @@ fn typed_frames(server: &Server, text: &str) -> Vec<Vec<u8>> {
 }
 
 // A keyframe-cache hit diffs against the cached frame, inside the
-// written bounds it cleared when it adopted that frame. A write the
-// bounds missed, or a clear while the baseline differed from the
+// written record it cleared when it adopted that frame. A write the
+// record missed, or a clear while the baseline differed from the
 // screen, would drop pixels from its updates without any error, so
 // the hit's shipped bytes must equal a cold session's, frame for frame.
 #[test]

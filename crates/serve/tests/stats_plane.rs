@@ -345,8 +345,8 @@ fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
     }
 }
 
-/// The diff costs what was drawn: each frame compares only the rect
-/// the window's frame records written since the baseline last equalled
+/// The diff costs what was drawn: each frame compares only the band
+/// boxes the window's frame records written since the baseline last equalled
 /// the screen, so a fig5 typing session compares under a tenth of the
 /// pixels a full-frame scan per frame would, on either backend (a
 /// display list records what its replay writes). A keystroke redraws
@@ -378,6 +378,52 @@ fn a_typing_session_diffs_only_what_it_drew() {
             compared.iter().all(|&px| px == compared[0]),
             "{backend}: pixels compared, per session \
              (forked miss, forked hit, cold, cold): {compared:?}"
+        );
+    }
+}
+
+/// A Return's frame compares the band boxes of what it drew: the two
+/// re-wrapped lines and the rows where the elevator's thumb changed,
+/// not the 560×546 bounding box of that damage (305 760 px while the
+/// elevator damaged its whole bar and the frame kept one written rect).
+/// Every Return of a forty-line fig5 session, the ones that move the
+/// thumb and the ones that scroll included, compares under a fifth of
+/// the window on either backend.
+#[test]
+fn a_return_frame_compares_under_a_fifth_of_the_window() {
+    for backend in ["x11sim", "awmsim"] {
+        let collector = Arc::new(Collector::new());
+        collector.enable();
+        let cfg = SessionConfig {
+            backend: backend.into(),
+            ..SessionConfig::default()
+        };
+        let mut s = HostedSession::open("fig5", cfg, collector.clone()).unwrap();
+        let (w, h) = s.size();
+        let window = u64::from(w) * u64::from(h);
+        let _ = s.initial_keyframe();
+        let click = [
+            ScriptStep::Event(WindowEvent::left_down(70, 70)),
+            ScriptStep::Event(WindowEvent::left_up(70, 70)),
+        ];
+        let _ = s.apply_batch(&click, 0);
+        let mut compared = Vec::new();
+        for c in (0..40).flat_map(|i| format!("line {i}\n").chars().collect::<Vec<_>>()) {
+            let step = ScriptStep::Event(match c {
+                '\n' => WindowEvent::Key(atk_wm::Key::Return),
+                c => WindowEvent::ch(c),
+            });
+            let before = collector.snapshot().counter("serve.diff_px");
+            let (frame, _) = s.apply_batch(std::slice::from_ref(&step), 0);
+            assert!(matches!(frame, ServerFrame::Update { .. }), "{frame:?}");
+            if c == '\n' {
+                compared.push(collector.snapshot().counter("serve.diff_px") - before);
+            }
+        }
+        assert_eq!(compared.len(), 40);
+        assert!(
+            compared.iter().all(|&px| px > 0 && px * 5 < window),
+            "{backend}: pixels compared per Return {compared:?} of {window}"
         );
     }
 }

@@ -255,7 +255,7 @@ impl View for TableView {
                     }) else {
                         continue;
                     };
-                    if !update.touches(rect) || !rect.intersects(view_rect) {
+                    if !g.clip_touches(rect) || !rect.intersects(view_rect) {
                         continue;
                     }
                     let cell = t.cell(r, c);

@@ -1369,6 +1369,13 @@ impl View for TextView {
                 if ly + line.height < draw_rect.y || ly > draw_rect.bottom() {
                     continue;
                 }
+                // The damage can be several rects (a Return's split line
+                // beside the elevator's edge): a line none of them
+                // reaches, with the row of slack the test above allows,
+                // is not drawn.
+                if !g.clip_touches(Rect::new(0, ly - 1, bounds.width, line.height + 2)) {
+                    continue;
+                }
                 let mut x = MARGIN + text.style_value_at(line.start).indent;
                 let mut i = line.start;
                 while i < line.end {

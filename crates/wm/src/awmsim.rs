@@ -383,6 +383,9 @@ impl Graphic for AwmGraphic {
         self.st
             .clip_bounds_local(Rect::new(0, 0, i32::MAX / 4, i32::MAX / 4))
     }
+    fn clip_touches(&self, r: Rect) -> bool {
+        self.st.clip_touches_local(r)
+    }
 
     fn move_to(&mut self, p: Point) {
         self.st.pen = p;

@@ -156,6 +156,9 @@ impl Graphic for PostScriptGraphic {
     fn clip_bounds(&self) -> Rect {
         self.st.clip_bounds_local(self.page)
     }
+    fn clip_touches(&self, r: Rect) -> bool {
+        self.st.clip_touches_local(r)
+    }
 
     fn move_to(&mut self, p: Point) {
         self.st.pen = p;

@@ -205,6 +205,15 @@ pub trait Graphic {
     fn clip_region(&mut self, region: &Region);
     /// Bounding box of the current clip, in local coordinates.
     fn clip_bounds(&self) -> Rect;
+    /// Whether drawing inside `r` (local coordinates) could land on any
+    /// pixel the clip lets through: with no clip, always. A view asks
+    /// before drawing a part of itself, so an update pass clipped to a
+    /// damage region draws only the parts under the region, not under
+    /// its bounding box. Backends that keep the clip as a region test
+    /// it rect by rect; this default tests its bounding box.
+    fn clip_touches(&self, r: Rect) -> bool {
+        self.clip_bounds().intersects(r)
+    }
 
     // --- Pen ------------------------------------------------------------
 
@@ -438,6 +447,14 @@ impl GraphicState {
             Some(c) => c.intersect(&dev),
             None => dev,
         });
+    }
+
+    /// Whether a local-coordinate rect meets the clip: always when no
+    /// clip is set (see [`Graphic::clip_touches`]).
+    pub fn clip_touches_local(&self, r: Rect) -> bool {
+        self.clip
+            .as_ref()
+            .is_none_or(|c| c.intersects_rect(self.rect_to_device(r)))
     }
 
     /// Bounding box of the clip in local coordinates (or `whole` if no

@@ -295,6 +295,9 @@ impl Graphic for X11Graphic {
         let whole = self.fb.borrow().bounds();
         self.st.clip_bounds_local(whole)
     }
+    fn clip_touches(&self, r: Rect) -> bool {
+        self.st.clip_touches_local(r)
+    }
 
     fn move_to(&mut self, p: Point) {
         self.st.pen = p;

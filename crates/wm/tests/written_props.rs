@@ -1,12 +1,12 @@
 //! Soundness of the written record a window's frame keeps, on both
 //! backends: once the move a window reports through `take_written` is
 //! made on the frame as it was, every pixel a sequence of `Graphic`
-//! operations changed lies inside the written rect. A frame diff
-//! bounded by that rect is then exactly the full-frame diff, and the
-//! moved frame patched over that rect is the screen.
+//! operations changed lies inside its band's written box. A frame diff
+//! that reads only those boxes is then exactly the full-frame diff,
+//! and the moved frame patched over them is the screen.
 
 use atk_graphics::{
-    band_copies, Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Size,
+    band_copies, Color, FontDesc, FontStyle, Framebuffer, Point, RasterOp, Rect, Size, BAND_ROWS,
 };
 use atk_wm::{open_window_system, Window, Written};
 use proptest::prelude::*;
@@ -136,13 +136,15 @@ fn open(backend: &str) -> Box<dyn Window> {
 }
 
 /// Every pixel where `before` and `after` differ, as a list of points
-/// outside `written`.
-fn escaped(before: &Framebuffer, after: &Framebuffer, written: Rect) -> Vec<Point> {
+/// outside the box `written` records for their band.
+fn escaped(before: &Framebuffer, after: &Framebuffer, written: &Written) -> Vec<Point> {
     let mut out = Vec::new();
     for y in 0..before.height() {
+        let band = written.bands.get((y / BAND_ROWS) as usize).copied();
+        let band = band.unwrap_or(Rect::EMPTY);
         for x in 0..before.width() {
             let p = Point::new(x, y);
-            if before.get(x, y) != after.get(x, y) && !written.contains(p) {
+            if before.get(x, y) != after.get(x, y) && !band.contains(p) {
                 out.push(p);
             }
         }
@@ -151,7 +153,7 @@ fn escaped(before: &Framebuffer, after: &Framebuffer, written: Rect) -> Vec<Poin
 }
 
 /// Runs `chunks` of ops on a fresh window of `backend`, checking after
-/// each chunk that its reported move and written rect rebuild the
+/// each chunk that its reported move and band boxes rebuild the
 /// screen from the frame before the chunk, the way a server brings its
 /// copy of the client's frame along, and that asking again reports
 /// nothing. Returns how many chunks reported a move.
@@ -165,34 +167,38 @@ fn check_chunks(backend: &str, chunks: &[Vec<Op>]) -> usize {
         for op in chunk {
             run(w.as_mut(), op, &bits);
         }
-        let Written { moved, rect } = w.take_written();
+        let written = w.take_written();
+        let (moved, rect) = (written.moved, written.bounds());
         let after = w.snapshot();
         if let Some(m) = moved {
             prop_assert!(m.fits(base.bounds()), "{:?} leaves the frame", m);
-            base.copy_within(m.src, m.dst);
+            // As a client makes it: what the copy left behind is blank.
+            base.apply_move(m);
             moves += 1;
         }
-        let out = escaped(&base, &after, rect);
+        let out = escaped(&base, &after, &written);
         prop_assert!(
             out.is_empty(),
             "{}: {:?} outside {:?} after {:?} and {:?}",
             backend,
             &out[..out.len().min(4)],
-            rect,
+            written.bands,
             moved,
             chunk
         );
         prop_assert!(after.bounds().contains_rect(rect), "{:?}", rect);
-        // So the server's bounds scan, which reads only inside the
-        // written rect, finds what a whole-frame scan finds...
+        // So the server's band scan, which reads only inside the band
+        // boxes, finds what a whole-frame scan finds...
         prop_assert_eq!(
-            base.diff_bounds_within(&after, rect),
-            base.diff_bounds_within(&after, after.bounds())
+            base.changed_boxes(&after, &written),
+            base.changed_boxes(&after, &Written::covering(after.bounds()))
         );
-        // ...and the moved frame patched over the rect is the screen.
-        for y in rect.y..rect.bottom() {
-            let row = &after.row(y)[rect.x as usize..rect.right() as usize];
-            base.put_rect(Rect::new(rect.x, y, rect.width, 1), row);
+        // ...and the moved frame patched over the boxes is the screen.
+        for b in &written.bands {
+            for y in b.y..b.bottom() {
+                let row = &after.row(y)[b.x as usize..b.right() as usize];
+                base.put_rect(Rect::new(b.x, y, b.width, 1), row);
+            }
         }
         prop_assert!(
             base.same_pixels(&after),
@@ -227,10 +233,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Scripts run in chunks; after each chunk the changed pixels must
-    /// lie inside the reported rect once the reported move is made,
-    /// and asking again reports nothing.
+    /// lie inside their bands' reported boxes once the reported move is
+    /// made, and asking again reports nothing.
     #[test]
-    fn every_changed_pixel_lies_inside_the_written_bounds(
+    fn every_changed_pixel_lies_inside_the_band_boxes_or_the_move(
         backend in prop_oneof![Just(BACKENDS[0]), Just(BACKENDS[1])],
         chunks in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..8), 1..6),
     ) {
@@ -238,7 +244,7 @@ proptest! {
     }
 
     /// Writes and copies mixed: the frame before, moved as reported
-    /// and patched over the written rect, is the screen — the contract
+    /// and patched over the band boxes, is the screen — the contract
     /// a server's update rests on.
     #[test]
     fn a_move_then_the_written_rect_rebuild_the_screen(
@@ -259,7 +265,7 @@ fn the_first_unclipped_copy_is_the_move_and_carries_what_was_written() {
         let _ = w.take_written();
         w.graphic().fill_rect(Rect::new(10, 10, 4, 4));
         let drawn = w.take_written();
-        assert_eq!(drawn.rect, Rect::new(10, 10, 4, 4), "{backend}: a fill");
+        assert_eq!(drawn.bounds(), Rect::new(10, 10, 4, 4), "{backend}: a fill");
         // A clipped write, then a scroll of the rows below it by 5: the
         // written rows that move land 5 lower, and count as written
         // there.
@@ -274,17 +280,20 @@ fn the_first_unclipped_copy_is_the_move_and_carries_what_was_written() {
                 src: Rect::new(0, 24, W, H - 29),
                 dst: Point::new(0, 29),
             }),
-            rect: Rect::new(0, 20, W, 13),
+            ..Written::covering(Rect::new(0, 20, W, 13))
         };
         assert_eq!(w.take_written(), moved, "{backend}: a scroll");
         // A second copy in one take, or a clipped one, is a write of
-        // where it lands.
+        // where it lands. The move's source, which it did not land on,
+        // counts as written.
         let g = w.graphic();
         g.copy_area(Rect::new(0, 0, 10, 10), Point::new(50, 50));
         g.copy_area(Rect::new(0, 0, 10, 10), Point::new(60, 70));
         let two = w.take_written();
         assert_eq!(two.moved.map(|m| m.dst), Some(Point::new(50, 50)));
-        assert_eq!(two.rect, Rect::new(60, 70, 10, 10), "{backend}: two copies");
+        let mut want = Written::covering(Rect::new(0, 0, 10, 10));
+        want.mark(Rect::new(60, 70, 10, 10));
+        assert_eq!(two.bands, want.bands, "{backend}: two copies");
         let g = w.graphic();
         g.gsave();
         g.clip_rect(Rect::new(0, 0, 65, 65));
@@ -292,10 +301,7 @@ fn the_first_unclipped_copy_is_the_move_and_carries_what_was_written() {
         g.grestore();
         assert_eq!(
             w.take_written(),
-            Written {
-                moved: None,
-                rect: Rect::new(60, 60, 5, 5)
-            },
+            Written::covering(Rect::new(60, 60, 5, 5)),
             "{backend}: a clipped copy"
         );
     }
@@ -306,7 +312,7 @@ fn resize_and_open_window_on_report_the_whole_window() {
     for backend in BACKENDS {
         let mut w = open(backend);
         assert_eq!(
-            w.take_written().rect,
+            w.take_written().bounds(),
             Rect::new(0, 0, W, H),
             "{backend}: fresh"
         );
@@ -315,7 +321,7 @@ fn resize_and_open_window_on_report_the_whole_window() {
         w.graphic().fill_rect(Rect::new(3, 3, 4, 4));
         w.resize(Size::new(70, 50));
         let whole = Rect::new(0, 0, 70, 50);
-        assert_eq!(w.take_written().rect, whole, "{backend}: resize");
+        assert_eq!(w.take_written().bounds(), whole, "{backend}: resize");
         assert_eq!(w.take_written(), Written::default());
 
         let mut frame = Framebuffer::new(70, 50, Color::WHITE);
@@ -323,7 +329,11 @@ fn resize_and_open_window_on_report_the_whole_window() {
         let mut w = open_window_system(Some(backend))
             .unwrap()
             .open_window_on("fork", &frame);
-        assert_eq!(w.take_written().rect, whole, "{backend}: open_window_on");
+        assert_eq!(
+            w.take_written().bounds(),
+            whole,
+            "{backend}: open_window_on"
+        );
         assert_eq!(w.take_written(), Written::default());
         assert_eq!(w.snapshot(), frame, "{backend}: the frame's pixels");
 
@@ -335,7 +345,11 @@ fn resize_and_open_window_on_report_the_whole_window() {
         g.fill_rect(Rect::new(0, 0, 40, 40));
         g.grestore();
         let clipped = Rect::new(10, 12, 5, 6);
-        assert_eq!(w.take_written().rect, clipped, "{backend}: clipped fill");
+        assert_eq!(
+            w.take_written().bounds(),
+            clipped,
+            "{backend}: clipped fill"
+        );
         w.graphic().flush();
         assert_eq!(w.take_written(), Written::default(), "{backend}: flush");
     }
@@ -361,7 +375,7 @@ fn a_window_opened_on_a_frame_shares_its_bands() {
         assert_eq!(w.snapshot(), frame, "{backend}: the frame's pixels");
         assert_eq!(band_copies(), copies, "{backend}: opening copied a band");
         w.graphic().fill_rect(Rect::new(0, 0, 1, 1));
-        assert_eq!(w.take_written().rect, Rect::new(0, 0, W, H));
+        assert_eq!(w.take_written().bounds(), Rect::new(0, 0, W, H));
         assert_eq!(
             band_copies(),
             copies + 1,
@@ -373,25 +387,29 @@ fn a_window_opened_on_a_frame_shares_its_bands() {
 /// A row's tail copied sideways, as a character typed mid-line shifts
 /// the rest of its line: right and left inside the frame, and right
 /// past its right edge, where what would land outside is dropped. Each
-/// is the move, from exactly the pixels that land inside the frame.
+/// is the move, from exactly the pixels that land inside the frame,
+/// and the only write is the strip of the source it left behind.
 #[test]
 fn a_sideways_copy_is_the_move() {
     for backend in BACKENDS {
-        for (src, dst, from) in [
+        for (src, dst, from, left) in [
             (
                 Rect::new(30, 10, 40, 20),
                 Point::new(44, 10),
                 Rect::new(30, 10, 40, 20),
+                Rect::new(30, 10, 14, 20),
             ),
             (
                 Rect::new(44, 10, 40, 20),
                 Point::new(30, 10),
                 Rect::new(44, 10, 40, 20),
+                Rect::new(70, 10, 14, 20),
             ),
             (
                 Rect::new(30, 10, W - 30, 20),
                 Point::new(44, 10),
                 Rect::new(30, 10, W - 44, 20),
+                Rect::new(30, 10, 14, 20),
             ),
         ] {
             let mut w = open(backend);
@@ -404,7 +422,7 @@ fn a_sideways_copy_is_the_move() {
             let written = w.take_written();
             let m = written.moved.expect("the copy is the move");
             assert_eq!((m.src, m.dst), (from, dst), "{backend}: {src} to {dst}");
-            assert!(written.rect.is_empty(), "{backend}: {:?}", written.rect);
+            assert_eq!(written.bounds(), left, "{backend}: {src} to {dst}");
             base.copy_within(m.src, m.dst);
             assert_eq!(base, w.snapshot(), "{backend}: {src} to {dst}");
         }
@@ -422,7 +440,11 @@ fn written_bounds_follow_the_clip_and_translation() {
         g.clip_rect(Rect::new(0, 0, 30, 5));
         g.fill_rect(Rect::new(-50, -50, 500, 500));
         g.grestore();
-        assert_eq!(w.take_written().rect, Rect::new(10, 20, 30, 5), "{backend}");
+        assert_eq!(
+            w.take_written().bounds(),
+            Rect::new(10, 20, 30, 5),
+            "{backend}"
+        );
         // The mark is what the op wrote, however wide the clip around
         // it, or the absence of one.
         let g = w.graphic();
@@ -430,8 +452,16 @@ fn written_bounds_follow_the_clip_and_translation() {
         g.clip_rect(Rect::new(0, 0, 10, 10));
         g.fill_rect(Rect::new(2, 2, 1, 1));
         g.grestore();
-        assert_eq!(w.take_written().rect, Rect::new(2, 2, 1, 1), "{backend}");
+        assert_eq!(
+            w.take_written().bounds(),
+            Rect::new(2, 2, 1, 1),
+            "{backend}"
+        );
         w.graphic().fill_rect(Rect::new(2, 2, 1, 1));
-        assert_eq!(w.take_written().rect, Rect::new(2, 2, 1, 1), "{backend}");
+        assert_eq!(
+            w.take_written().bounds(),
+            Rect::new(2, 2, 1, 1),
+            "{backend}"
+        );
     }
 }

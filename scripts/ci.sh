@@ -36,6 +36,11 @@ echo "==> cargo test -q --release -p atk-serve (serve tests at release speed)"
 # fast, so the serve tests also run in the release profile.
 cargo test -q --release -p atk-serve
 
+echo "==> stress smoke (serve tests that wait on other threads, twice each, beside two busy loops)"
+# Timing races show when the CPUs are contended; scripts/stress.sh
+# starts and stops its own busy loops and fails on any failed run.
+sh scripts/stress.sh 2 2
+
 echo "==> runcheck smoke (fixed seed, all oracles)"
 cargo run --release -q -p atk-check --bin runcheck -- \
     --seed 42 --steps 500 --scene fig1,fig3,fig5 --oracle all

@@ -162,3 +162,79 @@ fn documents_with_unknown_view_classes_still_render() {
         "document with an unknown inset must still render, ink {ink}"
     );
 }
+
+/// A Return in fig5's text repaints the elevator only where its thumb
+/// changed: the damage region holds no bar pixel outside the thumb
+/// before and after the Return, none at all while the thumb stays put,
+/// and the screen still equals a full redraw.
+#[test]
+fn a_fig5_return_damages_the_elevator_thumb_not_its_bar() {
+    use atk_components::scroll::{ScrollView, BAR_WIDTH};
+    use atk_graphics::{Point, Rect, Region};
+    use atk_wm::{Key, WindowEvent};
+
+    let scenes::Scene {
+        mut world, mut im, ..
+    } = scenes::build_scene("fig5", "x11sim").unwrap();
+    // The scroller around the document's text, and its window origin.
+    let scroll = world
+        .view_ids()
+        .into_iter()
+        .find(|&v| {
+            let children = world.view_dyn(v).map(|s| s.children()).unwrap_or_default();
+            world.view_dyn(v).map(|s| s.class_name()) == Some("scroll")
+                && children
+                    .iter()
+                    .any(|&c| world.view_dyn(c).map(|t| t.class_name()) == Some("textview"))
+        })
+        .expect("fig5 scrolls its text");
+    let mut origin = Point::ORIGIN;
+    let mut at = Some(scroll);
+    while let Some(v) = at {
+        origin += world.view_bounds(v).origin();
+        at = world.view_parent(v);
+    }
+    let height = world.view_bounds(scroll).height;
+    let bar = Rect::new(origin.x, origin.y, BAR_WIDTH, height);
+    let thumb = |world: &atk_core::World| {
+        let sv = world.view_as::<ScrollView>(scroll).unwrap();
+        sv.thumb_rect(world).unwrap().translate(origin.x, origin.y)
+    };
+    for ev in [WindowEvent::left_down(70, 70), WindowEvent::left_up(70, 70)] {
+        im.dispatch(&mut world, ev);
+        im.settle(&mut world);
+    }
+    let (mut still, mut moved) = (0, 0);
+    for i in 0..30 * 24 {
+        let key = if i % 24 == 23 {
+            Key::Return
+        } else {
+            Key::Char('x')
+        };
+        let old = thumb(&world);
+        im.dispatch(&mut world, WindowEvent::Key(key));
+        im.flush_quiescent(&mut world);
+        let region = world.take_damage_region_for(im.root());
+        let new = thumb(&world);
+        let in_bar = region.intersect_rect(bar);
+        if key == Key::Return {
+            let outside = in_bar.subtract(&Region::from_rects(vec![old, new]));
+            assert!(outside.is_empty(), "Return {i}: bar damage {outside:?}");
+            if old == new {
+                assert!(in_bar.is_empty(), "Return {i}: {in_bar:?}, thumb still");
+                still += 1;
+            } else {
+                assert!(!in_bar.is_empty(), "Return {i}: the thumb moved undamaged");
+                moved += 1;
+            }
+        }
+        for r in region.rects() {
+            world.post_damage(im.root(), *r);
+        }
+        im.repaint_damage(&mut world);
+    }
+    assert!(still > 0 && moved > 0, "{still} still, {moved} moved");
+    let incremental = im.snapshot().unwrap();
+    im.redraw_full(&mut world);
+    assert_eq!(im.snapshot().unwrap(), incremental);
+}
