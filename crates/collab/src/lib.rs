@@ -7,22 +7,23 @@
 //! per-document, total-order, append-only **operation log**; an op is
 //! one [`ScriptStep`] in the existing script-line wire format, stamped
 //! with a monotone sequence number and its author. Replicas do not
-//! exchange pixels or trees — they exchange the log, and each replica's
+//! exchange pixels or trees — they read the log, and each replica's
 //! own observer pipeline (dispatch → change record → damage → repaint)
 //! turns the identical op stream into identical frames.
 //!
 //! The pieces:
 //!
-//! * [`oplog`] — [`Op`], [`OpLog`], and a panic-free binary
-//!   encode/decode ([`WireError`]) for persisting or shipping a log
-//! * [`registry`] — [`DocRegistry`]: get-or-create named documents,
-//!   atomic attach (log snapshot + subscription, no op lost between
-//!   the two), and per-op fanout to every subscriber channel
+//! * [`oplog`] — [`Op`] and [`OpLog`], capped at [`MAX_LOG_OPS`] ops
+//! * [`registry`] — [`DocRegistry`]: get-or-create named documents;
+//!   an [`Attachment`] is one replica's read offset into its
+//!   document's log, and [`Doc::submit`] appends and rings every
+//!   subscriber
 //!
-//! Determinism is the whole point: two replicas that apply the same
-//! log prefix are byte-identical, which is what the serve layer's
-//! collab differential oracle checks. Nothing in this crate reads a
-//! clock or an RNG.
+//! Each op is stored once, in its document's log, however many
+//! replicas read it. A replica is a function of the log prefix it has
+//! drained: two replicas that apply the same prefix are
+//! byte-identical, which is what the serve layer's collab differential
+//! oracle checks. Nothing in this crate reads a clock or an RNG.
 //!
 //! [`ScriptStep`]: atk_core::ScriptStep
 
@@ -32,5 +33,5 @@
 pub mod oplog;
 pub mod registry;
 
-pub use oplog::{Op, OpLog, WireError, MAX_LINE_BYTES, MAX_LOG_OPS};
-pub use registry::{AttachError, Attachment, Doc, DocRegistry, Submit};
+pub use oplog::{LogFull, Op, OpLog, MAX_LOG_OPS};
+pub use registry::{AttachError, Attachment, Doc, DocRegistry};

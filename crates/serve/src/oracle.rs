@@ -329,8 +329,8 @@ fn serve_private(
 /// least-loaded-first onto an idle server, so with at least `shards`
 /// replicas they pin to different shards and every fanout crosses a
 /// shard boundary. Watchers drain opportunistically mid-run (the
-/// non-blocking path) and converge on `Bye` catch-up: submit fans out
-/// synchronously, so every op is on every channel by then.
+/// non-blocking path) and converge on `Bye` catch-up: submit appends
+/// synchronously, so every op is in the log by then.
 fn serve_shared(
     scene: &str,
     script: &[(usize, ScriptStep)],

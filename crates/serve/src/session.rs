@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use atk_apps::scenes::build_scene;
-use atk_collab::{Attachment, Doc, Op};
+use atk_collab::{Attachment, LogFull, Op};
 use atk_core::{InteractionManager, ScriptStep, StepDriver, World};
 use atk_graphics::{band_copies, Framebuffer, Move};
 use atk_trace::{Collector, FrameRecord, FrameTrace, SlowFrameLog, Stage};
@@ -97,24 +97,17 @@ pub struct HostedSession {
     /// Step semantics shared with the in-process reference
     /// (`atk_check::Session::apply`).
     driver: StepDriver,
-    /// The replica side of a shared-document attachment, when this
-    /// session opened via `Attach` instead of `Hello`.
-    collab: Option<Replica>,
+    /// The shared-document attachment (its read offset into the log is
+    /// the seq of the newest op this replica applied), when this
+    /// session opened via `Attach` instead of `Hello`. Dropping it
+    /// unsubscribes, on every exit path.
+    collab: Option<Attachment>,
     /// The keyframe packed ahead of its send — a probe's win, a
     /// template-cache hit the shard put here, or the last keyframe
     /// encoded — whose bytes [`HostedSession::encode_frame`] ships
     /// rather than packing the frame again. Each frame's assembly
     /// empties it.
     pub(crate) packed: Option<SharedKeyframe>,
-}
-
-/// Replica bookkeeping for an attached session: the live subscription
-/// (dropping it unsubscribes, on every exit path) plus how far into
-/// the log this replica has applied.
-struct Replica {
-    attachment: Attachment,
-    /// Seq of the newest op applied to this replica's world.
-    applied: u64,
 }
 
 impl HostedSession {
@@ -168,10 +161,10 @@ impl HostedSession {
     }
 
     /// Builds a *replica* of a shared document: opens the document's
-    /// scene, then replays the attach-time backlog so the replica
-    /// stands at the log head it subscribed from. The backlog size is
-    /// observed into `serve.collab.replay_lag` — a fresh replica of a
-    /// long-lived document starts that far behind.
+    /// scene, then replays the attachment's first drain (the whole log
+    /// so far) so the replica stands at the log head. The backlog size
+    /// is observed into `serve.collab.replay_lag` — a fresh replica of
+    /// a long-lived document starts that far behind.
     pub fn open_replica(
         mut attachment: Attachment,
         cfg: SessionConfig,
@@ -180,14 +173,11 @@ impl HostedSession {
     ) -> Result<HostedSession, String> {
         let scene = attachment.doc().scene().to_string();
         let mut session = HostedSession::open_with(&scene, cfg, collector, templates)?;
-        let backlog = attachment.take_backlog();
+        let backlog = attachment.drain();
         session
             .collector
             .observe("serve.collab.replay_lag", backlog.len() as u64);
-        session.collab = Some(Replica {
-            attachment,
-            applied: backlog.last().map_or(0, |op| op.seq),
-        });
+        session.collab = Some(attachment);
         let steps: Vec<ScriptStep> = backlog.into_iter().map(|op| op.step).collect();
         session.replay_steps(&steps);
         // A replayed backlog may tick the clock well past the idle
@@ -201,41 +191,47 @@ impl HostedSession {
         self.collab.is_some()
     }
 
-    /// The attached document, for replicas.
-    pub fn doc(&self) -> Option<&Arc<Doc>> {
-        self.collab.as_ref().map(|r| r.attachment.doc())
-    }
-
     /// Serializes a batch of this replica's own edits through the
     /// document's log. Nothing is applied here — every edit comes back
-    /// through the subscription in log order, so all replicas (the
-    /// author included) apply the one total order. `dropped` steps
-    /// never reached the log, but they still advance `seq` so the
-    /// client's accounting stays truthful. Counts `serve.collab.ops`
-    /// and observes per-op fanout latency into
-    /// `serve.collab.fanout_us`.
-    pub fn submit_batch(&mut self, batch: &[ScriptStep], dropped: u64) {
+    /// through [`HostedSession::drain_ops`] in log order, so all
+    /// replicas (the author included) apply the one total order.
+    /// `dropped` steps never reached the log, but they still advance
+    /// `seq` so the client's accounting stays truthful. Counts
+    /// `serve.collab.ops` and observes each op's append plus doorbell
+    /// rings into `serve.collab.fanout_us`.
+    ///
+    /// # Errors
+    ///
+    /// [`LogFull`] once the document's log holds
+    /// [`atk_collab::MAX_LOG_OPS`] ops; the steps from the refused one
+    /// on are not submitted.
+    pub fn submit_batch(&mut self, batch: &[ScriptStep], dropped: u64) -> Result<(), LogFull> {
         self.seq += dropped;
-        let Some(r) = self.collab.as_ref() else {
-            return;
+        let Some(attachment) = self.collab.as_ref() else {
+            return Ok(());
         };
-        let doc = Arc::clone(r.attachment.doc());
-        for step in batch {
+        let doc = attachment.doc();
+        for (n, step) in batch.iter().enumerate() {
             let started = Instant::now();
-            doc.submit(self.session_id, step.clone());
+            if let Err(full) = doc.submit(self.session_id, step.clone()) {
+                self.collector.count("serve.collab.ops", n as u64);
+                return Err(full);
+            }
             self.collector.observe(
                 "serve.collab.fanout_us",
                 started.elapsed().as_micros() as u64,
             );
         }
         self.collector.count("serve.collab.ops", batch.len() as u64);
+        Ok(())
     }
 
-    /// Drains every op currently buffered on the replica's channel.
+    /// Every op appended to the document's log since this replica's
+    /// last drain.
     pub fn drain_ops(&mut self) -> Vec<Op> {
         self.collab
             .as_mut()
-            .map_or_else(Vec::new, |r| r.attachment.drain())
+            .map_or_else(Vec::new, Attachment::drain)
     }
 
     /// [`HostedSession::apply_ops_traced`] owning its own attribution.
@@ -268,9 +264,8 @@ impl HostedSession {
         ft: &mut FrameTrace,
     ) -> (ServerFrame, Option<SessionEnd>) {
         self.seq += ops.iter().filter(|op| op.author == self.session_id).count() as u64;
-        if let Some(r) = self.collab.as_mut() {
-            r.applied = ops.last().map_or(r.applied, |op| op.seq);
-            let lag = r.attachment.doc().head().saturating_sub(r.applied);
+        if let Some(attachment) = &self.collab {
+            let lag = attachment.doc().head().saturating_sub(attachment.offset());
             self.collector.observe("serve.collab.replay_lag", lag);
         }
         self.run_steps(ops.iter().map(|op| &op.step), ft)
@@ -1024,5 +1019,27 @@ mod tests {
         assert_eq!(end, None);
         let (_, end) = s.apply_batch(&[ScriptStep::Event(WindowEvent::Tick(1))], 0);
         assert_eq!(end, Some(SessionEnd::Idle));
+    }
+
+    /// A replica whose document's log is full gets the refusal back
+    /// from `submit_batch`, and only the ops that reached the log count.
+    #[test]
+    fn submit_batch_returns_the_refusal_of_a_full_log() {
+        let docs = atk_collab::DocRegistry::new();
+        let attachment = docs.attach("doc", Some("fig1")).unwrap();
+        let doc = Arc::clone(attachment.doc());
+        let collector = Arc::new(Collector::new());
+        collector.enable();
+        let mut s =
+            HostedSession::open_replica(attachment, SessionConfig::default(), collector, None)
+                .unwrap();
+        let close = ScriptStep::Event(WindowEvent::Close);
+        for _ in 1..atk_collab::MAX_LOG_OPS {
+            doc.submit(2, close.clone()).unwrap();
+        }
+        let key = ScriptStep::Event(WindowEvent::ch('a'));
+        assert_eq!(s.submit_batch(&[key.clone(), key], 0), Err(LogFull));
+        assert_eq!(doc.head(), atk_collab::MAX_LOG_OPS as u64);
+        assert_eq!(s.collector().snapshot().counter("serve.collab.ops"), 1);
     }
 }

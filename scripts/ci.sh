@@ -36,7 +36,7 @@ echo "==> cargo test -q --release -p atk-serve (serve tests at release speed)"
 # fast, so the serve tests also run in the release profile.
 cargo test -q --release -p atk-serve
 
-echo "==> stress smoke (serve tests that wait on other threads, twice each, beside two busy loops)"
+echo "==> stress smoke (serve tests that wait on other threads and the collab lib tests, twice each, beside two busy loops)"
 # Timing races show when the CPUs are contended; scripts/stress.sh
 # starts and stops its own busy loops and fails on any failed run.
 sh scripts/stress.sh 2 2
