@@ -12,10 +12,10 @@
 //!   the whole point of the subsystem.
 //! * The headline printed outside criterion: the per-scene
 //!   cold-vs-fork table (median microseconds and speedup), then a
-//!   512-session ramp storm (connect + first keyframe only) with and
-//!   without forking — wall time and TTFF percentiles. The same
+//!   512-session ramp storm (connect + first keyframe only, every
+//!   session forked) — wall time and TTFF percentiles. The same
 //!   numbers are emitted as one machine-readable `BENCH_E17_JSON:`
-//!   line for `scripts/bench_report.sh` to track across PRs.
+//!   line for `scripts/bench_report.sh` to track across commits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -59,25 +59,22 @@ fn time_us(mut f: impl FnMut()) -> u64 {
     start.elapsed().as_micros() as u64
 }
 
-fn ramp_cfg(fork: bool) -> LoadConfig {
+/// A `RAMP_SESSIONS`-session admission storm: no steps, so each
+/// session connects, takes its first keyframe and says goodbye.
+fn run_ramp() -> LoadReport {
     let mut cfg = LoadConfig {
         sessions: RAMP_SESSIONS,
+        steps: 0,
         scene: "fig5".into(),
         profile: Profile::Mixed,
         shards: 4,
-        ramp: true,
         ..LoadConfig::default()
     };
-    cfg.server.fork = fork;
     cfg.server.max_sessions = RAMP_SESSIONS;
-    cfg
-}
-
-fn run_ramp(fork: bool) -> LoadReport {
-    let report = run_loadgen(&ramp_cfg(fork)).unwrap();
+    let report = run_loadgen(&cfg).unwrap();
     assert!(
         report.errors.is_empty() && report.completed == RAMP_SESSIONS,
-        "ramp (fork={fork}): completed {} of {RAMP_SESSIONS}, errors: {:?}",
+        "ramp: completed {} of {RAMP_SESSIONS}, errors: {:?}",
         report.completed,
         report.errors
     );
@@ -113,35 +110,24 @@ fn print_headline() {
         ));
     }
 
-    let forked = run_ramp(true);
-    let cold = run_ramp(false);
+    let ramp = run_ramp();
     println!("e17 ramp: {RAMP_SESSIONS}-session admission storm on fig5, 4 shards:");
     println!(
-        "     fork: wall {:.3} s, ttff p50 {:.2} ms, p99 {:.2} ms ({} forks, {} template builds)",
-        forked.wall_s,
-        forked.ttff_p50_us as f64 / 1000.0,
-        forked.ttff_p99_us as f64 / 1000.0,
-        forked.forks.unwrap_or(0),
-        forked.template_builds.unwrap_or(0),
-    );
-    println!(
-        "  no-fork: wall {:.3} s, ttff p50 {:.2} ms, p99 {:.2} ms",
-        cold.wall_s,
-        cold.ttff_p50_us as f64 / 1000.0,
-        cold.ttff_p99_us as f64 / 1000.0,
+        "  fork: wall {:.3} s, ttff p50 {:.2} ms, p99 {:.2} ms ({} forks, {} template builds)",
+        ramp.wall_s,
+        ramp.ttff_p50_us as f64 / 1000.0,
+        ramp.ttff_p99_us as f64 / 1000.0,
+        ramp.forks.unwrap_or(0),
+        ramp.template_builds.unwrap_or(0),
     );
 
-    let ramp_side = |r: &LoadReport| {
-        format!(
-            "{{\"wall_s\":{:.3},\"ttff_p50_us\":{},\"ttff_p99_us\":{}}}",
-            r.wall_s, r.ttff_p50_us, r.ttff_p99_us
-        )
-    };
     let json = format!(
-        "{{\"scenes\":{{{}}},\"ramp\":{{\"sessions\":{RAMP_SESSIONS},\"fork\":{},\"no_fork\":{}}}}}",
+        "{{\"scenes\":{{{}}},\"ramp\":{{\"sessions\":{RAMP_SESSIONS},\"fork\":\
+         {{\"wall_s\":{:.3},\"ttff_p50_us\":{},\"ttff_p99_us\":{}}}}}}}",
         scenes_json.join(","),
-        ramp_side(&forked),
-        ramp_side(&cold),
+        ramp.wall_s,
+        ramp.ttff_p50_us,
+        ramp.ttff_p99_us,
     );
     atk_trace::validate_json(&json).expect("BENCH_E17_JSON must be valid JSON");
     println!("BENCH_E17_JSON: {json}");

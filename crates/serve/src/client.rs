@@ -82,36 +82,6 @@ pub struct ClientStats {
     pub ttff_decode_us: u64,
 }
 
-impl ClientStats {
-    /// keyframe-equivalent bytes ÷ actual bytes (≥ 1.0 means diffing
-    /// paid off). 0.0 when nothing was received.
-    pub fn compression_ratio(&self) -> f64 {
-        let actual = self.diff_bytes + self.full_bytes;
-        if actual == 0 {
-            0.0
-        } else {
-            self.keyframe_equiv_bytes as f64 / actual as f64
-        }
-    }
-
-    /// Raw frame bytes ÷ bytes actually shipped (≥ 1.0 means the wire
-    /// encoder paid off). 0.0 when nothing was received.
-    pub fn encode_ratio(&self) -> f64 {
-        if self.encoded_bytes == 0 {
-            0.0
-        } else {
-            (self.diff_bytes + self.full_bytes) as f64 / self.encoded_bytes as f64
-        }
-    }
-
-    /// (p50, p99) of the latency samples, microseconds.
-    pub fn latency_percentiles(&self) -> (u64, u64) {
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        (percentile(&sorted, 0.50), percentile(&sorted, 0.99))
-    }
-}
-
 /// Nearest-rank `q`-quantile of ascending `sorted` samples (0 when
 /// empty).
 pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {

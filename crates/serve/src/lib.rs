@@ -17,14 +17,16 @@
 //! the same op sequence, the author included, so all replicas stay
 //! byte-identical.
 //!
-//! Private sessions boot by *forking*: each shard keeps a pre-warmed
+//! Every session boots by *forking*: each shard keeps a pre-warmed
 //! template world per `(scene, backend)` (`atk_apps::TemplateRegistry`)
 //! and deep-forks it on admission — 12–21× cheaper than building the
-//! scene cold and byte-identical to doing so (EXPERIMENTS.md E17).
-//! Template builds and fork costs count on the server plane
-//! (`world.template_builds`, `world.forks`, `world.fork_us`,
-//! `world.fork_shared_bytes`), never on the forked session's own
-//! collector. `ServerConfig::fork = false` is the cold-boot ablation.
+//! scene cold and byte-identical to doing so (EXPERIMENTS.md E17); a
+//! replica then replays its document's log. Template builds and fork
+//! costs count on the shard plane (`world.template_builds`,
+//! `world.forks`, `world.fork_us`, `world.fork_shared_bytes`), never on
+//! the forked session's own collector. There is no cold-boot serving
+//! path; [`HostedSession::open`] builds cold in process, the reference
+//! the oracles compare against.
 //!
 //! There is one dispatch engine: every connection — TCP from the
 //! acceptor, or an in-memory pair from the tests, the oracles and
@@ -57,7 +59,7 @@
 //!   latency/byte accounting
 //! * [`oracle`] — the one serve differential: scripted private sessions
 //!   (stepping synchronously or pipelined) or shared-document replicas,
-//!   on any shard/fault/fork topology, byte-identical to the in-process
+//!   on any shard/fault topology, byte-identical to the in-process
 //!   reference
 //! * [`loadgen`] — N concurrent scripted clients against an in-process
 //!   or a remote server (rendezvous, replicated-document fleets,

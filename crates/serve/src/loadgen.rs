@@ -17,7 +17,9 @@
 //! barrier until the whole fleet is live, making "N concurrent
 //! sessions" literal — the server's `serve.peak_sessions` gauge is the
 //! proof. The benches also drive replicated-document fleets
-//! ([`Profile::Collab`]) and admission storms ([`LoadConfig::ramp`]).
+//! ([`Profile::Collab`]) and admission storms: a fleet with `steps: 0`
+//! connects, waits for each initial keyframe and says goodbye, so its
+//! TTFF percentiles measure hello → first frame alone.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,12 +107,6 @@ pub struct LoadConfig {
     pub writers: usize,
     /// Collab profile: silent watcher replicas per document.
     pub watchers: usize,
-    /// Ramp mode: every client connects, waits for its initial
-    /// keyframe, and says goodbye without sending a step — a pure
-    /// session-admission storm. The report's TTFF percentiles then
-    /// measure exactly what the template-fork fast path is for:
-    /// hello → first frame.
-    pub ramp: bool,
 }
 
 impl Default for LoadConfig {
@@ -129,7 +125,6 @@ impl Default for LoadConfig {
             docs: 2,
             writers: 2,
             watchers: 2,
-            ramp: false,
         }
     }
 }
@@ -582,8 +577,9 @@ fn attach_server_view(report: &mut LoadReport, server: &Server) {
 }
 
 fn record_scripts(cfg: &LoadConfig) -> Result<Vec<Vec<ScriptStep>>, String> {
-    if cfg.ramp {
-        // Ramp sessions send no steps: connect, first keyframe, bye.
+    if cfg.steps == 0 {
+        // An admission storm: connect, first keyframe, bye. No script
+        // to record, so no scene to build.
         return Ok(vec![Vec::new(); cfg.sessions]);
     }
     match cfg.profile {

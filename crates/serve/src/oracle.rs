@@ -4,9 +4,11 @@
 //! [`serve_differential`] serves some [`Traffic`] — scripted private
 //! sessions, or the replicas of one shared document — on a real
 //! [`Server`] laid out by a [`Topology`] (shard count, fault schedule,
-//! session config, fork or cold boot). Every connection enters the
-//! shard engine through [`Server::connect_mem`], exactly as production
-//! connections enter through `Server::admit`. Each client's final
+//! session config). Every connection enters the shard engine through
+//! [`Server::connect_mem`], exactly as production connections enter
+//! through `Server::admit`, and forks from its shard's template as a
+//! production session does; a run whose merged `world.forks` is not
+//! one per session or replica fails. Each client's final
 //! reconstruction must be byte-identical to the in-process reference:
 //! `atk_check::Session` replaying the same script for private sessions,
 //! one [`HostedSession`] replaying the merged op order for a shared
@@ -53,8 +55,6 @@ pub struct Topology {
     pub fault_seed: Option<u64>,
     /// Per-session tuning ([`ServerConfig::session`]).
     pub session: SessionConfig,
-    /// Fork sessions from templates ([`ServerConfig::fork`]).
-    pub fork: bool,
 }
 
 impl Default for Topology {
@@ -63,7 +63,6 @@ impl Default for Topology {
             shards: 1,
             fault_seed: None,
             session: SessionConfig::default(),
-            fork: true,
         }
     }
 }
@@ -184,8 +183,9 @@ impl ServedRun {
 }
 
 /// Serves `traffic` for `scene` on a server laid out by `topo` and
-/// demands every client's final framebuffer and every session's
-/// non-`serve.*` counter plane identical to the in-process reference's.
+/// demands one template fork per session, and every client's final
+/// framebuffer and every session's non-`serve.*` counter plane
+/// identical to the in-process reference's.
 ///
 /// # Errors
 ///
@@ -201,7 +201,6 @@ pub fn serve_differential(
         // Exercise the readiness-reorder fault path whenever faults are
         // on at all.
         readiness_shuffle_seed: topo.fault_seed,
-        fork: topo.fork,
         retain_session_traces: true,
         ..ServerConfig::default()
     };
@@ -223,6 +222,14 @@ pub fn serve_differential(
     // has landed.
     server.shutdown_shards();
     let (framebuffers, stats, ids) = served?;
+    let merged = server.merged_snapshot();
+    let forks = merged.counter("world.forks");
+    if forks != framebuffers.len() as u64 {
+        return Err(format!(
+            "{scene}: {forks} template forks for {} sessions",
+            framebuffers.len()
+        ));
+    }
     // Each session's own counter plane, by session id.
     let parts: HashMap<String, Snapshot> = server.trace_parts().into_iter().collect();
     let plane_of = |id: u64| {
@@ -282,7 +289,7 @@ pub fn serve_differential(
         steps,
         counter_planes: framebuffers.len(),
         framebuffers,
-        merged: server.merged_snapshot(),
+        merged,
         diff_frames: stats.iter().map(|s| s.diff_frames).sum(),
         key_frames: stats.iter().map(|s| s.key_frames).sum(),
         raw_bytes: stats.iter().map(|s| s.diff_bytes + s.full_bytes).sum(),

@@ -57,10 +57,6 @@ pub struct ServerConfig {
     /// order instead of admission order, so tests can prove the
     /// dispatch result does not depend on readiness ordering.
     pub readiness_shuffle_seed: Option<u64>,
-    /// Fork sessions from pre-warmed per-shard template worlds instead
-    /// of building every scene from scratch. On by default; the
-    /// cold-boot ablation (E17, `fork_serving`) turns it off.
-    pub fork: bool,
 }
 
 impl Default for ServerConfig {
@@ -71,7 +67,6 @@ impl Default for ServerConfig {
             manual_clock: None,
             retain_session_traces: false,
             readiness_shuffle_seed: None,
-            fork: true,
         }
     }
 }
@@ -315,8 +310,9 @@ impl Server {
         }
     }
 
-    /// Builds the session a first frame asks for: a private scene for
-    /// `Hello`, a shared-document replica for `Attach` (creating the
+    /// Builds the session a first frame asks for, forked from the
+    /// shard's `templates`: a private scene for `Hello`, a
+    /// shared-document replica for `Attach` (creating the
     /// document when a scene is offered; creations count into the
     /// server-plane `serve.collab.docs`). The handshake has already
     /// rejected any other first frame.
@@ -324,7 +320,7 @@ impl Server {
         &self,
         first: &ClientFrame,
         collector: Arc<Collector>,
-        templates: Option<&mut atk_apps::TemplateRegistry>,
+        templates: &mut atk_apps::TemplateRegistry,
     ) -> Result<HostedSession, String> {
         match first {
             ClientFrame::Hello { scene, backend } => {
@@ -332,7 +328,7 @@ impl Server {
                 if let Some(b) = backend {
                     cfg.backend = b.clone();
                 }
-                HostedSession::open_with(scene, cfg, collector, templates)
+                HostedSession::open_with(scene, cfg, collector, Some(templates))
             }
             ClientFrame::Attach { doc_id, scene } => {
                 let attachment = self
@@ -346,7 +342,7 @@ impl Server {
                     attachment,
                     self.cfg.session.clone(),
                     collector,
-                    templates,
+                    Some(templates),
                 )
             }
             _ => Err("first frame must be hello or attach".to_string()),

@@ -122,12 +122,12 @@ impl HostedSession {
     }
 
     /// Opens a session, forking it from a pre-warmed template when a
-    /// [`TemplateRegistry`] is supplied (the fast path), building the
-    /// scene from scratch otherwise (the cold path, and the
-    /// `ServerConfig::fork = false` ablation). Either way the session gets its *own* collector after
-    /// the scene exists, so a forked session's counters are identical
-    /// to a cold session's — template builds and fork costs count on
-    /// the registry's collector instead.
+    /// [`TemplateRegistry`] is supplied (as every served session is),
+    /// building the scene from scratch otherwise (the in-process cold
+    /// reference). Either way the session gets its *own* collector
+    /// after the scene exists, so a forked session's counters are
+    /// identical to a cold session's — template builds and fork costs
+    /// count on the registry's collector instead.
     ///
     /// [`TemplateRegistry`]: atk_apps::TemplateRegistry
     pub fn open_with(

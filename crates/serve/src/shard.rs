@@ -39,8 +39,9 @@
 //! pending handshakes get `Busy`. The acceptor skips draining shards,
 //! so new connections keep landing elsewhere immediately.
 //!
-//! A shard that forks sessions from templates also encodes each
-//! template's first keyframe once, in a cache keyed by `TemplateKey`:
+//! Every session forks from the shard's pre-warmed templates, and the
+//! shard encodes each template's first keyframe once, in a cache keyed
+//! by `TemplateKey`:
 //! a forked session's first frame is a pure function of its template,
 //! so every later `Hello` for that template ships the same shared
 //! bytes.
@@ -224,7 +225,7 @@ fn run_shard(
     // `World` is `!Send` like any session's, so it lives and dies on
     // this thread. Fork costs and template builds count on the shard
     // collector and reach the merged stats plane from there.
-    let mut templates: Option<atk_apps::TemplateRegistry> = None;
+    let mut templates = atk_apps::TemplateRegistry::new(collector.clone());
     // Each template's first keyframe, packed once. Templates are
     // frozen, so an entry never goes stale, and there is at most one
     // per template the shard has forked from — the cache needs no bound
@@ -245,9 +246,6 @@ fn run_shard(
                 .cfg()
                 .readiness_shuffle_seed
                 .map(|seed| FaultRng::new(seed ^ (index as u64).wrapping_mul(0x9E37)));
-            if server.cfg().fork {
-                templates = Some(atk_apps::TemplateRegistry::new(collector.clone()));
-            }
             first_iteration = false;
         }
         let mut progress = false;
@@ -318,7 +316,7 @@ fn run_shard(
                     &server,
                     &collector,
                     &mut conns[i],
-                    templates.as_mut(),
+                    &mut templates,
                     &mut keyframes,
                 ),
                 ConnState::Running(_) => pump_running(&server, &collector, &mut conns[i]),
@@ -362,7 +360,7 @@ fn pump_handshake(
     server: &Server,
     collector: &Collector,
     conn: &mut Conn,
-    templates: Option<&mut atk_apps::TemplateRegistry>,
+    templates: &mut atk_apps::TemplateRegistry,
     keyframes: &mut HashMap<TemplateKey, SharedKeyframe>,
 ) -> Result<Pump, Box<dyn std::error::Error>> {
     let Some(body) = conn.t.try_recv()? else {
@@ -385,11 +383,10 @@ fn pump_handshake(
     // connection ends — a failed welcome included.
     let session_id = server.next_session_id();
     let session_collector = server.open_session_collector(session_id);
-    // Only a `Hello` session forked from a template starts on the
-    // template's own frame; a replica's backlog changes its world, and
-    // a cold build has no template.
+    // Only a `Hello` session starts on its template's own frame; a
+    // replica's backlog changes its world.
     let template_key = match &first {
-        ClientFrame::Hello { scene, backend } if templates.is_some() => {
+        ClientFrame::Hello { scene, backend } => {
             let default = &server.cfg().session.backend;
             atk_apps::scenes::resolve_scene_name(scene)
                 .ok()
@@ -426,8 +423,8 @@ fn pump_handshake(
     )?;
     // A cache hit ships the template's packed keyframe as the session's
     // own: no snapshot, no pack, no copy, and the session's counters
-    // still match a miss's (the hit counts on the shard plane). A
-    // forked miss packs the keyframe and leaves it in the cache.
+    // still match a miss's (the hit counts on the shard plane). A miss
+    // packs the keyframe and leaves it in the cache.
     if let Some(hit) = template_key.as_ref().and_then(|key| keyframes.get(key)) {
         collector.count("serve.keyframe_cache_hits", 1);
         session.packed = Some(hit.clone());

@@ -1,23 +1,22 @@
 //! Serving out of template forks, observed from outside.
 //!
-//! Four promises from the fork fast path, each checked over the real
-//! wire: (1) a client that asks for the `awmsim` backend in its `Hello`
-//! gets a forked display-list session whose pixels match an in-process
-//! awmsim build; (2) a one-shard 512-session ramp storm pays exactly
-//! one cold template build and forks every session from it; (3) the
-//! `ServerConfig::fork = false` ablation really builds cold — zero forks, zero template
-//! builds — and still serves everyone; (4) the keyframe a shard caches
-//! per template is byte for byte a fresh encode of a forked session,
-//! and the updates a session that adopted it ships are byte for byte a
-//! cold session's.
+//! Every served session forks from its shard's template. Three promises
+//! of that path, each checked over the real wire: (1) a client that
+//! asks for the `awmsim` backend in its `Hello` gets a forked
+//! display-list session whose pixels match an in-process awmsim build;
+//! (2) a one-shard 512-session admission storm pays exactly one cold
+//! template build and forks every session from it; (3) the keyframe a
+//! shard caches per template is byte for byte a fresh encode of a
+//! forked session, and the updates a session that adopted it ships are
+//! byte for byte those of an in-process cold session.
 
 use std::sync::Arc;
 
 use atk_apps::TemplateRegistry;
 use atk_core::ScriptStep;
 use atk_serve::{
-    serve_differential, ClientFrame, FrameTransport, HostedSession, LoadConfig, LoadReport,
-    MemTransport, Profile, Server, ServerConfig, ServerFrame, SessionConfig, Topology, Traffic,
+    serve_differential, ClientFrame, FrameTransport, HostedSession, LoadConfig, MemTransport,
+    Profile, Server, ServerConfig, ServerFrame, SessionConfig, Topology, Traffic,
 };
 use atk_trace::Collector;
 use atk_wm::WindowEvent;
@@ -41,18 +40,20 @@ fn hello_backend_awmsim_round_trips_over_the_wire() {
     assert_eq!(run.merged.counter("world.template_builds"), 1);
 }
 
-/// A pure admission storm of `sessions` ramp clients onto one fig1
-/// shard; every client must complete without an error.
-fn ramp_storm(sessions: usize, fork: bool) -> LoadReport {
+// Under a concurrent admission storm — 512 sessions of no steps racing
+// onto one fig1 shard — every client completes, the template is built
+// exactly once and every session is a fork of it.
+#[test]
+fn ramp_storm_builds_one_template_and_forks_every_session() {
+    let sessions = 512;
     let mut cfg = LoadConfig {
         sessions,
+        steps: 0,
         scene: "fig1".into(),
         profile: Profile::Mixed,
         shards: 1,
-        ramp: true,
         ..LoadConfig::default()
     };
-    cfg.server.fork = fork;
     cfg.server.max_sessions = sessions;
     let report = atk_serve::run_loadgen(&cfg).expect("ramp runs");
     assert!(
@@ -61,15 +62,6 @@ fn ramp_storm(sessions: usize, fork: bool) -> LoadReport {
         report.errors
     );
     assert_eq!(report.completed, sessions);
-    report
-}
-
-// Satellite: under a concurrent admission storm — 512 ramp sessions
-// racing onto one shard — the template is built exactly once and every
-// session is a fork of it.
-#[test]
-fn ramp_storm_builds_one_template_and_forks_every_session() {
-    let report = ramp_storm(512, true);
     assert_eq!(report.rejected, 0);
     assert_eq!(report.backpressure_drops, Some(0));
     assert_eq!(
@@ -86,16 +78,6 @@ fn ramp_storm_builds_one_template_and_forks_every_session() {
         report.ttff_p50_us > 0,
         "ramp reports must carry TTFF percentiles"
     );
-}
-
-// The `ServerConfig::fork = false` ablation: same storm shape, cold builds only. Zero
-// forks, zero templates, and the fleet still completes — the knob
-// changes cost, never behaviour.
-#[test]
-fn no_fork_ablation_builds_every_session_cold() {
-    let report = ramp_storm(64, false);
-    assert_eq!(report.forks, Some(0));
-    assert_eq!(report.template_builds, Some(0));
 }
 
 // The template keyframe cache: the second fig5 `Hello` on a shard
@@ -154,9 +136,19 @@ fn cached_keyframe_bytes_equal_a_fresh_encode_of_a_forked_session() {
     );
 }
 
-/// Serves one fig5 conversation — focus click, then `text` typed —
-/// one step at a time, so every step ships exactly one frame, and
-/// returns the encoded pixel frames (the keyframe, then one per step).
+/// A fig5 focus click, then `text` typed.
+fn typed_steps(text: &str) -> Vec<ScriptStep> {
+    let mut steps = vec![
+        ScriptStep::Event(WindowEvent::left_down(70, 70)),
+        ScriptStep::Event(WindowEvent::left_up(70, 70)),
+    ];
+    steps.extend(text.chars().map(|c| ScriptStep::Event(WindowEvent::ch(c))));
+    steps
+}
+
+/// Serves one fig5 conversation, [`typed_steps`], one step at a time,
+/// so every step ships exactly one frame, and returns the encoded pixel
+/// frames (the keyframe, then one per step).
 fn typed_frames(server: &Server, text: &str) -> Vec<Vec<u8>> {
     let (mut client, server_half) = MemTransport::pair();
     let hello = ClientFrame::Hello {
@@ -171,12 +163,7 @@ fn typed_frames(server: &Server, text: &str) -> Vec<Vec<u8>> {
         "{welcome:?}"
     );
     let mut frames = vec![client.recv().unwrap()];
-    let mut steps = vec![
-        ScriptStep::Event(WindowEvent::left_down(70, 70)),
-        ScriptStep::Event(WindowEvent::left_up(70, 70)),
-    ];
-    steps.extend(text.chars().map(|c| ScriptStep::Event(WindowEvent::ch(c))));
-    for step in steps {
+    for step in typed_steps(text) {
         client
             .send(&ClientFrame::Step(step).encode().unwrap())
             .unwrap();
@@ -204,29 +191,31 @@ fn typed_frames(server: &Server, text: &str) -> Vec<Vec<u8>> {
 // written record it cleared when it adopted that frame. A write the
 // record missed, or a clear while the baseline differed from the
 // screen, would drop pixels from its updates without any error, so
-// the hit's shipped bytes must equal a cold session's, frame for frame.
+// the hit's shipped bytes must equal, frame for frame, those an
+// in-process cold session encodes for the same steps.
 #[test]
 fn a_cache_hit_session_ships_the_updates_of_a_cold_one() {
     let text = "cache hit types";
-    let forked = Server::start(ServerConfig::default(), 1);
-    let _miss = typed_frames(&forked, text);
-    let hit = typed_frames(&forked, text);
-    forked.shutdown_shards();
+    let server = Server::start(ServerConfig::default(), 1);
+    let _miss = typed_frames(&server, text);
+    let hit = typed_frames(&server, text);
+    server.shutdown_shards();
     assert_eq!(
-        forked
+        server
             .merged_snapshot()
             .counter("serve.keyframe_cache_hits"),
         1,
         "the second session must adopt the cached keyframe"
     );
 
-    let cold_cfg = ServerConfig {
-        fork: false,
-        ..ServerConfig::default()
-    };
-    let cold_server = Server::start(cold_cfg, 1);
-    let cold = typed_frames(&cold_server, text);
-    cold_server.shutdown_shards();
+    let mut session =
+        HostedSession::open("fig5", SessionConfig::default(), Arc::new(Collector::new())).unwrap();
+    let initial = session.initial_keyframe();
+    let mut cold = vec![session.encode_frame(&initial)];
+    for step in typed_steps(text) {
+        let (frame, _) = session.apply_batch(&[step], 0);
+        cold.push(session.encode_frame(&frame));
+    }
 
     assert_eq!(hit.len(), cold.len(), "frames shipped");
     assert!(

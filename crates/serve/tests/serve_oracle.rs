@@ -1,6 +1,6 @@
-//! The serving acceptance oracles, all on a cold-booting 1-shard
-//! server (`fork: false` — the cold-boot path keeps its own
-//! byte-identity coverage; the sharded differential covers forking):
+//! The serving acceptance oracles, all on a 1-shard server whose
+//! sessions fork from its templates, the path every served session
+//! takes:
 //!
 //! * served-vs-in-process: a served session replaying a fuzzer script
 //!   ends byte-identical to the same script run in-process (four
@@ -24,7 +24,10 @@
 //!   before each sync, and from one that sends the whole script before
 //!   one sync, so the server drains bursts of steps as one batch. Each
 //!   must end on the in-process frame with the in-process counters.
+//!   The four seeds run as four sessions of one server, so the last
+//!   three adopt the template's cached keyframe and diff from it.
 
+use atk_core::ScriptStep;
 use atk_serve::{serve_differential, Topology, Traffic};
 
 const SEEDS: [u64; 4] = [1, 2, 7, 42];
@@ -32,25 +35,39 @@ const STEPS: usize = 40;
 /// The long fig5 input: (seed, steps).
 const LONG_FIG5: (u64, usize) = (3, 240);
 
-fn cold() -> Topology {
-    Topology {
-        fork: false,
-        ..Topology::default()
-    }
-}
-
 /// Steps a pipelining client sends before each sync: eight, and the
 /// whole script.
 const WINDOWS: [usize; 2] = [8, usize::MAX];
 
+/// The one-session `Traffic::fuzz` script of `seed`.
+fn fuzz_script(scene: &str, backend: &str, seed: u64) -> Vec<ScriptStep> {
+    match Traffic::fuzz(scene, Some(backend), seed, 1, STEPS, 1).unwrap() {
+        Traffic::Private { mut scripts, .. } => scripts.remove(0),
+        Traffic::Shared { .. } => unreachable!("fuzz traffic is private"),
+    }
+}
+
 fn run_pipelined(scene: &str) {
     for backend in ["x11sim", "awmsim"] {
-        for (window, seed) in WINDOWS.into_iter().flat_map(|w| SEEDS.map(|s| (w, s))) {
-            let traffic = Traffic::fuzz(scene, Some(backend), seed, 1, STEPS, window).unwrap();
-            let report = serve_differential(scene, &traffic, &cold())
-                .unwrap_or_else(|e| panic!("{backend} window {window} seed {seed}: {e}"));
-            assert_eq!(report.steps, STEPS);
-            assert_eq!(report.counter_planes, 1);
+        let scripts: Vec<_> = SEEDS
+            .iter()
+            .map(|&seed| fuzz_script(scene, backend, seed))
+            .collect();
+        for window in WINDOWS {
+            let traffic = Traffic::Private {
+                scripts: scripts.clone(),
+                backend: Some(backend.to_string()),
+                window,
+            };
+            let report = serve_differential(scene, &traffic, &Topology::default())
+                .unwrap_or_else(|e| panic!("{backend} window {window}, seeds {SEEDS:?}: {e}"));
+            assert_eq!(report.steps, SEEDS.len() * STEPS);
+            assert_eq!(report.counter_planes, SEEDS.len());
+            assert_eq!(
+                report.merged.counter("serve.keyframe_cache_hits"),
+                SEEDS.len() as u64 - 1,
+                "{backend} window {window}: every session after the first adopts the cached keyframe"
+            );
         }
     }
 }
@@ -88,7 +105,7 @@ fn run_scene_on(scene: &str, backend: Option<&str>) {
     let long = (scene == "fig5").then_some(LONG_FIG5);
     for (seed, steps) in SEEDS.map(|seed| (seed, STEPS)).into_iter().chain(long) {
         let traffic = Traffic::fuzz(scene, backend, seed, 1, steps, 1).unwrap();
-        let report = serve_differential(scene, &traffic, &cold())
+        let report = serve_differential(scene, &traffic, &Topology::default())
             .unwrap_or_else(|e| panic!("{scene} seed {seed}: {e}"));
         assert_eq!(report.steps, steps);
         if long == Some((seed, steps)) {
@@ -195,7 +212,7 @@ fn typed_returns_ship_as_moves_and_match_in_process() {
             backend: Some(backend.to_string()),
             window: 1,
         };
-        let report = serve_differential("fig5", &traffic, &cold())
+        let report = serve_differential("fig5", &traffic, &Topology::default())
             .unwrap_or_else(|e| panic!("{backend}: {e}"));
         let (moves, posted) = (
             report.merged.counter("serve.moves"),
@@ -239,7 +256,7 @@ fn typed_characters_ship_their_line_tail_as_a_move() {
                 backend: Some(backend.to_string()),
                 window: 1,
             };
-            serve_differential("fig5", &traffic, &cold())
+            serve_differential("fig5", &traffic, &Topology::default())
                 .unwrap_or_else(|e| panic!("{backend}, {chars} chars: {e}"))
         };
         let (clicked, typed) = (run(0), run(CHARS));
@@ -289,6 +306,6 @@ fn menu_position_survives_the_wire() {
         backend: None,
         window: 1,
     };
-    let report = serve_differential("fig3", &traffic, &cold()).unwrap();
+    let report = serve_differential("fig3", &traffic, &Topology::default()).unwrap();
     assert_eq!(report.steps, 3);
 }

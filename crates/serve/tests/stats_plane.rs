@@ -247,19 +247,33 @@ fn a_watcher_replica_attributes_settle_and_paint() {
     }
 }
 
+/// A fig5 focus click, then `keys` keys typed.
+fn typing_steps(keys: usize) -> Vec<ScriptStep> {
+    let mut steps = vec![
+        ScriptStep::Event(WindowEvent::left_down(70, 70)),
+        ScriptStep::Event(WindowEvent::left_up(70, 70)),
+    ];
+    steps.extend(
+        "typing"
+            .chars()
+            .cycle()
+            .take(keys)
+            .map(|c| ScriptStep::Event(WindowEvent::ch(c))),
+    );
+    steps
+}
+
 /// Serves `sessions` fig5 sessions one after another on a one-shard
 /// server on `backend`, each a focus click plus `keys` typed keys, one
 /// frame per step. Returns the server, every session's retired
 /// snapshot in admission order, and the shard plane.
 fn typing_sessions(
     backend: &str,
-    fork: bool,
     sessions: usize,
     keys: usize,
     think: Duration,
 ) -> (Arc<Server>, Vec<Snapshot>, Snapshot) {
     let cfg = ServerConfig {
-        fork,
         retain_session_traces: true,
         session: SessionConfig {
             backend: backend.to_string(),
@@ -270,18 +284,7 @@ fn typing_sessions(
     let server = Server::start(cfg, 1);
     for _ in 0..sessions {
         let mut client = ServeClient::connect(server.connect_mem(None).unwrap(), "fig5").unwrap();
-        let mut steps = vec![
-            ScriptStep::Event(WindowEvent::left_down(70, 70)),
-            ScriptStep::Event(WindowEvent::left_up(70, 70)),
-        ];
-        steps.extend(
-            "typing"
-                .chars()
-                .cycle()
-                .take(keys)
-                .map(|c| ScriptStep::Event(WindowEvent::ch(c))),
-        );
-        for step in &steps {
+        for step in &typing_steps(keys) {
             if !think.is_zero() {
                 thread::sleep(think);
             }
@@ -308,39 +311,37 @@ fn typing_sessions(
 /// bands its screen draws on and the bands its updates bring its
 /// baseline along on — never a whole frame at a fork, a keyframe or a
 /// first update. A fig5 session's focus click and first 16 keys copy
-/// fewer bands than one frame holds, forked or cold. 80 keys reflow
+/// fewer bands than one frame holds. 80 keys reflow
 /// the paragraph and redraw most of the frame (31 of its 35 bands), so
 /// they copy more, but each band at most once on each side: under two
 /// frames' worth. 80 keys ship more than 64 pixel frames, so a frame
 /// copy per keyframe or per update would show.
 #[test]
-fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
+fn a_typing_session_makes_one_frame_copy() {
     let (_, h) = HostedSession::open("fig5", SessionConfig::default(), Arc::new(Collector::new()))
         .unwrap()
         .size();
     let frame_bands = u64::from(h.div_ceil(BAND_ROWS as u32));
-    for fork in [true, false] {
-        for (keys, budget) in [(16, frame_bands), (80, 2 * frame_bands)] {
-            let (_, sessions, _) = typing_sessions("x11sim", fork, 3, keys, Duration::ZERO);
-            assert_eq!(sessions.len(), 3);
-            for (k, snap) in sessions.iter().enumerate() {
-                assert!(
-                    snap.counter("serve.frames") > keys as u64,
-                    "session {k}: one frame per step"
-                );
-                let pixel_frames =
-                    snap.counter("serve.frames") - snap.counter("serve.frames_unchanged");
-                assert!(
-                    pixel_frames > keys as u64 * 4 / 5,
-                    "{keys} keys, session {k}: {pixel_frames} pixel frames"
-                );
-                let copies = snap.counter("serve.band_copies");
-                assert!(
-                    copies > 0 && copies < budget,
-                    "fork={fork} {keys} keys, session {k}: {copies} band copies, \
-                     {frame_bands} bands a frame"
-                );
-            }
+    for (keys, budget) in [(16, frame_bands), (80, 2 * frame_bands)] {
+        let (_, sessions, _) = typing_sessions("x11sim", 3, keys, Duration::ZERO);
+        assert_eq!(sessions.len(), 3);
+        for (k, snap) in sessions.iter().enumerate() {
+            assert!(
+                snap.counter("serve.frames") > keys as u64,
+                "session {k}: one frame per step"
+            );
+            let pixel_frames =
+                snap.counter("serve.frames") - snap.counter("serve.frames_unchanged");
+            assert!(
+                pixel_frames > keys as u64 * 4 / 5,
+                "{keys} keys, session {k}: {pixel_frames} pixel frames"
+            );
+            let copies = snap.counter("serve.band_copies");
+            assert!(
+                copies > 0 && copies < budget,
+                "{keys} keys, session {k}: {copies} band copies, \
+                 {frame_bands} bands a frame"
+            );
         }
     }
 }
@@ -352,32 +353,43 @@ fn a_typing_session_makes_one_frame_copy_forked_or_cold() {
 /// display list records what its replay writes). A keystroke redraws
 /// one 546×20 text line; the focus click and a line wrap redraw most
 /// of the frame, which the 48 keys amortize. The count follows the
-/// session's drawing alone: a cold session, a template-cache miss and
-/// a cache hit (which must clear the record when it adopts the cached
-/// keyframe) all compare the same pixels.
+/// session's drawing alone: a template-cache miss, a cache hit (which
+/// must clear the record when it adopts the cached keyframe) and an
+/// in-process cold session all compare the same pixels.
 #[test]
 fn a_typing_session_diffs_only_what_it_drew() {
     let (w, h) = HostedSession::open("fig5", SessionConfig::default(), Arc::new(Collector::new()))
         .unwrap()
         .size();
+    const KEYS: usize = 48;
     for backend in ["x11sim", "awmsim"] {
+        let (_, mut sessions, _) = typing_sessions(backend, 2, KEYS, Duration::ZERO);
+        let collector = Arc::new(Collector::new());
+        collector.enable();
+        let cfg = SessionConfig {
+            backend: backend.into(),
+            ..SessionConfig::default()
+        };
+        let mut cold = HostedSession::open("fig5", cfg, collector.clone()).unwrap();
+        let _ = cold.initial_keyframe();
+        for step in typing_steps(KEYS) {
+            let _ = cold.apply_batch(&[step], 0);
+        }
+        sessions.push(collector.snapshot());
         let mut compared = Vec::new();
-        for fork in [true, false] {
-            let (_, sessions, _) = typing_sessions(backend, fork, 2, 48, Duration::ZERO);
-            for (k, snap) in sessions.iter().enumerate() {
-                let full = snap.counter("serve.frames") * u64::from(w) * u64::from(h);
-                let px = snap.counter("serve.diff_px");
-                assert!(
-                    px > 0 && px * 10 < full,
-                    "{backend} fork={fork} session {k}: compared {px} of {full} pixels"
-                );
-                compared.push(px);
-            }
+        for (k, snap) in sessions.iter().enumerate() {
+            let full = snap.counter("serve.frames") * u64::from(w) * u64::from(h);
+            let px = snap.counter("serve.diff_px");
+            assert!(
+                px > 0 && px * 10 < full,
+                "{backend} session {k}: compared {px} of {full} pixels"
+            );
+            compared.push(px);
         }
         assert!(
             compared.iter().all(|&px| px == compared[0]),
             "{backend}: pixels compared, per session \
-             (forked miss, forked hit, cold, cold): {compared:?}"
+             (forked miss, forked hit, in-process cold): {compared:?}"
         );
     }
 }
@@ -505,13 +517,12 @@ fn keyframe_probes_count_what_they_packed_and_what_shipped() {
 }
 
 /// The template keyframe cache counts on the shard plane: the first
-/// fig5 `Hello` on a shard encodes the keyframe, every later one is a
-/// hit, and `ServerConfig::fork = false` admissions never touch the
-/// cache. A hit
-/// leaves the session's own keyframe counters as a miss left them.
+/// fig5 `Hello` on a shard encodes the keyframe and every later one is
+/// a hit. A hit leaves the session's own keyframe counters as a miss
+/// left them.
 #[test]
 fn keyframe_cache_hits_count_on_the_shard_plane() {
-    let (server, sessions, shard) = typing_sessions("x11sim", true, 3, 4, Duration::ZERO);
+    let (server, sessions, shard) = typing_sessions("x11sim", 3, 4, Duration::ZERO);
     assert_eq!(shard.counter("serve.keyframe_cache_hits"), 2);
     assert_eq!(
         server
@@ -533,15 +544,6 @@ fn keyframe_cache_hits_count_on_the_shard_plane() {
             "{key}: the hit counts like the miss"
         );
     }
-
-    let (server, _, shard) = typing_sessions("x11sim", false, 3, 4, Duration::ZERO);
-    assert_eq!(shard.counter("serve.keyframe_cache_hits"), 0);
-    assert_eq!(
-        server
-            .merged_snapshot()
-            .counter("serve.keyframe_cache_hits"),
-        0
-    );
 }
 
 /// The shard health counters: a typing session wakes its parked shard
@@ -551,7 +553,7 @@ fn keyframe_cache_hits_count_on_the_shard_plane() {
 /// unless it was descheduled through every pause.
 #[test]
 fn a_typing_session_records_shard_wakeups() {
-    let (_, _, shard) = typing_sessions("x11sim", true, 1, 24, Duration::from_millis(2));
+    let (_, _, shard) = typing_sessions("x11sim", 1, 24, Duration::from_millis(2));
     assert!(shard.counter("serve.shard.wakeups") > 0, "wakeups");
     assert!(shard.counter("serve.shard.parked_us") > 0, "time parked");
 }

@@ -8,8 +8,8 @@
 # Honors CRITERION_SAMPLE_MS (the repo-wide quick-smoke knob) so CI can
 # run it capped. Exits 1 if the bench emits no BENCH_E17_JSON line or
 # the payload fails the schema sanity check (per-scene cold_us /
-# fork_us / speedup plus ramp TTFF percentiles for both the fork and
-# no-fork sides).
+# fork_us / speedup plus the forked ramp's wall time and TTFF
+# percentiles).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,8 +39,7 @@ for scene, row in doc["scenes"].items():
         assert key in row, f"{scene} missing {key}"
 ramp = doc["ramp"]
 assert ramp["sessions"] > 0, "ramp ran no sessions"
-for side in ("fork", "no_fork"):
-    for key in ("wall_s", "ttff_p50_us", "ttff_p99_us"):
-        assert key in ramp[side], f"ramp.{side} missing {key}"
+for key in ("wall_s", "ttff_p50_us", "ttff_p99_us"):
+    assert key in ramp["fork"], f"ramp.fork missing {key}"
 print(f"bench_report: {path} ok ({len(doc['scenes'])} scenes)")
 EOF
