@@ -25,8 +25,8 @@
 //! costs count on the shard plane (`world.template_builds`,
 //! `world.forks`, `world.fork_us`, `world.fork_shared_bytes`), never on
 //! the forked session's own collector. There is no cold-boot serving
-//! path; [`HostedSession::open`] builds cold in process, the reference
-//! the oracles compare against.
+//! path; [`HostedSession::open`] builds a scene cold, in process only,
+//! as a reference for tests and the shared-document oracle.
 //!
 //! There is one dispatch engine: every connection — TCP from the
 //! acceptor, or an in-memory pair from the tests, the oracles and
